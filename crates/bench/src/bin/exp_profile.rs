@@ -173,34 +173,22 @@ fn peak_rss_bytes() -> u64 {
         .map_or(0, |kb| kb * 1024)
 }
 
-/// The compact-state scale section (schema v6): metro-grid stress
-/// throughput with peak RSS — run once inline (`workers = 1`) and once on
-/// the threaded executor with a byte-identity check and the honest
-/// *measured* wall-clock speedup between the two — the Helmy aggregation
-/// curve (bytes-per-listener vs group sharing, audited against the
-/// DESIGN.md model), and the O(1)-poll flatness check — the oracle's 5 s
-/// walk counters must not scale with the listener population.
+/// The compact-state scale section (schema v7): metro-grid stress
+/// throughput with peak RSS and the achievable conservative-window
+/// speedup, the Helmy aggregation curve (bytes-per-listener vs group
+/// sharing, audited against the DESIGN.md model), and the O(1)-poll
+/// flatness check — the oracle's 5 s walk counters must not scale with
+/// the listener population.
 fn scale_section() -> Result<serde_json::Value, String> {
     use mobicast_core::scale;
     use mobicast_core::stress::{run_stress_with, StressRunOptions, StressSpec};
 
     // Metro throughput: a 1012-router grid, sharded, under the oracle.
-    // The inline pass is the measured-speedup baseline; on a single-core
-    // host the threaded pass is expected to land at or below 1x, and the
-    // number is reported as measured, not assumed.
     let spec = scale::metro_spec(1_000, 400, 11);
-    let workers = configured_workers().min(8);
-    let wall_start = Instant::now();
-    let (base_report, _) = run_stress_with(
-        &spec,
-        &StressRunOptions::sharded(8, 1),
-        mobicast_sim::Tracer::null(),
-    );
-    let wall_serial_secs = wall_start.elapsed().as_secs_f64();
     let wall_start = Instant::now();
     let (report, stats) = run_stress_with(
         &spec,
-        &StressRunOptions::sharded(8, workers),
+        &StressRunOptions::sharded(8, 1),
         mobicast_sim::Tracer::null(),
     );
     let wall_secs = wall_start.elapsed().as_secs_f64();
@@ -210,31 +198,16 @@ fn scale_section() -> Result<serde_json::Value, String> {
             report.oracle_violations, report.name, report.violations
         ));
     }
-    {
-        let a = serde_json::to_string(&base_report).map_err(|e| e.to_string())?;
-        let b = serde_json::to_string(&report).map_err(|e| e.to_string())?;
-        if a != b {
-            return Err(format!(
-                "scale: inline and threaded metro reports diverge at {workers} workers \
-                 — determinism broken"
-            ));
-        }
-    }
-    let mut stats = stats.ok_or_else(|| "scale: sharded run reported no stats".to_owned())?;
-    let measured_speedup = wall_serial_secs / wall_secs.max(1e-9);
-    stats.measured_speedup = Some(measured_speedup);
+    let stats = stats.ok_or_else(|| "scale: sharded run reported no stats".to_owned())?;
     eprintln!(
         "[scale] {}: {} events, {:.2}s wall, {:.0} events/sec, \
-         achievable speedup {:.2}x over {} shards, \
-         measured {measured_speedup:.2}x at {} workers (inline baseline {:.2}s)",
+         achievable speedup {:.2}x over {} shards",
         report.name,
         report.events_executed,
         wall_secs,
         report.events_executed as f64 / wall_secs.max(1e-9),
         stats.achievable_speedup(),
         stats.events_per_shard.len(),
-        stats.workers,
-        wall_serial_secs,
     );
 
     // The Helmy aggregation curve: 100k listeners on the same 529-link
@@ -305,18 +278,13 @@ fn scale_section() -> Result<serde_json::Value, String> {
             "hosts": report.hosts,
             "events_executed": report.events_executed,
             "wall_secs": wall_secs,
-            "wall_secs_inline": wall_serial_secs,
             "events_per_sec": report.events_executed as f64 / wall_secs.max(1e-9),
             "peak_rss_bytes": peak_rss_bytes(),
             "shards": stats.events_per_shard.len(),
-            "workers": stats.workers,
             "windows": stats.windows,
             "barrier_syncs": stats.barrier_syncs,
             "critical_path_events": stats.critical_path_events,
             "achievable_speedup": stats.achievable_speedup(),
-            "measured_speedup": measured_speedup,
-            "handoff_events": stats.handoff_events,
-            "barrier_stall_secs": stats.barrier_stall_secs,
         },
         "aggregation": curve,
         "mem_per_listener_bytes": mem_per_listener,
@@ -339,7 +307,7 @@ fn check_bench_file(path: &str) -> Result<(), String> {
     if v["schema"].as_str() != Some("mobicast-bench-sim") {
         return Err(format!("{path}: wrong or missing schema stamp"));
     }
-    if v["version"].as_u64() != Some(6) {
+    if v["version"].as_u64() != Some(7) {
         return Err(format!("{path}: wrong or missing schema version"));
     }
     let scenarios = v["scenarios"]
@@ -392,11 +360,6 @@ fn check_bench_file(path: &str) -> Result<(), String> {
         "events_per_sec",
         "peak_rss_bytes",
         "achievable_speedup",
-        "measured_speedup",
-        "workers",
-        "wall_secs_inline",
-        "handoff_events",
-        "barrier_stall_secs",
         "events_executed",
     ] {
         if scale["metro"].get(key).is_none() {
@@ -579,9 +542,8 @@ fn main() -> ExitCode {
         }
     };
 
-    // Compact-state scale measurements (schema v6): metro throughput +
-    // peak RSS with the measured threaded speedup, the Helmy aggregation
-    // curve, and the poll-flatness gate.
+    // Compact-state scale measurements: metro throughput + peak RSS, the
+    // Helmy aggregation curve, and the poll-flatness gate.
     let scale = match scale_section() {
         Ok(entry) => entry,
         Err(e) => {
@@ -592,7 +554,7 @@ fn main() -> ExitCode {
 
     let out = json!({
         "schema": "mobicast-bench-sim",
-        "version": 6,
+        "version": 7,
         "scenarios": serde_json::Value::Object(scenarios),
         "parallel": {
             "chaos_sweep": chaos_sweep,

@@ -5,14 +5,10 @@
 //! delivery policy.
 //!
 //! `--routers N` switches to a single metro-grid run of (at least) N
-//! routers on the sharded executor — e.g. `exp_stress --routers 10000
+//! routers under a sharded plan — e.g. `exp_stress --routers 10000
 //! --receivers 200` — reporting events/sec, the shard schedule and the
-//! achievable conservative-parallel speedup. On the metro run `--workers`
-//! sets the *executor threads* of the sharded run (the same knob as
-//! `MOBICAST_WORKERS`; `--serial` = 1 = inline), while on the sweep it
-//! pins the sweep worker pool — one flag, one meaning per mode.
-//! `--receivers M` tunes the run; the result lands in
-//! `results/stress_metro.json`.
+//! achievable conservative-parallel speedup. `--receivers M` tunes the
+//! run; the result lands in `results/stress_metro.json`.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -26,15 +22,13 @@ const METRO_SHARDS: usize = 16;
 
 fn run_metro(routers: usize) -> ExitCode {
     let receivers = mobicast_bench::receivers_flag().unwrap_or(200);
-    let workers = mobicast_bench::workers_flag().unwrap_or(4);
     let spec = mobicast_core::scale::metro_spec(routers, receivers, 11);
     eprintln!(
-        "(metro run: {} with {receivers} receivers, {METRO_SHARDS} shards, \
-         {workers} workers)",
+        "(metro run: {} with {receivers} receivers, {METRO_SHARDS} shards)",
         spec.name
     );
 
-    let opts = StressRunOptions::sharded(METRO_SHARDS, workers);
+    let opts = StressRunOptions::sharded(METRO_SHARDS, 1);
     let wall_start = Instant::now();
     let (report, stats) = run_stress_with(&spec, &opts, mobicast_sim::Tracer::null());
     let wall_secs = wall_start.elapsed().as_secs_f64();
@@ -57,11 +51,6 @@ fn run_metro(routers: usize) -> ExitCode {
             s.critical_path_events,
             s.achievable_speedup()
         );
-        println!(
-            "  executor: {} worker thread(s), {} cross-worker handoffs, \
-             {:.3}s barrier stall",
-            s.workers, s.handoff_events, s.barrier_stall_secs
-        );
     }
     println!(
         "  delivery: {} packets, {} first-copy deliveries, {} duplicates; \
@@ -80,7 +69,6 @@ fn run_metro(routers: usize) -> ExitCode {
             "hosts": report.hosts,
             "receivers": receivers,
             "shards": METRO_SHARDS,
-            "workers": workers,
         },
         "events_executed": report.events_executed,
         "wall_secs": wall_secs,

@@ -331,7 +331,7 @@ pub fn build(
             map_agent[*l] = Some(addr);
         }
     }
-    let directory: SharedDirectory = std::sync::Arc::new(Directory {
+    let directory: SharedDirectory = std::rc::Rc::new(Directory {
         default_router,
         map_agent,
     });

@@ -59,6 +59,4 @@ pub use router_node::{ResourceBudget, RouterConfig, RouterNode};
 pub use scenario::{
     run, run_with_recorder, Move, PaperHost, ScenarioBuilder, ScenarioConfig, ScenarioResult,
 };
-#[allow(deprecated)]
-pub use strategy::Strategy;
 pub use strategy::{BuExtras, DeliveryPolicy, MoveAction, MoveContext, Policy, RecvPath, SendPath};

@@ -8,7 +8,7 @@ use mobicast_ipv6::packet::{proto, Packet};
 use mobicast_ipv6::udp::UdpDatagram;
 use mobicast_net::{Frame, FrameClass, IfIndex, LinkId, NodeId};
 use std::net::Ipv6Addr;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// UDP port carrying the simulated multicast application stream.
 pub const MCAST_UDP_PORT: u16 = 5001;
@@ -67,7 +67,7 @@ pub struct Directory {
     pub map_agent: Vec<Option<Ipv6Addr>>,
 }
 
-pub type SharedDirectory = Arc<Directory>;
+pub type SharedDirectory = Rc<Directory>;
 
 /// Derive the node that owns an address under the simulation address plan
 /// (the interface identifier encodes the node id).

@@ -216,10 +216,6 @@ fn watched(path: &str) -> bool {
         // The compact-state memory curve (BENCH_sim.json): a jump in
         // bytes-per-listener is a state-table memory regression.
         || path.contains("bytes_per_listener")
-        // The threaded executor's measured wall-clock speedup
-        // (BENCH_sim.json v6 scale.metro): a collapse here means the
-        // worker protocol started serialising (or the key vanished).
-        || path.contains("measured_speedup")
 }
 
 fn as_num(v: &Value) -> Option<f64> {

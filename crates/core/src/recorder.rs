@@ -3,24 +3,19 @@
 //! quantities (join delay, leave delay, wasted bandwidth, routing stretch)
 //! from ground truth instead of from per-node guesses.
 //!
-//! Nodes share one recorder via `Arc<Mutex<..>>` so node behaviors can run
-//! on executor worker threads. Order-sensitive mutations (event rows, span
-//! records, series samples) go through [`mobicast_sim::defer::defer_or_run`]:
-//! under the sequential executor they apply immediately; under the threaded
-//! executor they are buffered per dispatch and replayed by the coordinator
-//! in global `(time, seq)` order, so the recorded streams are byte-identical
-//! either way. Calls that must return a value immediately (provenance tags,
-//! span ids) derive it from per-node counters, which are deterministic
-//! regardless of how dispatches interleave across workers.
+//! Nodes share one recorder via `Rc<RefCell<..>>` (a run is
+//! single-threaded) and mutate it directly. Provenance tags and span ids
+//! derive from per-node counters, so a node's values depend only on its own
+//! emission order — the trace goldens pin them.
 
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_net::{LinkId, NodeId};
-use mobicast_sim::defer::defer_or_run;
 use mobicast_sim::span::AttrValue;
 use mobicast_sim::{Counters, SeriesSet, SimTime, SpanBook, SpanId, TimeSeriesSet};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
 
 /// Identifier of one application datagram (origin host id << 32 | seq).
 pub type PacketId = u64;
@@ -102,86 +97,61 @@ pub struct Recorder {
     /// apps, binding round-trips, …).
     pub series: SeriesSet,
     /// Causal spans opened/closed by node glue (handoff phases, grafts,
-    /// delivery gaps). Ids derive from `(node, per-node open count)`, so
-    /// same-seed runs produce identical books under any executor.
+    /// delivery gaps). Ids derive from `(node, per-node open count)`.
     pub spans: SpanBook,
     /// Sim-time-stamped gauge timelines (table occupancy, queue depth,
     /// link inflight, token-bucket level), sampled by the scenario.
     pub timeline: TimeSeriesSet,
     /// Per-node emission tag counters (tags are > 0; 0 means untagged).
-    /// Tag values encode `(node + 1) << 32 | per-node count`: allocation
-    /// is order-insensitive across nodes, so worker threads hand out the
-    /// same values the sequential loop would.
     tag_seq: HashMap<u32, u64>,
 }
 
 impl Recorder {
     pub fn new_shared() -> SharedRecorder {
-        SharedRecorder(Arc::new(Mutex::new(Recorder::default())))
+        SharedRecorder(Rc::new(RefCell::new(Recorder::default())))
     }
 }
 
 /// Cheap-to-clone handle to the run's recorder.
 #[derive(Clone)]
-pub struct SharedRecorder(Arc<Mutex<Recorder>>);
+pub struct SharedRecorder(Rc<RefCell<Recorder>>);
 
 impl SharedRecorder {
-    fn lock(&self) -> MutexGuard<'_, Recorder> {
-        // A panic mid-mutation leaves only append-only state behind;
-        // recover the guard so the failure surfaces as the original panic.
-        match self.0.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Allocate a fresh provenance tag for an emission by `node`.
-    ///
-    /// Derived from a per-node counter (`(node + 1) << 32 | count`), so the
-    /// value depends only on the node's own emission order — identical
-    /// between the sequential and the threaded executor.
+    /// Allocate a fresh provenance tag for an emission by `node`:
+    /// `(node + 1) << 32 | per-node count`, so the value depends only on
+    /// the node's own emission order.
     pub fn next_tag(&self, node: NodeId) -> u64 {
-        let mut r = self.lock();
+        let mut r = self.0.borrow_mut();
         let seq = r.tag_seq.entry(node.0).or_insert(0);
         *seq += 1;
         (u64::from(node.0) + 1) << 32 | *seq
     }
 
     pub fn record_packet(&self, meta: PacketMeta) {
-        let this = self.clone();
-        defer_or_run(move || this.lock().packets.push(meta));
+        self.0.borrow_mut().packets.push(meta);
     }
 
     pub fn record_data(&self, ev: DataEvent) {
-        let this = self.clone();
-        defer_or_run(move || this.lock().data_events.push(ev));
+        self.0.borrow_mut().data_events.push(ev);
     }
 
     pub fn record_delivery(&self, d: Delivery) {
-        let this = self.clone();
-        defer_or_run(move || this.lock().deliveries.push(d));
+        self.0.borrow_mut().deliveries.push(d);
     }
 
     pub fn record_move(&self, m: MoveEvent) {
-        let this = self.clone();
-        defer_or_run(move || this.lock().moves.push(m));
+        self.0.borrow_mut().moves.push(m);
     }
 
     pub fn count(&self, name: &str, delta: u64) {
-        let this = self.clone();
-        let name = name.to_owned();
-        defer_or_run(move || this.lock().counters.add(&name, delta));
+        self.0.borrow_mut().counters.add(name, delta);
     }
 
     pub fn sample(&self, name: &str, value: f64) {
-        let this = self.clone();
-        let name = name.to_owned();
-        defer_or_run(move || this.lock().series.record(&name, value));
+        self.0.borrow_mut().series.record(name, value);
     }
 
-    /// Open a causal span (see [`SpanBook::open`]). The id is handed out
-    /// immediately (derived from per-node state); the record insertion is
-    /// deferred so the book's row order matches the sequential run.
+    /// Open a causal span (see [`SpanBook::open`]).
     pub fn span_open(
         &self,
         name: &str,
@@ -189,46 +159,35 @@ impl SharedRecorder {
         at: SimTime,
         parent: Option<SpanId>,
     ) -> SpanId {
-        let id = self.lock().spans.alloc(u64::from(node.0));
-        let this = self.clone();
-        let name = name.to_owned();
-        defer_or_run(move || {
-            this.lock()
-                .spans
-                .insert_allocated(id, &name, u64::from(node.0), at, parent)
-        });
-        id
+        self.0
+            .borrow_mut()
+            .spans
+            .open(name, u64::from(node.0), at, parent)
     }
 
     /// Attach a typed attribute to a span.
     pub fn span_annotate(&self, id: SpanId, key: &str, value: impl Into<AttrValue>) {
-        let this = self.clone();
-        let key = key.to_owned();
-        let value = value.into();
-        defer_or_run(move || this.lock().spans.annotate(id, &key, value));
+        self.0.borrow_mut().spans.annotate(id, key, value);
     }
 
     /// Close a span (first close wins).
     pub fn span_close(&self, id: SpanId, at: SimTime) {
-        let this = self.clone();
-        defer_or_run(move || this.lock().spans.close(id, at));
+        self.0.borrow_mut().spans.close(id, at);
     }
 
     /// Append a sim-time-stamped gauge sample to the named timeline.
     pub fn sample_at(&self, name: &str, at: SimTime, value: f64) {
-        let this = self.clone();
-        let name = name.to_owned();
-        defer_or_run(move || this.lock().timeline.sample(&name, at, value));
+        self.0.borrow_mut().timeline.sample(name, at, value);
     }
 
     /// Run `f` against the recorder (post-run analysis reads).
     pub fn with<R>(&self, f: impl FnOnce(&Recorder) -> R) -> R {
-        f(&self.lock())
+        f(&self.0.borrow())
     }
 
     /// Take the recorded data out (consumes the contents).
     pub fn take(&self) -> Recorder {
-        std::mem::take(&mut self.lock())
+        std::mem::take(&mut self.0.borrow_mut())
     }
 }
 
@@ -250,7 +209,7 @@ mod tests {
     #[test]
     fn tags_depend_only_on_per_node_order() {
         // Interleave two nodes' allocations two different ways: each node
-        // sees the same values regardless (the threaded-executor contract).
+        // sees the same values regardless.
         let rec = Recorder::new_shared();
         let a1 = rec.next_tag(NodeId(1));
         let b1 = rec.next_tag(NodeId(2));

@@ -117,9 +117,9 @@ pub struct ScenarioConfig {
     /// Capture typed trace events into a bounded ring buffer of this
     /// capacity and return them as `ScenarioResult.trace_jsonl`.
     pub trace_capture: Option<usize>,
-    /// How the event loop executes (sequential, sharded, worker threads).
-    /// Never changes what the run produces — only how fast. Validated by
-    /// the builder; `MOBICAST_WORKERS` still applies at plan time.
+    /// How the event loop executes: sequential, or sharded to also
+    /// account the conservative-window schedule. Never changes what the
+    /// run produces. Validated by the builder.
     pub executor: ExecutorConfig,
     /// Profile the event loop (wall-clock; see `ScenarioResult.profile`).
     pub profile: bool,

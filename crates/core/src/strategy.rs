@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::net::Ipv6Addr;
 use std::str::FromStr;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// How a mobile host away from home receives multicast traffic.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -226,17 +226,26 @@ static HIER_POLICY: HierarchicalProxy = HierarchicalProxy;
 /// binaries' `--approach <id>` flag (see [`set_approach_override`]).
 static APPROACH_OVERRIDE: Mutex<Option<Policy>> = Mutex::new(None);
 
+/// Lock one of the policy statics, recovering a poisoned guard: every
+/// critical section leaves the value consistent even when it panics (a
+/// rejected duplicate registration pushes nothing), so that panic must
+/// surface as itself, not as a `PoisonError` in every later caller (sweep
+/// workers included).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Pin policy-sweeping experiments to a single approach — the `--approach
 /// <id>` CLI flag of `exp_all` / `exp_stress`. `None` restores the full
 /// registry sweep. Affects [`Policy::active`] only; [`Policy::all`] and
 /// [`Policy::PAPER`] always report the complete sets.
 pub fn set_approach_override(policy: Option<Policy>) {
-    *APPROACH_OVERRIDE.lock().unwrap() = policy;
+    *lock(&APPROACH_OVERRIDE) = policy;
 }
 
 /// The approach pinned by [`set_approach_override`], if any.
 pub fn approach_override() -> Option<Policy> {
-    *APPROACH_OVERRIDE.lock().unwrap()
+    *lock(&APPROACH_OVERRIDE)
 }
 
 fn registry() -> &'static Mutex<Vec<Policy>> {
@@ -277,7 +286,7 @@ impl Policy {
     /// Every registered policy, in registration order (the paper's four
     /// first, then extensions). Sweeps and CLI flags enumerate this.
     pub fn all() -> Vec<Policy> {
-        registry().lock().unwrap().clone()
+        lock(registry()).clone()
     }
 
     /// The policies a sweep should cover: the single [`approach_override`]
@@ -294,7 +303,7 @@ impl Policy {
     /// Register an additional policy. Panics on a duplicate id — ids are
     /// the serialization format and must stay unambiguous.
     pub fn register(policy: &'static dyn DeliveryPolicy) -> Policy {
-        let mut reg = registry().lock().unwrap();
+        let mut reg = lock(registry());
         assert!(
             reg.iter().all(|p| p.id() != policy.id()),
             "delivery policy id {:?} registered twice",
@@ -374,11 +383,6 @@ impl Deserialize for Policy {
         s.parse().map_err(serde::Error::custom)
     }
 }
-
-/// Deprecated pre-registry name for [`Policy`]; kept one release so
-/// downstream code migrates at its own pace.
-#[deprecated(note = "renamed to Policy; construct via Policy::* or the registry")]
-pub type Strategy = Policy;
 
 #[cfg(test)]
 mod tests {
@@ -478,10 +482,19 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_strategy_alias_still_works() {
-        let s: Strategy = Strategy::LOCAL;
-        assert_eq!(s, Policy::LOCAL);
+    fn duplicate_registration_does_not_poison_the_registry() {
+        let dup = std::panic::catch_unwind(|| Policy::register(&LOCAL_POLICY));
+        assert!(dup.is_err(), "duplicate id must be rejected");
+        assert_eq!(
+            Policy::all(),
+            [
+                Policy::LOCAL,
+                Policy::BIDIRECTIONAL_TUNNEL,
+                Policy::TUNNEL_MH_TO_HA,
+                Policy::TUNNEL_HA_TO_MH,
+                Policy::HIERARCHICAL_PROXY,
+            ]
+        );
     }
 
     #[test]

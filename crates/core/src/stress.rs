@@ -88,20 +88,20 @@ pub struct StressReport {
     pub poll: crate::oracle::PollStats,
 }
 
-/// How a stress run executes. The default is the sequential loop; a
-/// sharded [`ExecutorConfig`] routes through the conservative-lookahead
-/// executor — inline with one worker, threaded with more — whose
-/// observable output is byte-identical for every valid
-/// `(shards, workers)` choice; the contract `tests/shard_parity.rs` pins.
+/// How a stress run executes. The default is the sequential plan; a
+/// sharded [`ExecutorConfig`] runs the same loop and additionally returns
+/// the conservative-window schedule ([`ShardRunStats`]). The report is
+/// byte-identical for every shard count — the contract
+/// `tests/shard_parity.rs` pins.
 #[derive(Clone, Debug, Default)]
 pub struct StressRunOptions {
-    /// Executor choice (shards + worker threads). Never changes the
-    /// report, only how fast it is produced.
+    /// Executor choice. Never changes the report.
     pub executor: ExecutorConfig,
 }
 
 impl StressRunOptions {
-    /// Sharded execution over `shards` regions with `workers` threads.
+    /// Sharded accounting over `shards` regions; `workers` is the inert
+    /// label of [`ExecutorConfig::threads`].
     pub fn sharded(shards: usize, workers: usize) -> StressRunOptions {
         StressRunOptions {
             executor: ExecutorConfig::sharded(shards).threads(workers),
@@ -115,7 +115,7 @@ pub fn run_stress(spec: &StressSpec) -> StressReport {
 }
 
 /// [`run_stress`] with explicit execution options and a trace sink.
-/// Returns the shard schedule statistics when `opts.shards >= 1`.
+/// Returns the shard schedule statistics when `opts.executor` is sharded.
 pub fn run_stress_with(
     spec: &StressSpec,
     opts: &StressRunOptions,

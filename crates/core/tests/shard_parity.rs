@@ -1,21 +1,20 @@
-//! Executor parity: sequential loop, inline windowed executor and the
-//! threaded per-shard executor must produce *byte-identical* runs for
-//! every valid `(shards, workers)` choice. "Byte-identical" is checked at
-//! three levels:
+//! Executor parity: a sharded plan must produce a run *byte-identical* to
+//! the sequential plan for every shard count. "Byte-identical" is checked
+//! at three levels:
 //!
 //! 1. the full trace JSONL captured by a ring tracer (every dispatch,
 //!    send, delivery and drop, with arguments),
 //! 2. the serialized `StressReport` (ground-truth counters and metrics),
 //! 3. the oracle verdicts (violation count and messages).
 //!
-//! The batch schedule itself (`ShardRunStats`) must also be a pure
-//! function of the plan — only the recorded `workers` label and the
-//! wall-clock measurements may differ (`ShardRunStats::same_schedule`).
+//! The window schedule itself (`ShardRunStats`) must also be a pure
+//! function of `(spec, plan)`: a repeated run realizes the same schedule
+//! (`ShardRunStats::same_schedule`; only the wall-clock measurement may
+//! differ).
 //!
-//! The quick variant runs the full `{1,2,4} x {1,2,4}` matrix on every
-//! `cargo test`; the `#[ignore]`d variant is the 10k-router metro gate
-//! run by the CI `parallel-parity` job. A repetition test hammers the
-//! window-barrier handoff protocol across many thread interleavings.
+//! The quick variant runs `sharded(n)` for n ∈ {1, 2, 4, 8} over every
+//! quick stress spec on every `cargo test`; the `#[ignore]`d variant is
+//! the 10k-router metro gate run by the CI `parallel-parity` job.
 
 use mobicast_core::builder::NetworkSpec;
 use mobicast_core::strategy::Policy;
@@ -66,48 +65,32 @@ fn assert_parity(label: &str, a: &Capture, b: &Capture) {
     }
 }
 
-/// The executor matrix under test: every `(shards, workers)` in
-/// `{1,2,4} x {1,2,4}` with `workers <= shards` (the validator rejects
-/// oversubscribed configs by design).
-fn matrix() -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for shards in [1usize, 2, 4] {
-        for workers in [1usize, 2, 4] {
-            if workers <= shards {
-                out.push((shards, workers));
-            }
-        }
-    }
-    out
-}
-
-fn parity_over(spec: &StressSpec, cells: &[(usize, usize)]) {
+/// Sequential vs `sharded(n)` for every `n` in `shard_counts` (ascending);
+/// the widest plan is run twice to pin schedule purity, and must show
+/// work in more than one shard and exploitable parallelism.
+fn parity_over(spec: &StressSpec, shard_counts: &[usize]) {
     let sequential = capture(spec, &StressRunOptions::default());
-    let mut schedules: Vec<(usize, ShardRunStats)> = Vec::new();
-    for &(shards, workers) in cells {
-        let label = format!("{} shards={shards} workers={workers}", spec.name);
-        let run = capture(spec, &StressRunOptions::sharded(shards, workers));
-        assert_parity(&label, &sequential, &run);
-        let stats = run.stats.expect("sharded run reports stats");
-        assert_eq!(stats.workers, workers.min(shards), "{label}: workers label");
-        if let Some((_, reference)) = schedules.iter().find(|(s, _)| *s == shards) {
-            assert!(
-                reference.same_schedule(&stats),
-                "{label}: schedule diverged across worker counts"
-            );
-        } else {
-            schedules.push((shards, stats));
-        }
+    assert!(
+        sequential.stats.is_none(),
+        "sequential plan has no schedule"
+    );
+    let sharded = |shards: usize| {
+        let run = capture(spec, &StressRunOptions::sharded(shards, 1));
+        assert_parity(&format!("{} shards={shards}", spec.name), &sequential, &run);
+        run.stats.expect("sharded run reports stats")
+    };
+    let mut widest = None;
+    for &shards in shard_counts {
+        let stats = sharded(shards);
+        assert_eq!(stats.events_per_shard.len(), shards);
+        widest = Some((shards, stats));
     }
-    let widest = schedules
-        .iter()
-        .map(|(s, _)| s)
-        .max()
-        .expect("matrix is non-empty");
-    let (_, stats) = schedules
-        .iter()
-        .find(|(s, _)| s == widest)
-        .expect("schedule recorded");
+    let (shards, stats) = widest.expect("at least one shard count");
+    assert!(
+        stats.same_schedule(&sharded(shards)),
+        "{}: schedule diverged between two runs of the same plan",
+        spec.name
+    );
     assert!(
         stats.events_per_shard.iter().filter(|&&n| n > 0).count() > 1,
         "{}: work never spread past one shard: {:?}",
@@ -121,54 +104,17 @@ fn parity_over(spec: &StressSpec, cells: &[(usize, usize)]) {
     );
 }
 
-/// Quick always-on gate: small grid and tree, both receive planes. The
-/// first spec runs the full matrix; the rest run the widest column (the
-/// threaded executor at every worker count).
+/// Quick always-on gate: small grid and tree, both receive planes.
 #[test]
 fn sharded_runs_are_byte_identical_quick() {
-    let all = specs(true);
-    parity_over(&all[0], &matrix());
-    for spec in &all[1..] {
-        parity_over(spec, &[(4, 1), (4, 2), (4, 4)]);
+    for spec in &specs(true) {
+        parity_over(spec, &[1, 2, 4, 8]);
     }
 }
 
-/// Interleaving smoke test for the window-barrier handoff protocol: a
-/// small cross-shard workload repeated many times at `workers = 2`. Real
-/// threads land on different interleavings across repetitions; grants,
-/// mint assignment and mid-epoch handoff must converge to the same bytes
-/// every single time.
-#[test]
-fn threaded_handoff_is_stable_across_interleavings() {
-    let spec = StressSpec {
-        name: "interleave/grid2x2".into(),
-        topology: NetworkSpec::grid(2, 2),
-        policy: Policy::LOCAL,
-        seed: 11,
-        duration: SimDuration::from_secs(90),
-        receivers: 3,
-        movers: 1,
-        moves_per_mover: 1,
-        data_interval: SimDuration::from_secs(1),
-    };
-    let reference = capture(&spec, &StressRunOptions::sharded(2, 2));
-    let handoffs = reference
-        .stats
-        .as_ref()
-        .map(|s| s.handoff_events)
-        .unwrap_or(0);
-    assert!(
-        handoffs > 0,
-        "workload never crossed a worker boundary — not a handoff test"
-    );
-    for i in 0..20 {
-        let run = capture(&spec, &StressRunOptions::sharded(2, 2));
-        assert_parity(&format!("interleaving rep {i}"), &reference, &run);
-    }
-}
-
-/// Full 10k-router metro gate (CI `parallel-parity` job). Complete runs
-/// of a 9940-router grid with 200 receivers — release-mode only.
+/// Full 10k-router metro gate (CI `parallel-parity` job): sequential vs
+/// `sharded(16)` on a 9940-router grid with 200 receivers — release-mode
+/// only.
 #[test]
 #[ignore = "10k-router stress; run via --include-ignored in release mode"]
 fn sharded_metro_10k_is_byte_identical() {
@@ -188,5 +134,5 @@ fn sharded_metro_10k_is_byte_identical() {
         // captures inside a sane CI budget without shrinking the topology.
         data_interval: SimDuration::from_secs(10),
     };
-    parity_over(&spec, &[(16, 1), (16, 4)]);
+    parity_over(&spec, &[16]);
 }

@@ -1,37 +1,29 @@
 //! Execution configuration for [`World::run`](crate::World::run).
 //!
-//! One validating entry point replaces the old `run_until` /
-//! `run_until_sharded` pair: callers describe *how* to execute
-//! ([`ExecutorConfig`]: sequential, sharded, how many worker threads),
-//! resolve it against a topology into an [`ExecPlan`], and get back a
-//! [`RunStats`] whatever the backend. The executor choice never changes
-//! *what* the run produces — traces, reports, oracle verdicts and
-//! observability artifacts are byte-identical for every valid
-//! `(shards, workers)` — only how fast it is produced.
-//!
-//! `MOBICAST_WORKERS=<n>` overrides the worker-thread count of any sharded
-//! configuration at resolution time, so operators can scale a benchmark
-//! from the environment without touching scenario code.
+//! Callers describe *how* to execute ([`ExecutorConfig`]: sequential or
+//! sharded), resolve it against a topology into an [`ExecPlan`], and get
+//! back a [`RunStats`]. Every plan runs the same single-threaded dispatch
+//! loop in the same `(time, seq)` order, so traces, reports, oracle
+//! verdicts and observability artifacts are byte-identical across plans;
+//! a sharded plan additionally reports the conservative-window schedule a
+//! parallel executor could achieve ([`ShardRunStats`]). Concurrency lives
+//! one level up, in `mobicast_sim::parallel`, which fans whole runs across
+//! cores.
 
 use crate::world::{ShardPlan, ShardRunStats};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Environment variable overriding the worker count of sharded configs.
-pub const WORKERS_ENV: &str = "MOBICAST_WORKERS";
-
 /// A validating description of how to execute a run.
 ///
 /// Build with [`ExecutorConfig::sequential`] or [`ExecutorConfig::sharded`],
-/// optionally add worker threads with [`threads`](ExecutorConfig::threads),
 /// then resolve against a topology with [`plan`](ExecutorConfig::plan) (or
 /// check standalone with [`validate`](ExecutorConfig::validate)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutorConfig {
     /// Number of topology shards; `None` = plain sequential loop.
     shards: Option<usize>,
-    /// Worker threads dispatching shard batches (only meaningful with
-    /// sharding; 1 = the windowed loop runs inline on the caller thread).
+    /// Inert worker label, see [`threads`](ExecutorConfig::threads).
     workers: usize,
 }
 
@@ -50,9 +42,8 @@ impl ExecutorConfig {
         }
     }
 
-    /// Conservative-window sharded execution over `shards` topology regions
-    /// (inline, single-threaded dispatch until [`threads`](Self::threads)
-    /// raises the worker count).
+    /// The same loop, accounting conservative lookahead windows over
+    /// `shards` topology regions.
     pub fn sharded(shards: usize) -> ExecutorConfig {
         ExecutorConfig {
             shards: Some(shards),
@@ -60,7 +51,10 @@ impl ExecutorConfig {
         }
     }
 
-    /// Set the worker-thread count (builder style).
+    /// Inert: a validated label copied into [`ShardRunStats::workers`].
+    /// Execution is always on the calling thread; the threaded backend
+    /// this once selected was cut (DESIGN.md, "Threaded dispatch: decision
+    /// record"). Kept only because the frozen `benchmark/` package calls it.
     pub fn threads(mut self, workers: usize) -> ExecutorConfig {
         self.workers = workers;
         self
@@ -71,28 +65,14 @@ impl ExecutorConfig {
         self.shards
     }
 
-    /// Configured worker count (before any environment override).
+    /// Configured worker label.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// The `MOBICAST_WORKERS` override, if set and parseable.
-    pub fn env_workers() -> Option<usize> {
-        std::env::var(WORKERS_ENV).ok()?.trim().parse().ok()
-    }
-
-    /// The worker count after applying the environment override (sharded
-    /// configs only; a sequential config ignores the variable).
-    pub fn effective_workers(&self) -> usize {
-        match self.shards {
-            Some(_) => Self::env_workers().unwrap_or(self.workers),
-            None => self.workers,
-        }
-    }
-
     /// Check the configuration without resolving a topology.
     pub fn validate(&self) -> Result<(), ExecError> {
-        let workers = self.effective_workers();
+        let workers = self.workers;
         if workers == 0 {
             return Err(ExecError::ZeroWorkers);
         }
@@ -121,7 +101,7 @@ impl ExecutorConfig {
             None => ExecPlan::Sequential,
             Some(shards) => ExecPlan::Sharded {
                 plan: make_plan(shards),
-                workers: self.effective_workers(),
+                workers: self.workers,
             },
         })
     }
@@ -135,7 +115,7 @@ pub enum ExecPlan {
     /// Conservative-window sharded execution.
     Sharded {
         plan: ShardPlan,
-        /// Worker threads (1 = inline windowed loop).
+        /// Inert label, see [`ExecutorConfig::threads`].
         workers: usize,
     },
 }
@@ -155,7 +135,7 @@ impl ExecPlan {
 pub struct RunStats {
     /// Events dispatched by this run (delta, not the world lifetime total).
     pub events_executed: u64,
-    /// Present when the run executed sharded (inline or threaded).
+    /// Present when the run executed under [`ExecPlan::Sharded`].
     pub sharded: Option<ShardRunStats>,
 }
 
@@ -175,7 +155,7 @@ impl fmt::Display for ExecError {
             ExecError::ZeroShards => write!(f, "sharded executor needs at least one shard"),
             ExecError::SequentialWithThreads { workers } => write!(
                 f,
-                "sequential executor cannot use {workers} worker threads (shard the world first)"
+                "sequential executor cannot take {workers} workers (shard the world first)"
             ),
             ExecError::MoreWorkersThanShards { workers, shards } => write!(
                 f,

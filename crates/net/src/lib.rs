@@ -19,10 +19,9 @@ pub mod frame;
 pub mod graph;
 pub mod ids;
 pub mod link;
-mod threaded;
 pub mod world;
 
-pub use exec::{ExecError, ExecPlan, ExecutorConfig, RunStats, WORKERS_ENV};
+pub use exec::{ExecError, ExecPlan, ExecutorConfig, RunStats};
 pub use fault::{
     CorruptionKind, CorruptionModel, FaultPlan, FaultWindow, LinkFault, LinkFaultState, LinkFlap,
     LossModel, RouterCrash, StormModel, CORRUPTION_KIND_COUNT,

@@ -60,11 +60,7 @@ pub trait WorldProbe {
 }
 
 /// Implemented by every simulated node (host or router stack).
-///
-/// `Send` because the threaded executor moves node slots onto worker
-/// threads for the duration of an epoch; behaviors own their state and
-/// share nothing except explicitly thread-safe handles.
-pub trait NodeBehavior: Any + Send {
+pub trait NodeBehavior: Any {
     /// Called once when the world starts, after all topology is built.
     fn on_start(&mut self, ctx: &mut Ctx<'_>);
 
@@ -117,7 +113,7 @@ impl WorldEvent {
 
     /// The node this event dispatches into; `None` for scripts, which may
     /// mutate arbitrary world state and therefore pin every shard.
-    pub(crate) fn target_node(&self) -> Option<NodeId> {
+    fn target_node(&self) -> Option<NodeId> {
         match self {
             WorldEvent::Deliver { node, .. } | WorldEvent::Timer { node, .. } => Some(*node),
             WorldEvent::Script(_) => None,
@@ -132,11 +128,11 @@ impl WorldEvent {
 /// executing at time `t` in one shard can only affect another shard after
 /// at least the minimum inter-shard link latency, so all events in the
 /// window `[t, t + lookahead]` whose targets live in different shards are
-/// causally independent and form one parallel batch. [`World::run_until_sharded`]
-/// dispatches each window's batch in the same deterministic `(time, seq)`
-/// merge order regardless of the worker count, which is what keeps traces,
-/// reports and oracle verdicts byte-identical from `workers = 1` to
-/// `workers = N` — the parity contract `shard_parity.rs` gates.
+/// causally independent and form one parallel batch. [`World::run`] under
+/// [`ExecPlan::Sharded`] dispatches in the plain `(time, seq)` order and
+/// only *accounts* the windows, which is what keeps traces, reports and
+/// oracle verdicts byte-identical to the sequential plan for every shard
+/// count — the parity contract `shard_parity.rs` gates.
 #[derive(Clone, Debug)]
 pub struct ShardPlan {
     /// Shard index per node id; nodes beyond the vector (attached after
@@ -180,17 +176,20 @@ impl ShardPlan {
     }
 }
 
-/// What one sharded run actually did: window count, per-shard event load,
-/// the critical path a parallel executor could not beat, plus (for the
-/// threaded backend) measured wall-clock figures. The schedule fields are
-/// deterministic in (scenario, seed, plan) and identical for every
-/// `(shards, workers)` backend choice — [`same_schedule`](Self::same_schedule)
-/// compares exactly those. Wall-clock fields are measurements and excluded
-/// from parity.
+/// What one sharded run actually did: window count, per-shard event load
+/// and the critical path a parallel executor could not beat. The schedule
+/// fields are deterministic in (scenario, seed, plan) —
+/// [`same_schedule`](Self::same_schedule) compares exactly those. The
+/// wall-clock field is a measurement and excluded from parity.
+///
+/// `workers`, `handoff_events` and `barrier_stall_secs` are inert: the
+/// threaded backend that filled them was cut (DESIGN.md, "Threaded
+/// dispatch: decision record") and they survive only because the frozen
+/// `benchmark/` package still reads them.
 #[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
 pub struct ShardRunStats {
-    /// Worker count the run executed with (order-inert: it decides which
-    /// thread dispatches a shard but never changes dispatch order).
+    /// Inert label copied from [`ExecutorConfig::threads`](crate::ExecutorConfig::threads);
+    /// execution is always on the calling thread.
     pub workers: usize,
     /// Conservative lookahead windows executed.
     pub windows: u64,
@@ -206,19 +205,12 @@ pub struct ShardRunStats {
     /// Sum over windows of the largest per-shard batch (plus barriers):
     /// the serial fraction no worker count can parallelize away.
     pub critical_path_events: u64,
-    /// Events that crossed a worker boundary (forwarded between threads).
-    /// Always 0 for inline execution; deterministic for a fixed
-    /// `(plan, workers)` but naturally different across worker counts, so
-    /// excluded from [`same_schedule`](Self::same_schedule).
+    /// Inert, always 0 (no worker boundary exists to cross).
     pub handoff_events: u64,
     /// Wall-clock duration of the run (measurement, not deterministic).
     pub wall_clock_secs: f64,
-    /// Wall-clock time worker threads spent blocked waiting for grants or
-    /// epoch barriers, summed over workers (measurement).
+    /// Inert, always 0 (nothing ever waits on a barrier).
     pub barrier_stall_secs: f64,
-    /// Measured sequential-wall / threaded-wall speedup, when a benchmark
-    /// harness ran both and filled it in (`None` otherwise).
-    pub measured_speedup: Option<f64>,
 }
 
 impl ShardRunStats {
@@ -235,8 +227,7 @@ impl ShardRunStats {
 
     /// True when `other` realized the exact same deterministic schedule:
     /// identical windows, barriers, per-shard loads and critical path.
-    /// Worker count, handoff volume and wall-clock measurements are
-    /// execution details and not compared.
+    /// The worker label and the wall-clock measurement are not compared.
     pub fn same_schedule(&self, other: &ShardRunStats) -> bool {
         self.windows == other.windows
             && self.barrier_syncs == other.barrier_syncs
@@ -247,12 +238,10 @@ impl ShardRunStats {
     }
 }
 
-/// Replays the conservative-window bookkeeping of the inline sharded loop
-/// over a stream of dispatches in global `(time, seq)` order. Both the
-/// inline backend (feeding it while popping the queue) and the threaded
-/// backend (feeding it the merged worker streams) drive this one state
-/// machine, which is what keeps `ShardRunStats` identical across backends.
-pub(crate) struct WindowRecon {
+/// The conservative-window bookkeeping of a sharded run: an observer fed
+/// every dispatch in global `(time, seq)` order that reconstructs which
+/// lookahead windows a parallel executor would have formed.
+struct WindowRecon {
     t_end: SimTime,
     lookahead: SimDuration,
     horizon: Option<SimTime>,
@@ -263,12 +252,7 @@ pub(crate) struct WindowRecon {
 }
 
 impl WindowRecon {
-    pub(crate) fn new(
-        n_shards: usize,
-        workers: usize,
-        t_end: SimTime,
-        lookahead: SimDuration,
-    ) -> Self {
+    fn new(n_shards: usize, workers: usize, t_end: SimTime, lookahead: SimDuration) -> Self {
         WindowRecon {
             t_end,
             lookahead,
@@ -286,7 +270,7 @@ impl WindowRecon {
 
     /// Account one dispatched event (`shard` is `None` for scripts, which
     /// barrier the window).
-    pub(crate) fn on_event(&mut self, at: SimTime, shard: Option<u32>) {
+    fn on_event(&mut self, at: SimTime, shard: Option<u32>) {
         match self.horizon {
             Some(h) if at <= h => {}
             _ => {
@@ -322,57 +306,43 @@ impl WindowRecon {
         self.window_barriers = 0;
     }
 
-    pub(crate) fn finish(mut self) -> ShardRunStats {
+    fn finish(mut self) -> ShardRunStats {
         self.close_window();
         self.stats
     }
 }
 
-pub(crate) struct IfaceState {
-    pub(crate) link: Option<LinkId>,
-    pub(crate) tx_free: SimTime,
+struct IfaceState {
+    link: Option<LinkId>,
+    tx_free: SimTime,
 }
 
-pub(crate) struct NodeSlot {
-    pub(crate) behavior: Option<Box<dyn NodeBehavior>>,
-    pub(crate) ifaces: Vec<IfaceState>,
+struct NodeSlot {
+    behavior: Option<Box<dyn NodeBehavior>>,
+    ifaces: Vec<IfaceState>,
     /// Bumped on crash so stale timers can be recognized and discarded.
-    pub(crate) incarnation: u64,
+    incarnation: u64,
     /// While true, the node processes no frames or timers.
-    pub(crate) crashed: bool,
+    crashed: bool,
 }
 
 /// The simulation world.
 pub struct World {
-    pub(crate) queue: EventQueue<WorldEvent>,
-    pub(crate) nodes: Vec<NodeSlot>,
-    pub(crate) links: Vec<Link>,
-    pub(crate) tracer: Tracer,
-    pub(crate) counters: Counters,
+    queue: EventQueue<WorldEvent>,
+    nodes: Vec<NodeSlot>,
+    links: Vec<Link>,
+    tracer: Tracer,
+    counters: Counters,
     /// Per-node MIB-style counters maintained by the world itself (fault
     /// drops attributed to a node); node behaviors keep their own registry
     /// and the harness merges both when snapshotting.
-    pub(crate) node_counters: Vec<Counters>,
-    pub(crate) probe: Option<Rc<dyn WorldProbe>>,
-    pub(crate) started: bool,
+    node_counters: Vec<Counters>,
+    probe: Option<Rc<dyn WorldProbe>>,
+    started: bool,
     /// Events dispatched so far (always on; one increment per event).
-    pub(crate) events_executed: u64,
+    events_executed: u64,
     /// Wall-clock profiler; `None` (the default) costs one branch per event.
-    pub(crate) profiler: Option<Profiler>,
-    /// `(time, seq)` keys of pending Script events. The threaded executor
-    /// reads the earliest to find the next epoch boundary (scripts are
-    /// global barriers); maintained on schedule and pop, never observable
-    /// otherwise.
-    pub(crate) script_keys: std::collections::BTreeSet<(SimTime, u64)>,
-    /// Provenance timer ids handed out by the threaded executor mapped to
-    /// the real queue sequence of the pending event (and the reverse map).
-    /// A timer armed on a worker thread gets a provenance [`EventId`]
-    /// before its global sequence exists; when the pending timer survives
-    /// its epoch it re-enters the global queue under the real sequence,
-    /// and a later cancel through either id must keep working. Empty
-    /// unless the threaded executor ran.
-    pub(crate) alias_real: std::collections::HashMap<u64, u64>,
-    pub(crate) alias_vis: std::collections::HashMap<u64, u64>,
+    profiler: Option<Profiler>,
 }
 
 impl Default for World {
@@ -394,9 +364,6 @@ impl World {
             started: false,
             events_executed: 0,
             profiler: None,
-            script_keys: std::collections::BTreeSet::new(),
-            alias_real: std::collections::HashMap::new(),
-            alias_vis: std::collections::HashMap::new(),
         }
     }
 
@@ -624,33 +591,7 @@ impl World {
     /// Schedule a closure to run against the world at time `t` (mobility
     /// scripts, workload events).
     pub fn at(&mut self, t: SimTime, f: impl FnOnce(&mut World) + 'static) {
-        let id = self.queue.schedule(t, WorldEvent::Script(Box::new(f)));
-        self.script_keys.insert((t, id.seq()));
-    }
-
-    /// Pop the next event, keeping the script-key index and timer-alias
-    /// maps in sync.
-    pub(crate) fn pop_next(&mut self) -> Option<(SimTime, WorldEvent)> {
-        let (at, id, ev) = self.queue.pop_entry()?;
-        if matches!(ev, WorldEvent::Script(_)) {
-            self.script_keys.remove(&(at, id.seq()));
-        }
-        if !self.alias_vis.is_empty() {
-            if let Some(vis) = self.alias_vis.remove(&id.seq()) {
-                self.alias_real.remove(&vis);
-            }
-        }
-        Some((at, ev))
-    }
-
-    /// Cancel a pending event by id, resolving threaded-executor timer
-    /// aliases (backend of [`Ctx::cancel_timer`] for world-backed contexts).
-    pub(crate) fn cancel_event(&mut self, id: EventId) -> bool {
-        if let Some(real) = self.alias_real.remove(&id.seq()) {
-            self.alias_vis.remove(&real);
-            return self.queue.cancel(EventId::from_seq(real));
-        }
-        self.queue.cancel(id)
+        self.queue.schedule(t, WorldEvent::Script(Box::new(f)));
     }
 
     /// Inspect a node behavior as a concrete type.
@@ -687,7 +628,7 @@ impl World {
             .behavior
             .take()
             .expect("node behavior re-entered");
-        let mut ctx = Ctx::for_world(self, node);
+        let mut ctx = Ctx { world: self, node };
         let r = f(behavior.as_mut(), &mut ctx);
         self.nodes[node.index()].behavior = Some(behavior);
         r
@@ -763,7 +704,7 @@ impl World {
 
     /// Dispatch one event, counting it and (if profiling is on) timing the
     /// handler by category.
-    pub(crate) fn dispatch_counted(&mut self, ev: WorldEvent) {
+    fn dispatch_counted(&mut self, ev: WorldEvent) {
         self.events_executed += 1;
         if self.profiler.is_some() {
             let idx = ev.category_index();
@@ -780,118 +721,50 @@ impl World {
     /// Run the event loop until (and including) time `t` under the given
     /// execution plan; the clock ends at exactly `t`.
     ///
-    /// This is the single entry point subsuming the deprecated
-    /// [`run_until`](Self::run_until) / [`run_until_sharded`](Self::run_until_sharded)
-    /// pair. The plan never changes what the run produces — traces,
-    /// counters, recorder contents, oracle verdicts and observability
-    /// artifacts are byte-identical for every valid `(shards, workers)` —
-    /// only how it is executed:
-    ///
-    /// - [`ExecPlan::Sequential`]: the plain event loop.
-    /// - [`ExecPlan::Sharded`] with `workers == 1`: the conservative
-    ///   lookahead-window loop, inline on the caller thread, producing the
-    ///   realized window schedule in [`RunStats::sharded`].
-    /// - [`ExecPlan::Sharded`] with `workers > 1`: per-shard worker threads
-    ///   dispatch concurrently under conservative time grants; all
-    ///   observable side effects are replayed by a coordinator in global
-    ///   `(time, seq)` order (see `threaded.rs`). Epochs that cannot be
-    ///   parallelized safely (zero lookahead, active cross-worker link
-    ///   faults, profiling enabled) fall back to the inline loop.
+    /// There is one loop: events pop in global `(time, seq)` order and
+    /// dispatch on the calling thread. The plan never changes what the run
+    /// produces — traces, counters, recorder contents, oracle verdicts and
+    /// observability artifacts are byte-identical for every plan.
+    /// [`ExecPlan::Sharded`] only attaches an observer that accounts each
+    /// dispatch to the plan's conservative lookahead windows: a window
+    /// spans `[next, next + lookahead]`, events inside it whose targets
+    /// live in different shards are causally independent (no frame crosses
+    /// a shard boundary faster than the lookahead), and script events are
+    /// global barriers that end it (they may rewire topology — mobility!).
+    /// The realized schedule comes back in [`RunStats::sharded`].
     pub fn run(&mut self, t: SimTime, plan: &ExecPlan) -> RunStats {
         let before = self.events_executed;
-        let sharded = match plan {
-            ExecPlan::Sequential => {
-                self.run_seq(t);
-                None
-            }
-            ExecPlan::Sharded { plan, workers } => {
-                let started = std::time::Instant::now();
-                let mut stats = if *workers > 1 && self.profiler.is_none() {
-                    crate::threaded::run_threaded(self, t, plan, *workers)
-                } else {
-                    self.run_windowed_inline(t, plan, *workers)
-                };
-                stats.wall_clock_secs = started.elapsed().as_secs_f64();
-                Some(stats)
-            }
+        let started = std::time::Instant::now();
+        let mut windows = match plan {
+            ExecPlan::Sequential => None,
+            ExecPlan::Sharded { plan, workers } => Some((
+                plan,
+                WindowRecon::new(plan.n_shards() as usize, *workers, t, plan.lookahead()),
+            )),
         };
+        self.start();
+        while let Some(next) = self.queue.peek_time() {
+            if next > t {
+                break;
+            }
+            let Some((_, ev)) = self.queue.pop() else {
+                break; // unreachable: peek_time just returned Some
+            };
+            if let Some((plan, recon)) = windows.as_mut() {
+                recon.on_event(next, ev.target_node().map(|n| plan.shard_of(n)));
+            }
+            self.dispatch_counted(ev);
+        }
+        self.queue.advance_to(t);
+        let sharded = windows.map(|(_, recon)| {
+            let mut stats = recon.finish();
+            stats.wall_clock_secs = started.elapsed().as_secs_f64();
+            stats
+        });
         RunStats {
             events_executed: self.events_executed - before,
             sharded,
         }
-    }
-
-    /// The plain sequential event loop (backend of [`ExecPlan::Sequential`]).
-    fn run_seq(&mut self, t: SimTime) {
-        self.start();
-        while let Some(next) = self.queue.peek_time() {
-            if next > t {
-                break;
-            }
-            let Some((_, ev)) = self.pop_next() else {
-                break; // unreachable: peek_time just returned Some
-            };
-            self.dispatch_counted(ev);
-        }
-        self.queue.advance_to(t);
-    }
-
-    /// Run the event loop until time `t` in conservative lookahead windows
-    /// over `plan`'s topology shards, dispatching inline on this thread.
-    ///
-    /// Each window spans `[next, next + lookahead]`; events inside it whose
-    /// targets live in different shards are causally independent (no frame
-    /// can cross a shard boundary faster than the lookahead), so they form
-    /// one parallel batch. Dispatch itself stays in the global `(time, seq)`
-    /// merge order — the batch schedule assigns shards to workers but
-    /// never reorders events — so the run is byte-identical to the
-    /// sequential loop, including traces, counters and oracle polls.
-    /// Script events are global barriers: they may rewire topology
-    /// (mobility!) and end the current window.
-    pub(crate) fn run_windowed_inline(
-        &mut self,
-        t: SimTime,
-        plan: &ShardPlan,
-        workers: usize,
-    ) -> ShardRunStats {
-        self.start();
-        let mut recon = WindowRecon::new(plan.n_shards() as usize, workers, t, plan.lookahead());
-        while let Some(next) = self.queue.peek_time() {
-            if next > t {
-                break;
-            }
-            let Some((_, ev)) = self.pop_next() else {
-                break; // unreachable: peek_time just returned Some
-            };
-            recon.on_event(next, ev.target_node().map(|n| plan.shard_of(n)));
-            self.dispatch_counted(ev);
-        }
-        self.queue.advance_to(t);
-        recon.finish()
-    }
-
-    /// Run the event loop until (and including) time `t`.
-    #[deprecated(since = "0.10.0", note = "use World::run(t, &ExecPlan::sequential())")]
-    pub fn run_until(&mut self, t: SimTime) {
-        self.run(t, &ExecPlan::Sequential);
-    }
-
-    /// Run the event loop until time `t` in conservative lookahead windows.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use World::run(t, &ExecPlan::sharded(plan, workers))"
-    )]
-    pub fn run_until_sharded(
-        &mut self,
-        t: SimTime,
-        plan: &ShardPlan,
-        workers: usize,
-    ) -> ShardRunStats {
-        let stats = self.run(t, &ExecPlan::sharded(plan.clone(), workers));
-        #[allow(clippy::expect_used)]
-        stats
-            .sharded
-            .expect("sharded plan always yields shard stats")
     }
 
     /// Run until the event queue drains (useful for small tests). A safety
@@ -899,7 +772,7 @@ impl World {
     pub fn run_to_quiescence(&mut self, max_events: u64) {
         self.start();
         let mut n = 0u64;
-        while let Some((_, ev)) = self.pop_next() {
+        while let Some((_, ev)) = self.queue.pop() {
             self.dispatch_counted(ev);
             n += 1;
             assert!(n <= max_events, "exceeded {max_events} events");
@@ -911,9 +784,7 @@ impl World {
         self.queue.scheduled_total()
     }
 
-    /// Transmit `frame` from `node` on `ifindex` (backend of [`Ctx::send`]
-    /// for world-backed contexts; the threaded executor mirrors this logic
-    /// in its per-worker shard context).
+    /// Transmit `frame` from `node` on `ifindex` (backend of [`Ctx::send`]).
     fn send_from(&mut self, node: NodeId, ifindex: IfIndex, frame: Frame) -> bool {
         let now = self.now();
         let Some(link_id) = self.link_of(node, ifindex) else {
@@ -1050,72 +921,34 @@ impl CloneRef for Tracer {
     }
 }
 
-/// The world context handed to node behaviors during callbacks.
-///
-/// Backed either by the world itself (sequential and inline sharded
-/// execution) or by a per-worker shard context (threaded execution).
-/// Behaviors cannot tell the difference: every operation has identical
-/// observable semantics under both backends, which is the byte-parity
-/// contract of [`World::run`].
+/// The world context handed to node behaviors during callbacks: the world
+/// itself plus the identity of the node being dispatched, so every
+/// operation is attributed to (and scoped by) that node.
 pub struct Ctx<'a> {
-    inner: CtxInner<'a>,
+    world: &'a mut World,
     /// The node being dispatched.
     pub node: NodeId,
 }
 
-enum CtxInner<'a> {
-    World(&'a mut World),
-    Shard(&'a mut crate::threaded::ShardCtx),
-}
-
-impl<'a> Ctx<'a> {
-    pub(crate) fn for_world(world: &'a mut World, node: NodeId) -> Ctx<'a> {
-        Ctx {
-            inner: CtxInner::World(world),
-            node,
-        }
-    }
-
-    pub(crate) fn for_shard(shard: &'a mut crate::threaded::ShardCtx, node: NodeId) -> Ctx<'a> {
-        Ctx {
-            inner: CtxInner::Shard(shard),
-            node,
-        }
-    }
-}
-
 impl Ctx<'_> {
     pub fn now(&self) -> SimTime {
-        match &self.inner {
-            CtxInner::World(w) => w.now(),
-            CtxInner::Shard(s) => s.now(),
-        }
+        self.world.now()
     }
 
     /// The link the given interface is attached to, if any.
     pub fn link_on(&self, ifindex: IfIndex) -> Option<LinkId> {
-        match &self.inner {
-            CtxInner::World(w) => w.link_of(self.node, ifindex),
-            CtxInner::Shard(s) => s.link_of(self.node, ifindex),
-        }
+        self.world.link_of(self.node, ifindex)
     }
 
     /// Number of interfaces on this node.
     pub fn n_ifaces(&self) -> usize {
-        match &self.inner {
-            CtxInner::World(w) => w.nodes[self.node.index()].ifaces.len(),
-            CtxInner::Shard(s) => s.n_ifaces(self.node),
-        }
+        self.world.n_ifaces(self.node)
     }
 
     /// Transmit `frame` on `ifindex`. Returns `false` (and counts a drop)
     /// if the interface is not attached to any link.
     pub fn send(&mut self, ifindex: IfIndex, frame: Frame) -> bool {
-        let node = self.node;
-        match &mut self.inner {
-            CtxInner::World(w) => w.send_from(node, ifindex, frame),
-            CtxInner::Shard(s) => s.send_from(node, ifindex, frame),
-        }
+        self.world.send_from(self.node, ifindex, frame)
     }
 
     /// Arm a timer that fires after `d`, delivering `key` to `on_timer`.
@@ -1127,33 +960,27 @@ impl Ctx<'_> {
     /// Arm a timer for an absolute instant.
     pub fn set_timer_at(&mut self, at: SimTime, key: TimerKey) -> EventId {
         let node = self.node;
-        match &mut self.inner {
-            CtxInner::World(w) => w.queue.schedule(
-                at,
-                WorldEvent::Timer {
-                    node,
-                    key,
-                    incarnation: w.nodes[node.index()].incarnation,
-                },
-            ),
-            CtxInner::Shard(s) => s.set_timer_at(node, at, key),
-        }
+        let incarnation = self.world.nodes[node.index()].incarnation;
+        self.world.queue.schedule(
+            at,
+            WorldEvent::Timer {
+                node,
+                key,
+                incarnation,
+            },
+        )
     }
 
     /// Cancel a pending timer. Returns false if it already fired.
     pub fn cancel_timer(&mut self, id: EventId) -> bool {
-        match &mut self.inner {
-            CtxInner::World(w) => w.cancel_event(id),
-            CtxInner::Shard(s) => s.cancel_timer(id),
-        }
+        self.world.queue.cancel(id)
     }
 
     /// Emit a trace event attributed to this node.
     pub fn trace(&self, category: TraceCategory, f: impl FnOnce() -> String) {
-        match &self.inner {
-            CtxInner::World(w) => w.tracer.emit_with(w.now(), category, self.node.index(), f),
-            CtxInner::Shard(s) => s.trace(self.node, category, f),
-        }
+        self.world
+            .tracer
+            .emit_with(self.now(), category, self.node.index(), f)
     }
 
     /// Emit a typed trace event attributed to this node. The field closure
@@ -1164,29 +991,19 @@ impl Ctx<'_> {
         kind: &'static str,
         fields: impl FnOnce() -> Fields,
     ) {
-        match &self.inner {
-            CtxInner::World(w) => {
-                w.tracer
-                    .emit_typed(w.now(), category, self.node.index(), kind, fields)
-            }
-            CtxInner::Shard(s) => s.trace_event(self.node, category, kind, fields),
-        }
+        self.world
+            .tracer
+            .emit_typed(self.now(), category, self.node.index(), kind, fields)
     }
 
     /// Mutable access to the global counters.
     pub fn counters(&mut self) -> &mut Counters {
-        match &mut self.inner {
-            CtxInner::World(w) => &mut w.counters,
-            CtxInner::Shard(s) => s.counters(),
-        }
+        &mut self.world.counters
     }
 
     /// Members currently attached to a link (used by test harness nodes).
     pub fn link_members(&self, link: LinkId) -> Vec<(NodeId, IfIndex)> {
-        match &self.inner {
-            CtxInner::World(w) => w.link_members(link),
-            CtxInner::Shard(s) => s.link_members(link),
-        }
+        self.world.link_members(link)
     }
 }
 
@@ -1196,27 +1013,21 @@ mod tests {
     use crate::exec::ExecPlan;
     use crate::frame::FrameClass;
     use bytes::Bytes;
-    use mobicast_sim::defer::defer_or_run;
     use std::cell::RefCell;
     use std::rc::Rc;
-    use std::sync::{Arc, Mutex};
 
-    type Log = Arc<Mutex<Vec<String>>>;
+    type Log = Rc<RefCell<Vec<String>>>;
 
     fn new_log() -> Log {
-        Arc::new(Mutex::new(Vec::new()))
+        Log::default()
     }
 
-    /// Append through the defer layer: immediate under the sequential
-    /// executor, buffered per dispatch and replayed in global order under
-    /// the threaded one — so parity tests compare byte-identical logs.
     fn push(log: &Log, line: String) {
-        let log = log.clone();
-        defer_or_run(move || log.lock().unwrap().push(line));
+        log.borrow_mut().push(line);
     }
 
     fn read(log: &Log) -> Vec<String> {
-        log.lock().unwrap().clone()
+        log.borrow().clone()
     }
 
     /// Records everything that happens to it; replies to "ping" frames.
@@ -1484,18 +1295,6 @@ mod tests {
         assert_eq!(w.now(), SimTime::from_secs(42));
         assert_eq!(stats.events_executed, 0);
         assert!(stats.sharded.is_none());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_run() {
-        let mut w = World::new();
-        w.run_until(SimTime::from_secs(1));
-        assert_eq!(w.now(), SimTime::from_secs(1));
-        let plan = ShardPlan::single(1);
-        let stats = w.run_until_sharded(SimTime::from_secs(2), &plan, 1);
-        assert_eq!(w.now(), SimTime::from_secs(2));
-        assert_eq!(stats.events_total, 0);
     }
 
     #[test]
@@ -1896,9 +1695,9 @@ mod tests {
     #[test]
     fn sharded_run_matches_sequential_byte_for_byte() {
         // Two links in different shards, ping-pong plus timers plus a
-        // scripted move: the sharded loop must produce the identical log
-        // (same dispatch order) for every worker count.
-        let run = |shards: Option<(ShardPlan, usize)>| {
+        // scripted move: the sharded plan must produce the identical log
+        // (same dispatch order) and a reproducible window schedule.
+        let run = |shards: Option<ShardPlan>| {
             let log = new_log();
             let mut w = World::new();
             let l1 = w.add_link(quick_params());
@@ -1926,7 +1725,7 @@ mod tests {
             w.at(SimTime::from_millis(200), move |w| w.move_iface(c, 0, l1));
             let end = SimTime::from_secs(1);
             let plan = match shards {
-                Some((plan, workers)) => ExecPlan::sharded(plan, workers),
+                Some(plan) => ExecPlan::sharded(plan, 1),
                 None => ExecPlan::sequential(),
             };
             let stats = w.run(end, &plan);
@@ -1935,20 +1734,14 @@ mod tests {
 
         let (seq_log, seq_events, _) = run(None);
         let plan = ShardPlan::new(vec![0, 0, 1], SimDuration::from_micros(10));
-        let (log1, ev1, stats1) = run(Some((plan.clone(), 1)));
-        // workers > 1 takes the threaded backend; 4 workers over 2 shards
-        // clamps to 2 threads.
-        let (log2, ev2, stats2) = run(Some((plan.clone(), 2)));
-        let (log4, ev4, stats4) = run(Some((plan, 4)));
-        assert_eq!(seq_log, log1, "sharded(1) diverged from sequential");
-        assert_eq!(seq_log, log2, "threaded(2) diverged from sequential");
-        assert_eq!(seq_log, log4, "threaded(4) diverged from sequential");
+        let (log1, ev1, stats1) = run(Some(plan.clone()));
+        let (log2, ev2, stats2) = run(Some(plan));
+        assert_eq!(seq_log, log1, "sharded diverged from sequential");
+        assert_eq!(seq_log, log2, "sharded rerun diverged from sequential");
         assert_eq!(seq_events, ev1);
         assert_eq!(seq_events, ev2);
-        assert_eq!(seq_events, ev4);
-        let (stats1, stats2, stats4) = (stats1.unwrap(), stats2.unwrap(), stats4.unwrap());
+        let (stats1, stats2) = (stats1.unwrap(), stats2.unwrap());
         assert!(stats1.same_schedule(&stats2), "schedule stats diverged");
-        assert!(stats1.same_schedule(&stats4), "schedule stats diverged");
         assert_eq!(stats1.events_total, seq_events);
         assert!(stats1.windows > 0);
         assert!(stats1.barrier_syncs >= 51, "scripts are barriers");

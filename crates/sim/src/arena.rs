@@ -125,50 +125,12 @@ impl<K: Ord + Clone> Interner<K> {
 }
 
 /// Shared world-level interner: one id space across every node's tables.
-///
-/// Internally an `Arc<RwLock<..>>` so protocol tables can intern from
-/// executor worker threads; the `borrow`/`borrow_mut` guard API is kept
-/// from the earlier `Rc<RefCell<..>>` shape so call sites read the same.
-/// Id *values* may be minted in a different order across runs when
-/// workers race, which is safe by construction: every ordered structure
-/// in the stack compares resolved keys, never raw [`InternId`]s.
-pub struct SharedInterner<K: Ord + Clone>(std::sync::Arc<std::sync::RwLock<Interner<K>>>);
-
-impl<K: Ord + Clone> Clone for SharedInterner<K> {
-    fn clone(&self) -> Self {
-        SharedInterner(self.0.clone())
-    }
-}
-
-impl<K: Ord + Clone + std::fmt::Debug> std::fmt::Debug for SharedInterner<K> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("SharedInterner")
-            .field(&*self.borrow())
-            .finish()
-    }
-}
-
-impl<K: Ord + Clone> Default for SharedInterner<K> {
-    fn default() -> Self {
-        shared_interner()
-    }
-}
-
-impl<K: Ord + Clone> SharedInterner<K> {
-    /// Shared (read) access to the interner.
-    pub fn borrow(&self) -> std::sync::RwLockReadGuard<'_, Interner<K>> {
-        self.0.read().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Exclusive (write) access to the interner.
-    pub fn borrow_mut(&self) -> std::sync::RwLockWriteGuard<'_, Interner<K>> {
-        self.0.write().unwrap_or_else(|p| p.into_inner())
-    }
-}
+/// Runs are single-threaded, so plain `Rc<RefCell<..>>` sharing suffices.
+pub type SharedInterner<K> = std::rc::Rc<std::cell::RefCell<Interner<K>>>;
 
 /// Create a fresh [`SharedInterner`].
 pub fn shared_interner<K: Ord + Clone>() -> SharedInterner<K> {
-    SharedInterner(std::sync::Arc::new(std::sync::RwLock::new(Interner::new())))
+    std::rc::Rc::new(std::cell::RefCell::new(Interner::new()))
 }
 
 /// Generation-indexed handle into an [`Arena`].

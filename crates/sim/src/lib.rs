@@ -25,9 +25,6 @@
 //! * [`profile`] — opt-in wall-clock profiling of the event loop.
 //! * [`parallel`] — a dependency-free scoped worker pool fanning
 //!   independent deterministic runs across cores with ordered results.
-//! * [`defer`] — thread-local side-effect buffering that lets the
-//!   threaded sharded executor replay shared-state mutations in
-//!   sequential order at window barriers.
 //!
 //! Determinism contract: given the same scenario seed, the same sequence of
 //! `schedule`/`pop` calls yields the same event order and the same random
@@ -36,7 +33,6 @@
 
 pub mod arena;
 pub mod budget;
-pub mod defer;
 pub mod metrics;
 pub mod openmetrics;
 pub mod parallel;

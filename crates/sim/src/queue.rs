@@ -31,22 +31,6 @@ impl EventId {
     pub(crate) fn raw(self) -> u64 {
         self.0
     }
-
-    /// The queue-global sequence number behind this id. Together with the
-    /// event's timestamp it forms the total pop order `(time, seq)` —
-    /// executors that merge per-shard streams key on it.
-    #[inline]
-    pub fn seq(self) -> u64 {
-        self.0
-    }
-
-    /// Reconstruct an id from a sequence number previously obtained via
-    /// [`EventId::seq`]. Executors use this to name events they popped in
-    /// a batch; fabricating unseen ids is harmless (cancel is a no-op).
-    #[inline]
-    pub fn from_seq(seq: u64) -> EventId {
-        EventId(seq)
-    }
 }
 
 struct Entry<E> {
@@ -133,59 +117,24 @@ impl<E> HeapEventQueue<E> {
         self.pending.remove(&id.0)
     }
 
-    /// Consume the next sequence number without inserting an entry; see
-    /// [`TimerWheel::reserve_seq`](crate::wheel::TimerWheel::reserve_seq).
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Insert an entry under a previously reserved sequence number; see
-    /// [`TimerWheel::schedule_at_seq`](crate::wheel::TimerWheel::schedule_at_seq).
-    pub fn schedule_at_seq(&mut self, at: SimTime, seq: u64, payload: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: at={at:?} now={:?}",
-            self.now
-        );
-        assert!(seq < self.next_seq, "seq {seq} was never reserved");
-        let fresh = self.pending.insert(seq);
-        assert!(fresh, "seq {seq} is already pending");
-        self.heap.push(Reverse(Entry { at, seq, payload }));
-        self.depth_high_water = self.depth_high_water.max(self.pending.len());
-    }
-
     /// Remove and return the next event `(time, payload)`, advancing `now`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry().map(|(at, _, payload)| (at, payload))
-    }
-
-    /// Remove and return the next event together with its [`EventId`],
-    /// advancing `now`. Same order as [`pop`](Self::pop).
-    pub fn pop_entry(&mut self) -> Option<(SimTime, EventId, E)> {
         while let Some(Reverse(entry)) = self.heap.pop() {
             if !self.pending.remove(&entry.seq) {
                 continue; // cancelled
             }
             debug_assert!(entry.at >= self.now);
             self.now = entry.at;
-            return Some((entry.at, EventId(entry.seq), entry.payload));
+            return Some((entry.at, entry.payload));
         }
         None
     }
 
     /// Timestamp of the next pending event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(at, _)| at)
-    }
-
-    /// `(time, seq)` pop-order key of the next pending event without
-    /// popping it.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         while let Some(Reverse(entry)) = self.heap.peek() {
             if self.pending.contains(&entry.seq) {
-                return Some((entry.at, entry.seq));
+                return Some(entry.at);
             }
             self.heap.pop();
         }
@@ -345,33 +294,6 @@ mod tests {
         q.pop();
         assert_eq!(q.len(), 0);
         assert_eq!(q.scheduled_total(), 2);
-    }
-
-    #[test]
-    fn reserved_seqs_keep_global_order() {
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        wheel.schedule(t(5), "a");
-        heap.schedule(t(5), "a");
-        let rw = wheel.reserve_seq();
-        let rh = heap.reserve_seq();
-        wheel.schedule(t(5), "c");
-        heap.schedule(t(5), "c");
-        wheel.schedule_at_seq(t(5), rw, "b");
-        heap.schedule_at_seq(t(5), rh, "b");
-        assert_eq!(wheel.scheduled_total(), 3);
-        assert_eq!(heap.scheduled_total(), 3);
-        for q in ["a", "b", "c"] {
-            assert_eq!(wheel.pop(), Some((t(5), q)));
-            assert_eq!(heap.pop(), Some((t(5), q)));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "never reserved")]
-    fn schedule_at_unreserved_seq_panics() {
-        let mut q: EventQueue<&str> = EventQueue::new();
-        q.schedule_at_seq(t(1), 7, "x");
     }
 
     #[test]

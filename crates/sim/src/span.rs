@@ -20,10 +20,9 @@ use std::fmt;
 ///
 /// Encodes `(node + 1) << 32 | per-node open sequence` (the global
 /// pseudo-node `u64::MAX` wraps to a zero prefix, so its ids are the bare
-/// sequence). Deriving the id from per-node state instead of a global
-/// counter keeps ids identical between the sequential and the threaded
-/// executor: each node's open order is deterministic, while the global
-/// interleaving of opens across worker threads is not.
+/// sequence). A node's ids therefore depend only on its own open order,
+/// not on how opens interleave across nodes; the trace goldens pin these
+/// values.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub struct SpanId(pub u64);
 
@@ -157,9 +156,9 @@ impl SpanRecord {
     }
 }
 
-/// The run-scoped collection of spans. Records stay in insertion (= open
-/// replay) order, which `records()` exposes directly; ids are per-node
-/// (see [`SpanId::derive`]), so a hash index maps them back to records.
+/// The run-scoped collection of spans. Records stay in open order, which
+/// `records()` exposes directly; ids are per-node (see [`SpanId::derive`]),
+/// so a hash index maps them back to records.
 #[derive(Clone, Debug, Default)]
 pub struct SpanBook {
     spans: Vec<SpanRecord>,
@@ -172,30 +171,9 @@ pub struct SpanBook {
 impl SpanBook {
     /// Open a span at `at`; returns its id.
     pub fn open(&mut self, name: &str, node: u64, at: SimTime, parent: Option<SpanId>) -> SpanId {
-        let id = self.alloc(node);
-        self.insert_allocated(id, name, node, at, parent);
-        id
-    }
-
-    /// Reserve the next id for `node` without inserting a record yet.
-    /// The threaded executor allocates at dispatch time (the caller needs
-    /// the id immediately) and defers [`insert_allocated`](Self::insert_allocated)
-    /// to the window barrier so record order matches the sequential run.
-    pub fn alloc(&mut self, node: u64) -> SpanId {
         let seq = self.opened.entry(node).or_insert(0);
         *seq += 1;
-        SpanId::derive(node, *seq)
-    }
-
-    /// Insert the record for an id handed out by [`alloc`](Self::alloc).
-    pub fn insert_allocated(
-        &mut self,
-        id: SpanId,
-        name: &str,
-        node: u64,
-        at: SimTime,
-        parent: Option<SpanId>,
-    ) {
+        let id = SpanId::derive(node, *seq);
         self.index.insert(id.0, self.spans.len());
         self.spans.push(SpanRecord {
             id,
@@ -206,6 +184,7 @@ impl SpanBook {
             end_ns: None,
             attrs: Vec::new(),
         });
+        id
     }
 
     /// Attach a typed attribute to an existing span. Unknown ids are

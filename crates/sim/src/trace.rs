@@ -62,12 +62,6 @@ impl TraceCategory {
         }
     }
 
-    /// Single-bit mask for this category, positioned by declaration order
-    /// (matches [`Tracer::enabled_mask`]).
-    pub fn bit(self) -> u16 {
-        1 << (self as usize)
-    }
-
     /// Every category, in declaration order (used by schema validation).
     pub const ALL: [TraceCategory; 11] = [
         TraceCategory::Link,
@@ -437,30 +431,6 @@ impl Tracer {
 
     pub fn enabled(&self, category: TraceCategory) -> bool {
         self.sink.borrow().enabled(category)
-    }
-
-    /// Snapshot of the per-category enabled set as a bitmask indexed by
-    /// position in [`TraceCategory::ALL`]. Worker threads cannot hold the
-    /// (single-threaded) tracer, so the executor snapshots this mask and
-    /// lets workers materialize events for enabled categories only.
-    pub fn enabled_mask(&self) -> u16 {
-        let sink = self.sink.borrow();
-        let mut mask = 0u16;
-        for (i, c) in TraceCategory::ALL.iter().enumerate() {
-            if sink.enabled(*c) {
-                mask |= 1 << i;
-            }
-        }
-        mask
-    }
-
-    /// Emit an already-materialized event (replay path of the threaded
-    /// executor). Re-checks the category so sinks never see events they
-    /// declared disabled.
-    pub fn emit_raw(&self, event: TraceEvent) {
-        if self.enabled(event.category) {
-            self.sink.borrow_mut().emit(event);
-        }
     }
 
     pub fn emit(&self, at: SimTime, category: TraceCategory, node: usize, message: String) {

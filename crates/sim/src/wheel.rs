@@ -212,47 +212,8 @@ impl<E> TimerWheel<E> {
         self.pending.remove(&id.raw())
     }
 
-    /// Consume the next sequence number without inserting an entry.
-    ///
-    /// The threaded sharded executor keeps shard-local events out of the
-    /// global queue but still numbers them from the single global sequence
-    /// counter (in merged dispatch order), so the `(time, seq)` total order
-    /// — and `scheduled_total` — stay identical to a sequential run. The
-    /// reserved id may later be materialized with
-    /// [`schedule_at_seq`](Self::schedule_at_seq).
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Insert an entry under a sequence number previously obtained from
-    /// [`reserve_seq`](Self::reserve_seq) (or from popping/holding the
-    /// entry elsewhere). Does not advance the sequence counter.
-    ///
-    /// Panics if `seq` was never issued, is still pending, or `at` is in
-    /// the past — any of those would corrupt the `(time, seq)` order.
-    pub fn schedule_at_seq(&mut self, at: SimTime, seq: u64, payload: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: at={at:?} now={:?}",
-            self.now
-        );
-        assert!(seq < self.next_seq, "seq {seq} was never reserved");
-        let fresh = self.pending.insert(seq);
-        assert!(fresh, "seq {seq} is already pending");
-        self.depth_high_water = self.depth_high_water.max(self.pending.len());
-        self.place(Entry { at, seq, payload });
-    }
-
     /// Remove and return the next event `(time, payload)`, advancing `now`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry().map(|(at, _, payload)| (at, payload))
-    }
-
-    /// Remove and return the next event together with its [`EventId`],
-    /// advancing `now`. Same order as [`pop`](Self::pop).
-    pub fn pop_entry(&mut self) -> Option<(SimTime, EventId, E)> {
         if !self.settle_bottom() {
             return None;
         }
@@ -261,21 +222,15 @@ impl<E> TimerWheel<E> {
         debug_assert!(removed, "settled top must be live");
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
-        Some((entry.at, EventId::from_raw(entry.seq), entry.payload))
+        Some((entry.at, entry.payload))
     }
 
     /// Timestamp of the next pending event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(at, _)| at)
-    }
-
-    /// `(time, seq)` pop-order key of the next pending event without
-    /// popping it.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         if !self.settle_bottom() {
             return None;
         }
-        self.bottom.peek().map(|Reverse(e)| (e.at, e.seq))
+        self.bottom.peek().map(|Reverse(e)| e.at)
     }
 
     /// True when no live events remain.
