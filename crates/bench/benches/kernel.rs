@@ -1,8 +1,12 @@
 //! Criterion benchmarks for the simulation kernel: event queue throughput
-//! (timer wheel vs the reference binary heap) and deterministic RNG
-//! streams. These guard the substrate every experiment is built on.
+//! (timer wheel vs the reference binary heap), deterministic RNG streams
+//! and the routers' forwarding-table lookup. These guard the substrate
+//! every experiment is built on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use mobicast_core::addressing::global_addr;
+use mobicast_core::netplan::{link_prefix, RouteEntry, RoutingTable};
+use mobicast_net::{LinkId, NodeId};
 use mobicast_sim::{EventQueue, HeapEventQueue, RngFactory, SimTime};
 use rand::RngCore;
 use std::hint::black_box;
@@ -121,11 +125,48 @@ fn bench_rng_streams(c: &mut Criterion) {
     });
 }
 
+/// Longest-prefix match in a router's table of one /64 per link, at the
+/// paper network's size (6), a stress grid's (100), the 1k-router metro's
+/// (529) and the 10k-router metro's (5000): every multicast datagram pays
+/// one lookup (the RPF check) at every router, every tunnelled one more.
+fn bench_route_lookup(c: &mut Criterion) {
+    let mut group = c.benchmark_group("route_lookup");
+    for n_links in [6u32, 100, 529, 5000] {
+        let table = RoutingTable::new(
+            (0..n_links)
+                .map(|l| RouteEntry {
+                    prefix: link_prefix(LinkId(l)),
+                    iface: (l % 3) as u8,
+                    next_hop: None,
+                    next_hop_node: None,
+                    metric: l,
+                })
+                .collect(),
+        );
+        // A stride coprime to every size visits all links in scattered order.
+        let dsts: Vec<_> = (0..n_links)
+            .map(|i| global_addr(NodeId(7), 0, LinkId(i * 7919 % n_links)))
+            .collect();
+        group.throughput(Throughput::Elements(u64::from(n_links)));
+        group.bench_function(n_links.to_string(), |b| {
+            b.iter(|| {
+                let mut hops = 0u32;
+                for dst in &dsts {
+                    hops += table.lookup(black_box(*dst)).map_or(0, |r| r.metric);
+                }
+                black_box(hops)
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_event_queue,
     bench_timer_churn,
     bench_cancellation,
-    bench_rng_streams
+    bench_rng_streams,
+    bench_route_lookup
 );
 criterion_main!(benches);

@@ -1,9 +1,11 @@
 //! Criterion benchmarks for the wire codecs: IPv6 packets with extension
-//! headers, ICMPv6/MLD with checksums, PIM messages, tunneling, and the
+//! headers (copying and zero-copy decode), ICMPv6/MLD with checksums, PIM
+//! messages, tunneling, the per-emission data-stream probe, and the
 //! Figure-5 Multicast Group List Sub-Option.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use mobicast_core::netplan::extract_data_info;
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_ipv6::exthdr::{BindingUpdate, SubOption, BU_FLAG_ACK, BU_FLAG_HOME};
 use mobicast_ipv6::packet::{proto, Packet};
@@ -35,6 +37,26 @@ fn bench_packet_codec(c: &mut Criterion) {
         });
         group.bench_function(format!("decode_{payload}B"), |b| {
             b.iter(|| black_box(Packet::decode(&wire).unwrap()));
+        });
+        // What the node glue and the oracle probe do with a received frame.
+        group.bench_function(format!("packet_decode_shared_{payload}B"), |b| {
+            b.iter(|| black_box(Packet::decode_shared(&wire).unwrap()));
+        });
+    }
+    group.finish();
+}
+
+/// `netplan::extract_data_info`: run on every emission (sender, routers)
+/// and by the oracle on every transmitted frame — UDP checksum and data
+/// header of the stream datagram, behind one tunnel level or none.
+fn bench_extract_data_info(c: &mut Criterion) {
+    let native = data_packet(256);
+    let tunnelled = encapsulate(a("2001:db8:6::1"), a("2001:db8:4::1"), &native);
+    let mut group = c.benchmark_group("extract_data_info");
+    for (label, packet) in [("native", &native), ("tunnelled", &tunnelled)] {
+        assert!(extract_data_info(packet).is_some());
+        group.bench_function(label, |b| {
+            b.iter(|| black_box(extract_data_info(black_box(packet))));
         });
     }
     group.finish();
@@ -110,6 +132,7 @@ fn bench_fig5_suboption(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_packet_codec,
+    bench_extract_data_info,
     bench_tunnel,
     bench_mld_message,
     bench_pim_message,

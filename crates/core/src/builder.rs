@@ -276,7 +276,7 @@ fn router_node(
         r,
         router_cfg,
         ifaces,
-        RoutingTable { routes },
+        RoutingTable::new(routes),
         rng,
         recorder.clone(),
         interners,

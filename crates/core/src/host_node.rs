@@ -596,7 +596,7 @@ impl NodeBehavior for HostNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, _ifx: IfIndex, frame: &Frame) {
-        let packet = match Packet::decode(&frame.bytes) {
+        let packet = match Packet::decode_shared(&frame.bytes) {
             Ok(p) => p,
             Err(err) => {
                 self.recorder.count("host.decode_errors", 1);

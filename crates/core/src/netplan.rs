@@ -7,6 +7,7 @@ use mobicast_ipv6::addr::{self, GroupAddr, Prefix};
 use mobicast_ipv6::packet::{proto, Packet};
 use mobicast_ipv6::udp::UdpDatagram;
 use mobicast_net::{Frame, FrameClass, IfIndex, LinkId, NodeId};
+use std::cmp::Reverse;
 use std::net::Ipv6Addr;
 use std::rc::Rc;
 
@@ -29,27 +30,89 @@ pub struct RouteEntry {
 /// A router's unicast routing table (longest prefix match, lowest metric).
 #[derive(Clone, Debug, Default)]
 pub struct RoutingTable {
+    /// The forwarding table, as [`RoutingTable::new`] leaves it: sorted by
+    /// (prefix length descending, network ascending) with one entry per
+    /// prefix. [`RoutingTable::lookup`] relies on that order.
     pub routes: Vec<RouteEntry>,
 }
 
 impl RoutingTable {
+    /// Build the forwarding table from routes in any order. Of several
+    /// routes for one prefix the lowest metric wins, the last inserted among
+    /// equal metrics. Input already in table order (as the builder pushes
+    /// it: one /64 per link, ascending) costs one pass and is kept in place.
+    pub fn new(mut routes: Vec<RouteEntry>) -> Self {
+        if !in_table_order(&routes) {
+            // Stable sort of the reversed input: the winner of each prefix
+            // comes first in its group, and `dedup` keeps the first.
+            routes.reverse();
+            routes.sort_by_key(|r| (table_key(r), r.metric));
+            routes.dedup_by_key(|r| r.prefix);
+        }
+        RoutingTable { routes }
+    }
+
+    /// Longest-prefix match: for each distinct prefix length, longest
+    /// first, mask `dst` once and binary-search that length's networks.
     pub fn lookup(&self, dst: Ipv6Addr) -> Option<&RouteEntry> {
-        self.routes
-            .iter()
-            .filter(|r| r.prefix.contains(dst))
-            .max_by_key(|r| (r.prefix.len(), std::cmp::Reverse(r.metric)))
+        let mut rest = &self.routes[..];
+        while let (Some(first), Some(last)) = (rest.first(), rest.last()) {
+            let len = first.prefix.len();
+            // One length throughout (a /64 per link) needs no search for
+            // where the length ends.
+            let run = if last.prefix.len() == len {
+                rest.len()
+            } else {
+                rest.partition_point(|r| r.prefix.len() == len)
+            };
+            let (same_len, shorter) = rest.split_at(run);
+            let network = u128::from(Prefix::new(dst, len).network());
+            if let Ok(i) = same_len.binary_search_by_key(&network, |r| table_key(r).1) {
+                return Some(&same_len[i]);
+            }
+            rest = shorter;
+        }
+        None
+    }
+}
+
+/// Where a route sorts in the table: longest prefixes first, networks
+/// ascending (as integers, which compare faster than `Ipv6Addr`'s
+/// segment-wise ordering and agree with it).
+fn table_key(r: &RouteEntry) -> (Reverse<u8>, u128) {
+    (Reverse(r.prefix.len()), u128::from(r.prefix.network()))
+}
+
+/// Strictly ascending by [`table_key`], hence one entry per prefix.
+fn in_table_order(routes: &[RouteEntry]) -> bool {
+    routes
+        .windows(2)
+        .all(|w| table_key(&w[0]) < table_key(&w[1]))
+}
+
+/// The linear scan `RoutingTable` replaced, over routes in insertion order:
+/// the reference its tests compare against.
+#[cfg(test)]
+fn lookup_linear(routes: &[RouteEntry], dst: Ipv6Addr) -> Option<&RouteEntry> {
+    routes
+        .iter()
+        .filter(|r| r.prefix.contains(dst))
+        .max_by_key(|r| (r.prefix.len(), Reverse(r.metric)))
+}
+
+/// The RPF answer a route toward the source gives.
+fn rpf_info(r: &RouteEntry) -> mobicast_pimdm::RpfInfo {
+    mobicast_pimdm::RpfInfo {
+        iif: r.iface,
+        upstream: r.next_hop,
+        metric_pref: 101, // static unicast routing preference
+        metric: r.metric,
     }
 }
 
 impl mobicast_pimdm::RpfLookup for RoutingTable {
     fn rpf(&self, src: Ipv6Addr) -> Option<mobicast_pimdm::RpfInfo> {
-        let r = self.lookup(src)?;
-        Some(mobicast_pimdm::RpfInfo {
-            iif: r.iface,
-            upstream: r.next_hop,
-            metric_pref: 101, // static unicast routing preference
-            metric: r.metric,
-        })
+        self.lookup(src).map(rpf_info)
     }
 }
 
@@ -124,12 +187,15 @@ pub struct DataInfo {
 }
 
 /// Recursively unwrap tunnels and return the application data inside, if
-/// this packet carries the simulated multicast stream.
+/// this packet carries the simulated multicast stream. Nothing is copied:
+/// each level is parsed as a view of `p.payload`.
 pub fn extract_data_info(p: &Packet) -> Option<DataInfo> {
     let mut depth = 0u32;
-    let mut current = p.clone();
+    let mut inner;
+    let mut current = p;
     while current.payload_proto == proto::IPV6 {
-        current = mobicast_ipv6::tunnel::decapsulate(&current).ok()?;
+        inner = mobicast_ipv6::tunnel::decapsulate(current).ok()?;
+        current = &inner;
         depth += 1;
         if depth > 8 {
             return None; // malformed nesting
@@ -138,7 +204,7 @@ pub fn extract_data_info(p: &Packet) -> Option<DataInfo> {
     if current.payload_proto != proto::UDP {
         return None;
     }
-    let udp = UdpDatagram::decode(current.src, current.dst, &current.payload).ok()?;
+    let udp = UdpDatagram::decode_shared(current.src, current.dst, &current.payload).ok()?;
     if udp.dst_port != MCAST_UDP_PORT {
         return None;
     }
@@ -211,41 +277,113 @@ mod tests {
 
     #[test]
     fn routing_table_longest_prefix_match() {
-        let t = RoutingTable {
-            routes: vec![
-                RouteEntry {
-                    prefix: "2001:db8::/32".parse().unwrap(),
-                    iface: 0,
-                    next_hop: Some(a("fe80::1")),
-                    next_hop_node: Some(NodeId(1)),
-                    metric: 5,
-                },
-                RouteEntry {
-                    prefix: "2001:db8:4::/64".parse().unwrap(),
-                    iface: 1,
-                    next_hop: None,
-                    next_hop_node: None,
-                    metric: 1,
-                },
-            ],
-        };
+        let t = RoutingTable::new(vec![
+            RouteEntry {
+                prefix: "2001:db8::/32".parse().unwrap(),
+                iface: 0,
+                next_hop: Some(a("fe80::1")),
+                next_hop_node: Some(NodeId(1)),
+                metric: 5,
+            },
+            RouteEntry {
+                prefix: "2001:db8:4::/64".parse().unwrap(),
+                iface: 1,
+                next_hop: None,
+                next_hop_node: None,
+                metric: 1,
+            },
+        ]);
         assert_eq!(t.lookup(a("2001:db8:4::9")).unwrap().iface, 1);
         assert_eq!(t.lookup(a("2001:db8:9::9")).unwrap().iface, 0);
         assert!(t.lookup(a("2002::1")).is_none());
     }
 
+    /// Route `i` of a random set, drawn so that sets collide: few networks,
+    /// every interesting prefix length, metrics that tie. `iface` numbers
+    /// the insertion order, which makes the "last inserted" tie-break
+    /// observable.
+    fn arb_route(i: usize, w: u128) -> RouteEntry {
+        const LENS: [u8; 12] = [0, 1, 16, 32, 48, 63, 64, 64, 64, 65, 127, 128];
+        let len = LENS[(w >> 120) as usize % LENS.len()];
+        RouteEntry {
+            prefix: Prefix::new(arb_dst(w), len),
+            iface: i as IfIndex,
+            next_hop: (w & 0x100 != 0).then(|| a("fe80::1")),
+            next_hop_node: None,
+            metric: (w >> 16) as u32 % 3,
+        }
+    }
+
+    /// An address in one of five /64s of two /32s, host part 0–3.
+    fn arb_dst(w: u128) -> Ipv6Addr {
+        let site: u16 = if w & 0x10 == 0 { 0xdb8 } else { 0xdb9 };
+        Ipv6Addr::new(0x2001, site, (w >> 32) as u16 % 5, 0, 0, 0, 0, w as u16 & 3)
+    }
+
+    proptest::proptest! {
+        /// Model-based: on any route set — mixed lengths /0–/128, duplicate
+        /// prefixes, equal metrics, any order, empty — the sorted table
+        /// answers `lookup` and `rpf` exactly as the linear scan over the
+        /// routes as inserted.
+        #[test]
+        fn fib_agrees_with_linear_scan(
+            words in proptest::collection::vec(proptest::any::<u128>(), 0..24),
+            probes in proptest::collection::vec(proptest::any::<u128>(), 1..24),
+        ) {
+            use mobicast_pimdm::RpfLookup;
+            let routes: Vec<RouteEntry> =
+                words.iter().enumerate().map(|(i, w)| arb_route(i, *w)).collect();
+            let table = RoutingTable::new(routes.clone());
+            assert!(in_table_order(&table.routes));
+            // Rebuilding from table order changes nothing.
+            assert_eq!(RoutingTable::new(table.routes.clone()).routes, table.routes);
+            let dsts = probes
+                .iter()
+                .map(|w| arb_dst(*w))
+                .chain(routes.iter().map(|r| r.prefix.network()))
+                .chain([a("::"), a("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff")]);
+            for dst in dsts {
+                let want = lookup_linear(&routes, dst);
+                assert_eq!(table.lookup(dst), want, "lookup({dst}) over {routes:?}");
+                assert_eq!(table.rpf(dst), want.map(rpf_info), "rpf({dst})");
+            }
+        }
+    }
+
+    #[test]
+    fn builder_order_is_kept_in_place() {
+        // One /64 per link in link order, as `builder::router_node` pushes.
+        let routes: Vec<RouteEntry> = (0..600u32)
+            .map(|l| RouteEntry {
+                prefix: link_prefix(LinkId(l)),
+                iface: (l % 3) as IfIndex,
+                next_hop: None,
+                next_hop_node: None,
+                metric: l,
+            })
+            .collect();
+        let table = RoutingTable::new(routes.clone());
+        assert_eq!(table.routes, routes);
+        for l in [0u32, 1, 299, 598, 599] {
+            let dst = addressing::global_addr(NodeId(7), 0, LinkId(l));
+            assert_eq!(table.lookup(dst), Some(&routes[l as usize]));
+        }
+        assert_eq!(
+            table.lookup(addressing::global_addr(NodeId(7), 0, LinkId(600))),
+            None
+        );
+    }
+
     #[test]
     fn rpf_from_routing_table() {
         use mobicast_pimdm::RpfLookup;
-        let t = RoutingTable {
-            routes: vec![RouteEntry {
-                prefix: "2001:db8:1::/64".parse().unwrap(),
-                iface: 2,
-                next_hop: Some(a("fe80::1")),
-                next_hop_node: Some(NodeId(1)),
-                metric: 3,
-            }],
-        };
+        let t = RoutingTable::new(vec![RouteEntry {
+            prefix: "2001:db8:1::/64".parse().unwrap(),
+            iface: 2,
+            next_hop: Some(a("fe80::1")),
+            next_hop_node: Some(NodeId(1)),
+            metric: 3,
+        }]);
         let info = t.rpf(a("2001:db8:1::42")).unwrap();
         assert_eq!(info.iif, 2);
         assert_eq!(info.upstream, Some(a("fe80::1")));

@@ -154,6 +154,188 @@ fn push_violation(st: &mut OracleState, msg: String) {
     }
 }
 
+/// Recorded data events by provenance tag: `(tag, position in the slice)`
+/// sorted by tag, answering `get` with a binary search.
+struct TagIndex<'a> {
+    events: &'a [DataEvent],
+    by_tag: Vec<(u64, usize)>,
+}
+
+impl<'a> TagIndex<'a> {
+    fn build(events: &'a [DataEvent]) -> Self {
+        let mut by_tag: Vec<(u64, usize)> = events
+            .iter()
+            .enumerate()
+            .map(|(i, ev)| (ev.id, i))
+            .collect();
+        // Of two events recorded under one tag the later one sorts last and
+        // answers `position` (what collecting into a map did).
+        by_tag.sort_unstable();
+        TagIndex { events, by_tag }
+    }
+
+    fn position(&self, tag: u64) -> Option<usize> {
+        let after = self.by_tag.partition_point(|&(t, _)| t <= tag);
+        let &(found, i) = self.by_tag[..after].last()?;
+        (found == tag).then_some(i)
+    }
+
+    fn get(&self, tag: u64) -> Option<&'a DataEvent> {
+        self.position(tag).map(|i| &self.events[i])
+    }
+
+    /// For each event, the position of the event that caused it
+    /// ([`NO_PARENT`] at an origin or when the parent was not recorded).
+    fn parent_positions(&self) -> Vec<usize> {
+        self.events
+            .iter()
+            .map(|ev| {
+                ev.parent
+                    .filter(|&tag| tag != 0)
+                    .and_then(|tag| self.position(tag))
+                    .unwrap_or(NO_PARENT)
+            })
+            .collect()
+    }
+}
+
+const NO_PARENT: usize = usize::MAX;
+
+/// Emission times of the recorded data events grouped by link, each link's
+/// times ascending: "when was the last datagram put on link L inside this
+/// window" is a binary search instead of a scan of every event.
+struct LinkEmissions {
+    /// `times[start[l]..start[l + 1]]` are link `l`'s emission times.
+    start: Vec<usize>,
+    times: Vec<SimTime>,
+}
+
+impl LinkEmissions {
+    fn build(events: &[DataEvent]) -> Self {
+        let n_links = events
+            .iter()
+            .map(|ev| ev.link.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut start = vec![0usize; n_links + 1];
+        for ev in events {
+            start[ev.link.index() + 1] += 1;
+        }
+        for l in 0..n_links {
+            start[l + 1] += start[l];
+        }
+        let mut next = start.clone();
+        let mut times = vec![SimTime::ZERO; events.len()];
+        for ev in events {
+            let slot = &mut next[ev.link.index()];
+            times[*slot] = ev.time;
+            *slot += 1;
+        }
+        // Events are recorded in dispatch order, so each link's run is
+        // already ascending; a recorder filled any other way is sorted here.
+        for l in 0..n_links {
+            let run = &mut times[start[l]..start[l + 1]];
+            if !run.windows(2).all(|w| w[0] <= w[1]) {
+                run.sort_unstable();
+            }
+        }
+        LinkEmissions { start, times }
+    }
+
+    /// The latest emission onto `link` strictly inside `(after, before)`.
+    fn latest_between(&self, link: LinkId, after: SimTime, before: SimTime) -> Option<SimTime> {
+        let l = link.index();
+        let run = self
+            .times
+            .get(*self.start.get(l)?..*self.start.get(l + 1)?)?;
+        let last = *run[..run.partition_point(|t| *t < before)].last()?;
+        (last > after).then_some(last)
+    }
+}
+
+/// Leave delay: when the last subscribed receiver leaves a link, data must
+/// stop flowing onto it within T_MLI (+ margin). Each receiver's position
+/// over time is reconstructed from its initial link and the recorded moves;
+/// `latest_emission(link, after, before)` answers with the latest data
+/// emission onto `link` strictly inside the window. Returns the largest
+/// stale-traffic window seen (seconds).
+fn leave_delay_pass(
+    st: &mut OracleState,
+    rec: &Recorder,
+    p: &FinalizeParams,
+    latest_emission: impl Fn(LinkId, SimTime, SimTime) -> Option<SimTime>,
+) -> f64 {
+    let mut timeline: BTreeMap<NodeId, Vec<(SimTime, LinkId)>> = p
+        .receivers
+        .iter()
+        .map(|(h, l)| (*h, vec![(SimTime::ZERO, *l)]))
+        .collect();
+    for m in &rec.moves {
+        if let Some(tl) = timeline.get_mut(&m.host) {
+            tl.push((m.time, m.to));
+        }
+    }
+    let locate = |h: NodeId, t: SimTime| -> Option<LinkId> {
+        timeline
+            .get(&h)?
+            .iter()
+            .rev()
+            .find(|(at, _)| *at <= t)
+            .map(|(_, l)| *l)
+    };
+    let mut worst_leave = 0.0f64;
+    for mv in rec.moves.iter().filter(|m| m.subscribed) {
+        let Some(left) = mv.from else { continue };
+        // Anyone (including the mover, post-move) still on the link?
+        let occupied = timeline.keys().any(|h| locate(*h, mv.time) == Some(left));
+        if occupied {
+            continue;
+        }
+        // Stale window ends when any subscribed receiver re-arrives.
+        let window_end = timeline
+            .values()
+            .flatten()
+            .filter(|(at, l)| *l == left && *at > mv.time)
+            .map(|(at, _)| *at)
+            .min()
+            .unwrap_or(p.end);
+        if let Some(last) = latest_emission(left, mv.time, window_end) {
+            let delay = (last - mv.time).as_secs_f64();
+            if delay > worst_leave {
+                worst_leave = delay;
+            }
+            if delay > p.t_mli.as_secs_f64() + LEAVE_MARGIN_SECS {
+                push_violation(
+                    st,
+                    format!(
+                        "stale data on {left:?} {delay:.1}s after the last member \
+                         left at t={:.0}s (T_MLI={:.0}s)",
+                        mv.time.as_secs_f64(),
+                        p.t_mli.as_secs_f64()
+                    ),
+                );
+            }
+        }
+    }
+    worst_leave
+}
+
+/// The scan of every recorded event that [`LinkEmissions`] replaced: the
+/// reference its tests compare against.
+#[cfg(test)]
+fn latest_emission_by_scan(
+    events: &[DataEvent],
+    link: LinkId,
+    after: SimTime,
+    before: SimTime,
+) -> Option<SimTime> {
+    events
+        .iter()
+        .filter(|ev| ev.link == link && ev.time > after && ev.time < before)
+        .map(|ev| ev.time)
+        .max()
+}
+
 /// Inputs of the post-run pass (see [`Oracle::finalize`]).
 pub struct FinalizeParams {
     /// Instant after which asserts must stay resolved and duplicates must
@@ -367,20 +549,21 @@ impl Oracle {
     pub fn finalize(&self, rec: &Recorder, p: &FinalizeParams) -> OracleSummary {
         let st = &mut *self.state.borrow_mut();
 
-        let by_tag: BTreeMap<u64, &DataEvent> =
-            rec.data_events.iter().map(|ev| (ev.id, ev)).collect();
+        let by_tag = TagIndex::build(&rec.data_events);
 
         // Loop-freedom: walk every native emission's causal ancestry; a
         // native ancestor on the same link means the datagram re-entered
-        // the link it already crossed.
-        for ev in &rec.data_events {
+        // the link it already crossed. Parents are resolved to positions
+        // once, so a walk costs one search per event, not one per ancestor.
+        let parents = by_tag.parent_positions();
+        for (i, ev) in rec.data_events.iter().enumerate() {
             if ev.tunneled {
                 continue;
             }
-            let mut tag = ev.parent.unwrap_or(0);
+            let mut at = parents[i];
             let mut guard = 0;
-            while tag != 0 && guard < 64 {
-                let Some(anc) = by_tag.get(&tag) else { break };
+            while at != NO_PARENT && guard < 64 {
+                let anc = &rec.data_events[at];
                 if !anc.tunneled && anc.link == ev.link {
                     push_violation(
                         st,
@@ -394,10 +577,11 @@ impl Oracle {
                     );
                     break;
                 }
-                tag = anc.parent.unwrap_or(0);
+                at = parents[at];
                 guard += 1;
             }
         }
+        drop(parents);
 
         // At-most-once after settle: per (receiver, datagram), count the
         // deliveries whose final hop was native vs tunneled. A run of more
@@ -416,7 +600,7 @@ impl Oracle {
             if !settled.contains(&d.pkt) {
                 continue;
             }
-            let tunneled = by_tag.get(&d.via).map(|e| e.tunneled).unwrap_or(false);
+            let tunneled = by_tag.get(d.via).map(|e| e.tunneled).unwrap_or(false);
             let slot = per_copy.entry((d.host, d.pkt)).or_default();
             if tunneled {
                 slot.1 += 1;
@@ -454,68 +638,15 @@ impl Oracle {
             }
         }
 
-        // Leave delay: when the last subscribed receiver leaves a link,
-        // data must stop flowing onto it within T_MLI (+ margin). Each
-        // receiver's position over time is reconstructed from its initial
-        // link and the recorded moves.
-        let mut timeline: BTreeMap<NodeId, Vec<(SimTime, LinkId)>> = p
-            .receivers
-            .iter()
-            .map(|(h, l)| (*h, vec![(SimTime::ZERO, *l)]))
-            .collect();
-        for m in &rec.moves {
-            if let Some(tl) = timeline.get_mut(&m.host) {
-                tl.push((m.time, m.to));
-            }
-        }
-        let locate = |h: NodeId, t: SimTime| -> Option<LinkId> {
-            timeline
-                .get(&h)?
-                .iter()
-                .rev()
-                .find(|(at, _)| *at <= t)
-                .map(|(_, l)| *l)
+        // The tag index is as large as the per-link one built next; the two
+        // need not be alive together.
+        drop(by_tag);
+        let worst_leave = {
+            let emissions = LinkEmissions::build(&rec.data_events);
+            leave_delay_pass(st, rec, p, |link, after, before| {
+                emissions.latest_between(link, after, before)
+            })
         };
-        let mut worst_leave = 0.0f64;
-        for mv in rec.moves.iter().filter(|m| m.subscribed) {
-            let Some(left) = mv.from else { continue };
-            // Anyone (including the mover, post-move) still on the link?
-            let occupied = timeline.keys().any(|h| locate(*h, mv.time) == Some(left));
-            if occupied {
-                continue;
-            }
-            // Stale window ends when any subscribed receiver re-arrives.
-            let window_end = timeline
-                .values()
-                .flatten()
-                .filter(|(at, l)| *l == left && *at > mv.time)
-                .map(|(at, _)| *at)
-                .min()
-                .unwrap_or(p.end);
-            let last = rec
-                .data_events
-                .iter()
-                .filter(|ev| ev.link == left && ev.time > mv.time && ev.time < window_end)
-                .map(|ev| ev.time)
-                .max();
-            if let Some(last) = last {
-                let delay = (last - mv.time).as_secs_f64();
-                if delay > worst_leave {
-                    worst_leave = delay;
-                }
-                if delay > p.t_mli.as_secs_f64() + LEAVE_MARGIN_SECS {
-                    push_violation(
-                        st,
-                        format!(
-                            "stale data on {left:?} {delay:.1}s after the last member \
-                             left at t={:.0}s (T_MLI={:.0}s)",
-                            mv.time.as_secs_f64(),
-                            p.t_mli.as_secs_f64()
-                        ),
-                    );
-                }
-            }
-        }
 
         // Reconvergence SLO: once the last disturbance has cleared, the
         // first-copy delivery stream must return to full coverage of every
@@ -628,7 +759,7 @@ impl Oracle {
 
     fn inspect_frame(&self, now: SimTime, node: NodeId, link: LinkId, frame: &Frame) {
         let st = &mut *self.state.borrow_mut();
-        let Ok(p) = Packet::decode(&frame.bytes) else {
+        let Ok(p) = Packet::decode_shared(&frame.bytes) else {
             push_violation(
                 st,
                 format!(
@@ -959,6 +1090,112 @@ mod tests {
         let s = o.finalize(&rec, &params(vec![(mover, LinkId(3))]));
         assert_eq!(s.violation_count, 1, "{:?}", s.violations);
         assert!((s.worst_leave_delay_secs - 300.0).abs() < 1e-9);
+    }
+
+    /// A recorder drawn on a coarse grid — four links, three receivers
+    /// hopping among them every 10 s — so that moves re-enter links they
+    /// left, windows come out empty, and emissions land exactly on a move
+    /// time or a window end.
+    fn grid_recorder(event_words: &[u64], move_words: &[u64], in_order: bool) -> Recorder {
+        let grid = |w: u64| t((w >> 8) % 31 * 10);
+        let mut rec = Recorder::default();
+        for (i, w) in event_words.iter().enumerate() {
+            rec.data_events.push(DataEvent {
+                time: grid(*w),
+                ..ev(1, i as u64 + 1, None, (*w % 4) as u32, w & 0x80 != 0)
+            });
+        }
+        if in_order {
+            rec.data_events.sort_by_key(|ev| ev.time);
+        }
+        let mut at = [LinkId(0), LinkId(1), LinkId(1)];
+        let mut moves: Vec<(SimTime, usize, LinkId)> = move_words
+            .iter()
+            .map(|w| (grid(*w), (*w % 3) as usize, LinkId((*w >> 4) as u32 % 4)))
+            .collect();
+        moves.sort();
+        for (time, host, to) in moves {
+            rec.moves.push(MoveEvent {
+                host: NodeId(host as u32),
+                time,
+                from: Some(at[host]),
+                to,
+                subscribed: true,
+                sending: false,
+            });
+            at[host] = to;
+        }
+        rec
+    }
+
+    proptest::proptest! {
+        /// Differential: the per-link emission index answers every window
+        /// as the scan of all events does, and the leave-delay pass run on
+        /// either reaches the same worst delay and the same violations.
+        #[test]
+        fn leave_delay_pass_agrees_with_the_scan_it_replaced(
+            event_words in proptest::collection::vec(proptest::any::<u64>(), 0..80),
+            move_words in proptest::collection::vec(proptest::any::<u64>(), 0..14),
+            in_order in proptest::any::<u8>(),
+        ) {
+            let rec = grid_recorder(&event_words, &move_words, in_order & 1 == 0);
+            let emissions = LinkEmissions::build(&rec.data_events);
+            // Link 4 carries nothing; inverted and empty windows included.
+            for link in (0..5).map(LinkId) {
+                for after in (0..=310).step_by(10).map(t) {
+                    for before in (0..=310).step_by(10).map(t) {
+                        assert_eq!(
+                            emissions.latest_between(link, after, before),
+                            latest_emission_by_scan(&rec.data_events, link, after, before),
+                            "{link:?} in ({after:?}, {before:?})"
+                        );
+                    }
+                }
+            }
+            // T_MLI short enough for the grid to produce violations.
+            let p = FinalizeParams {
+                t_mli: SimDuration::from_secs(20),
+                end: t(250),
+                ..params(vec![
+                    (NodeId(0), LinkId(0)),
+                    (NodeId(1), LinkId(1)),
+                    (NodeId(2), LinkId(1)),
+                ])
+            };
+            let (mut fast, mut reference) = (OracleState::default(), OracleState::default());
+            let worst = leave_delay_pass(&mut fast, &rec, &p, |l, a, b| {
+                emissions.latest_between(l, a, b)
+            });
+            let worst_ref = leave_delay_pass(&mut reference, &rec, &p, |l, a, b| {
+                latest_emission_by_scan(&rec.data_events, l, a, b)
+            });
+            assert_eq!(worst, worst_ref);
+            assert_eq!(fast.violations, reference.violations);
+            assert_eq!(fast.violation_count, reference.violation_count);
+        }
+    }
+
+    #[test]
+    fn tag_index_resolves_tags_and_parents() {
+        // Tags out of order, one unknown parent, one duplicate tag (the
+        // later record answers, as it did when the index was a map).
+        let events = vec![
+            ev(1, 30, None, 0, false),
+            ev(1, 10, Some(30), 1, false),
+            ev(1, 20, Some(99), 2, true),
+            ev(1, 10, Some(20), 3, false),
+            ev(1, 40, Some(0), 0, false),
+        ];
+        let idx = TagIndex::build(&events);
+        assert_eq!(idx.get(30).map(|e| e.link), Some(LinkId(0)));
+        assert_eq!(idx.get(10).map(|e| e.link), Some(LinkId(3)));
+        assert_eq!(idx.get(20).map(|e| e.tunneled), Some(true));
+        assert!(idx.get(5).is_none() && idx.get(35).is_none() && idx.get(99).is_none());
+        assert_eq!(
+            idx.parent_positions(),
+            vec![NO_PARENT, 0, NO_PARENT, 2, NO_PARENT]
+        );
+        assert!(TagIndex::build(&[]).get(1).is_none());
     }
 
     #[test]

@@ -183,6 +183,9 @@ pub struct RouterNode {
     /// RFC-MIB-flavoured per-node counters (camelCase names), snapshotted
     /// into `RunReport.node_stats` at the end of a run.
     mib: Counters,
+    /// What `record_high_waters` last wrote to each of its gauges in `mib`
+    /// (`None`: not created yet).
+    high_waters: [Option<u64>; 3],
 }
 
 impl RouterNode {
@@ -240,6 +243,7 @@ impl RouterNode {
             max_sg_entries: 0,
             graft_spans: Vec::new(),
             mib: Counters::new(),
+            high_waters: [None; 3],
         }
     }
 
@@ -305,14 +309,21 @@ impl RouterNode {
     }
 
     /// Update the per-table high-water gauges (snapshotted into
-    /// `RunReport.node_stats` and reconciled against the budget).
+    /// `RunReport.node_stats` and reconciled against the budget). Runs after
+    /// every frame and timer, so `mib` is touched only when a reading rises
+    /// (or on the first call, which creates each gauge even at 0).
     fn record_high_waters(&mut self) {
-        self.mib
-            .record_max("mldListenersHighWater", self.mld_listener_port_max() as u64);
-        self.mib
-            .record_max("pimSgHighWater", self.pim.entry_count() as u64);
-        self.mib
-            .record_max("bindingCacheHighWater", self.ha.binding_count() as u64);
+        let readings = [
+            ("mldListenersHighWater", self.mld_listener_port_max() as u64),
+            ("pimSgHighWater", self.pim.entry_count() as u64),
+            ("bindingCacheHighWater", self.ha.binding_count() as u64),
+        ];
+        for ((name, value), recorded) in readings.into_iter().zip(&mut self.high_waters) {
+            if recorded.is_none_or(|r| value > r) {
+                self.mib.record_max(name, value);
+                *recorded = Some(value);
+            }
+        }
     }
 
     /// Turn buffered home-agent admission notes into typed trace events
@@ -1169,7 +1180,7 @@ impl NodeBehavior for RouterNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, ifx: IfIndex, frame: &Frame) {
-        let packet = match Packet::decode(&frame.bytes) {
+        let packet = match Packet::decode_shared(&frame.bytes) {
             Ok(p) => p,
             Err(err) => {
                 self.recorder.count("router.decode_errors", 1);

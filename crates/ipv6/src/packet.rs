@@ -10,6 +10,7 @@ use crate::error::{need, DecodeError};
 use crate::exthdr::{encoded_option_len, read_addr, ExtHeader, Option6, UnknownOptionAction};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::net::Ipv6Addr;
+use std::ops::Range;
 
 /// Protocol numbers used in `next_header` fields.
 pub mod proto {
@@ -118,8 +119,25 @@ impl Packet {
         out.freeze()
     }
 
-    /// Parse from wire bytes.
+    /// Parse from wire bytes, copying the payload into a buffer of its own.
     pub fn decode(buf: &[u8]) -> Result<Packet, DecodeError> {
+        Self::decode_with(buf, |payload| Bytes::copy_from_slice(&buf[payload]))
+    }
+
+    /// Parse a received frame without copying: the payload is a view of
+    /// `frame` and keeps the whole frame alive, so a packet stored past the
+    /// handler that received it should be built with [`Packet::decode`].
+    /// Same checks, same result (`decode_shared(&b) == decode(&b)`).
+    pub fn decode_shared(frame: &Bytes) -> Result<Packet, DecodeError> {
+        Self::decode_with(frame, |payload| frame.slice(payload))
+    }
+
+    /// Parse and check `buf`; `payload_of` turns the payload's position in
+    /// `buf` into the packet's payload bytes.
+    fn decode_with(
+        buf: &[u8],
+        payload_of: impl FnOnce(Range<usize>) -> Bytes,
+    ) -> Result<Packet, DecodeError> {
         need(buf, FIXED_HEADER_LEN, "IPv6 fixed header")?;
         let version = buf[0] >> 4;
         if version != 6 {
@@ -134,7 +152,8 @@ impl Packet {
         let src = read_addr(&buf[8..24])?;
         let dst = read_addr(&buf[24..40])?;
         need(&buf[FIXED_HEADER_LEN..], payload_len, "IPv6 payload")?;
-        let body = &buf[FIXED_HEADER_LEN..FIXED_HEADER_LEN + payload_len];
+        let end = FIXED_HEADER_LEN + payload_len;
+        let body = &buf[FIXED_HEADER_LEN..end];
 
         let mut ext = Vec::new();
         let mut offset = 0usize;
@@ -152,7 +171,7 @@ impl Packet {
             flow_label,
             ext,
             payload_proto: next,
-            payload: Bytes::copy_from_slice(&body[offset..]),
+            payload: payload_of(FIXED_HEADER_LEN + offset..end),
         })
     }
 

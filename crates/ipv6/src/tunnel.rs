@@ -68,7 +68,8 @@ pub fn encapsulate_limited(
 }
 
 /// Decapsulate one tunnel level. Fails if the packet is not IPv6-in-IPv6 or
-/// the inner bytes do not parse.
+/// the inner bytes do not parse. The inner packet's payload is a view of the
+/// outer packet's (no copy).
 pub fn decapsulate(outer: &Packet) -> Result<Packet, DecodeError> {
     if outer.payload_proto != proto::IPV6 {
         return Err(DecodeError::Unsupported {
@@ -76,7 +77,7 @@ pub fn decapsulate(outer: &Packet) -> Result<Packet, DecodeError> {
             value: u32::from(outer.payload_proto),
         });
     }
-    Packet::decode(&outer.payload)
+    Packet::decode_shared(&outer.payload)
 }
 
 /// Is this packet a tunnel packet?

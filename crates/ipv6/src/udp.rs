@@ -6,6 +6,7 @@ use crate::error::{need, DecodeError};
 use crate::packet::{proto, pseudo_header_checksum};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::net::Ipv6Addr;
+use std::ops::Range;
 
 /// Fixed UDP header size in bytes.
 pub const UDP_HEADER_LEN: usize = 8;
@@ -49,7 +50,29 @@ impl UdpDatagram {
         out.freeze()
     }
 
+    /// Parse and verify a datagram, copying the payload into a buffer of
+    /// its own.
     pub fn decode(src: Ipv6Addr, dst: Ipv6Addr, buf: &[u8]) -> Result<Self, DecodeError> {
+        Self::decode_with(src, dst, buf, |payload| {
+            Bytes::copy_from_slice(&buf[payload])
+        })
+    }
+
+    /// [`UdpDatagram::decode`] without the copy: the payload is a view of
+    /// `buf` (and keeps alive whatever `buf` is a view of). Same checks,
+    /// same result.
+    pub fn decode_shared(src: Ipv6Addr, dst: Ipv6Addr, buf: &Bytes) -> Result<Self, DecodeError> {
+        Self::decode_with(src, dst, buf, |payload| buf.slice(payload))
+    }
+
+    /// Check length and checksum of `buf`; `payload_of` turns the payload's
+    /// position in `buf` into the datagram's payload bytes.
+    fn decode_with(
+        src: Ipv6Addr,
+        dst: Ipv6Addr,
+        buf: &[u8],
+        payload_of: impl FnOnce(Range<usize>) -> Bytes,
+    ) -> Result<Self, DecodeError> {
         need(buf, UDP_HEADER_LEN, "UDP header")?;
         let len = usize::from(u16::from_be_bytes([buf[4], buf[5]]));
         if len < UDP_HEADER_LEN || len > buf.len() {
@@ -66,7 +89,7 @@ impl UdpDatagram {
         Ok(UdpDatagram {
             src_port: u16::from_be_bytes([buf[0], buf[1]]),
             dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            payload: Bytes::copy_from_slice(&buf[UDP_HEADER_LEN..len]),
+            payload: payload_of(UDP_HEADER_LEN..len),
         })
     }
 }

@@ -1,13 +1,14 @@
 //! Offline shim for the `bytes` crate.
 //!
 //! Implements the subset of the `bytes` 1.x API this workspace uses:
-//! cheaply-clonable immutable [`Bytes`], growable [`BytesMut`], and the
-//! big-endian [`BufMut`] writer methods. Semantics match the real crate
-//! for this subset; `slice`/`split`/zero-copy views are not provided.
+//! cheaply-clonable immutable [`Bytes`] with zero-copy [`Bytes::slice`]
+//! views, growable [`BytesMut`], and the big-endian [`BufMut`] writer
+//! methods. Semantics match the real crate for this subset; `split` is not
+//! provided.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Deref, DerefMut};
+use std::ops::{Bound, Deref, DerefMut, Range, RangeBounds};
 use std::sync::Arc;
 
 /// Cheaply clonable, immutable byte buffer.
@@ -17,7 +18,9 @@ pub struct Bytes(Repr);
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared(Arc<[u8]>),
+    /// A view of `range` within a shared allocation; the whole allocation
+    /// stays alive as long as any view of it does.
+    Shared(Arc<[u8]>, Range<usize>),
 }
 
 impl Bytes {
@@ -33,7 +36,37 @@ impl Bytes {
 
     /// Copy a slice into a new shared buffer.
     pub fn copy_from_slice(b: &[u8]) -> Self {
-        Bytes(Repr::Shared(Arc::from(b)))
+        Bytes(Repr::Shared(Arc::from(b), 0..b.len()))
+    }
+
+    /// A view of `range` within this buffer sharing its storage (no
+    /// allocation, no copy). Panics if the range is inverted or reaches
+    /// past the end, like slice indexing.
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
+        let len = self.len();
+        let start = match range.start_bound() {
+            Bound::Included(&n) => n,
+            Bound::Excluded(&n) => n.checked_add(1).expect("range start overflows"),
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&n) => n.checked_add(1).expect("range end overflows"),
+            Bound::Excluded(&n) => n,
+            Bound::Unbounded => len,
+        };
+        assert!(
+            start <= end && end <= len,
+            "slice {start}..{end} out of range for Bytes of length {len}"
+        );
+        match &self.0 {
+            // An empty view must not keep the allocation alive.
+            _ if start == end => Bytes::new(),
+            Repr::Static(s) => Bytes(Repr::Static(&s[start..end])),
+            Repr::Shared(buf, view) => Bytes(Repr::Shared(
+                buf.clone(),
+                view.start + start..view.start + end,
+            )),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -51,7 +84,7 @@ impl Bytes {
     fn as_slice(&self) -> &[u8] {
         match &self.0 {
             Repr::Static(s) => s,
-            Repr::Shared(s) => s,
+            Repr::Shared(buf, view) => &buf[view.start..view.end],
         }
     }
 }
@@ -77,7 +110,8 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes(Repr::Shared(Arc::from(v.into_boxed_slice())))
+        let len = v.len();
+        Bytes(Repr::Shared(Arc::from(v.into_boxed_slice()), 0..len))
     }
 }
 
@@ -244,6 +278,70 @@ mod tests {
         assert_eq!(b.as_ref(), &[1, 2, 3]);
         assert_eq!(b.clone(), b);
         assert_eq!(Bytes::from_static(b"abc").to_vec(), b"abc");
+    }
+
+    fn hash_of(b: &Bytes) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        b.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn slice_views_share_storage_and_compare_by_content() {
+        let b = Bytes::from((0u8..10).collect::<Vec<_>>());
+        let mid = b.slice(2..8);
+        assert_eq!(mid.as_ref(), &[2, 3, 4, 5, 6, 7]);
+        assert_eq!(mid.len(), 6);
+        assert_eq!(b.slice(..).as_ref(), b.as_ref());
+        assert_eq!(b.slice(7..).as_ref(), &[7, 8, 9]);
+        assert_eq!(b.slice(..=1).as_ref(), &[0, 1]);
+        // Slice of a slice is relative to the view, not the allocation.
+        let inner = mid.slice(1..3);
+        assert_eq!(inner.as_ref(), &[3, 4]);
+        assert_eq!(inner.slice(1..).as_ref(), &[4]);
+        // A view equals (and hashes like) an owned copy of the same bytes.
+        let owned = Bytes::copy_from_slice(&[2, 3, 4, 5, 6, 7]);
+        assert_eq!(mid, owned);
+        assert_eq!(hash_of(&mid), hash_of(&owned));
+        assert_ne!(mid, inner);
+        // The view outlives the handle it was cut from.
+        drop(b);
+        assert_eq!(mid.to_vec(), vec![2, 3, 4, 5, 6, 7]);
+        assert_eq!(format!("{inner:?}"), "b\"\\x03\\x04\"");
+    }
+
+    #[test]
+    fn slice_of_static_stays_static_and_empty_views_own_nothing() {
+        let s = Bytes::from_static(b"hello world");
+        let w = s.slice(6..);
+        assert_eq!(w.as_ref(), b"world");
+        assert!(matches!(w.0, Repr::Static(_)));
+        assert_eq!(w, Bytes::copy_from_slice(b"world"));
+        assert_eq!(hash_of(&w), hash_of(&Bytes::copy_from_slice(b"world")));
+        let shared = Bytes::from(vec![1, 2, 3]);
+        for empty in [shared.slice(3..), shared.slice(1..1), s.slice(..0)] {
+            assert!(empty.is_empty());
+            assert!(matches!(empty.0, Repr::Static(_)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn slice_past_the_end_panics() {
+        Bytes::from(vec![1, 2, 3]).slice(1..5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn slice_of_view_is_bounded_by_the_view_not_the_allocation() {
+        Bytes::from(vec![1, 2, 3, 4, 5]).slice(0..2).slice(0..3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    #[allow(clippy::reversed_empty_ranges)]
+    fn inverted_slice_panics() {
+        Bytes::from_static(b"abc").slice(2..1);
     }
 
     #[test]

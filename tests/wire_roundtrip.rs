@@ -12,6 +12,7 @@ use mobicast::ipv6::packet::{proto, Packet};
 use mobicast::ipv6::tunnel::{
     decapsulate, encapsulate, encapsulate_limited, is_tunnel, DEFAULT_ENCAP_LIMIT,
 };
+use mobicast::ipv6::udp::UdpDatagram;
 use mobicast::ipv6::Icmpv6;
 use mobicast::mld::MldMessage;
 use mobicast::pimdm::message::TYPE_JOIN_PRUNE;
@@ -47,7 +48,90 @@ fn arb_sg_list() -> impl Strategy<Value = Vec<Sg>> {
     })
 }
 
+/// The zero-copy decoders the frame path uses must agree with the copying
+/// ones on every input — the same value or the same typed error — at every
+/// level of a tunnel nest (to depth 8) and for the UDP datagram inside.
+/// `raw` is checked as a view at a non-zero offset of a larger buffer,
+/// which is what a decapsulated payload is.
+fn assert_shared_decoders_agree(raw: &[u8]) {
+    let mut framed = vec![0xee; 3];
+    framed.extend_from_slice(raw);
+    framed.extend_from_slice(&[0xee; 2]);
+    let mut bytes = Bytes::from(framed).slice(3..3 + raw.len());
+    for level in 0..=8 {
+        let shared = Packet::decode_shared(&bytes);
+        assert_eq!(shared, Packet::decode(&bytes), "IPv6, tunnel level {level}");
+        let Ok(p) = shared else { return };
+        match p.payload_proto {
+            proto::UDP => {
+                assert_eq!(
+                    UdpDatagram::decode_shared(p.src, p.dst, &p.payload),
+                    UdpDatagram::decode(p.src, p.dst, &p.payload),
+                    "UDP, tunnel level {level}"
+                );
+                return;
+            }
+            proto::IPV6 => {
+                assert_eq!(
+                    decapsulate(&p),
+                    Packet::decode(&p.payload),
+                    "decapsulate, tunnel level {level}"
+                );
+                bytes = p.payload;
+            }
+            _ => return,
+        }
+    }
+}
+
 proptest! {
+    /// A UDP datagram under 0–8 plain tunnel levels, intact and then with
+    /// one bit flipped, truncated, or with one level's payload-length field
+    /// lying: copying and zero-copy decoders agree all the way down.
+    #[test]
+    fn shared_decoders_agree_through_mutated_tunnel_nests(
+        depth in 0usize..9,
+        src in arb_unicast(),
+        g in arb_group(),
+        hop in arb_unicast(),
+        payload in proptest::collection::vec(any::<u8>(), 0..48),
+        mutation in any::<u8>(),
+        at in any::<u16>(),
+    ) {
+        let udp = UdpDatagram::new(4000, 5001, Bytes::from(payload));
+        let mut p = Packet::new(src, g.addr(), proto::UDP, udp.encode(src, g.addr()));
+        for _ in 0..depth {
+            p = encapsulate(hop, hop, &p);
+        }
+        let wire = p.encode();
+        assert_shared_decoders_agree(&wire);
+        // Intact, the nest unwinds to the datagram through views alone.
+        let mut inner = Packet::decode_shared(&wire).expect("valid nest decodes");
+        for _ in 0..depth {
+            inner = decapsulate(&inner).expect("level decapsulates");
+        }
+        prop_assert_eq!(
+            UdpDatagram::decode_shared(inner.src, inner.dst, &inner.payload).ok(),
+            Some(udp)
+        );
+
+        let mut m = wire.to_vec();
+        let at = usize::from(at);
+        match mutation % 3 {
+            0 => {
+                let bit = at % (m.len() * 8);
+                m[bit / 8] ^= 1 << (bit % 8);
+            }
+            1 => m.truncate(at % m.len()),
+            _ => {
+                // Payload length of tunnel level `at % (depth + 1)`.
+                let field = (at % (depth + 1)) * 40 + 4;
+                m[field] ^= mutation | 1;
+            }
+        }
+        assert_shared_decoders_agree(&m);
+    }
+
     #[test]
     fn mld_roundtrip(
         kind in any::<u8>(),
@@ -171,6 +255,7 @@ proptest! {
         let _ = Icmpv6::decode(src, dst, &raw);
         let _ = PimMessage::decode(src, dst, &raw);
         let _ = Packet::decode(&raw);
+        assert_shared_decoders_agree(&raw);
     }
 
     #[test]
@@ -195,6 +280,7 @@ proptest! {
         let cut = usize::from(cut) % (bytes.len() + 1);
         let _ = Icmpv6::decode(src, dst, &bytes[..cut]);
         let _ = PimMessage::decode(src, dst, &bytes[..cut]);
+        assert_shared_decoders_agree(&bytes[..cut]);
         // …and separately corrupt one byte. A checksum failure or decode
         // error is expected; a panic is not.
         let mut corrupt = bytes.to_vec();
@@ -202,6 +288,7 @@ proptest! {
         corrupt[at] ^= flip_bits | 1;
         let _ = Icmpv6::decode(src, dst, &corrupt);
         let _ = PimMessage::decode(src, dst, &corrupt);
+        assert_shared_decoders_agree(&corrupt);
     }
 
     /// Mutation fuzz, bit-flip class: start from a *valid* frame of each
@@ -230,6 +317,7 @@ proptest! {
                 let mut m = bytes.to_vec();
                 let bit = usize::from(flip) % (m.len() * 8);
                 m[bit / 8] ^= 1 << (bit % 8);
+                assert_shared_decoders_agree(&m);
                 if let Ok(decoded) = Icmpv6::decode(src, dst, &m) {
                     let re = decoded.encode(src, dst);
                     prop_assert_eq!(Icmpv6::decode(src, dst, &re).unwrap(), decoded);
@@ -242,6 +330,7 @@ proptest! {
                 let mut m = bytes.to_vec();
                 let bit = usize::from(flip) % (m.len() * 8);
                 m[bit / 8] ^= 1 << (bit % 8);
+                assert_shared_decoders_agree(&m);
                 if let Ok(decoded) = PimMessage::decode(src, dst, &m) {
                     let re = decoded.encode(src, dst);
                     prop_assert_eq!(PimMessage::decode(src, dst, &re).unwrap(), decoded);
@@ -252,6 +341,7 @@ proptest! {
                 let mut m = bytes.to_vec();
                 let bit = usize::from(flip) % (m.len() * 8);
                 m[bit / 8] ^= 1 << (bit % 8);
+                assert_shared_decoders_agree(&m);
                 if let Ok(decoded) = Icmpv6::decode(src, dst, &m) {
                     let re = decoded.encode(src, dst);
                     prop_assert_eq!(Icmpv6::decode(src, dst, &re).unwrap(), decoded);
@@ -263,6 +353,7 @@ proptest! {
                 let mut m = bytes.to_vec();
                 let bit = usize::from(flip) % (m.len() * 8);
                 m[bit / 8] ^= 1 << (bit % 8);
+                assert_shared_decoders_agree(&m);
                 if let Ok(decoded) = Packet::decode(&m) {
                     // Tunnel unwrap of a mangled outer packet must not panic.
                     let _ = decapsulate(&decoded);
@@ -296,6 +387,7 @@ proptest! {
         for bytes in &frames {
             for cut in 0..bytes.len() {
                 let prefix = &bytes[..cut];
+                assert_shared_decoders_agree(prefix);
                 // Frames below the minimal header must always be errors.
                 if cut < 4 {
                     prop_assert!(Icmpv6::decode(src, dst, prefix).is_err());
@@ -340,6 +432,7 @@ proptest! {
         let claimed = u16::from_be_bytes([m[4], m[5]]).saturating_add(lie);
         m[4..6].copy_from_slice(&claimed.to_be_bytes());
         prop_assert!(Packet::decode(&m).is_err(), "payload-length lie accepted");
+        assert_shared_decoders_agree(&m);
 
         // PIM Join/Prune source-count lying long: the per-group join count
         // claims sources beyond the end of the message.
@@ -362,6 +455,7 @@ proptest! {
             PimMessage::decode(src, dst, &m).is_err(),
             "join-count lie accepted"
         );
+        assert_shared_decoders_agree(&m);
 
         // …and lying short: fewer groups than encoded leaves trailing bytes
         // but must still parse without panicking (or err — never read past
@@ -372,6 +466,7 @@ proptest! {
         m2[3] = 0;
         let sum = pseudo_header_checksum(src, dst, proto::PIM, &m2);
         m2[2..4].copy_from_slice(&sum.to_be_bytes());
+        assert_shared_decoders_agree(&m2);
         if let Ok(d) = PimMessage::decode(src, dst, &m2) {
             prop_assert_eq!(
                 d,
