@@ -16,6 +16,7 @@ use crate::strategy::Policy;
 use crate::stress::StressSpec;
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_mipv6::BindingCache;
+use mobicast_mld::table::Rexmt;
 use mobicast_mld::ListenerTable;
 use mobicast_pimdm::table::{OifState, SgDetail, UpstreamState};
 use mobicast_pimdm::SgTable;
@@ -78,10 +79,10 @@ pub fn aggregation_audit(listeners: usize, groups: usize, links: usize) -> MemAu
     let expires = SimTime::from_secs(260);
 
     let mut ports: Vec<ListenerTable> = (0..links)
-        .map(|_| ListenerTable::with_interner(interners.groups.clone()))
+        .map(|_| ListenerTable::with_keys(interners.groups.clone()))
         .collect();
     let mut sgs: Vec<SgTable> = (0..links)
-        .map(|_| SgTable::with_interners(interners.addrs.clone(), interners.groups.clone()))
+        .map(|_| SgTable::with_keys((interners.addrs.clone(), interners.groups.clone())))
         .collect();
     let mut has: Vec<BindingCache> = (0..links)
         .map(|_| BindingCache::with_interners(interners.addrs.clone(), interners.groups.clone()))
@@ -94,7 +95,7 @@ pub fn aggregation_audit(listeners: usize, groups: usize, links: usize) -> MemAu
         // Membership and (S,G) state aggregate per (link, group): the
         // second listener of a group on a link costs no new row.
         if !ports[link].contains(grp) {
-            let _ = ports[link].insert(grp, expires);
+            let _ = ports[link].insert(grp, expires, Rexmt::default());
             let detail = SgDetail {
                 iif: 0,
                 upstream: None,

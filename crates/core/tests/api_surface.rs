@@ -1,9 +1,11 @@
-//! Public-API snapshot: the `pub` surface of `mobicast-core` is rendered
-//! to a stable text form and diffed against the committed
-//! `tests/api-surface.txt`. An unreviewed API change — a renamed method,
-//! a removed re-export, a struct field changing type — fails CI's
-//! `api-surface` job with a line diff instead of silently breaking
-//! downstream callers.
+//! Public-API snapshot: the `pub` surface of `mobicast-core` and of the
+//! crates below it that outside code compiles against (`sim`, `mld`,
+//! `pimdm`, `mipv6` — everything the frozen `benchmark/` package imports
+//! lives there) is rendered to a stable text form and diffed against the
+//! committed `tests/api-surface*.txt`, one file per crate. An unreviewed
+//! API change — a renamed method, a removed re-export, a struct field
+//! changing type — fails CI's `api-surface` job with a line diff instead
+//! of silently breaking downstream callers.
 //!
 //! Intentional changes are recorded with
 //! `MOBICAST_UPDATE_API_SURFACE=1 cargo test -p mobicast-core --test api_surface`.
@@ -11,7 +13,22 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const SNAPSHOT: &str = "tests/api-surface.txt";
+/// `(crate, its `src/` relative to this crate, its snapshot file)`.
+const CRATES: [(&str, &str, &str); 5] = [
+    ("mobicast-core", "src", "tests/api-surface.txt"),
+    ("mobicast-sim", "../sim/src", "tests/api-surface-sim.txt"),
+    ("mobicast-mld", "../mld/src", "tests/api-surface-mld.txt"),
+    (
+        "mobicast-pimdm",
+        "../pimdm/src",
+        "tests/api-surface-pimdm.txt",
+    ),
+    (
+        "mobicast-mipv6",
+        "../mipv6/src",
+        "tests/api-surface-mipv6.txt",
+    ),
+];
 
 /// All `.rs` files under `dir`, depth-first, sorted for determinism.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -65,12 +82,12 @@ fn surface_of(src: &str) -> Vec<String> {
     out
 }
 
-fn render() -> String {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src");
+fn render(krate: &str, src: &str) -> String {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(src);
     let mut files = Vec::new();
     rust_files(&root, &mut files);
-    let mut rendered = String::from(
-        "# Public API surface of mobicast-core (one line per `pub` declaration).\n\
+    let mut rendered = format!(
+        "# Public API surface of {krate} (one line per `pub` declaration).\n\
          # Regenerate: MOBICAST_UPDATE_API_SURFACE=1 cargo test -p mobicast-core --test api_surface\n",
     );
     for f in &files {
@@ -91,43 +108,46 @@ fn render() -> String {
 
 #[test]
 fn public_api_surface_matches_snapshot() {
-    let current = render();
-    let snap_path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(SNAPSHOT);
-    if std::env::var_os("MOBICAST_UPDATE_API_SURFACE").is_some() {
-        fs::write(&snap_path, &current).expect("write snapshot");
-        eprintln!("updated {}", snap_path.display());
-        return;
-    }
-    let committed = fs::read_to_string(&snap_path).unwrap_or_else(|e| {
-        panic!(
-            "missing API snapshot {} ({e}); regenerate with \
-             MOBICAST_UPDATE_API_SURFACE=1",
-            snap_path.display()
-        )
-    });
-    if committed != current {
-        let diff: Vec<String> = {
-            let old: Vec<&str> = committed.lines().collect();
-            let new: Vec<&str> = current.lines().collect();
-            let mut d = Vec::new();
-            for l in &old {
-                if !new.contains(l) {
-                    d.push(format!("- {l}"));
-                }
+    let update = std::env::var_os("MOBICAST_UPDATE_API_SURFACE").is_some();
+    let mut diff = Vec::new();
+    for (krate, src, snapshot) in CRATES {
+        let current = render(krate, src);
+        let snap_path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(snapshot);
+        if update {
+            fs::write(&snap_path, &current).expect("write snapshot");
+            eprintln!("updated {}", snap_path.display());
+            continue;
+        }
+        let committed = fs::read_to_string(&snap_path).unwrap_or_else(|e| {
+            panic!(
+                "missing API snapshot {} ({e}); regenerate with \
+                 MOBICAST_UPDATE_API_SURFACE=1",
+                snap_path.display()
+            )
+        });
+        let old: Vec<&str> = committed.lines().collect();
+        let new: Vec<&str> = current.lines().collect();
+        let seen = diff.len();
+        for l in &old {
+            if !new.contains(l) {
+                diff.push(format!("{krate}: - {l}"));
             }
-            for l in &new {
-                if !old.contains(l) {
-                    d.push(format!("+ {l}"));
-                }
+        }
+        for l in &new {
+            if !old.contains(l) {
+                diff.push(format!("{krate}: + {l}"));
             }
-            d
-        };
-        panic!(
-            "public API surface changed ({} lines):\n{}\n\n\
-             If intentional, regenerate the snapshot with\n  \
-             MOBICAST_UPDATE_API_SURFACE=1 cargo test -p mobicast-core --test api_surface",
-            diff.len(),
-            diff.join("\n")
-        );
+        }
+        if committed != current && diff.len() == seen {
+            diff.push(format!("{krate}: declarations reordered or duplicated"));
+        }
     }
+    assert!(
+        diff.is_empty(),
+        "public API surface changed ({} lines):\n{}\n\n\
+         If intentional, regenerate the snapshots with\n  \
+         MOBICAST_UPDATE_API_SURFACE=1 cargo test -p mobicast-core --test api_surface",
+        diff.len(),
+        diff.join("\n")
+    );
 }

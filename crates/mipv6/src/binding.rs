@@ -2,17 +2,16 @@
 //! extended with the paper's per-binding multicast group list (the data the
 //! proposed Multicast Group List Sub-Option carries, §4.3.2).
 //!
-//! State lives in struct-of-arrays columns — interned home/care-of address
-//! ids, expiry, sequence, and a per-binding list of interned group ids —
-//! indexed by a reusable slot, with an `order` index sorted by home
-//! address preserving the old `BTreeMap` iteration order byte-for-byte.
-//! Expiry scans, eviction and the oracle's freshness checks are linear
-//! sweeps over dense columns; per-group subscriber counts are aggregated
-//! in `group_refs` (the paper's aggregation level: one entry per group
-//! per home agent, however many bindings subscribe).
+//! Bindings live in the shared [`SoftTable`] keyed by interned home
+//! address (iteration in home-address order, expiry column, watermark);
+//! each row holds the interned care-of address, the sequence number and
+//! the list of interned group ids. What is the cache's own sits above the
+//! table: per-group subscriber counts aggregated in `group_refs` (the
+//! paper's aggregation level: one entry per group per home agent, however
+//! many bindings subscribe) and the [`CacheDelta`] they produce.
 
 use mobicast_ipv6::addr::GroupAddr;
-use mobicast_sim::arena::{InternId, SharedInterner};
+use mobicast_sim::arena::{InternId, KeySpace, Row, SharedInterner, SoftTable};
 use mobicast_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -41,35 +40,78 @@ impl CacheDelta {
     }
 }
 
-/// The home agent's binding cache (SoA columns + interned addresses).
+/// Everything a binding holds besides its home address and expiry.
+#[derive(Debug, Default)]
+struct BindingRow {
+    care_of: InternId,
+    sequence: u16,
+    /// Interned ids of the groups the binding subscribes to, in the order
+    /// the Binding Update listed them.
+    groups: Vec<InternId>,
+}
+
+impl Row for BindingRow {
+    /// Care-of id (4) + sequence (2) + group-list header (24).
+    const SLOT_BYTES: usize = 4 + 2 + 24;
+
+    fn heap_bytes(&self) -> usize {
+        self.groups.len() * 4
+    }
+}
+
+/// Subscriber counts per group across all bindings.
+type GroupRefs = BTreeMap<GroupAddr, usize>;
+
+/// The home agent's binding cache.
 #[derive(Debug)]
 pub struct BindingCache {
-    /// Home and care-of addresses share one world-level id space.
+    /// Bindings by home address. Home and care-of addresses share one
+    /// world-level id space.
+    table: SoftTable<SharedInterner<Ipv6Addr>, BindingRow>,
     addrs: SharedInterner<Ipv6Addr>,
-    groups_interner: SharedInterner<GroupAddr>,
-    /// Columns, indexed by slot. A slot is live iff `live[slot]`.
-    home: Vec<InternId>,
-    care_of: Vec<InternId>,
-    expires: Vec<SimTime>,
-    sequence: Vec<u16>,
-    /// Interned ids of the groups each binding subscribes to, in the
-    /// order the Binding Update listed them.
-    groups: Vec<Vec<InternId>>,
-    live: Vec<bool>,
-    /// Retired slots available for reuse (LIFO).
-    free: Vec<u32>,
-    /// Live slots sorted by home address.
-    order: Vec<u32>,
-    /// Subscriber counts per group across all bindings.
-    group_refs: BTreeMap<GroupAddr, usize>,
-    /// Conservative lower bound on every live expiry (`SimTime::MAX` when
-    /// empty); see `min_expires()`.
-    min_expires: SimTime,
+    groups: SharedInterner<GroupAddr>,
+    group_refs: GroupRefs,
 }
 
 impl Default for BindingCache {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Count one more subscriber for each of `gids`.
+fn ref_groups(
+    refs: &mut GroupRefs,
+    groups: &SharedInterner<GroupAddr>,
+    gids: &[InternId],
+    delta: &mut CacheDelta,
+) {
+    for &gid in gids {
+        let g = groups.resolve(gid);
+        let c = refs.entry(g).or_insert(0);
+        *c += 1;
+        if *c == 1 {
+            delta.groups_added.push(g);
+        }
+    }
+}
+
+/// Count one subscriber fewer for each of `gids`.
+fn unref_groups(
+    refs: &mut GroupRefs,
+    groups: &SharedInterner<GroupAddr>,
+    gids: &[InternId],
+    delta: &mut CacheDelta,
+) {
+    for &gid in gids {
+        let g = groups.resolve(gid);
+        if let Some(c) = refs.get_mut(&g) {
+            *c -= 1;
+            if *c == 0 {
+                refs.remove(&g);
+                delta.groups_removed.push(g);
+            }
+        }
     }
 }
 
@@ -88,88 +130,45 @@ impl BindingCache {
         groups: SharedInterner<GroupAddr>,
     ) -> Self {
         BindingCache {
+            table: SoftTable::with_keys(addrs.clone()),
             addrs,
-            groups_interner: groups,
-            home: Vec::new(),
-            care_of: Vec::new(),
-            expires: Vec::new(),
-            sequence: Vec::new(),
-            groups: Vec::new(),
-            live: Vec::new(),
-            free: Vec::new(),
-            order: Vec::new(),
+            groups,
             group_refs: BTreeMap::new(),
-            min_expires: SimTime::MAX,
         }
     }
 
-    fn resolve_addr(&self, id: InternId) -> Ipv6Addr {
-        *self
-            .addrs
-            .borrow()
-            .resolve(id)
-            .unwrap_or_else(|| unreachable!("live slot holds an interned address"))
-    }
-
-    fn resolve_group(&self, id: InternId) -> GroupAddr {
-        *self
-            .groups_interner
-            .borrow()
-            .resolve(id)
-            .unwrap_or_else(|| unreachable!("binding holds an interned group"))
-    }
-
-    fn home_of(&self, slot: u32) -> Ipv6Addr {
-        self.resolve_addr(self.home[slot as usize])
-    }
-
-    /// Binary search `order` for `home`.
-    fn locate(&self, home: Ipv6Addr) -> Result<usize, usize> {
-        self.order
-            .binary_search_by(|&slot| self.home_of(slot).cmp(&home))
-    }
-
-    fn slot_of(&self, home: Ipv6Addr) -> Option<u32> {
-        self.locate(home).ok().map(|pos| self.order[pos])
-    }
-
     fn view(&self, slot: u32) -> BindingView {
-        let i = slot as usize;
+        let row = self.table.row(slot);
         BindingView {
-            care_of: self.resolve_addr(self.care_of[i]),
-            expires: self.expires[i],
-            sequence: self.sequence[i],
+            care_of: self.addrs.resolve(row.care_of),
+            expires: self.table.expires_at(slot),
+            sequence: row.sequence,
         }
     }
 
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.table.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.table.is_empty()
     }
 
     pub fn lookup(&self, home: Ipv6Addr) -> Option<BindingView> {
-        self.slot_of(home).map(|slot| self.view(slot))
+        self.table.slot_of(home).map(|slot| self.view(slot))
     }
 
     pub fn contains(&self, home: Ipv6Addr) -> bool {
-        self.locate(home).is_ok()
+        self.table.contains(home)
     }
 
     /// Remove the binding closest to expiry (ties break on home-address
     /// order) to make room for a new one. Returns the victim and the
     /// proxy-group delta, or `None` when the cache is empty.
     pub fn evict_stalest(&mut self) -> Option<(Ipv6Addr, CacheDelta)> {
-        let victim = self
-            .order
-            .iter()
-            .map(|&slot| (self.expires[slot as usize], self.home_of(slot)))
-            .min()
-            .map(|(_, h)| h)?;
+        let victim = self.table.stalest()?;
         let mut delta = CacheDelta::default();
-        self.remove_slot(victim, &mut delta);
+        self.remove(victim, &mut delta);
         Some((victim, delta))
     }
 
@@ -177,24 +176,24 @@ impl BindingCache {
     /// freshness checks walk the whole cache — guarded by
     /// [`BindingCache::min_expires`] so they rarely have to).
     pub fn entries(&self) -> impl Iterator<Item = (Ipv6Addr, BindingView)> + '_ {
-        self.order
-            .iter()
-            .map(|&slot| (self.home_of(slot), self.view(slot)))
+        self.table
+            .slots()
+            .map(|slot| (self.table.key_of(slot), self.view(slot)))
     }
 
     /// Care-of addresses of every binding subscribed to `group`, in home
     /// address order (the fan-out set for tunnelled multicast).
     pub fn subscribers(&self, group: GroupAddr) -> Vec<(Ipv6Addr, Ipv6Addr)> {
-        let Some(gid) = self.groups_interner.borrow().get(&group) else {
+        let Some(gid) = self.groups.borrow().get(&group) else {
             return Vec::new();
         };
-        self.order
-            .iter()
-            .filter(|&&slot| self.groups[slot as usize].contains(&gid))
-            .map(|&slot| {
+        self.table
+            .slots()
+            .filter(|&slot| self.table.row(slot).groups.contains(&gid))
+            .map(|slot| {
                 (
-                    self.home_of(slot),
-                    self.resolve_addr(self.care_of[slot as usize]),
+                    self.table.key_of(slot),
+                    self.addrs.resolve(self.table.row(slot).care_of),
                 )
             })
             .collect()
@@ -205,43 +204,10 @@ impl BindingCache {
         self.group_refs.keys().copied().collect()
     }
 
-    fn ref_groups(&mut self, groups: &[InternId], delta: &mut CacheDelta) {
-        for &gid in groups {
-            let g = self.resolve_group(gid);
-            let c = self.group_refs.entry(g).or_insert(0);
-            *c += 1;
-            if *c == 1 {
-                delta.groups_added.push(g);
-            }
+    fn remove(&mut self, home: Ipv6Addr, delta: &mut CacheDelta) {
+        if let Some(row) = self.table.remove(home) {
+            unref_groups(&mut self.group_refs, &self.groups, &row.groups, delta);
         }
-    }
-
-    fn unref_groups(&mut self, groups: &[InternId], delta: &mut CacheDelta) {
-        for &gid in groups {
-            let g = self.resolve_group(gid);
-            if let Some(c) = self.group_refs.get_mut(&g) {
-                *c -= 1;
-                if *c == 0 {
-                    self.group_refs.remove(&g);
-                    delta.groups_removed.push(g);
-                }
-            }
-        }
-    }
-
-    fn remove_slot(&mut self, home: Ipv6Addr, delta: &mut CacheDelta) -> bool {
-        let Ok(pos) = self.locate(home) else {
-            return false;
-        };
-        let slot = self.order.remove(pos);
-        let old_groups = std::mem::take(&mut self.groups[slot as usize]);
-        self.unref_groups(&old_groups, delta);
-        self.live[slot as usize] = false;
-        self.free.push(slot);
-        if self.order.is_empty() {
-            self.min_expires = SimTime::MAX;
-        }
-        true
     }
 
     /// Register or refresh a binding. `lifetime` of zero deregisters.
@@ -257,76 +223,54 @@ impl BindingCache {
     ) -> CacheDelta {
         let mut delta = CacheDelta::default();
         if lifetime.is_zero() {
-            self.remove_slot(home, &mut delta);
+            self.remove(home, &mut delta);
             return delta;
         }
         let expires = now + lifetime;
         // The id spaces span the full u32 range — in any buildable
         // topology interning cannot fail, but degrade to ignoring the
         // update rather than panicking if it ever does.
-        let Ok(coa_id) = self.addrs.borrow_mut().intern(care_of) else {
+        let Ok(care_of) = self.addrs.borrow_mut().intern(care_of) else {
             return delta;
         };
         let gids: Vec<InternId> = {
-            let mut gi = self.groups_interner.borrow_mut();
+            let mut gi = self.groups.borrow_mut();
             let Ok(gids) = groups.iter().map(|g| gi.intern(*g)).collect() else {
                 return delta;
             };
             gids
         };
-        match self.slot_of(home) {
+        let (refs, interner) = (&mut self.group_refs, &self.groups);
+        match self.table.slot_of(home) {
             Some(slot) => {
-                let i = slot as usize;
-                let old_groups = std::mem::replace(&mut self.groups[i], gids.clone());
-                self.care_of[i] = coa_id;
-                self.expires[i] = expires;
-                self.sequence[i] = sequence;
-                self.ref_groups(&gids, &mut delta);
-                self.unref_groups(&old_groups, &mut delta);
+                ref_groups(refs, interner, &gids, &mut delta);
+                let row = self.table.row_mut(slot);
+                row.care_of = care_of;
+                row.sequence = sequence;
+                let old_groups = std::mem::replace(&mut row.groups, gids);
+                unref_groups(refs, interner, &old_groups, &mut delta);
+                self.table.set_expires(slot, expires);
             }
             None => {
-                let Ok(home_id) = self.addrs.borrow_mut().intern(home) else {
+                let row = BindingRow {
+                    care_of,
+                    sequence,
+                    groups: gids,
+                };
+                let Ok(slot) = self.table.insert(home, expires, row) else {
                     return delta;
                 };
-                let slot = match self.free.pop() {
-                    Some(slot) => {
-                        let i = slot as usize;
-                        self.home[i] = home_id;
-                        self.care_of[i] = coa_id;
-                        self.expires[i] = expires;
-                        self.sequence[i] = sequence;
-                        self.groups[i] = gids.clone();
-                        self.live[i] = true;
-                        slot
-                    }
-                    None => {
-                        let slot = self.home.len() as u32;
-                        self.home.push(home_id);
-                        self.care_of.push(coa_id);
-                        self.expires.push(expires);
-                        self.sequence.push(sequence);
-                        self.groups.push(gids.clone());
-                        self.live.push(true);
-                        slot
-                    }
-                };
-                let pos = match self.locate(home) {
-                    Ok(_) => unreachable!("insert of a present home"),
-                    Err(pos) => pos,
-                };
-                self.order.insert(pos, slot);
-                self.ref_groups(&gids, &mut delta);
+                ref_groups(refs, interner, &self.table.row(slot).groups, &mut delta);
             }
         }
-        self.min_expires = self.min_expires.min(expires);
         delta
     }
 
     /// Earliest binding expiry (linear sweep over the expiry column).
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.order
-            .iter()
-            .map(|&slot| self.expires[slot as usize])
+        self.table
+            .slots()
+            .map(|slot| self.table.expires_at(slot))
             .min()
     }
 
@@ -334,7 +278,7 @@ impl BindingCache {
     /// in the future, no binding can be overdue — the guard that keeps
     /// oracle polls flat as binding counts grow.
     pub fn min_expires(&self) -> SimTime {
-        self.min_expires
+        self.table.min_expires()
     }
 
     /// Drop expired bindings (the paper: a missing refresh lets the home
@@ -343,193 +287,26 @@ impl BindingCache {
     pub fn expire(&mut self, now: SimTime) -> (Vec<Ipv6Addr>, CacheDelta) {
         let mut delta = CacheDelta::default();
         let dead: Vec<Ipv6Addr> = self
-            .order
-            .iter()
-            .filter(|&&slot| self.expires[slot as usize] <= now)
-            .map(|&slot| self.home_of(slot))
+            .table
+            .slots()
+            .filter(|&slot| self.table.expires_at(slot) <= now)
+            .map(|slot| self.table.key_of(slot))
             .collect();
         for h in &dead {
-            self.remove_slot(*h, &mut delta);
+            self.remove(*h, &mut delta);
         }
         // The sweep visited everything anyway: recompute the watermark
         // exactly so the next poll-guard read is tight again.
-        self.min_expires = self
-            .order
-            .iter()
-            .map(|&slot| self.expires[slot as usize])
-            .min()
-            .unwrap_or(SimTime::MAX);
+        self.table.refresh_min_expires();
         (dead, delta)
     }
 
-    /// Deterministic byte audit of the cache, per the documented model:
-    /// every allocated slot costs its column footprint (home 4 + care-of
-    /// 4 + expires 8 + sequence 2 + group-list header 24 + live 1 = 43
-    /// bytes) plus 4 bytes per subscribed group id; the sorted index and
-    /// free list cost 4 bytes per entry; the per-group refcount map costs
-    /// one `(GroupAddr, usize)` pair per distinct group. No allocator
-    /// introspection — the same numbers on every platform.
+    /// Deterministic byte audit of the cache: the table's audit (43 bytes
+    /// per allocated slot, 4 per subscribed group id, 4 per index and
+    /// free-list entry) plus one `(GroupAddr, usize)` pair per distinct
+    /// group in the refcount map.
     pub fn state_bytes(&self) -> usize {
-        let per_slot = 4 + 4 + 8 + 2 + 24 + 1;
-        let group_ids: usize = self.groups.iter().map(Vec::len).sum();
-        self.home.len() * per_slot
-            + group_ids * 4
-            + (self.order.len() + self.free.len()) * 4
-            + self.group_refs.len() * (16 + 8)
-    }
-}
-
-/// The pre-SoA binding cache — one boxed map node per binding, full
-/// 16-byte addresses throughout — kept verbatim as the reference model
-/// for the differential state tests.
-#[cfg(any(test, feature = "legacy_state"))]
-pub mod legacy {
-    use super::*;
-
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct LegacyBindingEntry {
-        pub care_of: Ipv6Addr,
-        pub expires: SimTime,
-        pub sequence: u16,
-        pub groups: Vec<GroupAddr>,
-    }
-
-    #[derive(Debug, Default)]
-    pub struct LegacyBindingCache {
-        entries: BTreeMap<Ipv6Addr, Box<LegacyBindingEntry>>,
-        group_refs: BTreeMap<GroupAddr, usize>,
-    }
-
-    impl LegacyBindingCache {
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        pub fn len(&self) -> usize {
-            self.entries.len()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.entries.is_empty()
-        }
-
-        pub fn lookup(&self, home: Ipv6Addr) -> Option<&LegacyBindingEntry> {
-            self.entries.get(&home).map(Box::as_ref)
-        }
-
-        pub fn evict_stalest(&mut self) -> Option<(Ipv6Addr, CacheDelta)> {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(h, e)| (e.expires, **h))
-                .map(|(h, _)| *h)?;
-            let mut delta = CacheDelta::default();
-            if let Some(e) = self.entries.remove(&victim) {
-                self.unref_groups(&e.groups, &mut delta);
-            }
-            Some((victim, delta))
-        }
-
-        pub fn entries(&self) -> impl Iterator<Item = (&Ipv6Addr, &LegacyBindingEntry)> {
-            self.entries.iter().map(|(h, e)| (h, e.as_ref()))
-        }
-
-        pub fn subscribers(&self, group: GroupAddr) -> Vec<(Ipv6Addr, Ipv6Addr)> {
-            self.entries
-                .iter()
-                .filter(|(_, e)| e.groups.contains(&group))
-                .map(|(home, e)| (*home, e.care_of))
-                .collect()
-        }
-
-        pub fn subscribed_groups(&self) -> Vec<GroupAddr> {
-            self.group_refs.keys().copied().collect()
-        }
-
-        fn ref_groups(&mut self, groups: &[GroupAddr], delta: &mut CacheDelta) {
-            for g in groups {
-                let c = self.group_refs.entry(*g).or_insert(0);
-                *c += 1;
-                if *c == 1 {
-                    delta.groups_added.push(*g);
-                }
-            }
-        }
-
-        fn unref_groups(&mut self, groups: &[GroupAddr], delta: &mut CacheDelta) {
-            for g in groups {
-                if let Some(c) = self.group_refs.get_mut(g) {
-                    *c -= 1;
-                    if *c == 0 {
-                        self.group_refs.remove(g);
-                        delta.groups_removed.push(*g);
-                    }
-                }
-            }
-        }
-
-        pub fn update(
-            &mut self,
-            home: Ipv6Addr,
-            care_of: Ipv6Addr,
-            lifetime: SimDuration,
-            sequence: u16,
-            groups: Vec<GroupAddr>,
-            now: SimTime,
-        ) -> CacheDelta {
-            let mut delta = CacheDelta::default();
-            if lifetime.is_zero() {
-                if let Some(old) = self.entries.remove(&home) {
-                    self.unref_groups(&old.groups, &mut delta);
-                }
-                return delta;
-            }
-            let expires = now + lifetime;
-            match self.entries.get_mut(&home) {
-                Some(e) => {
-                    let old_groups = std::mem::take(&mut e.groups);
-                    e.care_of = care_of;
-                    e.expires = expires;
-                    e.sequence = sequence;
-                    e.groups = groups.clone();
-                    self.ref_groups(&groups, &mut delta);
-                    self.unref_groups(&old_groups, &mut delta);
-                }
-                None => {
-                    self.entries.insert(
-                        home,
-                        Box::new(LegacyBindingEntry {
-                            care_of,
-                            expires,
-                            sequence,
-                            groups: groups.clone(),
-                        }),
-                    );
-                    self.ref_groups(&groups, &mut delta);
-                }
-            }
-            delta
-        }
-
-        pub fn next_deadline(&self) -> Option<SimTime> {
-            self.entries.values().map(|e| e.expires).min()
-        }
-
-        pub fn expire(&mut self, now: SimTime) -> (Vec<Ipv6Addr>, CacheDelta) {
-            let mut delta = CacheDelta::default();
-            let dead: Vec<Ipv6Addr> = self
-                .entries
-                .iter()
-                .filter(|(_, e)| e.expires <= now)
-                .map(|(h, _)| *h)
-                .collect();
-            for h in &dead {
-                if let Some(e) = self.entries.remove(h) {
-                    self.unref_groups(&e.groups, &mut delta);
-                }
-            }
-            (dead, delta)
-        }
+        self.table.state_bytes() + self.group_refs.len() * (16 + 8)
     }
 }
 
@@ -652,14 +429,119 @@ mod tests {
         assert_eq!(c.min_expires(), t(296), "sweep retightens the watermark");
     }
 
-    /// Differential state model: the SoA cache and the legacy boxed-map
-    /// cache driven through identical randomized register/refresh/move/
+    /// The refcount/delta layer restated over a plain `BTreeMap` with full
+    /// addresses: the reference the differential test below compares
+    /// every returned delta, dead list and eviction victim against.
+    #[derive(Default)]
+    struct RefCache {
+        entries: BTreeMap<Ipv6Addr, RefEntry>,
+        group_refs: BTreeMap<GroupAddr, usize>,
+    }
+
+    struct RefEntry {
+        care_of: Ipv6Addr,
+        expires: SimTime,
+        sequence: u16,
+        groups: Vec<GroupAddr>,
+    }
+
+    impl RefCache {
+        fn ref_groups(&mut self, groups: &[GroupAddr], delta: &mut CacheDelta) {
+            for g in groups {
+                let c = self.group_refs.entry(*g).or_insert(0);
+                *c += 1;
+                if *c == 1 {
+                    delta.groups_added.push(*g);
+                }
+            }
+        }
+
+        fn unref_groups(&mut self, groups: &[GroupAddr], delta: &mut CacheDelta) {
+            for g in groups {
+                if let Some(c) = self.group_refs.get_mut(g) {
+                    *c -= 1;
+                    if *c == 0 {
+                        self.group_refs.remove(g);
+                        delta.groups_removed.push(*g);
+                    }
+                }
+            }
+        }
+
+        fn remove(&mut self, home: Ipv6Addr, delta: &mut CacheDelta) {
+            if let Some(e) = self.entries.remove(&home) {
+                self.unref_groups(&e.groups, delta);
+            }
+        }
+
+        fn evict_stalest(&mut self) -> Option<(Ipv6Addr, CacheDelta)> {
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(h, e)| (e.expires, **h))
+                .map(|(h, _)| *h)?;
+            let mut delta = CacheDelta::default();
+            self.remove(victim, &mut delta);
+            Some((victim, delta))
+        }
+
+        fn subscribers(&self, group: GroupAddr) -> Vec<(Ipv6Addr, Ipv6Addr)> {
+            self.entries
+                .iter()
+                .filter(|(_, e)| e.groups.contains(&group))
+                .map(|(home, e)| (*home, e.care_of))
+                .collect()
+        }
+
+        fn update(
+            &mut self,
+            home: Ipv6Addr,
+            care_of: Ipv6Addr,
+            lifetime: SimDuration,
+            sequence: u16,
+            groups: Vec<GroupAddr>,
+            now: SimTime,
+        ) -> CacheDelta {
+            let mut delta = CacheDelta::default();
+            if lifetime.is_zero() {
+                self.remove(home, &mut delta);
+                return delta;
+            }
+            self.ref_groups(&groups, &mut delta);
+            let new = RefEntry {
+                care_of,
+                expires: now + lifetime,
+                sequence,
+                groups,
+            };
+            if let Some(old) = self.entries.insert(home, new) {
+                self.unref_groups(&old.groups, &mut delta);
+            }
+            delta
+        }
+
+        fn expire(&mut self, now: SimTime) -> (Vec<Ipv6Addr>, CacheDelta) {
+            let mut delta = CacheDelta::default();
+            let dead: Vec<Ipv6Addr> = self
+                .entries
+                .iter()
+                .filter(|(_, e)| e.expires <= now)
+                .map(|(h, _)| *h)
+                .collect();
+            for h in &dead {
+                self.remove(*h, &mut delta);
+            }
+            (dead, delta)
+        }
+    }
+
+    /// Differential state model: the cache and its `BTreeMap` reference
+    /// driven through identical randomized register/refresh/move/
     /// deregister/expiry/evict ops must return identical deltas and
     /// expose identical observable state after every single op — 8
     /// seeds' worth.
     #[test]
-    fn differential_vs_legacy_boxed_map() {
-        use legacy::LegacyBindingCache;
+    fn differential_vs_btreemap_reference() {
         use mobicast_sim::RngFactory;
         use rand::Rng;
 
@@ -674,7 +556,7 @@ mod tests {
             let rng_factory = RngFactory::new(seed);
             let mut rng = rng_factory.stream("bc-diff");
             let mut soa = BindingCache::new();
-            let mut old = LegacyBindingCache::new();
+            let mut old = RefCache::default();
             let mut now = 0u64;
             let mut seq = 0u16;
             for step in 0..400 {
@@ -717,15 +599,22 @@ mod tests {
                     }
                 }
                 // Full observable state must match after every op.
-                assert_eq!(soa.len(), old.len());
-                assert_eq!(soa.next_deadline(), old.next_deadline());
-                assert_eq!(soa.subscribed_groups(), old.subscribed_groups());
+                assert_eq!(soa.len(), old.entries.len());
+                assert_eq!(
+                    soa.next_deadline(),
+                    old.entries.values().map(|e| e.expires).min()
+                );
+                assert_eq!(
+                    soa.subscribed_groups(),
+                    old.group_refs.keys().copied().collect::<Vec<_>>()
+                );
                 let snap1: Vec<(Ipv6Addr, Ipv6Addr, SimTime, u16)> = soa
                     .entries()
                     .map(|(h, v)| (h, v.care_of, v.expires, v.sequence))
                     .collect();
                 let snap2: Vec<(Ipv6Addr, Ipv6Addr, SimTime, u16)> = old
-                    .entries()
+                    .entries
+                    .iter()
                     .map(|(h, e)| (*h, e.care_of, e.expires, e.sequence))
                     .collect();
                 assert_eq!(snap1, snap2, "seed {seed} step {step}: entries diverged");

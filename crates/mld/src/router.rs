@@ -15,7 +15,7 @@
 
 use crate::config::MldConfig;
 use crate::message::MldMessage;
-use crate::table::ListenerTable;
+use crate::table::{min_deadline, ListenerTable, Rexmt};
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_sim::arena::SharedInterner;
 use mobicast_sim::{ShedPolicy, SimTime};
@@ -89,7 +89,7 @@ impl MldRouterPort {
         my_addr: Ipv6Addr,
         groups: SharedInterner<GroupAddr>,
     ) -> Self {
-        Self::build(cfg, my_addr, ListenerTable::with_interner(groups))
+        Self::build(cfg, my_addr, ListenerTable::with_keys(groups))
     }
 
     fn build(cfg: MldConfig, my_addr: Ipv6Addr, groups: ListenerTable) -> Self {
@@ -136,7 +136,7 @@ impl MldRouterPort {
 
     /// Groups with listeners on this link, in address order.
     pub fn listener_groups(&self) -> impl Iterator<Item = GroupAddr> + '_ {
-        self.groups.groups()
+        self.groups.keys()
     }
 
     pub fn has_listener(&self, group: GroupAddr) -> bool {
@@ -187,7 +187,7 @@ impl MldRouterPort {
                     Some(slot) => {
                         self.groups.set_expires(slot, expires);
                         // A listener answered the specific query.
-                        self.groups.set_rexmt(slot, None);
+                        self.groups.row_mut(slot).0 = None;
                         Vec::new()
                     }
                     None => {
@@ -211,7 +211,11 @@ impl MldRouterPort {
                                 }
                             }
                         }
-                        if self.groups.insert(*group, expires).is_err() {
+                        if self
+                            .groups
+                            .insert(*group, expires, Rexmt::default())
+                            .is_err()
+                        {
                             // Group-id space exhausted: degrade to shedding
                             // the report instead of panicking.
                             self.notes.push(MldNote::ListenerShed { group: *group });
@@ -234,14 +238,11 @@ impl MldRouterPort {
                 let count = self.cfg.last_listener_query_count;
                 self.groups
                     .set_expires(slot, now + llqi.saturating_mul(u64::from(count)));
-                self.groups.set_rexmt(
-                    slot,
-                    if count > 1 {
-                        Some((count - 1, now + llqi))
-                    } else {
-                        None
-                    },
-                );
+                self.groups.row_mut(slot).0 = if count > 1 {
+                    Some((count - 1, now + llqi))
+                } else {
+                    None
+                };
                 vec![RouterOutput::Send(MldMessage::Query {
                     max_response_delay: llqi,
                     group: Some(*group),
@@ -265,7 +266,7 @@ impl MldRouterPort {
         consider(self.next_general_query);
         consider(self.other_querier_deadline);
         // One linear sweep over the SoA columns.
-        consider(self.groups.min_deadline());
+        consider(min_deadline(&self.groups));
         min
     }
 
@@ -303,24 +304,21 @@ impl MldRouterPort {
         let mut removed = Vec::new();
         for pos in 0..self.groups.len() {
             let slot = self.groups.slot_at(pos);
-            if let Some((left, at)) = self.groups.rexmt(slot) {
+            if let Some((left, at)) = self.groups.row(slot).0 {
                 if at <= now {
                     out.push(RouterOutput::Send(MldMessage::Query {
                         max_response_delay: self.cfg.last_listener_query_interval,
-                        group: Some(self.groups.group_at_slot(slot)),
+                        group: Some(self.groups.key_of(slot)),
                     }));
-                    self.groups.set_rexmt(
-                        slot,
-                        if left > 1 {
-                            Some((left - 1, now + self.cfg.last_listener_query_interval))
-                        } else {
-                            None
-                        },
-                    );
+                    self.groups.row_mut(slot).0 = if left > 1 {
+                        Some((left - 1, now + self.cfg.last_listener_query_interval))
+                    } else {
+                        None
+                    };
                 }
             }
             if self.groups.expires_at(slot) <= now {
-                removed.push(self.groups.group_at_slot(slot));
+                removed.push(self.groups.key_of(slot));
             }
         }
         for g in removed {

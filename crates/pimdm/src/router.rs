@@ -180,7 +180,7 @@ impl PimRouter {
         addrs: SharedInterner<Ipv6Addr>,
         groups: SharedInterner<GroupAddr>,
     ) -> Self {
-        Self::build(cfg, rng, SgTable::with_interners(addrs, groups))
+        Self::build(cfg, rng, SgTable::with_keys((addrs, groups)))
     }
 
     fn build(cfg: PimConfig, rng: SmallRng, entries: SgTable) -> Self {
@@ -277,7 +277,7 @@ impl PimRouter {
     /// Snapshot of an entry for assertions and metrics.
     pub fn snapshot(&self, s: Ipv6Addr, g: GroupAddr) -> Option<SgSnapshot> {
         let slot = self.entries.slot_of((s, g))?;
-        let e = self.entries.detail(slot);
+        let e = self.entries.row(slot);
         let mut forwarding = Vec::new();
         let mut pruned = Vec::new();
         for (iface, oif) in &e.oifs {
@@ -300,7 +300,7 @@ impl PimRouter {
 
     /// All (S,G) keys currently held.
     pub fn entry_keys(&self) -> Vec<Sg> {
-        self.entries.keys()
+        self.entries.keys().collect()
     }
 
     pub fn neighbor_count(&self, iface: IfIndex) -> usize {
@@ -331,7 +331,7 @@ impl PimRouter {
             return Vec::new();
         };
         self.entries
-            .detail(slot)
+            .row(slot)
             .oifs
             .iter()
             .filter(|(iface, oif)| self.oif_forwards(oif, *iface, key.1))
@@ -410,7 +410,7 @@ impl PimRouter {
             return (Vec::new(), sends); // unroutable source
         };
         let key = (s, g);
-        let e = self.entries.detail(slot);
+        let e = self.entries.row(slot);
         if iface != e.iif {
             // Wrong interface. If we actively forward onto it, there is a
             // parallel forwarder on that LAN: start the assert process.
@@ -435,7 +435,7 @@ impl PimRouter {
                                 metric: info.metric,
                             },
                         });
-                        if let Some(oif) = self.entries.detail_mut(slot).oif_mut(iface) {
+                        if let Some(oif) = self.entries.row_mut(slot).oif_mut(iface) {
                             oif.last_assert_tx = Some(now);
                         }
                     }
@@ -451,7 +451,7 @@ impl PimRouter {
             // No interested downstream interfaces: prune toward the source
             // (rate-limited; spec sends a Prune whenever data arrives on the
             // iif while the oif list is null).
-            let e = self.entries.detail_mut(slot);
+            let e = self.entries.row_mut(slot);
             if let Some(upstream) = e.upstream {
                 let rate_ok = match e.last_prune_tx {
                     Some(t) => now.saturating_since(t) >= self.cfg.control_rate_limit,
@@ -534,7 +534,7 @@ impl PimRouter {
             for pos in 0..self.entries.len() {
                 let slot = self.entries.slot_at(pos);
                 let key = self.entries.key_of(slot);
-                if let Some(oif) = self.entries.detail_mut(slot).oif_mut(iface) {
+                if let Some(oif) = self.entries.row_mut(slot).oif_mut(iface) {
                     if matches!(
                         oif.prune,
                         DownstreamPrune::Pruned { .. } | DownstreamPrune::PrunePending { .. }
@@ -568,7 +568,7 @@ impl PimRouter {
                 // A downstream router pruned this interface. Wait the
                 // join-override window before stopping forwarding.
                 if let Some(slot) = self.entries.slot_of(*key) {
-                    if let Some(oif) = self.entries.detail_mut(slot).oif_mut(iface) {
+                    if let Some(oif) = self.entries.row_mut(slot).oif_mut(iface) {
                         if matches!(oif.prune, DownstreamPrune::NoInfo) {
                             oif.prune = DownstreamPrune::PrunePending {
                                 fire_at: now + self.cfg.prune_delay,
@@ -588,7 +588,7 @@ impl PimRouter {
                     SimDuration::from_nanos(self.rng.random_range(0..window))
                 };
                 if let Some(slot) = self.entries.slot_of(*key) {
-                    let e = self.entries.detail_mut(slot);
+                    let e = self.entries.row_mut(slot);
                     if e.iif == iface && e.upstream == Some(upstream) && still_needed {
                         let candidate = now + delay;
                         match e.override_join_at {
@@ -606,7 +606,7 @@ impl PimRouter {
                     let _ = self.ensure_entry(key.0, key.1, now, rpf);
                 }
                 if let Some(slot) = self.entries.slot_of(*key) {
-                    if let Some(oif) = self.entries.detail_mut(slot).oif_mut(iface) {
+                    if let Some(oif) = self.entries.row_mut(slot).oif_mut(iface) {
                         if !matches!(oif.prune, DownstreamPrune::NoInfo) {
                             self.notes.push(PimNote::OifResumed { sg: *key, iface });
                         }
@@ -616,7 +616,7 @@ impl PimRouter {
             } else if let Some(slot) = self.entries.slot_of(*key) {
                 // Another downstream router already overrode the prune:
                 // suppress our own scheduled override join.
-                let e = self.entries.detail_mut(slot);
+                let e = self.entries.row_mut(slot);
                 if e.iif == iface {
                     e.override_join_at = None;
                 }
@@ -650,7 +650,7 @@ impl PimRouter {
             let Some(slot) = self.entries.slot_of(*key) else {
                 continue;
             };
-            let e = self.entries.detail_mut(slot);
+            let e = self.entries.row_mut(slot);
             if let Some(oif) = e.oif_mut(iface) {
                 if !matches!(oif.prune, DownstreamPrune::NoInfo) {
                     self.notes.push(PimNote::OifResumed { sg: *key, iface });
@@ -659,7 +659,7 @@ impl PimRouter {
             }
             acked.push(*key);
             // Propagate the graft upstream if we are pruned there.
-            let e = self.entries.detail_mut(slot);
+            let e = self.entries.row_mut(slot);
             if let (UpstreamState::Pruned { .. }, Some(up)) = (e.upstream_state, e.upstream) {
                 e.upstream_state = UpstreamState::AckPending {
                     retry_at: now + self.cfg.graft_retry,
@@ -692,7 +692,7 @@ impl PimRouter {
     fn on_graft_ack(&mut self, from: Ipv6Addr, entries: &[Sg]) -> Vec<PimSend> {
         for key in entries {
             if let Some(slot) = self.entries.slot_of(*key) {
-                let e = self.entries.detail_mut(slot);
+                let e = self.entries.row_mut(slot);
                 if matches!(e.upstream_state, UpstreamState::AckPending { .. })
                     && e.upstream == Some(from)
                 {
@@ -722,7 +722,7 @@ impl PimRouter {
         };
         let key = (s, g);
         let my_info = rpf.rpf(s);
-        let e = self.entries.detail_mut(slot);
+        let e = self.entries.row_mut(slot);
         if iface == e.iif {
             // Assert heard on the incoming interface: the winner becomes the
             // RPF neighbor for subsequent Joins/Prunes/Grafts (paper §3.1:
@@ -755,7 +755,7 @@ impl PimRouter {
         let my_addr = self.ifaces[&iface].my_addr;
         let i_win = (my.metric_pref, my.metric) < (their_pref, their_metric)
             || ((my.metric_pref, my.metric) == (their_pref, their_metric) && my_addr > from);
-        let Some(oif) = self.entries.detail_mut(slot).oif_mut(iface) else {
+        let Some(oif) = self.entries.row_mut(slot).oif_mut(iface) else {
             return sends;
         };
         if i_win {
@@ -812,12 +812,7 @@ impl PimRouter {
                 self.iface_epoch += 1;
             }
         }
-        let keys: Vec<Sg> = self
-            .entries
-            .keys()
-            .into_iter()
-            .filter(|(_, g)| *g == group)
-            .collect();
+        let keys: Vec<Sg> = self.entries.keys().filter(|(_, g)| *g == group).collect();
         for key in keys {
             if joined {
                 // Clear prune state on the member's interface and graft
@@ -825,7 +820,7 @@ impl PimRouter {
                 let Some(slot) = self.entries.slot_of(key) else {
                     continue; // unreachable: key came from this table
                 };
-                let e = self.entries.detail_mut(slot);
+                let e = self.entries.row_mut(slot);
                 if e.iif == iface {
                     // Members on the incoming link are served by the
                     // upstream forwarder on that link, not by us.
@@ -837,7 +832,7 @@ impl PimRouter {
                     }
                     oif.prune = DownstreamPrune::NoInfo;
                 }
-                let e = self.entries.detail_mut(slot);
+                let e = self.entries.row_mut(slot);
                 if let (UpstreamState::Pruned { .. }, Some(up)) = (e.upstream_state, e.upstream) {
                     e.upstream_state = UpstreamState::AckPending {
                         retry_at: now + self.cfg.graft_retry,
@@ -861,7 +856,7 @@ impl PimRouter {
                 let Some(slot) = self.entries.slot_of(key) else {
                     continue; // unreachable: key came from this table
                 };
-                let e = self.entries.detail_mut(slot);
+                let e = self.entries.row_mut(slot);
                 if now_empty && matches!(e.upstream_state, UpstreamState::Forwarding) {
                     if let Some(up) = e.upstream {
                         let until = now + self.cfg.prune_hold_time;
@@ -905,7 +900,7 @@ impl PimRouter {
         for pos in 0..self.entries.len() {
             let slot = self.entries.slot_at(pos);
             consider(Some(self.entries.expires_at(slot)));
-            let e = self.entries.detail(slot);
+            let e = self.entries.row(slot);
             consider(e.override_join_at);
             match e.upstream_state {
                 UpstreamState::Pruned { until } => consider(Some(until)),
@@ -951,7 +946,7 @@ impl PimRouter {
                 expired.push(key);
                 continue;
             }
-            let e = self.entries.detail_mut(slot);
+            let e = self.entries.row_mut(slot);
             if matches!(e.override_join_at, Some(t) if t <= now) {
                 e.override_join_at = None;
                 if let Some(up) = e.upstream {
@@ -991,7 +986,7 @@ impl PimRouter {
                 }
                 _ => {}
             }
-            let e = self.entries.detail_mut(slot);
+            let e = self.entries.row_mut(slot);
             for (iface, oif) in e.oifs.iter_mut() {
                 match oif.prune {
                     DownstreamPrune::PrunePending { fire_at } if fire_at <= now => {

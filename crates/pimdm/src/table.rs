@@ -1,28 +1,22 @@
-//! Struct-of-arrays (S,G) table backing [`PimRouter`].
-//!
-//! The hot columns — interned source/group ids and the data-timeout
-//! expiry — live in parallel vectors indexed by a reusable slot, so the
-//! expiry sweep, stalest-entry eviction and the oracle's freshness poll
-//! are linear scans over dense memory. The colder per-entry protocol
-//! state (upstream machine, per-oif prune/assert state) rides along in a
-//! detail row per slot. A separate `order` index keeps slots sorted by
-//! `(source, group)`, preserving the old `BTreeMap` iteration order
-//! byte-for-byte.
+//! The (S,G) table backing [`PimRouter`]: the shared [`SoftTable`] keyed
+//! by interned `(source, group)` with the data-timeout expiry as its hot
+//! column. The colder per-entry protocol state (upstream machine, per-oif
+//! prune/assert state) rides along as one [`SgDetail`] row per slot.
 //!
 //! [`PimRouter`]: crate::router::PimRouter
 
-use crate::message::Sg;
 use mobicast_ipv6::addr::GroupAddr;
-use mobicast_sim::arena::{InternExhausted, InternId, SharedInterner};
+use mobicast_sim::arena::{Row, SharedInterner, SoftTable};
 use mobicast_sim::SimTime;
 use std::net::Ipv6Addr;
 
 /// Interface index local to the owning router.
 pub type IfIndex = u8;
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum UpstreamState {
     /// Not pruned toward the source.
+    #[default]
     Forwarding,
     /// We sent a Prune; traffic should stop until `until`.
     Pruned { until: SimTime },
@@ -50,7 +44,7 @@ pub struct OifState {
 }
 
 /// Cold per-entry protocol state (everything except the key and expiry).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SgDetail {
     pub iif: IfIndex,
     pub upstream: Option<Ipv6Addr>,
@@ -82,479 +76,15 @@ impl SgDetail {
     }
 }
 
-/// SoA (S,G) table for one PIM-DM router.
-#[derive(Debug)]
-pub struct SgTable {
-    addrs: SharedInterner<Ipv6Addr>,
-    groups: SharedInterner<GroupAddr>,
-    /// Hot columns, indexed by slot. A slot is live iff `live[slot]`.
-    srcs: Vec<InternId>,
-    grps: Vec<InternId>,
-    expires: Vec<SimTime>,
-    /// Cold per-entry protocol state.
-    details: Vec<SgDetail>,
-    live: Vec<bool>,
-    /// Retired slots available for reuse (LIFO).
-    free: Vec<u32>,
-    /// Live slots sorted by `(source, group)`.
-    order: Vec<u32>,
-    /// Conservative lower bound on every live expiry (`SimTime::MAX` when
-    /// empty); see `min_expires()`.
-    min_expires: SimTime,
-    /// Monotone counter bumped by every potentially state-changing access
-    /// (insert, remove, expiry refresh, `detail_mut`). Readers that cache
-    /// derived facts (the oracle's legality walk) compare epochs instead
-    /// of re-walking an unchanged table.
-    mutations: u64,
-}
+impl Row for SgDetail {
+    const SLOT_BYTES: usize = std::mem::size_of::<SgDetail>();
 
-impl Default for SgTable {
-    fn default() -> Self {
-        Self::new()
+    /// Each oif costs its `(IfIndex, OifState)` pair.
+    fn heap_bytes(&self) -> usize {
+        self.oifs.len() * std::mem::size_of::<(IfIndex, OifState)>()
     }
 }
 
-impl SgTable {
-    /// A table with its own private id spaces (unit tests).
-    pub fn new() -> Self {
-        Self::with_interners(
-            mobicast_sim::shared_interner(),
-            mobicast_sim::shared_interner(),
-        )
-    }
-
-    /// A table drawing address and group ids from world-level interners.
-    pub fn with_interners(
-        addrs: SharedInterner<Ipv6Addr>,
-        groups: SharedInterner<GroupAddr>,
-    ) -> Self {
-        SgTable {
-            addrs,
-            groups,
-            srcs: Vec::new(),
-            grps: Vec::new(),
-            expires: Vec::new(),
-            details: Vec::new(),
-            live: Vec::new(),
-            free: Vec::new(),
-            order: Vec::new(),
-            min_expires: SimTime::MAX,
-            mutations: 0,
-        }
-    }
-
-    /// The table's mutation epoch: changes whenever the table *may* have
-    /// changed since the epoch was last read (overcounting is safe;
-    /// missing a change is not).
-    pub fn mutation_epoch(&self) -> u64 {
-        self.mutations
-    }
-
-    /// The `(source, group)` key stored in `slot`.
-    pub fn key_of(&self, slot: u32) -> Sg {
-        let i = slot as usize;
-        let src = *self
-            .addrs
-            .borrow()
-            .resolve(self.srcs[i])
-            .unwrap_or_else(|| unreachable!("live slot holds an interned source"));
-        let grp = *self
-            .groups
-            .borrow()
-            .resolve(self.grps[i])
-            .unwrap_or_else(|| unreachable!("live slot holds an interned group"));
-        (src, grp)
-    }
-
-    fn locate(&self, key: Sg) -> Result<usize, usize> {
-        self.order
-            .binary_search_by(|&slot| self.key_of(slot).cmp(&key))
-    }
-
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    pub fn contains(&self, key: Sg) -> bool {
-        self.locate(key).is_ok()
-    }
-
-    pub fn slot_of(&self, key: Sg) -> Option<u32> {
-        self.locate(key).ok().map(|pos| self.order[pos])
-    }
-
-    /// Slot at position `pos` of the `(source, group)`-ordered index.
-    pub fn slot_at(&self, pos: usize) -> u32 {
-        self.order[pos]
-    }
-
-    /// Insert an entry (caller ensures the key is absent).
-    pub fn insert(
-        &mut self,
-        key: Sg,
-        expires: SimTime,
-        detail: SgDetail,
-    ) -> Result<u32, InternExhausted> {
-        let src_id = self.addrs.borrow_mut().intern(key.0)?;
-        let grp_id = self.groups.borrow_mut().intern(key.1)?;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                let i = slot as usize;
-                self.srcs[i] = src_id;
-                self.grps[i] = grp_id;
-                self.expires[i] = expires;
-                self.details[i] = detail;
-                self.live[i] = true;
-                slot
-            }
-            None => {
-                let slot = self.srcs.len() as u32;
-                self.srcs.push(src_id);
-                self.grps.push(grp_id);
-                self.expires.push(expires);
-                self.details.push(detail);
-                self.live.push(true);
-                slot
-            }
-        };
-        let pos = match self.locate(key) {
-            Ok(_) => unreachable!("insert of a present (S,G)"),
-            Err(pos) => pos,
-        };
-        self.order.insert(pos, slot);
-        self.min_expires = self.min_expires.min(expires);
-        self.mutations += 1;
-        Ok(slot)
-    }
-
-    /// Remove an entry. Returns false if absent.
-    pub fn remove(&mut self, key: Sg) -> bool {
-        let Ok(pos) = self.locate(key) else {
-            return false;
-        };
-        let slot = self.order.remove(pos);
-        let i = slot as usize;
-        self.live[i] = false;
-        // Drop the oif list now so retired slots hold no heap memory.
-        self.details[i].oifs = Vec::new();
-        self.free.push(slot);
-        if self.order.is_empty() {
-            self.min_expires = SimTime::MAX;
-        }
-        self.mutations += 1;
-        true
-    }
-
-    pub fn detail(&self, slot: u32) -> &SgDetail {
-        &self.details[slot as usize]
-    }
-
-    pub fn detail_mut(&mut self, slot: u32) -> &mut SgDetail {
-        self.mutations += 1;
-        &mut self.details[slot as usize]
-    }
-
-    pub fn expires_at(&self, slot: u32) -> SimTime {
-        self.expires[slot as usize]
-    }
-
-    pub fn set_expires(&mut self, slot: u32, t: SimTime) {
-        self.expires[slot as usize] = t;
-        self.min_expires = self.min_expires.min(t);
-        self.mutations += 1;
-    }
-
-    /// All keys, in `(source, group)` order.
-    pub fn keys(&self) -> Vec<Sg> {
-        self.order.iter().map(|&slot| self.key_of(slot)).collect()
-    }
-
-    /// The eviction victim: minimum `(expires, key)` — same criterion the
-    /// legacy map's `min_by_key` used, computed by a linear column sweep.
-    pub fn stalest(&self) -> Option<Sg> {
-        self.order
-            .iter()
-            .map(|&slot| (self.expires[slot as usize], self.key_of(slot)))
-            .min()
-            .map(|(_, key)| key)
-    }
-
-    /// O(1) conservative lower bound on all entry expiries. If this is in
-    /// the future, no entry can be overdue — the guard that keeps oracle
-    /// polls flat as entry counts grow.
-    pub fn min_expires(&self) -> SimTime {
-        self.min_expires
-    }
-
-    /// Recompute the exact expiry watermark (called from the deadline
-    /// sweep, which walks the columns anyway).
-    pub fn refresh_min_expires(&mut self) {
-        self.min_expires = self
-            .order
-            .iter()
-            .map(|&slot| self.expires[slot as usize])
-            .min()
-            .unwrap_or(SimTime::MAX);
-    }
-
-    /// Deterministic byte audit of the table, per the documented model:
-    /// every allocated slot costs its column footprint (src 4 + grp 4 +
-    /// expires 8 + live 1) plus the fixed detail row, each oif costs its
-    /// `(IfIndex, OifState)` pair, and the sorted index and free list
-    /// cost 4 bytes per entry. No allocator introspection — `size_of` is
-    /// a compile-time constant, so the same numbers on every run.
-    pub fn state_bytes(&self) -> usize {
-        let per_slot = 4 + 4 + 8 + 1 + std::mem::size_of::<SgDetail>();
-        let oif_bytes: usize = self
-            .order
-            .iter()
-            .map(|&slot| {
-                self.details[slot as usize].oifs.len() * std::mem::size_of::<(IfIndex, OifState)>()
-            })
-            .sum();
-        self.srcs.len() * per_slot + oif_bytes + (self.order.len() + self.free.len()) * 4
-    }
-}
-
-/// The pre-SoA (S,G) table — one boxed map node per entry with full
-/// 16-byte addresses in every key — kept verbatim as the reference model
-/// for the differential state tests.
-#[cfg(any(test, feature = "legacy_state"))]
-pub mod legacy {
-    use super::*;
-    use std::collections::BTreeMap;
-
-    /// One row of the observable-state snapshot the differential tests
-    /// compare: `(key, expiry, oif list)`.
-    pub type SgSnapshotRow = (Sg, SimTime, Vec<(IfIndex, OifState)>);
-
-    #[derive(Clone, Debug)]
-    pub struct LegacySgEntry {
-        pub expires: SimTime,
-        pub detail: SgDetail,
-    }
-
-    #[derive(Debug, Default)]
-    pub struct LegacySgTable {
-        entries: BTreeMap<Sg, Box<LegacySgEntry>>,
-    }
-
-    impl LegacySgTable {
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        pub fn len(&self) -> usize {
-            self.entries.len()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.entries.is_empty()
-        }
-
-        pub fn contains(&self, key: Sg) -> bool {
-            self.entries.contains_key(&key)
-        }
-
-        pub fn insert(&mut self, key: Sg, expires: SimTime, detail: SgDetail) {
-            self.entries
-                .insert(key, Box::new(LegacySgEntry { expires, detail }));
-        }
-
-        pub fn remove(&mut self, key: Sg) -> bool {
-            self.entries.remove(&key).is_some()
-        }
-
-        pub fn get_mut(&mut self, key: Sg) -> Option<&mut LegacySgEntry> {
-            self.entries.get_mut(&key).map(Box::as_mut)
-        }
-
-        pub fn keys(&self) -> Vec<Sg> {
-            self.entries.keys().copied().collect()
-        }
-
-        pub fn stalest(&self) -> Option<Sg> {
-            self.entries
-                .iter()
-                .min_by_key(|(sg, e)| (e.expires, **sg))
-                .map(|(sg, _)| *sg)
-        }
-
-        pub fn min_expires(&self) -> Option<SimTime> {
-            self.entries.values().map(|e| e.expires).min()
-        }
-
-        pub fn snapshot(&self) -> Vec<SgSnapshotRow> {
-            self.entries
-                .iter()
-                .map(|(sg, e)| (*sg, e.expires, e.detail.oifs.clone()))
-                .collect()
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::legacy::LegacySgTable;
-    use super::*;
-    use mobicast_sim::RngFactory;
-    use rand::Rng;
-
-    fn key(s: u16, g: u16) -> Sg {
-        (
-            Ipv6Addr::from(0x2001_0db8_0000_0000_0000_0000_0000_0000u128 + u128::from(s)),
-            GroupAddr::test_group(g),
-        )
-    }
-
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    fn detail(iif: IfIndex, n_oifs: u8) -> SgDetail {
-        SgDetail {
-            iif,
-            upstream: None,
-            upstream_state: UpstreamState::Forwarding,
-            oifs: (0..n_oifs)
-                .filter(|i| *i != iif)
-                .map(|i| (i, OifState::default()))
-                .collect(),
-            override_join_at: None,
-            last_prune_tx: None,
-            iif_assert_winner: None,
-        }
-    }
-
-    #[test]
-    fn insert_remove_keeps_sg_order() {
-        let mut tab = SgTable::new();
-        for (s, g) in [(3u16, 1u16), (1, 2), (3, 0), (2, 5)] {
-            tab.insert(key(s, g), t(210), detail(0, 3)).unwrap();
-        }
-        assert_eq!(
-            tab.keys(),
-            vec![key(1, 2), key(2, 5), key(3, 0), key(3, 1)],
-            "ordered by source, then group"
-        );
-        assert!(tab.remove(key(3, 0)));
-        assert!(!tab.remove(key(3, 0)));
-        assert_eq!(tab.len(), 3);
-        // Freed slot reused; order intact.
-        tab.insert(key(0, 9), t(100), detail(1, 3)).unwrap();
-        assert_eq!(tab.keys()[0], key(0, 9));
-    }
-
-    /// Differential state model: the SoA table and the legacy boxed-map
-    /// table driven through identical randomized create/refresh/prune-
-    /// state/expire/evict ops must expose identical observable state
-    /// after every single op — 8 seeds' worth.
-    #[test]
-    fn differential_vs_legacy_boxed_map() {
-        for seed in 0..8u64 {
-            let rng_factory = RngFactory::new(seed);
-            let mut rng = rng_factory.stream("sg-diff");
-            let mut soa = SgTable::new();
-            let mut old = LegacySgTable::new();
-            let mut now = 0u64;
-            for step in 0..400 {
-                now += rng.random_range(0u64..25);
-                let k = key(rng.random_range(0u16..8), rng.random_range(0u16..6));
-                match rng.random_range(0u32..6) {
-                    // Create or refresh (data arrival on the iif).
-                    0 | 1 => {
-                        let exp = t(now + 210);
-                        match soa.slot_of(k) {
-                            Some(slot) => soa.set_expires(slot, exp),
-                            None => {
-                                soa.insert(k, exp, detail(0, 4)).unwrap();
-                            }
-                        }
-                        match old.get_mut(k) {
-                            Some(e) => e.expires = exp,
-                            None => old.insert(k, exp, detail(0, 4)),
-                        }
-                    }
-                    // Downstream prune state change on a random oif.
-                    2 => {
-                        let iface = rng.random_range(1u8..4);
-                        let prune = DownstreamPrune::Pruned {
-                            until: t(now + 180),
-                        };
-                        if let Some(slot) = soa.slot_of(k) {
-                            if let Some(oif) = soa.detail_mut(slot).oif_mut(iface) {
-                                oif.prune = prune;
-                            }
-                        }
-                        if let Some(e) = old.get_mut(k) {
-                            if let Some(oif) = e.detail.oif_mut(iface) {
-                                oif.prune = prune;
-                            }
-                        }
-                    }
-                    // Hard remove.
-                    3 => {
-                        assert_eq!(soa.remove(k), old.remove(k));
-                    }
-                    // Expiry sweep at `now`.
-                    4 => {
-                        let due: Vec<Sg> = soa
-                            .keys()
-                            .into_iter()
-                            .filter(|k| {
-                                soa.slot_of(*k)
-                                    .is_some_and(|slot| soa.expires_at(slot) <= t(now))
-                            })
-                            .collect();
-                        for k in due {
-                            soa.remove(k);
-                        }
-                        soa.refresh_min_expires();
-                        let due: Vec<Sg> = old
-                            .snapshot()
-                            .iter()
-                            .filter(|(_, exp, _)| *exp <= t(now))
-                            .map(|(k, _, _)| *k)
-                            .collect();
-                        for k in due {
-                            old.remove(k);
-                        }
-                    }
-                    // Evict-stalest (budget pressure).
-                    _ => {
-                        let (a, b) = (soa.stalest(), old.stalest());
-                        assert_eq!(a, b, "seed {seed} step {step}: victim diverged");
-                        if let Some(victim) = a {
-                            soa.remove(victim);
-                            old.remove(victim);
-                        }
-                    }
-                }
-                // Full observable state must match after every op.
-                let snap1: Vec<super::legacy::SgSnapshotRow> = soa
-                    .keys()
-                    .into_iter()
-                    .map(|k| {
-                        let slot = soa.slot_of(k).unwrap();
-                        (k, soa.expires_at(slot), soa.detail(slot).oifs.clone())
-                    })
-                    .collect();
-                assert_eq!(
-                    snap1,
-                    old.snapshot(),
-                    "seed {seed} step {step}: state diverged"
-                );
-                assert_eq!(soa.len(), old.len());
-                assert_eq!(soa.stalest(), old.stalest());
-                // Watermark invariant: never later than any live expiry.
-                if let Some(m) = old.min_expires() {
-                    assert!(soa.min_expires() <= m);
-                }
-            }
-        }
-    }
-}
+/// (S,G) table for one PIM-DM router, ordered by `(source, group)`:
+/// 17 audited bytes per slot plus the detail row and its oif list.
+pub type SgTable = SoftTable<(SharedInterner<Ipv6Addr>, SharedInterner<GroupAddr>), SgDetail>;

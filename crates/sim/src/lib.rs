@@ -6,8 +6,8 @@
 //!
 //! Contents:
 //! * [`arena`] — compact-state primitives: a dense key interner
-//!   ([`Interner`]) and a generation-indexed slot arena ([`Arena`])
-//!   backing the struct-of-arrays protocol state tables.
+//!   ([`Interner`]) and the one keyed soft-state table ([`SoftTable`])
+//!   behind the MLD, PIM-DM and binding-cache state.
 //! * [`time`] — integer virtual time ([`SimTime`], [`SimDuration`]).
 //! * [`queue`] — a cancellable, FIFO-stable event queue ([`EventQueue`]).
 //! * [`wheel`] — the hierarchical timer wheel behind [`EventQueue`]
@@ -47,7 +47,7 @@ pub mod trace;
 pub mod wheel;
 
 pub use arena::{
-    shared_interner, Arena, ArenaError, Handle, InternExhausted, InternId, Interner, SharedInterner,
+    shared_interner, InternExhausted, InternId, Interner, KeySpace, Row, SharedInterner, SoftTable,
 };
 pub use budget::{RateLimit, ShedPolicy, TokenBucket};
 pub use metrics::{Counters, Series, SeriesSet, Summary};

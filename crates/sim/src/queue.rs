@@ -33,10 +33,11 @@ impl EventId {
     }
 }
 
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    payload: E,
+/// One scheduled event, ordered by `(at, seq)` — shared by both queues.
+pub(crate) struct Entry<E> {
+    pub(crate) at: SimTime,
+    pub(crate) seq: u64,
+    pub(crate) payload: E,
 }
 
 impl<E> PartialEq for Entry<E> {

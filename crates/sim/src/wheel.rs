@@ -31,9 +31,9 @@
 //! * `current_tick` only advances, and only to the base of the earliest
 //!   non-empty slot — never past a pending event.
 
-use crate::queue::EventId;
+use crate::queue::{Entry, EventId};
 use crate::time::SimTime;
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
 /// log2 of the tick width in nanoseconds (~65.5 µs per tick).
@@ -45,29 +45,6 @@ const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 /// Levels needed so the top level spans every representable tick:
 /// ticks fit in `64 - TICK_BITS = 48` bits and `8 * LEVEL_BITS = 48`.
 const LEVELS: usize = 8;
-
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
 
 #[inline]
 fn tick_of(at: SimTime) -> u64 {

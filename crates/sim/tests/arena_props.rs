@@ -1,11 +1,17 @@
-//! Property tests for the compact-state primitives behind the SoA
-//! protocol tables: interner id stability and round-trip over the full
-//! IPv6/group/link key domains, generation-guarded slot reuse in the
-//! arena, and typed (never panicking) exhaustion on both.
+//! Property tests for the compact-state primitives behind the protocol
+//! state tables: interner id stability, round-trip over the full
+//! IPv6/group/link key domains and typed (never panicking) exhaustion;
+//! and the model-based test of [`SoftTable`] — the one table behind MLD
+//! listeners, PIM (S,G) entries and the binding cache — against a
+//! `BTreeMap<K, (SimTime, Row)>` reference after every single operation.
 
-use mobicast_sim::arena::{Arena, ArenaError, Handle, InternExhausted, Interner};
+use mobicast_sim::arena::{
+    shared_interner, InternExhausted, Interner, KeySpace, Row, SharedInterner, SoftTable,
+};
+use mobicast_sim::SimTime;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::net::Ipv6Addr;
 
 fn ipv6() -> impl Strategy<Value = Ipv6Addr> {
@@ -82,67 +88,199 @@ proptest! {
         }
     }
 
-    /// Random insert/remove churn: a slot index is never handed out twice
-    /// without a generation bump, stale handles never resolve, and the
-    /// occupancy counter tracks the live set exactly.
+    /// One-interner key (the MLD listener / binding-cache shape), 24 keys
+    /// so inserts, refreshes and removals collide constantly.
     #[test]
-    fn arena_handles_never_alias(ops in proptest::collection::vec(any::<u16>(), 1..400)) {
-        let mut arena: Arena<u16> = Arena::new();
-        let mut live: Vec<(Handle, u16)> = Vec::new();
-        let mut dead: Vec<Handle> = Vec::new();
-        let mut issued: BTreeMap<u32, u32> = BTreeMap::new(); // idx -> last generation
-        for op in ops {
-            if op % 3 == 0 && !live.is_empty() {
-                let (h, v) = live.remove(op as usize % live.len());
-                prop_assert_eq!(arena.remove(h), Some(v));
-                dead.push(h);
-            } else {
-                let h = arena.insert(op).unwrap();
-                match issued.get(&(h.index() as u32)) {
-                    Some(&g) => prop_assert!(
-                        h.generation() > g,
-                        "slot reused without generation bump"
-                    ),
-                    None => prop_assert_eq!(h.generation(), 0),
-                }
-                issued.insert(h.index() as u32, h.generation());
-                live.push((h, op));
-            }
-            prop_assert_eq!(arena.len(), live.len());
-            for h in &dead {
-                prop_assert_eq!(arena.get(*h), None, "stale handle resolved");
-            }
-            for (h, v) in &live {
-                prop_assert_eq!(arena.get(*h), Some(v));
-            }
-        }
-        // Linear sweep sees exactly the live set.
-        prop_assert_eq!(arena.iter().count(), live.len());
+    fn table_matches_btreemap_model_one_interner(
+        ops in proptest::collection::vec(any::<u32>(), 1..400),
+    ) {
+        let keys: SharedInterner<u16> = shared_interner();
+        // Spread the keys so interner ids (first-intern order) and key
+        // order disagree whatever the op sequence.
+        check_against_model(keys, |i| (i % 24).wrapping_mul(0x9e37) as u16, &ops);
     }
 
-    /// Arena exhaustion is a typed error, never a panic, and capacity is
-    /// honored through arbitrary churn.
+    /// Two-interner key (the PIM `(source, group)` shape), 8 × 6 keys:
+    /// ordering must be by resolved source first, then resolved group.
     #[test]
-    fn arena_exhaustion_never_panics(
-        cap in 1u32..20,
-        ops in proptest::collection::vec(any::<u8>(), 1..200),
+    fn table_matches_btreemap_model_two_interners(
+        ops in proptest::collection::vec(any::<u32>(), 1..400),
     ) {
-        let mut arena: Arena<u8> = Arena::with_capacity(cap);
-        let mut live: Vec<Handle> = Vec::new();
-        for op in ops {
-            if op % 4 == 0 && !live.is_empty() {
-                let h = live.swap_remove(op as usize % live.len());
-                arena.remove(h);
-            } else {
-                match arena.insert(op) {
-                    Ok(h) => live.push(h),
-                    Err(e) => {
-                        prop_assert_eq!(e, ArenaError::Exhausted { capacity: cap });
-                        prop_assert_eq!(arena.len(), cap as usize);
+        let keys: (SharedInterner<u8>, SharedInterner<u64>) =
+            (shared_interner(), shared_interner());
+        check_against_model(
+            keys,
+            |i| ((i % 8) as u8 ^ 0x5, u64::from(i / 8 % 6).wrapping_mul(0x9e37_79b9)),
+            &ops,
+        );
+    }
+}
+
+/// A row with heap contents, so the audit's per-row term is exercised.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Tag(Vec<u8>);
+
+impl Row for Tag {
+    const SLOT_BYTES: usize = 3;
+
+    fn heap_bytes(&self) -> usize {
+        self.0.len()
+    }
+}
+
+fn t(secs: u64) -> SimTime {
+    SimTime::from_secs(secs)
+}
+
+/// Drive a [`SoftTable`] and a `BTreeMap` reference through the op
+/// sequence encoded in `ops` (insert / refresh-expiry / shorten-expiry /
+/// row-mutate / remove / expiry-sweep + `refresh_min_expires` /
+/// evict-stalest) and compare every observable after every op.
+fn check_against_model<K>(keys: K, key_at: impl Fn(u32) -> K::Key, ops: &[u32])
+where
+    K: KeySpace,
+    K::Key: Debug,
+{
+    let per_slot = K::ID_BYTES + 8 + 1 + Tag::SLOT_BYTES;
+    let mut table: SoftTable<K, Tag> = SoftTable::with_keys(keys);
+    let mut model: BTreeMap<K::Key, (SimTime, Tag)> = BTreeMap::new();
+    // Slot allocation is part of the determinism contract: LIFO reuse,
+    // fresh slots only when the free list is empty.
+    let mut retired = Vec::new();
+    let mut allocated = 0u32;
+    let mut now = 0u64;
+    let stalest_of = |m: &BTreeMap<K::Key, (SimTime, Tag)>| {
+        m.iter()
+            .map(|(k, (exp, _))| (*exp, *k))
+            .min()
+            .map(|(_, k)| k)
+    };
+
+    for (step, &w) in ops.iter().enumerate() {
+        let key = key_at((w >> 3) & 0xff);
+        now += u64::from((w >> 11) % 30);
+        let before: Vec<_> = model.iter().map(|(k, v)| (*k, v.clone())).collect();
+        let epoch = table.mutation_epoch();
+        let mut remove_both = |table: &mut SoftTable<K, Tag>,
+                               model: &mut BTreeMap<K::Key, (SimTime, Tag)>,
+                               key: K::Key| {
+            retired.extend(table.slot_of(key));
+            assert_eq!(
+                table.remove(key),
+                model.remove(&key).map(|(_, row)| row),
+                "step {step}: removal result diverged"
+            );
+        };
+        match w & 7 {
+            // Insert, or refresh the expiry (a Report / data / BU arrived).
+            0..=2 => {
+                let exp = t(now + 260);
+                match table.slot_of(key) {
+                    Some(slot) => table.set_expires(slot, exp),
+                    None => {
+                        let slot = table.insert(key, exp, Tag::default()).unwrap();
+                        let expected = retired.pop().unwrap_or_else(|| {
+                            allocated += 1;
+                            allocated - 1
+                        });
+                        assert_eq!(slot, expected, "step {step}: slot reuse is not LIFO");
                     }
                 }
+                model.entry(key).or_default().0 = exp;
             }
-            prop_assert!(arena.len() <= cap as usize);
+            // Shorten the expiry (a Done armed the last-listener query).
+            3 => {
+                if let Some(slot) = table.slot_of(key) {
+                    table.set_expires(slot, t(now + 2));
+                }
+                if let Some(e) = model.get_mut(&key) {
+                    e.0 = t(now + 2);
+                }
+            }
+            // Mutate the protocol row.
+            4 => {
+                if let Some(slot) = table.slot_of(key) {
+                    table.row_mut(slot).0.push((w >> 16) as u8);
+                }
+                if let Some(e) = model.get_mut(&key) {
+                    e.1 .0.push((w >> 16) as u8);
+                }
+            }
+            // Hard remove.
+            5 => remove_both(&mut table, &mut model, key),
+            // Expiry sweep at `now`, then retighten the watermark.
+            6 => {
+                let due: Vec<K::Key> = table
+                    .slots()
+                    .filter(|&slot| table.expires_at(slot) <= t(now))
+                    .map(|slot| table.key_of(slot))
+                    .collect();
+                let model_due: Vec<K::Key> = model
+                    .iter()
+                    .filter(|(_, (exp, _))| *exp <= t(now))
+                    .map(|(k, _)| *k)
+                    .collect();
+                assert_eq!(due, model_due, "step {step}: sweep diverged");
+                for k in due {
+                    remove_both(&mut table, &mut model, k);
+                }
+                table.refresh_min_expires();
+                assert_eq!(
+                    table.min_expires(),
+                    model.values().map(|e| e.0).min().unwrap_or(SimTime::MAX),
+                    "step {step}: refreshed watermark is exact"
+                );
+            }
+            // Evict-stalest (budget pressure).
+            _ => {
+                let victim = table.stalest();
+                assert_eq!(victim, stalest_of(&model), "step {step}: victim diverged");
+                if let Some(victim) = victim {
+                    remove_both(&mut table, &mut model, victim);
+                }
+            }
         }
+
+        // Full observable state must match after every op.
+        let snapshot: Vec<_> = table
+            .slots()
+            .map(|slot| {
+                (
+                    table.key_of(slot),
+                    (table.expires_at(slot), table.row(slot).clone()),
+                )
+            })
+            .collect();
+        let expected: Vec<_> = model.iter().map(|(k, v)| (*k, v.clone())).collect();
+        assert_eq!(snapshot, expected, "step {step}: state diverged");
+        assert_eq!(table.len(), model.len());
+        assert_eq!(table.is_empty(), model.is_empty());
+        assert_eq!(table.contains(key), model.contains_key(&key));
+        assert!(table.keys().eq(model.keys().copied()));
+        assert_eq!(table.stalest(), stalest_of(&model));
+        for (pos, k) in model.keys().enumerate() {
+            assert_eq!(table.slot_of(*k), Some(table.slot_at(pos)));
+        }
+        // Watermark invariant: never later than any live expiry.
+        for (exp, _) in model.values() {
+            assert!(
+                table.min_expires() <= *exp,
+                "step {step}: watermark too late"
+            );
+        }
+        if model.is_empty() {
+            assert_eq!(table.min_expires(), SimTime::MAX);
+        }
+        // The epoch may overcount but must never miss a change.
+        if expected != before {
+            assert_ne!(table.mutation_epoch(), epoch, "step {step}: change missed");
+        }
+        // The audit, to the byte: allocated slots, live heap, index + free.
+        let heap: usize = model.values().map(|(_, row)| row.0.len()).sum();
+        assert_eq!(
+            table.state_bytes(),
+            allocated as usize * (per_slot + 4) + heap,
+            "step {step}: audit drifted"
+        );
     }
 }
