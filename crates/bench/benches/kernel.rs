@@ -1,14 +1,19 @@
 //! Criterion benchmarks for the simulation kernel: event queue throughput
-//! (timer wheel vs the reference binary heap), deterministic RNG streams
-//! and the routers' forwarding-table lookup. These guard the substrate
-//! every experiment is built on.
+//! (timer wheel vs the reference binary heap), link transmit + arrival
+//! fan-out, deterministic RNG streams and the routers' forwarding-table
+//! lookup. These guard the substrate every experiment is built on.
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use mobicast_core::addressing::global_addr;
 use mobicast_core::netplan::{link_prefix, RouteEntry, RoutingTable};
-use mobicast_net::{LinkId, NodeId};
+use mobicast_net::{
+    Ctx, Frame, FrameClass, IfIndex, LinkFault, LinkFaultState, LinkId, LinkParams, NodeBehavior,
+    NodeId, TimerKey, World,
+};
 use mobicast_sim::{EventQueue, HeapEventQueue, RngFactory, SimTime};
 use rand::RngCore;
+use std::any::Any;
 use std::hint::black_box;
 
 /// Schedule `n` events then drain: the bulk pattern of a scenario startup.
@@ -111,6 +116,69 @@ fn bench_cancellation(c: &mut Criterion) {
     });
 }
 
+/// A node that hears frames and does nothing with them.
+struct Sink;
+
+impl NodeBehavior for Sink {
+    fn on_start(&mut self, _: &mut Ctx<'_>) {}
+    fn on_frame(&mut self, _: &mut Ctx<'_>, _: IfIndex, _: &Frame) {}
+    fn on_timer(&mut self, _: &mut Ctx<'_>, _: TimerKey) {}
+    fn on_link_change(&mut self, _: &mut Ctx<'_>, _: IfIndex, _: Option<LinkId>) {}
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// The link layer alone: one member of a `k`-member link broadcasts, the
+/// queue drains, every other member hears the frame. Fault-free, one
+/// transmission is one queue entry fanned out at arrival; an inert fault
+/// state (zero loss, jitter and corruption) forces the one-entry-per-copy
+/// form of the same work, so the pair prices the fan-out encoding.
+fn bench_link_transmit(c: &mut Criterion) {
+    const SENDS: u64 = 1_000;
+    let mut group = c.benchmark_group("link_transmit");
+    for members in [2u64, 4, 16] {
+        group.throughput(Throughput::Elements(SENDS * (members - 1)));
+        for (label, inert_fault) in [("fanout", false), ("fanout_inert_fault", true)] {
+            group.bench_function(format!("{label}_{members}"), |b| {
+                b.iter_batched(
+                    || {
+                        let mut world = World::new();
+                        let link = world.add_link(LinkParams::default());
+                        for _ in 0..members {
+                            let node = world.add_node(1, Box::new(Sink));
+                            world.attach(node, 0, link);
+                        }
+                        if inert_fault {
+                            let rng = RngFactory::new(7).indexed_stream("fault.link", 0);
+                            let fault = LinkFaultState::new(LinkFault::default(), rng);
+                            world.set_link_fault(link, Some(fault));
+                        }
+                        world.start();
+                        world
+                    },
+                    |mut world| {
+                        let frame =
+                            Frame::new(Bytes::from_static(&[0u8; 304]), FrameClass::MulticastData);
+                        world.with_node(NodeId(0), |_, ctx| {
+                            for _ in 0..SENDS {
+                                ctx.send(0, frame.clone());
+                            }
+                        });
+                        world.run_to_quiescence(u64::MAX);
+                        black_box(world.events_executed())
+                    },
+                    BatchSize::SmallInput,
+                );
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_rng_streams(c: &mut Criterion) {
     c.bench_function("rng/labelled_stream_draws", |b| {
         let f = RngFactory::new(42);
@@ -166,6 +234,7 @@ criterion_group!(
     bench_event_queue,
     bench_timer_churn,
     bench_cancellation,
+    bench_link_transmit,
     bench_rng_streams,
     bench_route_lookup
 );

@@ -30,6 +30,7 @@ use mobicast_sim::{
     TokenBucket, TraceCategory,
 };
 use std::any::Any;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
@@ -156,6 +157,22 @@ impl TimerSlot {
     }
 }
 
+/// The Router Advertisement a router sends on the interface `info`
+/// describes, solicited or not.
+fn router_advert(info: &RouterIfaceInfo) -> Packet {
+    let ra = Icmpv6::RouterAdvert {
+        router_lifetime_secs: 1800,
+        prefixes: vec![AdvertisedPrefix {
+            prefix: info.prefix,
+            autonomous: true,
+            valid_lifetime_secs: 86_400,
+            preferred_lifetime_secs: 14_400,
+        }],
+    };
+    let body = ra.encode(info.ll, addr::ALL_NODES);
+    Packet::new(info.ll, addr::ALL_NODES, proto::ICMPV6, body).with_hop_limit(255)
+}
+
 /// The composed router node behaviour.
 pub struct RouterNode {
     pub id: NodeId,
@@ -174,6 +191,11 @@ pub struct RouterNode {
     pim_timer: TimerSlot,
     ha_timer: TimerSlot,
     ra_pending: Vec<bool>,
+    /// The Router Advertisement of each interface, encoded by the first
+    /// send and reused after it: prefix, lifetimes, source and destination
+    /// never change. (Not encoded in `new`: world construction is timed,
+    /// and many built routers never run.)
+    ra_packets: Vec<OnceCell<Packet>>,
     /// High-water mark of (S,G) entries (paper: router storage load).
     pub max_sg_entries: usize,
     /// Open `graft` spans keyed by (S,G): opened when the upstream graft
@@ -225,6 +247,7 @@ impl RouterNode {
         ha.set_budget(cfg.budget.binding_cache, cfg.budget.shed_policy);
         let bucket = cfg.budget.control_rate.map(TokenBucket::new);
         let n = ifaces.len();
+        let ra_packets = ifaces.iter().map(|_| OnceCell::new()).collect();
         RouterNode {
             id,
             cfg,
@@ -240,6 +263,7 @@ impl RouterNode {
             pim_timer: TimerSlot::new(),
             ha_timer: TimerSlot::new(),
             ra_pending: vec![false; n],
+            ra_packets,
             max_sg_entries: 0,
             graft_spans: Vec::new(),
             mib: Counters::new(),
@@ -1123,20 +1147,10 @@ impl RouterNode {
     }
 
     fn send_router_advert(&mut self, ctx: &mut Ctx<'_>, ifx: IfIndex) {
-        let info = self.ifaces[usize::from(ifx)];
-        let ra = Icmpv6::RouterAdvert {
-            router_lifetime_secs: 1800,
-            prefixes: vec![AdvertisedPrefix {
-                prefix: info.prefix,
-                autonomous: true,
-                valid_lifetime_secs: 86_400,
-                preferred_lifetime_secs: 14_400,
-            }],
-        };
-        let body = ra.encode(info.ll, addr::ALL_NODES);
-        let packet = Packet::new(info.ll, addr::ALL_NODES, proto::ICMPV6, body).with_hop_limit(255);
         self.recorder.count("nd.ra_sent", 1);
-        self.emit(ctx, ifx, &packet, None, None);
+        let slot = usize::from(ifx);
+        let packet = self.ra_packets[slot].get_or_init(|| router_advert(&self.ifaces[slot]));
+        self.emit(ctx, ifx, packet, None, None);
     }
 
     fn arm_mld(&mut self, ctx: &mut Ctx<'_>) {

@@ -13,6 +13,7 @@ use crate::frame::{Frame, FRAME_CLASS_COUNT};
 use crate::ids::{IfIndex, NodeId};
 use mobicast_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 
 /// Transmission parameters of a link.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -118,7 +119,13 @@ pub struct Attachment {
 #[derive(Debug)]
 pub struct Link {
     pub params: LinkParams,
-    pub members: Vec<Attachment>,
+    /// Attached endpoints, in attachment order.
+    members: Vec<Attachment>,
+    /// `members` as the shared slice in-flight transmissions hold on to.
+    /// Dropped whenever membership changes and rebuilt by the next
+    /// transmission, so a transmission costs a reference-count bump and
+    /// keeps seeing the membership of the instant it was sent.
+    snapshot: Option<Rc<[Attachment]>>,
     pub stats: LinkStats,
     /// Cleared during a scheduled outage; a downed link destroys every
     /// frame handed to it and every frame still in flight across it.
@@ -132,6 +139,7 @@ impl Link {
         Link {
             params,
             members: Vec::new(),
+            snapshot: None,
             stats: LinkStats::default(),
             up: true,
             fault: None,
@@ -147,6 +155,7 @@ impl Link {
             "{node} if{ifindex} already attached"
         );
         self.members.push(Attachment { node, ifindex });
+        self.snapshot = None;
     }
 
     /// Detach an endpoint; returns true if it was attached.
@@ -154,7 +163,20 @@ impl Link {
         let before = self.members.len();
         self.members
             .retain(|m| !(m.node == node && m.ifindex == ifindex));
+        self.snapshot = None;
         self.members.len() != before
+    }
+
+    /// Endpoints currently attached, in attachment order.
+    pub fn members(&self) -> &[Attachment] {
+        &self.members
+    }
+
+    /// The current membership as a shared slice (see the field).
+    pub fn snapshot(&mut self) -> Rc<[Attachment]> {
+        self.snapshot
+            .get_or_insert_with(|| Rc::from(self.members.as_slice()))
+            .clone()
     }
 
     pub fn is_attached(&self, node: NodeId) -> bool {
@@ -242,6 +264,21 @@ mod tests {
         assert!(l.detach(NodeId(1), 0));
         assert!(!l.detach(NodeId(1), 0));
         assert!(!l.is_attached(NodeId(1)));
-        assert_eq!(l.members.len(), 1);
+        assert_eq!(l.members().len(), 1);
+    }
+
+    #[test]
+    fn snapshot_is_shared_until_membership_changes() {
+        let mut l = Link::new(LinkParams::default());
+        l.attach(NodeId(1), 0);
+        l.attach(NodeId(2), 1);
+        let sent = l.snapshot();
+        assert!(Rc::ptr_eq(&sent, &l.snapshot()), "no allocation per send");
+        l.attach(NodeId(3), 0);
+        assert_eq!(sent.len(), 2, "an in-flight snapshot never changes");
+        assert_eq!(&*l.snapshot(), l.members());
+        l.detach(NodeId(1), 0);
+        assert_eq!(&*l.snapshot(), l.members());
+        assert_eq!(l.members().len(), 2);
     }
 }

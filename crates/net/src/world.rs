@@ -12,15 +12,15 @@ use crate::exec::{ExecPlan, RunStats};
 use crate::fault::LinkFaultState;
 use crate::frame::Frame;
 use crate::ids::{IfIndex, LinkId, NodeId, TimerKey};
-use crate::link::{schedule_transmission, Link, LinkParams, LinkStats};
+use crate::link::{schedule_transmission, Attachment, Link, LinkParams, LinkStats};
 use mobicast_sim::profile::{Profiler, SimProfile};
 use mobicast_sim::trace::Fields;
 use mobicast_sim::{Counters, EventId, EventQueue, SimDuration, SimTime, TraceCategory, Tracer};
 use std::any::Any;
+use std::ops::Range;
 use std::rc::Rc;
 
-/// Handler categories the event-loop profiler distinguishes, in the order
-/// used by the event queue's internal `WorldEvent::category_index`.
+/// Handler categories the event-loop profiler distinguishes.
 pub const HANDLER_CATEGORIES: &[&str] = &["deliver", "timer", "script"];
 
 /// Passive observer of the event loop: sees every frame handed to a link and
@@ -83,13 +83,20 @@ pub trait NodeBehavior: Any {
 type Script = Box<dyn FnOnce(&mut World)>;
 
 pub(crate) enum WorldEvent {
+    /// One transmission arriving at a set of receivers: the members
+    /// `members[receivers]` of the send-time snapshot, except `sender`.
+    /// A fault-free broadcast is a single event covering the whole link;
+    /// a copy whose arrival time, bytes or addressee is its own (fault
+    /// injection, L2 unicast) is an event with a one-member range.
     Deliver {
-        node: NodeId,
-        ifindex: IfIndex,
-        /// The link the frame was sent on; delivery is skipped if the node
-        /// has moved away in the meantime.
+        /// The link the frame was sent on; a receiver that has moved away
+        /// in the meantime is skipped.
         link: LinkId,
         frame: Frame,
+        /// The link's membership when the frame was sent.
+        members: Rc<[Attachment]>,
+        receivers: Range<usize>,
+        sender: Attachment,
     },
     Timer {
         node: NodeId,
@@ -101,25 +108,10 @@ pub(crate) enum WorldEvent {
     Script(Script),
 }
 
-impl WorldEvent {
-    /// Index into [`HANDLER_CATEGORIES`] for profiling.
-    fn category_index(&self) -> usize {
-        match self {
-            WorldEvent::Deliver { .. } => 0,
-            WorldEvent::Timer { .. } => 1,
-            WorldEvent::Script(_) => 2,
-        }
-    }
-
-    /// The node this event dispatches into; `None` for scripts, which may
-    /// mutate arbitrary world state and therefore pin every shard.
-    fn target_node(&self) -> Option<NodeId> {
-        match self {
-            WorldEvent::Deliver { node, .. } | WorldEvent::Timer { node, .. } => Some(*node),
-            WorldEvent::Script(_) => None,
-        }
-    }
-}
+/// Indices into [`HANDLER_CATEGORIES`].
+const DELIVER: usize = 0;
+const TIMER: usize = 1;
+const SCRIPT: usize = 2;
 
 /// Partition of the world's nodes into topology regions ("shards") plus the
 /// conservative lookahead for the sharded event loop.
@@ -241,9 +233,9 @@ impl ShardRunStats {
 /// The conservative-window bookkeeping of a sharded run: an observer fed
 /// every dispatch in global `(time, seq)` order that reconstructs which
 /// lookahead windows a parallel executor would have formed.
-struct WindowRecon {
+struct WindowRecon<'a> {
+    plan: &'a ShardPlan,
     t_end: SimTime,
-    lookahead: SimDuration,
     horizon: Option<SimTime>,
     window_batch: Vec<u64>,
     window_events: u64,
@@ -251,11 +243,12 @@ struct WindowRecon {
     stats: ShardRunStats,
 }
 
-impl WindowRecon {
-    fn new(n_shards: usize, workers: usize, t_end: SimTime, lookahead: SimDuration) -> Self {
+impl<'a> WindowRecon<'a> {
+    fn new(plan: &'a ShardPlan, workers: usize, t_end: SimTime) -> Self {
+        let n_shards = plan.n_shards() as usize;
         WindowRecon {
+            plan,
             t_end,
-            lookahead,
             horizon: None,
             window_batch: vec![0; n_shards],
             window_events: 0,
@@ -268,21 +261,21 @@ impl WindowRecon {
         }
     }
 
-    /// Account one dispatched event (`shard` is `None` for scripts, which
-    /// barrier the window).
-    fn on_event(&mut self, at: SimTime, shard: Option<u32>) {
+    /// Account one dispatched event (`target` is `None` for scripts, which
+    /// may mutate arbitrary world state and therefore barrier the window).
+    fn on_event(&mut self, at: SimTime, target: Option<NodeId>) {
         match self.horizon {
             Some(h) if at <= h => {}
             _ => {
                 self.close_window();
-                self.horizon = Some((at + self.lookahead).min(self.t_end));
+                self.horizon = Some((at + self.plan.lookahead()).min(self.t_end));
                 self.stats.windows += 1;
             }
         }
         self.window_events += 1;
         self.stats.events_total += 1;
-        match shard {
-            Some(s) => self.window_batch[s as usize] += 1,
+        match target {
+            Some(node) => self.window_batch[self.plan.shard_of(node) as usize] += 1,
             None => {
                 self.window_barriers += 1;
                 self.stats.barrier_syncs += 1;
@@ -340,7 +333,20 @@ pub struct World {
     probe: Option<Rc<dyn WorldProbe>>,
     started: bool,
     /// Events dispatched so far (always on; one increment per event).
+    /// "Event" here and in every other count the world reports means one
+    /// timer, one script or one *receiver copy* of a transmission — the
+    /// unit reports and goldens have always used — however many copies
+    /// share a queue entry.
     events_executed: u64,
+    /// Receiver copies pending beyond the one-per-entry the queue itself
+    /// counts: a fan-out entry with `k` receivers adds `k - 1` when it is
+    /// scheduled and gives one back as each receiver after its first is
+    /// dispatched.
+    copies_pending: usize,
+    /// Receiver copies ever scheduled beyond one per queue entry.
+    copies_scheduled: u64,
+    /// Highest `queue_len()` observed at any scheduling.
+    depth_high_water: usize,
     /// Wall-clock profiler; `None` (the default) costs one branch per event.
     profiler: Option<Profiler>,
 }
@@ -363,6 +369,9 @@ impl World {
             probe: None,
             started: false,
             events_executed: 0,
+            copies_pending: 0,
+            copies_scheduled: 0,
+            depth_high_water: 0,
             profiler: None,
         }
     }
@@ -459,7 +468,7 @@ impl World {
     /// Members `(node, ifindex)` currently attached to `link`.
     pub fn link_members(&self, link: LinkId) -> Vec<(NodeId, IfIndex)> {
         self.links[link.index()]
-            .members
+            .members()
             .iter()
             .map(|a| (a.node, a.ifindex))
             .collect()
@@ -563,7 +572,7 @@ impl World {
     pub fn take_profile(&mut self) -> Option<SimProfile> {
         self.profiler
             .take()
-            .map(|p| p.finish(self.queue.depth_high_water(), self.queue.scheduled_total()))
+            .map(|p| p.finish(self.depth_high_water, self.events_scheduled()))
     }
 
     /// Events dispatched by the event loop so far.
@@ -573,13 +582,13 @@ impl World {
 
     /// Highest number of simultaneously pending events observed so far.
     pub fn queue_depth_high_water(&self) -> usize {
-        self.queue.depth_high_water()
+        self.depth_high_water
     }
 
     /// Number of live events pending right now (gauge samplers read this
     /// mid-run to build the queue-depth timeline).
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.copies_pending
     }
 
     /// Install a [`WorldProbe`] observing all transmissions and deliveries.
@@ -591,7 +600,17 @@ impl World {
     /// Schedule a closure to run against the world at time `t` (mobility
     /// scripts, workload events).
     pub fn at(&mut self, t: SimTime, f: impl FnOnce(&mut World) + 'static) {
-        self.queue.schedule(t, WorldEvent::Script(Box::new(f)));
+        self.schedule(t, WorldEvent::Script(Box::new(f)), 1);
+    }
+
+    /// Put one entry standing for `copies` (at least one) events on the
+    /// queue.
+    fn schedule(&mut self, at: SimTime, ev: WorldEvent, copies: usize) -> EventId {
+        let id = self.queue.schedule(at, ev);
+        self.copies_pending += copies - 1;
+        self.copies_scheduled += copies as u64 - 1;
+        self.depth_high_water = self.depth_high_water.max(self.queue_len());
+        id
     }
 
     /// Inspect a node behavior as a concrete type.
@@ -653,68 +672,96 @@ impl World {
         self.with_node(node, |b, ctx| b.on_link_change(ctx, ifindex, link));
     }
 
-    fn dispatch(&mut self, ev: WorldEvent) {
+    /// Dispatch one queue entry: a timer, a script, or a transmission
+    /// arriving at each of its receivers in membership order. The copies
+    /// of one transmission used to be separate entries with consecutive
+    /// sequence numbers at one instant, so nothing could ever run between
+    /// them; walking them here is the same order.
+    fn dispatch(&mut self, ev: WorldEvent, windows: &mut Option<WindowRecon<'_>>) {
         match ev {
             WorldEvent::Deliver {
-                node,
-                ifindex,
                 link,
                 frame,
+                members,
+                receivers,
+                sender,
             } => {
-                // Skip delivery if the interface moved between transmission
-                // and arrival (the host left the link).
-                if self.nodes[node.index()].ifaces[usize::from(ifindex)].link != Some(link) {
-                    self.counters.inc("world.frames_missed_due_to_move");
-                    return;
+                let receivers = members[receivers].iter().filter(|m| **m != sender);
+                for (i, &to) in receivers.enumerate() {
+                    if i > 0 {
+                        self.copies_pending -= 1;
+                    }
+                    self.counted(DELIVER, Some(to.node), windows, |w| {
+                        w.arrive(to, link, &frame)
+                    });
                 }
-                // A link that went down mid-flight destroys the frame.
-                if !self.links[link.index()].up {
-                    self.links[link.index()].stats.record_drop(&frame);
-                    self.counters.inc("faults.frames_dropped_link_down");
-                    self.node_counters[node.index()].inc("framesDroppedByFault");
-                    return;
-                }
-                // A crashed receiver hears nothing.
-                if self.nodes[node.index()].crashed {
-                    self.links[link.index()].stats.record_drop(&frame);
-                    self.counters.inc("faults.frames_dropped_node_crashed");
-                    self.node_counters[node.index()].inc("framesDroppedByFault");
-                    return;
-                }
-                if let Some(probe) = self.probe.clone() {
-                    probe.on_deliver(self.queue.now(), node, ifindex, link, &frame);
-                }
-                self.with_node(node, |b, ctx| b.on_frame(ctx, ifindex, &frame));
             }
             WorldEvent::Timer {
                 node,
                 key,
                 incarnation,
-            } => {
-                let slot = &self.nodes[node.index()];
+            } => self.counted(TIMER, Some(node), windows, |w| {
+                let slot = &w.nodes[node.index()];
                 if slot.crashed || slot.incarnation != incarnation {
-                    self.counters.inc("faults.timers_dropped_stale");
+                    w.counters.inc("faults.timers_dropped_stale");
                     return;
                 }
-                self.with_node(node, |b, ctx| b.on_timer(ctx, key));
-            }
-            WorldEvent::Script(f) => f(self),
+                w.with_node(node, |b, ctx| b.on_timer(ctx, key));
+            }),
+            WorldEvent::Script(f) => self.counted(SCRIPT, None, windows, f),
         }
     }
 
-    /// Dispatch one event, counting it and (if profiling is on) timing the
-    /// handler by category.
-    fn dispatch_counted(&mut self, ev: WorldEvent) {
+    /// One receiver's copy of a transmission on `link` arrives.
+    fn arrive(&mut self, to: Attachment, link: LinkId, frame: &Frame) {
+        let Attachment { node, ifindex } = to;
+        // Skip delivery if the interface moved between transmission
+        // and arrival (the host left the link).
+        if self.nodes[node.index()].ifaces[usize::from(ifindex)].link != Some(link) {
+            self.counters.inc("world.frames_missed_due_to_move");
+            return;
+        }
+        // A link that went down mid-flight destroys the frame.
+        if !self.links[link.index()].up {
+            self.links[link.index()].stats.record_drop(frame);
+            self.counters.inc("faults.frames_dropped_link_down");
+            self.node_counters[node.index()].inc("framesDroppedByFault");
+            return;
+        }
+        // A crashed receiver hears nothing.
+        if self.nodes[node.index()].crashed {
+            self.links[link.index()].stats.record_drop(frame);
+            self.counters.inc("faults.frames_dropped_node_crashed");
+            self.node_counters[node.index()].inc("framesDroppedByFault");
+            return;
+        }
+        if let Some(probe) = self.probe.clone() {
+            probe.on_deliver(self.queue.now(), node, ifindex, link, frame);
+        }
+        self.with_node(node, |b, ctx| b.on_frame(ctx, ifindex, frame));
+    }
+
+    /// Run one event's handler: account it to the sharded plan's windows
+    /// (if any), count it and (if profiling is on) time it by category.
+    fn counted(
+        &mut self,
+        category: usize,
+        target: Option<NodeId>,
+        windows: &mut Option<WindowRecon<'_>>,
+        handler: impl FnOnce(&mut World),
+    ) {
+        if let Some(recon) = windows {
+            recon.on_event(self.queue.now(), target);
+        }
         self.events_executed += 1;
         if self.profiler.is_some() {
-            let idx = ev.category_index();
             let started = std::time::Instant::now();
-            self.dispatch(ev);
+            handler(self);
             if let Some(p) = self.profiler.as_mut() {
-                p.record(idx, started);
+                p.record(category, started);
             }
         } else {
-            self.dispatch(ev);
+            handler(self);
         }
     }
 
@@ -737,26 +784,14 @@ impl World {
         let started = std::time::Instant::now();
         let mut windows = match plan {
             ExecPlan::Sequential => None,
-            ExecPlan::Sharded { plan, workers } => Some((
-                plan,
-                WindowRecon::new(plan.n_shards() as usize, *workers, t, plan.lookahead()),
-            )),
+            ExecPlan::Sharded { plan, workers } => Some(WindowRecon::new(plan, *workers, t)),
         };
         self.start();
-        while let Some(next) = self.queue.peek_time() {
-            if next > t {
-                break;
-            }
-            let Some((_, ev)) = self.queue.pop() else {
-                break; // unreachable: peek_time just returned Some
-            };
-            if let Some((plan, recon)) = windows.as_mut() {
-                recon.on_event(next, ev.target_node().map(|n| plan.shard_of(n)));
-            }
-            self.dispatch_counted(ev);
+        while let Some((_, ev)) = self.queue.pop_due(t) {
+            self.dispatch(ev, &mut windows);
         }
         self.queue.advance_to(t);
-        let sharded = windows.map(|(_, recon)| {
+        let sharded = windows.map(|recon| {
             let mut stats = recon.finish();
             stats.wall_clock_secs = started.elapsed().as_secs_f64();
             stats
@@ -771,17 +806,19 @@ impl World {
     /// cap bounds runaway event cascades.
     pub fn run_to_quiescence(&mut self, max_events: u64) {
         self.start();
-        let mut n = 0u64;
+        let before = self.events_executed;
         while let Some((_, ev)) = self.queue.pop() {
-            self.dispatch_counted(ev);
-            n += 1;
-            assert!(n <= max_events, "exceeded {max_events} events");
+            self.dispatch(ev, &mut None);
+            assert!(
+                self.events_executed - before <= max_events,
+                "exceeded {max_events} events"
+            );
         }
     }
 
     /// Total events ever scheduled (diagnostic; used by kernel benches).
     pub fn events_scheduled(&self) -> u64 {
-        self.queue.scheduled_total()
+        self.queue.scheduled_total() + self.copies_scheduled
     }
 
     /// Transmit `frame` from `node` on `ifindex` (backend of [`Ctx::send`]).
@@ -807,15 +844,32 @@ impl World {
         let iface = &mut self.nodes[node.index()].ifaces[usize::from(ifindex)];
         let (arrival, free) = schedule_transmission(&params, now, iface.tx_free, frame.len());
         iface.tx_free = free;
-        // Iterate membership by index: behaviors cannot run (and so
-        // membership cannot change) while the copies are being scheduled,
-        // and re-indexing per member lets the loss process below borrow
-        // the link's fault state mutably without cloning the member list
-        // on every transmission — the flood path's hottest allocation.
-        let n_members = self.links[link_id.index()].members.len();
-        for mi in 0..n_members {
-            let member = self.links[link_id.index()].members[mi];
-            if member.node == node && member.ifindex == ifindex {
+        // The membership of this instant, shared by reference with every
+        // arrival event scheduled below.
+        let members = self.links[link_id.index()].snapshot();
+        let sender = Attachment { node, ifindex };
+        let broadcast = frame.l2 == crate::frame::L2Dest::Broadcast;
+        if broadcast && self.links[link_id.index()].fault.is_none() {
+            // Every copy is the same bytes at the same instant: one entry.
+            let copies = members.iter().filter(|m| **m != sender).count();
+            if copies > 0 {
+                let receivers = 0..members.len();
+                self.schedule(
+                    arrival,
+                    WorldEvent::Deliver {
+                        link: link_id,
+                        frame,
+                        members,
+                        receivers,
+                        sender,
+                    },
+                    copies,
+                );
+            }
+            return true;
+        }
+        for (mi, &member) in members.iter().enumerate() {
+            if member == sender {
                 continue;
             }
             // NIC filtering: L2-unicast frames only reach their addressee.
@@ -886,26 +940,23 @@ impl World {
                 copy.bytes = bytes;
                 copy.damaged = true;
             }
-            if let Some(dup_at) = duplicate_at {
-                self.queue.schedule(
-                    dup_at,
+            let mut to_member = |at: SimTime, frame: Frame| {
+                self.schedule(
+                    at,
                     WorldEvent::Deliver {
-                        node: member.node,
-                        ifindex: member.ifindex,
                         link: link_id,
-                        frame: frame.clone(),
+                        frame,
+                        members: members.clone(),
+                        receivers: mi..mi + 1,
+                        sender,
                     },
+                    1,
                 );
+            };
+            if let Some(dup_at) = duplicate_at {
+                to_member(dup_at, frame.clone());
             }
-            self.queue.schedule(
-                arrival,
-                WorldEvent::Deliver {
-                    node: member.node,
-                    ifindex: member.ifindex,
-                    link: link_id,
-                    frame: copy,
-                },
-            );
+            to_member(arrival, copy);
         }
         true
     }
@@ -961,13 +1012,14 @@ impl Ctx<'_> {
     pub fn set_timer_at(&mut self, at: SimTime, key: TimerKey) -> EventId {
         let node = self.node;
         let incarnation = self.world.nodes[node.index()].incarnation;
-        self.world.queue.schedule(
+        self.world.schedule(
             at,
             WorldEvent::Timer {
                 node,
                 key,
                 incarnation,
             },
+            1,
         )
     }
 
@@ -1251,6 +1303,101 @@ mod tests {
         w.run(SimTime::from_secs(3), &ExecPlan::sequential());
         assert_eq!(w.counters().get("world.frames_missed_due_to_move"), 1);
         assert!(!read(&log).iter().any(|s| s.starts_with("n1:rx")));
+    }
+
+    /// A link with a one-second flight time and `n` attached nodes, plus
+    /// one node (the last returned) attached to nothing; node 0 broadcasts
+    /// one byte at t = 1 ms, so the copies arrive just after 1 s.
+    fn slow_broadcast(log: &Log, n: usize) -> (World, LinkId, Vec<NodeId>) {
+        let mut w = World::new();
+        let l = w.add_link(LinkParams {
+            bandwidth_bps: 100_000_000,
+            delay: SimDuration::from_secs(1),
+        });
+        let nodes: Vec<NodeId> = (0..=n)
+            .map(|i| {
+                let id = w.add_node(1, Probe::new(log.clone(), false));
+                if i < n {
+                    w.attach(id, 0, l);
+                }
+                id
+            })
+            .collect();
+        w.start();
+        let sender = nodes[0];
+        w.at(SimTime::from_millis(1), move |w| {
+            w.with_node(sender, |_n, ctx| {
+                ctx.send(0, Frame::new(Bytes::from_static(b"x"), FrameClass::Other));
+            });
+        });
+        (w, l, nodes)
+    }
+
+    fn rx_count(log: &Log, node: NodeId) -> usize {
+        let prefix = format!("{node}:rx");
+        read(log).iter().filter(|s| s.starts_with(&prefix)).count()
+    }
+
+    #[test]
+    fn node_attaching_after_the_send_gets_no_copy() {
+        // The receivers of a transmission are the link's members when it
+        // was sent, not when it arrives.
+        let log = new_log();
+        let (mut w, l, nodes) = slow_broadcast(&log, 3);
+        let (gone, late) = (nodes[2], nodes[3]);
+        w.at(SimTime::from_millis(400), move |w| w.detach(gone, 0));
+        w.at(SimTime::from_millis(500), move |w| w.attach(late, 0, l));
+        w.run(SimTime::from_secs(3), &ExecPlan::sequential());
+        assert_eq!(rx_count(&log, nodes[1]), 1);
+        assert_eq!(rx_count(&log, late), 0, "attached mid-flight");
+        assert_eq!(w.counters().get("world.frames_missed_due_to_move"), 1);
+        assert_eq!(w.events_scheduled(), 2 + 3, "two copies, three scripts");
+    }
+
+    #[test]
+    fn node_reattached_before_arrival_still_gets_its_copy() {
+        let log = new_log();
+        let (mut w, l, nodes) = slow_broadcast(&log, 3);
+        let b = nodes[1];
+        w.at(SimTime::from_millis(300), move |w| w.detach(b, 0));
+        w.at(SimTime::from_millis(600), move |w| w.attach(b, 0, l));
+        w.run(SimTime::from_secs(3), &ExecPlan::sequential());
+        assert_eq!(rx_count(&log, b), 1);
+        assert_eq!(rx_count(&log, nodes[2]), 1);
+        assert_eq!(w.counters().get("world.frames_missed_due_to_move"), 0);
+    }
+
+    #[test]
+    fn receiver_crashed_mid_flight_loses_only_its_copy() {
+        let log = new_log();
+        let (mut w, l, nodes) = slow_broadcast(&log, 4);
+        let c = nodes[2];
+        w.at(SimTime::from_millis(500), move |w| w.crash_node(c));
+        w.run(SimTime::from_secs(3), &ExecPlan::sequential());
+        assert_eq!(rx_count(&log, nodes[1]), 1);
+        assert_eq!(rx_count(&log, c), 0);
+        assert_eq!(rx_count(&log, nodes[3]), 1, "later in member order");
+        assert_eq!(w.counters().get("faults.frames_dropped_node_crashed"), 1);
+        assert_eq!(w.link_stats(l).total_dropped_frames(), 1);
+        assert_eq!(w.node_counters(c).get("framesDroppedByFault"), 1);
+        assert_eq!(w.node_counters(nodes[3]).get("framesDroppedByFault"), 0);
+        assert_eq!(w.events_executed(), 2 + 3, "two scripts, three copies");
+    }
+
+    #[test]
+    fn link_downed_mid_flight_drops_every_copy() {
+        let log = new_log();
+        let (mut w, l, nodes) = slow_broadcast(&log, 4);
+        w.at(SimTime::from_millis(500), move |w| w.set_link_up(l, false));
+        w.run(SimTime::from_secs(3), &ExecPlan::sequential());
+        assert!(!read(&log).iter().any(|s| s.contains(":rx")));
+        // Counted per receiver copy, not per transmission.
+        assert_eq!(w.counters().get("faults.frames_dropped_link_down"), 3);
+        assert_eq!(w.link_stats(l).total_dropped_frames(), 3);
+        for &n in &nodes[1..4] {
+            assert_eq!(w.node_counters(n).get("framesDroppedByFault"), 1);
+        }
+        assert_eq!(w.node_counters(nodes[0]).get("framesDroppedByFault"), 0);
     }
 
     #[test]
@@ -1748,6 +1895,124 @@ mod tests {
         assert!(stats1.achievable_speedup() >= 1.0);
         // Both shards saw work: the timer fired in shard 1.
         assert!(stats1.events_per_shard.iter().all(|&n| n > 0));
+        // The schedule this world realized when every receiver copy was a
+        // queue entry of its own; windows are accounted per copy still.
+        let per_copy = ShardRunStats {
+            windows: 152,
+            barrier_syncs: 51,
+            events_per_shard: vec![100, 43],
+            events_total: 194,
+            max_window_batch: 2,
+            critical_path_events: 152,
+            ..ShardRunStats::default()
+        };
+        assert!(stats1.same_schedule(&per_copy), "{stats1:?}");
+    }
+
+    /// A fan-out entry is an encoding of its copies, not a behaviour: the
+    /// same script on fault-free links (one entry per broadcast) and on
+    /// links carrying an inert fault state (which forces one entry per
+    /// copy) must agree on everything the world reports.
+    #[test]
+    fn fan_out_entry_equals_one_entry_per_copy() {
+        use crate::fault::{LinkFault, LinkFaultState};
+        use rand::SeedableRng;
+
+        let run = |inert_fault: bool| {
+            let log = new_log();
+            let mut w = World::new();
+            // Flight time several send periods long, so transmissions overlap.
+            let lan = w.add_link(LinkParams {
+                bandwidth_bps: 8_000_000,
+                delay: SimDuration::from_millis(100),
+            });
+            let spur = w.add_link(quick_params());
+            // Five nodes on the LAN, three of which answer every ping; the
+            // fifth also sits on the spur with a sixth node behind it.
+            let n: Vec<NodeId> = [
+                (1, false),
+                (1, true),
+                (1, true),
+                (1, true),
+                (2, false),
+                (1, true),
+            ]
+            .into_iter()
+            .map(|(ifaces, reply)| w.add_node(ifaces, Probe::new(log.clone(), reply)))
+            .collect();
+            for &node in &n[..5] {
+                w.attach(node, 0, lan);
+            }
+            w.attach(n[4], 1, spur);
+            w.attach(n[5], 0, spur);
+            if inert_fault {
+                for link in [lan, spur] {
+                    let rng = rand::rngs::SmallRng::seed_from_u64(1);
+                    w.set_link_fault(link, Some(LinkFaultState::new(LinkFault::default(), rng)));
+                }
+            }
+            w.start();
+            let send = |w: &mut World, from: NodeId, ifindex: IfIndex, frame: Frame| {
+                w.with_node(from, |_n, ctx| {
+                    ctx.send(ifindex, frame);
+                });
+            };
+            // (queue_len, entries actually queued) while copies are in flight.
+            let samples = Rc::new(RefCell::new(Vec::new()));
+            for i in 0..20u64 {
+                let (talker, unicast_to, behind) = (n[0], n[2], n[4]);
+                w.at(SimTime::from_millis(i * 30), move |w| {
+                    let ping = Bytes::from_static(b"ping");
+                    send(w, talker, 0, Frame::new(ping.clone(), FrameClass::Other));
+                    send(
+                        w,
+                        talker,
+                        0,
+                        Frame::unicast(ping.clone(), FrameClass::Other, unicast_to),
+                    );
+                    send(w, behind, 1, Frame::new(ping, FrameClass::Other));
+                });
+                let samples = samples.clone();
+                w.at(SimTime::from_millis(i * 30 + 50), move |w| {
+                    samples.borrow_mut().push((w.queue_len(), w.queue.len()));
+                });
+            }
+            w.with_node(n[1], |_n, ctx| {
+                ctx.set_timer_after(SimDuration::from_millis(250), TimerKey(1));
+            });
+            // Every way a copy can die between send and arrival.
+            let (crashes, roams) = (n[3], n[5]);
+            w.at(SimTime::from_millis(200), move |w| w.crash_node(crashes));
+            w.at(SimTime::from_millis(310), move |w| {
+                w.move_iface(roams, 0, lan)
+            });
+            w.at(SimTime::from_millis(450), move |w| {
+                w.set_link_up(lan, false)
+            });
+            w.at(SimTime::from_millis(480), move |w| w.set_link_up(lan, true));
+            w.run(SimTime::from_secs(2), &ExecPlan::sequential());
+            let samples = samples.borrow().clone();
+            let fanned = samples.iter().any(|(len, entries)| len > entries);
+            assert_eq!(fanned, !inert_fault, "{samples:?}");
+            let queue_len: Vec<usize> = samples.iter().map(|s| s.0).collect();
+            (
+                read(&log),
+                format!("{:?}", w.counters()),
+                format!("{:?} {:?}", w.link_stats(lan), w.link_stats(spur)),
+                n.iter()
+                    .map(|&node| format!("{:?}", w.node_counters(node)))
+                    .collect::<Vec<_>>(),
+                (w.events_executed(), w.events_scheduled()),
+                w.queue_depth_high_water(),
+                queue_len,
+                w.queue_len(),
+            )
+        };
+
+        let fan_out = run(false);
+        assert_eq!(fan_out, run(true));
+        assert!(fan_out.0.iter().filter(|s| s.contains(":rx")).count() > 100);
+        assert_eq!(fan_out.7, 0, "no copy left pending after the run");
     }
 
     #[test]

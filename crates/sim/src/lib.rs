@@ -9,9 +9,11 @@
 //!   ([`Interner`]) and the one keyed soft-state table ([`SoftTable`])
 //!   behind the MLD, PIM-DM and binding-cache state.
 //! * [`time`] — integer virtual time ([`SimTime`], [`SimDuration`]).
-//! * [`queue`] — a cancellable, FIFO-stable event queue ([`EventQueue`]).
+//! * [`queue`] — a cancellable, FIFO-stable event queue ([`EventQueue`])
+//!   and the handle that names one scheduling ([`EventId`]).
 //! * [`wheel`] — the hierarchical timer wheel behind [`EventQueue`]
-//!   (O(1) scheduling; the heap queue remains as [`HeapEventQueue`]).
+//!   (O(1) scheduling, payloads in a slab, cancel by stamp compare; the
+//!   heap queue remains as the reference model [`HeapEventQueue`]).
 //! * [`rng`] — labelled deterministic RNG streams ([`RngFactory`]).
 //! * [`metrics`] — counters and sample series with summaries.
 //! * [`trace`] — structured, filterable simulation traces with a versioned

@@ -1,14 +1,15 @@
 //! The event queue: a cancellable priority queue over virtual time.
 //!
 //! Events at equal times are delivered in the order they were scheduled
-//! (FIFO), which makes runs fully deterministic. Cancellation is O(1) via a
-//! pending-id set; cancelled entries are skipped (and dropped) on pop.
+//! (FIFO), which makes runs fully deterministic. Cancellation is O(1);
+//! a cancelled entry is skipped (and dropped) when it surfaces.
 //!
 //! Two implementations share the API and the exact `(time, sequence)` pop
 //! order: the production [`EventQueue`] is the hierarchical timer wheel of
-//! [`crate::wheel`] (O(1) schedule/placement); [`HeapEventQueue`] is the
-//! original binary-heap queue, kept as the reference implementation for
-//! the wheel's differential tests and the kernel benchmarks.
+//! [`crate::wheel`] (O(1) schedule/placement, payloads in a slab, cancel
+//! by stamp compare); [`HeapEventQueue`] is the original binary-heap queue
+//! with a pending-id set, kept as the independent reference implementation
+//! for the wheel's differential tests and the kernel benchmarks.
 
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
@@ -17,27 +18,42 @@ use std::collections::{BinaryHeap, HashSet};
 /// The event queue used by the simulator: the timer wheel.
 pub type EventQueue<E> = crate::wheel::TimerWheel<E>;
 
-/// Handle identifying a scheduled event, usable to cancel it.
+/// Handle identifying one scheduling of an event, usable to cancel it.
+///
+/// It carries the scheduling's sequence number, which no queue ever hands
+/// out twice, so an id stays unambiguous for the life of the queue:
+/// cancelling an event that already fired or was already cancelled returns
+/// `false` and disturbs nothing, whatever has been scheduled since. (The
+/// wheel also records which slab cell held the payload; the cell may be
+/// reused, the sequence number is what is compared.)
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId(u64);
+pub struct EventId {
+    seq: u64,
+    cell: u32,
+}
 
 impl EventId {
     #[inline]
-    pub(crate) fn from_raw(seq: u64) -> EventId {
-        EventId(seq)
+    pub(crate) fn new(seq: u64, cell: u32) -> EventId {
+        EventId { seq, cell }
     }
 
     #[inline]
-    pub(crate) fn raw(self) -> u64 {
-        self.0
+    pub(crate) fn seq(self) -> u64 {
+        self.seq
+    }
+
+    #[inline]
+    pub(crate) fn cell(self) -> u32 {
+        self.cell
     }
 }
 
-/// One scheduled event, ordered by `(at, seq)` — shared by both queues.
-pub(crate) struct Entry<E> {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) payload: E,
+/// One scheduled event of the heap queue, ordered by `(at, seq)`.
+struct Entry<E> {
+    at: SimTime,
+    seq: u64,
+    payload: E,
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -109,13 +125,13 @@ impl<E> HeapEventQueue<E> {
         self.heap.push(Reverse(Entry { at, seq, payload }));
         self.pending.insert(seq);
         self.depth_high_water = self.depth_high_water.max(self.pending.len());
-        EventId(seq)
+        EventId::new(seq, 0)
     }
 
     /// Cancel a previously scheduled event. Returns `true` iff the event was
     /// still pending (and is now guaranteed not to fire).
     pub fn cancel(&mut self, id: EventId) -> bool {
-        self.pending.remove(&id.0)
+        self.pending.remove(&id.seq())
     }
 
     /// Remove and return the next event `(time, payload)`, advancing `now`.
@@ -224,7 +240,7 @@ mod tests {
     #[test]
     fn cancel_unknown_or_fired_id_is_false() {
         let mut q: EventQueue<&str> = EventQueue::new();
-        assert!(!q.cancel(EventId(42)));
+        assert!(!q.cancel(EventId::new(42, 42)));
         let a = q.schedule(t(1), "a");
         q.pop();
         assert!(!q.cancel(a), "cancelling a fired event must be a no-op");

@@ -19,6 +19,18 @@
 //! bottom heap (one slot = one tick), higher slots cascade down one level
 //! at a time.
 //!
+//! Storage: payloads live in a slab of cells (a `Vec` plus a LIFO free
+//! list) and never move once scheduled; the wheel slots and the bottom
+//! heap hold only a small `Copy` key `(at, seq, cell)`. A cell is stamped
+//! with the sequence number of the scheduling that occupies it, and an
+//! [`EventId`] names `(cell, seq)`. Sequence numbers are never reused, so
+//! both liveness tests are one integer compare: `cancel` frees the cell
+//! (dropping the payload at once) iff its stamp equals the id's, and a key
+//! reaching the top of the bottom heap is live iff its cell still carries
+//! the key's `seq`. A key whose event was cancelled simply goes stale in
+//! place and is discarded when it surfaces; a recycled cell can never be
+//! mistaken for its previous occupant.
+//!
 //! Determinism: pops are globally ordered by `(time, sequence)` — the
 //! same total order the heap produced — so replacing the queue cannot
 //! perturb a single run. The differential tests at the bottom drive both
@@ -26,15 +38,17 @@
 //! pop sequences.
 //!
 //! Invariants maintained:
-//! * every wheel entry's tick is strictly greater than `current_tick`;
-//! * every bottom-heap entry's tick is at or below `current_tick`;
+//! * every wheel key's tick is strictly greater than `current_tick`;
+//! * every bottom-heap key's tick is at or below `current_tick`;
 //! * `current_tick` only advances, and only to the base of the earliest
-//!   non-empty slot — never past a pending event.
+//!   non-empty slot — never past a pending event;
+//! * a cell is occupied iff its stamp is the `seq` of exactly one key
+//!   still held in the wheel or the bottom heap.
 
-use crate::queue::{Entry, EventId};
+use crate::queue::EventId;
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// log2 of the tick width in nanoseconds (~65.5 µs per tick).
 const TICK_BITS: u32 = 16;
@@ -51,22 +65,50 @@ fn tick_of(at: SimTime) -> u64 {
     at.as_nanos() >> TICK_BITS
 }
 
+/// What the wheel slots and the bottom heap order and move around: the
+/// pop-order key `(at, seq)` plus the slab cell holding the payload.
+/// `seq` is unique, so the derived order never reaches `cell`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    at: SimTime,
+    seq: u64,
+    cell: u32,
+}
+
+/// One slab cell: the payload of the scheduling numbered `seq`, or a free
+/// cell (`payload` is `None` and `seq` is [`FREE`]).
+struct Cell<E> {
+    seq: u64,
+    payload: Option<E>,
+}
+
+/// Stamp of a free cell; no scheduling ever carries it (`next_seq` would
+/// have to count through all of `u64` first).
+const FREE: u64 = u64::MAX;
+
 /// A deterministic, cancellable event queue over a hierarchical timer
 /// wheel. Drop-in replacement for the heap-based queue: identical API,
 /// identical pop order, identical panics.
 pub struct TimerWheel<E> {
     /// `LEVELS * SLOTS` buckets; bucket `level * SLOTS + slot` holds
-    /// entries whose tick matches `current_tick` above bit `6*(level+1)`
+    /// keys whose tick matches `current_tick` above bit `6*(level+1)`
     /// and has `slot` in bits `[6*level, 6*level+6)`.
-    slots: Vec<Vec<Entry<E>>>,
-    /// Entries with tick <= `current_tick`, ordered exactly by `(at, seq)`.
-    bottom: BinaryHeap<Reverse<Entry<E>>>,
-    /// Number of entries physically stored in `slots` (including entries
-    /// already cancelled but not yet swept out).
+    slots: Vec<Vec<Key>>,
+    /// Keys with tick <= `current_tick`, ordered exactly by `(at, seq)`.
+    bottom: BinaryHeap<Reverse<Key>>,
+    /// Payload slab, addressed by `Key::cell` / [`EventId`].
+    cells: Vec<Cell<E>>,
+    /// Free cells, reused last-freed-first.
+    free: Vec<u32>,
+    /// The buffer a cascading slot is swapped with, so a drained bucket
+    /// keeps an allocation instead of regrowing from empty.
+    spare: Vec<Key>,
+    /// Number of keys physically stored in `slots` (including keys whose
+    /// event was cancelled and that have not surfaced yet).
     in_wheel: usize,
     current_tick: u64,
-    /// Ids scheduled but neither popped nor cancelled yet.
-    pending: HashSet<u64>,
+    /// Events scheduled but neither popped nor cancelled yet.
+    live: usize,
     next_seq: u64,
     now: SimTime,
     depth_high_water: usize,
@@ -83,9 +125,12 @@ impl<E> TimerWheel<E> {
         TimerWheel {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             bottom: BinaryHeap::new(),
+            cells: Vec::new(),
+            free: Vec::new(),
+            spare: Vec::new(),
             in_wheel: 0,
             current_tick: 0,
-            pending: HashSet::new(),
+            live: 0,
             next_seq: 0,
             now: SimTime::ZERO,
             depth_high_water: 0,
@@ -98,19 +143,19 @@ impl<E> TimerWheel<E> {
         self.now
     }
 
-    /// Place an entry: at or below the current tick goes to the bottom
+    /// Place a key: at or below the current tick goes to the bottom
     /// heap (which resolves sub-tick order), the future goes in the wheel
     /// at the level of the highest differing tick bit.
-    fn place(&mut self, entry: Entry<E>) {
-        let tick = tick_of(entry.at);
+    fn place(&mut self, key: Key) {
+        let tick = tick_of(key.at);
         if tick <= self.current_tick {
-            self.bottom.push(Reverse(entry));
+            self.bottom.push(Reverse(key));
             return;
         }
         let level = ((63 - (tick ^ self.current_tick).leading_zeros()) / LEVEL_BITS) as usize;
         debug_assert!(level < LEVELS);
         let slot = ((tick >> (LEVEL_BITS * level as u32)) & SLOT_MASK) as usize;
-        self.slots[level * SLOTS + slot].push(entry);
+        self.slots[level * SLOTS + slot].push(key);
         self.in_wheel += 1;
     }
 
@@ -128,8 +173,7 @@ impl<E> TimerWheel<E> {
                 if self.slots[bucket].is_empty() {
                     continue;
                 }
-                let entries = std::mem::take(&mut self.slots[bucket]);
-                self.in_wheel -= entries.len();
+                self.in_wheel -= self.slots[bucket].len();
                 let width = LEVEL_BITS * level;
                 // Clear this level's and all lower bits, then re-apply the
                 // slot index: the least tick the slot can hold.
@@ -137,11 +181,19 @@ impl<E> TimerWheel<E> {
                 self.current_tick = base | ((slot as u64) << width);
                 if level == 0 {
                     // One level-0 slot = exactly one tick.
-                    self.bottom.extend(entries.into_iter().map(Reverse));
+                    self.bottom
+                        .extend(self.slots[bucket].drain(..).map(Reverse));
                 } else {
-                    for e in entries {
-                        self.place(e);
+                    // Every key lands strictly below `level`, never back
+                    // in this bucket, so the bucket can hold the spare
+                    // buffer while its keys are re-placed.
+                    let mut keys = std::mem::take(&mut self.spare);
+                    std::mem::swap(&mut keys, &mut self.slots[bucket]);
+                    for &key in &keys {
+                        self.place(key);
                     }
+                    keys.clear();
+                    self.spare = keys;
                 }
                 return true;
             }
@@ -149,18 +201,18 @@ impl<E> TimerWheel<E> {
         unreachable!("in_wheel > 0 but every slot above current_tick is empty");
     }
 
-    /// Make the globally earliest live entry (if any) the bottom-heap top.
-    /// Returns `false` when no live entries remain anywhere.
-    fn settle_bottom(&mut self) -> bool {
+    /// Make the globally earliest live key (if any) the bottom-heap top
+    /// and return it. Returns `None` when no live events remain anywhere.
+    fn settle(&mut self) -> Option<Key> {
         loop {
-            while let Some(Reverse(entry)) = self.bottom.peek() {
-                if self.pending.contains(&entry.seq) {
-                    return true;
+            while let Some(&Reverse(key)) = self.bottom.peek() {
+                if self.cells[key.cell as usize].seq == key.seq {
+                    return Some(key);
                 }
-                self.bottom.pop(); // drop cancelled
+                self.bottom.pop(); // stale: its event was cancelled
             }
             if !self.pull_next_slot() {
-                return false;
+                return None;
             }
         }
     }
@@ -177,47 +229,82 @@ impl<E> TimerWheel<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
-        self.depth_high_water = self.depth_high_water.max(self.pending.len());
-        self.place(Entry { at, seq, payload });
-        EventId::from_raw(seq)
+        let occupant = Cell {
+            seq,
+            payload: Some(payload),
+        };
+        let cell = match self.free.pop() {
+            Some(cell) => {
+                self.cells[cell as usize] = occupant;
+                cell
+            }
+            None => {
+                let cell = u32::try_from(self.cells.len()).expect("more than 2^32 live events");
+                self.cells.push(occupant);
+                cell
+            }
+        };
+        self.live += 1;
+        self.depth_high_water = self.depth_high_water.max(self.live);
+        self.place(Key { at, seq, cell });
+        EventId::new(seq, cell)
+    }
+
+    /// Free an occupied cell and hand back its payload.
+    fn release(&mut self, cell: u32) -> Option<E> {
+        let slot = &mut self.cells[cell as usize];
+        slot.seq = FREE;
+        self.free.push(cell);
+        self.live -= 1;
+        slot.payload.take()
     }
 
     /// Cancel a previously scheduled event. Returns `true` iff the event was
-    /// still pending (and is now guaranteed not to fire).
+    /// still pending (and is now guaranteed not to fire). An id whose event
+    /// already fired or was already cancelled is refused even when its cell
+    /// has since been reused: the cell's stamp is the occupant's `seq`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        self.pending.remove(&id.raw())
+        match self.cells.get(id.cell() as usize) {
+            Some(cell) if cell.seq == id.seq() => {
+                self.release(id.cell());
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Remove and return the next event `(time, payload)` if it is due at
+    /// or before `limit`, advancing `now` to it.
+    pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        let key = self.settle()?;
+        if key.at > limit {
+            return None;
+        }
+        self.bottom.pop();
+        debug_assert!(key.at >= self.now);
+        self.now = key.at;
+        let payload = self.release(key.cell).expect("live cell holds a payload");
+        Some((key.at, payload))
     }
 
     /// Remove and return the next event `(time, payload)`, advancing `now`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if !self.settle_bottom() {
-            return None;
-        }
-        let Reverse(entry) = self.bottom.pop().expect("settled bottom is non-empty");
-        let removed = self.pending.remove(&entry.seq);
-        debug_assert!(removed, "settled top must be live");
-        debug_assert!(entry.at >= self.now);
-        self.now = entry.at;
-        Some((entry.at, entry.payload))
+        self.pop_due(SimTime::MAX)
     }
 
     /// Timestamp of the next pending event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        if !self.settle_bottom() {
-            return None;
-        }
-        self.bottom.peek().map(|Reverse(e)| e.at)
+        self.settle().map(|key| key.at)
     }
 
     /// True when no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.live == 0
     }
 
     /// Number of live (scheduled, not fired, not cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Total number of events ever scheduled (diagnostic).
@@ -254,6 +341,8 @@ mod tests {
     use crate::time::SimDuration;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -345,19 +434,50 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    /// A payload that counts its own drops, so the slab can be checked for
+    /// leaks and double drops.
+    struct Counted {
+        n: usize,
+        drops: Rc<RefCell<Vec<u32>>>,
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops.borrow_mut()[self.n] += 1;
+        }
+    }
+
     /// The differential harness: the wheel and the reference heap queue
     /// process an identical randomized schedule/cancel/pop/advance script
-    /// and must emit identical pop sequences and identical diagnostics.
+    /// and must emit identical pop sequences and identical diagnostics
+    /// after every operation. Cancels aim at every id ever handed out —
+    /// live, already fired, already cancelled — so stale ids keep hitting
+    /// cells the LIFO free list has since given to a new event; had one of
+    /// them killed the new occupant, the pop sequences would part. Each
+    /// payload must be dropped exactly once, however it left the wheel.
     #[test]
     fn differential_against_heap_queue() {
         for seed in 0..8u64 {
             let mut rng = SmallRng::seed_from_u64(diff_seed(seed));
-            let mut wheel: TimerWheel<u64> = TimerWheel::new();
-            let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
-            let mut live: Vec<(EventId, EventId)> = Vec::new();
-            let mut payload = 0u64;
+            let drops = Rc::new(RefCell::new(Vec::new()));
+            let mut wheel: TimerWheel<Counted> = TimerWheel::new();
+            let mut heap: HeapEventQueue<usize> = HeapEventQueue::new();
+            // Per payload number: both ids and whether the event is live.
+            let mut ids: Vec<(EventId, EventId, bool)> = Vec::new();
+            let mut stale_cancels = 0u32;
+            let pop_both = |wheel: &mut TimerWheel<Counted>,
+                            heap: &mut HeapEventQueue<usize>,
+                            ids: &mut Vec<(EventId, EventId, bool)>| {
+                let got = wheel.pop().map(|(at, p)| (at, p.n));
+                assert_eq!(got, heap.pop());
+                assert_eq!(wheel.now(), heap.now());
+                if let Some((_, n)) = got {
+                    ids[n].2 = false;
+                }
+                got.is_some()
+            };
             for _ in 0..4000 {
-                match rng.random_range(0..10u32) {
+                match rng.random_range(0..11u32) {
                     // Schedule with a mix of horizons: sub-tick, sub-ms,
                     // seconds, minutes — every level gets traffic.
                     0..=5 => {
@@ -369,20 +489,25 @@ mod tests {
                         };
                         let at =
                             SimTime::from_nanos(wheel.now().as_nanos().saturating_add(horizon));
-                        payload += 1;
-                        let iw = wheel.schedule(at, payload);
-                        let ih = heap.schedule(at, payload);
-                        live.push((iw, ih));
+                        let n = ids.len();
+                        drops.borrow_mut().push(0);
+                        let payload = Counted {
+                            n,
+                            drops: drops.clone(),
+                        };
+                        ids.push((wheel.schedule(at, payload), heap.schedule(at, n), true));
                     }
                     6..=7 => {
-                        assert_eq!(wheel.pop(), heap.pop());
-                        assert_eq!(wheel.now(), heap.now());
+                        pop_both(&mut wheel, &mut heap, &mut ids);
                     }
-                    8 => {
-                        if !live.is_empty() {
-                            let k = rng.random_range(0..live.len());
-                            let (iw, ih) = live.swap_remove(k);
-                            assert_eq!(wheel.cancel(iw), heap.cancel(ih));
+                    8..=9 => {
+                        if !ids.is_empty() {
+                            let pick = rng.random_range(0..ids.len());
+                            let (iw, ih, live) = &mut ids[pick];
+                            assert_eq!(wheel.cancel(*iw), *live);
+                            assert_eq!(heap.cancel(*ih), *live);
+                            stale_cancels += u32::from(!*live);
+                            *live = false;
                         }
                     }
                     _ => {
@@ -400,18 +525,96 @@ mod tests {
                 }
                 assert_eq!(wheel.len(), heap.len());
                 assert_eq!(wheel.is_empty(), heap.is_empty());
+                assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
+                assert_eq!(wheel.depth_high_water(), heap.depth_high_water());
+                assert_eq!(wheel.len(), ids.iter().filter(|id| id.2).count());
             }
-            // Drain both completely.
-            loop {
-                let (a, b) = (wheel.pop(), heap.pop());
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
+            assert!(stale_cancels > 100, "script must exercise stale ids");
+            assert_eq!(
+                wheel.cells.len(),
+                wheel.depth_high_water(),
+                "freed cells are reused before the slab grows"
+            );
+            assert!(wheel.cells.len() < ids.len());
+            // Drain the first half of what is left, drop the wheel with
+            // the rest still queued.
+            for _ in 0..wheel.len() / 2 {
+                assert!(pop_both(&mut wheel, &mut heap, &mut ids));
             }
-            assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
-            assert_eq!(wheel.depth_high_water(), heap.depth_high_water());
+            assert!(!wheel.is_empty());
+            drop(wheel);
+            assert!(
+                drops.borrow().iter().all(|&d| d == 1),
+                "every payload dropped exactly once: {:?}",
+                drops.borrow()
+            );
         }
+    }
+
+    /// An id whose event fired or was cancelled stays dead after its cell
+    /// is handed to a new event: cancelling it is refused and the new
+    /// occupant still pops.
+    #[test]
+    fn stale_id_cannot_cancel_recycled_cell() {
+        let mut q = TimerWheel::new();
+        let fired = q.schedule(t(1), "fired");
+        assert_eq!(q.pop(), Some((t(1), "fired")));
+        let cancelled = q.schedule(t(2), "cancelled");
+        assert_eq!(
+            cancelled.cell(),
+            fired.cell(),
+            "LIFO free list reuses the cell"
+        );
+        assert!(q.cancel(cancelled));
+        let occupant = q.schedule(t(3), "occupant");
+        assert_eq!(occupant.cell(), fired.cell());
+        assert!(!q.cancel(fired), "cancel after fire");
+        assert!(!q.cancel(cancelled), "double cancel");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((t(3), "occupant")));
+        assert!(!q.cancel(occupant), "cancel after fire");
+        assert_eq!(q.pop(), None);
+    }
+
+    /// Timer churn: one cell recycled thousands of times while a standing
+    /// event waits. Every superseded id is refused, the stale keys left in
+    /// the wheel are skipped, and the slab does not grow.
+    #[test]
+    fn cancel_schedule_churn_recycles_one_cell() {
+        let mut q = TimerWheel::new();
+        q.schedule(t(500), u32::MAX);
+        let mut prev: Option<EventId> = None;
+        for i in 0..5000u32 {
+            let id = q.schedule(t(1 + u64::from(i % 300)), i);
+            if let Some(prev) = prev {
+                assert!(!q.cancel(prev), "superseded id {i}");
+            }
+            assert_eq!(q.len(), 2);
+            if i < 4999 {
+                assert!(q.cancel(id));
+                prev = Some(id);
+            }
+        }
+        assert_eq!(q.cells.len(), 2, "one standing cell, one recycled cell");
+        assert_eq!(q.depth_high_water(), 2);
+        assert_eq!(q.scheduled_total(), 5001);
+        assert_eq!(q.pop(), Some((t(1 + 4999 % 300), 4999)));
+        assert_eq!(q.pop(), Some((t(500), u32::MAX)));
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+    }
+
+    /// `pop_due` leaves an event later than the limit queued and the
+    /// clock untouched.
+    #[test]
+    fn pop_due_stops_at_the_limit() {
+        let mut q = TimerWheel::new();
+        q.schedule(t(1), "a");
+        q.schedule(t(3), "b");
+        assert_eq!(q.pop_due(t(2)), Some((t(1), "a")));
+        assert_eq!(q.pop_due(t(2)), None);
+        assert_eq!((q.now(), q.len()), (t(1), 1));
+        assert_eq!(q.pop_due(t(3)), Some((t(3), "b")));
     }
 
     /// Domain-separate the differential seeds from other tests.
