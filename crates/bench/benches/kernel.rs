@@ -1,7 +1,8 @@
 //! Criterion benchmarks for the simulation kernel: event queue throughput
 //! (timer wheel vs the reference binary heap), link transmit + arrival
-//! fan-out, deterministic RNG streams and the routers' forwarding-table
-//! lookup. These guard the substrate every experiment is built on.
+//! fan-out, deterministic RNG streams, the routers' forwarding-table
+//! lookup and counter bumps by name and by handle. These guard the
+//! substrate every experiment is built on.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -11,7 +12,7 @@ use mobicast_net::{
     Ctx, Frame, FrameClass, IfIndex, LinkFault, LinkFaultState, LinkId, LinkParams, NodeBehavior,
     NodeId, TimerKey, World,
 };
-use mobicast_sim::{EventQueue, HeapEventQueue, RngFactory, SimTime};
+use mobicast_sim::{Counter, Counters, EventQueue, HeapEventQueue, RngFactory, SimTime};
 use rand::RngCore;
 use std::any::Any;
 use std::hint::black_box;
@@ -229,6 +230,50 @@ fn bench_route_lookup(c: &mut Criterion) {
     group.finish();
 }
 
+/// One bump of each counter a run's recorder holds, by name (what every
+/// bump was) and by handle (what the frame path does now). The key set is
+/// a real one — whatever a roaming Figure-1 run touches — because a name
+/// lookup costs by how many names there are and how long their common
+/// prefixes run, which one hot key hides.
+fn bench_counters(c: &mut Criterion) {
+    use mobicast_core::scenario::{self, PaperHost, ScenarioConfig};
+    let cfg = ScenarioConfig::builder()
+        .duration_secs(120)
+        .policy(mobicast_core::Policy::BIDIRECTIONAL_TUNNEL)
+        .move_at(30.0, PaperHost::R3, 6)
+        .move_at(60.0, PaperHost::S, 6)
+        .build();
+    let report = scenario::run(&cfg).report;
+    let names: Vec<&'static str> = report
+        .counters
+        .iter()
+        .map(|(name, _)| &*name.to_owned().leak())
+        .collect();
+    let handles: Vec<&'static Counter> = names
+        .iter()
+        .map(|name| &*Box::leak(Box::new(Counter::new(name))))
+        .collect();
+    let mut group = c.benchmark_group("counters");
+    group.throughput(Throughput::Elements(names.len() as u64));
+    let mut set = Counters::new();
+    group.bench_function(format!("by_name_{}", names.len()), |b| {
+        b.iter(|| {
+            for name in &names {
+                set.add(black_box(name), 1);
+            }
+        });
+    });
+    group.bench_function(format!("by_handle_{}", names.len()), |b| {
+        b.iter(|| {
+            for handle in &handles {
+                set.bump(black_box(handle), 1);
+            }
+        });
+    });
+    group.finish();
+    assert_eq!(set.iter().count(), names.len(), "one storage, two doors");
+}
+
 criterion_group!(
     benches,
     bench_event_queue,
@@ -236,6 +281,7 @@ criterion_group!(
     bench_cancellation,
     bench_link_transmit,
     bench_rng_streams,
-    bench_route_lookup
+    bench_route_lookup,
+    bench_counters
 );
 criterion_main!(benches);

@@ -1,13 +1,16 @@
 //! Criterion benchmarks for the wire codecs: IPv6 packets with extension
 //! headers (copying and zero-copy decode), ICMPv6/MLD with checksums, PIM
-//! messages, tunneling, the per-emission data-stream probe, and the
-//! Figure-5 Multicast Group List Sub-Option.
+//! messages, tunneling, the per-emission data-stream probe, the per-frame
+//! parse memo (first ask vs every later one), and the Figure-5 Multicast
+//! Group List Sub-Option.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mobicast_core::netplan::extract_data_info;
+use mobicast_core::netplan::{extract_data_info, frame_for};
+use mobicast_core::parsed::parsed;
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_ipv6::exthdr::{BindingUpdate, SubOption, BU_FLAG_ACK, BU_FLAG_HOME};
+use mobicast_ipv6::icmpv6::AdvertisedPrefix;
 use mobicast_ipv6::packet::{proto, Packet};
 use mobicast_ipv6::udp::UdpDatagram;
 use mobicast_ipv6::{encapsulate, Icmpv6};
@@ -57,6 +60,54 @@ fn bench_extract_data_info(c: &mut Criterion) {
         assert!(extract_data_info(packet).is_some());
         group.bench_function(label, |b| {
             b.iter(|| black_box(extract_data_info(black_box(packet))));
+        });
+    }
+    group.finish();
+}
+
+/// What one transmission costs to parse — packet, upper layer and data
+/// probe, as the emitter, the oracle and the receivers between them ask —
+/// the first time (`first`: a frame nobody has asked yet) and every time
+/// after (`reuse`: the filled memo), for the four frames that make up
+/// nearly all traffic.
+fn bench_frame_parse(c: &mut Criterion) {
+    let (ll, all_nodes) = (a("fe80::1"), mobicast_ipv6::addr::ALL_NODES);
+    let ra = Icmpv6::RouterAdvert {
+        router_lifetime_secs: 1800,
+        prefixes: vec![AdvertisedPrefix {
+            prefix: "2001:db8:4::/64".parse().unwrap(),
+            autonomous: true,
+            valid_lifetime_secs: 86_400,
+            preferred_lifetime_secs: 14_400,
+        }],
+    };
+    let ra = Packet::new(ll, all_nodes, proto::ICMPV6, ra.encode(ll, all_nodes));
+    let all_pim = mobicast_ipv6::addr::ALL_PIM_ROUTERS;
+    let hello = PimMessage::Hello {
+        holdtime: mobicast_sim::SimDuration::from_secs(105),
+    };
+    let hello = Packet::new(ll, all_pim, proto::PIM, hello.encode(ll, all_pim));
+    let native = data_packet(256);
+    let tunnelled = encapsulate(a("2001:db8:6::1"), a("2001:db8:4::1"), &native);
+    let ask = |frame: &mobicast_net::Frame| {
+        let layers = parsed(frame).unwrap();
+        black_box((layers.upper(), layers.data()));
+    };
+    let mut group = c.benchmark_group("frame_parse");
+    for (label, packet) in [
+        ("ra", &ra),
+        ("pim_hello", &hello),
+        ("native_data", &native),
+        ("tunnelled_data", &tunnelled),
+    ] {
+        let frame = frame_for(packet, None);
+        group.bench_function(format!("first/{label}"), |b| {
+            // `with_bytes` hands back the frame with an empty memo.
+            b.iter(|| ask(&frame.clone().with_bytes(frame.bytes().clone())));
+        });
+        ask(&frame);
+        group.bench_function(format!("reuse/{label}"), |b| {
+            b.iter(|| ask(black_box(&frame)));
         });
     }
     group.finish();
@@ -133,6 +184,7 @@ criterion_group!(
     benches,
     bench_packet_codec,
     bench_extract_data_info,
+    bench_frame_parse,
     bench_tunnel,
     bench_mld_message,
     bench_pim_message,

@@ -3,8 +3,9 @@
 //! [`Policy`] — one of the paper's four approaches or a registered
 //! extension such as the hierarchical proxy.
 
-use crate::netplan::{self, frame_for, DataPayload, SharedDirectory, MCAST_UDP_PORT};
+use crate::netplan::{frame_for, DataPayload, SharedDirectory, MCAST_UDP_PORT};
 use crate::observability::{trace_span_close, trace_span_open};
+use crate::parsed::{frame_data, parsed, Upper};
 use crate::recorder::{packet_id, DataEvent, Delivery, MoveEvent, PacketMeta, SharedRecorder};
 use crate::strategy::{MoveAction, MoveContext, Policy, RecvPath, SendPath};
 use mobicast_ipv6::addr::{self, GroupAddr};
@@ -15,7 +16,10 @@ use mobicast_ipv6::udp::UdpDatagram;
 use mobicast_mipv6::{packets as mip_packets, MnOutput, MobileNode};
 use mobicast_mld::{HostOutput, MldConfig, MldHostPort, MldMessage};
 use mobicast_net::{Ctx, Frame, IfIndex, LinkId, NodeBehavior, NodeId, TimerKey};
-use mobicast_sim::{Counters, EventId, RngFactory, SimDuration, SimTime, SpanId, TraceCategory};
+use mobicast_sim::{
+    bump, counter, Counters, EventId, RngFactory, SimDuration, SimTime, SpanId, Stage,
+    TraceCategory,
+};
 use std::any::Any;
 use std::collections::{BTreeSet, HashSet};
 use std::net::Ipv6Addr;
@@ -208,9 +212,11 @@ impl HostNode {
     }
 
     fn emit(&self, ctx: &mut Ctx<'_>, packet: &Packet, l2_to: Option<NodeId>) {
+        let outer = ctx.stage(Stage::Emit);
         let mut frame = frame_for(packet, l2_to);
-        if let Some(info) = netplan::extract_data_info(packet) {
+        if let Some(info) = ctx.in_stage(Stage::Parse, || frame_data(&frame)) {
             if let Some(link) = ctx.link_on(0) {
+                ctx.stage(Stage::Account);
                 let id = self.recorder.next_tag(self.id);
                 frame.tag = id;
                 self.recorder.record_data(DataEvent {
@@ -222,9 +228,11 @@ impl HostNode {
                     size: frame.len() as u32,
                     tunneled: info.tunnel_depth > 0,
                 });
+                ctx.stage(Stage::Emit);
             }
         }
         ctx.send(0, frame);
+        ctx.stage(outer);
     }
 
     fn emit_mld(&mut self, ctx: &mut Ctx<'_>, outs: Vec<HostOutput>) {
@@ -235,11 +243,13 @@ impl HostNode {
             let packet = Packet::new(self.ll_addr, dst, proto::ICMPV6, body)
                 .with_hop_limit(1)
                 .with_ext(ExtHeader::HopByHop(vec![Option6::RouterAlert(0)]));
-            self.recorder.count("host.mld_reports_sent", 1);
-            self.mib.inc(match msg {
-                MldMessage::Query { .. } => "mldOutQueries",
-                MldMessage::Report { .. } => "mldOutReports",
-                MldMessage::Done { .. } => "mldOutDones",
+            ctx.in_stage(Stage::Account, || {
+                bump!(self.recorder, "host.mld_reports_sent");
+                match msg {
+                    MldMessage::Query { .. } => bump!(self.mib, "mldOutQueries"),
+                    MldMessage::Report { .. } => bump!(self.mib, "mldOutReports"),
+                    MldMessage::Done { .. } => bump!(self.mib, "mldOutDones"),
+                }
             });
             self.emit(ctx, &packet, None);
         }
@@ -259,8 +269,10 @@ impl HostNode {
                 self.home_addr,
                 binding_update,
             );
-            self.recorder.count("host.binding_updates_sent", 1);
-            self.mib.inc("buSent");
+            ctx.in_stage(Stage::Account, || {
+                bump!(self.recorder, "host.binding_updates_sent");
+                bump!(self.mib, "buSent");
+            });
             ctx.trace_event(TraceCategory::MobileIp, "bu_tx", || {
                 vec![
                     ("home_agent", home_agent.into()),
@@ -287,9 +299,11 @@ impl HostNode {
                 }
             }
         }
-        self.mib
-            .record_max("buPendingHighWater", self.mn.pending_bu_depth() as u64);
-        self.mib.record_max("buReplaced", self.mn.bu_replaced());
+        let (pending, replaced) = (self.mn.pending_bu_depth() as u64, self.mn.bu_replaced());
+        ctx.in_stage(Stage::Account, || {
+            self.mib.raise(counter!("buPendingHighWater"), pending);
+            self.mib.raise(counter!("buReplaced"), replaced);
+        });
         self.arm_mn(ctx);
     }
 
@@ -297,8 +311,8 @@ impl HostNode {
         let body = Icmpv6::RouterSolicit.encode(self.ll_addr, addr::ALL_ROUTERS);
         let packet =
             Packet::new(self.ll_addr, addr::ALL_ROUTERS, proto::ICMPV6, body).with_hop_limit(255);
-        self.recorder.count("host.rs_sent", 1);
-        self.mib.inc("rsSent");
+        bump!(self.recorder, "host.rs_sent");
+        bump!(self.mib, "rsSent");
         self.emit(ctx, &packet, None);
     }
 
@@ -422,6 +436,7 @@ impl HostNode {
             return;
         }
         let now = ctx.now();
+        let outer = ctx.stage(Stage::Account);
         // Per-flow delivery gap: silence between consecutive deliveries
         // outside a handoff episode (inside one, the `interruption` span
         // already measures it) becomes a closed `delivery_gap` span.
@@ -465,7 +480,7 @@ impl HostNode {
         let first = self.receiver.seen.insert(payload.pkt);
         if first {
             self.receiver.received += 1;
-            self.mib.inc("dataReceived");
+            bump!(self.mib, "dataReceived");
             let delay = now.as_nanos().saturating_sub(payload.sent_nanos);
             self.recorder.sample("e2e_delay", delay as f64 / 1e9);
             if let Some(attached) = self.receiver.attach_pending.take() {
@@ -477,7 +492,7 @@ impl HostNode {
             }
         } else {
             self.receiver.duplicates += 1;
-            self.mib.inc("dataDuplicates");
+            bump!(self.mib, "dataDuplicates");
         }
         self.recorder.record_delivery(Delivery {
             pkt: payload.pkt,
@@ -487,6 +502,7 @@ impl HostNode {
             first,
             via,
         });
+        ctx.stage(outer);
     }
 
     fn send_data(&mut self, ctx: &mut Ctx<'_>, app: SenderApp) {
@@ -516,8 +532,8 @@ impl HostNode {
                 let inner = Packet::new(inner_src, app.group.addr(), proto::UDP, body);
                 let coa = self.mn.current_address();
                 let outer = tunnel::encapsulate(coa, self.mn.home_agent(), &inner);
-                self.recorder.count("host.data_tunnel_encap", 1);
-                self.mib.inc("tunnelEncaps");
+                bump!(self.recorder, "host.data_tunnel_encap");
+                bump!(self.mib, "tunnelEncaps");
                 ctx.trace_event(TraceCategory::MobileIp, "tunnel_encap", || {
                     vec![
                         ("dst", self.mn.home_agent().into()),
@@ -535,16 +551,18 @@ impl HostNode {
                     false,
                 )
             };
-        self.recorder.record_packet(PacketMeta {
-            pkt,
-            group: app.group,
-            sender: self.id,
-            sent_at: now,
-            origin_link: link,
-            src_addr: src_used,
+        ctx.in_stage(Stage::Account, || {
+            self.recorder.record_packet(PacketMeta {
+                pkt,
+                group: app.group,
+                sender: self.id,
+                sent_at: now,
+                origin_link: link,
+                src_addr: src_used,
+            });
+            bump!(self.recorder, "host.data_sent");
+            bump!(self.mib, "dataSent");
         });
-        self.recorder.count("host.data_sent", 1);
-        self.mib.inc("dataSent");
         let l2 = if tunneled {
             self.default_router()
         } else {
@@ -596,28 +614,33 @@ impl NodeBehavior for HostNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, _ifx: IfIndex, frame: &Frame) {
-        let packet = match Packet::decode_shared(&frame.bytes) {
-            Ok(p) => p,
+        ctx.stage(Stage::Parse);
+        let malformed = |ctx: &Ctx<'_>, layer: &'static str, err: &mobicast_ipv6::DecodeError| {
+            ctx.trace_event(TraceCategory::Fault, "malformed", || {
+                vec![
+                    ("layer", layer.into()),
+                    ("class", frame.class.name().into()),
+                    ("len", frame.len().into()),
+                    ("error", err.to_string().into()),
+                ]
+            });
+        };
+        let layers = match parsed(frame) {
+            Ok(layers) => layers,
             Err(err) => {
-                self.recorder.count("host.decode_errors", 1);
-                self.mib.inc("framesMalformed");
-                ctx.trace_event(TraceCategory::Fault, "malformed", || {
-                    vec![
-                        ("layer", "ipv6".into()),
-                        ("class", frame.class.name().into()),
-                        ("len", frame.bytes.len().into()),
-                        ("error", err.to_string().into()),
-                    ]
-                });
+                bump!(self.recorder, "host.decode_errors");
+                bump!(self.mib, "framesMalformed");
+                malformed(ctx, "ipv6", err);
                 return;
             }
         };
+        let packet = layers.packet();
         // RFC 8200 §4.2: hosts too must discard packets carrying an
         // unrecognized option with discard semantics. Hosts drop silently
         // (the simulator's routers own the Parameter Problem reporting).
-        if let Some((_, pointer)) = packet.unknown_option_problem() {
-            self.recorder.count("host.unknown_option_drops", 1);
-            self.mib.inc("unknownOptionDrops");
+        if let Some((_, pointer)) = layers.unknown_option_problem() {
+            bump!(self.recorder, "host.unknown_option_drops");
+            bump!(self.mib, "unknownOptionDrops");
             ctx.trace_event(TraceCategory::Fault, "unknown_option", || {
                 vec![
                     ("src", packet.src.into()),
@@ -629,55 +652,46 @@ impl NodeBehavior for HostNode {
         // Mobility signalling is authenticated end-to-end (draft-10 §4.4):
         // a damaged Binding Ack must not clear or corrupt the pending-BU
         // state, so it is discarded like its router-side counterpart.
-        if frame.damaged
-            && (mip_packets::parse_binding_ack(&packet).is_some()
-                || mip_packets::parse_binding_update(&packet).is_some())
-        {
-            self.recorder.count("host.bu_auth_failed", 1);
-            self.mib.inc("buAuthFailures");
+        if frame.damaged && layers.is_binding_signalling() {
+            bump!(self.recorder, "host.bu_auth_failed");
+            bump!(self.mib, "buAuthFailures");
             ctx.trace_event(TraceCategory::MobileIp, "bu_auth_failed", || {
                 vec![("src", packet.src.into()), ("dst", packet.dst.into())]
             });
             return;
         }
         let now = ctx.now();
-        match packet.payload_proto {
-            proto::ICMPV6 => {
-                let icmp = match Icmpv6::decode(packet.src, packet.dst, &packet.payload) {
+        match layers.upper() {
+            Upper::Icmpv6(icmp) => {
+                let icmp = match icmp {
                     Ok(i) => i,
                     Err(err) => {
-                        self.recorder.count("host.icmp_decode_errors", 1);
-                        self.mib.inc("framesMalformed");
-                        ctx.trace_event(TraceCategory::Fault, "malformed", || {
-                            vec![
-                                ("layer", "icmpv6".into()),
-                                ("class", frame.class.name().into()),
-                                ("len", frame.bytes.len().into()),
-                                ("error", err.to_string().into()),
-                            ]
-                        });
+                        bump!(self.recorder, "host.icmp_decode_errors");
+                        bump!(self.mib, "framesMalformed");
+                        malformed(ctx, "icmpv6", err);
                         return;
                     }
                 };
+                ctx.stage(Stage::Protocol);
                 match icmp {
-                    Icmpv6::RouterAdvert { ref prefixes, .. } => {
+                    Icmpv6::RouterAdvert { prefixes, .. } => {
                         if let Some(p) = prefixes.first() {
                             let outs = self.mn.on_router_advert(p.prefix, now);
                             self.emit_mn(ctx, outs);
                         }
                     }
                     _ => {
-                        if let Some(msg) = MldMessage::from_icmp(&icmp) {
+                        if let Some(msg) = MldMessage::from_icmp(icmp) {
                             match msg {
                                 MldMessage::Query {
                                     max_response_delay,
                                     group,
                                 } => {
-                                    self.mib.inc("mldInQueries");
+                                    bump!(self.mib, "mldInQueries");
                                     self.mld.on_query(group, max_response_delay, now);
                                 }
                                 MldMessage::Report { group } => {
-                                    self.mib.inc("mldInReports");
+                                    bump!(self.mib, "mldInReports");
                                     self.mld.on_report_heard(group);
                                 }
                                 MldMessage::Done { .. } => {}
@@ -687,16 +701,16 @@ impl NodeBehavior for HostNode {
                     }
                 }
             }
-            proto::IPV6 => {
+            Upper::Tunnel(inner) => {
                 // Tunnelled traffic from the home agent.
                 if packet.dst != self.mn.current_address() && packet.dst != self.home_addr {
                     return;
                 }
-                let inner = match tunnel::decapsulate(&packet) {
+                let inner = match inner {
                     Ok(inner) => inner,
                     Err(err) => {
-                        self.recorder.count("host.decap_errors", 1);
-                        self.mib.inc("framesMalformed");
+                        bump!(self.recorder, "host.decap_errors");
+                        bump!(self.mib, "framesMalformed");
                         ctx.trace_event(TraceCategory::Fault, "malformed", || {
                             vec![
                                 ("layer", "tunnel".into()),
@@ -707,8 +721,10 @@ impl NodeBehavior for HostNode {
                         return;
                     }
                 };
-                self.recorder.count("host.data_tunnel_decap", 1);
-                self.mib.inc("tunnelDecaps");
+                ctx.in_stage(Stage::Account, || {
+                    bump!(self.recorder, "host.data_tunnel_decap");
+                    bump!(self.mib, "tunnelDecaps");
+                });
                 ctx.trace_event(TraceCategory::MobileIp, "tunnel_decap", || {
                     vec![
                         ("outer_src", packet.src.into()),
@@ -717,14 +733,15 @@ impl NodeBehavior for HostNode {
                     ]
                 });
                 if let Some(g) = GroupAddr::try_new(inner.dst) {
-                    if let Some(info) = netplan::extract_data_info(&packet) {
+                    if let Some(info) = layers.data() {
+                        ctx.stage(Stage::Protocol);
                         if self.subscribed.contains(&g) {
                             self.deliver(ctx, info.payload, g, frame.tag, true);
                         }
                     }
                 }
             }
-            proto::UDP if packet.is_multicast() => {
+            Upper::Opaque if packet.payload_proto == proto::UDP && packet.is_multicast() => {
                 // Native multicast data: accepted only where we joined via
                 // MLD (models NIC multicast filtering).
                 let Some(g) = GroupAddr::try_new(packet.dst) else {
@@ -733,17 +750,22 @@ impl NodeBehavior for HostNode {
                 if !self.mld.is_joined(g) {
                     return;
                 }
-                if let Some(info) = netplan::extract_data_info(&packet) {
+                if let Some(info) = layers.data() {
+                    ctx.stage(Stage::Protocol);
                     self.deliver(ctx, info.payload, g, frame.tag, false);
                 }
             }
             // Binding acknowledgements.
-            proto::NONE
-                if packet.dst == self.mn.current_address() || packet.dst == self.home_addr =>
+            Upper::Opaque
+                if packet.payload_proto == proto::NONE
+                    && (packet.dst == self.mn.current_address()
+                        || packet.dst == self.home_addr) =>
             {
-                if let Some(ack) = mip_packets::parse_binding_ack(&packet) {
-                    self.recorder.count("host.binding_acks_rx", 1);
-                    self.mib.inc("buAcksRx");
+                if let Some(ack) = layers.binding_ack() {
+                    ctx.stage(Stage::Account);
+                    bump!(self.recorder, "host.binding_acks_rx");
+                    bump!(self.mib, "buAcksRx");
+                    ctx.stage(Stage::Protocol);
                     ctx.trace_event(TraceCategory::MobileIp, "back_rx", || {
                         vec![
                             ("from", packet.src.into()),
@@ -766,6 +788,7 @@ impl NodeBehavior for HostNode {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, key: TimerKey) {
         let now = ctx.now();
+        ctx.stage(Stage::Protocol);
         match key.0 {
             TIMER_MLD => {
                 self.mld_timer.0 = None;

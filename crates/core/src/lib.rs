@@ -36,6 +36,7 @@ pub mod mobility;
 pub mod netplan;
 pub mod observability;
 pub mod oracle;
+pub mod parsed;
 pub mod recorder;
 pub mod report;
 pub mod router_node;

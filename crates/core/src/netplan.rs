@@ -190,7 +190,11 @@ pub struct DataInfo {
 /// this packet carries the simulated multicast stream. Nothing is copied:
 /// each level is parsed as a view of `p.payload`.
 pub fn extract_data_info(p: &Packet) -> Option<DataInfo> {
-    let mut depth = 0u32;
+    data_info_at(p, 0)
+}
+
+/// [`extract_data_info`] for a packet found under `depth` tunnel levels.
+pub(crate) fn data_info_at(p: &Packet, mut depth: u32) -> Option<DataInfo> {
     let mut inner;
     let mut current = p;
     while current.payload_proto == proto::IPV6 {

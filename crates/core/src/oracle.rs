@@ -30,10 +30,9 @@
 //! The oracle is on by default in every scenario run; its summary (and any
 //! violations, rendered as strings) lands in the JSON report.
 
-use crate::netplan;
+use crate::parsed::parsed;
 use crate::recorder::{DataEvent, Recorder};
 use crate::router_node::RouterNode;
-use mobicast_ipv6::packet::Packet;
 use mobicast_ipv6::DEFAULT_ENCAP_LIMIT;
 use mobicast_net::{Frame, IfIndex, LinkId, NodeId, World, WorldProbe};
 use mobicast_sim::{SimDuration, SimTime};
@@ -759,7 +758,7 @@ impl Oracle {
 
     fn inspect_frame(&self, now: SimTime, node: NodeId, link: LinkId, frame: &Frame) {
         let st = &mut *self.state.borrow_mut();
-        let Ok(p) = Packet::decode_shared(&frame.bytes) else {
+        let Ok(layers) = parsed(frame) else {
             push_violation(
                 st,
                 format!(
@@ -769,7 +768,7 @@ impl Oracle {
             );
             return;
         };
-        if let Some(info) = netplan::extract_data_info(&p) {
+        if let Some(info) = layers.data() {
             st.data_frames_seen += 1;
             if info.tunnel_depth > st.max_tunnel_depth {
                 st.max_tunnel_depth = info.tunnel_depth;

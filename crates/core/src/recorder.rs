@@ -11,7 +11,7 @@
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_net::{LinkId, NodeId};
 use mobicast_sim::span::AttrValue;
-use mobicast_sim::{Counters, SeriesSet, SimTime, SpanBook, SpanId, TimeSeriesSet};
+use mobicast_sim::{Counter, Counters, SeriesSet, SimTime, SpanBook, SpanId, TimeSeriesSet};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
@@ -145,6 +145,12 @@ impl SharedRecorder {
 
     pub fn count(&self, name: &str, delta: u64) {
         self.0.borrow_mut().counters.add(name, delta);
+    }
+
+    /// [`count`](Self::count) through a counter handle: what the
+    /// per-frame paths use.
+    pub fn bump(&self, counter: &'static Counter, delta: u64) {
+        self.0.borrow_mut().counters.bump(counter, delta);
     }
 
     pub fn sample(&self, name: &str, value: f64) {

@@ -11,6 +11,7 @@
 
 use crate::interners::WorldInterners;
 use crate::netplan::{self, frame_for, RoutingTable};
+use crate::parsed::{frame_data, parsed, Layers, Upper};
 use crate::recorder::{DataEvent, SharedRecorder};
 use mobicast_ipv6::addr::{self, GroupAddr, Prefix};
 use mobicast_ipv6::exthdr::{ExtHeader, Option6};
@@ -26,13 +27,27 @@ use mobicast_mld::{
 use mobicast_net::{Ctx, Frame, IfIndex, LinkId, NodeBehavior, NodeId, TimerKey};
 use mobicast_pimdm::{PimConfig, PimDest, PimMessage, PimNote, PimRouter, PimSend, RpfLookup};
 use mobicast_sim::{
-    Counters, EventId, RateLimit, RngFactory, ShedPolicy, SimDuration, SimTime, SpanId,
-    TokenBucket, TraceCategory,
+    bump, counter, Counter, Counters, EventId, RateLimit, RngFactory, ShedPolicy, SimDuration,
+    SimTime, SpanId, Stage, TokenBucket, TraceCategory,
 };
 use std::any::Any;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
+
+/// One kind of control message: its name, the recorder counter
+/// `<prefix><kind>` and the MIB counter.
+type PerKind = (&'static str, &'static Counter, &'static Counter);
+macro_rules! per_kind {
+    ($prefix:literal, $kind:literal, $mib:literal) => {
+        ($kind, counter!(concat!($prefix, $kind)), counter!($mib))
+    };
+}
+macro_rules! rate_limited {
+    ($kind:literal, $mib:literal) => {
+        per_kind!("overload.rate_limited.", $kind, $mib)
+    };
+}
 
 /// Timer keys used by router nodes.
 const TIMER_MLD: u64 = 1;
@@ -191,11 +206,12 @@ pub struct RouterNode {
     pim_timer: TimerSlot,
     ha_timer: TimerSlot,
     ra_pending: Vec<bool>,
-    /// The Router Advertisement of each interface, encoded by the first
-    /// send and reused after it: prefix, lifetimes, source and destination
-    /// never change. (Not encoded in `new`: world construction is timed,
-    /// and many built routers never run.)
-    ra_packets: Vec<OnceCell<Packet>>,
+    /// The Router Advertisement frame of each interface — bytes and parse
+    /// memo — built by the first send and cloned by every later one:
+    /// prefix, lifetimes, source and destination never change. (Not built
+    /// in `new`: world construction is timed, and many built routers
+    /// never run.)
+    ra_frames: Vec<OnceCell<Frame>>,
     /// High-water mark of (S,G) entries (paper: router storage load).
     pub max_sg_entries: usize,
     /// Open `graft` spans keyed by (S,G): opened when the upstream graft
@@ -207,7 +223,7 @@ pub struct RouterNode {
     mib: Counters,
     /// What `record_high_waters` last wrote to each of its gauges in `mib`
     /// (`None`: not created yet).
-    high_waters: [Option<u64>; 3],
+    high_waters: [Option<usize>; 3],
 }
 
 impl RouterNode {
@@ -247,7 +263,7 @@ impl RouterNode {
         ha.set_budget(cfg.budget.binding_cache, cfg.budget.shed_policy);
         let bucket = cfg.budget.control_rate.map(TokenBucket::new);
         let n = ifaces.len();
-        let ra_packets = ifaces.iter().map(|_| OnceCell::new()).collect();
+        let ra_frames = ifaces.iter().map(|_| OnceCell::new()).collect();
         RouterNode {
             id,
             cfg,
@@ -263,7 +279,7 @@ impl RouterNode {
             pim_timer: TimerSlot::new(),
             ha_timer: TimerSlot::new(),
             ra_pending: vec![false; n],
-            ra_packets,
+            ra_frames,
             max_sg_entries: 0,
             graft_spans: Vec::new(),
             mib: Counters::new(),
@@ -316,16 +332,15 @@ impl RouterNode {
     /// Admit one control-plane message through the shared token bucket.
     /// Returns false when the message must be shed; the drop is counted
     /// (MIB + recorder ground truth) and traced.
-    fn admit_control(&mut self, ctx: &mut Ctx<'_>, kind: &'static str, mib: &'static str) -> bool {
+    fn admit_control(&mut self, ctx: &mut Ctx<'_>, (kind, limited, mib): PerKind) -> bool {
         let Some(bucket) = self.bucket.as_mut() else {
             return true;
         };
         if bucket.try_take(ctx.now()) {
             return true;
         }
-        self.recorder
-            .count(&format!("overload.rate_limited.{kind}"), 1);
-        self.mib.inc(mib);
+        self.recorder.bump(limited, 1);
+        self.mib.bump(mib, 1);
         ctx.trace_event(TraceCategory::Overload, "rate_limited", || {
             vec![("kind", kind.into())]
         });
@@ -334,17 +349,21 @@ impl RouterNode {
 
     /// Update the per-table high-water gauges (snapshotted into
     /// `RunReport.node_stats` and reconciled against the budget). Runs after
-    /// every frame and timer, so `mib` is touched only when a reading rises
-    /// (or on the first call, which creates each gauge even at 0).
+    /// every frame and timer, so `mib` — cold memory on a large topology —
+    /// is touched only when a reading rises (or on the first call, which
+    /// creates each gauge even at 0).
     fn record_high_waters(&mut self) {
         let readings = [
-            ("mldListenersHighWater", self.mld_listener_port_max() as u64),
-            ("pimSgHighWater", self.pim.entry_count() as u64),
-            ("bindingCacheHighWater", self.ha.binding_count() as u64),
+            (
+                counter!("mldListenersHighWater"),
+                self.mld_listener_port_max(),
+            ),
+            (counter!("pimSgHighWater"), self.pim.entry_count()),
+            (counter!("bindingCacheHighWater"), self.ha.binding_count()),
         ];
-        for ((name, value), recorded) in readings.into_iter().zip(&mut self.high_waters) {
+        for ((gauge, value), recorded) in readings.into_iter().zip(&mut self.high_waters) {
             if recorded.is_none_or(|r| value > r) {
-                self.mib.record_max(name, value);
+                self.mib.raise(gauge, value as u64);
                 *recorded = Some(value);
             }
         }
@@ -356,30 +375,30 @@ impl RouterNode {
         for note in self.ha.take_notes() {
             let (mib, recorder_key, event, home) = match note {
                 HaNote::BindingShed { home } => (
-                    "haBindingsShed",
-                    "overload.ha_bindings_shed",
+                    counter!("haBindingsShed"),
+                    counter!("overload.ha_bindings_shed"),
                     "binding_shed",
                     home,
                 ),
                 HaNote::BindingEvicted { home } => (
-                    "haBindingsEvicted",
-                    "overload.ha_bindings_evicted",
+                    counter!("haBindingsEvicted"),
+                    counter!("overload.ha_bindings_evicted"),
                     "binding_evicted",
                     home,
                 ),
                 HaNote::BindingStaleSeq { home } => {
                     // Anti-replay, not admission control: keep it out of the
                     // overload ground truth but visible in the same places.
-                    self.mib.inc("buStaleSeqDropped");
-                    self.recorder.count("ha.bu_stale_seq", 1);
+                    bump!(self.mib, "buStaleSeqDropped");
+                    bump!(self.recorder, "ha.bu_stale_seq");
                     ctx.trace_event(TraceCategory::MobileIp, "bu_stale_seq", || {
                         vec![("home", home.into())]
                     });
                     continue;
                 }
             };
-            self.mib.inc(mib);
-            self.recorder.count(recorder_key, 1);
+            self.mib.bump(mib, 1);
+            self.recorder.bump(recorder_key, 1);
             ctx.trace_event(TraceCategory::Overload, event, || {
                 vec![("home", home.into())]
             });
@@ -412,9 +431,11 @@ impl RouterNode {
         l2_to: Option<NodeId>,
         parent: Option<u64>,
     ) {
+        let outer = ctx.stage(Stage::Emit);
         let mut frame = frame_for(packet, l2_to);
-        if let Some(info) = netplan::extract_data_info(packet) {
+        if let Some(info) = ctx.in_stage(Stage::Parse, || frame_data(&frame)) {
             if let Some(link) = ctx.link_on(ifx) {
+                ctx.stage(Stage::Account);
                 let id = self.recorder.next_tag(self.id);
                 frame.tag = id;
                 self.recorder.record_data(DataEvent {
@@ -426,46 +447,42 @@ impl RouterNode {
                     size: frame.len() as u32,
                     tunneled: info.tunnel_depth > 0,
                 });
+                ctx.stage(Stage::Emit);
             }
         }
         ctx.send(ifx, frame);
+        ctx.stage(outer);
     }
 
     fn emit_pim(&mut self, ctx: &mut Ctx<'_>, send: &PimSend) {
         let src = self.ifaces[usize::from(send.iface)].ll;
-        let (dst, _l2) = match send.dest {
+        let (dst, l2) = match send.dest {
             PimDest::AllRouters => (addr::ALL_PIM_ROUTERS, None),
             PimDest::Unicast(a) => (a, netplan::node_of_addr(a)),
         };
         let body = send.msg.encode(src, dst);
         let packet = Packet::new(src, dst, proto::PIM, body).with_hop_limit(1);
-        let (kind, mib) = match send.msg {
-            PimMessage::Hello { .. } => ("hello", "pimHellosSent"),
+        let (kind, sent, mib): PerKind = match send.msg {
+            PimMessage::Hello { .. } => per_kind!("pim.sent.", "hello", "pimHellosSent"),
             PimMessage::JoinPrune { ref joins, .. } if joins.is_empty() => {
-                ("prune", "pimPrunesSent")
+                per_kind!("pim.sent.", "prune", "pimPrunesSent")
             }
-            PimMessage::JoinPrune { .. } => ("join", "pimJoinsSent"),
-            PimMessage::Assert { .. } => ("assert", "pimAssertsSent"),
-            PimMessage::Graft { .. } => ("graft", "pimGraftsSent"),
-            PimMessage::GraftAck { .. } => ("graft_ack", "pimGraftAcksSent"),
+            PimMessage::JoinPrune { .. } => per_kind!("pim.sent.", "join", "pimJoinsSent"),
+            PimMessage::Assert { .. } => per_kind!("pim.sent.", "assert", "pimAssertsSent"),
+            PimMessage::Graft { .. } => per_kind!("pim.sent.", "graft", "pimGraftsSent"),
+            PimMessage::GraftAck { .. } => per_kind!("pim.sent.", "graft_ack", "pimGraftAcksSent"),
         };
-        self.recorder.count(&format!("pim.sent.{kind}"), 1);
-        self.mib.inc(mib);
+        ctx.in_stage(Stage::Account, || {
+            self.recorder.bump(sent, 1);
+            self.mib.bump(mib, 1);
+        });
         ctx.trace_event(TraceCategory::Pim, "pim_tx", || {
             vec![
                 ("kind", kind.into()),
                 ("iface", u64::from(send.iface).into()),
             ]
         });
-        self.emit(ctx, send.iface, &packet, l2_to(&packet), None);
-
-        fn l2_to(p: &Packet) -> Option<NodeId> {
-            if addr::is_multicast(p.dst) {
-                None
-            } else {
-                netplan::node_of_addr(p.dst)
-            }
-        }
+        self.emit(ctx, send.iface, &packet, l2, None);
     }
 
     fn emit_mld(&mut self, ctx: &mut Ctx<'_>, ifx: IfIndex, src: Ipv6Addr, msg: MldMessage) {
@@ -474,13 +491,15 @@ impl RouterNode {
         let packet = Packet::new(src, dst, proto::ICMPV6, body)
             .with_hop_limit(1)
             .with_ext(ExtHeader::HopByHop(vec![Option6::RouterAlert(0)]));
-        let (kind, mib) = match msg {
-            MldMessage::Query { .. } => ("query", "mldOutQueries"),
-            MldMessage::Report { .. } => ("report", "mldOutReports"),
-            MldMessage::Done { .. } => ("done", "mldOutDones"),
+        let (_, sent, mib): PerKind = match msg {
+            MldMessage::Query { .. } => per_kind!("mld.sent.", "query", "mldOutQueries"),
+            MldMessage::Report { .. } => per_kind!("mld.sent.", "report", "mldOutReports"),
+            MldMessage::Done { .. } => per_kind!("mld.sent.", "done", "mldOutDones"),
         };
-        self.recorder.count(&format!("mld.sent.{kind}"), 1);
-        self.mib.inc(mib);
+        ctx.in_stage(Stage::Account, || {
+            self.recorder.bump(sent, 1);
+            self.mib.bump(mib, 1);
+        });
         self.emit(ctx, ifx, &packet, None, None);
     }
 
@@ -495,6 +514,7 @@ impl RouterNode {
     /// Turn buffered PIM state-transition notes into typed trace events and
     /// MIB counters. Called after every interaction with the PIM machine.
     fn drain_pim_notes(&mut self, ctx: &mut Ctx<'_>) {
+        let outer = ctx.stage(Stage::Account);
         for note in self.pim.take_notes() {
             match note {
                 PimNote::AssertResolved {
@@ -503,11 +523,10 @@ impl RouterNode {
                     won,
                     peer,
                 } => {
-                    self.mib.inc(if won {
-                        "pimAssertsWon"
-                    } else {
-                        "pimAssertsLost"
-                    });
+                    match won {
+                        true => bump!(self.mib, "pimAssertsWon"),
+                        false => bump!(self.mib, "pimAssertsLost"),
+                    }
                     ctx.trace_event(TraceCategory::Pim, "pim_assert_resolved", || {
                         vec![
                             ("src", sg.0.into()),
@@ -519,7 +538,7 @@ impl RouterNode {
                     });
                 }
                 PimNote::AssertWinnerAdopted { sg, iface, winner } => {
-                    self.mib.inc("pimAssertWinnersAdopted");
+                    bump!(self.mib, "pimAssertWinnersAdopted");
                     ctx.trace_event(TraceCategory::Pim, "pim_assert_winner_adopted", || {
                         vec![
                             ("src", sg.0.into()),
@@ -530,7 +549,7 @@ impl RouterNode {
                     });
                 }
                 PimNote::UpstreamPruned { sg, until } => {
-                    self.mib.inc("pimUpstreamPrunes");
+                    bump!(self.mib, "pimUpstreamPrunes");
                     ctx.trace_event(TraceCategory::Pim, "pim_upstream_pruned", || {
                         vec![
                             ("src", sg.0.into()),
@@ -540,13 +559,13 @@ impl RouterNode {
                     });
                 }
                 PimNote::UpstreamResumed { sg } => {
-                    self.mib.inc("pimUpstreamResumes");
+                    bump!(self.mib, "pimUpstreamResumes");
                     ctx.trace_event(TraceCategory::Pim, "pim_upstream_resumed", || {
                         vec![("src", sg.0.into()), ("group", sg.1.addr().into())]
                     });
                 }
                 PimNote::UpstreamGraftPending { sg } => {
-                    self.mib.inc("pimGraftsPending");
+                    bump!(self.mib, "pimGraftsPending");
                     ctx.trace_event(TraceCategory::Pim, "pim_graft_pending", || {
                         vec![("src", sg.0.into()), ("group", sg.1.addr().into())]
                     });
@@ -562,7 +581,7 @@ impl RouterNode {
                     }
                 }
                 PimNote::GraftAcked { sg, from } => {
-                    self.mib.inc("pimGraftsAcked");
+                    bump!(self.mib, "pimGraftsAcked");
                     ctx.trace_event(TraceCategory::Pim, "pim_graft_acked", || {
                         vec![
                             ("src", sg.0.into()),
@@ -577,7 +596,7 @@ impl RouterNode {
                     }
                 }
                 PimNote::OifPruned { sg, iface, until } => {
-                    self.mib.inc("pimOifPrunes");
+                    bump!(self.mib, "pimOifPrunes");
                     ctx.trace_event(TraceCategory::Pim, "pim_oif_pruned", || {
                         vec![
                             ("src", sg.0.into()),
@@ -588,7 +607,7 @@ impl RouterNode {
                     });
                 }
                 PimNote::OifResumed { sg, iface } => {
-                    self.mib.inc("pimOifResumes");
+                    bump!(self.mib, "pimOifResumes");
                     ctx.trace_event(TraceCategory::Pim, "pim_oif_resumed", || {
                         vec![
                             ("src", sg.0.into()),
@@ -598,27 +617,28 @@ impl RouterNode {
                     });
                 }
                 PimNote::EntryExpired { sg } => {
-                    self.mib.inc("pimEntriesExpired");
+                    bump!(self.mib, "pimEntriesExpired");
                     ctx.trace_event(TraceCategory::Pim, "pim_entry_expired", || {
                         vec![("src", sg.0.into()), ("group", sg.1.addr().into())]
                     });
                 }
                 PimNote::SgShed { sg } => {
-                    self.mib.inc("pimSgShed");
-                    self.recorder.count("overload.pim_sg_shed", 1);
+                    bump!(self.mib, "pimSgShed");
+                    bump!(self.recorder, "overload.pim_sg_shed");
                     ctx.trace_event(TraceCategory::Overload, "pim_sg_shed", || {
                         vec![("src", sg.0.into()), ("group", sg.1.addr().into())]
                     });
                 }
                 PimNote::SgEvicted { sg } => {
-                    self.mib.inc("pimSgEvicted");
-                    self.recorder.count("overload.pim_sg_evicted", 1);
+                    bump!(self.mib, "pimSgEvicted");
+                    bump!(self.recorder, "overload.pim_sg_evicted");
                     ctx.trace_event(TraceCategory::Overload, "pim_sg_evicted", || {
                         vec![("src", sg.0.into()), ("group", sg.1.addr().into())]
                     });
                 }
             }
         }
+        ctx.stage(outer);
     }
 
     /// Turn buffered MLD querier-election notes for `ifx` into typed trace
@@ -630,20 +650,20 @@ impl RouterNode {
         for note in port.take_notes() {
             match note {
                 MldNote::QuerierElected => {
-                    self.mib.inc("mldQuerierElections");
+                    bump!(self.mib, "mldQuerierElections");
                     ctx.trace_event(TraceCategory::Mld, "mld_querier_elected", || {
                         vec![("iface", u64::from(ifx).into())]
                     });
                 }
                 MldNote::QuerierResigned { other } => {
-                    self.mib.inc("mldQuerierResignations");
+                    bump!(self.mib, "mldQuerierResignations");
                     ctx.trace_event(TraceCategory::Mld, "mld_querier_resigned", || {
                         vec![("iface", u64::from(ifx).into()), ("other", other.into())]
                     });
                 }
                 MldNote::ListenerShed { group } => {
-                    self.mib.inc("mldReportsShed");
-                    self.recorder.count("overload.mld_listeners_shed", 1);
+                    bump!(self.mib, "mldReportsShed");
+                    bump!(self.recorder, "overload.mld_listeners_shed");
                     ctx.trace_event(TraceCategory::Overload, "mld_listener_shed", || {
                         vec![
                             ("iface", u64::from(ifx).into()),
@@ -652,8 +672,8 @@ impl RouterNode {
                     });
                 }
                 MldNote::ListenerEvicted { group } => {
-                    self.mib.inc("mldListenersEvicted");
-                    self.recorder.count("overload.mld_listeners_evicted", 1);
+                    bump!(self.mib, "mldListenersEvicted");
+                    bump!(self.recorder, "overload.mld_listeners_evicted");
                     ctx.trace_event(TraceCategory::Overload, "mld_listener_evicted", || {
                         vec![
                             ("iface", u64::from(ifx).into()),
@@ -694,7 +714,9 @@ impl RouterNode {
                     ctx.trace(TraceCategory::Mld, || {
                         format!("listener for {g} appeared on if{ifx}")
                     });
-                    self.recorder.count("mld.listener_added", 1);
+                    ctx.in_stage(Stage::Account, || {
+                        bump!(self.recorder, "mld.listener_added")
+                    });
                     let sends = self
                         .pim
                         .set_membership(ifx, g, true, ctx.now(), &self.table);
@@ -704,7 +726,9 @@ impl RouterNode {
                     ctx.trace(TraceCategory::Mld, || {
                         format!("listener for {g} gone from if{ifx}")
                     });
-                    self.recorder.count("mld.listener_removed", 1);
+                    ctx.in_stage(Stage::Account, || {
+                        bump!(self.recorder, "mld.listener_removed")
+                    });
                     let sends = self
                         .pim
                         .set_membership(ifx, g, false, ctx.now(), &self.table);
@@ -721,7 +745,7 @@ impl RouterNode {
         for HostOutput::Send(msg) in outs {
             let src = self.ifaces[usize::from(ifx)].global;
             self.emit_mld(ctx, ifx, src, msg);
-            self.recorder.count("ha.proxy_mld_sent", 1);
+            ctx.in_stage(Stage::Account, || bump!(self.recorder, "ha.proxy_mld_sent"));
             let router_outs =
                 self.mld
                     .get_mut(&ifx)
@@ -761,8 +785,10 @@ impl RouterNode {
                     };
                     let src = self.ifaces[usize::from(route.iface)].global;
                     let packet = mip_packets::binding_ack_packet(src, care_of, ack);
-                    self.recorder.count("ha.binding_acks_sent", 1);
-                    self.mib.inc("haBindingAcksSent");
+                    ctx.in_stage(Stage::Account, || {
+                        bump!(self.recorder, "ha.binding_acks_sent");
+                        bump!(self.mib, "haBindingAcksSent");
+                    });
                     ctx.trace_event(TraceCategory::MobileIp, "back_tx", || {
                         vec![("home", home.into()), ("care_of", care_of.into())]
                     });
@@ -833,12 +859,12 @@ impl RouterNode {
         frame: &Frame,
         err: &mobicast_ipv6::DecodeError,
     ) {
-        self.mib.inc("framesMalformed");
+        bump!(self.mib, "framesMalformed");
         ctx.trace_event(TraceCategory::Fault, "malformed", || {
             vec![
                 ("layer", layer.into()),
                 ("class", frame.class.name().into()),
-                ("len", frame.bytes.len().into()),
+                ("len", frame.len().into()),
                 ("error", err.to_string().into()),
             ]
         });
@@ -851,13 +877,14 @@ impl RouterNode {
         &mut self,
         ctx: &mut Ctx<'_>,
         ifx: IfIndex,
-        packet: &Packet,
+        layers: &Layers,
     ) -> bool {
-        let Some((action, pointer)) = packet.unknown_option_problem() else {
+        let Some((action, pointer)) = layers.unknown_option_problem() else {
             return false;
         };
-        self.recorder.count("router.unknown_option_drops", 1);
-        self.mib.inc("unknownOptionDrops");
+        let packet = layers.packet();
+        bump!(self.recorder, "router.unknown_option_drops");
+        bump!(self.mib, "unknownOptionDrops");
         ctx.trace_event(TraceCategory::Fault, "unknown_option", || {
             vec![
                 ("src", packet.src.into()),
@@ -878,8 +905,8 @@ impl RouterNode {
             }
             .encode(src, packet.src);
             let report = Packet::new(src, packet.src, proto::ICMPV6, body);
-            self.recorder.count("router.param_problem_sent", 1);
-            self.mib.inc("paramProblemsSent");
+            bump!(self.recorder, "router.param_problem_sent");
+            bump!(self.mib, "paramProblemsSent");
             self.route_unicast(ctx, report, None);
         }
         true
@@ -898,14 +925,14 @@ impl RouterNode {
     ) -> Option<Packet> {
         match tunnel::encapsulate_limited(src, dst, inner) {
             Ok(outer) => {
-                self.mib.inc("tunnelEncaps");
+                ctx.in_stage(Stage::Account, || bump!(self.mib, "tunnelEncaps"));
                 ctx.trace_event(TraceCategory::MobileIp, "tunnel_encap", || {
                     vec![("dst", dst.into()), ("inner_src", inner.src.into())]
                 });
                 Some(outer)
             }
             Err(tunnel::EncapLimitExceeded) => {
-                self.recorder.count("tunnel.encap_limit_exceeded", 1);
+                bump!(self.recorder, "tunnel.encap_limit_exceeded");
                 ctx.trace(TraceCategory::MobileIp, || {
                     format!("encap limit exhausted tunnelling {} to {dst}", inner.src)
                 });
@@ -917,7 +944,7 @@ impl RouterNode {
                 }
                 .encode(src, inner.src);
                 let report = Packet::new(src, inner.src, proto::ICMPV6, body);
-                self.recorder.count("tunnel.param_problem_sent", 1);
+                bump!(self.recorder, "tunnel.param_problem_sent");
                 self.route_unicast(ctx, report, None);
                 None
             }
@@ -928,11 +955,11 @@ impl RouterNode {
     /// home-agent interception for destinations on attached (home) links.
     fn route_unicast(&mut self, ctx: &mut Ctx<'_>, mut packet: Packet, parent: Option<u64>) {
         if packet.hop_limit <= 1 {
-            self.recorder.count("router.hop_limit_drops", 1);
+            bump!(self.recorder, "router.hop_limit_drops");
             return;
         }
         let Some(route) = self.table.lookup(packet.dst).copied() else {
-            self.recorder.count("router.no_route_drops", 1);
+            bump!(self.recorder, "router.no_route_drops");
             return;
         };
         // Home-agent interception: destination is on an attached link and
@@ -947,7 +974,7 @@ impl RouterNode {
                     let Some(outer) = self.encap_checked(ctx, src, coa, &packet) else {
                         return;
                     };
-                    self.recorder.count("ha.unicast_tunnel_encap", 1);
+                    bump!(self.recorder, "ha.unicast_tunnel_encap");
                     self.route_unicast(ctx, outer, parent);
                     return;
                 }
@@ -978,17 +1005,37 @@ impl RouterNode {
         }
         let s = packet.src;
         let now = ctx.now();
-        let accepted = self.table.rpf(s).map(|i| i.iif == ifx).unwrap_or(false);
         let (fwd, sends) = self.pim.on_data(ifx, s, group, now, &self.table);
-        self.recorder.count("router.mcast_data_processed", 1);
+        ctx.in_stage(Stage::Account, || {
+            bump!(self.recorder, "router.mcast_data_processed")
+        });
         self.pim_sends(ctx, sends);
         let parent = (tag != 0).then_some(tag);
+        if !self.forward_multicast(ctx, packet, group, fwd, Some(ifx), parent) {
+            bump!(self.recorder, "router.hop_limit_drops");
+        }
+    }
+
+    /// The tail of multicast data handling, native or decapsulated:
+    /// forward `packet` out of `fwd` and send a unicast copy to every
+    /// mobile host subscribed through us — of native data only if it came
+    /// in on `ingress`, its RPF interface (checked only when someone is
+    /// subscribed). Returns false, having done neither, when there is
+    /// somewhere to forward to but no hop limit left.
+    fn forward_multicast(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        packet: &Packet,
+        group: GroupAddr,
+        fwd: Vec<IfIndex>,
+        ingress: Option<IfIndex>,
+        parent: Option<u64>,
+    ) -> bool {
         if !fwd.is_empty() {
-            let mut forwarded = packet.clone();
-            if forwarded.hop_limit <= 1 {
-                self.recorder.count("router.hop_limit_drops", 1);
-                return;
+            if packet.hop_limit <= 1 {
+                return false;
             }
+            let mut forwarded = packet.clone();
             forwarded.hop_limit -= 1;
             for out in fwd {
                 self.emit(ctx, out, &forwarded, None, parent);
@@ -997,7 +1044,8 @@ impl RouterNode {
         // Home-agent multicast tunnelling: one unicast copy per subscribed
         // mobile host (paper §4.3.2 — this is where the "same datagrams
         // sent via unicast to each group member" cost comes from).
-        if accepted && self.ha.has_group_subscribers(group) {
+        let accepted = |ifx| self.table.rpf(packet.src).is_some_and(|i| i.iif == ifx);
+        if self.ha.has_group_subscribers(group) && ingress.is_none_or(accepted) {
             let targets = self.ha.multicast_tunnel_targets(group);
             for (home, coa) in targets {
                 let Some(out_route) = self.table.lookup(coa).copied() else {
@@ -1007,29 +1055,33 @@ impl RouterNode {
                 let Some(outer) = self.encap_checked(ctx, src, coa, packet) else {
                     continue;
                 };
-                if self.is_home_for(home) {
-                    self.recorder.count("ha.mcast_tunnel_encap", 1);
-                } else {
-                    self.recorder.count("map.mcast_tunnel_encap", 1);
-                    self.mib.inc("mapTunnelEncaps");
-                }
+                ctx.in_stage(Stage::Account, || {
+                    if self.is_home_for(home) {
+                        bump!(self.recorder, "ha.mcast_tunnel_encap");
+                    } else {
+                        bump!(self.recorder, "map.mcast_tunnel_encap");
+                        bump!(self.mib, "mapTunnelEncaps");
+                    }
+                });
                 self.route_unicast(ctx, outer, parent);
             }
         }
+        true
     }
 
     /// A packet addressed to this router itself. `tag` is the provenance
     /// tag of the arriving frame.
-    fn handle_local(&mut self, ctx: &mut Ctx<'_>, _ifx: IfIndex, packet: &Packet, tag: u64) {
+    fn handle_local(&mut self, ctx: &mut Ctx<'_>, layers: &Layers, tag: u64) {
         let now = ctx.now();
+        let packet = layers.packet();
         // Reverse tunnel endpoint: decapsulate and forward on the home link.
-        if tunnel::is_tunnel(packet) {
-            let inner = match tunnel::decapsulate(packet) {
+        if let Upper::Tunnel(inner) = layers.upper() {
+            let inner = match inner {
                 Ok(inner) => inner,
                 Err(err) => {
-                    self.recorder.count("ha.decap_errors", 1);
-                    self.mib.inc("tunnelDecapErrors");
-                    self.mib.inc("framesMalformed");
+                    bump!(self.recorder, "ha.decap_errors");
+                    bump!(self.mib, "tunnelDecapErrors");
+                    bump!(self.mib, "framesMalformed");
                     ctx.trace_event(TraceCategory::Fault, "malformed", || {
                         vec![
                             ("layer", "tunnel".into()),
@@ -1040,8 +1092,10 @@ impl RouterNode {
                     return;
                 }
             };
-            self.recorder.count("ha.tunnel_decap", 1);
-            self.mib.inc("tunnelDecaps");
+            ctx.in_stage(Stage::Account, || {
+                bump!(self.recorder, "ha.tunnel_decap");
+                bump!(self.mib, "tunnelDecaps");
+            });
             ctx.trace_event(TraceCategory::MobileIp, "tunnel_decap", || {
                 vec![
                     ("outer_src", packet.src.into()),
@@ -1056,7 +1110,7 @@ impl RouterNode {
                 // there, the datagram is distributed … over the usual
                 // multicast distribution tree."
                 let Some(home_ifx) = self.iface_containing(inner.src) else {
-                    self.recorder.count("ha.decap_no_home_link", 1);
+                    bump!(self.recorder, "ha.decap_no_home_link");
                     return;
                 };
                 let mut onto_link = inner.clone();
@@ -1066,14 +1120,15 @@ impl RouterNode {
                 }
                 // Process it ourselves as the origin router on the home
                 // link (our own transmission is not looped back to us).
-                self.handle_multicast_data_from_decap(ctx, home_ifx, &inner, parent);
+                self.handle_multicast_data_from_decap(ctx, home_ifx, inner, parent);
             } else {
-                self.route_unicast(ctx, inner, parent);
+                self.route_unicast(ctx, inner.clone(), parent);
             }
             return;
         }
         // Binding updates.
-        if let Some((home, bu)) = mip_packets::parse_binding_update(packet) {
+        let update = ctx.in_stage(Stage::Parse, || layers.binding_update());
+        if let Some(&(home, ref bu)) = update {
             ctx.trace_event(TraceCategory::MobileIp, "bu_rx", || {
                 vec![
                     ("home", home.into()),
@@ -1081,17 +1136,19 @@ impl RouterNode {
                     ("seq", u64::from(bu.sequence).into()),
                 ]
             });
-            if self.is_home_for(home) {
-                self.recorder.count("ha.binding_updates_rx", 1);
-                self.mib.inc("haBindingUpdatesRx");
-            } else {
-                self.recorder.count("map.binding_updates_rx", 1);
-                self.mib.inc("mapBindingUpdatesRx");
-            }
-            if !self.admit_control(ctx, "bu", "buRateLimited") {
+            ctx.in_stage(Stage::Account, || {
+                if self.is_home_for(home) {
+                    bump!(self.recorder, "ha.binding_updates_rx");
+                    bump!(self.mib, "haBindingUpdatesRx");
+                } else {
+                    bump!(self.recorder, "map.binding_updates_rx");
+                    bump!(self.mib, "mapBindingUpdatesRx");
+                }
+            });
+            if !self.admit_control(ctx, rate_limited!("bu", "buRateLimited")) {
                 return;
             }
-            let outs = self.ha.on_binding_update(home, packet.src, &bu, now);
+            let outs = self.ha.on_binding_update(home, packet.src, bu, now);
             self.drain_ha_notes(ctx);
             self.apply_ha_outputs(ctx, home, packet.src, outs);
             self.arm_ha(ctx);
@@ -1115,42 +1172,21 @@ impl RouterNode {
             .pim
             .on_data(home_ifx, packet.src, group, now, &self.table);
         self.pim_sends(ctx, sends);
-        if !fwd.is_empty() {
-            let mut forwarded = packet.clone();
-            if forwarded.hop_limit <= 1 {
-                return;
-            }
-            forwarded.hop_limit -= 1;
-            for out in fwd {
-                self.emit(ctx, out, &forwarded, None, parent);
-            }
-        }
-        if self.ha.has_group_subscribers(group) {
-            let targets = self.ha.multicast_tunnel_targets(group);
-            for (home, coa) in targets {
-                let Some(out_route) = self.table.lookup(coa).copied() else {
-                    continue;
-                };
-                let src = self.ifaces[usize::from(out_route.iface)].global;
-                let Some(outer) = self.encap_checked(ctx, src, coa, packet) else {
-                    continue;
-                };
-                if self.is_home_for(home) {
-                    self.recorder.count("ha.mcast_tunnel_encap", 1);
-                } else {
-                    self.recorder.count("map.mcast_tunnel_encap", 1);
-                    self.mib.inc("mapTunnelEncaps");
-                }
-                self.route_unicast(ctx, outer, parent);
-            }
-        }
+        self.forward_multicast(ctx, packet, group, fwd, None, parent);
     }
 
     fn send_router_advert(&mut self, ctx: &mut Ctx<'_>, ifx: IfIndex) {
-        self.recorder.count("nd.ra_sent", 1);
+        ctx.in_stage(Stage::Account, || bump!(self.recorder, "nd.ra_sent"));
+        let outer = ctx.stage(Stage::Emit);
         let slot = usize::from(ifx);
-        let packet = self.ra_packets[slot].get_or_init(|| router_advert(&self.ifaces[slot]));
-        self.emit(ctx, ifx, packet, None, None);
+        let frame = self.ra_frames[slot].get_or_init(|| {
+            let frame = frame_for(&router_advert(&self.ifaces[slot]), None);
+            // Parsed before the first clone, so that every send shares it.
+            let _ = parsed(&frame).map(Layers::upper);
+            frame
+        });
+        ctx.send(ifx, frame.clone());
+        ctx.stage(outer);
     }
 
     fn arm_mld(&mut self, ctx: &mut Ctx<'_>) {
@@ -1194,41 +1230,42 @@ impl NodeBehavior for RouterNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, ifx: IfIndex, frame: &Frame) {
-        let packet = match Packet::decode_shared(&frame.bytes) {
-            Ok(p) => p,
+        ctx.stage(Stage::Parse);
+        let layers = match parsed(frame) {
+            Ok(layers) => layers,
             Err(err) => {
-                self.recorder.count("router.decode_errors", 1);
-                self.note_malformed(ctx, "ipv6", frame, &err);
+                bump!(self.recorder, "router.decode_errors");
+                self.note_malformed(ctx, "ipv6", frame, err);
                 return;
             }
         };
+        let packet = layers.packet();
         // Binding Updates and Acknowledgements carry a mandatory
         // authenticator (draft-ietf-mobileip-ipv6-10 §4.4); any in-flight
         // mutation fails verification, so a damaged copy must never install
         // or acknowledge binding state. Dropped at the first receiving node
         // — forwarding would re-encode the bytes and lose the marker. The
         // sender's BU retransmission machinery recovers the lost update.
-        if frame.damaged
-            && (mip_packets::parse_binding_update(&packet).is_some()
-                || mip_packets::parse_binding_ack(&packet).is_some())
-        {
-            self.recorder.count("ha.bu_auth_failed", 1);
-            self.mib.inc("buAuthFailures");
+        if frame.damaged && layers.is_binding_signalling() {
+            bump!(self.recorder, "ha.bu_auth_failed");
+            bump!(self.mib, "buAuthFailures");
             ctx.trace_event(TraceCategory::MobileIp, "bu_auth_failed", || {
                 vec![("src", packet.src.into()), ("dst", packet.dst.into())]
             });
             return;
         }
-        if self.drop_for_unknown_option(ctx, ifx, &packet) {
+        if self.drop_for_unknown_option(ctx, ifx, layers) {
             return;
         }
         let now = ctx.now();
-        match packet.payload_proto {
-            proto::PIM => {
+        let upper = layers.upper();
+        ctx.stage(Stage::Protocol);
+        match upper {
+            Upper::Pim(msg) => {
                 if packet.dst == addr::ALL_PIM_ROUTERS || self.is_my_addr(packet.dst) {
-                    match PimMessage::decode(packet.src, packet.dst, &packet.payload) {
+                    match msg {
                         Ok(msg) => {
-                            self.mib.inc("pimInMessages");
+                            ctx.in_stage(Stage::Account, || bump!(self.mib, "pimInMessages"));
                             // Hellos and Graft-Acks keep neighbor and
                             // retransmit state sane; only the state-building
                             // messages compete for the ingress budget.
@@ -1238,41 +1275,42 @@ impl NodeBehavior for RouterNode {
                                     | PimMessage::Graft { .. }
                                     | PimMessage::Assert { .. }
                             );
-                            if limited && !self.admit_control(ctx, "pim", "pimRateLimited") {
+                            if limited
+                                && !self.admit_control(ctx, rate_limited!("pim", "pimRateLimited"))
+                            {
                                 return;
                             }
-                            let sends =
-                                self.pim.on_message(ifx, packet.src, &msg, now, &self.table);
+                            let sends = self.pim.on_message(ifx, packet.src, msg, now, &self.table);
                             self.pim_sends(ctx, sends);
                             self.arm_pim(ctx);
                         }
                         Err(err) => {
-                            self.recorder.count("router.pim_decode_errors", 1);
-                            self.note_malformed(ctx, "pim", frame, &err);
+                            bump!(self.recorder, "router.pim_decode_errors");
+                            self.note_malformed(ctx, "pim", frame, err);
                         }
                     }
                 }
             }
-            proto::ICMPV6 => {
-                let icmp = match Icmpv6::decode(packet.src, packet.dst, &packet.payload) {
+            Upper::Icmpv6(icmp) => {
+                let icmp = match icmp {
                     Ok(i) => i,
                     Err(err) => {
-                        self.recorder.count("router.icmp_decode_errors", 1);
-                        self.note_malformed(ctx, "icmpv6", frame, &err);
+                        bump!(self.recorder, "router.icmp_decode_errors");
+                        self.note_malformed(ctx, "icmpv6", frame, err);
                         return;
                     }
                 };
-                if let Some(msg) = MldMessage::from_icmp(&icmp) {
-                    self.mib.inc(match msg {
-                        MldMessage::Query { .. } => "mldInQueries",
-                        MldMessage::Report { .. } => "mldInReports",
-                        MldMessage::Done { .. } => "mldInDones",
+                if let Some(msg) = MldMessage::from_icmp(icmp) {
+                    ctx.in_stage(Stage::Account, || match msg {
+                        MldMessage::Query { .. } => bump!(self.mib, "mldInQueries"),
+                        MldMessage::Report { .. } => bump!(self.mib, "mldInReports"),
+                        MldMessage::Done { .. } => bump!(self.mib, "mldInDones"),
                     });
                     // Queries drive the querier election and must never be
                     // shed; listener-state traffic (Report/Done) competes
                     // for the ingress budget.
                     let limited = !matches!(msg, MldMessage::Query { .. });
-                    if limited && !self.admit_control(ctx, "mld", "mldRateLimited") {
+                    if limited && !self.admit_control(ctx, rate_limited!("mld", "mldRateLimited")) {
                         return;
                     }
                     let outs = self
@@ -1311,24 +1349,26 @@ impl NodeBehavior for RouterNode {
                 }
             }
             _ if packet.is_multicast() => {
-                self.handle_multicast_data(ctx, ifx, &packet, frame.tag);
+                self.handle_multicast_data(ctx, ifx, packet, frame.tag);
                 self.arm_pim(ctx);
             }
             _ if self.is_my_addr(packet.dst) => {
-                self.handle_local(ctx, ifx, &packet, frame.tag);
+                self.handle_local(ctx, layers, frame.tag);
                 self.arm_pim(ctx);
                 self.arm_mld(ctx);
             }
             _ => {
                 let parent = (frame.tag != 0).then_some(frame.tag);
-                self.route_unicast(ctx, packet, parent);
+                self.route_unicast(ctx, packet.clone(), parent);
             }
         }
+        ctx.stage(Stage::Account);
         self.record_high_waters();
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, key: TimerKey) {
         let now = ctx.now();
+        ctx.stage(Stage::Protocol);
         match key.0 {
             TIMER_MLD => {
                 self.mld_timer.scheduled = None;
@@ -1404,6 +1444,7 @@ impl NodeBehavior for RouterNode {
             }
             _ => {}
         }
+        ctx.stage(Stage::Account);
         self.record_high_waters();
     }
 

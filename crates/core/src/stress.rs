@@ -20,7 +20,7 @@ use crate::scenario::group;
 use crate::strategy::Policy;
 use mobicast_mld::MldConfig;
 use mobicast_net::{ExecutorConfig, ShardRunStats};
-use mobicast_sim::{RngFactory, SimDuration, SimTime, Tracer};
+use mobicast_sim::{RngFactory, SimDuration, SimProfile, SimTime, Tracer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -121,6 +121,27 @@ pub fn run_stress_with(
     opts: &StressRunOptions,
     tracer: Tracer,
 ) -> (StressReport, Option<ShardRunStats>) {
+    let (report, shard_stats, _) = run(spec, opts, tracer, false);
+    (report, shard_stats)
+}
+
+/// [`run_stress`] with the event loop's wall-clock profiler on. The
+/// profile travels beside the report, never inside it.
+pub fn run_stress_profiled(
+    spec: &StressSpec,
+    opts: &StressRunOptions,
+) -> (StressReport, SimProfile) {
+    let (report, _, profile) = run(spec, opts, Tracer::null(), true);
+    let profile = profile.unwrap_or_else(|| unreachable!("profiling was enabled before the run"));
+    (report, profile)
+}
+
+fn run(
+    spec: &StressSpec,
+    opts: &StressRunOptions,
+    tracer: Tracer,
+    profile: bool,
+) -> (StressReport, Option<ShardRunStats>, Option<SimProfile>) {
     assert!(
         spec.receivers >= spec.movers,
         "movers are a subset of receivers"
@@ -203,7 +224,11 @@ pub fn run_stress_with(
         Ok(plan) => plan,
         Err(e) => panic!("stress {}: invalid executor config: {e}", spec.name),
     };
+    if profile {
+        net.world.enable_profiling();
+    }
     let shard_stats = net.world.run(end, &plan).sharded;
+    let profile = net.world.take_profile();
 
     let BuiltNetwork {
         world,
@@ -260,7 +285,7 @@ pub fn run_stress_with(
         violations: summary.violations,
         poll: oracle.poll_stats(),
     };
-    (report, shard_stats)
+    (report, shard_stats, profile)
 }
 
 /// The canonical stress specs: `quick` uses small shapes suitable for

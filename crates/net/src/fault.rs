@@ -14,7 +14,7 @@
 //! in the Good state, which is how [`LossModel::iid`] is expressed.
 
 use bytes::Bytes;
-use mobicast_sim::SimDuration;
+use mobicast_sim::{counter, Counter, SimDuration};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -166,14 +166,14 @@ impl CorruptionKind {
         )
     }
 
-    /// World counter key for this kind.
-    pub fn counter(self) -> &'static str {
+    /// World counter for this kind.
+    pub fn counter(self) -> &'static Counter {
         match self {
-            CorruptionKind::BitFlip => "faults.corrupt_bit_flip",
-            CorruptionKind::Truncate => "faults.corrupt_truncate",
-            CorruptionKind::Garbage => "faults.corrupt_garbage",
-            CorruptionKind::Duplicate => "faults.corrupt_duplicate",
-            CorruptionKind::Replay => "faults.corrupt_replay",
+            CorruptionKind::BitFlip => counter!("faults.corrupt_bit_flip"),
+            CorruptionKind::Truncate => counter!("faults.corrupt_truncate"),
+            CorruptionKind::Garbage => counter!("faults.corrupt_garbage"),
+            CorruptionKind::Duplicate => counter!("faults.corrupt_duplicate"),
+            CorruptionKind::Replay => counter!("faults.corrupt_replay"),
         }
     }
 }

@@ -5,8 +5,19 @@
 //! the bytes. The class drives the per-link byte accounting that the
 //! experiment harness turns into the paper's "bandwidth consumption"
 //! figures.
+//!
+//! What the bytes parse to is a pure function of the bytes, so a frame
+//! also carries an opaque *parse memo*: a once-cell the upper layer fills
+//! the first time anyone asks ([`Frame::memo`]) and every later asker —
+//! the emitter, the oracle, each receiver of a fan-out — reads. This layer
+//! never looks inside it; it only guarantees the pairing: the bytes are
+//! private and [`Frame::with_bytes`], the one way to change them, starts
+//! the copy with an empty memo.
 
 use bytes::Bytes;
+use std::any::Any;
+use std::cell::OnceCell;
+use std::rc::Rc;
 
 /// Accounting class of a frame. The simulator keeps per-link byte/frame
 /// counters indexed by class.
@@ -82,11 +93,14 @@ pub enum L2Dest {
 }
 
 /// A frame on a link: wire bytes plus accounting class. Cloning is cheap
-/// (`Bytes` is reference-counted), which matters because multi-access links
-/// deliver one transmission to every attached interface.
+/// (`Bytes` and a filled memo are reference-counted), which matters because
+/// multi-access links deliver one transmission to every attached interface.
 #[derive(Clone, Debug)]
 pub struct Frame {
-    pub bytes: Bytes,
+    bytes: Bytes,
+    /// What `bytes` parse to, in the upper layer's terms. A clone shares
+    /// a filled memo; a clone taken before the first ask fills its own.
+    memo: OnceCell<Rc<dyn Any>>,
     pub class: FrameClass,
     pub l2: L2Dest,
     /// Simulation-side provenance tag (not on the wire): set by the
@@ -107,6 +121,7 @@ impl Frame {
     pub fn new(bytes: Bytes, class: FrameClass) -> Self {
         Frame {
             bytes,
+            memo: OnceCell::new(),
             class,
             l2: L2Dest::Broadcast,
             tag: 0,
@@ -118,6 +133,7 @@ impl Frame {
     pub fn unicast(bytes: Bytes, class: FrameClass, to: crate::ids::NodeId) -> Self {
         Frame {
             bytes,
+            memo: OnceCell::new(),
             class,
             l2: L2Dest::Node(to),
             tag: 0,
@@ -129,6 +145,33 @@ impl Frame {
     pub fn with_tag(mut self, tag: u64) -> Self {
         self.tag = tag;
         self
+    }
+
+    /// The wire bytes.
+    #[inline]
+    pub fn bytes(&self) -> &Bytes {
+        &self.bytes
+    }
+
+    /// This frame carrying other bytes (a copy mangled in flight). The
+    /// memo described the old bytes and is dropped.
+    pub fn with_bytes(mut self, bytes: Bytes) -> Self {
+        self.bytes = bytes;
+        self.memo = OnceCell::new();
+        self
+    }
+
+    /// What the bytes parse to: `parse` runs on the first ask and its
+    /// result is kept for every later one, on this frame and on its
+    /// clones. `parse` must be a pure function of the bytes, and a program
+    /// uses one `T` for all its frames.
+    pub fn memo<T: Any>(&self, parse: impl FnOnce(&Bytes) -> T) -> &T {
+        let memo = self.memo.get_or_init(|| Rc::new(parse(&self.bytes)));
+        // A second `T` in one program is a bug in the caller, not a
+        // condition a typed error could describe.
+        #[allow(clippy::expect_used)]
+        memo.downcast_ref()
+            .expect("one parse-memo type per program")
     }
 
     #[inline]
@@ -170,6 +213,31 @@ mod tests {
         let f = Frame::new(Bytes::from_static(&[1, 2, 3]), FrameClass::Other);
         assert_eq!(f.len(), 3);
         assert!(!f.is_empty());
+    }
+
+    #[test]
+    fn memo_is_filled_once_and_shared_by_clones() {
+        let f = Frame::new(Bytes::from_static(&[1, 2, 3]), FrameClass::Other);
+        let early = f.clone();
+        let mut runs = 0;
+        assert_eq!(*f.memo(|b| (runs += 1, b.len()).1), 3);
+        assert_eq!(*f.memo(|_| -> usize { unreachable!("filled") }), 3);
+        let late = f.clone().with_tag(7);
+        assert_eq!(*late.memo(|_| -> usize { unreachable!("shared") }), 3);
+        assert_eq!(runs, 1);
+        // A clone taken before the first ask parses on its own.
+        assert_eq!(*early.memo(|b| b.len() + 10), 13);
+    }
+
+    #[test]
+    fn new_bytes_never_keep_the_old_memo() {
+        let f = Frame::new(Bytes::from_static(&[1, 2, 3]), FrameClass::Other);
+        assert_eq!(*f.memo(|b| b.len()), 3);
+        let copy = f.clone().with_bytes(Bytes::from_static(&[9]));
+        assert_eq!(copy.bytes().as_ref(), &[9]);
+        assert_eq!(*copy.memo(|b| b.len()), 1, "parsed from its own bytes");
+        assert_eq!(*f.memo(|_| -> usize { unreachable!("filled") }), 3);
+        assert_eq!((copy.class, copy.l2, copy.tag), (f.class, f.l2, f.tag));
     }
 
     #[test]

@@ -13,9 +13,11 @@ use crate::fault::LinkFaultState;
 use crate::frame::Frame;
 use crate::ids::{IfIndex, LinkId, NodeId, TimerKey};
 use crate::link::{schedule_transmission, Attachment, Link, LinkParams, LinkStats};
-use mobicast_sim::profile::{Profiler, SimProfile};
+use mobicast_sim::profile::{Profiler, SimProfile, Stage};
 use mobicast_sim::trace::Fields;
-use mobicast_sim::{Counters, EventId, EventQueue, SimDuration, SimTime, TraceCategory, Tracer};
+use mobicast_sim::{
+    bump, Counters, EventId, EventQueue, SimDuration, SimTime, TraceCategory, Tracer,
+};
 use std::any::Any;
 use std::ops::Range;
 use std::rc::Rc;
@@ -494,11 +496,10 @@ impl World {
             .emit_with(self.now(), TraceCategory::Fault, usize::MAX, || {
                 format!("{link} {}", if up { "up" } else { "down" })
             });
-        self.counters.inc(if up {
-            "faults.link_up"
-        } else {
-            "faults.link_down"
-        });
+        match up {
+            true => bump!(self.counters, "faults.link_up"),
+            false => bump!(self.counters, "faults.link_down"),
+        }
         self.links[link.index()].up = up;
     }
 
@@ -515,7 +516,7 @@ impl World {
         slot.crashed = true;
         slot.incarnation += 1;
         slot.behavior = None;
-        self.counters.inc("faults.node_crashes");
+        bump!(self.counters, "faults.node_crashes");
         self.tracer
             .emit_with(self.now(), TraceCategory::Fault, node.index(), || {
                 "crashed".to_string()
@@ -530,7 +531,7 @@ impl World {
         assert!(slot.crashed, "{node} restarted without crashing");
         slot.crashed = false;
         slot.behavior = Some(behavior);
-        self.counters.inc("faults.node_restarts");
+        bump!(self.counters, "faults.node_restarts");
         self.tracer
             .emit_with(self.now(), TraceCategory::Fault, node.index(), || {
                 "restarted".to_string()
@@ -703,7 +704,7 @@ impl World {
             } => self.counted(TIMER, Some(node), windows, |w| {
                 let slot = &w.nodes[node.index()];
                 if slot.crashed || slot.incarnation != incarnation {
-                    w.counters.inc("faults.timers_dropped_stale");
+                    bump!(w.counters, "faults.timers_dropped_stale");
                     return;
                 }
                 w.with_node(node, |b, ctx| b.on_timer(ctx, key));
@@ -718,21 +719,21 @@ impl World {
         // Skip delivery if the interface moved between transmission
         // and arrival (the host left the link).
         if self.nodes[node.index()].ifaces[usize::from(ifindex)].link != Some(link) {
-            self.counters.inc("world.frames_missed_due_to_move");
+            bump!(self.counters, "world.frames_missed_due_to_move");
             return;
         }
         // A link that went down mid-flight destroys the frame.
         if !self.links[link.index()].up {
             self.links[link.index()].stats.record_drop(frame);
-            self.counters.inc("faults.frames_dropped_link_down");
-            self.node_counters[node.index()].inc("framesDroppedByFault");
+            bump!(self.counters, "faults.frames_dropped_link_down");
+            bump!(self.node_counters[node.index()], "framesDroppedByFault");
             return;
         }
         // A crashed receiver hears nothing.
         if self.nodes[node.index()].crashed {
             self.links[link.index()].stats.record_drop(frame);
-            self.counters.inc("faults.frames_dropped_node_crashed");
-            self.node_counters[node.index()].inc("framesDroppedByFault");
+            bump!(self.counters, "faults.frames_dropped_node_crashed");
+            bump!(self.node_counters[node.index()], "framesDroppedByFault");
             return;
         }
         if let Some(probe) = self.probe.clone() {
@@ -754,8 +755,7 @@ impl World {
             recon.on_event(self.queue.now(), target);
         }
         self.events_executed += 1;
-        if self.profiler.is_some() {
-            let started = std::time::Instant::now();
+        if let Some(started) = self.profiler.as_mut().map(Profiler::begin_handler) {
             handler(self);
             if let Some(p) = self.profiler.as_mut() {
                 p.record(category, started);
@@ -825,15 +825,15 @@ impl World {
     fn send_from(&mut self, node: NodeId, ifindex: IfIndex, frame: Frame) -> bool {
         let now = self.now();
         let Some(link_id) = self.link_of(node, ifindex) else {
-            self.counters.inc("world.frames_dropped_detached");
+            bump!(self.counters, "world.frames_dropped_detached");
             return false;
         };
         let link = &mut self.links[link_id.index()];
         // A downed link eats the frame at the transmitter.
         if !link.up {
             link.stats.record_drop(&frame);
-            self.counters.inc("faults.frames_dropped_link_down");
-            self.node_counters[node.index()].inc("framesDroppedByFault");
+            bump!(self.counters, "faults.frames_dropped_link_down");
+            bump!(self.node_counters[node.index()], "framesDroppedByFault");
             return true;
         }
         link.stats.record(&frame);
@@ -872,6 +872,7 @@ impl World {
             if member == sender {
                 continue;
             }
+            let hearer = member.node.index();
             // NIC filtering: L2-unicast frames only reach their addressee.
             if let crate::frame::L2Dest::Node(to) = frame.l2 {
                 if member.node != to {
@@ -903,41 +904,36 @@ impl World {
                             crate::fault::CorruptionKind::Replay => {
                                 arrival += fault.replay_delay();
                             }
-                            _ => deliver_bytes = Some(fault.corrupt_bytes(kind, &frame.bytes)),
+                            _ => deliver_bytes = Some(fault.corrupt_bytes(kind, frame.bytes())),
                         }
                     }
                 }
             }
             if dropped {
                 self.links[link_id.index()].stats.record_drop(&frame);
-                self.counters.inc("faults.frames_dropped_loss");
+                bump!(self.counters, "faults.frames_dropped_loss");
                 // Attributed to the receiver that would have heard the copy.
-                self.node_counters[member.node.index()].inc("framesDroppedByFault");
+                bump!(self.node_counters[hearer], "framesDroppedByFault");
                 continue;
             }
             if let Some(kind) = corrupted {
                 self.links[link_id.index()].stats.record_corruption(&frame);
-                self.counters.inc("faults.frames_corrupted");
-                self.counters.inc(kind.counter());
+                bump!(self.counters, "faults.frames_corrupted");
+                self.counters.bump(kind.counter(), 1);
                 // Attributed to the receiver that hears the mangled copy.
-                self.node_counters[member.node.index()].inc("framesCorruptedOnLink");
-                self.tracer.emit_typed(
-                    now,
-                    TraceCategory::Fault,
-                    member.node.index(),
-                    "corrupted",
-                    || {
+                bump!(self.node_counters[hearer], "framesCorruptedOnLink");
+                self.tracer
+                    .emit_typed(now, TraceCategory::Fault, hearer, "corrupted", || {
                         vec![
                             ("link", link_id.0.into()),
                             ("kind", kind.name().into()),
                             ("class", frame.class.name().into()),
                         ]
-                    },
-                );
+                    });
             }
             let mut copy = frame.clone();
             if let Some(bytes) = deliver_bytes {
-                copy.bytes = bytes;
+                copy = copy.with_bytes(bytes);
                 copy.damaged = true;
             }
             let mut to_member = |at: SimTime, frame: Frame| {
@@ -1048,6 +1044,29 @@ impl Ctx<'_> {
             .emit_typed(self.now(), category, self.node.index(), kind, fields)
     }
 
+    /// Attribute this handler's wall-clock time from here on to `stage`
+    /// (see [`SimProfile::stages`]); one branch when profiling is off, no
+    /// clock read unless this handler is one of the sampled ones. Returns
+    /// the stage that was running so a nested section can hand control
+    /// back; the end of the handler closes whatever is open.
+    pub fn stage(&mut self, stage: Stage) -> Stage {
+        match self.world.profiler.as_mut() {
+            Some(p) => p.enter_stage(stage),
+            None => Stage::Outside,
+        }
+    }
+
+    /// Run `f` as a nested section of `stage`.
+    pub fn in_stage<R>(&mut self, stage: Stage, f: impl FnOnce() -> R) -> R {
+        if self.world.profiler.is_none() {
+            return f();
+        }
+        let outer = self.stage(stage);
+        let r = f();
+        self.stage(outer);
+        r
+    }
+
     /// Mutable access to the global counters.
     pub fn counters(&mut self) -> &mut Counters {
         &mut self.world.counters
@@ -1109,7 +1128,7 @@ mod tests {
                     ctx.now()
                 ),
             );
-            if self.reply && frame.bytes.as_ref() == b"ping" {
+            if self.reply && frame.bytes().as_ref() == b"ping" {
                 ctx.send(
                     ifindex,
                     Frame::new(Bytes::from_static(b"pong"), FrameClass::Other),

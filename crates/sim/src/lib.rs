@@ -52,8 +52,8 @@ pub use arena::{
     shared_interner, InternExhausted, InternId, Interner, KeySpace, Row, SharedInterner, SoftTable,
 };
 pub use budget::{RateLimit, ShedPolicy, TokenBucket};
-pub use metrics::{Counters, Series, SeriesSet, Summary};
-pub use profile::{Profiler, SimProfile};
+pub use metrics::{Counter, Counters, Series, SeriesSet, Summary};
+pub use profile::{Profiler, SimProfile, Stage};
 pub use queue::{EventId, EventQueue, HeapEventQueue};
 pub use rng::RngFactory;
 pub use series::{QuantileDigest, TimeSeries, TimeSeriesSet};

@@ -94,6 +94,31 @@ pub struct HandlerStats {
     pub buckets: Vec<(u64, u64)>,
 }
 
+/// What a node handler is doing, for the profiler's finer attribution
+/// inside a handler category: turning wire bytes into messages, running a
+/// protocol state machine (and the glue around it), building and sending
+/// frames, or counting and recording. Time is *self* time: entering a
+/// stage suspends the one it interrupts.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Stage {
+    Parse = 0,
+    Protocol = 1,
+    Emit = 2,
+    Account = 3,
+    /// Outside every stage (the event loop, unscoped handler code). Not
+    /// reported.
+    Outside = 4,
+}
+
+/// Names of the reported stages, indexed by `Stage as usize`.
+pub const STAGES: [&str; 4] = ["parse", "protocol", "emit", "account"];
+
+/// Stages are timed in one handler out of this many, picked by a fixed
+/// pseudo-random sequence: a handler crosses several stage boundaries and
+/// each costs a clock read, which on every handler would more than double
+/// what the handler categories measure.
+pub const STAGE_SAMPLE: u64 = 16;
+
 /// Serializable summary of one profiled run. Wall-clock based: keep out of
 /// deterministic reports.
 #[derive(Clone, Debug, Serialize)]
@@ -104,6 +129,11 @@ pub struct SimProfile {
     pub wall_ns: u64,
     pub events_per_sec: f64,
     pub handlers: BTreeMap<String, HandlerStats>,
+    /// Self time per [`Stage`] (one sample per uninterrupted stretch) in
+    /// the one handler in [`STAGE_SAMPLE`] that is timed this finely, over
+    /// all handler categories. Stretches outside every stage are not
+    /// listed, so the totals sum to less than that share of `handlers`'.
+    pub stages: BTreeMap<String, HandlerStats>,
 }
 
 /// Accumulates handler timings while a run executes.
@@ -112,16 +142,65 @@ pub struct Profiler {
     hists: Vec<NsHistogram>,
     events: u64,
     started: Instant,
+    /// Does the handler now running time its stages?
+    stages_on: bool,
+    /// xorshift64 state behind that choice.
+    stage_pick: u64,
+    stage: Stage,
+    stage_since: Instant,
+    /// What one clock read costs here: every stretch spans about one and
+    /// is recorded net of it.
+    clock_read_ns: u64,
+    stage_hists: [NsHistogram; STAGES.len()],
 }
 
 impl Profiler {
     pub fn new(categories: &'static [&'static str]) -> Self {
+        // The median gap between back-to-back reads is the cost of a read.
+        let mut gaps = [0u64; 33];
+        let mut last = Instant::now();
+        for gap in &mut gaps {
+            let now = Instant::now();
+            *gap = (now - last).as_nanos() as u64;
+            last = now;
+        }
+        gaps.sort_unstable();
+        let clock_read_ns = gaps[gaps.len() / 2];
+        let started = Instant::now();
         Profiler {
             categories,
             hists: vec![NsHistogram::default(); categories.len()],
             events: 0,
-            started: Instant::now(),
+            started,
+            stages_on: false,
+            stage_pick: 0x9e37_79b9_7f4a_7c15,
+            stage: Stage::Outside,
+            stage_since: started,
+            clock_read_ns,
+            stage_hists: Default::default(),
         }
+    }
+
+    /// Attribute the time from now on to `stage`, closing the stretch of
+    /// the stage that was running; returns that stage so a nested section
+    /// can hand control back to it.
+    #[inline]
+    pub fn enter_stage(&mut self, stage: Stage) -> Stage {
+        if !self.stages_on {
+            return Stage::Outside;
+        }
+        self.switch_stage(stage)
+    }
+
+    fn switch_stage(&mut self, stage: Stage) -> Stage {
+        let now = Instant::now();
+        let prev = std::mem::replace(&mut self.stage, stage);
+        if let Some(hist) = self.stage_hists.get_mut(prev as usize) {
+            let ns = (now - self.stage_since).as_nanos().min(u64::MAX as u128) as u64;
+            hist.record(ns.saturating_sub(self.clock_read_ns));
+        }
+        self.stage_since = now;
+        prev
     }
 
     /// Timestamp taken just before a handler runs.
@@ -130,10 +209,26 @@ impl Profiler {
         Instant::now()
     }
 
+    /// [`handler_start`](Self::handler_start), also deciding whether this
+    /// handler times its stages.
+    #[inline]
+    pub fn begin_handler(&mut self) -> Instant {
+        let mut x = self.stage_pick;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.stage_pick = x;
+        self.stages_on = x.is_multiple_of(STAGE_SAMPLE);
+        Instant::now()
+    }
+
     /// Record one handler invocation of category `idx` (index into the
-    /// category slice given to [`Profiler::new`]).
+    /// category slice given to [`Profiler::new`]). Closes the stage the
+    /// handler left open, if any.
     #[inline]
     pub fn record(&mut self, idx: usize, started: Instant) {
+        self.enter_stage(Stage::Outside);
+        self.stages_on = false;
         let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.events += 1;
         self.hists[idx].record(ns);
@@ -162,6 +257,11 @@ impl Profiler {
                 .categories
                 .iter()
                 .zip(&self.hists)
+                .map(|(name, h)| ((*name).to_owned(), h.stats()))
+                .collect(),
+            stages: STAGES
+                .iter()
+                .zip(&self.stage_hists)
                 .map(|(name, h)| ((*name).to_owned(), h.stats()))
                 .collect(),
         }
@@ -206,5 +306,32 @@ mod tests {
         // Serializes cleanly (used for BENCH_sim.json).
         let v = serde_json::to_value(&prof);
         assert!(v["handlers"]["timer"]["count"].as_u64() == Some(1));
+    }
+
+    #[test]
+    fn stages_get_self_time_and_outside_is_not_reported() {
+        let mut p = Profiler::new(&["deliver"]);
+        // Outside a timed handler a stage change is free and records nothing.
+        assert_eq!(p.enter_stage(Stage::Parse), Stage::Outside);
+        let started = loop {
+            let started = p.begin_handler();
+            if p.stages_on {
+                break started;
+            }
+        };
+        assert_eq!(p.enter_stage(Stage::Protocol), Stage::Outside);
+        // A nested section suspends the stage it interrupts...
+        let outer = p.enter_stage(Stage::Emit);
+        assert_eq!(outer, Stage::Protocol);
+        // ...and hands control back to it.
+        assert_eq!(p.enter_stage(outer), Stage::Emit);
+        // The handler's end closes the stretch it left open.
+        p.record(0, started);
+        let prof = p.finish(0, 0);
+        let names: Vec<&str> = prof.stages.keys().map(String::as_str).collect();
+        assert_eq!(names, ["account", "emit", "parse", "protocol"]);
+        assert_eq!(prof.stages["protocol"].count, 2, "two stretches");
+        assert_eq!(prof.stages["emit"].count, 1);
+        assert_eq!(prof.stages["parse"].count, 0);
     }
 }

@@ -1,0 +1,146 @@
+//! Shared by the frame-corpus, metamorphic and wire round-trip tests: the
+//! Figure-1 scenario assembled through the public builder (so a test can
+//! reach the world before it runs), and the reference every frame's parse
+//! memo is compared against.
+#![allow(dead_code)]
+
+use bytes::Bytes;
+use mobicast::core::builder::{apply_fault_plan, build, BuiltNetwork, HostSpec, NetworkSpec};
+use mobicast::core::netplan::extract_data_info;
+use mobicast::core::parsed::{parsed, Layers, Upper};
+use mobicast::core::scenario::{group, PaperHost, ScenarioConfig};
+use mobicast::core::{HostConfig, RouterConfig, SenderApp};
+use mobicast::ipv6::packet::{proto, Packet};
+use mobicast::ipv6::{tunnel, Icmpv6};
+use mobicast::mipv6::packets::{parse_binding_ack, parse_binding_update};
+use mobicast::net::{Frame, FrameClass};
+use mobicast::pimdm::PimMessage;
+use mobicast::sim::{SimTime, Tracer};
+
+/// The paper's network and four hosts as `scenario::run` places them, with
+/// `cfg`'s fault plan applied and its moves scripted; not yet started.
+pub fn figure1(cfg: &ScenarioConfig) -> BuiltNetwork {
+    let spec = NetworkSpec::reference();
+    let host_cfg = HostConfig {
+        policy: cfg.policy,
+        unsolicited_reports: cfg.unsolicited_reports,
+        mld: cfg.mld,
+    };
+    let hosts: Vec<HostSpec> = PaperHost::ALL
+        .iter()
+        .map(|h| HostSpec {
+            home_link: h.home_link_index(),
+            cfg: host_cfg,
+            sender: (*h == PaperHost::S).then_some(SenderApp {
+                group: group(),
+                interval: cfg.data_interval,
+                payload_size: cfg.payload_size,
+                start: cfg.traffic_start,
+                stop: SimTime::ZERO + cfg.duration,
+            }),
+            receiver_group: (*h != PaperHost::S).then_some(group()),
+        })
+        .collect();
+    let router_cfg = RouterConfig {
+        mld: cfg.mld,
+        pim: cfg.pim,
+        budget: cfg.budget,
+        ..RouterConfig::default()
+    };
+    let mut net = build(&spec, &hosts, router_cfg, cfg.seed, Tracer::null());
+    apply_fault_plan(&mut net, &spec, router_cfg, &cfg.fault, cfg.seed);
+    for mv in &cfg.moves {
+        let host = net.hosts[PaperHost::ALL.iter().position(|h| *h == mv.host).unwrap()];
+        let link = net.links[mv.to_link - 1];
+        let at = SimTime::from_nanos((mv.at_secs * 1e9) as u64);
+        net.world.at(at, move |w| w.move_iface(host, 0, link));
+    }
+    net
+}
+
+/// What a check of one frame found, so a corpus can show it was not vacuous.
+#[derive(Default, Debug)]
+pub struct Seen {
+    pub frames: u64,
+    pub undecodable: u64,
+    pub upper_errors: u64,
+    pub tunnels: u64,
+    pub data: u64,
+    pub signalling: u64,
+}
+
+/// Every answer of `frame`'s parse memo equals the plain decoder run on
+/// the same bytes — `Ok` values and every typed `Err`. Asked of the frame
+/// as captured (its memo may have been filled during a run) and of two
+/// new frames over the same bytes, in opposite orders.
+pub fn assert_memo_matches_fresh_decode(frame: &Frame, seen: &mut Seen) {
+    let fresh = Packet::decode_shared(frame.bytes());
+    let forward = Frame::new(frame.bytes().clone(), frame.class);
+    let backward = Frame::new(frame.bytes().clone(), frame.class);
+    for (asked, reversed) in [(frame, false), (&forward, false), (&backward, true)] {
+        match (parsed(asked), &fresh) {
+            (Err(got), Err(want)) => assert_eq!(got, want),
+            (Ok(layers), Ok(p)) => {
+                let mut asks: [fn(&Layers, &Packet); 4] =
+                    [ask_packet, ask_upper, ask_data, ask_signalling];
+                if reversed {
+                    asks.reverse();
+                }
+                for ask in asks {
+                    ask(layers, p);
+                }
+            }
+            (got, want) => panic!("memo {got:?}, fresh decode {want:?}"),
+        }
+    }
+    seen.frames += 1;
+    let Ok(p) = fresh else {
+        seen.undecodable += 1;
+        return;
+    };
+    seen.tunnels += u64::from(tunnel::is_tunnel(&p));
+    seen.data += u64::from(extract_data_info(&p).is_some());
+    seen.signalling +=
+        u64::from(parse_binding_update(&p).is_some() || parse_binding_ack(&p).is_some());
+    seen.upper_errors += u64::from(match p.payload_proto {
+        proto::ICMPV6 => Icmpv6::decode(p.src, p.dst, &p.payload).is_err(),
+        proto::PIM => PimMessage::decode(p.src, p.dst, &p.payload).is_err(),
+        proto::IPV6 => tunnel::decapsulate(&p).is_err(),
+        _ => false,
+    });
+}
+
+/// [`assert_memo_matches_fresh_decode`] for bare bytes.
+pub fn assert_memo_matches_fresh_decode_of(raw: &[u8]) {
+    let frame = Frame::new(Bytes::copy_from_slice(raw), FrameClass::Other);
+    assert_memo_matches_fresh_decode(&frame, &mut Seen::default());
+}
+
+fn ask_packet(layers: &Layers, p: &Packet) {
+    assert_eq!(layers.packet(), p);
+    assert_eq!(layers.unknown_option_problem(), p.unknown_option_problem());
+}
+
+fn ask_upper(layers: &Layers, p: &Packet) {
+    let want = match p.payload_proto {
+        proto::ICMPV6 => Upper::Icmpv6(Icmpv6::decode(p.src, p.dst, &p.payload)),
+        proto::PIM => Upper::Pim(PimMessage::decode(p.src, p.dst, &p.payload)),
+        proto::IPV6 => Upper::Tunnel(tunnel::decapsulate(p)),
+        _ => Upper::Opaque,
+    };
+    assert_eq!(layers.upper(), &want);
+}
+
+fn ask_data(layers: &Layers, p: &Packet) {
+    assert_eq!(layers.data().copied(), extract_data_info(p));
+}
+
+fn ask_signalling(layers: &Layers, p: &Packet) {
+    let (update, ack) = (parse_binding_update(p), parse_binding_ack(p));
+    assert_eq!(layers.binding_update(), update.as_ref());
+    assert_eq!(layers.binding_ack(), ack.as_ref());
+    assert_eq!(
+        layers.is_binding_signalling(),
+        update.is_some() || ack.is_some()
+    );
+}

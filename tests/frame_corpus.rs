@@ -1,0 +1,95 @@
+//! Real-frame corpus differential for the per-frame parse memo: every
+//! frame a run puts on a link or hands to a receiver — clean
+//! transmissions, per-receiver copies and the copies corruption mangled —
+//! must read, through `core::parsed`, exactly as the plain decoders read
+//! its bytes. The corpus is whatever the Figure-1 scenario produces under
+//! every delivery policy, plus two chaos seeds whose plans corrupt frames.
+
+mod common;
+
+use common::{assert_memo_matches_fresh_decode, figure1, Seen};
+use mobicast::core::scenario::{PaperHost, ScenarioConfig};
+use mobicast::core::{chaos, Policy};
+use mobicast::net::{ExecPlan, Frame, IfIndex, LinkId, NodeId, WorldProbe};
+use mobicast::sim::SimTime;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// Keeps every frame the world shows a probe: each transmission, and each
+/// copy as its receiver is about to get it (damaged copies included).
+#[derive(Default)]
+struct Capture {
+    frames: RefCell<Vec<Frame>>,
+}
+
+impl WorldProbe for Capture {
+    fn on_transmit(&self, _: SimTime, _: NodeId, _: IfIndex, _: LinkId, frame: &Frame) {
+        self.frames.borrow_mut().push(frame.clone());
+    }
+    fn on_deliver(&self, _: SimTime, _: NodeId, _: IfIndex, _: LinkId, frame: &Frame) {
+        self.frames.borrow_mut().push(frame.clone());
+    }
+}
+
+fn corpus_of(cfg: &ScenarioConfig) -> Vec<Frame> {
+    let mut net = figure1(cfg);
+    let capture = Rc::new(Capture::default());
+    net.world.set_probe(capture.clone());
+    net.world
+        .run(SimTime::ZERO + cfg.duration, &ExecPlan::sequential());
+    drop(net);
+    Rc::try_unwrap(capture)
+        .unwrap_or_else(|_| panic!("the world kept the probe"))
+        .frames
+        .into_inner()
+}
+
+#[test]
+fn every_frame_of_every_policy_reads_as_its_bytes_decode() {
+    for policy in Policy::active() {
+        let cfg = ScenarioConfig::builder()
+            .seed(3)
+            .duration_secs(100)
+            .policy(policy)
+            .move_at(30.0, PaperHost::R3, 6)
+            .move_at(60.0, PaperHost::S, 6)
+            .build();
+        let mut seen = Seen::default();
+        for frame in corpus_of(&cfg) {
+            assert!(!frame.damaged, "no fault plan");
+            assert_memo_matches_fresh_decode(&frame, &mut seen);
+        }
+        assert!(seen.frames > 1_000 && seen.data > 0, "{policy:?}: {seen:?}");
+        assert_eq!(
+            seen.undecodable + seen.upper_errors,
+            0,
+            "{policy:?}: {seen:?}"
+        );
+    }
+}
+
+#[test]
+fn corrupted_copies_read_as_their_own_bytes_decode() {
+    let corrupting = (0u64..)
+        .filter(|s| {
+            !chaos::plan_for_seed(*s)
+                .fault_plan()
+                .link
+                .corruption
+                .is_none()
+        })
+        .take(2);
+    let mut seen = Seen::default();
+    let mut damaged = 0u64;
+    for seed in corrupting {
+        let cfg = chaos::plan_for_seed(seed).config(Policy::BIDIRECTIONAL_TUNNEL, seed);
+        for frame in corpus_of(&cfg) {
+            damaged += u64::from(frame.damaged);
+            assert_memo_matches_fresh_decode(&frame, &mut seen);
+        }
+    }
+    // The corpus reached the error side of every accessor.
+    assert!(damaged > 0, "{seen:?}");
+    assert!(seen.undecodable > 0 && seen.upper_errors > 0, "{seen:?}");
+    assert!(seen.tunnels > 0 && seen.signalling > 0, "{seen:?}");
+}

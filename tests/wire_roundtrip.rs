@@ -5,6 +5,8 @@
 //! must never panic on truncated or corrupted input (they see every byte a
 //! faulty link delivers).
 
+mod common;
+
 use bytes::Bytes;
 use mobicast::ipv6::addr::GroupAddr;
 use mobicast::ipv6::packet::pseudo_header_checksum;
@@ -52,8 +54,10 @@ fn arb_sg_list() -> impl Strategy<Value = Vec<Sg>> {
 /// ones on every input — the same value or the same typed error — at every
 /// level of a tunnel nest (to depth 8) and for the UDP datagram inside.
 /// `raw` is checked as a view at a non-zero offset of a larger buffer,
-/// which is what a decapsulated payload is.
+/// which is what a decapsulated payload is. A frame carrying `raw` must
+/// read the same through its parse memo.
 fn assert_shared_decoders_agree(raw: &[u8]) {
+    common::assert_memo_matches_fresh_decode_of(raw);
     let mut framed = vec![0xee; 3];
     framed.extend_from_slice(raw);
     framed.extend_from_slice(&[0xee; 2]);
