@@ -3,10 +3,11 @@
 //! [`Policy`] — one of the paper's four approaches or a registered
 //! extension such as the hierarchical proxy.
 
-use crate::netplan::{frame_for, DataPayload, SharedDirectory, MCAST_UDP_PORT};
+use crate::netplan::{DataPayload, SharedDirectory, MCAST_UDP_PORT};
+use crate::node_kit::{self, malformed, mld_packet, Malformed, TimerSlot};
 use crate::observability::{trace_span_close, trace_span_open};
-use crate::parsed::{frame_data, parsed, Upper};
-use crate::recorder::{packet_id, DataEvent, Delivery, MoveEvent, PacketMeta, SharedRecorder};
+use crate::parsed::{parsed, Upper};
+use crate::recorder::{packet_id, Delivery, MoveEvent, PacketMeta, SharedRecorder};
 use crate::strategy::{MoveAction, MoveContext, Policy, RecvPath, SendPath};
 use mobicast_ipv6::addr::{self, GroupAddr};
 use mobicast_ipv6::icmpv6::Icmpv6;
@@ -17,8 +18,7 @@ use mobicast_mipv6::{packets as mip_packets, MnOutput, MobileNode};
 use mobicast_mld::{HostOutput, MldConfig, MldHostPort, MldMessage};
 use mobicast_net::{Ctx, Frame, IfIndex, LinkId, NodeBehavior, NodeId, TimerKey};
 use mobicast_sim::{
-    bump, counter, Counters, EventId, RngFactory, SimDuration, SimTime, SpanId, Stage,
-    TraceCategory,
+    bump, counter, Counters, RngFactory, SimDuration, SimTime, SpanId, Stage, TraceCategory,
 };
 use std::any::Any;
 use std::collections::{BTreeSet, HashSet};
@@ -90,28 +90,6 @@ struct HandoffSpans {
     last_delivery: Option<SimTime>,
 }
 
-struct TimerSlot(Option<(SimTime, EventId)>);
-
-impl TimerSlot {
-    fn arm(&mut self, ctx: &mut Ctx<'_>, key: u64, want: Option<SimTime>) {
-        match (self.0, want) {
-            (Some((t, _)), Some(w)) if t == w => {}
-            (prev, Some(w)) => {
-                if let Some((_, id)) = prev {
-                    ctx.cancel_timer(id);
-                }
-                let id = ctx.set_timer_at(w, TimerKey(key));
-                self.0 = Some((w, id));
-            }
-            (Some((_, id)), None) => {
-                ctx.cancel_timer(id);
-                self.0 = None;
-            }
-            (None, None) => {}
-        }
-    }
-}
-
 /// The composed host node behaviour.
 pub struct HostNode {
     pub id: NodeId,
@@ -172,9 +150,9 @@ impl HostNode {
             receiver_group,
             current_link: None,
             next_seq: 0,
-            mld_timer: TimerSlot(None),
-            mn_timer: TimerSlot(None),
-            app_timer: TimerSlot(None),
+            mld_timer: TimerSlot::default(),
+            mn_timer: TimerSlot::default(),
+            app_timer: TimerSlot::default(),
             spans: HandoffSpans::default(),
             mib: Counters::new(),
         }
@@ -211,38 +189,14 @@ impl HostNode {
         self.dir.default_router.get(link.index()).copied().flatten()
     }
 
+    /// [`node_kit::emit`] on the host's one interface. A host originates:
+    /// its emissions have no parent.
     fn emit(&self, ctx: &mut Ctx<'_>, packet: &Packet, l2_to: Option<NodeId>) {
-        let outer = ctx.stage(Stage::Emit);
-        let mut frame = frame_for(packet, l2_to);
-        if let Some(info) = ctx.in_stage(Stage::Parse, || frame_data(&frame)) {
-            if let Some(link) = ctx.link_on(0) {
-                ctx.stage(Stage::Account);
-                let id = self.recorder.next_tag(self.id);
-                frame.tag = id;
-                self.recorder.record_data(DataEvent {
-                    pkt: info.payload.pkt,
-                    id,
-                    parent: None,
-                    link,
-                    time: ctx.now(),
-                    size: frame.len() as u32,
-                    tunneled: info.tunnel_depth > 0,
-                });
-                ctx.stage(Stage::Emit);
-            }
-        }
-        ctx.send(0, frame);
-        ctx.stage(outer);
+        node_kit::emit(ctx, &self.recorder, self.id, 0, packet, l2_to, None);
     }
 
     fn emit_mld(&mut self, ctx: &mut Ctx<'_>, outs: Vec<HostOutput>) {
-        use mobicast_ipv6::exthdr::{ExtHeader, Option6};
         for HostOutput::Send(msg) in outs {
-            let dst = msg.ip_destination();
-            let body = msg.to_icmp().encode(self.ll_addr, dst);
-            let packet = Packet::new(self.ll_addr, dst, proto::ICMPV6, body)
-                .with_hop_limit(1)
-                .with_ext(ExtHeader::HopByHop(vec![Option6::RouterAlert(0)]));
             ctx.in_stage(Stage::Account, || {
                 bump!(self.recorder, "host.mld_reports_sent");
                 match msg {
@@ -251,7 +205,7 @@ impl HostNode {
                     MldMessage::Done { .. } => bump!(self.mib, "mldOutDones"),
                 }
             });
-            self.emit(ctx, &packet, None);
+            self.emit(ctx, &mld_packet(self.ll_addr, msg), None);
         }
     }
 
@@ -615,26 +569,20 @@ impl NodeBehavior for HostNode {
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, _ifx: IfIndex, frame: &Frame) {
         ctx.stage(Stage::Parse);
-        let malformed = |ctx: &Ctx<'_>, layer: &'static str, err: &mobicast_ipv6::DecodeError| {
-            ctx.trace_event(TraceCategory::Fault, "malformed", || {
-                vec![
-                    ("layer", layer.into()),
-                    ("class", frame.class.name().into()),
-                    ("len", frame.len().into()),
-                    ("error", err.to_string().into()),
-                ]
-            });
-        };
         let layers = match parsed(frame) {
             Ok(layers) => layers,
             Err(err) => {
                 bump!(self.recorder, "host.decode_errors");
-                bump!(self.mib, "framesMalformed");
-                malformed(ctx, "ipv6", err);
+                malformed(ctx, &mut self.mib, Malformed::Frame("ipv6", frame), err);
                 return;
             }
         };
         let packet = layers.packet();
+        // Gate order, host: unknown option, then damaged signalling (a
+        // router runs the two the other way round). A frame that is both
+        // counts under the first gate only, so the order is part of what
+        // the counters mean.
+        //
         // RFC 8200 §4.2: hosts too must discard packets carrying an
         // unrecognized option with discard semantics. Hosts drop silently
         // (the simulator's routers own the Parameter Problem reporting).
@@ -667,8 +615,7 @@ impl NodeBehavior for HostNode {
                     Ok(i) => i,
                     Err(err) => {
                         bump!(self.recorder, "host.icmp_decode_errors");
-                        bump!(self.mib, "framesMalformed");
-                        malformed(ctx, "icmpv6", err);
+                        malformed(ctx, &mut self.mib, Malformed::Frame("icmpv6", frame), err);
                         return;
                     }
                 };
@@ -710,14 +657,7 @@ impl NodeBehavior for HostNode {
                     Ok(inner) => inner,
                     Err(err) => {
                         bump!(self.recorder, "host.decap_errors");
-                        bump!(self.mib, "framesMalformed");
-                        ctx.trace_event(TraceCategory::Fault, "malformed", || {
-                            vec![
-                                ("layer", "tunnel".into()),
-                                ("outer_src", packet.src.into()),
-                                ("error", err.to_string().into()),
-                            ]
-                        });
+                        malformed(ctx, &mut self.mib, Malformed::Tunnel(packet.src), err);
                         return;
                     }
                 };
@@ -791,18 +731,18 @@ impl NodeBehavior for HostNode {
         ctx.stage(Stage::Protocol);
         match key.0 {
             TIMER_MLD => {
-                self.mld_timer.0 = None;
+                self.mld_timer.fired();
                 let outs = self.mld.on_deadline(now);
                 self.emit_mld(ctx, outs);
                 self.arm_mld(ctx);
             }
             TIMER_MN => {
-                self.mn_timer.0 = None;
+                self.mn_timer.fired();
                 let outs = self.mn.on_deadline(now);
                 self.emit_mn(ctx, outs);
             }
             TIMER_APP => {
-                self.app_timer.0 = None;
+                self.app_timer.fired();
                 if let Some(app) = self.sender {
                     if now >= app.start && now < app.stop {
                         self.send_data(ctx, app);

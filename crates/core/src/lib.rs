@@ -34,6 +34,7 @@ pub mod host_node;
 pub mod interners;
 pub mod mobility;
 pub mod netplan;
+mod node_kit;
 pub mod observability;
 pub mod oracle;
 pub mod parsed;

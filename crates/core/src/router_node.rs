@@ -11,28 +11,25 @@
 
 use crate::interners::WorldInterners;
 use crate::netplan::{self, frame_for, RoutingTable};
-use crate::parsed::{frame_data, parsed, Layers, Upper};
-use crate::recorder::{DataEvent, SharedRecorder};
+use crate::node_kit::{self, account_note, malformed, mld_packet, Malformed, Note, TimerSlot};
+use crate::parsed::{parsed, Layers, Upper};
+use crate::recorder::SharedRecorder;
 use mobicast_ipv6::addr::{self, GroupAddr, Prefix};
-use mobicast_ipv6::exthdr::{ExtHeader, Option6};
 use mobicast_ipv6::icmpv6::{
     AdvertisedPrefix, Icmpv6, PARAM_PROBLEM_ERRONEOUS_FIELD, PARAM_PROBLEM_UNRECOGNIZED_OPTION,
 };
 use mobicast_ipv6::packet::{proto, Packet};
 use mobicast_ipv6::tunnel;
-use mobicast_mipv6::{packets as mip_packets, HaNote, HaOutput, HomeAgent};
-use mobicast_mld::{
-    HostOutput, MldConfig, MldHostPort, MldMessage, MldNote, MldRouterPort, RouterOutput,
-};
+use mobicast_mipv6::{packets as mip_packets, HaOutput, HomeAgent};
+use mobicast_mld::{HostOutput, MldConfig, MldHostPort, MldMessage, MldRouterPort, RouterOutput};
 use mobicast_net::{Ctx, Frame, IfIndex, LinkId, NodeBehavior, NodeId, TimerKey};
 use mobicast_pimdm::{PimConfig, PimDest, PimMessage, PimNote, PimRouter, PimSend, RpfLookup};
 use mobicast_sim::{
-    bump, counter, Counter, Counters, EventId, RateLimit, RngFactory, ShedPolicy, SimDuration,
-    SimTime, SpanId, Stage, TokenBucket, TraceCategory,
+    bump, counter, Counter, Counters, RateLimit, RngFactory, ShedPolicy, SimDuration, SimTime,
+    SpanId, Stage, TokenBucket, TraceCategory,
 };
 use std::any::Any;
 use std::cell::OnceCell;
-use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
 /// One kind of control message: its name, the recorder counter
@@ -143,35 +140,6 @@ pub struct RouterIfaceInfo {
     pub global: Ipv6Addr,
 }
 
-struct TimerSlot {
-    scheduled: Option<(SimTime, EventId)>,
-}
-
-impl TimerSlot {
-    fn new() -> Self {
-        TimerSlot { scheduled: None }
-    }
-
-    /// Ensure a timer fires at `want` (None cancels).
-    fn arm(&mut self, ctx: &mut Ctx<'_>, key: u64, want: Option<SimTime>) {
-        match (self.scheduled, want) {
-            (Some((t, _)), Some(w)) if t == w => {}
-            (prev, Some(w)) => {
-                if let Some((_, id)) = prev {
-                    ctx.cancel_timer(id);
-                }
-                let id = ctx.set_timer_at(w, TimerKey(key));
-                self.scheduled = Some((w, id));
-            }
-            (Some((_, id)), None) => {
-                ctx.cancel_timer(id);
-                self.scheduled = None;
-            }
-            (None, None) => {}
-        }
-    }
-}
-
 /// The Router Advertisement a router sends on the interface `info`
 /// describes, solicited or not.
 fn router_advert(info: &RouterIfaceInfo) -> Packet {
@@ -188,16 +156,29 @@ fn router_advert(info: &RouterIfaceInfo) -> Packet {
     Packet::new(info.ll, addr::ALL_NODES, proto::ICMPV6, body).with_hop_limit(255)
 }
 
+/// Everything a router keeps per interface. `RouterNode::ports` is
+/// indexed by the dense `IfIndex` that `RouterNode::new` assigns `0..n`.
+struct Port {
+    info: RouterIfaceInfo,
+    mld: MldRouterPort,
+    /// HA proxy listener state.
+    proxy: MldHostPort,
+    /// A solicited Router Advertisement is waiting for its response delay.
+    ra_pending: bool,
+    /// The Router Advertisement frame — bytes and parse memo — built by
+    /// the first send and cloned by every later one: prefix, lifetimes,
+    /// source and destination never change. (Not built in `new`: world
+    /// construction is timed, and many built routers never run.)
+    ra_frame: OnceCell<Frame>,
+}
+
 /// The composed router node behaviour.
 pub struct RouterNode {
     pub id: NodeId,
     cfg: RouterConfig,
-    ifaces: Vec<RouterIfaceInfo>,
+    ports: Vec<Port>,
     table: RoutingTable,
     pim: PimRouter,
-    mld: BTreeMap<IfIndex, MldRouterPort>,
-    /// HA proxy listener state per interface.
-    proxy: BTreeMap<IfIndex, MldHostPort>,
     ha: HomeAgent,
     /// Shared control-plane ingress rate limiter (None = unlimited).
     bucket: Option<TokenBucket>,
@@ -205,13 +186,6 @@ pub struct RouterNode {
     mld_timer: TimerSlot,
     pim_timer: TimerSlot,
     ha_timer: TimerSlot,
-    ra_pending: Vec<bool>,
-    /// The Router Advertisement frame of each interface — bytes and parse
-    /// memo — built by the first send and cloned by every later one:
-    /// prefix, lifetimes, source and destination never change. (Not built
-    /// in `new`: world construction is timed, and many built routers
-    /// never run.)
-    ra_frames: Vec<OnceCell<Frame>>,
     /// High-water mark of (S,G) entries (paper: router storage load).
     pub max_sg_entries: usize,
     /// Open `graft` spans keyed by (S,G): opened when the upstream graft
@@ -243,43 +217,35 @@ impl RouterNode {
             interners.groups.clone(),
         );
         pim.set_budget(cfg.budget.pim_sg_entries, cfg.budget.shed_policy);
-        let mut mld = BTreeMap::new();
-        let mut proxy = BTreeMap::new();
-        for (i, info) in ifaces.iter().enumerate() {
+        let port = |(i, info): (usize, RouterIfaceInfo)| {
             let ifx = i as IfIndex;
             pim.add_iface(ifx, info.ll);
-            let mut port = MldRouterPort::with_interner(cfg.mld, info.ll, interners.groups.clone());
-            port.set_budget(cfg.budget.mld_listeners, cfg.budget.shed_policy);
-            mld.insert(ifx, port);
-            proxy.insert(
-                ifx,
-                MldHostPort::new(
-                    cfg.mld,
-                    rng.indexed_stream("ha-proxy", u64::from(id.0) * 16 + u64::from(ifx)),
-                ),
-            );
-        }
+            let mut mld = MldRouterPort::with_interner(cfg.mld, info.ll, interners.groups.clone());
+            mld.set_budget(cfg.budget.mld_listeners, cfg.budget.shed_policy);
+            let proxy_rng = rng.indexed_stream("ha-proxy", u64::from(id.0) * 16 + u64::from(ifx));
+            Port {
+                info,
+                mld,
+                proxy: MldHostPort::new(cfg.mld, proxy_rng),
+                ra_pending: false,
+                ra_frame: OnceCell::new(),
+            }
+        };
+        let ports = ifaces.into_iter().enumerate().map(port).collect();
         let mut ha = HomeAgent::with_interners(interners.addrs.clone(), interners.groups.clone());
         ha.set_budget(cfg.budget.binding_cache, cfg.budget.shed_policy);
-        let bucket = cfg.budget.control_rate.map(TokenBucket::new);
-        let n = ifaces.len();
-        let ra_frames = ifaces.iter().map(|_| OnceCell::new()).collect();
         RouterNode {
             id,
             cfg,
-            ifaces,
+            ports,
             table,
             pim,
-            mld,
-            proxy,
             ha,
-            bucket,
+            bucket: cfg.budget.control_rate.map(TokenBucket::new),
             recorder,
-            mld_timer: TimerSlot::new(),
-            pim_timer: TimerSlot::new(),
-            ha_timer: TimerSlot::new(),
-            ra_pending: vec![false; n],
-            ra_frames,
+            mld_timer: TimerSlot::default(),
+            pim_timer: TimerSlot::default(),
+            ha_timer: TimerSlot::default(),
             max_sg_entries: 0,
             graft_spans: Vec::new(),
             mib: Counters::new(),
@@ -313,20 +279,20 @@ impl RouterNode {
         self.bucket.as_ref().map(|b| b.available())
     }
 
+    fn mld_listener_counts(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ports.iter().map(|p| p.mld.membership_count())
+    }
+
     /// Total MLD listener entries across all router ports (the
     /// bounded-memory oracle polls this against the budget).
     pub fn mld_listener_total(&self) -> usize {
-        self.mld.values().map(|p| p.membership_count()).sum()
+        self.mld_listener_counts().sum()
     }
 
     /// Largest single-port MLD listener table (the per-port cap applies
     /// per interface, so the oracle bound is on the max, not the sum).
     pub fn mld_listener_port_max(&self) -> usize {
-        self.mld
-            .values()
-            .map(|p| p.membership_count())
-            .max()
-            .unwrap_or(0)
+        self.mld_listener_counts().max().unwrap_or(0)
     }
 
     /// Admit one control-plane message through the shared token bucket.
@@ -369,60 +335,56 @@ impl RouterNode {
         }
     }
 
-    /// Turn buffered home-agent admission notes into typed trace events
-    /// and MIB counters. Called after every interaction with the HA.
-    fn drain_ha_notes(&mut self, ctx: &mut Ctx<'_>) {
-        for note in self.ha.take_notes() {
-            let (mib, recorder_key, event, home) = match note {
-                HaNote::BindingShed { home } => (
-                    counter!("haBindingsShed"),
-                    counter!("overload.ha_bindings_shed"),
-                    "binding_shed",
-                    home,
-                ),
-                HaNote::BindingEvicted { home } => (
-                    counter!("haBindingsEvicted"),
-                    counter!("overload.ha_bindings_evicted"),
-                    "binding_evicted",
-                    home,
-                ),
-                HaNote::BindingStaleSeq { home } => {
-                    // Anti-replay, not admission control: keep it out of the
-                    // overload ground truth but visible in the same places.
-                    bump!(self.mib, "buStaleSeqDropped");
-                    bump!(self.recorder, "ha.bu_stale_seq");
-                    ctx.trace_event(TraceCategory::MobileIp, "bu_stale_seq", || {
-                        vec![("home", home.into())]
-                    });
-                    continue;
+    /// Account notes drained from a protocol machine, right after the
+    /// interaction that buffered them. All a note does beyond its
+    /// `account_note` row: a graft going pending opens its span (one per
+    /// pending (S,G): retransmissions stay inside it), the ack closes it.
+    fn drain_notes(&mut self, ctx: &mut Ctx<'_>, notes: impl Iterator<Item = Note>) {
+        let outer = ctx.stage(Stage::Account);
+        for note in notes {
+            account_note(ctx, &mut self.mib, &self.recorder, &note);
+            match note {
+                Note::Pim(PimNote::UpstreamGraftPending { sg })
+                    if !self.graft_spans.iter().any(|(k, _)| *k == sg) =>
+                {
+                    let id = self.recorder.span_open("graft", self.id, ctx.now(), None);
+                    self.recorder.span_annotate(id, "src", sg.0.to_string());
+                    self.recorder
+                        .span_annotate(id, "group", sg.1.addr().to_string());
+                    crate::observability::trace_span_open(ctx, id, "graft", None);
+                    self.graft_spans.push((sg, id));
                 }
-            };
-            self.mib.bump(mib, 1);
-            self.recorder.bump(recorder_key, 1);
-            ctx.trace_event(TraceCategory::Overload, event, || {
-                vec![("home", home.into())]
-            });
+                Note::Pim(PimNote::GraftAcked { sg, .. }) => {
+                    if let Some(pos) = self.graft_spans.iter().position(|(k, _)| *k == sg) {
+                        let (_, id) = self.graft_spans.remove(pos);
+                        self.recorder.span_close(id, ctx.now());
+                        crate::observability::trace_span_close(ctx, id, "graft");
+                    }
+                }
+                _ => {}
+            }
         }
+        ctx.stage(outer);
     }
 
     pub fn iface_info(&self, ifx: IfIndex) -> &RouterIfaceInfo {
-        &self.ifaces[usize::from(ifx)]
+        &self.ports[usize::from(ifx)].info
     }
 
     fn iface_containing(&self, a: Ipv6Addr) -> Option<IfIndex> {
-        self.ifaces
+        self.ports
             .iter()
-            .position(|i| i.prefix.contains(a))
+            .position(|p| p.info.prefix.contains(a))
             .map(|i| i as IfIndex)
     }
 
     fn is_my_addr(&self, a: Ipv6Addr) -> bool {
-        self.ifaces.iter().any(|i| i.ll == a || i.global == a)
+        self.ports
+            .iter()
+            .any(|p| p.info.ll == a || p.info.global == a)
     }
 
-    /// Transmit `packet` on `ifx`, recording a data event if it carries the
-    /// multicast application stream. `parent` is the provenance tag of the
-    /// frame whose processing caused this emission (None at an origin).
+    /// [`node_kit::emit`] as this router.
     fn emit(
         &self,
         ctx: &mut Ctx<'_>,
@@ -431,31 +393,11 @@ impl RouterNode {
         l2_to: Option<NodeId>,
         parent: Option<u64>,
     ) {
-        let outer = ctx.stage(Stage::Emit);
-        let mut frame = frame_for(packet, l2_to);
-        if let Some(info) = ctx.in_stage(Stage::Parse, || frame_data(&frame)) {
-            if let Some(link) = ctx.link_on(ifx) {
-                ctx.stage(Stage::Account);
-                let id = self.recorder.next_tag(self.id);
-                frame.tag = id;
-                self.recorder.record_data(DataEvent {
-                    pkt: info.payload.pkt,
-                    id,
-                    parent,
-                    link,
-                    time: ctx.now(),
-                    size: frame.len() as u32,
-                    tunneled: info.tunnel_depth > 0,
-                });
-                ctx.stage(Stage::Emit);
-            }
-        }
-        ctx.send(ifx, frame);
-        ctx.stage(outer);
+        node_kit::emit(ctx, &self.recorder, self.id, ifx, packet, l2_to, parent);
     }
 
     fn emit_pim(&mut self, ctx: &mut Ctx<'_>, send: &PimSend) {
-        let src = self.ifaces[usize::from(send.iface)].ll;
+        let src = self.iface_info(send.iface).ll;
         let (dst, l2) = match send.dest {
             PimDest::AllRouters => (addr::ALL_PIM_ROUTERS, None),
             PimDest::Unicast(a) => (a, netplan::node_of_addr(a)),
@@ -486,11 +428,6 @@ impl RouterNode {
     }
 
     fn emit_mld(&mut self, ctx: &mut Ctx<'_>, ifx: IfIndex, src: Ipv6Addr, msg: MldMessage) {
-        let dst = msg.ip_destination();
-        let body = msg.to_icmp().encode(src, dst);
-        let packet = Packet::new(src, dst, proto::ICMPV6, body)
-            .with_hop_limit(1)
-            .with_ext(ExtHeader::HopByHop(vec![Option6::RouterAlert(0)]));
         let (_, sent, mib): PerKind = match msg {
             MldMessage::Query { .. } => per_kind!("mld.sent.", "query", "mldOutQueries"),
             MldMessage::Report { .. } => per_kind!("mld.sent.", "report", "mldOutReports"),
@@ -500,6 +437,7 @@ impl RouterNode {
             self.recorder.bump(sent, 1);
             self.mib.bump(mib, 1);
         });
+        let packet = mld_packet(src, msg);
         self.emit(ctx, ifx, &packet, None, None);
     }
 
@@ -508,190 +446,19 @@ impl RouterNode {
             self.emit_pim(ctx, s);
         }
         self.max_sg_entries = self.max_sg_entries.max(self.pim.entry_count());
-        self.drain_pim_notes(ctx);
-    }
-
-    /// Turn buffered PIM state-transition notes into typed trace events and
-    /// MIB counters. Called after every interaction with the PIM machine.
-    fn drain_pim_notes(&mut self, ctx: &mut Ctx<'_>) {
-        let outer = ctx.stage(Stage::Account);
-        for note in self.pim.take_notes() {
-            match note {
-                PimNote::AssertResolved {
-                    sg,
-                    iface,
-                    won,
-                    peer,
-                } => {
-                    match won {
-                        true => bump!(self.mib, "pimAssertsWon"),
-                        false => bump!(self.mib, "pimAssertsLost"),
-                    }
-                    ctx.trace_event(TraceCategory::Pim, "pim_assert_resolved", || {
-                        vec![
-                            ("src", sg.0.into()),
-                            ("group", sg.1.addr().into()),
-                            ("iface", u64::from(iface).into()),
-                            ("won", won.into()),
-                            ("peer", peer.into()),
-                        ]
-                    });
-                }
-                PimNote::AssertWinnerAdopted { sg, iface, winner } => {
-                    bump!(self.mib, "pimAssertWinnersAdopted");
-                    ctx.trace_event(TraceCategory::Pim, "pim_assert_winner_adopted", || {
-                        vec![
-                            ("src", sg.0.into()),
-                            ("group", sg.1.addr().into()),
-                            ("iface", u64::from(iface).into()),
-                            ("winner", winner.into()),
-                        ]
-                    });
-                }
-                PimNote::UpstreamPruned { sg, until } => {
-                    bump!(self.mib, "pimUpstreamPrunes");
-                    ctx.trace_event(TraceCategory::Pim, "pim_upstream_pruned", || {
-                        vec![
-                            ("src", sg.0.into()),
-                            ("group", sg.1.addr().into()),
-                            ("until_ns", until.as_nanos().into()),
-                        ]
-                    });
-                }
-                PimNote::UpstreamResumed { sg } => {
-                    bump!(self.mib, "pimUpstreamResumes");
-                    ctx.trace_event(TraceCategory::Pim, "pim_upstream_resumed", || {
-                        vec![("src", sg.0.into()), ("group", sg.1.addr().into())]
-                    });
-                }
-                PimNote::UpstreamGraftPending { sg } => {
-                    bump!(self.mib, "pimGraftsPending");
-                    ctx.trace_event(TraceCategory::Pim, "pim_graft_pending", || {
-                        vec![("src", sg.0.into()), ("group", sg.1.addr().into())]
-                    });
-                    // One span per pending (S,G) graft; retransmissions of
-                    // the same graft stay inside the original span.
-                    if !self.graft_spans.iter().any(|(k, _)| *k == sg) {
-                        let id = self.recorder.span_open("graft", self.id, ctx.now(), None);
-                        self.recorder.span_annotate(id, "src", sg.0.to_string());
-                        self.recorder
-                            .span_annotate(id, "group", sg.1.addr().to_string());
-                        crate::observability::trace_span_open(ctx, id, "graft", None);
-                        self.graft_spans.push((sg, id));
-                    }
-                }
-                PimNote::GraftAcked { sg, from } => {
-                    bump!(self.mib, "pimGraftsAcked");
-                    ctx.trace_event(TraceCategory::Pim, "pim_graft_acked", || {
-                        vec![
-                            ("src", sg.0.into()),
-                            ("group", sg.1.addr().into()),
-                            ("from", from.into()),
-                        ]
-                    });
-                    if let Some(pos) = self.graft_spans.iter().position(|(k, _)| *k == sg) {
-                        let (_, id) = self.graft_spans.remove(pos);
-                        self.recorder.span_close(id, ctx.now());
-                        crate::observability::trace_span_close(ctx, id, "graft");
-                    }
-                }
-                PimNote::OifPruned { sg, iface, until } => {
-                    bump!(self.mib, "pimOifPrunes");
-                    ctx.trace_event(TraceCategory::Pim, "pim_oif_pruned", || {
-                        vec![
-                            ("src", sg.0.into()),
-                            ("group", sg.1.addr().into()),
-                            ("iface", u64::from(iface).into()),
-                            ("until_ns", until.as_nanos().into()),
-                        ]
-                    });
-                }
-                PimNote::OifResumed { sg, iface } => {
-                    bump!(self.mib, "pimOifResumes");
-                    ctx.trace_event(TraceCategory::Pim, "pim_oif_resumed", || {
-                        vec![
-                            ("src", sg.0.into()),
-                            ("group", sg.1.addr().into()),
-                            ("iface", u64::from(iface).into()),
-                        ]
-                    });
-                }
-                PimNote::EntryExpired { sg } => {
-                    bump!(self.mib, "pimEntriesExpired");
-                    ctx.trace_event(TraceCategory::Pim, "pim_entry_expired", || {
-                        vec![("src", sg.0.into()), ("group", sg.1.addr().into())]
-                    });
-                }
-                PimNote::SgShed { sg } => {
-                    bump!(self.mib, "pimSgShed");
-                    bump!(self.recorder, "overload.pim_sg_shed");
-                    ctx.trace_event(TraceCategory::Overload, "pim_sg_shed", || {
-                        vec![("src", sg.0.into()), ("group", sg.1.addr().into())]
-                    });
-                }
-                PimNote::SgEvicted { sg } => {
-                    bump!(self.mib, "pimSgEvicted");
-                    bump!(self.recorder, "overload.pim_sg_evicted");
-                    ctx.trace_event(TraceCategory::Overload, "pim_sg_evicted", || {
-                        vec![("src", sg.0.into()), ("group", sg.1.addr().into())]
-                    });
-                }
-            }
-        }
-        ctx.stage(outer);
-    }
-
-    /// Turn buffered MLD querier-election notes for `ifx` into typed trace
-    /// events and MIB counters.
-    fn drain_mld_notes(&mut self, ctx: &mut Ctx<'_>, ifx: IfIndex) {
-        let Some(port) = self.mld.get_mut(&ifx) else {
-            return;
-        };
-        for note in port.take_notes() {
-            match note {
-                MldNote::QuerierElected => {
-                    bump!(self.mib, "mldQuerierElections");
-                    ctx.trace_event(TraceCategory::Mld, "mld_querier_elected", || {
-                        vec![("iface", u64::from(ifx).into())]
-                    });
-                }
-                MldNote::QuerierResigned { other } => {
-                    bump!(self.mib, "mldQuerierResignations");
-                    ctx.trace_event(TraceCategory::Mld, "mld_querier_resigned", || {
-                        vec![("iface", u64::from(ifx).into()), ("other", other.into())]
-                    });
-                }
-                MldNote::ListenerShed { group } => {
-                    bump!(self.mib, "mldReportsShed");
-                    bump!(self.recorder, "overload.mld_listeners_shed");
-                    ctx.trace_event(TraceCategory::Overload, "mld_listener_shed", || {
-                        vec![
-                            ("iface", u64::from(ifx).into()),
-                            ("group", group.addr().into()),
-                        ]
-                    });
-                }
-                MldNote::ListenerEvicted { group } => {
-                    bump!(self.mib, "mldListenersEvicted");
-                    bump!(self.recorder, "overload.mld_listeners_evicted");
-                    ctx.trace_event(TraceCategory::Overload, "mld_listener_evicted", || {
-                        vec![
-                            ("iface", u64::from(ifx).into()),
-                            ("group", group.addr().into()),
-                        ]
-                    });
-                }
-            }
-        }
+        let notes = self.pim.take_notes();
+        self.drain_notes(ctx, notes.into_iter().map(Note::Pim));
     }
 
     /// Apply MLD router-port outputs for `ifx`.
     fn apply_mld_outputs(&mut self, ctx: &mut Ctx<'_>, ifx: IfIndex, outs: Vec<RouterOutput>) {
-        self.drain_mld_notes(ctx, ifx);
+        let port = usize::from(ifx);
+        let notes = self.ports[port].mld.take_notes();
+        self.drain_notes(ctx, notes.into_iter().map(|n| Note::Mld(ifx, n)));
         for o in outs {
             match o {
                 RouterOutput::Send(msg) => {
-                    let src = self.ifaces[usize::from(ifx)].ll;
+                    let src = self.ports[port].info.ll;
                     self.emit_mld(ctx, ifx, src, msg);
                     // Our own HA proxy listener must hear our own queries
                     // (a node does not receive its own frames) — on a
@@ -702,11 +469,8 @@ impl RouterNode {
                         group,
                     } = msg
                     {
-                        let proxy_outs = self.proxy.get_mut(&ifx).expect("proxy port").on_query(
-                            group,
-                            max_response_delay,
-                            ctx.now(),
-                        );
+                        let proxy = &mut self.ports[port].proxy;
+                        let proxy_outs = proxy.on_query(group, max_response_delay, ctx.now());
                         self.apply_proxy_outputs(ctx, ifx, proxy_outs);
                     }
                 }
@@ -743,15 +507,35 @@ impl RouterNode {
     /// frames).
     fn apply_proxy_outputs(&mut self, ctx: &mut Ctx<'_>, ifx: IfIndex, outs: Vec<HostOutput>) {
         for HostOutput::Send(msg) in outs {
-            let src = self.ifaces[usize::from(ifx)].global;
+            let src = self.iface_info(ifx).global;
             self.emit_mld(ctx, ifx, src, msg);
             ctx.in_stage(Stage::Account, || bump!(self.recorder, "ha.proxy_mld_sent"));
-            let router_outs =
-                self.mld
-                    .get_mut(&ifx)
-                    .expect("router port")
-                    .on_message(src, &msg, ctx.now());
+            let port = &mut self.ports[usize::from(ifx)];
+            let router_outs = port.mld.on_message(src, &msg, ctx.now());
             self.apply_mld_outputs(ctx, ifx, router_outs);
+        }
+    }
+
+    /// Release the HA proxy membership of `g` on `ifx`, traced as `role`'s
+    /// doing when a Binding Update (not a lifetime expiry) is the cause.
+    fn proxy_leave(&mut self, ctx: &mut Ctx<'_>, ifx: IfIndex, g: GroupAddr, role: Option<&str>) {
+        if let Some(role) = role {
+            ctx.trace(TraceCategory::MobileIp, || {
+                format!("{role} proxy-leaves {g} on if{ifx}")
+            });
+        }
+        let outs = self.ports[usize::from(ifx)].proxy.leave(g, ctx.now());
+        self.apply_proxy_outputs(ctx, ifx, outs);
+    }
+
+    /// Release the proxy membership of `g` wherever it is held: machine
+    /// outputs that lack the home address (expiry), or a regional binding
+    /// whose join anchor may have drifted with the care-of address.
+    fn proxy_leave_everywhere(&mut self, ctx: &mut Ctx<'_>, g: GroupAddr, role: Option<&str>) {
+        for port in 0..self.ports.len() {
+            if self.ports[port].proxy.is_joined(g) {
+                self.proxy_leave(ctx, port as IfIndex, g, role);
+            }
         }
     }
 
@@ -783,7 +567,7 @@ impl RouterNode {
                     let Some(route) = self.table.lookup(care_of) else {
                         continue;
                     };
-                    let src = self.ifaces[usize::from(route.iface)].global;
+                    let src = self.iface_info(route.iface).global;
                     let packet = mip_packets::binding_ack_packet(src, care_of, ack);
                     ctx.in_stage(Stage::Account, || {
                         bump!(self.recorder, "ha.binding_acks_sent");
@@ -804,70 +588,15 @@ impl RouterNode {
                     ctx.trace(TraceCategory::MobileIp, || {
                         format!("{role} proxy-joins {g} on if{ifx}")
                     });
-                    let outs = self
-                        .proxy
-                        .get_mut(&ifx)
-                        .expect("proxy port")
-                        .join(g, ctx.now());
+                    let outs = self.ports[usize::from(ifx)].proxy.join(g, ctx.now());
                     self.apply_proxy_outputs(ctx, ifx, outs);
                 }
-                HaOutput::ProxyLeave(g) => {
-                    match self.iface_containing(home) {
-                        Some(ifx) => {
-                            ctx.trace(TraceCategory::MobileIp, || {
-                                format!("{role} proxy-leaves {g} on if{ifx}")
-                            });
-                            let outs = self
-                                .proxy
-                                .get_mut(&ifx)
-                                .expect("proxy port")
-                                .leave(g, ctx.now());
-                            self.apply_proxy_outputs(ctx, ifx, outs);
-                        }
-                        None => {
-                            // Regional bindings: the join anchor may have
-                            // drifted with the care-of address, so release
-                            // the membership wherever it is held.
-                            let keys: Vec<IfIndex> = self.proxy.keys().copied().collect();
-                            for ifx in keys {
-                                if self.proxy[&ifx].is_joined(g) {
-                                    ctx.trace(TraceCategory::MobileIp, || {
-                                        format!("{role} proxy-leaves {g} on if{ifx}")
-                                    });
-                                    let outs = self
-                                        .proxy
-                                        .get_mut(&ifx)
-                                        .expect("proxy port")
-                                        .leave(g, ctx.now());
-                                    self.apply_proxy_outputs(ctx, ifx, outs);
-                                }
-                            }
-                        }
-                    }
-                }
+                HaOutput::ProxyLeave(g) => match self.iface_containing(home) {
+                    Some(ifx) => self.proxy_leave(ctx, ifx, g, Some(role)),
+                    None => self.proxy_leave_everywhere(ctx, g, Some(role)),
+                },
             }
         }
-    }
-
-    /// Account a frame whose bytes failed to decode at protocol layer
-    /// `layer`: MIB counter for the oracle/fuzz reconciliation, typed trace
-    /// event for `explain`.
-    fn note_malformed(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        layer: &'static str,
-        frame: &Frame,
-        err: &mobicast_ipv6::DecodeError,
-    ) {
-        bump!(self.mib, "framesMalformed");
-        ctx.trace_event(TraceCategory::Fault, "malformed", || {
-            vec![
-                ("layer", layer.into()),
-                ("class", frame.class.name().into()),
-                ("len", frame.len().into()),
-                ("error", err.to_string().into()),
-            ]
-        });
     }
 
     /// RFC 8200 §4.2: discard a packet carrying an unrecognized option whose
@@ -898,7 +627,7 @@ impl RouterNode {
             && !packet.src.is_unspecified()
             && !addr::is_multicast(packet.src)
         {
-            let src = self.ifaces[usize::from(ifx)].global;
+            let src = self.iface_info(ifx).global;
             let body = Icmpv6::ParamProblem {
                 code: PARAM_PROBLEM_UNRECOGNIZED_OPTION,
                 pointer,
@@ -970,7 +699,7 @@ impl RouterNode {
                     let Some(out_route) = self.table.lookup(coa).copied() else {
                         return;
                     };
-                    let src = self.ifaces[usize::from(out_route.iface)].global;
+                    let src = self.iface_info(out_route.iface).global;
                     let Some(outer) = self.encap_checked(ctx, src, coa, &packet) else {
                         return;
                     };
@@ -1051,7 +780,7 @@ impl RouterNode {
                 let Some(out_route) = self.table.lookup(coa).copied() else {
                     continue;
                 };
-                let src = self.ifaces[usize::from(out_route.iface)].global;
+                let src = self.iface_info(out_route.iface).global;
                 let Some(outer) = self.encap_checked(ctx, src, coa, packet) else {
                     continue;
                 };
@@ -1081,14 +810,7 @@ impl RouterNode {
                 Err(err) => {
                     bump!(self.recorder, "ha.decap_errors");
                     bump!(self.mib, "tunnelDecapErrors");
-                    bump!(self.mib, "framesMalformed");
-                    ctx.trace_event(TraceCategory::Fault, "malformed", || {
-                        vec![
-                            ("layer", "tunnel".into()),
-                            ("outer_src", packet.src.into()),
-                            ("error", err.to_string().into()),
-                        ]
-                    });
+                    malformed(ctx, &mut self.mib, Malformed::Tunnel(packet.src), err);
                     return;
                 }
             };
@@ -1149,7 +871,8 @@ impl RouterNode {
                 return;
             }
             let outs = self.ha.on_binding_update(home, packet.src, bu, now);
-            self.drain_ha_notes(ctx);
+            let notes = self.ha.take_notes();
+            self.drain_notes(ctx, notes.into_iter().map(Note::Ha));
             self.apply_ha_outputs(ctx, home, packet.src, outs);
             self.arm_ha(ctx);
         }
@@ -1178,9 +901,9 @@ impl RouterNode {
     fn send_router_advert(&mut self, ctx: &mut Ctx<'_>, ifx: IfIndex) {
         ctx.in_stage(Stage::Account, || bump!(self.recorder, "nd.ra_sent"));
         let outer = ctx.stage(Stage::Emit);
-        let slot = usize::from(ifx);
-        let frame = self.ra_frames[slot].get_or_init(|| {
-            let frame = frame_for(&router_advert(&self.ifaces[slot]), None);
+        let port = &self.ports[usize::from(ifx)];
+        let frame = port.ra_frame.get_or_init(|| {
+            let frame = frame_for(&router_advert(&port.info), None);
             // Parsed before the first clone, so that every send shares it.
             let _ = parsed(&frame).map(Layers::upper);
             frame
@@ -1190,12 +913,8 @@ impl RouterNode {
     }
 
     fn arm_mld(&mut self, ctx: &mut Ctx<'_>) {
-        let next = self
-            .mld
-            .values()
-            .filter_map(|p| p.next_deadline())
-            .chain(self.proxy.values().filter_map(|p| p.next_deadline()))
-            .min();
+        let deadlines = |p: &Port| [p.mld.next_deadline(), p.proxy.next_deadline()];
+        let next = self.ports.iter().flat_map(deadlines).flatten().min();
         self.mld_timer.arm(ctx, TIMER_MLD, next);
     }
 
@@ -1215,10 +934,9 @@ impl NodeBehavior for RouterNode {
         let now = ctx.now();
         let sends = self.pim.start(now);
         self.pim_sends(ctx, sends);
-        let keys: Vec<IfIndex> = self.mld.keys().copied().collect();
-        for ifx in keys {
-            let outs = self.mld.get_mut(&ifx).expect("port").start(now);
-            self.apply_mld_outputs(ctx, ifx, outs);
+        for port in 0..self.ports.len() {
+            let outs = self.ports[port].mld.start(now);
+            self.apply_mld_outputs(ctx, port as IfIndex, outs);
         }
         // Stagger the first RA slightly per router so LANs with several
         // routers do not advertise in lockstep.
@@ -1235,11 +953,16 @@ impl NodeBehavior for RouterNode {
             Ok(layers) => layers,
             Err(err) => {
                 bump!(self.recorder, "router.decode_errors");
-                self.note_malformed(ctx, "ipv6", frame, err);
+                malformed(ctx, &mut self.mib, Malformed::Frame("ipv6", frame), err);
                 return;
             }
         };
         let packet = layers.packet();
+        // Gate order, router: damaged signalling, then unknown option (a
+        // host runs the two the other way round). A frame that is both
+        // counts under the first gate only, so the order is part of what
+        // the counters mean.
+        //
         // Binding Updates and Acknowledgements carry a mandatory
         // authenticator (draft-ietf-mobileip-ipv6-10 §4.4); any in-flight
         // mutation fails verification, so a damaged copy must never install
@@ -1286,7 +1009,7 @@ impl NodeBehavior for RouterNode {
                         }
                         Err(err) => {
                             bump!(self.recorder, "router.pim_decode_errors");
-                            self.note_malformed(ctx, "pim", frame, err);
+                            malformed(ctx, &mut self.mib, Malformed::Frame("pim", frame), err);
                         }
                     }
                 }
@@ -1296,7 +1019,7 @@ impl NodeBehavior for RouterNode {
                     Ok(i) => i,
                     Err(err) => {
                         bump!(self.recorder, "router.icmp_decode_errors");
-                        self.note_malformed(ctx, "icmpv6", frame, err);
+                        malformed(ctx, &mut self.mib, Malformed::Frame("icmpv6", frame), err);
                         return;
                     }
                 };
@@ -1313,34 +1036,29 @@ impl NodeBehavior for RouterNode {
                     if limited && !self.admit_control(ctx, rate_limited!("mld", "mldRateLimited")) {
                         return;
                     }
-                    let outs = self
-                        .mld
-                        .get_mut(&ifx)
-                        .expect("port")
-                        .on_message(packet.src, &msg, now);
+                    let port = usize::from(ifx);
+                    let outs = self.ports[port].mld.on_message(packet.src, &msg, now);
                     self.apply_mld_outputs(ctx, ifx, outs);
                     // The HA proxy listener also hears link traffic.
-                    let proxy_outs = {
-                        let proxy = self.proxy.get_mut(&ifx).expect("proxy");
-                        match msg {
-                            MldMessage::Query {
-                                max_response_delay,
-                                group,
-                            } => proxy.on_query(group, max_response_delay, now),
-                            MldMessage::Report { group } => {
-                                proxy.on_report_heard(group);
-                                Vec::new()
-                            }
-                            MldMessage::Done { .. } => Vec::new(),
+                    let proxy = &mut self.ports[port].proxy;
+                    let proxy_outs = match msg {
+                        MldMessage::Query {
+                            max_response_delay,
+                            group,
+                        } => proxy.on_query(group, max_response_delay, now),
+                        MldMessage::Report { group } => {
+                            proxy.on_report_heard(group);
+                            Vec::new()
                         }
+                        MldMessage::Done { .. } => Vec::new(),
                     };
                     self.apply_proxy_outputs(ctx, ifx, proxy_outs);
                     self.arm_mld(ctx);
                     self.arm_pim(ctx);
                 } else if matches!(icmp, Icmpv6::RouterSolicit) {
-                    let slot = usize::from(ifx);
-                    if !self.ra_pending[slot] {
-                        self.ra_pending[slot] = true;
+                    let port = &mut self.ports[usize::from(ifx)];
+                    if !port.ra_pending {
+                        port.ra_pending = true;
                         ctx.set_timer_after(
                             self.cfg.ra_response_delay,
                             TimerKey(TIMER_RA_RESPONSE + u64::from(ifx)),
@@ -1371,31 +1089,16 @@ impl NodeBehavior for RouterNode {
         ctx.stage(Stage::Protocol);
         match key.0 {
             TIMER_MLD => {
-                self.mld_timer.scheduled = None;
-                let keys: Vec<IfIndex> = self.mld.keys().copied().collect();
-                for ifx in keys {
-                    loop {
-                        let due = self
-                            .mld
-                            .get(&ifx)
-                            .and_then(|p| p.next_deadline())
-                            .is_some_and(|t| t <= now);
-                        if !due {
-                            break;
-                        }
-                        let outs = self.mld.get_mut(&ifx).expect("port").on_deadline(now);
+                self.mld_timer.fired();
+                let due = |deadline: Option<SimTime>| deadline.is_some_and(|t| t <= now);
+                for port in 0..self.ports.len() {
+                    let ifx = port as IfIndex;
+                    while due(self.ports[port].mld.next_deadline()) {
+                        let outs = self.ports[port].mld.on_deadline(now);
                         self.apply_mld_outputs(ctx, ifx, outs);
                     }
-                    loop {
-                        let due = self
-                            .proxy
-                            .get(&ifx)
-                            .and_then(|p| p.next_deadline())
-                            .is_some_and(|t| t <= now);
-                        if !due {
-                            break;
-                        }
-                        let outs = self.proxy.get_mut(&ifx).expect("proxy").on_deadline(now);
+                    while due(self.ports[port].proxy.next_deadline()) {
+                        let outs = self.ports[port].proxy.on_deadline(now);
                         self.apply_proxy_outputs(ctx, ifx, outs);
                     }
                 }
@@ -1403,43 +1106,34 @@ impl NodeBehavior for RouterNode {
                 self.arm_pim(ctx);
             }
             TIMER_PIM => {
-                self.pim_timer.scheduled = None;
+                self.pim_timer.fired();
                 let sends = self.pim.on_deadline(now, &self.table);
                 self.pim_sends(ctx, sends);
                 self.arm_pim(ctx);
             }
             TIMER_HA => {
-                self.ha_timer.scheduled = None;
-                // Expiry may release proxy memberships; we need the homes,
-                // so collect the subscribed groups before/after.
+                self.ha_timer.fired();
                 let outs = self.ha.on_deadline(now);
-                self.drain_ha_notes(ctx);
-                // `on_deadline` outputs lack the home address; proxy state
-                // is keyed per interface, so apply leaves on every iface
-                // that has the group joined.
+                let notes = self.ha.take_notes();
+                self.drain_notes(ctx, notes.into_iter().map(Note::Ha));
+                // Expired bindings release their proxy memberships.
                 for o in outs {
                     if let HaOutput::ProxyLeave(g) = o {
-                        let keys: Vec<IfIndex> = self.proxy.keys().copied().collect();
-                        for ifx in keys {
-                            if self.proxy[&ifx].is_joined(g) {
-                                let outs = self.proxy.get_mut(&ifx).expect("proxy").leave(g, now);
-                                self.apply_proxy_outputs(ctx, ifx, outs);
-                            }
-                        }
+                        self.proxy_leave_everywhere(ctx, g, None);
                     }
                 }
                 self.arm_ha(ctx);
                 self.arm_mld(ctx);
             }
             TIMER_RA => {
-                for ifx in 0..self.ifaces.len() as u8 {
+                for ifx in 0..self.ports.len() as IfIndex {
                     self.send_router_advert(ctx, ifx);
                 }
                 ctx.set_timer_after(self.cfg.ra_interval, TimerKey(TIMER_RA));
             }
             k if k >= TIMER_RA_RESPONSE => {
                 let ifx = (k - TIMER_RA_RESPONSE) as IfIndex;
-                self.ra_pending[usize::from(ifx)] = false;
+                self.ports[usize::from(ifx)].ra_pending = false;
                 self.send_router_advert(ctx, ifx);
             }
             _ => {}

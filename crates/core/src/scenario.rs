@@ -937,15 +937,9 @@ fn finish_with(
     let names = ["S", "R1", "R2", "R3"];
     let mut received = BTreeMap::new();
     let mut duplicates = BTreeMap::new();
-    for (i, id) in hosts
-        .iter()
-        .enumerate()
-        .take(tracked_hosts)
-        .skip(names.len())
-    {
+    for id in hosts.iter().take(tracked_hosts).skip(names.len()) {
         if let Some(h) = world.behavior::<HostNode>(*id) {
             counters.add("extra_receivers.received", h.received_count());
-            let _ = i;
         }
     }
     for (name, id) in names.iter().zip(&hosts) {
