@@ -12,11 +12,11 @@
 //! * **Leave delay** — for each move of a subscribed receiver off a link,
 //!   how long data kept flowing onto the abandoned link.
 
-use crate::recorder::Recorder;
+use crate::recorder::{Parent, Recorder};
 use mobicast_net::LinkGraph;
 use mobicast_sim::{Counters, QuantileDigest, SeriesSet, SimTime, SpanRecord, TimeSeriesSet};
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// Per-link byte usage of application data, split useful/wasted.
 #[derive(Clone, Copy, Debug, Default, Serialize)]
@@ -59,17 +59,15 @@ pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
         ..Analysis::default()
     };
 
-    // Index events by provenance tag; every delivered copy identifies the
-    // exact emission that delivered it, and parent pointers give the full
-    // causal chain back to the origin — no heuristics.
-    let mut by_tag: HashMap<u64, usize> = HashMap::new();
-    for (i, ev) in rec.data_events.iter().enumerate() {
-        by_tag.insert(ev.id, i);
-    }
+    // Every delivered copy identifies the exact emission that delivered it,
+    // and the journal's parent positions give the full causal chain back to
+    // the origin — no heuristics.
+    let journal = &rec.data_events;
     let meta: HashMap<u64, &crate::recorder::PacketMeta> =
         rec.packets.iter().map(|m| (m.pkt, m)).collect();
 
-    let mut useful_events: HashSet<usize> = HashSet::new();
+    // By journal position: is the event on the path of some first delivery?
+    let mut useful = vec![false; journal.len()];
     let mut stretch_sum = 0.0f64;
     let mut path_sum = 0.0f64;
     let mut stretch_n = 0u64;
@@ -82,26 +80,20 @@ pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
             continue;
         }
         let Some(m) = meta.get(&d.pkt) else { continue };
-        // Walk the provenance chain of the delivered copy.
+        // Walk the provenance chain of the delivered copy. A chain that
+        // breaks (unknown `via`, dangling parent) or outruns the 64-hop
+        // guard yields no path sample.
         let mut path_links = 0u32;
-        let mut tag = d.via;
-        let mut ok = tag != 0;
-        let mut guard = 0;
-        while tag != 0 {
-            let Some(&idx) = by_tag.get(&tag) else {
-                ok = false;
-                break;
-            };
-            useful_events.insert(idx);
+        let mut at = journal.position(d.via).map_or(Parent::Dangling, Parent::At);
+        while let Parent::At(pos) = at {
+            useful[pos] = true;
             path_links += 1;
-            tag = rec.data_events[idx].parent.unwrap_or(0);
-            guard += 1;
-            if guard > 64 {
-                ok = false;
+            at = journal.parent_pos(pos);
+            if path_links > 64 {
                 break;
             }
         }
-        if ok {
+        if at == Parent::Origin && path_links <= 64 {
             if let Some(optimal) = graph.link_hop_distance(m.origin_link, d.link) {
                 if optimal > 0 {
                     stretch_sum += f64::from(path_links) / f64::from(optimal);
@@ -117,9 +109,9 @@ pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
     }
 
     // Classify every event.
-    for (i, ev) in rec.data_events.iter().enumerate() {
+    for (ev, on_path) in journal.iter().zip(useful) {
         let usage = &mut a.link_usage[ev.link.index()];
-        if useful_events.contains(&i) {
+        if on_path {
             usage.useful_bytes += u64::from(ev.size);
             usage.useful_frames += 1;
             a.total_useful_bytes += u64::from(ev.size);
@@ -132,6 +124,7 @@ pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
 
     // Leave delays: subscribed receiver leaves link L at time t; data for
     // its group keeps arriving on L until the routers notice (MLD expiry).
+    let emissions = journal.link_emissions();
     for mv in &rec.moves {
         if !mv.subscribed {
             continue;
@@ -146,13 +139,7 @@ pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
             .map(|m2| m2.time)
             .min()
             .unwrap_or(SimTime::MAX);
-        let last = rec
-            .data_events
-            .iter()
-            .filter(|ev| ev.link == left && ev.time > mv.time && ev.time < window_end)
-            .map(|ev| ev.time)
-            .max();
-        if let Some(last) = last {
+        if let Some(last) = emissions.latest_between(left, mv.time, window_end) {
             a.leave_delays.push((last - mv.time).as_secs_f64());
         }
     }
@@ -248,7 +235,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{DataEvent, Delivery, MoveEvent, PacketMeta, Recorder};
+    use crate::recorder::{Delivery, MoveEvent, PacketMeta, Recorder};
     use mobicast_ipv6::addr::GroupAddr;
     use mobicast_net::{LinkId, NodeId};
     use mobicast_sim::SimTime;
@@ -279,16 +266,17 @@ mod tests {
         }
     }
 
-    fn ev(pkt: u64, id: u64, parent: Option<u64>, link: u32, at: u64, size: u32) -> DataEvent {
-        DataEvent {
-            pkt,
-            id,
-            parent,
-            link: l(link),
-            time: t(at),
-            size,
-            tunneled: false,
-        }
+    /// Journal a native emission by node 0; returns its tag.
+    fn emit(
+        rec: &mut Recorder,
+        pkt: u64,
+        parent: Option<u64>,
+        link: u32,
+        at: u64,
+        size: u32,
+    ) -> u64 {
+        rec.data_events
+            .record(NodeId(0), pkt, parent, l(link), t(at), size, false)
     }
 
     fn deliver(pkt: u64, link: u32, at: u64, via: u64, first: bool) -> Delivery {
@@ -306,13 +294,12 @@ mod tests {
     fn useful_path_and_waste_classification() {
         let mut rec = Recorder::default();
         rec.packets.push(pkt_meta(1));
-        // Origin on L0 (tag 1), forwarded to L1 (tag 2, parent 1) and on
-        // to L2 (tag 3, parent 2); delivery happens via tag 2 on L1, so
-        // the L2 copy is waste.
-        rec.data_events.push(ev(1, 1, None, 0, 1, 100));
-        rec.data_events.push(ev(1, 2, Some(1), 1, 2, 100));
-        rec.data_events.push(ev(1, 3, Some(2), 2, 3, 100));
-        rec.deliveries.push(deliver(1, 1, 2, 2, true));
+        // Origin on L0, forwarded to L1 and on to L2; delivery happens via
+        // the L1 copy, so the L2 copy is waste.
+        let on_l0 = emit(&mut rec, 1, None, 0, 1, 100);
+        let on_l1 = emit(&mut rec, 1, Some(on_l0), 1, 2, 100);
+        emit(&mut rec, 1, Some(on_l1), 2, 3, 100);
+        rec.deliveries.push(deliver(1, 1, 2, on_l1, true));
         let a = analyze(&rec, &graph(), 3);
         assert_eq!(a.packets_sent, 1);
         assert_eq!(a.packets_delivered, 1);
@@ -329,11 +316,11 @@ mod tests {
         rec.packets.push(pkt_meta(1));
         // A tunnel detour: L0 -> L1 -> L2 -> back to L1 (4 link entries),
         // delivered on L1 where the optimal distance from L0 is 2.
-        rec.data_events.push(ev(1, 1, None, 0, 1, 100));
-        rec.data_events.push(ev(1, 2, Some(1), 1, 2, 100));
-        rec.data_events.push(ev(1, 3, Some(2), 2, 3, 100));
-        rec.data_events.push(ev(1, 4, Some(3), 1, 4, 100));
-        rec.deliveries.push(deliver(1, 1, 4, 4, true));
+        let mut via = emit(&mut rec, 1, None, 0, 1, 100);
+        for (link, at) in [(1, 2), (2, 3), (1, 4)] {
+            via = emit(&mut rec, 1, Some(via), link, at, 100);
+        }
+        rec.deliveries.push(deliver(1, 1, 4, via, true));
         let a = analyze(&rec, &graph(), 3);
         // Path 4 links vs optimal 2 -> stretch 2.
         assert!((a.mean_stretch - 2.0).abs() < 1e-9, "{}", a.mean_stretch);
@@ -344,9 +331,9 @@ mod tests {
     fn duplicates_counted_separately() {
         let mut rec = Recorder::default();
         rec.packets.push(pkt_meta(1));
-        rec.data_events.push(ev(1, 1, None, 0, 1, 100));
-        rec.deliveries.push(deliver(1, 0, 1, 1, true));
-        rec.deliveries.push(deliver(1, 0, 2, 1, false));
+        let via = emit(&mut rec, 1, None, 0, 1, 100);
+        rec.deliveries.push(deliver(1, 0, 1, via, true));
+        rec.deliveries.push(deliver(1, 0, 2, via, false));
         let a = analyze(&rec, &graph(), 3);
         assert_eq!(a.packets_delivered, 1);
         assert_eq!(a.duplicates, 1);
@@ -356,12 +343,43 @@ mod tests {
     fn unknown_via_tag_is_tolerated() {
         let mut rec = Recorder::default();
         rec.packets.push(pkt_meta(1));
-        rec.data_events.push(ev(1, 1, None, 0, 1, 100));
+        emit(&mut rec, 1, None, 0, 1, 100);
         rec.deliveries.push(deliver(1, 0, 1, 999, true));
         let a = analyze(&rec, &graph(), 3);
         assert_eq!(a.packets_delivered, 1);
         assert_eq!(a.mean_stretch, 0.0, "no stretch sample from broken chain");
         assert_eq!(a.total_wasted_bytes, 100, "unattributed copy is waste");
+    }
+
+    #[test]
+    fn dangling_parent_breaks_the_path_but_not_the_accounting() {
+        let mut rec = Recorder::default();
+        rec.packets.push(pkt_meta(1));
+        // The L1 copy names a parent nobody recorded: the copy itself was
+        // used, its path cannot be measured.
+        let via = emit(&mut rec, 1, Some(999), 1, 2, 100);
+        rec.deliveries.push(deliver(1, 1, 2, via, true));
+        let a = analyze(&rec, &graph(), 3);
+        assert_eq!(a.packets_delivered, 1);
+        assert_eq!(a.mean_stretch, 0.0, "no stretch sample from broken chain");
+        assert_eq!(a.total_useful_bytes, 100);
+    }
+
+    #[test]
+    fn a_chain_beyond_the_hop_guard_yields_no_sample() {
+        let stretch_of_chain = |hops: u32| {
+            let mut rec = Recorder::default();
+            rec.packets.push(pkt_meta(1));
+            let mut via = emit(&mut rec, 1, None, 0, 1, 100);
+            for _ in 1..hops {
+                via = emit(&mut rec, 1, Some(via), 1, 2, 100);
+            }
+            rec.deliveries.push(deliver(1, 1, 2, via, true));
+            analyze(&rec, &graph(), 3).mean_stretch
+        };
+        // L0 to L1 is 2 links at best.
+        assert_eq!(stretch_of_chain(64), 32.0);
+        assert_eq!(stretch_of_chain(65), 0.0);
     }
 
     #[test]
@@ -382,7 +400,7 @@ mod tests {
                 pkt: i,
                 ..pkt_meta(i)
             });
-            rec.data_events.push(ev(i, 10 + i, None, 2, at, 50));
+            emit(&mut rec, i, None, 2, at, 50);
         }
         let a = analyze(&rec, &graph(), 3);
         assert_eq!(a.leave_delays, vec![60.0]);
@@ -412,12 +430,12 @@ mod tests {
             sending: false,
         });
         rec.packets.push(pkt_meta(1));
-        rec.data_events.push(ev(1, 1, None, 2, 30, 50));
+        emit(&mut rec, 1, None, 2, 30, 50);
         rec.packets.push(PacketMeta {
             pkt: 2,
             ..pkt_meta(2)
         });
-        rec.data_events.push(ev(2, 2, None, 2, 60, 50));
+        emit(&mut rec, 2, None, 2, 60, 50);
         let a = analyze(&rec, &graph(), 3);
         // Host 5's stale window ends at t=50: last stale event at t=30.
         assert!(a.leave_delays.contains(&20.0), "{:?}", a.leave_delays);
@@ -434,7 +452,7 @@ mod tests {
             subscribed: false,
             sending: true,
         });
-        rec.data_events.push(ev(1, 1, None, 2, 20, 50));
+        emit(&mut rec, 1, None, 2, 20, 50);
         rec.packets.push(pkt_meta(1));
         let a = analyze(&rec, &graph(), 3);
         assert!(a.leave_delays.is_empty());
@@ -453,13 +471,13 @@ mod tests {
     fn shared_chain_marks_events_once() {
         let mut rec = Recorder::default();
         rec.packets.push(pkt_meta(1));
-        rec.data_events.push(ev(1, 1, None, 0, 1, 100));
-        rec.data_events.push(ev(1, 2, Some(1), 1, 2, 100));
+        let origin = emit(&mut rec, 1, None, 0, 1, 100);
+        let via = emit(&mut rec, 1, Some(origin), 1, 2, 100);
         // Two receivers deliver via the same chain.
-        rec.deliveries.push(deliver(1, 1, 2, 2, true));
+        rec.deliveries.push(deliver(1, 1, 2, via, true));
         rec.deliveries.push(Delivery {
             host: NodeId(6),
-            ..deliver(1, 1, 2, 2, true)
+            ..deliver(1, 1, 2, via, true)
         });
         let a = analyze(&rec, &graph(), 3);
         assert_eq!(a.packets_delivered, 2);

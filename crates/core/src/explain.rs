@@ -1,6 +1,7 @@
 //! Packet-journey explainer: reconstructs the full causal path of one
 //! application datagram from the recorder's provenance chains
-//! ([`DataEvent::parent`]) and optionally interleaves the typed JSONL
+//! ([`Journal::parent_pos`](crate::recorder::Journal::parent_pos)) and
+//! optionally interleaves the typed JSONL
 //! trace, so an operator can answer "what happened to packet X?" —
 //! which links it crossed, where it was tunnelled, which copies were
 //! flooded and wasted, and which protocol activity (prunes, asserts,
@@ -10,10 +11,10 @@
 //! heuristics, so a journey is exactly as reproducible as the run that
 //! produced it.
 
-use crate::recorder::{DataEvent, Delivery, PacketMeta, Recorder};
+use crate::recorder::{DataEvent, Delivery, PacketMeta, Parent, Recorder};
 use mobicast_sim::trace::NOTE_KIND;
 use mobicast_sim::{SimTime, SpanBook, TraceCategory, TraceEvent};
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Upper bound on provenance-chain length (matches the analysis pass).
@@ -85,34 +86,34 @@ fn hop(ev: &DataEvent) -> JourneyHop {
 
 /// Reconstruct the journey of packet `pkt` from recorded ground truth.
 pub fn explain(rec: &Recorder, pkt: u64) -> Journey {
-    let by_tag: HashMap<u64, &DataEvent> = rec.data_events.iter().map(|ev| (ev.id, ev)).collect();
+    let journal = &rec.data_events;
     let mut journey = Journey {
         pkt,
         meta: rec.packets.iter().find(|m| m.pkt == pkt).copied(),
         ..Journey::default()
     };
-    for ev in rec.data_events.iter().filter(|ev| ev.pkt == pkt) {
-        journey.copies.push(hop(ev));
+    // Journal positions of `journey.copies`, in step with it.
+    let mut copy_pos: Vec<usize> = Vec::new();
+    for (pos, ev) in journal.iter().enumerate().filter(|(_, ev)| ev.pkt == pkt) {
+        journey.copies.push(hop(&ev));
+        copy_pos.push(pos);
     }
 
-    let mut used: Vec<u64> = Vec::new();
+    // Positions on some delivery path.
+    let mut used: BTreeSet<usize> = BTreeSet::new();
     for d in rec.deliveries.iter().filter(|d| d.pkt == pkt) {
         let mut hops = Vec::new();
         let mut complete = false;
-        let mut tag = d.via;
+        let mut at = journal.position(d.via).map_or(Parent::Dangling, Parent::At);
         for _ in 0..CHAIN_GUARD {
-            if tag == 0 {
+            let Parent::At(pos) = at else { break };
+            let Some(ev) = journal.get(pos) else { break };
+            hops.push(hop(&ev));
+            used.insert(pos);
+            at = journal.parent_pos(pos);
+            if at == Parent::Origin {
+                complete = true;
                 break;
-            }
-            let Some(ev) = by_tag.get(&tag) else { break };
-            hops.push(hop(ev));
-            used.push(ev.id);
-            match ev.parent {
-                Some(p) => tag = p,
-                None => {
-                    complete = true;
-                    break;
-                }
             }
         }
         hops.reverse(); // origin first
@@ -126,8 +127,9 @@ pub fn explain(rec: &Recorder, pkt: u64) -> Journey {
     journey.wasted = journey
         .copies
         .iter()
-        .filter(|c| !used.contains(&c.id))
-        .copied()
+        .zip(copy_pos)
+        .filter(|(_, pos)| !used.contains(pos))
+        .map(|(copy, _)| *copy)
         .collect();
     journey
 }
@@ -376,8 +378,6 @@ mod tests {
     #[test]
     fn journeys_match_recorder_provenance_exactly() {
         let (_, rec) = run_with_recorder(&cfg());
-        let by_tag: HashMap<u64, &DataEvent> =
-            rec.data_events.iter().map(|ev| (ev.id, ev)).collect();
         let pkts: Vec<u64> = rec.packets.iter().map(|m| m.pkt).take(20).collect();
         assert!(!pkts.is_empty());
         let mut verified_paths = 0;
@@ -392,7 +392,7 @@ mod tests {
                 let mut manual = Vec::new();
                 let mut tag = p.delivery.via;
                 loop {
-                    let ev = by_tag[&tag];
+                    let ev = rec.data_events.by_tag(tag).expect("a recorded tag");
                     manual.push(ev.id);
                     match ev.parent {
                         Some(parent) => tag = parent,
@@ -537,6 +537,56 @@ mod tests {
             render(&explain(&rec, pkt), None),
             render_with_spans(&explain(&rec, pkt), None, None),
         );
+    }
+
+    /// A copy whose parent the journal never recorded: the path stops
+    /// there, flagged incomplete, and the copy still counts as used.
+    #[test]
+    fn dangling_parent_leaves_the_chain_incomplete() {
+        use crate::recorder::Delivery;
+        use mobicast_net::{LinkId, NodeId};
+        let mut rec = Recorder::default();
+        let mut emit = |parent, link| {
+            rec.data_events.record(
+                NodeId(0),
+                7,
+                parent,
+                LinkId(link),
+                SimTime::ZERO,
+                100,
+                false,
+            )
+        };
+        let orphan = emit(Some(999), 1);
+        let via = emit(Some(orphan), 2);
+        let stray = emit(None, 3);
+        for via in [via, stray, 0] {
+            rec.deliveries.push(Delivery {
+                pkt: 7,
+                host: NodeId(5),
+                link: LinkId(2),
+                time: SimTime::ZERO,
+                first: true,
+                via,
+            });
+        }
+        let j = explain(&rec, 7);
+        let paths: Vec<(Vec<u64>, bool)> = j
+            .paths
+            .iter()
+            .map(|p| (p.hops.iter().map(|h| h.id).collect(), p.complete))
+            .collect();
+        assert_eq!(
+            paths,
+            [
+                (vec![orphan, via], false),
+                (vec![stray], true),
+                (vec![], false)
+            ]
+        );
+        assert_eq!(j.copies.len(), 3);
+        assert!(j.wasted.is_empty());
+        assert!(render(&j, None).contains("chain incomplete"));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The node kit: the glue `RouterNode` and `HostNode` share, one copy each.
 //!
 //! * [`TimerSlot`] — a slot is armed to at most one instant.
-//! * [`emit`] — the only place a provenance tag is minted.
+//! * [`emit`] — the only caller of the journal's `record`, where a
+//!   provenance tag is minted.
 //! * [`mld_packet`] — the hop-limit-1, Router-Alert framing of every MLD
 //!   message.
 //! * [`malformed`] — `framesMalformed` plus the typed trace event.
@@ -14,7 +15,7 @@
 
 use crate::netplan::frame_for;
 use crate::parsed::frame_data;
-use crate::recorder::{DataEvent, SharedRecorder};
+use crate::recorder::SharedRecorder;
 use mobicast_ipv6::exthdr::{ExtHeader, Option6};
 use mobicast_ipv6::packet::{proto, Packet};
 use mobicast_ipv6::DecodeError;
@@ -58,10 +59,10 @@ impl TimerSlot {
 }
 
 /// Transmit `packet` from `node` on `ifx`. If it carries the multicast
-/// application stream and the interface is attached, the frame gets a
-/// fresh provenance tag and the recorder a [`DataEvent`]; `parent` is the
-/// tag of the frame whose processing caused this emission (`None` at an
-/// origin).
+/// application stream and the interface is attached, the recorder's journal
+/// gets the emission and the frame the provenance tag minted for it;
+/// `parent` is the tag of the frame whose processing caused this emission
+/// (`None` at an origin).
 pub(crate) fn emit(
     ctx: &mut Ctx<'_>,
     recorder: &SharedRecorder,
@@ -76,17 +77,16 @@ pub(crate) fn emit(
     if let Some(info) = ctx.in_stage(Stage::Parse, || frame_data(&frame)) {
         if let Some(link) = ctx.link_on(ifx) {
             ctx.stage(Stage::Account);
-            let id = recorder.next_tag(node);
-            frame.tag = id;
-            recorder.record_data(DataEvent {
-                pkt: info.payload.pkt,
-                id,
+            let size = u32::try_from(frame.len()).expect("a frame is far below 4 GiB");
+            frame.tag = recorder.record_data(
+                node,
+                info.payload.pkt,
                 parent,
                 link,
-                time: ctx.now(),
-                size: frame.len() as u32,
-                tunneled: info.tunnel_depth > 0,
-            });
+                ctx.now(),
+                size,
+                info.tunnel_depth > 0,
+            );
             ctx.stage(Stage::Emit);
         }
     }
@@ -350,17 +350,17 @@ mod tests {
         );
 
         let recorder = Recorder::new_shared();
+        let tag = |seq: u64| (u64::from(sender.0) + 1) << 32 | seq;
         let receiver_l2 = Some(receiver);
         w.with_node(sender, |_, ctx| {
             emit(ctx, &recorder, sender, 0, &native, None, Some(9));
             emit(ctx, &recorder, sender, 0, &tunnelled, receiver_l2, None);
             emit(ctx, &recorder, sender, 0, &control, None, None);
             emit(ctx, &recorder, sender, 1, &native, None, None);
-            emit(ctx, &recorder, sender, 0, &native, None, None);
+            emit(ctx, &recorder, sender, 0, &native, None, Some(tag(2)));
         });
         w.run_to_quiescence(10);
 
-        let tag = |seq: u64| (u64::from(sender.0) + 1) << 32 | seq;
         let size = |p: &Packet| frame_for(p, None).len() as u32;
         let recorded: Vec<_> = recorder.with(|r| {
             r.data_events
@@ -372,11 +372,12 @@ mod tests {
         assert_eq!(
             recorded,
             [
-                (42, tag(1), Some(9), link, now, size(&native), false),
+                // Tag 9 names no event: the parent reads as tag 0.
+                (42, tag(1), Some(0), link, now, size(&native), false),
                 (42, tag(2), None, link, now, size(&native) + 40, true),
                 // The control packet and the detached interface mint no
                 // tag and record nothing.
-                (42, tag(3), None, link, now, size(&native), false),
+                (42, tag(3), Some(tag(2)), link, now, size(&native), false),
             ]
         );
         assert_eq!(*tags.borrow(), [tag(1), tag(2), 0, tag(3)]);

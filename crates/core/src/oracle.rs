@@ -31,7 +31,7 @@
 //! violations, rendered as strings) lands in the JSON report.
 
 use crate::parsed::parsed;
-use crate::recorder::{DataEvent, Recorder};
+use crate::recorder::{Parent, Recorder};
 use crate::router_node::RouterNode;
 use mobicast_ipv6::DEFAULT_ENCAP_LIMIT;
 use mobicast_net::{Frame, IfIndex, LinkId, NodeId, World, WorldProbe};
@@ -153,105 +153,6 @@ fn push_violation(st: &mut OracleState, msg: String) {
     }
 }
 
-/// Recorded data events by provenance tag: `(tag, position in the slice)`
-/// sorted by tag, answering `get` with a binary search.
-struct TagIndex<'a> {
-    events: &'a [DataEvent],
-    by_tag: Vec<(u64, usize)>,
-}
-
-impl<'a> TagIndex<'a> {
-    fn build(events: &'a [DataEvent]) -> Self {
-        let mut by_tag: Vec<(u64, usize)> = events
-            .iter()
-            .enumerate()
-            .map(|(i, ev)| (ev.id, i))
-            .collect();
-        // Of two events recorded under one tag the later one sorts last and
-        // answers `position` (what collecting into a map did).
-        by_tag.sort_unstable();
-        TagIndex { events, by_tag }
-    }
-
-    fn position(&self, tag: u64) -> Option<usize> {
-        let after = self.by_tag.partition_point(|&(t, _)| t <= tag);
-        let &(found, i) = self.by_tag[..after].last()?;
-        (found == tag).then_some(i)
-    }
-
-    fn get(&self, tag: u64) -> Option<&'a DataEvent> {
-        self.position(tag).map(|i| &self.events[i])
-    }
-
-    /// For each event, the position of the event that caused it
-    /// ([`NO_PARENT`] at an origin or when the parent was not recorded).
-    fn parent_positions(&self) -> Vec<usize> {
-        self.events
-            .iter()
-            .map(|ev| {
-                ev.parent
-                    .filter(|&tag| tag != 0)
-                    .and_then(|tag| self.position(tag))
-                    .unwrap_or(NO_PARENT)
-            })
-            .collect()
-    }
-}
-
-const NO_PARENT: usize = usize::MAX;
-
-/// Emission times of the recorded data events grouped by link, each link's
-/// times ascending: "when was the last datagram put on link L inside this
-/// window" is a binary search instead of a scan of every event.
-struct LinkEmissions {
-    /// `times[start[l]..start[l + 1]]` are link `l`'s emission times.
-    start: Vec<usize>,
-    times: Vec<SimTime>,
-}
-
-impl LinkEmissions {
-    fn build(events: &[DataEvent]) -> Self {
-        let n_links = events
-            .iter()
-            .map(|ev| ev.link.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut start = vec![0usize; n_links + 1];
-        for ev in events {
-            start[ev.link.index() + 1] += 1;
-        }
-        for l in 0..n_links {
-            start[l + 1] += start[l];
-        }
-        let mut next = start.clone();
-        let mut times = vec![SimTime::ZERO; events.len()];
-        for ev in events {
-            let slot = &mut next[ev.link.index()];
-            times[*slot] = ev.time;
-            *slot += 1;
-        }
-        // Events are recorded in dispatch order, so each link's run is
-        // already ascending; a recorder filled any other way is sorted here.
-        for l in 0..n_links {
-            let run = &mut times[start[l]..start[l + 1]];
-            if !run.windows(2).all(|w| w[0] <= w[1]) {
-                run.sort_unstable();
-            }
-        }
-        LinkEmissions { start, times }
-    }
-
-    /// The latest emission onto `link` strictly inside `(after, before)`.
-    fn latest_between(&self, link: LinkId, after: SimTime, before: SimTime) -> Option<SimTime> {
-        let l = link.index();
-        let run = self
-            .times
-            .get(*self.start.get(l)?..*self.start.get(l + 1)?)?;
-        let last = *run[..run.partition_point(|t| *t < before)].last()?;
-        (last > after).then_some(last)
-    }
-}
-
 /// Leave delay: when the last subscribed receiver leaves a link, data must
 /// stop flowing onto it within T_MLI (+ margin). Each receiver's position
 /// over time is reconstructed from its initial link and the recorded moves;
@@ -317,22 +218,6 @@ fn leave_delay_pass(
         }
     }
     worst_leave
-}
-
-/// The scan of every recorded event that [`LinkEmissions`] replaced: the
-/// reference its tests compare against.
-#[cfg(test)]
-fn latest_emission_by_scan(
-    events: &[DataEvent],
-    link: LinkId,
-    after: SimTime,
-    before: SimTime,
-) -> Option<SimTime> {
-    events
-        .iter()
-        .filter(|ev| ev.link == link && ev.time > after && ev.time < before)
-        .map(|ev| ev.time)
-        .max()
 }
 
 /// Inputs of the post-run pass (see [`Oracle::finalize`]).
@@ -548,21 +433,19 @@ impl Oracle {
     pub fn finalize(&self, rec: &Recorder, p: &FinalizeParams) -> OracleSummary {
         let st = &mut *self.state.borrow_mut();
 
-        let by_tag = TagIndex::build(&rec.data_events);
+        let journal = &rec.data_events;
 
         // Loop-freedom: walk every native emission's causal ancestry; a
         // native ancestor on the same link means the datagram re-entered
-        // the link it already crossed. Parents are resolved to positions
-        // once, so a walk costs one search per event, not one per ancestor.
-        let parents = by_tag.parent_positions();
-        for (i, ev) in rec.data_events.iter().enumerate() {
+        // the link it already crossed.
+        for (i, ev) in journal.iter().enumerate() {
             if ev.tunneled {
                 continue;
             }
-            let mut at = parents[i];
-            let mut guard = 0;
-            while at != NO_PARENT && guard < 64 {
-                let anc = &rec.data_events[at];
+            let mut at = journal.parent_pos(i);
+            for _ in 0..64 {
+                let Parent::At(pos) = at else { break };
+                let Some(anc) = journal.get(pos) else { break };
                 if !anc.tunneled && anc.link == ev.link {
                     push_violation(
                         st,
@@ -576,11 +459,9 @@ impl Oracle {
                     );
                     break;
                 }
-                at = parents[at];
-                guard += 1;
+                at = journal.parent_pos(pos);
             }
         }
-        drop(parents);
 
         // At-most-once after settle: per (receiver, datagram), count the
         // deliveries whose final hop was native vs tunneled. A run of more
@@ -599,7 +480,7 @@ impl Oracle {
             if !settled.contains(&d.pkt) {
                 continue;
             }
-            let tunneled = by_tag.get(d.via).map(|e| e.tunneled).unwrap_or(false);
+            let tunneled = journal.by_tag(d.via).is_some_and(|e| e.tunneled);
             let slot = per_copy.entry((d.host, d.pkt)).or_default();
             if tunneled {
                 slot.1 += 1;
@@ -637,11 +518,8 @@ impl Oracle {
             }
         }
 
-        // The tag index is as large as the per-link one built next; the two
-        // need not be alive together.
-        drop(by_tag);
         let worst_leave = {
-            let emissions = LinkEmissions::build(&rec.data_events);
+            let emissions = journal.link_emissions();
             leave_delay_pass(st, rec, p, |link, after, before| {
                 emissions.latest_between(link, after, before)
             })
@@ -820,8 +698,9 @@ fn schedule_poll(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{DataEvent, Delivery, MoveEvent, PacketMeta, Recorder};
+    use crate::recorder::{DataEvent, Delivery, Journal, MoveEvent, PacketMeta, Recorder};
     use mobicast_ipv6::addr::GroupAddr;
+    use mobicast_net::LinkGraph;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -851,25 +730,27 @@ mod tests {
         }
     }
 
-    fn ev(pkt: u64, id: u64, parent: Option<u64>, link: u32, tunneled: bool) -> DataEvent {
-        DataEvent {
-            pkt,
-            id,
-            parent,
-            link: LinkId(link),
-            time: t(20),
-            size: 100,
-            tunneled,
-        }
+    /// Journal an emission by node 0 onto `link` at `at` seconds; returns
+    /// its tag.
+    fn emit(
+        rec: &mut Recorder,
+        pkt: u64,
+        parent: Option<u64>,
+        link: u32,
+        at: u64,
+        tunneled: bool,
+    ) -> u64 {
+        rec.data_events
+            .record(NodeId(0), pkt, parent, LinkId(link), t(at), 100, tunneled)
     }
 
     #[test]
     fn native_link_revisit_is_a_loop_violation() {
         let mut rec = Recorder::default();
         rec.packets.push(meta(1, 20));
-        rec.data_events.push(ev(1, 1, None, 0, false));
-        rec.data_events.push(ev(1, 2, Some(1), 1, false));
-        rec.data_events.push(ev(1, 3, Some(2), 0, false)); // back onto link 0
+        let origin = emit(&mut rec, 1, None, 0, 20, false);
+        let out = emit(&mut rec, 1, Some(origin), 1, 20, false);
+        emit(&mut rec, 1, Some(out), 0, 20, false); // back onto link 0
         let o = Oracle::default();
         let s = o.finalize(&rec, &params(vec![]));
         assert_eq!(s.violation_count, 1, "{:?}", s.violations);
@@ -880,9 +761,9 @@ mod tests {
     fn tunnel_detour_revisit_is_legal() {
         let mut rec = Recorder::default();
         rec.packets.push(meta(1, 20));
-        rec.data_events.push(ev(1, 1, None, 0, false));
-        rec.data_events.push(ev(1, 2, Some(1), 1, true)); // tunneled hop out
-        rec.data_events.push(ev(1, 3, Some(2), 0, true)); // tunnel crosses link 0
+        let origin = emit(&mut rec, 1, None, 0, 20, false);
+        let out = emit(&mut rec, 1, Some(origin), 1, 20, true); // tunneled hop out
+        emit(&mut rec, 1, Some(out), 0, 20, true); // tunnel crosses link 0
         let o = Oracle::default();
         let s = o.finalize(&rec, &params(vec![]));
         assert_eq!(s.violation_count, 0, "{:?}", s.violations);
@@ -895,7 +776,7 @@ mod tests {
             let mut rec = Recorder::default();
             for i in 0..(MAX_DUP_RUN + 10) as u64 {
                 rec.packets.push(meta(i, 20 + i));
-                rec.data_events.push(ev(i, 2 * i + 1, None, 0, false));
+                let via = emit(&mut rec, i, None, 0, 20, false);
                 let copies = if (i as usize) < n_dup { 2 } else { 1 };
                 for c in 0..copies {
                     rec.deliveries.push(Delivery {
@@ -904,7 +785,7 @@ mod tests {
                         link: LinkId(0),
                         time: t(21 + i),
                         first: c == 0,
-                        via: 2 * i + 1,
+                        via,
                     });
                 }
             }
@@ -1079,11 +960,7 @@ mod tests {
         // Stale data keeps hitting the abandoned link for 300 s > T_MLI.
         for (i, at) in [(1u64, 150u64), (2, 250), (3, 400)] {
             rec.packets.push(meta(i, at - 1));
-            rec.data_events.push(DataEvent {
-                time: t(at),
-                link: LinkId(3),
-                ..ev(i, 10 + i, None, 3, false)
-            });
+            emit(&mut rec, i, None, 3, at, false);
         }
         let o = Oracle::default();
         let s = o.finalize(&rec, &params(vec![(mover, LinkId(3))]));
@@ -1098,28 +975,37 @@ mod tests {
     fn grid_recorder(event_words: &[u64], move_words: &[u64], in_order: bool) -> Recorder {
         let grid = |w: u64| t((w >> 8) % 31 * 10);
         let mut rec = Recorder::default();
-        for (i, w) in event_words.iter().enumerate() {
-            rec.data_events.push(DataEvent {
-                time: grid(*w),
-                ..ev(1, i as u64 + 1, None, (*w % 4) as u32, w & 0x80 != 0)
-            });
-        }
+        let mut event_words = event_words.to_vec();
         if in_order {
-            rec.data_events.sort_by_key(|ev| ev.time);
+            event_words.sort_by_key(|w| grid(*w));
+        }
+        for w in event_words {
+            rec.data_events.record(
+                NodeId(0),
+                1,
+                None,
+                LinkId((w % 4) as u32),
+                grid(w),
+                100,
+                w & 0x80 != 0,
+            );
         }
         let mut at = [LinkId(0), LinkId(1), LinkId(1)];
-        let mut moves: Vec<(SimTime, usize, LinkId)> = move_words
+        let mut moves: Vec<(SimTime, usize, LinkId, bool)> = move_words
             .iter()
-            .map(|w| (grid(*w), (*w % 3) as usize, LinkId((*w >> 4) as u32 % 4)))
+            .map(|w| {
+                let to = LinkId((*w >> 4) as u32 % 4);
+                (grid(*w), (*w % 3) as usize, to, w & 0xc != 0)
+            })
             .collect();
         moves.sort();
-        for (time, host, to) in moves {
+        for (time, host, to, subscribed) in moves {
             rec.moves.push(MoveEvent {
                 host: NodeId(host as u32),
                 time,
                 from: Some(at[host]),
                 to,
-                subscribed: true,
+                subscribed,
                 sending: false,
             });
             at[host] = to;
@@ -1127,10 +1013,49 @@ mod tests {
         rec
     }
 
+    /// The scan of every recorded event that the per-link emission index
+    /// replaced: the reference the differential below compares against.
+    fn latest_emission_by_scan(
+        events: &Journal,
+        link: LinkId,
+        after: SimTime,
+        before: SimTime,
+    ) -> Option<SimTime> {
+        events
+            .iter()
+            .filter(|ev| ev.link == link && ev.time > after && ev.time < before)
+            .map(|ev| ev.time)
+            .max()
+    }
+
+    /// `analyze`'s leave delays by the same scan: a subscribed receiver
+    /// leaves a link; the window runs, strict on both ends, to the next
+    /// subscribed arrival there (unbounded when nobody comes back).
+    fn leave_delays_by_scan(rec: &Recorder) -> Vec<f64> {
+        let mut delays = Vec::new();
+        for mv in rec.moves.iter().filter(|m| m.subscribed) {
+            let Some(left) = mv.from else { continue };
+            let window_end = rec
+                .moves
+                .iter()
+                .filter(|m2| m2.subscribed && m2.to == left && m2.time > mv.time)
+                .map(|m2| m2.time)
+                .min()
+                .unwrap_or(SimTime::MAX);
+            if let Some(last) = latest_emission_by_scan(&rec.data_events, left, mv.time, window_end)
+            {
+                delays.push((last - mv.time).as_secs_f64());
+            }
+        }
+        delays
+    }
+
     proptest::proptest! {
         /// Differential: the per-link emission index answers every window
-        /// as the scan of all events does, and the leave-delay pass run on
-        /// either reaches the same worst delay and the same violations.
+        /// as the scan of all events does, and both of its users — the
+        /// leave-delay pass and `analyze` — reach on it what they reach on
+        /// the scan: the same worst delay and violations, the same
+        /// `leave_delays`.
         #[test]
         fn leave_delay_pass_agrees_with_the_scan_it_replaced(
             event_words in proptest::collection::vec(proptest::any::<u64>(), 0..80),
@@ -1138,11 +1063,13 @@ mod tests {
             in_order in proptest::any::<u8>(),
         ) {
             let rec = grid_recorder(&event_words, &move_words, in_order & 1 == 0);
-            let emissions = LinkEmissions::build(&rec.data_events);
-            // Link 4 carries nothing; inverted and empty windows included.
+            let emissions = rec.data_events.link_emissions();
+            // Link 4 carries nothing; inverted, empty and unbounded windows
+            // included.
             for link in (0..5).map(LinkId) {
                 for after in (0..=310).step_by(10).map(t) {
-                    for before in (0..=310).step_by(10).map(t) {
+                    let bounds = (0..=310).step_by(10).map(t).chain([SimTime::MAX]);
+                    for before in bounds {
                         assert_eq!(
                             emissions.latest_between(link, after, before),
                             latest_emission_by_scan(&rec.data_events, link, after, before),
@@ -1171,6 +1098,56 @@ mod tests {
             assert_eq!(worst, worst_ref);
             assert_eq!(fast.violations, reference.violations);
             assert_eq!(fast.violation_count, reference.violation_count);
+
+            let analysis = crate::analysis::analyze(&rec, &LinkGraph::new(4, &[]), 4);
+            assert_eq!(analysis.leave_delays, leave_delays_by_scan(&rec));
+        }
+    }
+
+    /// The index the journal replaced — `(tag, position)` sorted by tag,
+    /// answered by binary search — kept as a second reference model.
+    struct TagIndex<'a> {
+        events: &'a [DataEvent],
+        by_tag: Vec<(u64, usize)>,
+    }
+
+    const NO_PARENT: usize = usize::MAX;
+
+    impl<'a> TagIndex<'a> {
+        fn build(events: &'a [DataEvent]) -> Self {
+            let mut by_tag: Vec<(u64, usize)> = events
+                .iter()
+                .enumerate()
+                .map(|(i, ev)| (ev.id, i))
+                .collect();
+            // Of two events under one tag the later one sorts last and
+            // answers `position` (what collecting into a map did).
+            by_tag.sort_unstable();
+            TagIndex { events, by_tag }
+        }
+
+        fn position(&self, tag: u64) -> Option<usize> {
+            let after = self.by_tag.partition_point(|&(t, _)| t <= tag);
+            let &(found, i) = self.by_tag[..after].last()?;
+            (found == tag).then_some(i)
+        }
+
+        fn get(&self, tag: u64) -> Option<&'a DataEvent> {
+            self.position(tag).map(|i| &self.events[i])
+        }
+
+        /// For each event, the position of the event that caused it
+        /// ([`NO_PARENT`] at an origin or when the parent was not recorded).
+        fn parent_positions(&self) -> Vec<usize> {
+            self.events
+                .iter()
+                .map(|ev| {
+                    ev.parent
+                        .filter(|&tag| tag != 0)
+                        .and_then(|tag| self.position(tag))
+                        .unwrap_or(NO_PARENT)
+                })
+                .collect()
         }
     }
 
@@ -1178,12 +1155,21 @@ mod tests {
     fn tag_index_resolves_tags_and_parents() {
         // Tags out of order, one unknown parent, one duplicate tag (the
         // later record answers, as it did when the index was a map).
+        let ev = |id, parent, link, tunneled| DataEvent {
+            pkt: 1,
+            id,
+            parent,
+            link: LinkId(link),
+            time: t(20),
+            size: 100,
+            tunneled,
+        };
         let events = vec![
-            ev(1, 30, None, 0, false),
-            ev(1, 10, Some(30), 1, false),
-            ev(1, 20, Some(99), 2, true),
-            ev(1, 10, Some(20), 3, false),
-            ev(1, 40, Some(0), 0, false),
+            ev(30, None, 0, false),
+            ev(10, Some(30), 1, false),
+            ev(20, Some(99), 2, true),
+            ev(10, Some(20), 3, false),
+            ev(40, Some(0), 0, false),
         ];
         let idx = TagIndex::build(&events);
         assert_eq!(idx.get(30).map(|e| e.link), Some(LinkId(0)));
@@ -1195,6 +1181,49 @@ mod tests {
             vec![NO_PARENT, 0, NO_PARENT, 2, NO_PARENT]
         );
         assert!(TagIndex::build(&[]).get(1).is_none());
+    }
+
+    proptest::proptest! {
+        /// The journal against the index it replaced, built over the
+        /// journal's own events: every tag — issued or not — resolves to
+        /// the same event, every parent to the same position.
+        #[test]
+        fn journal_agrees_with_the_tag_index_it_replaced(
+            words in proptest::collection::vec(proptest::any::<u32>(), 0..120),
+        ) {
+            let mut rec = Recorder::default();
+            let mut issued: Vec<u64> = Vec::new();
+            for w in words {
+                let pick = (w >> 8) as usize;
+                let parent = match w % 5 {
+                    0 => None,
+                    1 => Some(u64::from(w >> 4 & 7) << 32 | u64::from(w >> 16 & 31)),
+                    _ if issued.is_empty() => None,
+                    _ => Some(issued[pick % issued.len()]),
+                };
+                let node = NodeId(w >> 4 & 3);
+                issued.push(rec.data_events.record(
+                    node, 1, parent, LinkId(w & 3), t(20), 100, w & 0x80 != 0,
+                ));
+            }
+            let journal = &rec.data_events;
+            let events: Vec<DataEvent> = journal.iter().collect();
+            let idx = TagIndex::build(&events);
+            for node in 0..6u64 {
+                for count in 0..40u64 {
+                    let tag = node << 32 | count;
+                    assert_eq!(journal.position(tag), idx.position(tag), "{tag:#x}");
+                    assert_eq!(journal.by_tag(tag), idx.get(tag).copied(), "{tag:#x}");
+                }
+            }
+            let parents: Vec<usize> = (0..journal.len())
+                .map(|pos| match journal.parent_pos(pos) {
+                    Parent::At(at) => at,
+                    Parent::Origin | Parent::Dangling => NO_PARENT,
+                })
+                .collect();
+            assert_eq!(parents, idx.parent_positions());
+        }
     }
 
     #[test]
@@ -1212,11 +1241,7 @@ mod tests {
         });
         for (i, at) in [(1u64, 150u64), (2, 400)] {
             rec.packets.push(meta(i, at - 1));
-            rec.data_events.push(DataEvent {
-                time: t(at),
-                link: LinkId(3),
-                ..ev(i, 10 + i, None, 3, false)
-            });
+            emit(&mut rec, i, None, 3, at, false);
         }
         // `resident` still lives on link 3: the traffic is for them.
         let o = Oracle::default();

@@ -7,13 +7,18 @@
 //! single-threaded) and mutate it directly. Provenance tags and span ids
 //! derive from per-node counters, so a node's values depend only on its own
 //! emission order — the trace goldens pin them.
+//!
+//! Data emissions go into the [`Journal`], which mints the provenance tag
+//! as it records the event: a tag is an address — `(node, per-node count)`
+//! — that the journal turns into the event's position with two indexed
+//! loads, and a parent is stored as a position, resolved when the child is
+//! recorded.
 
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_net::{LinkId, NodeId};
 use mobicast_sim::span::AttrValue;
 use mobicast_sim::{Counter, Counters, SeriesSet, SimTime, SpanBook, SpanId, TimeSeriesSet};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use std::rc::Rc;
 
@@ -38,15 +43,18 @@ pub struct PacketMeta {
     pub src_addr: Ipv6Addr,
 }
 
-/// One appearance of (a copy of) a datagram on a link.
-#[derive(Clone, Copy, Debug)]
+/// One appearance of (a copy of) a datagram on a link: the by-value view of
+/// a [`Journal`] row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DataEvent {
     pub pkt: PacketId,
     /// Provenance tag of this emission (unique per run, > 0).
     pub id: u64,
-    /// Provenance tag of the emission the forwarding node received
-    /// (`None` at the origin). Following parents yields the exact causal
-    /// chain of every delivered copy.
+    /// Provenance tag of the emission the forwarding node received: `None`
+    /// at the origin, `Some(0)` — the tag no event carries — when the
+    /// emission named a parent the journal never recorded. Following
+    /// parents yields the exact causal chain of every delivered copy
+    /// ([`Journal::parent_pos`] is the same walk by position).
     pub parent: Option<u64>,
     /// Link the frame was put onto.
     pub link: LinkId,
@@ -55,6 +63,268 @@ pub struct DataEvent {
     pub size: u32,
     /// True when the frame was IPv6-in-IPv6 encapsulated.
     pub tunneled: bool,
+}
+
+/// Where the cause of a journal event sits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Parent {
+    /// Nothing caused it: the event is the origin of its chain.
+    Origin,
+    /// It named a parent tag that no recorded event carries (tag 0, a node
+    /// that never emitted, a count not issued when the child was recorded):
+    /// the chain is broken here.
+    Dangling,
+    /// Position of the causing event — always before the child's own.
+    At(usize),
+}
+
+/// `Row::parent` of an origin.
+const ORIGIN: u32 = u32::MAX;
+/// `Row::parent` of an event whose parent tag named nothing.
+const DANGLING: u32 = u32::MAX - 1;
+/// The bit of `Row::size_tunneled` that holds the tunnelled flag.
+const TUNNELED_BIT: u32 = 1 << 31;
+/// Table slots a node gets when it first emits. A node that forwards the
+/// stream once goes on forwarding it; starting at `Vec`'s own 4 slots, a
+/// thousand routers' tables doubling their way up leave 16 … 512-byte holes
+/// all through the heap, and a world built after the run in the same process
+/// (a sweep's next scenario) was measured 5–7 % slower for walking them.
+const FIRST_EMISSIONS: usize = 64;
+
+/// One journal entry, packed: what [`DataEvent`] shows, with the parent as
+/// a position (or [`ORIGIN`] / [`DANGLING`]) and the tunnelled flag in the
+/// top bit of the size.
+#[derive(Clone, Copy)]
+struct Row {
+    pkt: PacketId,
+    id: u64,
+    time: SimTime,
+    parent: u32,
+    link: u32,
+    size_tunneled: u32,
+}
+
+/// The append-only causal journal of data emissions.
+///
+/// [`record`](Self::record) is the only way in and the only place a
+/// provenance tag is minted, so every tag names exactly one event and every
+/// event sits under its own tag. A tag `(node + 1) << 32 | count` is an
+/// address: `by_node[node][count - 1]` is the event's position. A parent is
+/// resolved to a position when its child is recorded, which is sound because
+/// a frame is recorded when it is emitted and can only cause another
+/// emission after it arrived somewhere — a parent is always recorded before
+/// its child (a replayed stale frame re-sends an old tag, it records
+/// nothing).
+#[derive(Default)]
+pub struct Journal {
+    rows: Vec<Row>,
+    /// Per node (grown when a node first emits), the positions of its
+    /// emissions in its own emission order.
+    by_node: Vec<Vec<u32>>,
+}
+
+impl Journal {
+    /// Record an emission by `node` and return the provenance tag minted
+    /// for it: `(node + 1) << 32 | per-node count`, so the value depends
+    /// only on the node's own emission order. `parent` is the tag of the
+    /// frame whose processing caused the emission (`None` at an origin).
+    ///
+    /// # Panics
+    /// When `size` does not fit in 31 bits, or the journal already holds as
+    /// many events as a `u32` position can address.
+    #[allow(clippy::too_many_arguments)]
+    pub fn record(
+        &mut self,
+        node: NodeId,
+        pkt: PacketId,
+        parent: Option<u64>,
+        link: LinkId,
+        time: SimTime,
+        size: u32,
+        tunneled: bool,
+    ) -> u64 {
+        let events = self.rows.len();
+        assert!(
+            events < DANGLING as usize,
+            "journal full: {events} events recorded, a position must stay below {DANGLING}"
+        );
+        assert!(
+            size < TUNNELED_BIT,
+            "frame size {size} does not fit beside the tunnelled bit"
+        );
+        // Positions are below DANGLING, so the casts are exact.
+        let pos = events as u32;
+        let parent = match parent {
+            None => ORIGIN,
+            Some(tag) => self.position(tag).map_or(DANGLING, |p| p as u32),
+        };
+        if self.by_node.len() <= node.index() {
+            self.by_node.resize_with(node.index() + 1, Vec::new);
+        }
+        let emitted = &mut self.by_node[node.index()];
+        if emitted.capacity() == 0 {
+            emitted.reserve(FIRST_EMISSIONS);
+        }
+        emitted.push(pos);
+        let id = (u64::from(node.0) + 1) << 32 | emitted.len() as u64;
+        self.rows.push(Row {
+            pkt,
+            id,
+            time,
+            parent,
+            link: link.0,
+            size_tunneled: size | if tunneled { TUNNELED_BIT } else { 0 },
+        });
+        id
+    }
+
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Position of the event recorded under `tag`.
+    pub fn position(&self, tag: u64) -> Option<usize> {
+        let node = usize::try_from((tag >> 32).checked_sub(1)?).ok()?;
+        let count = (tag & 0xffff_ffff) as usize;
+        let pos = self.by_node.get(node)?.get(count.checked_sub(1)?)?;
+        Some(*pos as usize)
+    }
+
+    /// Where the cause of the event at `pos` sits.
+    ///
+    /// # Panics
+    /// When `pos` is not a position of this journal.
+    pub fn parent_pos(&self, pos: usize) -> Parent {
+        match self.rows[pos].parent {
+            ORIGIN => Parent::Origin,
+            DANGLING => Parent::Dangling,
+            at => Parent::At(at as usize),
+        }
+    }
+
+    /// The event at `pos`.
+    pub fn get(&self, pos: usize) -> Option<DataEvent> {
+        self.rows.get(pos).map(|row| self.view(row))
+    }
+
+    /// The event recorded under `tag`.
+    pub fn by_tag(&self, tag: u64) -> Option<DataEvent> {
+        self.get(self.position(tag)?)
+    }
+
+    /// Every event, in the order recorded.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            journal: self,
+            rows: self.rows.iter(),
+        }
+    }
+
+    /// The per-link emission index over this journal.
+    pub(crate) fn link_emissions(&self) -> LinkEmissions {
+        LinkEmissions::build(&self.rows)
+    }
+
+    fn view(&self, row: &Row) -> DataEvent {
+        DataEvent {
+            pkt: row.pkt,
+            id: row.id,
+            parent: match row.parent {
+                ORIGIN => None,
+                at => Some(self.rows.get(at as usize).map_or(0, |parent| parent.id)),
+            },
+            link: LinkId(row.link),
+            time: row.time,
+            size: row.size_tunneled & !TUNNELED_BIT,
+            tunneled: row.size_tunneled & TUNNELED_BIT != 0,
+        }
+    }
+}
+
+/// Iterator over a [`Journal`]'s events by value.
+pub struct Iter<'a> {
+    journal: &'a Journal,
+    rows: std::slice::Iter<'a, Row>,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = DataEvent;
+
+    fn next(&mut self) -> Option<DataEvent> {
+        self.rows.next().map(|row| self.journal.view(row))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rows.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+impl<'a> IntoIterator for &'a Journal {
+    type Item = DataEvent;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// Emission times of a journal's events grouped by link, each link's times
+/// ascending: "when was the last datagram put on link L inside this window"
+/// is a binary search instead of a scan of every event.
+pub(crate) struct LinkEmissions {
+    /// `times[start[l]..start[l + 1]]` are link `l`'s emission times.
+    start: Vec<usize>,
+    times: Vec<SimTime>,
+}
+
+impl LinkEmissions {
+    fn build(rows: &[Row]) -> Self {
+        let n_links = rows.iter().map(|r| r.link as usize + 1).max().unwrap_or(0);
+        let mut start = vec![0usize; n_links + 1];
+        for r in rows {
+            start[r.link as usize + 1] += 1;
+        }
+        for l in 0..n_links {
+            start[l + 1] += start[l];
+        }
+        let mut next = start.clone();
+        let mut times = vec![SimTime::ZERO; rows.len()];
+        for r in rows {
+            let slot = &mut next[r.link as usize];
+            times[*slot] = r.time;
+            *slot += 1;
+        }
+        // Events are recorded in dispatch order, so each link's run is
+        // already ascending; a journal filled any other way is sorted here.
+        for l in 0..n_links {
+            let run = &mut times[start[l]..start[l + 1]];
+            if !run.windows(2).all(|w| w[0] <= w[1]) {
+                run.sort_unstable();
+            }
+        }
+        LinkEmissions { start, times }
+    }
+
+    /// The latest emission onto `link` strictly inside `(after, before)`.
+    pub(crate) fn latest_between(
+        &self,
+        link: LinkId,
+        after: SimTime,
+        before: SimTime,
+    ) -> Option<SimTime> {
+        let l = link.index();
+        let run = self
+            .times
+            .get(*self.start.get(l)?..*self.start.get(l + 1)?)?;
+        let last = *run[..run.partition_point(|t| *t < before)].last()?;
+        (last > after).then_some(last)
+    }
 }
 
 /// A datagram reaching a receiver application.
@@ -87,7 +357,7 @@ pub struct MoveEvent {
 #[derive(Default)]
 pub struct Recorder {
     pub packets: Vec<PacketMeta>,
-    pub data_events: Vec<DataEvent>,
+    pub data_events: Journal,
     pub deliveries: Vec<Delivery>,
     pub moves: Vec<MoveEvent>,
     /// Free-form counters contributed by nodes (control message counts,
@@ -102,8 +372,6 @@ pub struct Recorder {
     /// Sim-time-stamped gauge timelines (table occupancy, queue depth,
     /// link inflight, token-bucket level), sampled by the scenario.
     pub timeline: TimeSeriesSet,
-    /// Per-node emission tag counters (tags are > 0; 0 means untagged).
-    tag_seq: HashMap<u32, u64>,
 }
 
 impl Recorder {
@@ -117,22 +385,26 @@ impl Recorder {
 pub struct SharedRecorder(Rc<RefCell<Recorder>>);
 
 impl SharedRecorder {
-    /// Allocate a fresh provenance tag for an emission by `node`:
-    /// `(node + 1) << 32 | per-node count`, so the value depends only on
-    /// the node's own emission order.
-    pub fn next_tag(&self, node: NodeId) -> u64 {
-        let mut r = self.0.borrow_mut();
-        let seq = r.tag_seq.entry(node.0).or_insert(0);
-        *seq += 1;
-        (u64::from(node.0) + 1) << 32 | *seq
-    }
-
     pub fn record_packet(&self, meta: PacketMeta) {
         self.0.borrow_mut().packets.push(meta);
     }
 
-    pub fn record_data(&self, ev: DataEvent) {
-        self.0.borrow_mut().data_events.push(ev);
+    /// [`Journal::record`] on the run's journal: returns the tag minted.
+    #[allow(clippy::too_many_arguments)]
+    pub fn record_data(
+        &self,
+        node: NodeId,
+        pkt: PacketId,
+        parent: Option<u64>,
+        link: LinkId,
+        time: SimTime,
+        size: u32,
+        tunneled: bool,
+    ) -> u64 {
+        self.0
+            .borrow_mut()
+            .data_events
+            .record(node, pkt, parent, link, time, size, tunneled)
     }
 
     pub fn record_delivery(&self, d: Delivery) {
@@ -201,30 +473,134 @@ impl SharedRecorder {
 mod tests {
     use super::*;
 
+    /// Record an emission of packet 1 on link 0 at t = 0.
+    fn emit(j: &mut Journal, node: u32, parent: Option<u64>) -> u64 {
+        j.record(
+            NodeId(node),
+            1,
+            parent,
+            LinkId(0),
+            SimTime::ZERO,
+            100,
+            false,
+        )
+    }
+
     #[test]
     fn tags_are_unique_and_positive() {
-        let rec = Recorder::new_shared();
-        let a = rec.next_tag(NodeId(0));
-        let b = rec.next_tag(NodeId(0));
-        let c = rec.next_tag(NodeId(3));
+        let mut j = Journal::default();
+        let a = emit(&mut j, 0, None);
+        let b = emit(&mut j, 0, None);
+        let c = emit(&mut j, 3, None);
         assert!(a > 0);
         assert_ne!(a, b);
         assert_ne!(b, c);
+        assert_eq!((a, b, c), (1 << 32 | 1, 1 << 32 | 2, 4 << 32 | 1));
     }
 
     #[test]
     fn tags_depend_only_on_per_node_order() {
-        // Interleave two nodes' allocations two different ways: each node
+        // Interleave two nodes' emissions two different ways: each node
         // sees the same values regardless.
-        let rec = Recorder::new_shared();
-        let a1 = rec.next_tag(NodeId(1));
-        let b1 = rec.next_tag(NodeId(2));
-        let a2 = rec.next_tag(NodeId(1));
-        let rec2 = Recorder::new_shared();
-        let b1x = rec2.next_tag(NodeId(2));
-        let a1x = rec2.next_tag(NodeId(1));
-        let a2x = rec2.next_tag(NodeId(1));
+        let mut j = Journal::default();
+        let a1 = emit(&mut j, 1, None);
+        let b1 = emit(&mut j, 2, None);
+        let a2 = emit(&mut j, 1, None);
+        let mut j2 = Journal::default();
+        let b1x = emit(&mut j2, 2, None);
+        let a1x = emit(&mut j2, 1, None);
+        let a2x = emit(&mut j2, 1, None);
         assert_eq!((a1, a2, b1), (a1x, a2x, b1x));
+    }
+
+    #[test]
+    fn a_tag_is_the_address_of_its_event_and_parents_are_positions() {
+        let mut j = Journal::default();
+        let origin = emit(&mut j, 5, None);
+        let hop = j.record(
+            NodeId(2),
+            1,
+            Some(origin),
+            LinkId(7),
+            SimTime::from_secs(3),
+            140,
+            true,
+        );
+        let not_yet = (2 + 1) << 32 | 2; // node 2's second emission: not issued
+        let orphans = [0, 9 << 32 | 1, not_yet].map(|tag| emit(&mut j, 5, Some(tag)));
+        let late = emit(&mut j, 2, Some(hop)); // now `not_yet` names this one
+
+        assert_eq!(j.len(), 6);
+        assert_eq!(j.position(origin), Some(0));
+        assert_eq!(j.position(hop), Some(1));
+        assert_eq!((late, j.position(late)), (not_yet, Some(5)));
+        for unknown in [0, 1, 9 << 32 | 1, 6 << 32, 6 << 32 | 5, u64::MAX] {
+            assert_eq!(j.position(unknown), None, "{unknown:#x}");
+            assert_eq!(j.by_tag(unknown), None);
+        }
+        assert_eq!(j.parent_pos(0), Parent::Origin);
+        assert_eq!(j.parent_pos(1), Parent::At(0));
+        assert_eq!(j.parent_pos(5), Parent::At(1));
+        for orphan in orphans {
+            // Resolved when recorded: a tag issued later does not adopt it.
+            let pos = j.position(orphan).unwrap();
+            assert_eq!(j.parent_pos(pos), Parent::Dangling);
+            assert_eq!(j.get(pos).unwrap().parent, Some(0));
+        }
+        assert_eq!(
+            j.by_tag(hop),
+            Some(DataEvent {
+                pkt: 1,
+                id: hop,
+                parent: Some(origin),
+                link: LinkId(7),
+                time: SimTime::from_secs(3),
+                size: 140,
+                tunneled: true,
+            })
+        );
+        assert_eq!(j.get(0).unwrap().parent, None);
+        assert_eq!(j.get(6), None);
+        let ids: Vec<u64> = j.iter().map(|ev| ev.id).collect();
+        assert_eq!(ids, [origin, hop, orphans[0], orphans[1], orphans[2], late]);
+        assert_eq!((&j).into_iter().len(), 6);
+    }
+
+    #[test]
+    fn an_emission_costs_one_packed_row_and_one_table_slot() {
+        assert!(std::mem::size_of::<Row>() <= 40);
+        let mut j = Journal::default();
+        assert_eq!((j.rows.capacity(), j.by_node.capacity()), (0, 0));
+        for _ in 0..1000 {
+            emit(&mut j, 3, None);
+        }
+        // Node 3's table only: 4 B per event, nothing per silent node
+        // beyond the empty slots below it.
+        assert_eq!(j.by_node.len(), 4);
+        assert!(j.by_node[3].capacity() <= 1024);
+        assert_eq!(
+            j.by_node[3].len() * std::mem::size_of_val(&j.by_node[3][0]),
+            4000
+        );
+        assert!(j.by_node[..3].iter().all(|t| t.capacity() == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit beside the tunnelled bit")]
+    fn a_size_that_would_flip_the_tunnelled_bit_is_refused() {
+        let mut j = Journal::default();
+        j.record(NodeId(0), 1, None, LinkId(0), SimTime::ZERO, 1 << 31, false);
+    }
+
+    #[test]
+    fn the_largest_size_keeps_its_flag() {
+        let mut j = Journal::default();
+        let max = (1 << 31) - 1;
+        let plain = j.record(NodeId(0), 1, None, LinkId(0), SimTime::ZERO, max, false);
+        let tunneled = j.record(NodeId(0), 1, None, LinkId(0), SimTime::ZERO, max, true);
+        let seen = |tag| j.by_tag(tag).map(|ev| (ev.size, ev.tunneled));
+        assert_eq!(seen(plain), Some((max, false)));
+        assert_eq!(seen(tunneled), Some((max, true)));
     }
 
     #[test]

@@ -186,19 +186,31 @@ proptest! {
             .move_at(f64::from(move_at), PaperHost::R3, 6)
             .build();
         let (_, rec) = run_with_recorder(&cfg);
-        let by_tag: std::collections::HashMap<u64, &mobicast::core::recorder::DataEvent> =
-            rec.data_events.iter().map(|ev| (ev.id, ev)).collect();
-        prop_assert!(!rec.data_events.is_empty());
+        use mobicast::core::recorder::{DataEvent, Parent};
+        // The live-run reference: a map built by scanning, which the
+        // journal's own lookups must agree with on every event.
+        let journal = &rec.data_events;
+        let by_tag: std::collections::HashMap<u64, (usize, DataEvent)> =
+            journal.iter().enumerate().map(|(pos, ev)| (ev.id, (pos, ev))).collect();
+        prop_assert!(!journal.is_empty());
+        prop_assert_eq!(by_tag.len(), journal.len(), "a tag names one event");
         // Every recorded emission's parent chain must reach an origin
         // (`parent == None`) through recorded emissions only, within the
         // topology's diameter bound — i.e. no cycles, no dangling parents.
-        for ev in &rec.data_events {
+        for (pos, ev) in journal.iter().enumerate() {
+            prop_assert_eq!(journal.by_tag(ev.id), Some(ev));
+            prop_assert_eq!(journal.position(ev.id), Some(pos));
+            let parent_pos = match ev.parent {
+                None => Parent::Origin,
+                Some(tag) => by_tag.get(&tag).map_or(Parent::Dangling, |(at, _)| Parent::At(*at)),
+            };
+            prop_assert_eq!(journal.parent_pos(pos), parent_pos);
             let mut tag = ev.id;
             let mut steps = 0;
             loop {
                 let cur = by_tag.get(&tag);
                 prop_assert!(cur.is_some(), "dangling provenance tag {tag}");
-                match cur.unwrap().parent {
+                match cur.unwrap().1.parent {
                     Some(parent) => tag = parent,
                     None => break,
                 }
