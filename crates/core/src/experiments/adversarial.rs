@@ -33,13 +33,6 @@ const DURATION_SECS: u64 = 150;
 /// Reconvergence demanded within this bound after the window closes.
 const SLO_SECS: f64 = 60.0;
 
-#[derive(Clone, Copy)]
-struct Params {
-    policy: Policy,
-    rate: f64,
-    seed: u64,
-}
-
 #[derive(Default, Clone, serde::Serialize, serde::Deserialize)]
 pub struct AdversarialScore {
     pub name: String,
@@ -57,13 +50,13 @@ pub struct AdversarialScore {
     pub runs: u64,
 }
 
-fn one(p: &Params) -> AdversarialScore {
-    let fault = if p.rate > 0.0 {
+fn one(policy: Policy, rate: f64, seed: u64) -> AdversarialScore {
+    let fault = if rate > 0.0 {
         FaultPlan {
             link: LinkFault {
                 loss: LossModel::none(),
                 jitter: SimDuration::ZERO,
-                corruption: CorruptionModel::uniform(p.rate),
+                corruption: CorruptionModel::uniform(rate),
             },
             window: Some(FaultWindow {
                 start_secs: CORRUPT_START_SECS,
@@ -75,26 +68,22 @@ fn one(p: &Params) -> AdversarialScore {
         FaultPlan::default()
     };
     let cfg = ScenarioConfig::builder()
-        .seed(p.seed)
+        .seed(seed)
         .duration(SimDuration::from_secs(DURATION_SECS))
-        .policy(p.policy)
+        .policy(policy)
         .move_at(MOVE_AT_SECS, PaperHost::R3, 6)
         .fault(fault)
         .reconverge_slo_secs(SLO_SECS)
         .name(format!(
             "adversarial-{}-rate{:.1}-seed{}",
-            p.policy.id(),
-            p.rate * 100.0,
-            p.seed
+            policy.id(),
+            rate * 100.0,
+            seed
         ))
         .build();
     let r = scenario::run(&cfg);
-    let delivery = ["R1", "R2", "R3"]
-        .iter()
-        .map(|h| r.received[h] as f64)
-        .sum::<f64>()
-        / (3.0 * r.sent.max(1) as f64);
-    let steady = if p.rate > 0.0 {
+    let delivery = r.delivery_ratio();
+    let steady = if rate > 0.0 {
         r.report.mean("steady_delivery_ratio")
     } else {
         delivery
@@ -108,8 +97,8 @@ fn one(p: &Params) -> AdversarialScore {
     };
     let o = &r.report.oracle;
     AdversarialScore {
-        name: p.policy.name().into(),
-        rate: p.rate,
+        name: policy.name().into(),
+        rate,
         delivery,
         steady_delivery: steady,
         frames_corrupted: r.report.counters.get("faults.frames_corrupted") as f64,
@@ -145,26 +134,10 @@ pub fn run(quick: bool) -> ExperimentOutput {
         vec![0.0, 0.01, 0.02, 0.05]
     };
     let seeds: Vec<u64> = if quick { vec![1] } else { (1..=3).collect() };
-    let mut params = Vec::new();
-    for policy in Policy::active() {
-        for &rate in &rates {
-            for &seed in &seeds {
-                params.push(Params { policy, rate, seed });
-            }
-        }
-    }
-    let raw = sweep::run_parallel(params, sweep::default_workers(), one);
-    let mut scores: Vec<AdversarialScore> = Vec::new();
-    for policy in Policy::active() {
-        for &rate in &rates {
-            scores.push(merge(
-                raw.iter()
-                    .filter(|s| s.name == policy.name() && s.rate == rate)
-                    .cloned()
-                    .collect(),
-            ));
-        }
-    }
+    let cells = sweep::grid(&Policy::active(), &rates, &seeds, |&policy, &rate, seed| {
+        one(policy, rate, seed)
+    });
+    let scores: Vec<AdversarialScore> = cells.into_iter().map(merge).collect();
     let total_violations: u64 = scores.iter().map(|s| s.violations).sum();
     let total_slo_misses: u64 = scores.iter().map(|s| s.slo_misses).sum();
 

@@ -34,13 +34,6 @@ const LOSS_END_SECS: f64 = 60.0;
 const MOVE_AT_SECS: f64 = 30.0;
 const DURATION_SECS: u64 = 150;
 
-#[derive(Clone, Copy)]
-struct Params {
-    policy: Policy,
-    loss: f64,
-    seed: u64,
-}
-
 #[derive(Default, Clone, serde::Serialize, serde::Deserialize)]
 pub struct FaultScore {
     pub name: String,
@@ -54,11 +47,11 @@ pub struct FaultScore {
     pub runs: u64,
 }
 
-fn one(p: &Params) -> FaultScore {
-    let fault = if p.loss > 0.0 {
+fn one(policy: Policy, loss: f64, seed: u64) -> FaultScore {
+    let fault = if loss > 0.0 {
         FaultPlan {
             link: LinkFault {
-                loss: LossModel::iid(p.loss),
+                loss: LossModel::iid(loss),
                 jitter: SimDuration::ZERO,
                 corruption: CorruptionModel::none(),
             },
@@ -78,27 +71,23 @@ fn one(p: &Params) -> FaultScore {
         }
     };
     let cfg = ScenarioConfig::builder()
-        .seed(p.seed)
+        .seed(seed)
         .duration(SimDuration::from_secs(DURATION_SECS))
-        .policy(p.policy)
+        .policy(policy)
         .move_at(MOVE_AT_SECS, PaperHost::R3, 6)
         .fault(fault)
         .name(format!(
             "fault-sweep-{}-loss{:.0}-seed{}",
-            p.policy.id(),
-            p.loss * 100.0,
-            p.seed
+            policy.id(),
+            loss * 100.0,
+            seed
         ))
         .build();
     let r = scenario::run(&cfg);
-    let delivery = ["R1", "R2", "R3"]
-        .iter()
-        .map(|h| r.received[h] as f64)
-        .sum::<f64>()
-        / (3.0 * r.sent.max(1) as f64);
+    let delivery = r.delivery_ratio();
     // The zero-loss baseline has no fault plan, hence no steady series;
     // its post-recovery delivery is by construction the whole-run one.
-    let steady = if p.loss > 0.0 {
+    let steady = if loss > 0.0 {
         r.report.mean("steady_delivery_ratio")
     } else {
         delivery
@@ -107,8 +96,8 @@ fn one(p: &Params) -> FaultScore {
     // anything at the host beyond one per move is a retransmission.
     let bu_sent = r.report.counters.get("host.R3.binding_updates") as f64;
     FaultScore {
-        name: p.policy.name().into(),
-        loss: p.loss,
+        name: policy.name().into(),
+        loss,
         delivery,
         steady_delivery: steady,
         rejoin_s: r.report.mean("rejoin_recovery"),
@@ -140,26 +129,13 @@ pub fn run(quick: bool) -> ExperimentOutput {
         vec![0.0, 0.05, 0.10, 0.20]
     };
     let seeds: Vec<u64> = if quick { vec![1] } else { (1..=3).collect() };
-    let mut params = Vec::new();
-    for policy in Policy::active() {
-        for &loss in &losses {
-            for &seed in &seeds {
-                params.push(Params { policy, loss, seed });
-            }
-        }
-    }
-    let raw = sweep::run_parallel(params, sweep::default_workers(), one);
-    let mut scores: Vec<FaultScore> = Vec::new();
-    for policy in Policy::active() {
-        for &loss in &losses {
-            scores.push(merge(
-                raw.iter()
-                    .filter(|s| s.name == policy.name() && s.loss == loss)
-                    .cloned()
-                    .collect(),
-            ));
-        }
-    }
+    let cells = sweep::grid(
+        &Policy::active(),
+        &losses,
+        &seeds,
+        |&policy, &loss, seed| one(policy, loss, seed),
+    );
+    let scores: Vec<FaultScore> = cells.into_iter().map(merge).collect();
 
     let mut table = Table::new(&[
         "approach",

@@ -82,14 +82,6 @@ fn budget() -> ResourceBudget {
     }
 }
 
-#[derive(Clone)]
-struct Params {
-    policy: Policy,
-    level: &'static str,
-    storm: StormModel,
-    seed: u64,
-}
-
 #[derive(Default, Clone, serde::Serialize, serde::Deserialize)]
 pub struct OverloadScore {
     pub name: String,
@@ -125,34 +117,25 @@ pub struct OverloadScore {
     pub runs: u64,
 }
 
-fn one(p: &Params) -> OverloadScore {
+fn one(policy: Policy, level: &str, storm: StormModel, seed: u64) -> OverloadScore {
     let mut b = ScenarioConfig::builder()
-        .seed(p.seed)
+        .seed(seed)
         .duration(SimDuration::from_secs(DURATION_SECS))
-        .policy(p.policy)
+        .policy(policy)
         .move_at(MOVE_AT_SECS, PaperHost::R3, 6)
         .fault(FaultPlan {
-            storm: p.storm,
+            storm,
             ..FaultPlan::default()
         })
         .budget(budget())
         .reconverge_slo_secs(SLO_SECS)
-        .name(format!(
-            "overload-{}-{}-seed{}",
-            p.policy.id(),
-            p.level,
-            p.seed
-        ));
-    if !p.storm.is_none() {
+        .name(format!("overload-{}-{}-seed{}", policy.id(), level, seed));
+    if !storm.is_none() {
         b = b.protected_floor(PROTECTED_FLOOR);
     }
     let cfg = b.build();
     let r = scenario::run(&cfg);
-    let delivery = ["R1", "R2", "R3"]
-        .iter()
-        .map(|h| r.received[h] as f64)
-        .sum::<f64>()
-        / (3.0 * r.sent.max(1) as f64);
+    let delivery = r.delivery_ratio();
     let node_total = |key: &str| -> f64 {
         r.report
             .node_stats
@@ -177,8 +160,8 @@ fn one(p: &Params) -> OverloadScore {
         .and_then(|s| s.points.iter().find(|(_, v)| *v > 0.0))
         .map_or(0.0, |(t, _)| *t as f64 / 1e9);
     OverloadScore {
-        name: p.policy.name().into(),
-        level: p.level.into(),
+        name: policy.name().into(),
+        level: level.into(),
         delivery,
         protected_flow_min: o.protected_flow_min.unwrap_or(1.0),
         shed: node_total("mldReportsShed")
@@ -249,31 +232,13 @@ pub fn run(quick: bool) -> ExperimentOutput {
         all_levels.iter().collect()
     };
     let seeds: Vec<u64> = if quick { vec![1] } else { (1..=3).collect() };
-    let mut params = Vec::new();
-    for policy in Policy::active() {
-        for (level, storm) in &levels {
-            for &seed in &seeds {
-                params.push(Params {
-                    policy,
-                    level,
-                    storm: *storm,
-                    seed,
-                });
-            }
-        }
-    }
-    let raw = sweep::run_parallel(params, sweep::default_workers(), one);
-    let mut scores: Vec<OverloadScore> = Vec::new();
-    for policy in Policy::active() {
-        for (level, _) in &levels {
-            scores.push(merge(
-                raw.iter()
-                    .filter(|s| s.name == policy.name() && s.level == *level)
-                    .cloned()
-                    .collect(),
-            ));
-        }
-    }
+    let cells = sweep::grid(
+        &Policy::active(),
+        &levels,
+        &seeds,
+        |&policy, &&(level, storm), seed| one(policy, level, storm, seed),
+    );
+    let scores: Vec<OverloadScore> = cells.into_iter().map(merge).collect();
     let total_violations: u64 = scores.iter().map(|s| s.violations).sum();
     let total_slo_misses: u64 = scores.iter().map(|s| s.slo_misses).sum();
     let total_floor_misses: u64 = scores.iter().map(|s| s.floor_misses).sum();

@@ -7,14 +7,17 @@
 //! waste it produces.
 
 use super::ExperimentOutput;
-use crate::builder::{build, HostSpec, NetworkSpec};
+use crate::analysis::analyze;
+use crate::builder::{HostSpec, NetworkSpec};
 use crate::host_node::{HostConfig, SenderApp};
 use crate::report::{bytes, Table};
 use crate::router_node::RouterConfig;
+use crate::run::{self, RunPlan};
 use crate::scenario::{self, Move, PaperHost, ScenarioConfig};
 use crate::strategy::Policy;
 use crate::sweep;
 use mobicast_ipv6::addr::GroupAddr;
+use mobicast_net::{ExecPlan, FaultPlan};
 use mobicast_pimdm::PimConfig;
 use mobicast_sim::{SimDuration, SimTime, Tracer};
 use serde_json::json;
@@ -71,31 +74,27 @@ fn string_run(p: &StringParams) -> StringStats {
         },
         ..RouterConfig::default()
     };
-    let mut net = build(&spec, &hosts, router_cfg, p.seed, Tracer::null());
-    let sender = net.hosts[0];
-    let mid = net.links[spec.n_links / 2];
-    net.world.at(SimTime::from_secs(60), move |w| {
-        w.move_iface(sender, 0, mid);
-    });
-    net.world.run(
-        SimTime::ZERO + duration,
-        &mobicast_net::ExecPlan::sequential(),
-    );
-    let synthetic = ScenarioConfig::builder()
-        .seed(p.seed)
-        .name(format!("sender-cost-string{}-seed{}", p.n_links, p.seed))
-        .build();
-    let r = scenario::finish(&synthetic, net);
-    let flood_links = r
-        .report
-        .analysis
-        .link_usage
-        .iter()
-        .filter(|u| u.wasted_frames > 0)
-        .count();
+    let plan = RunPlan {
+        topology: &spec,
+        hosts,
+        router_cfg,
+        seed: p.seed,
+        duration,
+        moves: vec![(SimTime::from_secs(60), 0, spec.n_links / 2)],
+        fault: FaultPlan::default(),
+        judge: None,
+    };
+    let staged = run::stage(&plan, Tracer::null())
+        .unwrap_or_else(|e| panic!("sender-cost string{}: {e}", p.n_links));
+    let out = run::run(staged, &ExecPlan::sequential());
+    let analysis = analyze(&out.recorder, &out.net.graph, out.net.links.len());
     StringStats {
-        wasted: r.report.analysis.total_wasted_bytes,
-        flood_links,
+        wasted: analysis.total_wasted_bytes,
+        flood_links: analysis
+            .link_usage
+            .iter()
+            .filter(|u| u.wasted_frames > 0)
+            .count(),
     }
 }
 
@@ -128,68 +127,39 @@ fn mobility_rate_run(period_s: u64, seed: u64) -> u64 {
 pub fn run(quick: bool) -> ExperimentOutput {
     let seeds: Vec<u64> = if quick { vec![1] } else { vec![1, 2, 3] };
 
+    // Waste of one string scenario averaged over the seeds, and the links
+    // the first seed's flood touched.
+    let string_mean = |n_links, payload, interval_ms, prune_delay_s| {
+        let stats = sweep::run_parallel(seeds.clone(), sweep::default_workers(), |&seed| {
+            string_run(&StringParams {
+                n_links,
+                payload,
+                interval_ms,
+                prune_delay_s,
+                seed,
+            })
+        });
+        let wasted = stats.iter().map(|s| s.wasted).sum::<u64>() / stats.len() as u64;
+        (wasted, stats[0].flood_links)
+    };
+
     // (a) bit rate of the sender.
     let mut bitrate_rows = Vec::new();
     for (payload, interval_ms) in [(64usize, 500u64), (256, 250), (512, 125), (1024, 62)] {
-        let stats = sweep::run_parallel(
-            seeds
-                .iter()
-                .map(|&seed| StringParams {
-                    n_links: 8,
-                    payload,
-                    interval_ms,
-                    prune_delay_s: 3,
-                    seed,
-                })
-                .collect(),
-            sweep::default_workers(),
-            string_run,
-        );
-        let wasted = stats.iter().map(|s| s.wasted).sum::<u64>() / stats.len() as u64;
         let rate_kbps = (payload as u64 + 48) * 8 * 1000 / interval_ms / 1000;
-        bitrate_rows.push((rate_kbps, wasted));
+        bitrate_rows.push((rate_kbps, string_mean(8, payload, interval_ms, 3).0));
     }
 
     // (b) prune delay T_PruneDel.
     let mut prune_rows = Vec::new();
     for prune_delay_s in [1u64, 3, 6, 10] {
-        let stats = sweep::run_parallel(
-            seeds
-                .iter()
-                .map(|&seed| StringParams {
-                    n_links: 8,
-                    payload: 512,
-                    interval_ms: 125,
-                    prune_delay_s,
-                    seed,
-                })
-                .collect(),
-            sweep::default_workers(),
-            string_run,
-        );
-        let wasted = stats.iter().map(|s| s.wasted).sum::<u64>() / stats.len() as u64;
-        prune_rows.push((prune_delay_s, wasted));
+        prune_rows.push((prune_delay_s, string_mean(8, 512, 125, prune_delay_s).0));
     }
 
     // (c) number of links.
     let mut size_rows = Vec::new();
     for n_links in [4usize, 8, 12, 16] {
-        let stats = sweep::run_parallel(
-            seeds
-                .iter()
-                .map(|&seed| StringParams {
-                    n_links,
-                    payload: 512,
-                    interval_ms: 125,
-                    prune_delay_s: 3,
-                    seed,
-                })
-                .collect(),
-            sweep::default_workers(),
-            string_run,
-        );
-        let wasted = stats.iter().map(|s| s.wasted).sum::<u64>() / stats.len() as u64;
-        let flood = stats[0].flood_links;
+        let (wasted, flood) = string_mean(n_links, 512, 125, 3);
         size_rows.push((n_links, wasted, flood));
     }
 

@@ -17,12 +17,6 @@ use crate::sweep;
 use mobicast_sim::SimDuration;
 use serde_json::json;
 
-#[derive(Clone, Copy)]
-struct Params {
-    policy: Policy,
-    seed: u64,
-}
-
 #[derive(Default, Clone, serde::Serialize, serde::Deserialize)]
 pub struct StrategyScore {
     pub name: String,
@@ -71,29 +65,25 @@ fn mixed_moves() -> Vec<Move> {
     ]
 }
 
-fn one(p: &Params) -> StrategyScore {
+fn one(policy: Policy, seed: u64) -> StrategyScore {
     let cfg = ScenarioConfig::builder()
-        .seed(p.seed)
+        .seed(seed)
         .duration(SimDuration::from_secs(650))
-        .policy(p.policy)
+        .policy(policy)
         .data_interval(SimDuration::from_millis(250))
         .moves(mixed_moves())
-        .name(format!("table1-{}-seed{}", p.policy.id(), p.seed))
+        .name(format!("table1-{}-seed{}", policy.id(), seed))
         .build();
     let r = scenario::run(&cfg);
     let a = &r.report.analysis;
-    let delivery = ["R1", "R2", "R3"]
-        .iter()
-        .map(|h| r.received[h] as f64)
-        .sum::<f64>()
-        / (3.0 * r.sent.max(1) as f64);
+    let delivery = r.delivery_ratio();
     let control = r.report.class_bytes("mld_ctrl")
         + r.report.class_bytes("pim_ctrl")
         + r.report.class_bytes("mip6_ctrl");
     let mh_encap = r.report.counters.get("host.data_tunnel_encap")
         + r.report.counters.get("host.data_tunnel_decap");
     StrategyScore {
-        name: p.policy.name().into(),
+        name: policy.name().into(),
         join_delay_s: r.report.series.summary("join_delay").mean,
         leave_delay_s: r.report.series.summary("leave_delay").mean,
         delivery,
@@ -105,7 +95,7 @@ fn one(p: &Params) -> StrategyScore {
         ha_binding_updates: r.ha_binding_updates as f64,
         mh_encap_ops: mh_encap as f64,
         max_router_sg: r.max_router_sg_entries as f64,
-        needs_draft_changes: p.policy.requires_draft_changes(),
+        needs_draft_changes: policy.requires_draft_changes(),
         runs: 1,
     }
 }
@@ -133,17 +123,10 @@ fn merge(scores: Vec<StrategyScore>) -> StrategyScore {
 
 pub fn run(quick: bool) -> ExperimentOutput {
     let seeds: Vec<u64> = if quick { vec![1, 2] } else { (1..=6).collect() };
-    let mut params = Vec::new();
-    for policy in Policy::PAPER {
-        for &seed in &seeds {
-            params.push(Params { policy, seed });
-        }
-    }
-    let raw = sweep::run_parallel(params, sweep::default_workers(), one);
-    let per_strategy: Vec<StrategyScore> = Policy::PAPER
-        .iter()
-        .map(|s| merge(raw.iter().filter(|r| r.name == s.name()).cloned().collect()))
-        .collect();
+    let cells = sweep::grid(&Policy::PAPER, &[()], &seeds, |&policy, (), seed| {
+        one(policy, seed)
+    });
+    let per_strategy: Vec<StrategyScore> = cells.into_iter().map(merge).collect();
 
     let mut table = Table::new(&[
         "approach (Table 1)",

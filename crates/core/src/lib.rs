@@ -14,6 +14,8 @@
 //!   MLD, PIM-DM, home agent / mobile node, applications.
 //! * [`builder`] — network assembly; [`builder::NetworkSpec::reference`]
 //!   is the paper's Figure-1 topology.
+//! * [`mod@run`] — the staged pipeline every run goes through: stage → run →
+//!   a front-end's finish.
 //! * [`scenario`] — configured runs of the reference network.
 //! * [`analysis`] — ground-truth evaluation (wasted bytes, stretch,
 //!   leave delays, delivery paths).
@@ -21,7 +23,7 @@
 //! * [`explain`] — packet-journey explainer over the provenance chains.
 //! * [`observability`] — handoff span dashboard join and the
 //!   `report --diff` regression gate.
-//! * [`sweep`] — deterministic parallel parameter sweeps (crossbeam).
+//! * [`sweep`] — deterministic parallel parameter sweeps.
 //! * [`report`] — text tables and JSON output for the experiment binaries.
 
 pub mod addressing;
@@ -41,6 +43,7 @@ pub mod parsed;
 pub mod recorder;
 pub mod report;
 pub mod router_node;
+pub mod run;
 pub mod scale;
 pub mod scenario;
 pub mod strategy;

@@ -8,14 +8,15 @@
 //! that rejects inconsistent knob combinations before a run starts.
 
 use crate::analysis::{analyze, RunReport};
-use crate::builder::{apply_fault_plan, build, BuiltNetwork, HostSpec, NetworkSpec};
+use crate::builder::{BuiltNetwork, HostSpec, NetworkSpec};
 use crate::host_node::{HostConfig, HostNode, SenderApp};
-use crate::oracle::{FinalizeParams, Oracle};
+use crate::recorder::Recorder;
 use crate::router_node::{ResourceBudget, RouterConfig, RouterNode};
+use crate::run::{self, at_secs, Judge, RunOutput, RunPlan, StageError};
 use crate::strategy::Policy;
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_mld::MldConfig;
-use mobicast_net::{ExecutorConfig, FaultPlan, FrameClass};
+use mobicast_net::{Ctx, ExecPlan, FaultPlan, FrameClass, LinkStats};
 use mobicast_pimdm::PimConfig;
 use mobicast_sim::{
     rng::sample_exponential, RingBufferTracer, RngFactory, SimDuration, SimProfile, SimTime, Tracer,
@@ -41,6 +42,8 @@ pub enum PaperHost {
 
 impl PaperHost {
     pub const ALL: [PaperHost; 4] = [PaperHost::S, PaperHost::R1, PaperHost::R2, PaperHost::R3];
+    /// The hosts' names in the paper's figures, in `ALL` order.
+    const NAMES: [&'static str; 4] = ["S", "R1", "R2", "R3"];
 
     /// Home link (0-indexed; the paper's Link n is index n-1).
     pub fn home_link_index(self) -> usize {
@@ -117,10 +120,6 @@ pub struct ScenarioConfig {
     /// Capture typed trace events into a bounded ring buffer of this
     /// capacity and return them as `ScenarioResult.trace_jsonl`.
     pub trace_capture: Option<usize>,
-    /// How the event loop executes: sequential, or sharded to also
-    /// account the conservative-window schedule. Never changes what the
-    /// run produces. Validated by the builder.
-    pub executor: ExecutorConfig,
     /// Profile the event loop (wall-clock; see `ScenarioResult.profile`).
     pub profile: bool,
     /// Print the one-line run summary to stderr when the run finishes.
@@ -149,7 +148,6 @@ impl Default for ScenarioConfig {
             tracer: None,
             name: Cow::Borrowed("scenario"),
             trace_capture: None,
-            executor: ExecutorConfig::sequential(),
             profile: false,
             summary: false,
         }
@@ -230,12 +228,6 @@ impl ScenarioBuilder {
 
     pub fn duration(mut self, duration: SimDuration) -> Self {
         self.cfg.duration = duration;
-        self
-    }
-
-    /// Execute with this executor configuration (validated at build).
-    pub fn executor(mut self, executor: ExecutorConfig) -> Self {
-        self.cfg.executor = executor;
         self
     }
 
@@ -360,9 +352,6 @@ impl ScenarioBuilder {
     /// Validate and hand out the configuration.
     pub fn try_build(self) -> Result<ScenarioConfig, ScenarioBuildError> {
         let cfg = self.cfg;
-        if let Err(e) = cfg.executor.validate() {
-            return Err(ScenarioBuildError(format!("executor: {e}")));
-        }
         if let Err(e) = cfg.mld.validate() {
             return Err(ScenarioBuildError(format!("MLD profile: {e}")));
         }
@@ -462,6 +451,17 @@ pub struct ScenarioResult {
     pub trace_dropped: u64,
 }
 
+impl ScenarioResult {
+    /// Whole-run first-copy delivery ratio over R1, R2 and R3.
+    pub fn delivery_ratio(&self) -> f64 {
+        let received: f64 = ["R1", "R2", "R3"]
+            .iter()
+            .map(|h| self.received[h] as f64)
+            .sum();
+        received / (3.0 * self.sent.max(1) as f64)
+    }
+}
+
 /// The multicast group used by all reference scenarios.
 pub fn group() -> GroupAddr {
     GroupAddr::test_group(1)
@@ -472,61 +472,11 @@ pub fn run(cfg: &ScenarioConfig) -> ScenarioResult {
     run_with_recorder(cfg).0
 }
 
-/// As [`run`], additionally handing back the raw recorder (provenance
+/// As [`run()`], additionally handing back the raw recorder (provenance
 /// chains, deliveries, moves) for post-run tools like the packet-journey
-/// explainer.
+/// explainer. Panics, naming the scenario, on a configuration
+/// [`stage`] rejects.
 pub fn run_with_recorder(cfg: &ScenarioConfig) -> (ScenarioResult, crate::recorder::Recorder) {
-    cfg.mld.validate().expect("invalid MLD profile");
-    cfg.pim.validate().expect("invalid PIM profile");
-    let spec = NetworkSpec::reference();
-    let g = group();
-
-    let host_cfg = HostConfig {
-        policy: cfg.policy,
-        unsolicited_reports: cfg.unsolicited_reports,
-        mld: cfg.mld,
-    };
-    let sender_app = SenderApp {
-        group: g,
-        interval: cfg.data_interval,
-        payload_size: cfg.payload_size,
-        start: cfg.traffic_start,
-        stop: SimTime::ZERO + cfg.duration,
-    };
-    let mut hosts: Vec<HostSpec> = PaperHost::ALL
-        .iter()
-        .map(|h| HostSpec {
-            home_link: h.home_link_index(),
-            cfg: host_cfg,
-            sender: (*h == PaperHost::S).then_some(sender_app),
-            receiver_group: (*h != PaperHost::S).then_some(g),
-        })
-        .collect();
-    for _ in 0..cfg.extra_receivers {
-        hosts.push(HostSpec {
-            home_link: PaperHost::R3.home_link_index(),
-            cfg: host_cfg,
-            sender: None,
-            receiver_group: Some(g),
-        });
-    }
-    // Dedicated storm hosts: stationary subscription flappers homed with
-    // R3. `receiver_group: None` keeps them out of all delivery metrics.
-    for _ in 0..storm_host_count(cfg) {
-        hosts.push(HostSpec {
-            home_link: PaperHost::R3.home_link_index(),
-            cfg: host_cfg,
-            sender: None,
-            receiver_group: None,
-        });
-    }
-
-    let router_cfg = RouterConfig {
-        mld: cfg.mld,
-        pim: cfg.pim,
-        budget: cfg.budget,
-        ..RouterConfig::default()
-    };
     let mut ring: Option<RingBufferTracer> = None;
     let tracer = match (&cfg.tracer, cfg.trace_capture) {
         (Some(t), _) => t.clone(),
@@ -537,55 +487,8 @@ pub fn run_with_recorder(cfg: &ScenarioConfig) -> (ScenarioResult, crate::record
         }
         (None, None) => Tracer::null(),
     };
-    let mut net = build(&spec, &hosts, router_cfg, cfg.seed, tracer);
-    if cfg.profile {
-        net.world.enable_profiling();
-    }
-    apply_fault_plan(&mut net, &spec, router_cfg, &cfg.fault, cfg.seed);
-
-    // Script the moves. Extra receivers shadow R3's movements (storm
-    // hosts, appended after them, stay put).
-    for mv in &cfg.moves {
-        let host = net.hosts[PaperHost::ALL.iter().position(|h| *h == mv.host).unwrap()];
-        let link = net.links[mv.to_link - 1];
-        let at = SimTime::from_nanos((mv.at_secs * 1e9) as u64);
-        net.world.at(at, move |w| {
-            w.move_iface(host, 0, link);
-        });
-        if mv.host == PaperHost::R3 {
-            for extra in net
-                .hosts
-                .iter()
-                .skip(PaperHost::ALL.len())
-                .take(cfg.extra_receivers)
-                .copied()
-            {
-                net.world.at(at, move |w| {
-                    w.move_iface(extra, 0, link);
-                });
-            }
-        }
-    }
-
-    schedule_storm(&mut net, cfg, g);
-    schedule_gauge_sampler(&mut net, cfg);
-
-    let oracle = cfg.oracle.then(|| {
-        Oracle::attach(
-            &mut net.world,
-            net.routers.clone(),
-            SimTime::ZERO + cfg.duration,
-        )
-    });
-
-    let plan = match cfg.executor.plan(|shards| net.shard_plan(shards)) {
-        Ok(plan) => plan,
-        Err(e) => panic!("scenario {}: invalid executor config: {e}", cfg.name),
-    };
-    net.world.run(SimTime::ZERO + cfg.duration, &plan);
-    let profile = net.world.take_profile();
-    let (mut result, rec) = finish_with(cfg, net, oracle);
-    result.profile = profile;
+    let staged = stage(cfg, tracer).unwrap_or_else(|e| panic!("scenario {}: {e}", cfg.name));
+    let (mut result, rec) = staged.run();
     if let Some(ring) = ring {
         result.trace_dropped = ring.dropped();
         result.trace_jsonl = Some(ring.export_jsonl());
@@ -611,6 +514,144 @@ pub fn run_with_recorder(cfg: &ScenarioConfig) -> (ScenarioResult, crate::record
     }
     (result, rec)
 }
+
+/// What each host of a lowered scenario is, in host-list order: the
+/// paper's four, the extra receivers shadowing R3, then the storm's
+/// dedicated subscription flappers (numbered from 0). A function of the
+/// configuration alone, so the lowering and the report read one list.
+#[derive(Clone, Copy)]
+enum Role {
+    Paper(PaperHost),
+    Extra(usize),
+    Storm(usize),
+}
+
+fn roles(cfg: &ScenarioConfig) -> impl Iterator<Item = Role> {
+    let paper = PaperHost::ALL.into_iter().map(Role::Paper);
+    let extras = (0..cfg.extra_receivers).map(Role::Extra);
+    paper
+        .chain(extras)
+        .chain((0..storm_host_count(cfg)).map(Role::Storm))
+}
+
+/// The Figure-1 lowering: `cfg` as a [`RunPlan`] over `topology`.
+fn lower<'a>(cfg: &ScenarioConfig, topology: &'a NetworkSpec) -> RunPlan<'a> {
+    let g = group();
+    let host_cfg = HostConfig {
+        policy: cfg.policy,
+        unsolicited_reports: cfg.unsolicited_reports,
+        mld: cfg.mld,
+    };
+    let sender_app = SenderApp {
+        group: g,
+        interval: cfg.data_interval,
+        payload_size: cfg.payload_size,
+        start: cfg.traffic_start,
+        stop: SimTime::ZERO + cfg.duration,
+    };
+    let hosts = roles(cfg)
+        .map(|role| {
+            // Extras and storm hosts are homed with R3; leaving the storm
+            // hosts unsubscribed keeps them out of every delivery metric.
+            let (home, sends, receives) = match role {
+                Role::Paper(h) => (h, h == PaperHost::S, h != PaperHost::S),
+                Role::Extra(_) => (PaperHost::R3, false, true),
+                Role::Storm(_) => (PaperHost::R3, false, false),
+            };
+            HostSpec {
+                home_link: home.home_link_index(),
+                cfg: host_cfg,
+                sender: sends.then_some(sender_app),
+                receiver_group: receives.then_some(g),
+            }
+        })
+        .collect();
+
+    let mut moves = Vec::with_capacity(cfg.moves.len());
+    for mv in &cfg.moves {
+        // The paper's 1-based link number; 0 wraps out of range and
+        // stage 1 rejects it like any other link the network lacks.
+        let (at, link) = (at_secs(mv.at_secs), mv.to_link.wrapping_sub(1));
+        moves.push((at, mv.host as usize, link));
+        if mv.host == PaperHost::R3 {
+            // Extra receivers shadow R3 (storm hosts, after them, stay put).
+            let extras = PaperHost::ALL.len()..PaperHost::ALL.len() + cfg.extra_receivers;
+            moves.extend(extras.map(|host| (at, host, link)));
+        }
+    }
+
+    let judge = cfg.oracle.then(|| {
+        let move_secs = cfg.moves.iter().map(|mv| mv.at_secs);
+        Judge {
+            reconverge_bound: SimDuration::from_nanos((cfg.reconverge_slo_secs * 1e9) as u64),
+            protected_floor: cfg.protected_floor,
+            // Builder validation ties the floor to a storm.
+            protect_window: cfg.protected_floor.map(|_| {
+                let storm = &cfg.fault.storm;
+                let until = storm.end_secs.min(cfg.duration.as_secs_f64());
+                (at_secs(storm.start_secs), at_secs(until))
+            }),
+            ..Judge::after(cfg.traffic_start, move_secs, &cfg.fault)
+        }
+    });
+
+    RunPlan {
+        topology,
+        hosts,
+        router_cfg: RouterConfig {
+            mld: cfg.mld,
+            pim: cfg.pim,
+            budget: cfg.budget,
+            ..RouterConfig::default()
+        },
+        seed: cfg.seed,
+        duration: cfg.duration,
+        moves,
+        fault: cfg.fault.clone(),
+        judge,
+    }
+}
+
+/// A scenario staged on the Figure-1 network and not yet started: `cfg`
+/// lowered, [`run::stage`]d, its storm and the gauge sampler scheduled.
+/// It holds the configuration it was lowered from, so the report's host
+/// and router labels can only ever meet the network they describe.
+pub struct Staged<'a> {
+    cfg: &'a ScenarioConfig,
+    staged: run::Staged,
+}
+
+/// Stage 1 of [`run()`]: everything up to, not including, the oracle — so
+/// a caller can reach the world before it runs. A [`StageError::Move`]
+/// counts the lowered moves: `cfg.moves` with, after each move of R3,
+/// one shadow move per extra receiver.
+pub fn stage(cfg: &ScenarioConfig, tracer: Tracer) -> Result<Staged<'_>, StageError> {
+    let mut staged = run::stage(&lower(cfg, &NetworkSpec::reference()), tracer)?;
+    if cfg.profile {
+        staged.net.world.enable_profiling();
+    }
+    schedule_storm(&mut staged.net, cfg, group());
+    schedule_gauge_sampler(&mut staged.net, cfg);
+    Ok(Staged { cfg, staged })
+}
+
+impl Staged<'_> {
+    /// The staged network: add a probe, a fault process, a script event.
+    /// (The oracle takes the world's one probe slot when it is attached;
+    /// stage with `cfg.oracle` off to keep a probe of your own.)
+    pub fn net(&mut self) -> &mut BuiltNetwork {
+        &mut self.staged.net
+    }
+
+    /// Stages 2 and 3: run, judged when `cfg.oracle`, and assemble the
+    /// Figure-1 report.
+    pub fn run(self) -> (ScenarioResult, Recorder) {
+        finish(self.cfg, run::run(self.staged, &ExecPlan::sequential()))
+    }
+}
+
+/// The five routers of Figure 1, in `NetworkSpec::reference` order.
+const ROUTER_LABELS: [char; 5] = ['A', 'B', 'C', 'D', 'E'];
 
 /// Sim-time interval between observability gauge samples.
 const GAUGE_SAMPLE_SECS: u64 = 5;
@@ -659,8 +700,7 @@ fn sample_gauges(w: &mut mobicast_net::World, ctx: &SamplerCtx) {
     let now = w.now();
     let rec = &ctx.recorder;
     rec.sample_at("world.queue_depth", now, w.queue_len() as f64);
-    for (i, r) in ctx.routers.iter().enumerate() {
-        let label = char::from(b'A' + i as u8);
+    for (label, r) in ROUTER_LABELS.iter().zip(&ctx.routers) {
         let Some(router) = w.behavior::<RouterNode>(*r) else {
             continue;
         };
@@ -694,6 +734,22 @@ fn storm_host_count(cfg: &ScenarioConfig) -> usize {
     }
 }
 
+/// Script `act` on `host`'s applications at `secs`.
+fn at_host(
+    world: &mut mobicast_net::World,
+    secs: f64,
+    host: mobicast_net::NodeId,
+    act: impl FnOnce(&mut HostNode, &mut Ctx<'_>) + 'static,
+) {
+    world.at(at_secs(secs), move |w| {
+        w.with_node(host, |b, ctx| {
+            if let Some(h) = b.as_any_mut().downcast_mut::<HostNode>() {
+                act(h, ctx);
+            }
+        });
+    });
+}
+
 /// Base of the throwaway group range zapping churns through (distinct
 /// from the data group, `GroupAddr::test_group(1)`).
 const ZAP_GROUP_BASE: u16 = 100;
@@ -711,11 +767,11 @@ fn schedule_storm(net: &mut BuiltNetwork, cfg: &ScenarioConfig, data_group: Grou
     }
     let rng = RngFactory::new(cfg.seed).subfactory("storm");
     let end = storm.end_secs.min(cfg.duration.as_secs_f64());
-    let at_time = |secs: f64| SimTime::from_nanos((secs * 1e9) as u64);
     let storm_n = storm_host_count(cfg);
     // Zap and BU targets: every mobile (non-sender) receiver, extras
     // included, but never the storm hosts themselves.
     let receivers: Vec<_> = net.hosts[1..net.hosts.len() - storm_n].to_vec();
+    let world = &mut net.world;
 
     if storm.zap_rate > 0.0 && !receivers.is_empty() {
         let mut zap = rng.stream("zap");
@@ -730,19 +786,10 @@ fn schedule_storm(net: &mut BuiltNetwork, cfg: &ScenarioConfig, data_group: Grou
                 ZAP_GROUP_BASE + zap.random_range(0..storm.zap_groups) as u16,
             );
             let hold = 1.0 + sample_exponential(&mut zap, 3.0);
-            net.world.at(at_time(t), move |w| {
-                w.with_node(host, |b, ctx| {
-                    if let Some(h) = b.as_any_mut().downcast_mut::<HostNode>() {
-                        h.app_subscribe(ctx, group);
-                    }
-                });
-            });
-            net.world.at(at_time((t + hold).min(end)), move |w| {
-                w.with_node(host, |b, ctx| {
-                    if let Some(h) = b.as_any_mut().downcast_mut::<HostNode>() {
-                        h.app_unsubscribe(ctx, group);
-                    }
-                });
+            at_host(world, t, host, move |h, ctx| h.app_subscribe(ctx, group));
+            let leave = (t + hold).min(end);
+            at_host(world, leave, host, move |h, ctx| {
+                h.app_unsubscribe(ctx, group)
             });
         }
     }
@@ -756,13 +803,7 @@ fn schedule_storm(net: &mut BuiltNetwork, cfg: &ScenarioConfig, data_group: Grou
                 break;
             }
             let host = receivers[bu.random_range(0..receivers.len())];
-            net.world.at(at_time(t), move |w| {
-                w.with_node(host, |b, ctx| {
-                    if let Some(h) = b.as_any_mut().downcast_mut::<HostNode>() {
-                        h.app_rebind(ctx);
-                    }
-                });
-            });
+            at_host(world, t, host, |h, ctx| h.app_rebind(ctx));
         }
     }
 
@@ -777,98 +818,36 @@ fn schedule_storm(net: &mut BuiltNetwork, cfg: &ScenarioConfig, data_group: Grou
                 break;
             }
             let idx = flap.random_range(0..flappers.len());
-            let host = flappers[idx];
             let join = !joined[idx];
             joined[idx] = join;
-            net.world.at(at_time(t), move |w| {
-                w.with_node(host, |b, ctx| {
-                    if let Some(h) = b.as_any_mut().downcast_mut::<HostNode>() {
-                        if join {
-                            h.app_subscribe(ctx, data_group);
-                        } else {
-                            h.app_unsubscribe(ctx, data_group);
-                        }
-                    }
-                });
+            at_host(world, t, flappers[idx], move |h, ctx| match join {
+                true => h.app_subscribe(ctx, data_group),
+                false => h.app_unsubscribe(ctx, data_group),
             });
         }
         // Leave no storm subscription behind: the reconvergence window
         // after `end` must measure recovery, not residual churn.
-        for (idx, host) in flappers.iter().copied().enumerate() {
-            if joined[idx] {
-                net.world.at(at_time(end), move |w| {
-                    w.with_node(host, |b, ctx| {
-                        if let Some(h) = b.as_any_mut().downcast_mut::<HostNode>() {
-                            h.app_unsubscribe(ctx, data_group);
-                        }
-                    });
-                });
-            }
+        for (host, _) in flappers.iter().zip(joined).filter(|(_, joined)| *joined) {
+            at_host(world, end, *host, move |h, ctx| {
+                h.app_unsubscribe(ctx, data_group)
+            });
         }
     }
 }
 
-/// Reconvergence margin demanded after the last scheduled disturbance
-/// before the oracle judges duplicates as persistent.
-const SETTLE_MARGIN_SECS: f64 = 30.0;
-/// Time granted after traffic start for the initial flood's asserts.
-const ASSERT_SETTLE_SECS: f64 = 15.0;
-
-/// The instant after which the run must be disturbance-free: every move,
-/// fault window, flap and crash has cleared, plus a margin.
-fn settle_time(cfg: &ScenarioConfig) -> SimTime {
-    let mut s = cfg.traffic_start.as_secs_f64() + ASSERT_SETTLE_SECS;
-    for mv in &cfg.moves {
-        s = s.max(mv.at_secs + SETTLE_MARGIN_SECS);
-    }
-    if let Some(bound) = cfg.fault.recovery_bound_secs() {
-        s = s.max(bound + SETTLE_MARGIN_SECS);
-    }
-    SimTime::from_nanos((s * 1e9) as u64)
-}
-
-/// When the run's last scheduled disturbance clears — the instant the
-/// reconvergence SLO measures from. `None` when there is nothing to
-/// recover from, or when a run-long (unwindowed) fault leaves no recovery
-/// point to judge.
-fn disturbance_end(cfg: &ScenarioConfig) -> Option<SimTime> {
-    let mut latest: Option<f64> = None;
-    for mv in &cfg.moves {
-        latest = Some(latest.unwrap_or(0.0).max(mv.at_secs));
-    }
-    if !cfg.fault.is_none() {
-        match cfg.fault.recovery_bound_secs() {
-            Some(bound) => latest = Some(latest.unwrap_or(0.0).max(bound)),
-            None => return None,
-        }
-    }
-    latest.map(|s| SimTime::from_nanos((s * 1e9) as u64))
-}
-
-/// Collect results from a finished network.
-pub fn finish(cfg: &ScenarioConfig, net: BuiltNetwork) -> ScenarioResult {
-    finish_with(cfg, net, None).0
-}
-
-/// As [`finish`], folding in the run's oracle verdict when one was attached.
-/// Also hands back the taken recorder for provenance-based tooling.
-fn finish_with(
-    cfg: &ScenarioConfig,
-    net: BuiltNetwork,
-    oracle: Option<std::rc::Rc<Oracle>>,
-) -> (ScenarioResult, crate::recorder::Recorder) {
-    let BuiltNetwork {
-        world,
-        routers,
-        hosts,
-        links,
-        graph,
-        recorder,
+/// Stage 3: the Figure-1 report over what stage 2 left, hosts labelled by
+/// their [`roles`] under `cfg`. Also hands back the taken recorder for
+/// provenance-based tooling.
+fn finish(cfg: &ScenarioConfig, out: RunOutput) -> (ScenarioResult, Recorder) {
+    let RunOutput {
+        net,
+        recorder: mut rec,
+        oracle,
+        profile,
         ..
-    } = net;
-
-    let mut rec = recorder.take();
-    let analysis = analyze(&rec, &graph, links.len());
+    } = out;
+    let world = &net.world;
+    let analysis = analyze(&rec, &net.graph, net.links.len());
 
     // Close out the causal timeline at the run horizon (spans still open
     // are flagged `unfinished`) and fold closed durations into the
@@ -882,134 +861,67 @@ fn finish_with(
         horizon,
     );
 
-    // The oracle's post-run pass: loop-freedom, persistent duplicates,
-    // and the leave-delay bound, judged against the recorded ground truth.
-    let storm_n = storm_host_count(cfg);
-    let tracked_hosts = hosts.len() - storm_n;
-    let oracle_summary = match oracle {
-        Some(o) => {
-            let receivers: Vec<_> = hosts
-                .iter()
-                .enumerate()
-                .take(tracked_hosts) // storm hosts are not receivers
-                .skip(1) // index 0 is the sender S
-                .map(|(i, id)| {
-                    let home = if i < PaperHost::ALL.len() {
-                        PaperHost::ALL[i].home_link_index()
-                    } else {
-                        PaperHost::R3.home_link_index()
-                    };
-                    (*id, links[home])
-                })
-                .collect();
-            o.finalize(
-                &rec,
-                &FinalizeParams {
-                    settle: settle_time(cfg),
-                    t_mli: cfg.mld.multicast_listener_interval(),
-                    receivers,
-                    end: SimTime::ZERO + cfg.duration,
-                    disturbance_end: disturbance_end(cfg),
-                    reconverge_bound: SimDuration::from_nanos(
-                        (cfg.reconverge_slo_secs * 1e9) as u64,
-                    ),
-                    protected_floor: cfg.protected_floor,
-                    protect_window: cfg.protected_floor.map(|_| {
-                        // Builder validation ties the floor to a storm.
-                        let storm = &cfg.fault.storm;
-                        let until = storm.end_secs.min(cfg.duration.as_secs_f64());
-                        (
-                            SimTime::from_nanos((storm.start_secs * 1e9) as u64),
-                            SimTime::from_nanos((until * 1e9) as u64),
-                        )
-                    }),
-                },
-            )
-        }
-        None => Default::default(),
-    };
-
     let mut counters = rec.counters.clone();
     counters.merge(world.counters());
     let mut series = rec.series.clone();
     series.record("seed", cfg.seed as f64);
 
-    let names = ["S", "R1", "R2", "R3"];
+    // Per-node MIB snapshot: counters the behaviors keep themselves merged
+    // with world-attributed ones (fault drops), under stable labels.
+    let mut node_stats = BTreeMap::new();
     let mut received = BTreeMap::new();
     let mut duplicates = BTreeMap::new();
-    for id in hosts.iter().take(tracked_hosts).skip(names.len()) {
-        if let Some(h) = world.behavior::<HostNode>(*id) {
-            counters.add("extra_receivers.received", h.received_count());
-        }
-    }
-    for (name, id) in names.iter().zip(&hosts) {
-        if let Some(h) = world.behavior::<HostNode>(*id) {
-            received.insert(*name, h.received_count());
-            duplicates.insert(*name, h.duplicate_count());
-            counters.add(
-                &format!("host.{name}.binding_updates"),
-                h.mobile().binding_updates_sent(),
-            );
-        }
+    for (role, id) in roles(cfg).zip(&net.hosts) {
+        let Some(h) = world.behavior::<HostNode>(*id) else {
+            continue;
+        };
+        let label = match role {
+            Role::Paper(paper) => {
+                let name = PaperHost::NAMES[paper as usize];
+                received.insert(name, h.received_count());
+                duplicates.insert(name, h.duplicate_count());
+                let updates = h.mobile().binding_updates_sent();
+                counters.add(&format!("host.{name}.binding_updates"), updates);
+                format!("host.{name}")
+            }
+            Role::Extra(i) => {
+                counters.add("extra_receivers.received", h.received_count());
+                format!("host.extra{i}")
+            }
+            Role::Storm(i) => format!("host.storm{i}"),
+        };
+        let mut c = world.node_counters(*id).clone();
+        c.merge(h.mib());
+        node_stats.insert(label, c);
     }
 
     let mut max_router_sg_entries = 0;
     let mut ha_binding_updates = 0;
     let mut ha_packets_tunneled = 0;
-    for r in &routers {
+    for (label, r) in ROUTER_LABELS.iter().zip(&net.routers) {
+        let mut c = world.node_counters(*r).clone();
         if let Some(router) = world.behavior::<RouterNode>(*r) {
             max_router_sg_entries = max_router_sg_entries.max(router.max_sg_entries);
             ha_binding_updates += router.home_agent().binding_updates_processed;
             ha_packets_tunneled += router.home_agent().packets_tunneled;
-        }
-    }
-
-    // Per-node MIB snapshot: counters the behaviors keep themselves merged
-    // with world-attributed ones (fault drops), under stable labels.
-    let mut node_stats = BTreeMap::new();
-    for (i, r) in routers.iter().enumerate() {
-        let label = format!("router.{}", char::from(b'A' + i as u8));
-        let mut c = world.node_counters(*r).clone();
-        if let Some(router) = world.behavior::<RouterNode>(*r) {
             c.merge(router.mib());
         }
-        node_stats.insert(label, c);
-    }
-    for (i, id) in hosts.iter().enumerate() {
-        let label = if i < names.len() {
-            format!("host.{}", names[i])
-        } else if i < tracked_hosts {
-            format!("host.extra{}", i - names.len())
-        } else {
-            format!("host.storm{}", i - tracked_hosts)
-        };
-        let mut c = world.node_counters(*id).clone();
-        if let Some(h) = world.behavior::<HostNode>(*id) {
-            c.merge(h.mib());
-        }
-        node_stats.insert(label, c);
+        node_stats.insert(format!("router.{label}"), c);
     }
 
-    let link_bytes: Vec<BTreeMap<String, u64>> = links
-        .iter()
-        .map(|l| {
-            let stats = world.link_stats(*l);
+    let per_class = |count: fn(&LinkStats, usize) -> u64| -> Vec<BTreeMap<String, u64>> {
+        let classes = |stats| {
             FrameClass::ALL
                 .iter()
-                .map(|c| (c.name().to_string(), stats.bytes[c.index()]))
-                .collect()
-        })
-        .collect();
-    let link_drops: Vec<BTreeMap<String, u64>> = links
-        .iter()
-        .map(|l| {
-            let stats = world.link_stats(*l);
-            FrameClass::ALL
-                .iter()
-                .map(|c| (c.name().to_string(), stats.dropped_frames[c.index()]))
-                .collect()
-        })
-        .collect();
+                .map(move |c| (c.name().to_string(), count(stats, c.index())))
+        };
+        let links = net.links.iter();
+        links
+            .map(|l| classes(world.link_stats(*l)).collect())
+            .collect()
+    };
+    let link_bytes = per_class(|stats, class| stats.bytes[class]);
+    let link_drops = per_class(|stats, class| stats.dropped_frames[class]);
 
     for d in &analysis.leave_delays {
         series.record("leave_delay", *d);
@@ -1038,7 +950,7 @@ fn finish_with(
     if !cfg.fault.is_none() {
         if let Some(bound) = cfg.fault.recovery_bound_secs() {
             const RECOVERY_MARGIN_SECS: f64 = 20.0;
-            let cutoff = SimTime::from_nanos(((bound + RECOVERY_MARGIN_SECS) * 1e9) as u64);
+            let cutoff = at_secs(bound + RECOVERY_MARGIN_SECS);
             // Exclude the final second: those packets may still be in
             // flight when the run ends.
             let horizon = SimTime::ZERO + cfg.duration - SimDuration::from_secs(1);
@@ -1048,7 +960,7 @@ fn finish_with(
                 .filter(|p| p.sent_at >= cutoff && p.sent_at < horizon)
                 .map(|p| p.pkt)
                 .collect();
-            let n_receivers = (tracked_hosts - 1) as u64;
+            let n_receivers = (PaperHost::ALL.len() - 1 + cfg.extra_receivers) as u64;
             let expected = steady.len() as u64 * n_receivers;
             let observed = rec
                 .deliveries
@@ -1071,7 +983,7 @@ fn finish_with(
             series,
             link_bytes,
             link_drops,
-            oracle: oracle_summary,
+            oracle,
             node_stats,
             observability,
         },
@@ -1082,7 +994,7 @@ fn finish_with(
         ha_packets_tunneled,
         sent,
         events_executed: world.events_executed(),
-        profile: None,
+        profile,
         trace_jsonl: None,
         trace_dropped: 0,
     };

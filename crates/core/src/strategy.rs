@@ -12,15 +12,15 @@
 //! glue used to switch on. The four paper approaches are four registered
 //! policies; a fifth, [`Policy::HIERARCHICAL_PROXY`], registers a
 //! MAP-style regional agent so intra-domain handoffs never touch the home
-//! agent. Adding approach N+1 means one `impl DeliveryPolicy` plus a
-//! [`Policy::register`] call — sweeps, CLI flags and report labels pick it
-//! up from the registry.
+//! agent. Adding approach N+1 means one `impl DeliveryPolicy` plus a line
+//! in the static registry — sweeps, CLI flags and report labels pick it up
+//! from there.
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::net::Ipv6Addr;
 use std::str::FromStr;
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// How a mobile host away from home receives multicast traffic.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -226,40 +226,36 @@ static HIER_POLICY: HierarchicalProxy = HierarchicalProxy;
 /// binaries' `--approach <id>` flag (see [`set_approach_override`]).
 static APPROACH_OVERRIDE: Mutex<Option<Policy>> = Mutex::new(None);
 
-/// Lock one of the policy statics, recovering a poisoned guard: every
-/// critical section leaves the value consistent even when it panics (a
-/// rejected duplicate registration pushes nothing), so that panic must
-/// surface as itself, not as a `PoisonError` in every later caller (sweep
-/// workers included).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Pin policy-sweeping experiments to a single approach — the `--approach
 /// <id>` CLI flag of `exp_all` / `exp_stress`. `None` restores the full
 /// registry sweep. Affects [`Policy::active`] only; [`Policy::all`] and
 /// [`Policy::PAPER`] always report the complete sets.
 pub fn set_approach_override(policy: Option<Policy>) {
-    *lock(&APPROACH_OVERRIDE) = policy;
+    *lock_override() = policy;
 }
 
 /// The approach pinned by [`set_approach_override`], if any.
 pub fn approach_override() -> Option<Policy> {
-    *lock(&APPROACH_OVERRIDE)
+    *lock_override()
 }
 
-fn registry() -> &'static Mutex<Vec<Policy>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Policy>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        Mutex::new(vec![
-            Policy::LOCAL,
-            Policy::BIDIRECTIONAL_TUNNEL,
-            Policy::TUNNEL_MH_TO_HA,
-            Policy::TUNNEL_HA_TO_MH,
-            Policy::HIERARCHICAL_PROXY,
-        ])
-    })
+/// A poisoned guard is recovered: the slot holds a `Copy` value, which no
+/// panic can leave half-written.
+fn lock_override() -> MutexGuard<'static, Option<Policy>> {
+    APPROACH_OVERRIDE
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
+
+/// Every policy, in registration order (the paper's four first, then
+/// extensions). Ids are the serialization format and must stay distinct.
+static REGISTRY: [Policy; 5] = [
+    Policy::LOCAL,
+    Policy::BIDIRECTIONAL_TUNNEL,
+    Policy::TUNNEL_MH_TO_HA,
+    Policy::TUNNEL_HA_TO_MH,
+    Policy::HIERARCHICAL_PROXY,
+];
 
 impl Policy {
     /// Approach 1: local group membership on the foreign link.
@@ -286,7 +282,7 @@ impl Policy {
     /// Every registered policy, in registration order (the paper's four
     /// first, then extensions). Sweeps and CLI flags enumerate this.
     pub fn all() -> Vec<Policy> {
-        lock(registry()).clone()
+        REGISTRY.to_vec()
     }
 
     /// The policies a sweep should cover: the single [`approach_override`]
@@ -297,21 +293,7 @@ impl Policy {
 
     /// Find a registered policy by its stable id.
     pub fn lookup(id: &str) -> Option<Policy> {
-        Policy::all().into_iter().find(|p| p.id() == id)
-    }
-
-    /// Register an additional policy. Panics on a duplicate id — ids are
-    /// the serialization format and must stay unambiguous.
-    pub fn register(policy: &'static dyn DeliveryPolicy) -> Policy {
-        let mut reg = lock(registry());
-        assert!(
-            reg.iter().all(|p| p.id() != policy.id()),
-            "delivery policy id {:?} registered twice",
-            policy.id()
-        );
-        let p = Policy(policy);
-        reg.push(p);
-        p
+        REGISTRY.iter().copied().find(|p| p.id() == id)
     }
 }
 
@@ -479,22 +461,6 @@ mod tests {
         );
         // The group list rides along: the MAP must learn what to join.
         assert!(p.binding_update_extras().include_group_list);
-    }
-
-    #[test]
-    fn duplicate_registration_does_not_poison_the_registry() {
-        let dup = std::panic::catch_unwind(|| Policy::register(&LOCAL_POLICY));
-        assert!(dup.is_err(), "duplicate id must be rejected");
-        assert_eq!(
-            Policy::all(),
-            [
-                Policy::LOCAL,
-                Policy::BIDIRECTIONAL_TUNNEL,
-                Policy::TUNNEL_MH_TO_HA,
-                Policy::TUNNEL_HA_TO_MH,
-                Policy::HIERARCHICAL_PROXY,
-            ]
-        );
     }
 
     #[test]

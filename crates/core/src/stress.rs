@@ -6,20 +6,20 @@
 //! `NetworkSpec::tree` topologies where the flood fans out over a hundred
 //! links, dozens of receivers join, and a scripted subset of them roams
 //! on deterministic (seed-derived) schedules. Every run is judged by the
-//! [`Oracle`] — forwarding loops, persistent duplicates, stale state and
-//! unbounded encapsulation are violations — so the stress layer doubles as
+//! [`Oracle`](crate::Oracle) — forwarding loops, persistent duplicates,
+//! stale state and unbounded encapsulation are violations — so it doubles as
 //! a soak test for the hot-path optimizations (timer wheel, flood path):
 //! an ordering bug in the event queue shows up here as a protocol
 //! violation, not just a flaky metric.
 
-use crate::builder::{build, BuiltNetwork, HostSpec, NetworkSpec};
+use crate::builder::{HostSpec, NetworkSpec};
 use crate::host_node::{HostConfig, SenderApp};
-use crate::oracle::{FinalizeParams, Oracle};
 use crate::router_node::{RouterConfig, RouterNode};
+use crate::run::{self, Judge, RunPlan, StageError};
 use crate::scenario::group;
 use crate::strategy::Policy;
 use mobicast_mld::MldConfig;
-use mobicast_net::{ExecutorConfig, ShardRunStats};
+use mobicast_net::{ExecutorConfig, FaultPlan, ShardRunStats};
 use mobicast_sim::{RngFactory, SimDuration, SimProfile, SimTime, Tracer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -31,9 +31,6 @@ const FIRST_MOVE_SECS: u64 = 20;
 /// Quiet tail demanded after the last move so the oracle's settle window
 /// (last disturbance + 30 s margin) fits inside the run.
 const MOVE_QUIET_TAIL_SECS: u64 = 60;
-/// Reconvergence margin granted after the last move (mirrors the scenario
-/// layer's settle margin).
-const SETTLE_MARGIN_SECS: u64 = 30;
 
 /// Configuration of one stress run.
 #[derive(Clone, Debug)]
@@ -60,6 +57,92 @@ impl StressSpec {
     /// links with a fixed prime stride so neighbours land far apart.
     fn receiver_home(&self, i: usize) -> usize {
         1 + (i * 7919) % (self.topology.n_links - 1)
+    }
+
+    /// The stress lowering: a sender on link 0, strided receivers, the
+    /// `stress.moves` RNG schedule, and no faults.
+    fn lower(&self) -> Result<RunPlan<'_>, StageError> {
+        let invalid = |field, reason: &str| {
+            let reason = reason.into();
+            Err(StageError::Invalid { field, reason })
+        };
+        if self.movers > self.receivers {
+            return invalid("movers", "not a subset of the receivers");
+        }
+        if self.topology.n_links < 2 {
+            return invalid("topology.n_links", "nowhere to roam");
+        }
+        let dur_secs = self.duration.as_secs_f64() as u64;
+        if dur_secs < FIRST_MOVE_SECS + MOVE_QUIET_TAIL_SECS {
+            return invalid("duration", "too short for the move window");
+        }
+        let g = group();
+        let host_cfg = HostConfig {
+            policy: self.policy,
+            unsolicited_reports: true,
+            mld: MldConfig::default(),
+        };
+        let traffic_start = SimTime::from_secs(TRAFFIC_START_SECS);
+        let mut hosts = vec![HostSpec {
+            home_link: 0,
+            cfg: host_cfg,
+            sender: Some(SenderApp {
+                group: g,
+                interval: self.data_interval,
+                payload_size: 256,
+                start: traffic_start,
+                stop: SimTime::ZERO + self.duration,
+            }),
+            receiver_group: None,
+        }];
+        hosts.extend((0..self.receivers).map(|i| HostSpec {
+            home_link: self.receiver_home(i),
+            cfg: host_cfg,
+            sender: None,
+            receiver_group: Some(g),
+        }));
+
+        // Per-mover RNG streams derived only from the seed, so the
+        // schedule is a pure function of (seed, spec) — the determinism
+        // contract the parity harness relies on.
+        let move_rng = RngFactory::new(self.seed).subfactory("stress.moves");
+        let move_window = FIRST_MOVE_SECS..(dur_secs - MOVE_QUIET_TAIL_SECS);
+        let mut moves = Vec::with_capacity(self.movers * self.moves_per_mover);
+        for m in 0..self.movers {
+            let mut rng = move_rng.indexed_stream("mover", m as u64);
+            let mut times: Vec<u64> = (0..self.moves_per_mover)
+                .map(|_| rng.random_range(move_window.clone()))
+                .collect();
+            times.sort_unstable();
+            let mut current = self.receiver_home(m);
+            for at_secs in times {
+                let mut to = rng.random_range(0..self.topology.n_links);
+                if to == current {
+                    to = (to + 1) % self.topology.n_links;
+                }
+                current = to;
+                moves.push((SimTime::from_secs(at_secs), 1 + m, to)); // host 0 is the sender
+            }
+        }
+
+        let fault = FaultPlan::default();
+        let move_secs = moves.iter().map(|(at, ..)| at.as_secs_f64());
+        let judge = Judge::after(traffic_start, move_secs, &fault);
+        Ok(RunPlan {
+            topology: &self.topology,
+            hosts,
+            router_cfg: RouterConfig::default(),
+            seed: self.seed,
+            duration: self.duration,
+            judge: Some(Judge {
+                // A stress run with no movers still arms the reconvergence
+                // SLO, from time zero.
+                disturbance_end: judge.disturbance_end.or(Some(SimTime::ZERO)),
+                ..judge
+            }),
+            moves,
+            fault,
+        })
     }
 }
 
@@ -142,150 +225,47 @@ fn run(
     tracer: Tracer,
     profile: bool,
 ) -> (StressReport, Option<ShardRunStats>, Option<SimProfile>) {
-    assert!(
-        spec.receivers >= spec.movers,
-        "movers are a subset of receivers"
-    );
-    assert!(spec.topology.n_links >= 2, "need somewhere to roam");
-    let dur_secs = spec.duration.as_secs_f64() as u64;
-    assert!(
-        dur_secs >= FIRST_MOVE_SECS + MOVE_QUIET_TAIL_SECS,
-        "run too short for the move window"
-    );
-    let g = group();
-    let end = SimTime::ZERO + spec.duration;
-
-    let host_cfg = HostConfig {
-        policy: spec.policy,
-        unsolicited_reports: true,
-        mld: MldConfig::default(),
-    };
-    let mut hosts = vec![HostSpec {
-        home_link: 0,
-        cfg: host_cfg,
-        sender: Some(SenderApp {
-            group: g,
-            interval: spec.data_interval,
-            payload_size: 256,
-            start: SimTime::from_secs(TRAFFIC_START_SECS),
-            stop: end,
-        }),
-        receiver_group: None,
-    }];
-    for i in 0..spec.receivers {
-        hosts.push(HostSpec {
-            home_link: spec.receiver_home(i),
-            cfg: host_cfg,
-            sender: None,
-            receiver_group: Some(g),
-        });
-    }
-
-    let mut net = build(
-        &spec.topology,
-        &hosts,
-        RouterConfig::default(),
-        spec.seed,
-        tracer,
-    );
-
-    // Script the moves: per-mover RNG streams derived only from the seed,
-    // so the schedule is a pure function of (seed, spec) — the determinism
-    // contract the parity harness relies on.
-    let move_rng = RngFactory::new(spec.seed).subfactory("stress.moves");
-    let move_window = FIRST_MOVE_SECS..(dur_secs - MOVE_QUIET_TAIL_SECS);
-    let mut last_move_secs = 0u64;
-    let mut n_moves = 0usize;
-    for m in 0..spec.movers {
-        let mut rng = move_rng.indexed_stream("mover", m as u64);
-        let mut times: Vec<u64> = (0..spec.moves_per_mover)
-            .map(|_| rng.random_range(move_window.clone()))
-            .collect();
-        times.sort_unstable();
-        let host = net.hosts[1 + m]; // host 0 is the sender
-        let mut current = spec.receiver_home(m);
-        for at_secs in times {
-            let mut to = rng.random_range(0..spec.topology.n_links);
-            if to == current {
-                to = (to + 1) % spec.topology.n_links;
-            }
-            current = to;
-            let link = net.links[to];
-            net.world.at(SimTime::from_secs(at_secs), move |w| {
-                w.move_iface(host, 0, link);
-            });
-            last_move_secs = last_move_secs.max(at_secs);
-            n_moves += 1;
-        }
-    }
-
-    let oracle = Oracle::attach(&mut net.world, net.routers.clone(), end);
-    let plan = match opts.executor.plan(|shards| net.shard_plan(shards)) {
+    let staged = spec
+        .lower()
+        .and_then(|plan| Ok((run::stage(&plan, tracer)?, plan.moves.len())));
+    let (mut staged, moves) = staged.unwrap_or_else(|e| panic!("stress {}: {e}", spec.name));
+    let plan = match opts.executor.plan(|shards| staged.net.shard_plan(shards)) {
         Ok(plan) => plan,
         Err(e) => panic!("stress {}: invalid executor config: {e}", spec.name),
     };
     if profile {
-        net.world.enable_profiling();
+        staged.net.world.enable_profiling();
     }
-    let shard_stats = net.world.run(end, &plan).sharded;
-    let profile = net.world.take_profile();
+    let out = run::run(staged, &plan);
 
-    let BuiltNetwork {
-        world,
-        routers,
-        hosts: host_ids,
-        links,
-        recorder,
-        ..
-    } = net;
-    let rec = recorder.take();
-
-    let receivers: Vec<_> = host_ids
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(i, id)| (*id, links[spec.receiver_home(i - 1)]))
-        .collect();
-    let settle_secs = (TRAFFIC_START_SECS + 15).max(last_move_secs + SETTLE_MARGIN_SECS);
-    let summary = oracle.finalize(
-        &rec,
-        &FinalizeParams {
-            settle: SimTime::from_secs(settle_secs),
-            t_mli: MldConfig::default().multicast_listener_interval(),
-            receivers,
-            end,
-            disturbance_end: Some(SimTime::from_secs(last_move_secs)),
-            reconverge_bound: SimDuration::from_secs(60),
-            protected_floor: None,
-            protect_window: None,
-        },
-    );
-
+    let rec = &out.recorder;
     let first = rec.deliveries.iter().filter(|d| d.first).count() as u64;
     let dup = rec.deliveries.len() as u64 - first;
-    let max_sg = routers
+    let net = &out.net;
+    let max_sg = net
+        .routers
         .iter()
-        .filter_map(|r| world.behavior::<RouterNode>(*r))
+        .filter_map(|r| net.world.behavior::<RouterNode>(*r))
         .map(|r| r.max_sg_entries)
         .max()
         .unwrap_or(0);
 
     let report = StressReport {
         name: spec.name.clone(),
-        routers: routers.len(),
-        links: links.len(),
-        hosts: host_ids.len(),
-        moves: n_moves,
-        events_executed: world.events_executed(),
+        routers: net.routers.len(),
+        links: net.links.len(),
+        hosts: net.hosts.len(),
+        moves,
+        events_executed: net.world.events_executed(),
         packets_sent: rec.packets.len() as u64,
         first_copy_deliveries: first,
         duplicate_deliveries: dup,
         max_router_sg_entries: max_sg,
-        oracle_violations: summary.violation_count,
-        violations: summary.violations,
-        poll: oracle.poll_stats(),
+        oracle_violations: out.oracle.violation_count,
+        violations: out.oracle.violations,
+        poll: out.poll,
     };
-    (report, shard_stats, profile)
+    (report, out.shards, out.profile)
 }
 
 /// The canonical stress specs: `quick` uses small shapes suitable for
@@ -377,6 +357,37 @@ mod tests {
             );
             assert!(report.moves > 0, "{}: nobody roamed", report.name);
         }
+    }
+
+    fn too_short() -> StressSpec {
+        StressSpec {
+            duration: SimDuration::from_secs(79),
+            ..specs(true).remove(0)
+        }
+    }
+
+    #[test]
+    fn invalid_specs_are_typed_errors() {
+        let good = specs(true).remove(0);
+        let field_of = |spec: &StressSpec| match spec.lower().err() {
+            Some(StageError::Invalid { field, .. }) => field,
+            other => panic!("{other:?}"),
+        };
+        let movers = StressSpec {
+            movers: good.receivers + 1,
+            ..good.clone()
+        };
+        assert_eq!(field_of(&movers), "movers");
+        let mut nowhere = good;
+        nowhere.topology.n_links = 1;
+        assert_eq!(field_of(&nowhere), "topology.n_links");
+        assert_eq!(field_of(&too_short()), "duration");
+    }
+
+    #[test]
+    #[should_panic(expected = "/local/seed11: invalid duration: too short for the move window")]
+    fn run_stress_panics_with_the_named_error() {
+        run_stress(&too_short());
     }
 
     #[test]

@@ -20,6 +20,30 @@ where
     mobicast_sim::parallel::run_ordered(inputs, workers, f)
 }
 
+/// Run `f` over every `(row, column, seed)` of a parameter grid on the
+/// default worker pool and return one `Vec` of results per `(row, column)`
+/// cell — rows outermost, then columns, each cell in seed order.
+pub fn grid<R: Sync, C: Sync, O: Send>(
+    rows: &[R],
+    cols: &[C],
+    seeds: &[u64],
+    f: impl Fn(&R, &C, u64) -> O + Sync,
+) -> Vec<Vec<O>> {
+    let mut points = Vec::with_capacity(rows.len() * cols.len() * seeds.len());
+    for row in rows {
+        for col in cols {
+            points.extend(seeds.iter().map(|&seed| (row, col, seed)));
+        }
+    }
+    let mut results = run_parallel(points, default_workers(), |&(row, col, seed)| {
+        f(row, col, seed)
+    })
+    .into_iter();
+    (0..rows.len() * cols.len())
+        .map(|_| results.by_ref().take(seeds.len()).collect())
+        .collect()
+}
+
 /// Number of worker threads to use by default (respects the
 /// `MOBICAST_WORKERS` environment variable and any programmatic override).
 pub fn default_workers() -> usize {

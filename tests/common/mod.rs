@@ -1,62 +1,15 @@
-//! Shared by the frame-corpus, metamorphic and wire round-trip tests: the
-//! Figure-1 scenario assembled through the public builder (so a test can
-//! reach the world before it runs), and the reference every frame's parse
-//! memo is compared against.
+//! Shared by the frame-corpus and wire round-trip tests: the reference
+//! every frame's parse memo is compared against.
 #![allow(dead_code)]
 
 use bytes::Bytes;
-use mobicast::core::builder::{apply_fault_plan, build, BuiltNetwork, HostSpec, NetworkSpec};
 use mobicast::core::netplan::extract_data_info;
 use mobicast::core::parsed::{parsed, Layers, Upper};
-use mobicast::core::scenario::{group, PaperHost, ScenarioConfig};
-use mobicast::core::{HostConfig, RouterConfig, SenderApp};
 use mobicast::ipv6::packet::{proto, Packet};
 use mobicast::ipv6::{tunnel, Icmpv6};
 use mobicast::mipv6::packets::{parse_binding_ack, parse_binding_update};
 use mobicast::net::{Frame, FrameClass};
 use mobicast::pimdm::PimMessage;
-use mobicast::sim::{SimTime, Tracer};
-
-/// The paper's network and four hosts as `scenario::run` places them, with
-/// `cfg`'s fault plan applied and its moves scripted; not yet started.
-pub fn figure1(cfg: &ScenarioConfig) -> BuiltNetwork {
-    let spec = NetworkSpec::reference();
-    let host_cfg = HostConfig {
-        policy: cfg.policy,
-        unsolicited_reports: cfg.unsolicited_reports,
-        mld: cfg.mld,
-    };
-    let hosts: Vec<HostSpec> = PaperHost::ALL
-        .iter()
-        .map(|h| HostSpec {
-            home_link: h.home_link_index(),
-            cfg: host_cfg,
-            sender: (*h == PaperHost::S).then_some(SenderApp {
-                group: group(),
-                interval: cfg.data_interval,
-                payload_size: cfg.payload_size,
-                start: cfg.traffic_start,
-                stop: SimTime::ZERO + cfg.duration,
-            }),
-            receiver_group: (*h != PaperHost::S).then_some(group()),
-        })
-        .collect();
-    let router_cfg = RouterConfig {
-        mld: cfg.mld,
-        pim: cfg.pim,
-        budget: cfg.budget,
-        ..RouterConfig::default()
-    };
-    let mut net = build(&spec, &hosts, router_cfg, cfg.seed, Tracer::null());
-    apply_fault_plan(&mut net, &spec, router_cfg, &cfg.fault, cfg.seed);
-    for mv in &cfg.moves {
-        let host = net.hosts[PaperHost::ALL.iter().position(|h| *h == mv.host).unwrap()];
-        let link = net.links[mv.to_link - 1];
-        let at = SimTime::from_nanos((mv.at_secs * 1e9) as u64);
-        net.world.at(at, move |w| w.move_iface(host, 0, link));
-    }
-    net
-}
 
 /// What a check of one frame found, so a corpus can show it was not vacuous.
 #[derive(Default, Debug)]

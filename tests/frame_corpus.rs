@@ -7,11 +7,11 @@
 
 mod common;
 
-use common::{assert_memo_matches_fresh_decode, figure1, Seen};
-use mobicast::core::scenario::{PaperHost, ScenarioConfig};
+use common::{assert_memo_matches_fresh_decode, Seen};
+use mobicast::core::scenario::{self, PaperHost, ScenarioConfig};
 use mobicast::core::{chaos, Policy};
 use mobicast::net::{ExecPlan, Frame, IfIndex, LinkId, NodeId, WorldProbe};
-use mobicast::sim::SimTime;
+use mobicast::sim::{SimTime, Tracer};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -31,13 +31,16 @@ impl WorldProbe for Capture {
     }
 }
 
+/// Every frame of `cfg`'s run as the library stages it — fault plan,
+/// moves, storm and sampler. The world is run from here, unjudged: the
+/// oracle would take the one probe slot the capture sits in.
 fn corpus_of(cfg: &ScenarioConfig) -> Vec<Frame> {
-    let mut net = figure1(cfg);
+    let mut staged = scenario::stage(cfg, Tracer::null()).expect("a valid scenario");
     let capture = Rc::new(Capture::default());
-    net.world.set_probe(capture.clone());
-    net.world
-        .run(SimTime::ZERO + cfg.duration, &ExecPlan::sequential());
-    drop(net);
+    let world = &mut staged.net().world;
+    world.set_probe(capture.clone());
+    world.run(SimTime::ZERO + cfg.duration, &ExecPlan::sequential());
+    drop(staged);
     Rc::try_unwrap(capture)
         .unwrap_or_else(|_| panic!("the world kept the probe"))
         .frames

@@ -3,14 +3,10 @@
 //! dependence on incidental structure that byte-identity against our own
 //! previous output cannot see.
 
-mod common;
-
-use common::figure1;
-use mobicast::core::oracle::FinalizeParams;
 use mobicast::core::scenario::{self, PaperHost, ScenarioConfig};
-use mobicast::core::{Oracle, Policy};
-use mobicast::net::{ExecPlan, LinkFault, LinkFaultState};
-use mobicast::sim::{SimDuration, SimTime};
+use mobicast::core::Policy;
+use mobicast::net::{LinkFault, LinkFaultState};
+use mobicast::sim::Tracer;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -23,43 +19,26 @@ fn outcome(policy: Policy, inert_faults: bool, oracle: bool) -> (String, Option<
         .policy(policy)
         .move_at(60.0, PaperHost::R3, 6)
         .move_at(120.0, PaperHost::S, 6)
+        .oracle(oracle)
         .build();
-    let end = SimTime::ZERO + cfg.duration;
-    let mut net = figure1(&cfg);
+    let mut staged = scenario::stage(&cfg, Tracer::null()).expect("a valid scenario");
     if inert_faults {
         // A fault process that never drops, delays or mangles: every
         // transmission still goes out as one queue entry and one frame
         // clone per receiver instead of one fan-out entry.
+        let net = staged.net();
         for &link in &net.links {
             let rng = SmallRng::seed_from_u64(u64::from(link.0));
             let inert = LinkFaultState::new(LinkFault::default(), rng);
             net.world.set_link_fault(link, Some(inert));
         }
     }
-    let oracle = oracle.then(|| Oracle::attach(&mut net.world, net.routers.clone(), end));
-    net.world.run(end, &ExecPlan::sequential());
-    let verdict = oracle.map(|o| {
-        let receivers = PaperHost::ALL
-            .iter()
-            .zip(&net.hosts)
-            .filter(|(h, _)| **h != PaperHost::S)
-            .map(|(h, id)| (*id, net.links[h.home_link_index()]))
-            .collect();
-        let params = FinalizeParams {
-            settle: SimTime::from_secs(150),
-            t_mli: cfg.mld.multicast_listener_interval(),
-            receivers,
-            end,
-            disturbance_end: Some(SimTime::from_secs(120)),
-            reconverge_bound: SimDuration::from_secs(60),
-            protected_floor: None,
-            protect_window: None,
-        };
-        let summary = net.recorder.with(|rec| o.finalize(rec, &params));
+    let (result, _) = staged.run();
+    let verdict = oracle.then(|| {
+        let summary = &result.report.oracle;
         assert_eq!(summary.violation_count, 0, "{:?}", summary.violations);
-        serde_json::to_string(&summary).unwrap()
+        serde_json::to_string(summary).unwrap()
     });
-    let result = scenario::finish(&cfg, net);
     assert!(result.sent > 0 && result.events_executed > 5_000);
     (
         serde_json::to_string(&result.report).unwrap(),

@@ -1,16 +1,22 @@
 //! Protocol-interoperation tests driving the composed nodes directly
-//! through the builder: querier election across a shared LAN, fast leave
+//! on a staged network: querier election across a shared LAN, fast leave
 //! via MLD Done, home-agent unicast interception, and RS-triggered router
 //! advertisements.
 
-use mobicast::core::builder::{build, HostSpec, NetworkSpec};
+use mobicast::core::analysis::analyze;
+use mobicast::core::builder::{HostSpec, NetworkSpec};
 use mobicast::core::host_node::{HostConfig, HostNode, SenderApp};
 use mobicast::core::router_node::RouterConfig;
+use mobicast::core::run::{self, RunOutput, RunPlan, Staged};
 use mobicast::core::scenario::{self, ScenarioConfig};
 use mobicast::ipv6::addr::GroupAddr;
+use mobicast::net::{ExecPlan, FaultPlan};
 use mobicast::sim::{SimDuration, SimTime, Tracer};
 
-fn reference_with_sender_and_r3() -> (mobicast::core::BuiltNetwork, GroupAddr) {
+/// The reference network with a sender on Link 1 (host 0) and one
+/// receiver homed on Link 4 (host 1), staged to run `secs` seconds
+/// unjudged.
+fn sender_and_r3(secs: u64) -> (Staged, GroupAddr) {
     let g = GroupAddr::test_group(1);
     let cfg = HostConfig::default();
     let hosts = vec![
@@ -33,23 +39,30 @@ fn reference_with_sender_and_r3() -> (mobicast::core::BuiltNetwork, GroupAddr) {
             receiver_group: Some(g),
         },
     ];
-    let net = build(
-        &NetworkSpec::reference(),
-        &hosts,
-        RouterConfig::default(),
-        42,
-        Tracer::null(),
-    );
-    (net, g)
+    let plan = RunPlan {
+        topology: &NetworkSpec::reference(),
+        hosts,
+        router_cfg: RouterConfig::default(),
+        seed: 42,
+        duration: SimDuration::from_secs(secs),
+        moves: Vec::new(),
+        fault: FaultPlan::default(),
+        judge: None,
+    };
+    (run::stage(&plan, Tracer::null()).expect("a valid plan"), g)
+}
+
+fn run(staged: Staged) -> RunOutput {
+    run::run(staged, &ExecPlan::sequential())
 }
 
 #[test]
 fn deliberate_leave_is_fast_via_done() {
     // A stationary receiver that *leaves* (Done) lets the router fast-leave
     // in ~2 s (last-listener queries), vs the 260 s silent-departure bound.
-    let (mut net, g) = reference_with_sender_and_r3();
-    let receiver = net.hosts[1];
-    net.world.at(SimTime::from_secs(60), move |w| {
+    let (mut staged, g) = sender_and_r3(200);
+    let receiver = staged.net.hosts[1];
+    staged.net.world.at(SimTime::from_secs(60), move |w| {
         w.with_node(receiver, |b, ctx| {
             b.as_any_mut()
                 .downcast_mut::<HostNode>()
@@ -57,19 +70,19 @@ fn deliberate_leave_is_fast_via_done() {
                 .app_unsubscribe(ctx, g);
         });
     });
-    net.world.run(
-        SimTime::from_secs(200),
-        &mobicast_net::ExecPlan::sequential(),
-    );
-    let cfg = ScenarioConfig::default();
-    let r = scenario::finish(&cfg, net);
+    let out = run(staged);
     // Traffic onto Link 4 must stop within a few seconds of the Done:
     // compute the last multicast data seen on Link 4.
-    let done_sent = r.report.counters.get("host.mld_reports_sent");
+    let done_sent = out.recorder.counters.get("host.mld_reports_sent");
     assert!(done_sent > 0);
     // The receiver received roughly 58s worth (2..60) of the 198s stream
     // and nothing after the leave.
-    let received = r.received["R1"]; // second host slot maps to name R1
+    let received = out
+        .net
+        .world
+        .behavior::<HostNode>(receiver)
+        .unwrap()
+        .received_count();
     let expected = 58 * 4;
     assert!(
         (received as i64 - expected).unsigned_abs() < 20,
@@ -77,7 +90,8 @@ fn deliberate_leave_is_fast_via_done() {
     );
     // Fast leave: wasted bytes on Link 4 correspond to only a couple of
     // seconds of stale traffic, far below the 260 s silent bound.
-    let wasted_l4 = r.report.analysis.link_usage[3].wasted_bytes;
+    let wasted_l4 =
+        analyze(&out.recorder, &out.net.graph, out.net.links.len()).link_usage[3].wasted_bytes;
     let per_sec = 4 * (256 + 48);
     assert!(
         wasted_l4 < 10 * per_sec,
@@ -90,14 +104,8 @@ fn querier_election_on_shared_lan() {
     // Links 2 and 3 host multiple routers (A,B,C and B,C,D): exactly one
     // querier should emerge per link — queries keep flowing but are not
     // triplicated.
-    let (mut net, _g) = reference_with_sender_and_r3();
-    net.world.run(
-        SimTime::from_secs(300),
-        &mobicast_net::ExecPlan::sequential(),
-    );
-    let cfg = ScenarioConfig::default();
-    let r = scenario::finish(&cfg, net);
-    let queries = r.report.counters.get("mld.sent.query");
+    let out = run(sender_and_r3(300).0);
+    let queries = out.recorder.counters.get("mld.sent.query");
     // 6 links; per link: startup (2 queries) + periodic at 125 s:
     // ~3-4 per link over 300 s if a single querier runs it. Routers have
     // 2-3 interfaces each; with election settled the total must be far
@@ -114,7 +122,8 @@ fn home_agent_intercepts_unicast_to_moved_host() {
     // Move the receiver to a foreign link; a unicast packet addressed to
     // its *home address* must be intercepted by the HA and tunneled to the
     // care-of address (checked via the HA counter).
-    let (mut net, _g) = reference_with_sender_and_r3();
+    let (mut staged, _g) = sender_and_r3(90);
+    let net = &mut staged.net;
     let receiver = net.hosts[1];
     let foreign = net.links[5];
     net.world.at(SimTime::from_secs(30), move |w| {
@@ -152,14 +161,9 @@ fn home_agent_intercepts_unicast_to_moved_host() {
     fn net_next_hop() -> mobicast_net::NodeId {
         mobicast_net::NodeId(1) // router B
     }
-    net.world.run(
-        SimTime::from_secs(90),
-        &mobicast_net::ExecPlan::sequential(),
-    );
-    let cfg = ScenarioConfig::default();
-    let r = scenario::finish(&cfg, net);
+    let out = run(staged);
     assert_eq!(
-        r.report.counters.get("ha.unicast_tunnel_encap"),
+        out.recorder.counters.get("ha.unicast_tunnel_encap"),
         1,
         "the home agent must intercept and tunnel the unicast packet"
     );
