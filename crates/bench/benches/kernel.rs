@@ -6,8 +6,8 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use mobicast_core::addressing::global_addr;
-use mobicast_core::netplan::{link_prefix, RouteEntry, RoutingTable};
+use mobicast_core::addressing::{global_addr, link_prefix};
+use mobicast_core::netplan::{RouteEntry, RoutingTable};
 use mobicast_net::{
     Ctx, Frame, FrameClass, IfIndex, LinkFault, LinkFaultState, LinkId, LinkParams, NodeBehavior,
     NodeId, TimerKey, World,

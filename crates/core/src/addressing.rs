@@ -1,6 +1,7 @@
 //! The address plan of a simulated network.
 //!
-//! Every link gets a /64 (`2001:db8:<link+1>::/64`); every interface derives
+//! Every link gets a /64 (`2001:db8:<link+1>::/64`, the part of `link + 1`
+//! above 16 bits spilling into the fourth hextet); every interface derives
 //! a stable 64-bit interface identifier from its node id and interface
 //! index, giving it one link-local address (constant across moves — real
 //! IIDs come from the MAC address) and one global address per visited link
@@ -16,9 +17,11 @@ pub fn iid(node: NodeId, ifindex: IfIndex) -> u64 {
     (u64::from(node.0) + 1) * 0x100 + u64::from(ifindex)
 }
 
-/// The /64 prefix assigned to a link.
+/// The /64 prefix assigned to a link: `link + 1` in the third hextet, what
+/// does not fit there in the fourth, so no two links share a prefix.
 pub fn link_prefix(link: LinkId) -> Prefix {
-    let addr = Ipv6Addr::new(0x2001, 0xdb8, link.0 as u16 + 1, 0, 0, 0, 0, 0);
+    let n = u64::from(link.0) + 1;
+    let addr = Ipv6Addr::new(0x2001, 0xdb8, n as u16, (n >> 16) as u16, 0, 0, 0, 0);
     Prefix::new(addr, 64)
 }
 
@@ -48,11 +51,20 @@ mod tests {
 
     #[test]
     fn link_prefixes_are_distinct() {
-        let p0 = link_prefix(LinkId(0));
-        let p1 = link_prefix(LinkId(1));
-        assert_ne!(p0, p1);
-        assert_eq!(p0.to_string(), "2001:db8:1::/64");
-        assert_eq!(p1.to_string(), "2001:db8:2::/64");
+        // Past 16 bits too: a 257 x 257 metro grid has 66 049 links.
+        let links = [0, 1, 65_534, 65_535, 65_536, 200_000, u32::MAX].map(LinkId);
+        let texts = links.map(|l| link_prefix(l).to_string());
+        assert_eq!(texts[0], "2001:db8:1::/64");
+        assert_eq!(texts[1], "2001:db8:2::/64");
+        assert_eq!(texts[2], "2001:db8:ffff::/64");
+        assert_eq!(texts[3], "2001:db8:0:1::/64");
+        assert_eq!(texts[4], "2001:db8:1:1::/64");
+        for (i, link) in links.iter().enumerate() {
+            let addr = global_addr(NodeId(3), 1, *link);
+            for (j, other) in links.iter().enumerate() {
+                assert_eq!(link_prefix(*other).contains(addr), i == j, "{i} in {j}");
+            }
+        }
     }
 
     #[test]

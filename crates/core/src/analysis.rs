@@ -12,7 +12,7 @@
 //! * **Leave delay** — for each move of a subscribed receiver off a link,
 //!   how long data kept flowing onto the abandoned link.
 
-use crate::recorder::{Parent, Recorder};
+use crate::recorder::{ChainEnd, Recorder};
 use mobicast_net::LinkGraph;
 use mobicast_sim::{Counters, QuantileDigest, SeriesSet, SimTime, SpanRecord, TimeSeriesSet};
 use serde::Serialize;
@@ -59,9 +59,11 @@ pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
         ..Analysis::default()
     };
 
+    (a.packets_delivered, a.duplicates) = rec.copies();
+
     // Every delivered copy identifies the exact emission that delivered it,
-    // and the journal's parent positions give the full causal chain back to
-    // the origin — no heuristics.
+    // and the journal's causal chain leads from there back to the origin —
+    // no heuristics.
     let journal = &rec.data_events;
     let meta: HashMap<u64, &crate::recorder::PacketMeta> =
         rec.packets.iter().map(|m| (m.pkt, m)).collect();
@@ -72,28 +74,18 @@ pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
     let mut path_sum = 0.0f64;
     let mut stretch_n = 0u64;
 
-    for d in &rec.deliveries {
-        if d.first {
-            a.packets_delivered += 1;
-        } else {
-            a.duplicates += 1;
-            continue;
-        }
+    for d in rec.deliveries.iter().filter(|d| d.first) {
         let Some(m) = meta.get(&d.pkt) else { continue };
         // Walk the provenance chain of the delivered copy. A chain that
-        // breaks (unknown `via`, dangling parent) or outruns the 64-hop
-        // guard yields no path sample.
+        // breaks (unknown `via`, dangling parent) or is cut at the guard
+        // yields no path sample.
+        let mut chain = journal.chain(d.via);
         let mut path_links = 0u32;
-        let mut at = journal.position(d.via).map_or(Parent::Dangling, Parent::At);
-        while let Parent::At(pos) = at {
+        for (pos, _) in &mut chain {
             useful[pos] = true;
             path_links += 1;
-            at = journal.parent_pos(pos);
-            if path_links > 64 {
-                break;
-            }
         }
-        if at == Parent::Origin && path_links <= 64 {
+        if chain.end() == ChainEnd::Origin {
             if let Some(optimal) = graph.link_hop_distance(m.origin_link, d.link) {
                 if optimal > 0 {
                     stretch_sum += f64::from(path_links) / f64::from(optimal);
@@ -124,11 +116,8 @@ pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
 
     // Leave delays: subscribed receiver leaves link L at time t; data for
     // its group keeps arriving on L until the routers notice (MLD expiry).
-    let emissions = journal.link_emissions();
-    for mv in &rec.moves {
-        if !mv.subscribed {
-            continue;
-        }
+    let mut windows = Vec::new();
+    for mv in rec.moves.iter().filter(|m| m.subscribed) {
         let Some(left) = mv.from else { continue };
         // Bound the window at the next time any subscribed host attaches
         // to the same link (traffic after that is useful again).
@@ -139,8 +128,11 @@ pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
             .map(|m2| m2.time)
             .min()
             .unwrap_or(SimTime::MAX);
-        if let Some(last) = emissions.latest_between(left, mv.time, window_end) {
-            a.leave_delays.push((last - mv.time).as_secs_f64());
+        windows.push((left, mv.time, window_end));
+    }
+    for (&(_, left_at, _), last) in windows.iter().zip(journal.latest_emissions(&windows)) {
+        if let Some(last) = last {
+            a.leave_delays.push((last - left_at).as_secs_f64());
         }
     }
 

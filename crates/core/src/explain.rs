@@ -1,6 +1,6 @@
 //! Packet-journey explainer: reconstructs the full causal path of one
 //! application datagram from the recorder's provenance chains
-//! ([`Journal::parent_pos`](crate::recorder::Journal::parent_pos)) and
+//! ([`Journal::chain`](crate::recorder::Journal::chain)) and
 //! optionally interleaves the typed JSONL
 //! trace, so an operator can answer "what happened to packet X?" —
 //! which links it crossed, where it was tunnelled, which copies were
@@ -11,14 +11,11 @@
 //! heuristics, so a journey is exactly as reproducible as the run that
 //! produced it.
 
-use crate::recorder::{DataEvent, Delivery, PacketMeta, Parent, Recorder};
+use crate::recorder::{ChainEnd, DataEvent, Delivery, PacketMeta, Recorder};
 use mobicast_sim::trace::NOTE_KIND;
 use mobicast_sim::{SimTime, SpanBook, TraceCategory, TraceEvent};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-
-/// Upper bound on provenance-chain length (matches the analysis pass).
-const CHAIN_GUARD: usize = 64;
 
 /// One emission on the causal path of a delivered copy, origin first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,7 +71,7 @@ impl Journey {
     }
 }
 
-fn hop(ev: &DataEvent) -> JourneyHop {
+fn hop(ev: DataEvent) -> JourneyHop {
     JourneyHop {
         id: ev.id,
         link: ev.link,
@@ -92,45 +89,27 @@ pub fn explain(rec: &Recorder, pkt: u64) -> Journey {
         meta: rec.packets.iter().find(|m| m.pkt == pkt).copied(),
         ..Journey::default()
     };
-    // Journal positions of `journey.copies`, in step with it.
-    let mut copy_pos: Vec<usize> = Vec::new();
-    for (pos, ev) in journal.iter().enumerate().filter(|(_, ev)| ev.pkt == pkt) {
-        journey.copies.push(hop(&ev));
-        copy_pos.push(pos);
-    }
+    journey.copies = journal.iter().filter(|ev| ev.pkt == pkt).map(hop).collect();
 
-    // Positions on some delivery path.
-    let mut used: BTreeSet<usize> = BTreeSet::new();
+    // Tags of the emissions on some delivery path.
+    let mut used: BTreeSet<u64> = BTreeSet::new();
     for d in rec.deliveries.iter().filter(|d| d.pkt == pkt) {
+        let mut chain = journal.chain(d.via);
         let mut hops = Vec::new();
-        let mut complete = false;
-        let mut at = journal.position(d.via).map_or(Parent::Dangling, Parent::At);
-        for _ in 0..CHAIN_GUARD {
-            let Parent::At(pos) = at else { break };
-            let Some(ev) = journal.get(pos) else { break };
-            hops.push(hop(&ev));
-            used.insert(pos);
-            at = journal.parent_pos(pos);
-            if at == Parent::Origin {
-                complete = true;
-                break;
-            }
+        for (_, ev) in &mut chain {
+            hops.push(hop(ev));
+            used.insert(ev.id);
         }
         hops.reverse(); // origin first
         journey.paths.push(DeliveryPath {
             delivery: *d,
             hops,
-            complete,
+            complete: chain.end() == ChainEnd::Origin,
         });
     }
 
-    journey.wasted = journey
-        .copies
-        .iter()
-        .zip(copy_pos)
-        .filter(|(_, pos)| !used.contains(pos))
-        .map(|(copy, _)| *copy)
-        .collect();
+    let copies = journey.copies.iter();
+    journey.wasted = copies.filter(|c| !used.contains(&c.id)).copied().collect();
     journey
 }
 
@@ -360,6 +339,7 @@ pub fn render_with_spans(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::CHAIN_GUARD;
     use crate::scenario::{run_with_recorder, PaperHost, ScenarioConfig};
     use crate::strategy::Policy;
     use mobicast_sim::SimDuration;

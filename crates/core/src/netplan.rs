@@ -1,12 +1,11 @@
 //! Static network-plan data shared by the composed nodes: routing tables,
 //! the link directory, data-payload framing and frame classification.
 
-use crate::addressing;
 use bytes::{BufMut, Bytes, BytesMut};
 use mobicast_ipv6::addr::{self, GroupAddr, Prefix};
 use mobicast_ipv6::packet::{proto, Packet};
 use mobicast_ipv6::udp::UdpDatagram;
-use mobicast_net::{Frame, FrameClass, IfIndex, LinkId, NodeId};
+use mobicast_net::{Frame, FrameClass, IfIndex, NodeId};
 use std::cmp::Reverse;
 use std::net::Ipv6Addr;
 use std::rc::Rc;
@@ -258,15 +257,12 @@ pub fn frame_for(p: &Packet, l2_to: Option<NodeId>) -> Frame {
     }
 }
 
-/// Helpers for building the plan.
-pub fn link_prefix(link: LinkId) -> Prefix {
-    addressing::link_prefix(link)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addressing;
     use mobicast_ipv6::tunnel::encapsulate;
+    use mobicast_net::LinkId;
 
     fn a(s: &str) -> Ipv6Addr {
         s.parse().unwrap()
@@ -359,7 +355,7 @@ mod tests {
         // One /64 per link in link order, as `builder::router_node` pushes.
         let routes: Vec<RouteEntry> = (0..600u32)
             .map(|l| RouteEntry {
-                prefix: link_prefix(LinkId(l)),
+                prefix: addressing::link_prefix(LinkId(l)),
                 iface: (l % 3) as IfIndex,
                 next_hop: None,
                 next_hop_node: None,

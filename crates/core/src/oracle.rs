@@ -31,7 +31,7 @@
 //! violations, rendered as strings) lands in the JSON report.
 
 use crate::parsed::parsed;
-use crate::recorder::{Parent, Recorder};
+use crate::recorder::{Recorder, IN_FLIGHT_TAIL};
 use crate::router_node::RouterNode;
 use mobicast_ipv6::DEFAULT_ENCAP_LIMIT;
 use mobicast_net::{Frame, IfIndex, LinkId, NodeId, World, WorldProbe};
@@ -153,17 +153,30 @@ fn push_violation(st: &mut OracleState, msg: String) {
     }
 }
 
+/// Overstay bookkeeping of the poll: how long past `expires` a piece of
+/// state is still held, tracked in `worst`, and returned when it outlasted
+/// the timer-granularity `margin` too (a violation).
+fn overstay(now: SimTime, expires: SimTime, margin: SimDuration, worst: &mut f64) -> Option<f64> {
+    if now <= expires {
+        return None;
+    }
+    let over = (now - expires).as_secs_f64();
+    *worst = worst.max(over);
+    (now > expires + margin).then_some(over)
+}
+
 /// Leave delay: when the last subscribed receiver leaves a link, data must
 /// stop flowing onto it within T_MLI (+ margin). Each receiver's position
 /// over time is reconstructed from its initial link and the recorded moves;
-/// `latest_emission(link, after, before)` answers with the latest data
-/// emission onto `link` strictly inside the window. Returns the largest
-/// stale-traffic window seen (seconds).
+/// the stale windows `(link, after, before)` are collected first and
+/// `latest_emissions` answers them all at once, each with the latest data
+/// emission strictly inside it. Returns the largest stale-traffic window
+/// seen (seconds).
 fn leave_delay_pass(
     st: &mut OracleState,
     rec: &Recorder,
     p: &FinalizeParams,
-    latest_emission: impl Fn(LinkId, SimTime, SimTime) -> Option<SimTime>,
+    latest_emissions: impl FnOnce(&[(LinkId, SimTime, SimTime)]) -> Vec<Option<SimTime>>,
 ) -> f64 {
     let mut timeline: BTreeMap<NodeId, Vec<(SimTime, LinkId)>> = p
         .receivers
@@ -183,7 +196,7 @@ fn leave_delay_pass(
             .find(|(at, _)| *at <= t)
             .map(|(_, l)| *l)
     };
-    let mut worst_leave = 0.0f64;
+    let mut windows = Vec::new();
     for mv in rec.moves.iter().filter(|m| m.subscribed) {
         let Some(left) = mv.from else { continue };
         // Anyone (including the mover, post-move) still on the link?
@@ -199,22 +212,25 @@ fn leave_delay_pass(
             .map(|(at, _)| *at)
             .min()
             .unwrap_or(p.end);
-        if let Some(last) = latest_emission(left, mv.time, window_end) {
-            let delay = (last - mv.time).as_secs_f64();
-            if delay > worst_leave {
-                worst_leave = delay;
-            }
-            if delay > p.t_mli.as_secs_f64() + LEAVE_MARGIN_SECS {
-                push_violation(
-                    st,
-                    format!(
-                        "stale data on {left:?} {delay:.1}s after the last member \
-                         left at t={:.0}s (T_MLI={:.0}s)",
-                        mv.time.as_secs_f64(),
-                        p.t_mli.as_secs_f64()
-                    ),
-                );
-            }
+        windows.push((left, mv.time, window_end));
+    }
+    let mut worst_leave = 0.0f64;
+    for (&(left, left_at, _), last) in windows.iter().zip(latest_emissions(&windows)) {
+        let Some(last) = last else { continue };
+        let delay = (last - left_at).as_secs_f64();
+        if delay > worst_leave {
+            worst_leave = delay;
+        }
+        if delay > p.t_mli.as_secs_f64() + LEAVE_MARGIN_SECS {
+            push_violation(
+                st,
+                format!(
+                    "stale data on {left:?} {delay:.1}s after the last member \
+                     left at t={:.0}s (T_MLI={:.0}s)",
+                    left_at.as_secs_f64(),
+                    p.t_mli.as_secs_f64()
+                ),
+            );
         }
     }
     worst_leave
@@ -314,21 +330,16 @@ impl Oracle {
                     let Some(snap) = router.pim().snapshot(s, g) else {
                         continue;
                     };
-                    if now > snap.expires {
-                        let over = (now - snap.expires).as_secs_f64();
-                        if over > st.worst_stale_sg_secs {
-                            st.worst_stale_sg_secs = over;
-                        }
-                        if now > snap.expires + SG_EXPIRY_MARGIN {
-                            push_violation(
-                                st,
-                                format!(
-                                    "t={:.0}s: {r} holds ({s}, {g}) {over:.1}s past its \
-                                     data-timeout deadline",
-                                    now.as_secs_f64()
-                                ),
-                            );
-                        }
+                    let worst = &mut st.worst_stale_sg_secs;
+                    if let Some(over) = overstay(now, snap.expires, SG_EXPIRY_MARGIN, worst) {
+                        push_violation(
+                            st,
+                            format!(
+                                "t={:.0}s: {r} holds ({s}, {g}) {over:.1}s past its \
+                                 data-timeout deadline",
+                                now.as_secs_f64()
+                            ),
+                        );
                     }
                     if snap.forwarding.contains(&snap.iif) {
                         push_violation(
@@ -348,40 +359,30 @@ impl Oracle {
             // or evict *before* insertion, so even a momentary overshoot
             // is a leak in the enforcement path.
             let budget = *router.budget();
-            if let Some(cap) = budget.mld_listeners {
-                let have = router.mld_listener_port_max();
-                if have > cap as usize {
+            let tables = [
+                (
+                    budget.mld_listeners,
+                    router.mld_listener_port_max(),
+                    "MLD listeners on one port",
+                ),
+                (
+                    budget.pim_sg_entries,
+                    router.pim().entry_count(),
+                    "PIM (S,G) entries",
+                ),
+                (
+                    budget.binding_cache,
+                    router.home_agent().binding_count(),
+                    "binding-cache entries",
+                ),
+            ];
+            for (cap, have, what) in tables {
+                if let Some(cap) = cap.filter(|cap| have > *cap as usize) {
                     push_violation(
                         st,
                         format!(
-                            "t={:.0}s: {r} holds {have} MLD listeners on one port, \
-                             budget {cap} (admission control leak)",
-                            now.as_secs_f64()
-                        ),
-                    );
-                }
-            }
-            if let Some(cap) = budget.pim_sg_entries {
-                let have = router.pim().entry_count();
-                if have > cap as usize {
-                    push_violation(
-                        st,
-                        format!(
-                            "t={:.0}s: {r} holds {have} PIM (S,G) entries, budget {cap} \
+                            "t={:.0}s: {r} holds {have} {what}, budget {cap} \
                              (admission control leak)",
-                            now.as_secs_f64()
-                        ),
-                    );
-                }
-            }
-            if let Some(cap) = budget.binding_cache {
-                let have = router.home_agent().binding_count();
-                if have > cap as usize {
-                    push_violation(
-                        st,
-                        format!(
-                            "t={:.0}s: {r} holds {have} binding-cache entries, \
-                             budget {cap} (admission control leak)",
                             now.as_secs_f64()
                         ),
                     );
@@ -405,22 +406,17 @@ impl Oracle {
                 st.poll_stats.binding_walks += 1;
                 for (home, e) in router.home_agent().cache().entries() {
                     st.poll_stats.binding_entries_walked += 1;
-                    if now > e.expires {
-                        let over = (now - e.expires).as_secs_f64();
-                        if over > st.worst_binding_overstay_secs {
-                            st.worst_binding_overstay_secs = over;
-                        }
-                        if now > e.expires + BINDING_MARGIN {
-                            push_violation(
-                                st,
-                                format!(
-                                    "t={:.0}s: {r} still caches binding {home} -> {} \
-                                     {over:.1}s past its lifetime",
-                                    now.as_secs_f64(),
-                                    e.care_of
-                                ),
-                            );
-                        }
+                    let worst = &mut st.worst_binding_overstay_secs;
+                    if let Some(over) = overstay(now, e.expires, BINDING_MARGIN, worst) {
+                        push_violation(
+                            st,
+                            format!(
+                                "t={:.0}s: {r} still caches binding {home} -> {} \
+                                 {over:.1}s past its lifetime",
+                                now.as_secs_f64(),
+                                e.care_of
+                            ),
+                        );
                     }
                 }
             }
@@ -438,28 +434,19 @@ impl Oracle {
         // Loop-freedom: walk every native emission's causal ancestry; a
         // native ancestor on the same link means the datagram re-entered
         // the link it already crossed.
-        for (i, ev) in journal.iter().enumerate() {
-            if ev.tunneled {
-                continue;
-            }
-            let mut at = journal.parent_pos(i);
-            for _ in 0..64 {
-                let Parent::At(pos) = at else { break };
-                let Some(anc) = journal.get(pos) else { break };
-                if !anc.tunneled && anc.link == ev.link {
-                    push_violation(
-                        st,
-                        format!(
-                            "t={:.1}s: datagram {} re-entered {:?} natively \
-                             (forwarding loop)",
-                            ev.time.as_secs_f64(),
-                            ev.pkt,
-                            ev.link
-                        ),
-                    );
-                    break;
-                }
-                at = journal.parent_pos(pos);
+        for ev in journal.iter().filter(|ev| !ev.tunneled) {
+            let mut ancestors = journal.chain(ev.id).skip(1);
+            if ancestors.any(|(_, anc)| !anc.tunneled && anc.link == ev.link) {
+                push_violation(
+                    st,
+                    format!(
+                        "t={:.1}s: datagram {} re-entered {:?} natively \
+                         (forwarding loop)",
+                        ev.time.as_secs_f64(),
+                        ev.pkt,
+                        ev.link
+                    ),
+                );
             }
         }
 
@@ -467,63 +454,42 @@ impl Oracle {
         // deliveries whose final hop was native vs tunneled. A run of more
         // than MAX_DUP_RUN consecutively duplicated datagrams of one kind
         // is a stuck duplicate-delivery path (e.g. an unresolved assert).
-        let horizon = p.end - SimDuration::from_secs(1);
-        let settled: std::collections::BTreeSet<u64> = rec
-            .packets
-            .iter()
-            .filter(|m| m.sent_at >= p.settle && m.sent_at < horizon)
-            .map(|m| m.pkt)
-            .collect();
-        // (host, pkt) -> (native deliveries, tunneled deliveries)
-        let mut per_copy: BTreeMap<(NodeId, u64), (u32, u32)> = BTreeMap::new();
+        let horizon = p.end - IN_FLIGHT_TAIL;
+        let settled = rec.sent_in(p.settle, horizon);
+        // (host, was the final hop tunnelled?) -> datagram -> copies delivered
+        let mut copies: BTreeMap<(NodeId, bool), BTreeMap<u64, u32>> = BTreeMap::new();
         for d in &rec.deliveries {
-            if !settled.contains(&d.pkt) {
-                continue;
-            }
-            let tunneled = journal.by_tag(d.via).is_some_and(|e| e.tunneled);
-            let slot = per_copy.entry((d.host, d.pkt)).or_default();
-            if tunneled {
-                slot.1 += 1;
-            } else {
-                slot.0 += 1;
+            if settled.contains_key(&d.pkt) {
+                let tunneled = journal.by_tag(d.via).is_some_and(|e| e.tunneled);
+                let of_kind = copies.entry((d.host, tunneled)).or_default();
+                *of_kind.entry(d.pkt).or_default() += 1;
             }
         }
-        let hosts: std::collections::BTreeSet<NodeId> = per_copy.keys().map(|(h, _)| *h).collect();
-        for host in hosts {
-            for (kind, pick) in [("native", 0usize), ("tunneled", 1usize)] {
-                let mut run = 0usize;
-                let mut worst = 0usize;
-                for &pkt in &settled {
-                    let n = per_copy
-                        .get(&(host, pkt))
-                        .map(|c| if pick == 0 { c.0 } else { c.1 })
-                        .unwrap_or(0);
-                    if n >= 2 {
-                        run += 1;
-                        worst = worst.max(run);
-                    } else {
-                        run = 0;
-                    }
+        for ((host, tunneled), of_kind) in &copies {
+            let mut run = 0usize;
+            let mut worst = 0usize;
+            for pkt in settled.keys() {
+                if of_kind.get(pkt).is_some_and(|n| *n >= 2) {
+                    run += 1;
+                    worst = worst.max(run);
+                } else {
+                    run = 0;
                 }
-                if worst > MAX_DUP_RUN {
-                    push_violation(
-                        st,
-                        format!(
-                            "{host}: {worst} consecutive datagrams delivered more than \
-                             once via {kind} forwarding after settle (persistent \
-                             duplicate delivery)"
-                        ),
-                    );
-                }
+            }
+            if worst > MAX_DUP_RUN {
+                let kind = if *tunneled { "tunneled" } else { "native" };
+                push_violation(
+                    st,
+                    format!(
+                        "{host}: {worst} consecutive datagrams delivered more than \
+                         once via {kind} forwarding after settle (persistent \
+                         duplicate delivery)"
+                    ),
+                );
             }
         }
 
-        let worst_leave = {
-            let emissions = journal.link_emissions();
-            leave_delay_pass(st, rec, p, |link, after, before| {
-                emissions.latest_between(link, after, before)
-            })
-        };
+        let worst_leave = leave_delay_pass(st, rec, p, |w| journal.latest_emissions(w));
 
         // Reconvergence SLO: once the last disturbance has cleared, the
         // first-copy delivery stream must return to full coverage of every
@@ -536,32 +502,21 @@ impl Oracle {
         let n_receivers = p.receivers.len() as u32;
         if let (Some(from), 1..) = (p.disturbance_end, n_receivers) {
             reconverge_bound_secs = Some(p.reconverge_bound.as_secs_f64());
-            let horizon = p.end - SimDuration::from_secs(1);
             let mut first_copies: BTreeMap<u64, u32> = BTreeMap::new();
             for d in rec.deliveries.iter().filter(|d| d.first) {
                 *first_copies.entry(d.pkt).or_default() += 1;
             }
-            let mut sent: Vec<(SimTime, u64)> = rec
-                .packets
+            let sent = rec.sent_in(from, horizon);
+            let under_delivered = sent
                 .iter()
-                .filter(|m| m.sent_at >= from && m.sent_at < horizon)
-                .map(|m| (m.sent_at, m.pkt))
-                .collect();
-            sent.sort();
-            let last_bad = sent
-                .iter()
-                .rev()
-                .find(|(_, pkt)| first_copies.get(pkt).copied().unwrap_or(0) < n_receivers)
-                .copied();
-            let recovered_at = match last_bad {
+                .filter(|(pkt, _)| first_copies.get(pkt).copied().unwrap_or(0) < n_receivers);
+            let recovered_at = match under_delivered.map(|(_, at)| *at).max() {
                 None => Some(from),
-                Some((bad_at, _)) => sent.iter().map(|&(at, _)| at).find(|at| *at > bad_at),
+                Some(bad_at) => sent.values().copied().filter(|at| *at > bad_at).min(),
             };
             reconverge_secs = recovered_at.map(|at| (at - from).as_secs_f64());
-            reconverge_ok = Some(match reconverge_secs {
-                Some(s) => s <= p.reconverge_bound.as_secs_f64(),
-                None => false,
-            });
+            reconverge_ok =
+                Some(reconverge_secs.is_some_and(|s| s <= p.reconverge_bound.as_secs_f64()));
         }
 
         // Protected flow: receivers that were up before the storm must keep
@@ -573,19 +528,14 @@ impl Oracle {
         let mut protected_flow_ok = None;
         if let (Some(floor), Some((from, until))) = (p.protected_floor, p.protect_window) {
             protected_flow_floor = Some(floor);
-            let window: std::collections::BTreeSet<u64> = rec
-                .packets
-                .iter()
-                .filter(|m| m.sent_at >= from && m.sent_at < until)
-                .map(|m| m.pkt)
-                .collect();
+            let window = rec.sent_in(from, until);
             if window.is_empty() || p.receivers.is_empty() {
                 protected_flow_ok = Some(true);
             } else {
                 let mut per_host: BTreeMap<NodeId, u64> =
                     p.receivers.iter().map(|(h, _)| (*h, 0)).collect();
                 for d in rec.deliveries.iter().filter(|d| d.first) {
-                    if window.contains(&d.pkt) {
+                    if window.contains_key(&d.pkt) {
                         if let Some(got) = per_host.get_mut(&d.host) {
                             *got += 1;
                         }
@@ -619,7 +569,7 @@ impl Oracle {
             enabled: true,
             violations: st.violations.clone(),
             violation_count: st.violation_count,
-            duplicates_observed: rec.deliveries.iter().filter(|d| !d.first).count() as u64,
+            duplicates_observed: rec.copies().1,
             max_tunnel_depth: st.max_tunnel_depth,
             worst_leave_delay_secs: worst_leave,
             worst_stale_sg_secs: st.worst_stale_sg_secs,
@@ -698,7 +648,7 @@ fn schedule_poll(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{DataEvent, Delivery, Journal, MoveEvent, PacketMeta, Recorder};
+    use crate::recorder::{Delivery, Journal, MoveEvent, PacketMeta, Recorder};
     use mobicast_ipv6::addr::GroupAddr;
     use mobicast_net::LinkGraph;
 
@@ -1013,8 +963,8 @@ mod tests {
         rec
     }
 
-    /// The scan of every recorded event that the per-link emission index
-    /// replaced: the reference the differential below compares against.
+    /// The scan of every recorded event per window: the reference the
+    /// differential below compares [`Journal::latest_emissions`] against.
     fn latest_emission_by_scan(
         events: &Journal,
         link: LinkId,
@@ -1051,8 +1001,8 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Differential: the per-link emission index answers every window
-        /// as the scan of all events does, and both of its users — the
+        /// Differential: the one-pass batch query answers every window as
+        /// the scan of all events does, and both of its users — the
         /// leave-delay pass and `analyze` — reach on it what they reach on
         /// the scan: the same worst delay and violations, the same
         /// `leave_delays`.
@@ -1063,20 +1013,22 @@ mod tests {
             in_order in proptest::any::<u8>(),
         ) {
             let rec = grid_recorder(&event_words, &move_words, in_order & 1 == 0);
-            let emissions = rec.data_events.link_emissions();
+            let by_scan = |windows: &[(LinkId, SimTime, SimTime)]| -> Vec<Option<SimTime>> {
+                let scan = |&(l, a, b)| latest_emission_by_scan(&rec.data_events, l, a, b);
+                windows.iter().map(scan).collect()
+            };
             // Link 4 carries nothing; inverted, empty and unbounded windows
-            // included.
+            // included — all asked in one batch.
+            let mut windows = Vec::new();
             for link in (0..5).map(LinkId) {
                 for after in (0..=310).step_by(10).map(t) {
                     let bounds = (0..=310).step_by(10).map(t).chain([SimTime::MAX]);
-                    for before in bounds {
-                        assert_eq!(
-                            emissions.latest_between(link, after, before),
-                            latest_emission_by_scan(&rec.data_events, link, after, before),
-                            "{link:?} in ({after:?}, {before:?})"
-                        );
-                    }
+                    windows.extend(bounds.map(|before| (link, after, before)));
                 }
+            }
+            let answers = rec.data_events.latest_emissions(&windows);
+            for ((window, got), want) in windows.iter().zip(answers).zip(by_scan(&windows)) {
+                assert_eq!(got, want, "{window:?}");
             }
             // T_MLI short enough for the grid to produce violations.
             let p = FinalizeParams {
@@ -1089,140 +1041,16 @@ mod tests {
                 ])
             };
             let (mut fast, mut reference) = (OracleState::default(), OracleState::default());
-            let worst = leave_delay_pass(&mut fast, &rec, &p, |l, a, b| {
-                emissions.latest_between(l, a, b)
+            let worst = leave_delay_pass(&mut fast, &rec, &p, |w| {
+                rec.data_events.latest_emissions(w)
             });
-            let worst_ref = leave_delay_pass(&mut reference, &rec, &p, |l, a, b| {
-                latest_emission_by_scan(&rec.data_events, l, a, b)
-            });
+            let worst_ref = leave_delay_pass(&mut reference, &rec, &p, by_scan);
             assert_eq!(worst, worst_ref);
             assert_eq!(fast.violations, reference.violations);
             assert_eq!(fast.violation_count, reference.violation_count);
 
             let analysis = crate::analysis::analyze(&rec, &LinkGraph::new(4, &[]), 4);
             assert_eq!(analysis.leave_delays, leave_delays_by_scan(&rec));
-        }
-    }
-
-    /// The index the journal replaced — `(tag, position)` sorted by tag,
-    /// answered by binary search — kept as a second reference model.
-    struct TagIndex<'a> {
-        events: &'a [DataEvent],
-        by_tag: Vec<(u64, usize)>,
-    }
-
-    const NO_PARENT: usize = usize::MAX;
-
-    impl<'a> TagIndex<'a> {
-        fn build(events: &'a [DataEvent]) -> Self {
-            let mut by_tag: Vec<(u64, usize)> = events
-                .iter()
-                .enumerate()
-                .map(|(i, ev)| (ev.id, i))
-                .collect();
-            // Of two events under one tag the later one sorts last and
-            // answers `position` (what collecting into a map did).
-            by_tag.sort_unstable();
-            TagIndex { events, by_tag }
-        }
-
-        fn position(&self, tag: u64) -> Option<usize> {
-            let after = self.by_tag.partition_point(|&(t, _)| t <= tag);
-            let &(found, i) = self.by_tag[..after].last()?;
-            (found == tag).then_some(i)
-        }
-
-        fn get(&self, tag: u64) -> Option<&'a DataEvent> {
-            self.position(tag).map(|i| &self.events[i])
-        }
-
-        /// For each event, the position of the event that caused it
-        /// ([`NO_PARENT`] at an origin or when the parent was not recorded).
-        fn parent_positions(&self) -> Vec<usize> {
-            self.events
-                .iter()
-                .map(|ev| {
-                    ev.parent
-                        .filter(|&tag| tag != 0)
-                        .and_then(|tag| self.position(tag))
-                        .unwrap_or(NO_PARENT)
-                })
-                .collect()
-        }
-    }
-
-    #[test]
-    fn tag_index_resolves_tags_and_parents() {
-        // Tags out of order, one unknown parent, one duplicate tag (the
-        // later record answers, as it did when the index was a map).
-        let ev = |id, parent, link, tunneled| DataEvent {
-            pkt: 1,
-            id,
-            parent,
-            link: LinkId(link),
-            time: t(20),
-            size: 100,
-            tunneled,
-        };
-        let events = vec![
-            ev(30, None, 0, false),
-            ev(10, Some(30), 1, false),
-            ev(20, Some(99), 2, true),
-            ev(10, Some(20), 3, false),
-            ev(40, Some(0), 0, false),
-        ];
-        let idx = TagIndex::build(&events);
-        assert_eq!(idx.get(30).map(|e| e.link), Some(LinkId(0)));
-        assert_eq!(idx.get(10).map(|e| e.link), Some(LinkId(3)));
-        assert_eq!(idx.get(20).map(|e| e.tunneled), Some(true));
-        assert!(idx.get(5).is_none() && idx.get(35).is_none() && idx.get(99).is_none());
-        assert_eq!(
-            idx.parent_positions(),
-            vec![NO_PARENT, 0, NO_PARENT, 2, NO_PARENT]
-        );
-        assert!(TagIndex::build(&[]).get(1).is_none());
-    }
-
-    proptest::proptest! {
-        /// The journal against the index it replaced, built over the
-        /// journal's own events: every tag — issued or not — resolves to
-        /// the same event, every parent to the same position.
-        #[test]
-        fn journal_agrees_with_the_tag_index_it_replaced(
-            words in proptest::collection::vec(proptest::any::<u32>(), 0..120),
-        ) {
-            let mut rec = Recorder::default();
-            let mut issued: Vec<u64> = Vec::new();
-            for w in words {
-                let pick = (w >> 8) as usize;
-                let parent = match w % 5 {
-                    0 => None,
-                    1 => Some(u64::from(w >> 4 & 7) << 32 | u64::from(w >> 16 & 31)),
-                    _ if issued.is_empty() => None,
-                    _ => Some(issued[pick % issued.len()]),
-                };
-                let node = NodeId(w >> 4 & 3);
-                issued.push(rec.data_events.record(
-                    node, 1, parent, LinkId(w & 3), t(20), 100, w & 0x80 != 0,
-                ));
-            }
-            let journal = &rec.data_events;
-            let events: Vec<DataEvent> = journal.iter().collect();
-            let idx = TagIndex::build(&events);
-            for node in 0..6u64 {
-                for count in 0..40u64 {
-                    let tag = node << 32 | count;
-                    assert_eq!(journal.position(tag), idx.position(tag), "{tag:#x}");
-                    assert_eq!(journal.by_tag(tag), idx.get(tag).copied(), "{tag:#x}");
-                }
-            }
-            let parents: Vec<usize> = (0..journal.len())
-                .map(|pos| match journal.parent_pos(pos) {
-                    Parent::At(at) => at,
-                    Parent::Origin | Parent::Dangling => NO_PARENT,
-                })
-                .collect();
-            assert_eq!(parents, idx.parent_positions());
         }
     }
 

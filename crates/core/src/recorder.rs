@@ -12,13 +12,20 @@
 //! as it records the event: a tag is an address — `(node, per-node count)`
 //! — that the journal turns into the event's position with two indexed
 //! loads, and a parent is stored as a position, resolved when the child is
-//! recorded.
+//! recorded. None of that layout leaves this file: the post-run readers
+//! (oracle, analysis, explainer, scenario and stress reports) ask
+//! [`Journal::chain`] for an ancestry, [`Journal::latest_emissions`] for the
+//! last emission onto a link inside a window, and [`Recorder::sent_in`] /
+//! [`Recorder::copies`] for which datagrams count and how many arrived.
 
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_net::{LinkId, NodeId};
 use mobicast_sim::span::AttrValue;
-use mobicast_sim::{Counter, Counters, SeriesSet, SimTime, SpanBook, SpanId, TimeSeriesSet};
+use mobicast_sim::{
+    Counter, Counters, SeriesSet, SimDuration, SimTime, SpanBook, SpanId, TimeSeriesSet,
+};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use std::rc::Rc;
 
@@ -54,7 +61,7 @@ pub struct DataEvent {
     /// at the origin, `Some(0)` — the tag no event carries — when the
     /// emission named a parent the journal never recorded. Following
     /// parents yields the exact causal chain of every delivered copy
-    /// ([`Journal::parent_pos`] is the same walk by position).
+    /// ([`Journal::chain`] is that walk).
     pub parent: Option<u64>,
     /// Link the frame was put onto.
     pub link: LinkId,
@@ -90,6 +97,19 @@ const TUNNELED_BIT: u32 = 1 << 31;
 /// all through the heap, and a world built after the run in the same process
 /// (a sweep's next scenario) was measured 5–7 % slower for walking them.
 const FIRST_EMISSIONS: usize = 64;
+
+/// The most rows [`Journal::chain`] yields, the event it starts from
+/// included. A chain is *too long* when its `CHAIN_GUARD`-th row still names
+/// a recorded parent: the walk is cut there and every reader treats the cut
+/// chain as it treats a broken one — no stretch sample, an incomplete
+/// journey, an ended loop walk. A native segment is at most 64 hops (the
+/// IPv6 hop limit), so only a tunnelled path across a very large topology
+/// can reach the guard.
+pub const CHAIN_GUARD: usize = 64;
+
+/// Datagrams sent this long before a run ends may still be in flight when
+/// it does: a window judged for delivery ends here, not at the end.
+pub(crate) const IN_FLIGHT_TAIL: SimDuration = SimDuration::from_secs(1);
 
 /// One journal entry, packed: what [`DataEvent`] shows, with the parent as
 /// a position (or [`ORIGIN`] / [`DANGLING`]) and the tunnelled flag in the
@@ -224,9 +244,41 @@ impl Journal {
         }
     }
 
-    /// The per-link emission index over this journal.
-    pub(crate) fn link_emissions(&self) -> LinkEmissions {
-        LinkEmissions::build(&self.rows)
+    /// The causal chain of the event recorded under `tag`, walked back
+    /// toward its origin: that event first, then its parent, and so on, at
+    /// most [`CHAIN_GUARD`] rows. A tag that names no event (a delivery's
+    /// unknown `via`) yields nothing and ends [`ChainEnd::Dangling`].
+    pub fn chain(&self, tag: u64) -> Chain<'_> {
+        Chain {
+            journal: self,
+            // Positions are below DANGLING, so the cast is exact.
+            next: self.position(tag).map_or(DANGLING, |pos| pos as u32),
+            left: CHAIN_GUARD,
+        }
+    }
+
+    /// For each window `(link, after, before)`, the latest emission onto
+    /// `link` strictly inside `(after, before)`: one pass over the rows, in
+    /// whatever order they were recorded, each row offered to the windows
+    /// that ask about its link.
+    pub fn latest_emissions(&self, windows: &[(LinkId, SimTime, SimTime)]) -> Vec<Option<SimTime>> {
+        let mut asking: Vec<Vec<usize>> = Vec::new();
+        for (w, (link, ..)) in windows.iter().enumerate() {
+            if asking.len() <= link.index() {
+                asking.resize_with(link.index() + 1, Vec::new);
+            }
+            asking[link.index()].push(w);
+        }
+        let mut latest = vec![None; windows.len()];
+        for row in &self.rows {
+            for &w in asking.get(row.link as usize).into_iter().flatten() {
+                let (_, after, before) = windows[w];
+                if row.time > after && row.time < before && latest[w] < Some(row.time) {
+                    latest[w] = Some(row.time);
+                }
+            }
+        }
+        latest
     }
 
     fn view(&self, row: &Row) -> DataEvent {
@@ -274,56 +326,51 @@ impl<'a> IntoIterator for &'a Journal {
     }
 }
 
-/// Emission times of a journal's events grouped by link, each link's times
-/// ascending: "when was the last datagram put on link L inside this window"
-/// is a binary search instead of a scan of every event.
-pub(crate) struct LinkEmissions {
-    /// `times[start[l]..start[l + 1]]` are link `l`'s emission times.
-    start: Vec<usize>,
-    times: Vec<SimTime>,
+/// How a [`Chain`] walk ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ChainEnd {
+    /// At an event nothing caused: the chain is whole.
+    Origin,
+    /// At a parent the journal never recorded, or at a start tag that names
+    /// no event: the chain is broken.
+    Dangling,
+    /// After [`CHAIN_GUARD`] rows with a recorded parent still ahead.
+    Guard,
 }
 
-impl LinkEmissions {
-    fn build(rows: &[Row]) -> Self {
-        let n_links = rows.iter().map(|r| r.link as usize + 1).max().unwrap_or(0);
-        let mut start = vec![0usize; n_links + 1];
-        for r in rows {
-            start[r.link as usize + 1] += 1;
-        }
-        for l in 0..n_links {
-            start[l + 1] += start[l];
-        }
-        let mut next = start.clone();
-        let mut times = vec![SimTime::ZERO; rows.len()];
-        for r in rows {
-            let slot = &mut next[r.link as usize];
-            times[*slot] = r.time;
-            *slot += 1;
-        }
-        // Events are recorded in dispatch order, so each link's run is
-        // already ascending; a journal filled any other way is sorted here.
-        for l in 0..n_links {
-            let run = &mut times[start[l]..start[l + 1]];
-            if !run.windows(2).all(|w| w[0] <= w[1]) {
-                run.sort_unstable();
-            }
-        }
-        LinkEmissions { start, times }
-    }
+/// Iterator over a causal chain as `(position, event)`, the starting event
+/// first (see [`Journal::chain`]).
+pub struct Chain<'a> {
+    journal: &'a Journal,
+    /// `Row::parent` encoding of the row to yield next.
+    next: u32,
+    /// Rows the guard still allows.
+    left: usize,
+}
 
-    /// The latest emission onto `link` strictly inside `(after, before)`.
-    pub(crate) fn latest_between(
-        &self,
-        link: LinkId,
-        after: SimTime,
-        before: SimTime,
-    ) -> Option<SimTime> {
-        let l = link.index();
-        let run = self
-            .times
-            .get(*self.start.get(l)?..*self.start.get(l + 1)?)?;
-        let last = *run[..run.partition_point(|t| *t < before)].last()?;
-        (last > after).then_some(last)
+impl Chain<'_> {
+    /// How the walk ended; meaningful once `next` has returned `None`.
+    pub fn end(&self) -> ChainEnd {
+        match self.next {
+            ORIGIN => ChainEnd::Origin,
+            DANGLING => ChainEnd::Dangling,
+            _ => ChainEnd::Guard,
+        }
+    }
+}
+
+impl Iterator for Chain<'_> {
+    type Item = (usize, DataEvent);
+
+    fn next(&mut self) -> Option<(usize, DataEvent)> {
+        if self.left == 0 || self.next >= DANGLING {
+            return None;
+        }
+        let pos = self.next as usize;
+        let row = &self.journal.rows[pos];
+        self.next = row.parent;
+        self.left -= 1;
+        Some((pos, self.journal.view(row)))
     }
 }
 
@@ -377,6 +424,20 @@ pub struct Recorder {
 impl Recorder {
     pub fn new_shared() -> SharedRecorder {
         SharedRecorder(Rc::new(RefCell::new(Recorder::default())))
+    }
+
+    /// The datagrams sent in `[from, until)` with their send times, by
+    /// packet id.
+    pub fn sent_in(&self, from: SimTime, until: SimTime) -> BTreeMap<PacketId, SimTime> {
+        let in_window = |m: &&PacketMeta| m.sent_at >= from && m.sent_at < until;
+        let sent = self.packets.iter().filter(in_window);
+        sent.map(|m| (m.pkt, m.sent_at)).collect()
+    }
+
+    /// `(first copies, duplicates)` among the deliveries.
+    pub fn copies(&self) -> (u64, u64) {
+        let first = self.deliveries.iter().filter(|d| d.first).count() as u64;
+        (first, self.deliveries.len() as u64 - first)
     }
 }
 
@@ -601,6 +662,128 @@ mod tests {
         let seen = |tag| j.by_tag(tag).map(|ev| (ev.size, ev.tunneled));
         assert_eq!(seen(plain), Some((max, false)));
         assert_eq!(seen(tunneled), Some((max, true)));
+    }
+
+    /// The index the journal replaced — `(tag, position)` sorted by tag,
+    /// answered by binary search — kept as a second reference model.
+    struct TagIndex<'a> {
+        events: &'a [DataEvent],
+        by_tag: Vec<(u64, usize)>,
+    }
+
+    const NO_PARENT: usize = usize::MAX;
+
+    impl<'a> TagIndex<'a> {
+        fn build(events: &'a [DataEvent]) -> Self {
+            let mut by_tag: Vec<(u64, usize)> = events
+                .iter()
+                .enumerate()
+                .map(|(i, ev)| (ev.id, i))
+                .collect();
+            // Of two events under one tag the later one sorts last and
+            // answers `position` (what collecting into a map did).
+            by_tag.sort_unstable();
+            TagIndex { events, by_tag }
+        }
+
+        fn position(&self, tag: u64) -> Option<usize> {
+            let after = self.by_tag.partition_point(|&(t, _)| t <= tag);
+            let &(found, i) = self.by_tag[..after].last()?;
+            (found == tag).then_some(i)
+        }
+
+        fn get(&self, tag: u64) -> Option<&'a DataEvent> {
+            self.position(tag).map(|i| &self.events[i])
+        }
+
+        /// For each event, the position of the event that caused it
+        /// ([`NO_PARENT`] at an origin or when the parent was not recorded).
+        fn parent_positions(&self) -> Vec<usize> {
+            self.events
+                .iter()
+                .map(|ev| {
+                    ev.parent
+                        .filter(|&tag| tag != 0)
+                        .and_then(|tag| self.position(tag))
+                        .unwrap_or(NO_PARENT)
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn tag_index_resolves_tags_and_parents() {
+        // Tags out of order, one unknown parent, one duplicate tag (the
+        // later record answers, as it did when the index was a map).
+        let ev = |id, parent, link, tunneled| DataEvent {
+            pkt: 1,
+            id,
+            parent,
+            link: LinkId(link),
+            time: SimTime::from_secs(20),
+            size: 100,
+            tunneled,
+        };
+        let events = vec![
+            ev(30, None, 0, false),
+            ev(10, Some(30), 1, false),
+            ev(20, Some(99), 2, true),
+            ev(10, Some(20), 3, false),
+            ev(40, Some(0), 0, false),
+        ];
+        let idx = TagIndex::build(&events);
+        assert_eq!(idx.get(30).map(|e| e.link), Some(LinkId(0)));
+        assert_eq!(idx.get(10).map(|e| e.link), Some(LinkId(3)));
+        assert_eq!(idx.get(20).map(|e| e.tunneled), Some(true));
+        assert!(idx.get(5).is_none() && idx.get(35).is_none() && idx.get(99).is_none());
+        assert_eq!(
+            idx.parent_positions(),
+            vec![NO_PARENT, 0, NO_PARENT, 2, NO_PARENT]
+        );
+        assert!(TagIndex::build(&[]).get(1).is_none());
+    }
+
+    proptest::proptest! {
+        /// The journal against the index it replaced, built over the
+        /// journal's own events: every tag — issued or not — resolves to
+        /// the same event, every parent to the same position.
+        #[test]
+        fn journal_agrees_with_the_tag_index_it_replaced(
+            words in proptest::collection::vec(proptest::any::<u32>(), 0..120),
+        ) {
+            let mut rec = Recorder::default();
+            let mut issued: Vec<u64> = Vec::new();
+            for w in words {
+                let pick = (w >> 8) as usize;
+                let parent = match w % 5 {
+                    0 => None,
+                    1 => Some(u64::from(w >> 4 & 7) << 32 | u64::from(w >> 16 & 31)),
+                    _ if issued.is_empty() => None,
+                    _ => Some(issued[pick % issued.len()]),
+                };
+                let node = NodeId(w >> 4 & 3);
+                issued.push(rec.data_events.record(
+                    node, 1, parent, LinkId(w & 3), SimTime::from_secs(20), 100, w & 0x80 != 0,
+                ));
+            }
+            let journal = &rec.data_events;
+            let events: Vec<DataEvent> = journal.iter().collect();
+            let idx = TagIndex::build(&events);
+            for node in 0..6u64 {
+                for count in 0..40u64 {
+                    let tag = node << 32 | count;
+                    assert_eq!(journal.position(tag), idx.position(tag), "{tag:#x}");
+                    assert_eq!(journal.by_tag(tag), idx.get(tag).copied(), "{tag:#x}");
+                }
+            }
+            let parents: Vec<usize> = (0..journal.len())
+                .map(|pos| match journal.parent_pos(pos) {
+                    Parent::At(at) => at,
+                    Parent::Origin | Parent::Dangling => NO_PARENT,
+                })
+                .collect();
+            assert_eq!(parents, idx.parent_positions());
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::analysis::{analyze, RunReport};
 use crate::builder::{BuiltNetwork, HostSpec, NetworkSpec};
 use crate::host_node::{HostConfig, HostNode, SenderApp};
-use crate::recorder::Recorder;
+use crate::recorder::{Recorder, IN_FLIGHT_TAIL};
 use crate::router_node::{ResourceBudget, RouterConfig, RouterNode};
 use crate::run::{self, at_secs, Judge, RunOutput, RunPlan, StageError};
 use crate::strategy::Policy;
@@ -24,7 +24,7 @@ use mobicast_sim::{
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// The hosts of the paper's Figure 1.
@@ -951,21 +951,13 @@ fn finish(cfg: &ScenarioConfig, out: RunOutput) -> (ScenarioResult, Recorder) {
         if let Some(bound) = cfg.fault.recovery_bound_secs() {
             const RECOVERY_MARGIN_SECS: f64 = 20.0;
             let cutoff = at_secs(bound + RECOVERY_MARGIN_SECS);
-            // Exclude the final second: those packets may still be in
-            // flight when the run ends.
-            let horizon = SimTime::ZERO + cfg.duration - SimDuration::from_secs(1);
-            let steady: BTreeSet<u64> = rec
-                .packets
-                .iter()
-                .filter(|p| p.sent_at >= cutoff && p.sent_at < horizon)
-                .map(|p| p.pkt)
-                .collect();
+            let steady = rec.sent_in(cutoff, SimTime::ZERO + cfg.duration - IN_FLIGHT_TAIL);
             let n_receivers = (PaperHost::ALL.len() - 1 + cfg.extra_receivers) as u64;
             let expected = steady.len() as u64 * n_receivers;
             let observed = rec
                 .deliveries
                 .iter()
-                .filter(|d| d.first && steady.contains(&d.pkt))
+                .filter(|d| d.first && steady.contains_key(&d.pkt))
                 .count() as u64;
             counters.add("steady.deliveries_expected", expected);
             counters.add("steady.deliveries_observed", observed);

@@ -239,8 +239,7 @@ fn run(
     let out = run::run(staged, &plan);
 
     let rec = &out.recorder;
-    let first = rec.deliveries.iter().filter(|d| d.first).count() as u64;
-    let dup = rec.deliveries.len() as u64 - first;
+    let (first, dup) = rec.copies();
     let net = &out.net;
     let max_sg = net
         .routers
