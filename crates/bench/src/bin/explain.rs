@@ -109,6 +109,10 @@ fn main() -> ExitCode {
         "{}",
         explain::render_with_spans(&journey, Some(&trace), Some(&rec.spans))
     );
+    if journey.retired_rows > 0 {
+        eprintln!("explain: the run's journal is not whole");
+        return ExitCode::FAILURE;
+    }
     if journey.meta.is_none() && journey.copies.is_empty() {
         eprintln!("explain: packet {pkt:#x} not found in this run (try --list)");
         return ExitCode::FAILURE;

@@ -12,14 +12,14 @@
 //! * **Leave delay** — for each move of a subscribed receiver off a link,
 //!   how long data kept flowing onto the abandoned link.
 
-use crate::recorder::{ChainEnd, Recorder};
+use crate::recorder::Recorder;
 use mobicast_net::LinkGraph;
 use mobicast_sim::{Counters, QuantileDigest, SeriesSet, SimTime, SpanRecord, TimeSeriesSet};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 
 /// Per-link byte usage of application data, split useful/wasted.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct LinkDataUsage {
     pub useful_bytes: u64,
     pub wasted_bytes: u64,
@@ -51,7 +51,8 @@ pub struct Analysis {
     pub total_useful_bytes: u64,
 }
 
-/// Reconstruct per-delivery paths and classify link usage.
+/// Read the paper's quantities off what the recorder settled as it
+/// recorded: per-delivery paths and per-link usage.
 pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
     let mut a = Analysis {
         link_usage: vec![LinkDataUsage::default(); n_links],
@@ -61,37 +62,29 @@ pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
 
     (a.packets_delivered, a.duplicates) = rec.copies();
 
-    // Every delivered copy identifies the exact emission that delivered it,
-    // and the journal's causal chain leads from there back to the origin —
-    // no heuristics.
-    let journal = &rec.data_events;
+    // Every delivered copy identified the exact emission that delivered it,
+    // and the journal's causal chain led from there back to the origin — no
+    // heuristics. The recorder walked it as the copy arrived.
     let meta: HashMap<u64, &crate::recorder::PacketMeta> =
         rec.packets.iter().map(|m| (m.pkt, m)).collect();
 
-    // By journal position: is the event on the path of some first delivery?
-    let mut useful = vec![false; journal.len()];
     let mut stretch_sum = 0.0f64;
     let mut path_sum = 0.0f64;
     let mut stretch_n = 0u64;
 
-    for d in rec.deliveries.iter().filter(|d| d.first) {
-        let Some(m) = meta.get(&d.pkt) else { continue };
-        // Walk the provenance chain of the delivered copy. A chain that
-        // breaks (unknown `via`, dangling parent) or is cut at the guard
-        // yields no path sample.
-        let mut chain = journal.chain(d.via);
-        let mut path_links = 0u32;
-        for (pos, _) in &mut chain {
-            useful[pos] = true;
-            path_links += 1;
+    // In delivery order: the sums are floats.
+    for (d, path) in rec.deliveries.iter().zip(rec.settled()) {
+        // A chain that broke (unknown `via`, dangling or retired parent) or
+        // was cut at the guard yields no path sample.
+        if !d.first || !path.whole() {
+            continue;
         }
-        if chain.end() == ChainEnd::Origin {
-            if let Some(optimal) = graph.link_hop_distance(m.origin_link, d.link) {
-                if optimal > 0 {
-                    stretch_sum += f64::from(path_links) / f64::from(optimal);
-                    path_sum += f64::from(path_links);
-                    stretch_n += 1;
-                }
+        let Some(m) = meta.get(&d.pkt) else { continue };
+        if let Some(optimal) = graph.link_hop_distance(m.origin_link, d.link) {
+            if optimal > 0 {
+                stretch_sum += f64::from(path.path_links()) / f64::from(optimal);
+                path_sum += f64::from(path.path_links());
+                stretch_n += 1;
             }
         }
     }
@@ -100,39 +93,23 @@ pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
         a.mean_path_links = path_sum / stretch_n as f64;
     }
 
-    // Classify every event.
-    for (ev, on_path) in journal.iter().zip(useful) {
-        let usage = &mut a.link_usage[ev.link.index()];
-        if on_path {
-            usage.useful_bytes += u64::from(ev.size);
-            usage.useful_frames += 1;
-            a.total_useful_bytes += u64::from(ev.size);
-        } else {
-            usage.wasted_bytes += u64::from(ev.size);
-            usage.wasted_frames += 1;
-            a.total_wasted_bytes += u64::from(ev.size);
-        }
+    // An emission is useful when it lies on the path of some first
+    // delivery, wasted otherwise.
+    for (usage, link) in rec.data_events.link_usage().into_iter().zip(0..) {
+        a.link_usage[link] = usage;
+        a.total_useful_bytes += usage.useful_bytes;
+        a.total_wasted_bytes += usage.wasted_bytes;
     }
 
     // Leave delays: subscribed receiver leaves link L at time t; data for
     // its group keeps arriving on L until the routers notice (MLD expiry).
-    let mut windows = Vec::new();
     for mv in rec.moves.iter().filter(|m| m.subscribed) {
         let Some(left) = mv.from else { continue };
         // Bound the window at the next time any subscribed host attaches
         // to the same link (traffic after that is useful again).
-        let window_end = rec
-            .moves
-            .iter()
-            .filter(|m2| m2.subscribed && m2.to == left && m2.time > mv.time)
-            .map(|m2| m2.time)
-            .min()
-            .unwrap_or(SimTime::MAX);
-        windows.push((left, mv.time, window_end));
-    }
-    for (&(_, left_at, _), last) in windows.iter().zip(journal.latest_emissions(&windows)) {
-        if let Some(last) = last {
-            a.leave_delays.push((last - left_at).as_secs_f64());
+        let window_end = rec.window_end(left, mv.time, SimTime::MAX, |m2| m2.subscribed);
+        if let Some(last) = rec.latest_emission(left, mv.time, window_end) {
+            a.leave_delays.push((last - mv.time).as_secs_f64());
         }
     }
 
@@ -291,7 +268,7 @@ mod tests {
         let on_l0 = emit(&mut rec, 1, None, 0, 1, 100);
         let on_l1 = emit(&mut rec, 1, Some(on_l0), 1, 2, 100);
         emit(&mut rec, 1, Some(on_l1), 2, 3, 100);
-        rec.deliveries.push(deliver(1, 1, 2, on_l1, true));
+        rec.record_delivery(deliver(1, 1, 2, on_l1, true));
         let a = analyze(&rec, &graph(), 3);
         assert_eq!(a.packets_sent, 1);
         assert_eq!(a.packets_delivered, 1);
@@ -312,7 +289,7 @@ mod tests {
         for (link, at) in [(1, 2), (2, 3), (1, 4)] {
             via = emit(&mut rec, 1, Some(via), link, at, 100);
         }
-        rec.deliveries.push(deliver(1, 1, 4, via, true));
+        rec.record_delivery(deliver(1, 1, 4, via, true));
         let a = analyze(&rec, &graph(), 3);
         // Path 4 links vs optimal 2 -> stretch 2.
         assert!((a.mean_stretch - 2.0).abs() < 1e-9, "{}", a.mean_stretch);
@@ -324,8 +301,8 @@ mod tests {
         let mut rec = Recorder::default();
         rec.packets.push(pkt_meta(1));
         let via = emit(&mut rec, 1, None, 0, 1, 100);
-        rec.deliveries.push(deliver(1, 0, 1, via, true));
-        rec.deliveries.push(deliver(1, 0, 2, via, false));
+        rec.record_delivery(deliver(1, 0, 1, via, true));
+        rec.record_delivery(deliver(1, 0, 2, via, false));
         let a = analyze(&rec, &graph(), 3);
         assert_eq!(a.packets_delivered, 1);
         assert_eq!(a.duplicates, 1);
@@ -336,7 +313,7 @@ mod tests {
         let mut rec = Recorder::default();
         rec.packets.push(pkt_meta(1));
         emit(&mut rec, 1, None, 0, 1, 100);
-        rec.deliveries.push(deliver(1, 0, 1, 999, true));
+        rec.record_delivery(deliver(1, 0, 1, 999, true));
         let a = analyze(&rec, &graph(), 3);
         assert_eq!(a.packets_delivered, 1);
         assert_eq!(a.mean_stretch, 0.0, "no stretch sample from broken chain");
@@ -350,7 +327,7 @@ mod tests {
         // The L1 copy names a parent nobody recorded: the copy itself was
         // used, its path cannot be measured.
         let via = emit(&mut rec, 1, Some(999), 1, 2, 100);
-        rec.deliveries.push(deliver(1, 1, 2, via, true));
+        rec.record_delivery(deliver(1, 1, 2, via, true));
         let a = analyze(&rec, &graph(), 3);
         assert_eq!(a.packets_delivered, 1);
         assert_eq!(a.mean_stretch, 0.0, "no stretch sample from broken chain");
@@ -366,7 +343,7 @@ mod tests {
             for _ in 1..hops {
                 via = emit(&mut rec, 1, Some(via), 1, 2, 100);
             }
-            rec.deliveries.push(deliver(1, 1, 2, via, true));
+            rec.record_delivery(deliver(1, 1, 2, via, true));
             analyze(&rec, &graph(), 3).mean_stretch
         };
         // L0 to L1 is 2 links at best.
@@ -378,7 +355,7 @@ mod tests {
     fn leave_delay_measured_from_stale_traffic() {
         let mut rec = Recorder::default();
         rec.packets.push(pkt_meta(1));
-        rec.moves.push(MoveEvent {
+        rec.record_move(MoveEvent {
             host: NodeId(5),
             time: t(10),
             from: Some(l(2)),
@@ -403,7 +380,7 @@ mod tests {
     #[test]
     fn leave_delay_window_bounded_by_rejoin() {
         let mut rec = Recorder::default();
-        rec.moves.push(MoveEvent {
+        rec.record_move(MoveEvent {
             host: NodeId(5),
             time: t(10),
             from: Some(l(2)),
@@ -411,9 +388,11 @@ mod tests {
             subscribed: true,
             sending: false,
         });
+        rec.packets.push(pkt_meta(1));
+        emit(&mut rec, 1, None, 2, 30, 50);
         // Another subscribed host arrives on L2 at t=50; traffic at t=60
         // is for them, not stale.
-        rec.moves.push(MoveEvent {
+        rec.record_move(MoveEvent {
             host: NodeId(6),
             time: t(50),
             from: Some(l(0)),
@@ -421,8 +400,6 @@ mod tests {
             subscribed: true,
             sending: false,
         });
-        rec.packets.push(pkt_meta(1));
-        emit(&mut rec, 1, None, 2, 30, 50);
         rec.packets.push(PacketMeta {
             pkt: 2,
             ..pkt_meta(2)
@@ -436,7 +413,7 @@ mod tests {
     #[test]
     fn unsubscribed_moves_produce_no_leave_delay() {
         let mut rec = Recorder::default();
-        rec.moves.push(MoveEvent {
+        rec.record_move(MoveEvent {
             host: NodeId(5),
             time: t(10),
             from: Some(l(2)),
@@ -466,8 +443,8 @@ mod tests {
         let origin = emit(&mut rec, 1, None, 0, 1, 100);
         let via = emit(&mut rec, 1, Some(origin), 1, 2, 100);
         // Two receivers deliver via the same chain.
-        rec.deliveries.push(deliver(1, 1, 2, via, true));
-        rec.deliveries.push(Delivery {
+        rec.record_delivery(deliver(1, 1, 2, via, true));
+        rec.record_delivery(Delivery {
             host: NodeId(6),
             ..deliver(1, 1, 2, via, true)
         });

@@ -5,7 +5,7 @@ use crate::addressing;
 use crate::host_node::{HostConfig, HostNode, SenderApp};
 use crate::interners::WorldInterners;
 use crate::netplan::{Directory, RouteEntry, RoutingTable, SharedDirectory};
-use crate::recorder::{Recorder, SharedRecorder};
+use crate::recorder::{Recorder, SharedRecorder, JOURNAL_HORIZON};
 use crate::router_node::{RouterConfig, RouterIfaceInfo, RouterNode};
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_net::{
@@ -293,6 +293,7 @@ pub fn build(
 ) -> BuiltNetwork {
     let rng = RngFactory::new(seed);
     let recorder = Recorder::new_shared();
+    recorder.set_journal_horizon(JOURNAL_HORIZON);
     let mut world = World::with_tracer(tracer);
 
     let links: Vec<LinkId> = (0..spec.n_links)

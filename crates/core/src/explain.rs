@@ -51,6 +51,11 @@ pub struct Journey {
     /// Emissions of this packet on no delivery path (flood waste, copies
     /// destroyed by faults or pruning).
     pub wasted: Vec<JourneyHop>,
+    /// Rows the journal had retired when it was read. Non-zero, the copies
+    /// and paths above are what was left, not the journey: only a run that
+    /// kept its whole journal (`scenario::run_with_recorder`) can be
+    /// explained.
+    pub retired_rows: u64,
 }
 
 impl Journey {
@@ -87,6 +92,7 @@ pub fn explain(rec: &Recorder, pkt: u64) -> Journey {
     let mut journey = Journey {
         pkt,
         meta: rec.packets.iter().find(|m| m.pkt == pkt).copied(),
+        retired_rows: journal.retired() as u64,
         ..Journey::default()
     };
     journey.copies = journal.iter().filter(|ev| ev.pkt == pkt).map(hop).collect();
@@ -157,6 +163,13 @@ pub fn render_with_spans(
     spans: Option<&SpanBook>,
 ) -> String {
     let mut out = String::new();
+    if journey.retired_rows > 0 {
+        let _ = writeln!(
+            out,
+            "journal retired {} rows — journeys need `run_with_recorder`",
+            journey.retired_rows
+        );
+    }
     let pkt = journey.pkt;
     let _ = writeln!(
         out,
@@ -519,6 +532,30 @@ mod tests {
         );
     }
 
+    /// A journal that retired rows cannot be explained, and says so: the
+    /// recorder of a run staged as `scenario::run` stages it, against the
+    /// whole one `run_with_recorder` hands back.
+    #[test]
+    fn a_journal_that_retired_rows_is_not_passed_off_as_a_journey() {
+        let cfg = cfg();
+        let (_, retiring) = crate::scenario::stage(&cfg, mobicast_sim::Tracer::null())
+            .unwrap()
+            .run();
+        let (_, whole) = run_with_recorder(&cfg);
+        let pkt = whole.packets[3].pkt;
+        let journey = explain(&retiring, pkt);
+        assert_eq!(journey.retired_rows, retiring.data_events.retired() as u64);
+        assert!(journey.retired_rows > 0 && journey.copies.is_empty());
+        let first_line = format!(
+            "journal retired {} rows — journeys need `run_with_recorder`\n",
+            journey.retired_rows
+        );
+        assert!(render(&journey, None).starts_with(&first_line));
+        let journey = explain(&whole, pkt);
+        assert_eq!(journey.retired_rows, 0);
+        assert!(render(&journey, None).starts_with("packet "));
+    }
+
     /// A copy whose parent the journal never recorded: the path stops
     /// there, flagged incomplete, and the copy still counts as used.
     #[test]
@@ -541,7 +578,7 @@ mod tests {
         let via = emit(Some(orphan), 2);
         let stray = emit(None, 3);
         for via in [via, stray, 0] {
-            rec.deliveries.push(Delivery {
+            rec.record_delivery(Delivery {
                 pkt: 7,
                 host: NodeId(5),
                 link: LinkId(2),

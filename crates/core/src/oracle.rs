@@ -31,7 +31,7 @@
 //! violations, rendered as strings) lands in the JSON report.
 
 use crate::parsed::parsed;
-use crate::recorder::{Recorder, IN_FLIGHT_TAIL};
+use crate::recorder::{Recorder, WindowEnd, IN_FLIGHT_TAIL};
 use crate::router_node::RouterNode;
 use mobicast_ipv6::DEFAULT_ENCAP_LIMIT;
 use mobicast_net::{Frame, IfIndex, LinkId, NodeId, World, WorldProbe};
@@ -168,15 +168,15 @@ fn overstay(now: SimTime, expires: SimTime, margin: SimDuration, worst: &mut f64
 /// Leave delay: when the last subscribed receiver leaves a link, data must
 /// stop flowing onto it within T_MLI (+ margin). Each receiver's position
 /// over time is reconstructed from its initial link and the recorded moves;
-/// the stale windows `(link, after, before)` are collected first and
-/// `latest_emissions` answers them all at once, each with the latest data
-/// emission strictly inside it. Returns the largest stale-traffic window
-/// seen (seconds).
+/// a stale window runs from the departure to the next arrival of a receiver
+/// on the link, or to the end of the run, and `latest_emission` answers it
+/// with the latest data emission strictly inside. Returns the largest
+/// stale-traffic window seen (seconds).
 fn leave_delay_pass(
     st: &mut OracleState,
     rec: &Recorder,
     p: &FinalizeParams,
-    latest_emissions: impl FnOnce(&[(LinkId, SimTime, SimTime)]) -> Vec<Option<SimTime>>,
+    latest_emission: impl Fn(LinkId, SimTime, WindowEnd) -> Option<SimTime>,
 ) -> f64 {
     let mut timeline: BTreeMap<NodeId, Vec<(SimTime, LinkId)>> = p
         .receivers
@@ -196,7 +196,7 @@ fn leave_delay_pass(
             .find(|(at, _)| *at <= t)
             .map(|(_, l)| *l)
     };
-    let mut windows = Vec::new();
+    let mut worst_leave = 0.0f64;
     for mv in rec.moves.iter().filter(|m| m.subscribed) {
         let Some(left) = mv.from else { continue };
         // Anyone (including the mover, post-move) still on the link?
@@ -204,20 +204,12 @@ fn leave_delay_pass(
         if occupied {
             continue;
         }
-        // Stale window ends when any subscribed receiver re-arrives.
-        let window_end = timeline
-            .values()
-            .flatten()
-            .filter(|(at, l)| *l == left && *at > mv.time)
-            .map(|(at, _)| *at)
-            .min()
-            .unwrap_or(p.end);
-        windows.push((left, mv.time, window_end));
-    }
-    let mut worst_leave = 0.0f64;
-    for (&(left, left_at, _), last) in windows.iter().zip(latest_emissions(&windows)) {
-        let Some(last) = last else { continue };
-        let delay = (last - left_at).as_secs_f64();
+        // Stale window ends when any receiver re-arrives.
+        let window_end = rec.window_end(left, mv.time, p.end, |m| timeline.contains_key(&m.host));
+        let Some(last) = latest_emission(left, mv.time, window_end) else {
+            continue;
+        };
+        let delay = (last - mv.time).as_secs_f64();
         if delay > worst_leave {
             worst_leave = delay;
         }
@@ -227,7 +219,7 @@ fn leave_delay_pass(
                 format!(
                     "stale data on {left:?} {delay:.1}s after the last member \
                      left at t={:.0}s (T_MLI={:.0}s)",
-                    left_at.as_secs_f64(),
+                    mv.time.as_secs_f64(),
                     p.t_mli.as_secs_f64()
                 ),
             );
@@ -429,25 +421,31 @@ impl Oracle {
     pub fn finalize(&self, rec: &Recorder, p: &FinalizeParams) -> OracleSummary {
         let st = &mut *self.state.borrow_mut();
 
+        // Loop-freedom: the journal walks every native emission's causal
+        // ancestry while it still holds it; a native ancestor on the same
+        // link means the datagram re-entered the link it already crossed.
         let journal = &rec.data_events;
-
-        // Loop-freedom: walk every native emission's causal ancestry; a
-        // native ancestor on the same link means the datagram re-entered
-        // the link it already crossed.
-        for ev in journal.iter().filter(|ev| !ev.tunneled) {
-            let mut ancestors = journal.chain(ev.id).skip(1);
-            if ancestors.any(|(_, anc)| !anc.tunneled && anc.link == ev.link) {
-                push_violation(
-                    st,
-                    format!(
-                        "t={:.1}s: datagram {} re-entered {:?} natively \
-                         (forwarding loop)",
-                        ev.time.as_secs_f64(),
-                        ev.pkt,
-                        ev.link
-                    ),
-                );
-            }
+        for found in journal.loops() {
+            push_violation(
+                st,
+                format!(
+                    "t={:.1}s: datagram {} re-entered {:?} natively \
+                     (forwarding loop)",
+                    found.time.as_secs_f64(),
+                    found.pkt,
+                    found.link
+                ),
+            );
+        }
+        let undecided = journal.beyond_horizon();
+        if undecided > 0 {
+            push_violation(
+                st,
+                format!(
+                    "{undecided} emissions or deliveries named a cause older than the journal \
+                     horizon; loop-freedom and path checks were not decided for them"
+                ),
+            );
         }
 
         // At-most-once after settle: per (receiver, datagram), count the
@@ -458,10 +456,9 @@ impl Oracle {
         let settled = rec.sent_in(p.settle, horizon);
         // (host, was the final hop tunnelled?) -> datagram -> copies delivered
         let mut copies: BTreeMap<(NodeId, bool), BTreeMap<u64, u32>> = BTreeMap::new();
-        for d in &rec.deliveries {
+        for (d, via) in rec.deliveries.iter().zip(rec.settled()) {
             if settled.contains_key(&d.pkt) {
-                let tunneled = journal.by_tag(d.via).is_some_and(|e| e.tunneled);
-                let of_kind = copies.entry((d.host, tunneled)).or_default();
+                let of_kind = copies.entry((d.host, via.tunneled())).or_default();
                 *of_kind.entry(d.pkt).or_default() += 1;
             }
         }
@@ -489,7 +486,9 @@ impl Oracle {
             }
         }
 
-        let worst_leave = leave_delay_pass(st, rec, p, |w| journal.latest_emissions(w));
+        let worst_leave = leave_delay_pass(st, rec, p, |link, after, end| {
+            rec.latest_emission(link, after, end)
+        });
 
         // Reconvergence SLO: once the last disturbance has cleared, the
         // first-copy delivery stream must return to full coverage of every
@@ -729,7 +728,7 @@ mod tests {
                 let via = emit(&mut rec, i, None, 0, 20, false);
                 let copies = if (i as usize) < n_dup { 2 } else { 1 };
                 for c in 0..copies {
-                    rec.deliveries.push(Delivery {
+                    rec.record_delivery(Delivery {
                         pkt: i,
                         host,
                         link: LinkId(0),
@@ -767,7 +766,7 @@ mod tests {
                 ..meta(i, at)
             });
             if !missed.contains(&i) {
-                rec.deliveries.push(Delivery {
+                rec.record_delivery(Delivery {
                     pkt: i,
                     host,
                     link: LinkId(0),
@@ -899,7 +898,7 @@ mod tests {
     fn leave_delay_beyond_t_mli_is_a_violation() {
         let mover = NodeId(7);
         let mut rec = Recorder::default();
-        rec.moves.push(MoveEvent {
+        rec.record_move(MoveEvent {
             host: mover,
             time: t(100),
             from: Some(LinkId(3)),
@@ -921,26 +920,15 @@ mod tests {
     /// A recorder drawn on a coarse grid — four links, three receivers
     /// hopping among them every 10 s — so that moves re-enter links they
     /// left, windows come out empty, and emissions land exactly on a move
-    /// time or a window end.
-    fn grid_recorder(event_words: &[u64], move_words: &[u64], in_order: bool) -> Recorder {
+    /// time or a window end. Recorded in time order, as a run records; at
+    /// one instant a word's bit says whether the emission or the move came
+    /// first.
+    fn grid_recorder(event_words: &[u64], move_words: &[u64]) -> Recorder {
+        enum Step {
+            Emit(u64),
+            Move(usize, LinkId, bool),
+        }
         let grid = |w: u64| t((w >> 8) % 31 * 10);
-        let mut rec = Recorder::default();
-        let mut event_words = event_words.to_vec();
-        if in_order {
-            event_words.sort_by_key(|w| grid(*w));
-        }
-        for w in event_words {
-            rec.data_events.record(
-                NodeId(0),
-                1,
-                None,
-                LinkId((w % 4) as u32),
-                grid(w),
-                100,
-                w & 0x80 != 0,
-            );
-        }
-        let mut at = [LinkId(0), LinkId(1), LinkId(1)];
         let mut moves: Vec<(SimTime, usize, LinkId, bool)> = move_words
             .iter()
             .map(|w| {
@@ -949,22 +937,43 @@ mod tests {
             })
             .collect();
         moves.sort();
+        // (when, 0 / 1 / 2: an emission before, a move, an emission after)
+        let emits = event_words
+            .iter()
+            .map(|w| (grid(*w), (w >> 5 & 2) as u8, Step::Emit(*w)));
+        let mut script: Vec<(SimTime, u8, Step)> = emits.collect();
         for (time, host, to, subscribed) in moves {
-            rec.moves.push(MoveEvent {
-                host: NodeId(host as u32),
-                time,
-                from: Some(at[host]),
-                to,
-                subscribed,
-                sending: false,
-            });
-            at[host] = to;
+            script.push((time, 1, Step::Move(host, to, subscribed)));
+        }
+        // Stable: the moves of one instant stay in their sorted order.
+        script.sort_by_key(|(time, turn, _)| (*time, *turn));
+        let mut rec = Recorder::default();
+        let mut at = [LinkId(0), LinkId(1), LinkId(1)];
+        for (time, _, step) in script {
+            match step {
+                Step::Emit(w) => {
+                    let link = LinkId((w % 4) as u32);
+                    let journal = &mut rec.data_events;
+                    journal.record(NodeId(0), 1, None, link, time, 100, w & 0x80 != 0);
+                }
+                Step::Move(host, to, subscribed) => {
+                    rec.record_move(MoveEvent {
+                        host: NodeId(host as u32),
+                        time,
+                        from: Some(at[host]),
+                        to,
+                        subscribed,
+                        sending: false,
+                    });
+                    at[host] = to;
+                }
+            }
         }
         rec
     }
 
     /// The scan of every recorded event per window: the reference the
-    /// differential below compares [`Journal::latest_emissions`] against.
+    /// differential below compares [`Recorder::latest_emission`] against.
     fn latest_emission_by_scan(
         events: &Journal,
         link: LinkId,
@@ -1001,39 +1010,44 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Differential: the one-pass batch query answers every window as
-        /// the scan of all events does, and both of its users — the
-        /// leave-delay pass and `analyze` — reach on it what they reach on
-        /// the scan: the same worst delay and violations, the same
-        /// `leave_delays`.
+        /// Differential: the value snapshotted at an arrival, and the one
+        /// kept to the end of the run, answer every window as the scan of
+        /// all events does, and both users of the query — the leave-delay
+        /// pass and `analyze` — reach on it what they reach on the scan:
+        /// the same worst delay and violations, the same `leave_delays`.
         #[test]
         fn leave_delay_pass_agrees_with_the_scan_it_replaced(
             event_words in proptest::collection::vec(proptest::any::<u64>(), 0..80),
             move_words in proptest::collection::vec(proptest::any::<u64>(), 0..14),
-            in_order in proptest::any::<u8>(),
         ) {
-            let rec = grid_recorder(&event_words, &move_words, in_order & 1 == 0);
-            let by_scan = |windows: &[(LinkId, SimTime, SimTime)]| -> Vec<Option<SimTime>> {
-                let scan = |&(l, a, b)| latest_emission_by_scan(&rec.data_events, l, a, b);
-                windows.iter().map(scan).collect()
+            let rec = grid_recorder(&event_words, &move_words);
+            let by_scan = |link: LinkId, after: SimTime, end: WindowEnd| {
+                let before = match end {
+                    WindowEnd::Arrival(i) => rec.moves[i].time,
+                    WindowEnd::EndOfRun(at) => at,
+                };
+                latest_emission_by_scan(&rec.data_events, link, after, before)
             };
             // Link 4 carries nothing; inverted, empty and unbounded windows
-            // included — all asked in one batch.
-            let mut windows = Vec::new();
+            // included: every arrival recorded, and every end of run from
+            // the grid's last instant (an emission may sit exactly on it).
             for link in (0..5).map(LinkId) {
+                let arrivals = rec.moves.iter().enumerate().filter(|(_, m)| m.to == link);
+                let ends: Vec<WindowEnd> = arrivals
+                    .map(|(i, _)| WindowEnd::Arrival(i))
+                    .chain([t(300), t(310), SimTime::MAX].map(WindowEnd::EndOfRun))
+                    .collect();
                 for after in (0..=310).step_by(10).map(t) {
-                    let bounds = (0..=310).step_by(10).map(t).chain([SimTime::MAX]);
-                    windows.extend(bounds.map(|before| (link, after, before)));
+                    for end in &ends {
+                        let got = rec.latest_emission(link, after, *end);
+                        assert_eq!(got, by_scan(link, after, *end), "{link:?} {after:?} {end:?}");
+                    }
                 }
-            }
-            let answers = rec.data_events.latest_emissions(&windows);
-            for ((window, got), want) in windows.iter().zip(answers).zip(by_scan(&windows)) {
-                assert_eq!(got, want, "{window:?}");
             }
             // T_MLI short enough for the grid to produce violations.
             let p = FinalizeParams {
                 t_mli: SimDuration::from_secs(20),
-                end: t(250),
+                end: t(300),
                 ..params(vec![
                     (NodeId(0), LinkId(0)),
                     (NodeId(1), LinkId(1)),
@@ -1041,8 +1055,8 @@ mod tests {
                 ])
             };
             let (mut fast, mut reference) = (OracleState::default(), OracleState::default());
-            let worst = leave_delay_pass(&mut fast, &rec, &p, |w| {
-                rec.data_events.latest_emissions(w)
+            let worst = leave_delay_pass(&mut fast, &rec, &p, |link, after, end| {
+                rec.latest_emission(link, after, end)
             });
             let worst_ref = leave_delay_pass(&mut reference, &rec, &p, by_scan);
             assert_eq!(worst, worst_ref);
@@ -1059,7 +1073,7 @@ mod tests {
         let mover = NodeId(7);
         let resident = NodeId(8);
         let mut rec = Recorder::default();
-        rec.moves.push(MoveEvent {
+        rec.record_move(MoveEvent {
             host: mover,
             time: t(100),
             from: Some(LinkId(3)),

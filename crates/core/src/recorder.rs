@@ -12,12 +12,24 @@
 //! as it records the event: a tag is an address — `(node, per-node count)`
 //! — that the journal turns into the event's position with two indexed
 //! loads, and a parent is stored as a position, resolved when the child is
-//! recorded. None of that layout leaves this file: the post-run readers
-//! (oracle, analysis, explainer, scenario and stress reports) ask
-//! [`Journal::chain`] for an ancestry, [`Journal::latest_emissions`] for the
-//! last emission onto a link inside a window, and [`Recorder::sent_in`] /
-//! [`Recorder::copies`] for which datagrams count and how many arrived.
+//! recorded.
+//!
+//! The journal is a window, not an archive. Everything a reader asks of an
+//! emission is settled while its cause is still held — the path and the
+//! tunnelled bit of a delivery when the delivery is recorded
+//! ([`Recorder::record_delivery`]), the last emission before an arrival
+//! when the move is ([`Recorder::record_move`]), loop-freedom once the
+//! emission is half a horizon old — and a row older than the journal's
+//! horizon retires into per-link useful / wasted totals. A cause that had already retired when its effect
+//! arrived is counted ([`Journal::beyond_horizon`]), never guessed. None of
+//! that layout leaves this file: the post-run readers (oracle, analysis,
+//! scenario and stress reports) read [`Journal::loops`],
+//! [`Recorder::settled`], [`Journal::link_usage`],
+//! [`Recorder::latest_emission`] and [`Recorder::sent_in`] /
+//! [`Recorder::copies`]; the explainer walks [`Journal::chain`] over a
+//! journal whose horizon was lifted.
 
+use crate::analysis::LinkDataUsage;
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_net::{LinkId, NodeId};
 use mobicast_sim::span::AttrValue;
@@ -25,7 +37,7 @@ use mobicast_sim::{
     Counter, Counters, SeriesSet, SimDuration, SimTime, SpanBook, SpanId, TimeSeriesSet,
 };
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv6Addr;
 use std::rc::Rc;
 
@@ -59,9 +71,9 @@ pub struct DataEvent {
     pub id: u64,
     /// Provenance tag of the emission the forwarding node received: `None`
     /// at the origin, `Some(0)` — the tag no event carries — when the
-    /// emission named a parent the journal never recorded. Following
-    /// parents yields the exact causal chain of every delivered copy
-    /// ([`Journal::chain`] is that walk).
+    /// emission named a parent the journal never recorded or no longer
+    /// holds. Following parents yields the exact causal chain of every
+    /// delivered copy ([`Journal::chain`] is that walk).
     pub parent: Option<u64>,
     /// Link the frame was put onto.
     pub link: LinkId,
@@ -81,6 +93,8 @@ pub enum Parent {
     /// that never emitted, a count not issued when the child was recorded):
     /// the chain is broken here.
     Dangling,
+    /// It named a parent that had retired when the child was recorded.
+    Retired,
     /// Position of the causing event — always before the child's own.
     At(usize),
 }
@@ -89,6 +103,9 @@ pub enum Parent {
 const ORIGIN: u32 = u32::MAX;
 /// `Row::parent` of an event whose parent tag named nothing.
 const DANGLING: u32 = u32::MAX - 1;
+/// `Row::parent` of an event whose parent had retired; what a walk's
+/// cursor reads once it steps onto a retired position.
+const RETIRED: u32 = u32::MAX - 2;
 /// The bit of `Row::size_tunneled` that holds the tunnelled flag.
 const TUNNELED_BIT: u32 = 1 << 31;
 /// Table slots a node gets when it first emits. A node that forwards the
@@ -106,14 +123,29 @@ const FIRST_EMISSIONS: usize = 64;
 /// IPv6 hop limit), so only a tunnelled path across a very large topology
 /// can reach the guard.
 pub const CHAIN_GUARD: usize = 64;
+// A settled path length is kept in one byte.
+const _: () = assert!(CHAIN_GUARD <= u8::MAX as usize);
 
 /// Datagrams sent this long before a run ends may still be in flight when
 /// it does: a window judged for delivery ends here, not at the end.
 pub(crate) const IN_FLIGHT_TAIL: SimDuration = SimDuration::from_secs(1);
 
+/// How long a built network's journal keeps a row (`builder::build` sets
+/// it; a recorder made by hand keeps everything). Measured, not derived:
+/// the longest cause → effect span any reader follows — an origin's
+/// emission to the delivery at the end of its chain — is 68 ms over the five
+/// benchmark workloads and the chaos, adversarial and overload campaigns
+/// (jitter, stale replays and storm queues included; EXPERIMENTS.md, "What
+/// the journal's readers see"). 5 s is 70 × that — 35 × for a loop walk,
+/// made when the emission is half a horizon old. A shorter horizon buys
+/// nothing: the most rows held at once are an initial flood's, emitted
+/// within a second.
+pub(crate) const JOURNAL_HORIZON: SimDuration = SimDuration::from_secs(5);
+
 /// One journal entry, packed: what [`DataEvent`] shows, with the parent as
-/// a position (or [`ORIGIN`] / [`DANGLING`]) and the tunnelled flag in the
-/// top bit of the size.
+/// a position (or [`ORIGIN`] / [`DANGLING`] / [`RETIRED`]), the tunnelled
+/// flag in the top bit of the size, and — in what was padding — whether
+/// the row lies on the path of some first delivery.
 #[derive(Clone, Copy)]
 struct Row {
     pkt: PacketId,
@@ -122,36 +154,120 @@ struct Row {
     parent: u32,
     link: u32,
     size_tunneled: u32,
+    useful: bool,
 }
 
-/// The append-only causal journal of data emissions.
+impl Row {
+    fn tunneled(&self) -> bool {
+        self.size_tunneled & TUNNELED_BIT != 0
+    }
+
+    fn size(&self) -> u32 {
+        self.size_tunneled & !TUNNELED_BIT
+    }
+
+    fn fold_into(&self, usage: &mut LinkDataUsage) {
+        let (bytes, frames) = if self.useful {
+            (&mut usage.useful_bytes, &mut usage.useful_frames)
+        } else {
+            (&mut usage.wasted_bytes, &mut usage.wasted_frames)
+        };
+        *bytes += u64::from(self.size());
+        *frames += 1;
+    }
+}
+
+/// One node's tag table: the positions of its emissions in its own emission
+/// order, the oldest trimmed once their rows have retired.
+#[derive(Default)]
+struct Emitted {
+    /// Emissions ever recorded: the count of the node's latest tag.
+    issued: u32,
+    /// Positions of the latest `held.len()` of them.
+    held: VecDeque<u32>,
+}
+
+/// What the journal keeps per link beyond its rows.
+#[derive(Clone, Copy, Default)]
+struct LinkLedger {
+    /// Bytes and frames of the rows that retired.
+    retired: LinkDataUsage,
+    /// The latest two distinct emission times: the later one, and the one
+    /// before it for an arrival at the very instant of the later.
+    latest: Option<SimTime>,
+    previous: Option<SimTime>,
+}
+
+/// A native emission onto a link a native ancestor already crossed: the
+/// datagram re-entered the link (a multicast forwarding loop).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LoopFinding {
+    pub time: SimTime,
+    pub pkt: PacketId,
+    pub link: LinkId,
+}
+
+/// The causal journal of data emissions: append at the back, retire from
+/// the front.
 ///
 /// [`record`](Self::record) is the only way in and the only place a
 /// provenance tag is minted, so every tag names exactly one event and every
 /// event sits under its own tag. A tag `(node + 1) << 32 | count` is an
-/// address: `by_node[node][count - 1]` is the event's position. A parent is
-/// resolved to a position when its child is recorded, which is sound because
-/// a frame is recorded when it is emitted and can only cause another
+/// address: the node's table maps `count` to the event's position. A parent
+/// is resolved to a position when its child is recorded, which is sound
+/// because a frame is recorded when it is emitted and can only cause another
 /// emission after it arrived somewhere — a parent is always recorded before
 /// its child (a replayed stale frame re-sends an old tag, it records
 /// nothing).
-#[derive(Default)]
+///
+/// Positions are absolute — the `n`-th emission ever recorded has position
+/// `n` — and the rows held are those of the last [horizon](Self::set_horizon)
+/// of the journal's clock, which `record` and [`Recorder::record_move`]
+/// move and which never runs backwards. By default the horizon is unbounded
+/// and nothing retires.
 pub struct Journal {
-    rows: Vec<Row>,
-    /// Per node (grown when a node first emits), the positions of its
-    /// emissions in its own emission order.
-    by_node: Vec<Vec<u32>>,
+    /// The live rows, oldest first; `rows[0]` has position `retired`.
+    rows: VecDeque<Row>,
+    retired: usize,
+    /// Position of the oldest row not yet judged for loop-freedom.
+    judged: usize,
+    horizon: SimDuration,
+    clock: SimTime,
+    /// Per node, grown when a node first emits.
+    by_node: Vec<Emitted>,
+    /// Per link, grown when a link first carries an emission.
+    links: Vec<LinkLedger>,
+    loops: Vec<LoopFinding>,
+    beyond_horizon: u64,
+}
+
+impl Default for Journal {
+    fn default() -> Self {
+        Journal {
+            rows: VecDeque::new(),
+            retired: 0,
+            judged: 0,
+            horizon: SimDuration::MAX,
+            clock: SimTime::ZERO,
+            by_node: Vec::new(),
+            links: Vec::new(),
+            loops: Vec::new(),
+            beyond_horizon: 0,
+        }
+    }
 }
 
 impl Journal {
-    /// Record an emission by `node` and return the provenance tag minted
-    /// for it: `(node + 1) << 32 | per-node count`, so the value depends
-    /// only on the node's own emission order. `parent` is the tag of the
-    /// frame whose processing caused the emission (`None` at an origin).
+    /// Record an emission by `node` at `time`, the run's clock, and return
+    /// the provenance tag minted for it: `(node + 1) << 32 | per-node
+    /// count`, so the value depends only on the node's own emission order.
+    /// `parent` is the tag of the frame whose processing caused the emission
+    /// (`None` at an origin).
     ///
     /// # Panics
-    /// When `size` does not fit in 31 bits, or the journal already holds as
-    /// many events as a `u32` position can address.
+    /// When `time` is before the journal's clock, `size` does not fit in 31
+    /// bits, or the journal has recorded as many events as a `u32` position
+    /// can address.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
@@ -163,80 +279,244 @@ impl Journal {
         size: u32,
         tunneled: bool,
     ) -> u64 {
-        let events = self.rows.len();
+        self.advance(time);
+        let events = self.len();
         assert!(
-            events < DANGLING as usize,
-            "journal full: {events} events recorded, a position must stay below {DANGLING}"
+            events < RETIRED as usize,
+            "journal full: {events} events recorded, a position must stay below {RETIRED}"
         );
         assert!(
             size < TUNNELED_BIT,
             "frame size {size} does not fit beside the tunnelled bit"
         );
-        // Positions are below DANGLING, so the casts are exact.
+        // Positions are below RETIRED, so the cast is exact.
         let pos = events as u32;
-        let parent = match parent {
-            None => ORIGIN,
-            Some(tag) => self.position(tag).map_or(DANGLING, |p| p as u32),
-        };
+        let parent = parent.map_or(ORIGIN, |tag| self.resolve(tag));
+
         if self.by_node.len() <= node.index() {
-            self.by_node.resize_with(node.index() + 1, Vec::new);
+            self.by_node.resize_with(node.index() + 1, Emitted::default);
         }
         let emitted = &mut self.by_node[node.index()];
-        if emitted.capacity() == 0 {
-            emitted.reserve(FIRST_EMISSIONS);
+        if emitted.held.capacity() == 0 {
+            emitted.held.reserve(FIRST_EMISSIONS);
         }
-        emitted.push(pos);
-        let id = (u64::from(node.0) + 1) << 32 | emitted.len() as u64;
-        self.rows.push(Row {
+        while emitted
+            .held
+            .front()
+            .is_some_and(|&at| (at as usize) < self.retired)
+        {
+            emitted.held.pop_front();
+        }
+        emitted.held.push_back(pos);
+        emitted.issued += 1;
+        let id = (u64::from(node.0) + 1) << 32 | u64::from(emitted.issued);
+
+        if self.links.len() <= link.index() {
+            self.links.resize(link.index() + 1, LinkLedger::default());
+        }
+        let ledger = &mut self.links[link.index()];
+        if ledger.latest != Some(time) {
+            ledger.previous = ledger.latest;
+            ledger.latest = Some(time);
+        }
+
+        self.rows.push_back(Row {
             pkt,
             id,
             time,
             parent,
             link: link.0,
             size_tunneled: size | if tunneled { TUNNELED_BIT } else { 0 },
+            useful: false,
         });
         id
     }
 
+    /// Walk the ancestors of the native emission `row` for a native one on
+    /// the same link: `None` when there is one, else how the walk ended.
+    fn loop_walk(&self, row: &Row) -> Option<ChainEnd> {
+        let mut ancestors = Cursor {
+            next: row.parent,
+            left: CHAIN_GUARD - 1,
+        };
+        while let Some((_, ancestor)) = ancestors.step(self) {
+            if !ancestor.tunneled() && ancestor.link == row.link {
+                return None;
+            }
+        }
+        Some(ancestors.end())
+    }
+
+    /// Judge the rows not yet judged for loop-freedom that `due` says are
+    /// to be, oldest first: a finding or a lost walk for each native one.
+    fn judge_while(
+        &self,
+        due: impl Fn(&Row) -> bool,
+        mut found: impl FnMut(LoopFinding),
+    ) -> (usize, u64) {
+        let (mut judged, mut lost) = (0, 0);
+        for row in self.rows.range(self.judged - self.retired..) {
+            if !due(row) {
+                break;
+            }
+            judged += 1;
+            if row.tunneled() {
+                continue;
+            }
+            match self.loop_walk(row) {
+                None => found(LoopFinding {
+                    time: row.time,
+                    pkt: row.pkt,
+                    link: LinkId(row.link),
+                }),
+                Some(ChainEnd::Retired) => lost += 1,
+                Some(_) => {}
+            }
+        }
+        (judged, lost)
+    }
+
+    /// Move the journal's clock to `now`: judge the loop-freedom of every
+    /// row more than half the horizon older, then retire every row more than
+    /// the horizon older, folding its size into its link's useful or wasted
+    /// total. Judging late is judging cheaply — one pass over neighbouring
+    /// rows whose chains share their ancestors, not a walk through cold
+    /// memory in the middle of each emission — and half a horizon early is
+    /// early enough: every ancestor less than that much older is still held.
+    ///
+    /// # Panics
+    /// When `now` is before the clock: rows retire oldest first, which is
+    /// by time only while they were recorded in time order.
+    fn advance(&mut self, now: SimTime) {
+        assert!(
+            now >= self.clock,
+            "the journal's clock runs forward: {now:?} is before {:?}",
+            self.clock
+        );
+        self.clock = now;
+        let half = SimDuration::from_nanos(self.horizon.as_nanos() / 2);
+        let due = |row: &Row| now.saturating_since(row.time) > half;
+        if self.rows.get(self.judged - self.retired).is_some_and(due) {
+            let mut loops = std::mem::take(&mut self.loops);
+            let (judged, lost) = self.judge_while(due, |found| loops.push(found));
+            self.loops = loops;
+            self.judged += judged;
+            self.beyond_horizon += lost;
+        }
+        while let Some(oldest) = self.rows.front() {
+            if now.saturating_since(oldest.time) <= self.horizon {
+                break;
+            }
+            oldest.fold_into(&mut self.links[oldest.link as usize].retired);
+            self.rows.pop_front();
+            self.retired += 1;
+        }
+    }
+
+    /// Keep rows for `horizon` of the journal's clock from now on
+    /// (`SimDuration::MAX`: keep every row not yet retired).
+    pub fn set_horizon(&mut self, horizon: SimDuration) {
+        self.horizon = horizon;
+    }
+
+    /// Emissions ever recorded, retired ones included.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.retired + self.rows.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
-    /// Position of the event recorded under `tag`.
+    /// Rows that have retired: the position of the oldest row still held.
+    pub fn retired(&self) -> usize {
+        self.retired
+    }
+
+    /// The native emissions that re-entered a link a native ancestor —
+    /// one of the at most `CHAIN_GUARD - 1` — had crossed, in the order
+    /// recorded: those judged as the clock moved on, and now the rest.
+    pub fn loops(&self) -> Vec<LoopFinding> {
+        let mut loops = self.loops.clone();
+        self.judge_while(|_| true, |found| loops.push(found));
+        loops
+    }
+
+    /// Emissions and deliveries whose cause had retired before the walk that
+    /// judges them reached it — a loop walk that found no loop first, a
+    /// delivery's path, a duplicate's delivering frame. Their loop-freedom,
+    /// path and tunnelled bit were not decided; a journal with an unbounded
+    /// horizon might have decided them otherwise. Zero means every answer
+    /// is the one the whole journal gives.
+    pub fn beyond_horizon(&self) -> u64 {
+        if self.retired == 0 {
+            // No walk comes to a retired row before a row retires.
+            return 0;
+        }
+        self.beyond_horizon + self.judge_while(|_| true, |_| {}).1
+    }
+
+    /// Per link (by link index, up to the last link that carried an
+    /// emission), the bytes and frames on the path of some first delivery
+    /// and those that were not: the retired rows' totals plus the rows
+    /// still held.
+    pub fn link_usage(&self) -> Vec<LinkDataUsage> {
+        let mut usage: Vec<LinkDataUsage> = self.links.iter().map(|l| l.retired).collect();
+        for row in &self.rows {
+            row.fold_into(&mut usage[row.link as usize]);
+        }
+        usage
+    }
+
+    /// The latest emission onto `link` strictly before `before`, an instant
+    /// not before the journal's clock (so: now, or the end of the run).
+    ///
+    /// # Panics
+    /// When `before` is before the clock — the journal keeps a link's latest
+    /// two emission times, not its history.
+    fn latest_before(&self, link: LinkId, before: SimTime) -> Option<SimTime> {
+        assert!(
+            before >= self.clock,
+            "the latest emission before {before:?} is history at {:?}: ask at an arrival \
+             as it is recorded, or at the end of the run",
+            self.clock
+        );
+        let ledger = self.links.get(link.index())?;
+        ledger.latest.filter(|at| *at < before).or(ledger.previous)
+    }
+
+    /// Position of the event recorded under `tag`, while the journal holds
+    /// it.
     pub fn position(&self, tag: u64) -> Option<usize> {
-        let node = usize::try_from((tag >> 32).checked_sub(1)?).ok()?;
-        let count = (tag & 0xffff_ffff) as usize;
-        let pos = self.by_node.get(node)?.get(count.checked_sub(1)?)?;
-        Some(*pos as usize)
+        let at = self.resolve(tag);
+        (at < RETIRED).then_some(at as usize)
     }
 
     /// Where the cause of the event at `pos` sits.
     ///
     /// # Panics
-    /// When `pos` is not a position of this journal.
+    /// When the journal does not hold position `pos`.
     pub fn parent_pos(&self, pos: usize) -> Parent {
-        match self.rows[pos].parent {
+        match self.rows[pos - self.retired].parent {
             ORIGIN => Parent::Origin,
             DANGLING => Parent::Dangling,
+            RETIRED => Parent::Retired,
             at => Parent::At(at as usize),
         }
     }
 
-    /// The event at `pos`.
+    /// The event at `pos`, while the journal holds it.
     pub fn get(&self, pos: usize) -> Option<DataEvent> {
-        self.rows.get(pos).map(|row| self.view(row))
+        let row = self.rows.get(pos.checked_sub(self.retired)?)?;
+        Some(self.view(row))
     }
 
-    /// The event recorded under `tag`.
+    /// The event recorded under `tag`, while the journal holds it.
     pub fn by_tag(&self, tag: u64) -> Option<DataEvent> {
         self.get(self.position(tag)?)
     }
 
-    /// Every event, in the order recorded.
+    /// Every event the journal holds, in the order recorded.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
             journal: self,
@@ -247,60 +527,99 @@ impl Journal {
     /// The causal chain of the event recorded under `tag`, walked back
     /// toward its origin: that event first, then its parent, and so on, at
     /// most [`CHAIN_GUARD`] rows. A tag that names no event (a delivery's
-    /// unknown `via`) yields nothing and ends [`ChainEnd::Dangling`].
+    /// unknown `via`) yields nothing and ends [`ChainEnd::Dangling`]; a walk
+    /// that comes to a retired row ends there, [`ChainEnd::Retired`].
     pub fn chain(&self, tag: u64) -> Chain<'_> {
         Chain {
             journal: self,
-            // Positions are below DANGLING, so the cast is exact.
-            next: self.position(tag).map_or(DANGLING, |pos| pos as u32),
-            left: CHAIN_GUARD,
+            cursor: Cursor {
+                next: self.resolve(tag),
+                left: CHAIN_GUARD,
+            },
         }
     }
 
-    /// For each window `(link, after, before)`, the latest emission onto
-    /// `link` strictly inside `(after, before)`: one pass over the rows, in
-    /// whatever order they were recorded, each row offered to the windows
-    /// that ask about its link.
-    pub fn latest_emissions(&self, windows: &[(LinkId, SimTime, SimTime)]) -> Vec<Option<SimTime>> {
-        let mut asking: Vec<Vec<usize>> = Vec::new();
-        for (w, (link, ..)) in windows.iter().enumerate() {
-            if asking.len() <= link.index() {
-                asking.resize_with(link.index() + 1, Vec::new);
-            }
-            asking[link.index()].push(w);
+    /// `tag` in `Row::parent` encoding: the position of the event recorded
+    /// under it, [`RETIRED`] when that event has retired, [`DANGLING`] when
+    /// no event ever carried the tag.
+    fn resolve(&self, tag: u64) -> u32 {
+        let node = (tag >> 32).checked_sub(1).map(|n| n as usize);
+        let Some(emitted) = node.and_then(|n| self.by_node.get(n)) else {
+            return DANGLING;
+        };
+        let count = tag & 0xffff_ffff;
+        if count == 0 || count > u64::from(emitted.issued) {
+            return DANGLING;
         }
-        let mut latest = vec![None; windows.len()];
-        for row in &self.rows {
-            for &w in asking.get(row.link as usize).into_iter().flatten() {
-                let (_, after, before) = windows[w];
-                if row.time > after && row.time < before && latest[w] < Some(row.time) {
-                    latest[w] = Some(row.time);
-                }
-            }
+        // How many of the node's emissions came after the one named.
+        let newer = (u64::from(emitted.issued) - count) as usize;
+        let slot = emitted.held.len().checked_sub(newer + 1);
+        match slot.map(|slot| emitted.held[slot]) {
+            Some(at) if at as usize >= self.retired => at,
+            _ => RETIRED,
         }
-        latest
+    }
+
+    /// Settle a delivery whose delivering frame carried `via`: whether that
+    /// frame was tunnelled and, for a first copy, its causal chain — every
+    /// row of it marked useful, its length and whether it reached an origin
+    /// kept. (Nobody asks for a duplicate's path.)
+    fn settle(&mut self, via: u64, first: bool) -> Settled {
+        let start = self.resolve(via);
+        let tunneled = start < RETIRED && self.rows[start as usize - self.retired].tunneled();
+        let mut links = 0u8;
+        let mut end = ChainEnd::Dangling;
+        if first {
+            let mut chain = Cursor {
+                next: start,
+                left: CHAIN_GUARD,
+            };
+            while let Some((held, _)) = chain.step(self) {
+                self.rows[held].useful = true;
+                links += 1;
+            }
+            end = chain.end();
+        }
+        if start == RETIRED || end == ChainEnd::Retired {
+            self.beyond_horizon += 1;
+        }
+        let mut flags = 0;
+        if tunneled {
+            flags |= Settled::TUNNELED;
+        }
+        if end == ChainEnd::Origin {
+            flags |= Settled::WHOLE;
+        }
+        Settled { links, flags }
     }
 
     fn view(&self, row: &Row) -> DataEvent {
+        let parent = match row.parent {
+            ORIGIN => None,
+            at => {
+                let held = (at as usize).checked_sub(self.retired);
+                Some(
+                    held.and_then(|i| self.rows.get(i))
+                        .map_or(0, |parent| parent.id),
+                )
+            }
+        };
         DataEvent {
             pkt: row.pkt,
             id: row.id,
-            parent: match row.parent {
-                ORIGIN => None,
-                at => Some(self.rows.get(at as usize).map_or(0, |parent| parent.id)),
-            },
+            parent,
             link: LinkId(row.link),
             time: row.time,
-            size: row.size_tunneled & !TUNNELED_BIT,
-            tunneled: row.size_tunneled & TUNNELED_BIT != 0,
+            size: row.size(),
+            tunneled: row.tunneled(),
         }
     }
 }
 
-/// Iterator over a [`Journal`]'s events by value.
+/// Iterator over the events a [`Journal`] holds, by value.
 pub struct Iter<'a> {
     journal: &'a Journal,
-    rows: std::slice::Iter<'a, Row>,
+    rows: std::collections::vec_deque::Iter<'a, Row>,
 }
 
 impl Iterator for Iter<'_> {
@@ -334,28 +653,61 @@ pub enum ChainEnd {
     /// At a parent the journal never recorded, or at a start tag that names
     /// no event: the chain is broken.
     Dangling,
+    /// At a row that has retired: broken as far as anyone can tell now.
+    Retired,
     /// After [`CHAIN_GUARD`] rows with a recorded parent still ahead.
     Guard,
+}
+
+/// Where a walk toward an origin stands: the one stepping rule under the
+/// loop walk, a delivery's settling and [`Chain`].
+#[derive(Clone, Copy)]
+struct Cursor {
+    /// `Row::parent` encoding of the row to visit next.
+    next: u32,
+    /// Rows the guard still allows.
+    left: usize,
+}
+
+impl Cursor {
+    /// The next row of the walk, if it has one, and its index in
+    /// `journal.rows`.
+    fn step<'j>(&mut self, journal: &'j Journal) -> Option<(usize, &'j Row)> {
+        if self.left == 0 || self.next >= RETIRED {
+            return None;
+        }
+        let Some(held) = (self.next as usize).checked_sub(journal.retired) else {
+            self.next = RETIRED;
+            return None;
+        };
+        let row = &journal.rows[held];
+        self.next = row.parent;
+        self.left -= 1;
+        Some((held, row))
+    }
+
+    /// How the walk ended; meaningful once `step` has returned `None`.
+    fn end(&self) -> ChainEnd {
+        match self.next {
+            ORIGIN => ChainEnd::Origin,
+            DANGLING => ChainEnd::Dangling,
+            RETIRED => ChainEnd::Retired,
+            _ => ChainEnd::Guard,
+        }
+    }
 }
 
 /// Iterator over a causal chain as `(position, event)`, the starting event
 /// first (see [`Journal::chain`]).
 pub struct Chain<'a> {
     journal: &'a Journal,
-    /// `Row::parent` encoding of the row to yield next.
-    next: u32,
-    /// Rows the guard still allows.
-    left: usize,
+    cursor: Cursor,
 }
 
 impl Chain<'_> {
     /// How the walk ended; meaningful once `next` has returned `None`.
     pub fn end(&self) -> ChainEnd {
-        match self.next {
-            ORIGIN => ChainEnd::Origin,
-            DANGLING => ChainEnd::Dangling,
-            _ => ChainEnd::Guard,
-        }
+        self.cursor.end()
     }
 }
 
@@ -363,14 +715,8 @@ impl Iterator for Chain<'_> {
     type Item = (usize, DataEvent);
 
     fn next(&mut self) -> Option<(usize, DataEvent)> {
-        if self.left == 0 || self.next >= DANGLING {
-            return None;
-        }
-        let pos = self.next as usize;
-        let row = &self.journal.rows[pos];
-        self.next = row.parent;
-        self.left -= 1;
-        Some((pos, self.journal.view(row)))
+        let (held, row) = self.cursor.step(self.journal)?;
+        Some((self.journal.retired + held, self.journal.view(row)))
     }
 }
 
@@ -387,6 +733,36 @@ pub struct Delivery {
     pub via: u64,
 }
 
+/// What a delivery's `via` came to, settled as the delivery was recorded
+/// (two bytes beside each [`Delivery`], which cannot grow).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Settled {
+    links: u8,
+    flags: u8,
+}
+
+impl Settled {
+    const TUNNELED: u8 = 1;
+    const WHOLE: u8 = 2;
+
+    /// Was the delivering frame — the final hop — tunnelled? False when
+    /// `via` named no event the journal held.
+    pub fn tunneled(self) -> bool {
+        self.flags & Self::TUNNELED != 0
+    }
+
+    /// Rows on the delivering chain, the delivering frame included, as far
+    /// as the walk got (at most [`CHAIN_GUARD`]); 0 for a duplicate.
+    pub fn path_links(self) -> u32 {
+        u32::from(self.links)
+    }
+
+    /// Did the walk reach an origin — is `path_links` the whole path?
+    pub fn whole(self) -> bool {
+        self.flags & Self::WHOLE != 0
+    }
+}
+
 /// A subscribed host moving between links.
 #[derive(Clone, Copy, Debug)]
 pub struct MoveEvent {
@@ -400,12 +776,24 @@ pub struct MoveEvent {
     pub sending: bool,
 }
 
+/// Where a leave-delay window ends: the two instants at which the latest
+/// emission onto a link is still known.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WindowEnd {
+    /// At the arrival `moves[i]` recorded, on the link it arrived on.
+    Arrival(usize),
+    /// At this instant, not before the last thing recorded.
+    EndOfRun(SimTime),
+}
+
 /// Everything recorded during one run.
 #[derive(Default)]
 pub struct Recorder {
     pub packets: Vec<PacketMeta>,
     pub data_events: Journal,
+    /// Grown by [`record_delivery`](Self::record_delivery) only.
     pub deliveries: Vec<Delivery>,
+    /// Grown by [`record_move`](Self::record_move) only.
     pub moves: Vec<MoveEvent>,
     /// Free-form counters contributed by nodes (control message counts,
     /// encapsulation operations, …).
@@ -419,11 +807,89 @@ pub struct Recorder {
     /// Sim-time-stamped gauge timelines (table occupancy, queue depth,
     /// link inflight, token-bucket level), sampled by the scenario.
     pub timeline: TimeSeriesSet,
+    /// Beside each of `deliveries`, what its `via` came to.
+    settled: Vec<Settled>,
+    /// Beside each of `moves`, the latest emission onto `to` strictly
+    /// before the move.
+    before_arrival: Vec<Option<SimTime>>,
 }
 
 impl Recorder {
     pub fn new_shared() -> SharedRecorder {
         SharedRecorder(Rc::new(RefCell::new(Recorder::default())))
+    }
+
+    /// Record a delivery and settle it against the journal while the chain
+    /// that delivered it is still held.
+    pub fn record_delivery(&mut self, d: Delivery) {
+        self.settled.push(self.data_events.settle(d.via, d.first));
+        self.deliveries.push(d);
+    }
+
+    /// Record a move at `m.time`, the run's clock, and with it the latest
+    /// emission onto the link arrived on, strictly before the arrival.
+    ///
+    /// # Panics
+    /// When `m.time` is before the journal's clock.
+    pub fn record_move(&mut self, m: MoveEvent) {
+        self.data_events.advance(m.time);
+        let latest = self.data_events.latest_before(m.to, m.time);
+        self.before_arrival.push(latest);
+        self.moves.push(m);
+    }
+
+    /// Beside each of `deliveries`, what its `via` came to.
+    ///
+    /// # Panics
+    /// When a delivery was pushed onto `deliveries` directly.
+    pub fn settled(&self) -> &[Settled] {
+        assert_eq!(
+            self.settled.len(),
+            self.deliveries.len(),
+            "deliveries settled vs deliveries held: one was not recorded through \
+             Recorder::record_delivery"
+        );
+        &self.settled
+    }
+
+    /// Where the window a departure from `link` at `after` opens ends: at the
+    /// earliest later arrival there that `counts`, else when the run does.
+    pub fn window_end(
+        &self,
+        link: LinkId,
+        after: SimTime,
+        end_of_run: SimTime,
+        counts: impl Fn(&MoveEvent) -> bool,
+    ) -> WindowEnd {
+        let arrivals = self.moves.iter().enumerate();
+        arrivals
+            .filter(|(_, m)| m.to == link && m.time > after && counts(m))
+            .min_by_key(|(_, m)| m.time)
+            .map_or(WindowEnd::EndOfRun(end_of_run), |(i, _)| {
+                WindowEnd::Arrival(i)
+            })
+    }
+
+    /// The latest emission onto `link` strictly inside `(after, end)`.
+    ///
+    /// # Panics
+    /// When a move was pushed onto `moves` directly, `end` names an arrival
+    /// on another link, or an end of run before the last thing recorded.
+    pub fn latest_emission(&self, link: LinkId, after: SimTime, end: WindowEnd) -> Option<SimTime> {
+        assert_eq!(
+            self.before_arrival.len(),
+            self.moves.len(),
+            "arrivals snapshotted vs moves held: one was not recorded through \
+             Recorder::record_move"
+        );
+        let latest = match end {
+            WindowEnd::Arrival(i) => {
+                assert_eq!(self.moves[i].to, link, "moves[{i}] arrived elsewhere");
+                self.before_arrival[i]
+            }
+            WindowEnd::EndOfRun(at) => self.data_events.latest_before(link, at),
+        };
+        latest.filter(|at| *at > after)
     }
 
     /// The datagrams sent in `[from, until)` with their send times, by
@@ -469,11 +935,18 @@ impl SharedRecorder {
     }
 
     pub fn record_delivery(&self, d: Delivery) {
-        self.0.borrow_mut().deliveries.push(d);
+        self.0.borrow_mut().record_delivery(d);
     }
 
     pub fn record_move(&self, m: MoveEvent) {
-        self.0.borrow_mut().moves.push(m);
+        self.0.borrow_mut().record_move(m);
+    }
+
+    /// [`Journal::set_horizon`] on the run's journal. `builder::build`
+    /// bounds it; a caller who will walk the journal after the run
+    /// (`explain`) lifts it to `SimDuration::MAX` before the run starts.
+    pub fn set_journal_horizon(&self, horizon: SimDuration) {
+        self.0.borrow_mut().data_events.set_horizon(horizon);
     }
 
     pub fn count(&self, name: &str, delta: u64) {
@@ -524,9 +997,16 @@ impl SharedRecorder {
         f(&self.0.borrow())
     }
 
-    /// Take the recorded data out (consumes the contents).
+    /// Take the recorded data out (consumes the contents). Causes the
+    /// journal could not follow show up as a `journal.beyondHorizon`
+    /// counter — present only when there were any.
     pub fn take(&self) -> Recorder {
-        std::mem::take(&mut self.0.borrow_mut())
+        let mut taken = std::mem::take(&mut *self.0.borrow_mut());
+        let undecided = taken.data_events.beyond_horizon();
+        if undecided > 0 {
+            taken.counters.add("journal.beyondHorizon", undecided);
+        }
+        taken
     }
 }
 
@@ -534,17 +1014,9 @@ impl SharedRecorder {
 mod tests {
     use super::*;
 
-    /// Record an emission of packet 1 on link 0 at t = 0.
+    /// Record an emission of packet 1 on link 0 at the journal's clock.
     fn emit(j: &mut Journal, node: u32, parent: Option<u64>) -> u64 {
-        j.record(
-            NodeId(node),
-            1,
-            parent,
-            LinkId(0),
-            SimTime::ZERO,
-            100,
-            false,
-        )
+        j.record(NodeId(node), 1, parent, LinkId(0), j.clock, 100, false)
     }
 
     #[test]
@@ -638,12 +1110,87 @@ mod tests {
         // Node 3's table only: 4 B per event, nothing per silent node
         // beyond the empty slots below it.
         assert_eq!(j.by_node.len(), 4);
-        assert!(j.by_node[3].capacity() <= 1024);
+        let table = |node: usize| &j.by_node[node].held;
+        assert!(table(3).capacity() <= 1024);
+        assert_eq!(table(3).len() * std::mem::size_of_val(&table(3)[0]), 4000);
+        assert!((0..3).all(|node| table(node).capacity() == 0));
+    }
+
+    /// One emission per millisecond for ten seconds under a 100 ms horizon:
+    /// rows and table slots follow the window, the counts follow the run.
+    #[test]
+    fn rows_and_table_slots_follow_the_horizon_not_the_run() {
+        let mut j = Journal::default();
+        j.set_horizon(SimDuration::from_millis(100));
+        let mut last = None;
+        for ms in 0..10_000 {
+            let at = SimTime::from_millis(ms);
+            last = Some(j.record(NodeId(3), 1, last, LinkId(2), at, 100, true));
+        }
+        // Held: the rows of 9 899 ms ..= 9 999 ms.
+        assert_eq!((j.len(), j.retired(), j.rows.len()), (10_000, 9_899, 101));
+        assert!(j.rows.capacity() <= 256 && j.by_node[3].held.capacity() <= 256);
+        assert_eq!(j.by_node[3].held.len(), 101);
+        assert_eq!(j.position(4 << 32 | 9_899), None);
+        assert_eq!(j.position(4 << 32 | 9_900), Some(9_899));
+        assert_eq!(j.position(last.unwrap()), Some(9_999));
+        assert_eq!(j.iter().len(), 101);
+        assert_eq!(j.get(9_898), None);
+        // The oldest row held names a parent that has retired since.
+        assert_eq!(j.parent_pos(9_899), Parent::At(9_898));
+        assert_eq!(j.get(9_899).unwrap().parent, Some(0));
+        let mut walk = j.chain(last.unwrap());
+        assert_eq!(walk.by_ref().count(), 64);
+        assert_eq!(walk.end(), ChainEnd::Guard);
+        let mut walk = j.chain(4 << 32 | 9_910);
+        assert_eq!(walk.by_ref().count(), 11);
+        assert_eq!(walk.end(), ChainEnd::Retired);
+        // Nothing was asked of a retired row while the run went.
+        assert_eq!(j.beyond_horizon(), 0);
+        let usage = j.link_usage();
         assert_eq!(
-            j.by_node[3].len() * std::mem::size_of_val(&j.by_node[3][0]),
-            4000
+            (usage[2].wasted_frames, usage[2].wasted_bytes),
+            (10_000, 1_000_000)
         );
-        assert!(j.by_node[..3].iter().all(|t| t.capacity() == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "the journal's clock runs forward")]
+    fn an_emission_before_the_clock_is_refused() {
+        let mut j = Journal::default();
+        j.record(
+            NodeId(0),
+            1,
+            None,
+            LinkId(0),
+            SimTime::from_secs(2),
+            100,
+            false,
+        );
+        j.record(
+            NodeId(0),
+            1,
+            None,
+            LinkId(0),
+            SimTime::from_secs(1),
+            100,
+            false,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not recorded through Recorder::record_delivery")]
+    fn a_delivery_pushed_past_the_recorder_is_caught_when_read() {
+        let mut rec = Recorder::default();
+        rec.deliveries.push(Delivery {
+            pkt: 1,
+            host: NodeId(0),
+            link: LinkId(0),
+            time: SimTime::ZERO,
+            first: true,
+            via: 0,
+        });
+        rec.settled();
     }
 
     #[test]
@@ -780,6 +1327,7 @@ mod tests {
                 .map(|pos| match journal.parent_pos(pos) {
                     Parent::At(at) => at,
                     Parent::Origin | Parent::Dangling => NO_PARENT,
+                    Parent::Retired => unreachable!("nothing retires from a whole journal"),
                 })
                 .collect();
             assert_eq!(parents, idx.parent_positions());

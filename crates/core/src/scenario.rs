@@ -469,14 +469,19 @@ pub fn group() -> GroupAddr {
 
 /// Run a reference-topology scenario to completion.
 pub fn run(cfg: &ScenarioConfig) -> ScenarioResult {
-    run_with_recorder(cfg).0
+    run_keeping(cfg, false).0
 }
 
 /// As [`run()`], additionally handing back the raw recorder (provenance
 /// chains, deliveries, moves) for post-run tools like the packet-journey
-/// explainer. Panics, naming the scenario, on a configuration
+/// explainer — with the whole journal in it, where [`run()`]'s retires
+/// rows as the run goes. Panics, naming the scenario, on a configuration
 /// [`stage`] rejects.
 pub fn run_with_recorder(cfg: &ScenarioConfig) -> (ScenarioResult, crate::recorder::Recorder) {
+    run_keeping(cfg, true)
+}
+
+fn run_keeping(cfg: &ScenarioConfig, whole_journal: bool) -> (ScenarioResult, Recorder) {
     let mut ring: Option<RingBufferTracer> = None;
     let tracer = match (&cfg.tracer, cfg.trace_capture) {
         (Some(t), _) => t.clone(),
@@ -487,7 +492,10 @@ pub fn run_with_recorder(cfg: &ScenarioConfig) -> (ScenarioResult, crate::record
         }
         (None, None) => Tracer::null(),
     };
-    let staged = stage(cfg, tracer).unwrap_or_else(|e| panic!("scenario {}: {e}", cfg.name));
+    let mut staged = stage(cfg, tracer).unwrap_or_else(|e| panic!("scenario {}: {e}", cfg.name));
+    if whole_journal {
+        staged.net().recorder.set_journal_horizon(SimDuration::MAX);
+    }
     let (mut result, rec) = staged.run();
     if let Some(ring) = ring {
         result.trace_dropped = ring.dropped();

@@ -19,7 +19,7 @@ use crate::run::{self, Judge, RunPlan, StageError};
 use crate::scenario::group;
 use crate::strategy::Policy;
 use mobicast_mld::MldConfig;
-use mobicast_net::{ExecutorConfig, FaultPlan, ShardRunStats};
+use mobicast_net::{ExecPlan, ExecutorConfig, FaultPlan, ShardRunStats};
 use mobicast_sim::{RngFactory, SimDuration, SimProfile, SimTime, Tracer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -225,6 +225,18 @@ fn run(
     tracer: Tracer,
     profile: bool,
 ) -> (StressReport, Option<ShardRunStats>, Option<SimProfile>) {
+    let (staged, moves, plan) = stage(spec, opts, tracer, profile);
+    report(spec, moves, run::run(staged, &plan))
+}
+
+/// Stage 1: `spec` lowered and staged, the moves it scripted counted, and
+/// the plan `opts` asks for over the staged network.
+fn stage(
+    spec: &StressSpec,
+    opts: &StressRunOptions,
+    tracer: Tracer,
+    profile: bool,
+) -> (run::Staged, usize, ExecPlan) {
     let staged = spec
         .lower()
         .and_then(|plan| Ok((run::stage(&plan, tracer)?, plan.moves.len())));
@@ -236,8 +248,15 @@ fn run(
     if profile {
         staged.net.world.enable_profiling();
     }
-    let out = run::run(staged, &plan);
+    (staged, moves, plan)
+}
 
+/// Stage 3: the stress report over what stage 2 left.
+fn report(
+    spec: &StressSpec,
+    moves: usize,
+    out: run::RunOutput,
+) -> (StressReport, Option<ShardRunStats>, Option<SimProfile>) {
     let rec = &out.recorder;
     let (first, dup) = rec.copies();
     let net = &out.net;
@@ -355,6 +374,35 @@ mod tests {
                 report.name
             );
             assert!(report.moves > 0, "{}: nobody roamed", report.name);
+        }
+    }
+
+    /// The journal a stress run builds retires rows as it goes; staged the
+    /// same and told to keep them all, the run reports the same bytes, and
+    /// nothing it asked of the journal was past the horizon.
+    #[test]
+    fn whole_and_retiring_journals_report_the_same_stress_run() {
+        for spec in specs(true) {
+            for seed in [11, 12, 13] {
+                let spec = StressSpec {
+                    seed,
+                    ..spec.clone()
+                };
+                let opts = StressRunOptions::default();
+                let retiring = run_stress_with(&spec, &opts, Tracer::null()).0;
+                let (staged, moves, plan) = stage(&spec, &opts, Tracer::null(), false);
+                staged.net.recorder.set_journal_horizon(SimDuration::MAX);
+                let out = run::run(staged, &plan);
+                let journal = &out.recorder.data_events;
+                assert_eq!((journal.retired(), journal.beyond_horizon()), (0, 0));
+                let whole = report(&spec, moves, out).0;
+                assert_eq!(
+                    serde_json::to_string(&retiring).unwrap(),
+                    serde_json::to_string(&whole).unwrap(),
+                    "{}",
+                    spec.name
+                );
+            }
         }
     }
 

@@ -1,17 +1,26 @@
-//! Model-based property test of the recorder's causal [`Journal`]: random
-//! interleavings of emissions from up to 8 nodes, with parents drawn from
-//! every kind the journal must tell apart, checked after every single
-//! emission against a plain `Vec` of the rows pushed and a
-//! `BTreeMap<tag, position>` built by scanning it — then the questions the
-//! post-run readers ask ([`Journal::chain`], [`Journal::latest_emissions`],
-//! [`Recorder::sent_in`], [`Recorder::copies`]) against the same kind of
-//! scan, and the chain guard's boundary through all three readers.
+//! Model-based property tests of the recorder's causal [`Journal`].
+//!
+//! First the journal as an address book: random interleavings of emissions
+//! from up to 8 nodes, with parents drawn from every kind the journal must
+//! tell apart, checked after every single emission against a plain `Vec` of
+//! the rows pushed and a `BTreeMap<tag, position>` built by scanning it,
+//! and the chain guard's boundary through all three readers.
+//!
+//! Then the journal as a window ([`retiring`]): the model keeps every row,
+//! the journal retires them. Random interleavings of `record` /
+//! `record_delivery` / `record_move` on a non-decreasing clock, under a
+//! horizon small enough that rows retire mid-sequence and with causes named
+//! from beyond it; the journal's loop findings, settled deliveries, per-link
+//! usage and both leave-delay readers must equal what the whole rows give
+//! whenever no walk touched a row past the horizon — and the walks that did
+//! are counted, exactly.
 
-use mobicast_core::analysis::analyze;
+use mobicast_core::analysis::{analyze, LinkDataUsage};
 use mobicast_core::explain::explain;
 use mobicast_core::oracle::{FinalizeParams, Oracle};
 use mobicast_core::recorder::{
-    ChainEnd, DataEvent, Delivery, Journal, PacketMeta, Parent, Recorder, CHAIN_GUARD,
+    ChainEnd, DataEvent, Delivery, Journal, LoopFinding, MoveEvent, PacketMeta, Parent, Recorder,
+    WindowEnd, CHAIN_GUARD,
 };
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_net::{LinkGraph, LinkId, NodeId};
@@ -89,6 +98,7 @@ fn model(rows: &[Pushed]) -> (Vec<DataEvent>, Vec<Parent>) {
                 Parent::Origin => None,
                 Parent::Dangling => Some(0),
                 Parent::At(at) => Some(tags[at]),
+                Parent::Retired => unreachable!("the scan retires nothing"),
             },
             link: LinkId(row.link),
             time: SimTime::from_nanos(row.time),
@@ -109,7 +119,9 @@ fn guarded_chain(pos: usize, parents: &[Parent]) -> (Vec<usize>, ChainEnd) {
         _ if walked.len() > CHAIN_GUARD => ChainEnd::Guard,
         Parent::Origin => ChainEnd::Origin,
         Parent::Dangling => ChainEnd::Dangling,
-        Parent::At(_) => unreachable!("a whole chain ends at an origin or breaks"),
+        Parent::At(_) | Parent::Retired => {
+            unreachable!("a whole chain of a whole journal ends at an origin or breaks")
+        }
     };
     walked.truncate(CHAIN_GUARD);
     (walked, end)
@@ -147,7 +159,10 @@ proptest! {
         let mut journal = Journal::default();
         let mut rows: Vec<Pushed> = Vec::new();
         let mut issued: Vec<u64> = Vec::new();
+        let mut clock = 0;
         for op in ops {
+            // The run's clock: it stands still, or moves on.
+            clock += (op >> 20) % 3 * 1_000;
             let node = (op >> 3) as u32 % NODES;
             let pick = (op >> 16) as usize;
             let parent = match op % 5 {
@@ -171,7 +186,7 @@ proptest! {
                 pkt: op >> 50,
                 parent,
                 link: (op >> 9) as u32 % 6,
-                time: op >> 20,
+                time: clock,
                 size: (op >> 12) as u32 & 0x7fff_ffff,
                 tunneled: op & 0x100 != 0,
             };
@@ -231,6 +246,8 @@ proptest! {
         grouped.sort_by_key(|(_, row)| row.node);
         let mut regrouped = Journal::default();
         for (i, row) in grouped {
+            // Regrouped, the rows are out of time order: all at one instant.
+            let row = Pushed { time: 0, ..row };
             prop_assert_eq!(row.record(&mut regrouped, None), issued[i]);
         }
     }
@@ -253,7 +270,9 @@ proptest! {
         let mut journal = Journal::default();
         let mut rows: Vec<Pushed> = Vec::new();
         let mut last = None;
+        let mut clock = 0;
         for op in ops {
+            clock += u64::from(op >> 12 & 3);
             let row = Pushed {
                 node: op >> 4 & 3,
                 pkt: 1,
@@ -263,7 +282,7 @@ proptest! {
                     _ => last,
                 },
                 link: op >> 8 & 3,
-                time: u64::from(op >> 12),
+                time: clock,
                 size: 100,
                 tunneled: op & 0x800 != 0,
             };
@@ -280,38 +299,55 @@ proptest! {
         }
     }
 
-    /// One batch of windows — empty, inverted, touching an emission on
-    /// either end, unbounded, on links that carry nothing — over a journal
-    /// recorded out of time order, against a scan of all rows per window.
+    /// Windows — empty, inverted, touching an emission on either end,
+    /// unbounded, on links that carry nothing — over emissions and arrivals
+    /// recorded in time order on a coarse grid: ended by every arrival the
+    /// recorder saw and by ends of run from its last instant on, against a
+    /// scan of all rows per window.
     #[test]
-    fn latest_emissions_match_a_scan_per_window(
+    fn latest_emission_matches_a_scan_per_window(
         ops in proptest::collection::vec(any::<u32>(), 0..80),
     ) {
-        let mut journal = Journal::default();
+        let mut ops = ops;
+        ops.sort_by_key(|op| (op >> 8) % 12);
+        let mut rec = Recorder::default();
         for op in &ops {
-            journal.record(
-                NodeId(op >> 4 & 3), 1, None, LinkId(op % 4), grid(u64::from(op >> 8) % 12), 100,
-                op & 0x80 != 0,
-            );
-        }
-        let bounds = || (0..13).map(grid).chain([SimTime::MAX]);
-        let mut windows = Vec::new();
-        for link in (0..6).map(LinkId) {
-            for after in bounds() {
-                windows.extend(bounds().map(|before| (link, after, before)));
+            let (at, link) = (grid(u64::from(op >> 8) % 12), LinkId(op % 4));
+            if op & 0x300_0000 == 0 {
+                rec.record_move(MoveEvent {
+                    host: NodeId(op >> 4 & 3),
+                    time: at,
+                    from: None,
+                    to: link,
+                    subscribed: op & 0x80 != 0,
+                    sending: false,
+                });
+            } else {
+                let journal = &mut rec.data_events;
+                journal.record(NodeId(op >> 4 & 3), 1, None, link, at, 100, op & 0x80 != 0);
             }
         }
-        let latest = journal.latest_emissions(&windows);
-        prop_assert_eq!(latest.len(), windows.len());
-        for (&(link, after, before), got) in windows.iter().zip(latest) {
-            let by_scan = journal
-                .iter()
-                .filter(|ev| ev.link == link && ev.time > after && ev.time < before)
-                .map(|ev| ev.time)
-                .max();
-            prop_assert_eq!(got, by_scan, "{:?} in ({:?}, {:?})", link, after, before);
+        let last = ops.last().map_or(0, |op| u64::from(op >> 8) % 12);
+        for link in (0..6).map(LinkId) {
+            let arrivals = rec.moves.iter().enumerate().filter(|(_, m)| m.to == link);
+            let mut ends: Vec<(WindowEnd, SimTime)> = arrivals
+                .map(|(i, m)| (WindowEnd::Arrival(i), m.time))
+                .collect();
+            let runs_end = (last..13).map(grid).chain([SimTime::MAX]);
+            ends.extend(runs_end.map(|at| (WindowEnd::EndOfRun(at), at)));
+            for after in (0..13).map(grid).chain([SimTime::MAX]) {
+                for &(end, before) in &ends {
+                    let by_scan = rec
+                        .data_events
+                        .iter()
+                        .filter(|ev| ev.link == link && ev.time > after && ev.time < before)
+                        .map(|ev| ev.time)
+                        .max();
+                    let got = rec.latest_emission(link, after, end);
+                    prop_assert_eq!(got, by_scan, "{:?} in ({:?}, {:?})", link, after, end);
+                }
+            }
         }
-        prop_assert_eq!(journal.latest_emissions(&[]), vec![]);
     }
 
     /// `sent_in` is the filter over `packets`, `copies` the count over
@@ -327,7 +363,7 @@ proptest! {
             rec.packets.push(meta(1000 - i as u64, grid(*step)));
         }
         for first in &delivered {
-            rec.deliveries.push(Delivery {
+            rec.record_delivery(Delivery {
                 pkt: 1000,
                 host: NodeId(5),
                 link: LinkId(0),
@@ -392,7 +428,7 @@ fn the_chain_guard_cuts_all_three_readers_at_the_same_row() {
             via = emit(Some(via), 2, true);
         }
         let via = emit(Some(via), 0, false);
-        rec.deliveries.push(Delivery {
+        rec.record_delivery(Delivery {
             pkt: 1,
             host: NodeId(5),
             link: l(1),
@@ -432,5 +468,572 @@ fn the_chain_guard_cuts_all_three_readers_at_the_same_row() {
         assert_eq!(path.hops.len(), rows.min(CHAIN_GUARD));
         assert_eq!(path.hops.last().map(|h| h.id), Some(via));
         assert_eq!(journey.wasted.len(), rows - rows.min(CHAIN_GUARD));
+    }
+}
+
+/// The model keeps everything, the journal retires.
+mod retiring {
+    use super::*;
+
+    /// One step of the clock.
+    const TICK: u64 = 1_000_000;
+    const LINKS: u32 = 4;
+    const HOSTS: usize = 3;
+
+    /// A defect planted in the model. The journal cannot be mutated from out
+    /// here and the comparison is symmetric: a model that retires a row one
+    /// tick early, forgets the useful mark or lets an arrival see an
+    /// emission of its own instant must be told apart from the journal by
+    /// the same assertions that would tell such a journal from the model.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mutant {
+        None,
+        RetiresOneTickEarly,
+        SkipsTheUsefulMark,
+        SnapshotsInclusive,
+    }
+
+    /// A row as the model keeps it: what was pushed, where its cause sits
+    /// among all rows ever pushed, and whether a first delivery used it.
+    struct ModelRow {
+        pushed: Pushed,
+        parent: Option<Result<usize, ()>>,
+        useful: bool,
+    }
+
+    /// What the whole rows say a delivery's `via` came to.
+    #[derive(Debug, PartialEq)]
+    struct ModelSettled {
+        tunneled: bool,
+        path_links: u32,
+        whole: bool,
+    }
+
+    struct Model {
+        mutant: Mutant,
+        horizon: u64,
+        /// Time of the latest emission or move.
+        clock: u64,
+        rows: Vec<ModelRow>,
+        by_tag: BTreeMap<u64, usize>,
+        /// Rows judged for loop-freedom so far: those more than half a
+        /// horizon old when the clock last moved.
+        judged: usize,
+        loops: Vec<LoopFinding>,
+        settled: Vec<ModelSettled>,
+        /// Walks that stepped onto a row past the horizon before they ended
+        /// any other way.
+        beyond_horizon: u64,
+    }
+
+    impl Model {
+        /// Was the row past the horizon when the clock stood at `clock`?
+        fn stale(&self, pos: usize, clock: u64) -> bool {
+            let age = clock - self.rows[pos].pushed.time;
+            match self.mutant {
+                Mutant::RetiresOneTickEarly => age + TICK > self.horizon,
+                _ => age > self.horizon,
+            }
+        }
+
+        /// Walk at most `guard` rows from `start` toward an origin, until
+        /// `stop` says so. Returns the rows walked and how the walk ended
+        /// (`None`: stopped), with no notion of retirement — and, on the
+        /// side, whether a journal whose clock stood at `clock` when it last
+        /// retired rows could have followed.
+        fn walk(
+            &self,
+            start: Option<Result<usize, ()>>,
+            guard: usize,
+            clock: u64,
+            stop: impl Fn(&ModelRow) -> bool,
+        ) -> (Vec<usize>, Option<ChainEnd>, bool) {
+            let mut next = start;
+            let mut walked = Vec::new();
+            let mut lost = false;
+            let end = loop {
+                let at = match next {
+                    None => break Some(ChainEnd::Origin),
+                    Some(Err(())) => break Some(ChainEnd::Dangling),
+                    Some(Ok(_)) if walked.len() == guard => break Some(ChainEnd::Guard),
+                    Some(Ok(at)) => at,
+                };
+                lost |= self.stale(at, clock);
+                walked.push(at);
+                next = self.rows[at].parent;
+                if stop(&self.rows[at]) {
+                    break None;
+                }
+            };
+            (walked, end, lost)
+        }
+
+        fn cause(&self, tag: u64) -> Result<usize, ()> {
+            self.by_tag.get(&tag).copied().ok_or(())
+        }
+
+        /// Loop-freedom of the rows from `judged` on that are `due`, judged
+        /// by a journal that last retired rows at `clock`: the findings,
+        /// the walks lost, the rows judged.
+        fn judge(
+            &self,
+            due: impl Fn(&ModelRow) -> bool,
+            clock: u64,
+        ) -> (Vec<LoopFinding>, u64, usize) {
+            let (mut loops, mut lost) = (Vec::new(), 0);
+            let rows = self.rows[self.judged..].iter().take_while(|row| due(row));
+            let judged = rows.clone().count();
+            for row in rows.filter(|row| !row.pushed.tunneled) {
+                let revisits =
+                    |anc: &ModelRow| !anc.pushed.tunneled && anc.pushed.link == row.pushed.link;
+                let (_, end, was_lost) = self.walk(row.parent, CHAIN_GUARD - 1, clock, revisits);
+                if end.is_none() {
+                    loops.push(LoopFinding {
+                        time: SimTime::from_nanos(row.pushed.time),
+                        pkt: row.pushed.pkt,
+                        link: LinkId(row.pushed.link),
+                    });
+                }
+                lost += u64::from(was_lost);
+            }
+            (loops, lost, judged)
+        }
+
+        /// The clock moves to `now`: rows more than half a horizon old are
+        /// judged — by a journal that still holds what it held — and then
+        /// rows more than a horizon old retire.
+        fn advance(&mut self, now: u64) {
+            let half = self.horizon / 2;
+            let (loops, lost, judged) = self.judge(|row| now - row.pushed.time > half, self.clock);
+            self.loops.extend(loops);
+            self.beyond_horizon += lost;
+            self.judged += judged;
+            self.clock = now;
+        }
+
+        /// What the journal must answer if asked now: the rows not yet
+        /// judged are, as they stand.
+        fn loops_and_lost_now(&self) -> (Vec<LoopFinding>, u64) {
+            let (tail, lost, _) = self.judge(|_| true, self.clock);
+            let loops = self.loops.iter().copied().chain(tail).collect();
+            (loops, self.beyond_horizon + lost)
+        }
+
+        fn record(&mut self, pushed: Pushed, tag: u64) {
+            self.advance(pushed.time);
+            let parent = pushed.parent.map(|tag| self.cause(tag));
+            self.by_tag.insert(tag, self.rows.len());
+            self.rows.push(ModelRow {
+                pushed,
+                parent,
+                useful: false,
+            });
+        }
+
+        fn deliver(&mut self, via: u64, first: bool) {
+            let start = self.cause(via);
+            let tunneled = start.is_ok_and(|at| self.rows[at].pushed.tunneled);
+            // A duplicate's delivering frame is looked at, its path is not.
+            let guard = if first { CHAIN_GUARD } else { 1 };
+            let (walked, end, lost) = self.walk(Some(start), guard, self.clock, |_| false);
+            self.beyond_horizon += u64::from(lost);
+            if first && self.mutant != Mutant::SkipsTheUsefulMark {
+                for at in &walked {
+                    self.rows[*at].useful = true;
+                }
+            }
+            self.settled.push(ModelSettled {
+                tunneled,
+                path_links: if first { walked.len() as u32 } else { 0 },
+                whole: first && end == Some(ChainEnd::Origin),
+            });
+        }
+
+        fn link_usage(&self) -> Vec<LinkDataUsage> {
+            let links = self.rows.iter().map(|row| row.pushed.link + 1).max();
+            let mut usage = vec![LinkDataUsage::default(); links.unwrap_or(0) as usize];
+            for row in &self.rows {
+                let on = &mut usage[row.pushed.link as usize];
+                let size = u64::from(row.pushed.size);
+                if row.useful {
+                    on.useful_bytes += size;
+                    on.useful_frames += 1;
+                } else {
+                    on.wasted_bytes += size;
+                    on.wasted_frames += 1;
+                }
+            }
+            usage
+        }
+
+        /// The latest emission onto `link` strictly inside `(after,
+        /// before)`, by scanning every row ever pushed. `at_arrival`: the
+        /// window is ended by a recorded arrival.
+        fn latest_emission_by_scan(
+            &self,
+            link: LinkId,
+            after: SimTime,
+            before: SimTime,
+            at_arrival: bool,
+        ) -> Option<SimTime> {
+            let inclusive = at_arrival && self.mutant == Mutant::SnapshotsInclusive;
+            let times = self.rows.iter().filter(|row| row.pushed.link == link.0);
+            times
+                .map(|row| SimTime::from_nanos(row.pushed.time))
+                .filter(|at| *at > after && (*at < before || inclusive && *at == before))
+                .max()
+        }
+
+        /// `analyze`'s rule by scan: a subscribed receiver leaves a link; the
+        /// window runs to the next subscribed arrival there, unbounded when
+        /// nobody comes back.
+        fn leave_delays(&self, moves: &[MoveEvent]) -> Vec<f64> {
+            let mut delays = Vec::new();
+            for mv in moves.iter().filter(|m| m.subscribed) {
+                let left = mv.from.expect("every scripted move leaves a link");
+                let back = moves
+                    .iter()
+                    .filter(|m2| m2.subscribed && m2.to == left && m2.time > mv.time)
+                    .map(|m2| m2.time)
+                    .min();
+                let before = back.unwrap_or(SimTime::MAX);
+                let last = self.latest_emission_by_scan(left, mv.time, before, back.is_some());
+                delays.extend(last.map(|last| (last - mv.time).as_secs_f64()));
+            }
+            delays
+        }
+
+        /// The oracle's rule by scan: the last receiver leaves a link; the
+        /// window runs to the next arrival of any receiver there, or to the
+        /// end of the run. Returns the worst delay and how many exceed
+        /// `bound_secs`.
+        fn worst_leave_delay(
+            &self,
+            moves: &[MoveEvent],
+            homes: &[(NodeId, LinkId)],
+            end: SimTime,
+            bound_secs: f64,
+        ) -> (f64, u64) {
+            let whereabouts = |host: NodeId, at: SimTime| {
+                let moved = moves.iter().rev().find(|m| m.host == host && m.time <= at);
+                let home = homes.iter().find(|(h, _)| *h == host).map(|(_, l)| *l);
+                moved.map(|m| m.to).or(home)
+            };
+            let (mut worst, mut over) = (0.0f64, 0);
+            for mv in moves.iter().filter(|m| m.subscribed) {
+                let left = mv.from.expect("every scripted move leaves a link");
+                if homes
+                    .iter()
+                    .any(|(h, _)| whereabouts(*h, mv.time) == Some(left))
+                {
+                    continue;
+                }
+                let back = moves
+                    .iter()
+                    .filter(|m2| m2.to == left && m2.time > mv.time)
+                    .map(|m2| m2.time)
+                    .min();
+                let before = back.unwrap_or(end);
+                let last = self.latest_emission_by_scan(left, mv.time, before, back.is_some());
+                if let Some(last) = last {
+                    let delay = (last - mv.time).as_secs_f64();
+                    worst = worst.max(delay);
+                    over += u64::from(delay > bound_secs);
+                }
+            }
+            (worst, over)
+        }
+    }
+
+    macro_rules! ensure_eq {
+        ($got:expr, $want:expr, $($what:tt)*) => {
+            let (got, want) = (&$got, &$want);
+            if got != want {
+                return Err(format!("{}: journal {got:?}, model {want:?}", format!($($what)*)));
+            }
+        };
+    }
+
+    /// Drive a recorder whose journal keeps `horizon_ticks` and the model
+    /// with the script `ops` spells, and compare them. With `stale_causes`
+    /// off every cause named is one whose whole chain the journal still
+    /// holds, and nothing may be counted beyond the horizon.
+    fn check(
+        ops: &[u64],
+        horizon_ticks: u64,
+        stale_causes: bool,
+        mutant: Mutant,
+    ) -> Result<(), String> {
+        let horizon = horizon_ticks * TICK;
+        let mut rec = Recorder::default();
+        rec.data_events
+            .set_horizon(SimDuration::from_nanos(horizon));
+        // Every datagram has its origin record: link 0 of the string graph
+        // L0 - L1 - L2 - L3.
+        for pkt in 0..4 {
+            rec.packets.push(meta(pkt, SimTime::ZERO));
+        }
+        let l = LinkId;
+        let routers: Vec<(NodeId, Vec<LinkId>)> = (0..LINKS - 1)
+            .map(|r| (NodeId(r), vec![l(r), l(r + 1)]))
+            .collect();
+        let graph = LinkGraph::new(LINKS as usize, &routers);
+        let homes: Vec<(NodeId, LinkId)> = (0..HOSTS)
+            .map(|h| (NodeId(h as u32), l(h as u32 % LINKS)))
+            .collect();
+
+        let mut model = Model {
+            mutant,
+            horizon,
+            clock: 0,
+            rows: Vec::new(),
+            by_tag: BTreeMap::new(),
+            judged: 0,
+            loops: Vec::new(),
+            settled: Vec::new(),
+            beyond_horizon: 0,
+        };
+        let mut issued: Vec<u64> = Vec::new();
+        // For each row, when the oldest row of its chain was emitted.
+        let mut chain_since: Vec<u64> = Vec::new();
+        let mut at_link: Vec<LinkId> = homes.iter().map(|(_, l)| *l).collect();
+        let mut now = 0;
+
+        for &op in ops {
+            now += [0, 0, 0, 1, 1, 2, 3, 8][(op & 7) as usize] * TICK;
+            let pick = (op >> 44) as usize;
+            let kind = (op >> 3) % 10;
+            // A delivery is judged at once, by the clock as it stands, and
+            // may reach a horizon back; an emission brings its clock and is
+            // judged before it is half a horizon old, by when what is more
+            // than half a horizon older than it may have gone.
+            let (judged_at, reach) = match kind {
+                6..=7 => (model.clock, horizon),
+                _ => (now, horizon / 2),
+            };
+            // A cause to name: none, one nobody recorded, one of the last
+            // few recorded, or — the point of the exercise — any ever
+            // recorded, however long ago.
+            let cause = |issued: &[u64], chain_since: &[u64]| {
+                let recent = issued.len().saturating_sub(1 + pick % 3);
+                let at = match (op >> 40) % 8 {
+                    0 => return None,
+                    1 => return Some(0),
+                    2 => return Some(tag(NODES + 1, 1 + (op >> 50) % 3)),
+                    3..=5 => recent,
+                    _ => pick % issued.len().max(1),
+                };
+                let held = |at: usize| judged_at - chain_since[at] <= reach;
+                match issued.get(at) {
+                    Some(tag) if stale_causes || held(at) => Some(*tag),
+                    _ => None,
+                }
+            };
+            match kind {
+                0..=5 => {
+                    let parent = cause(&issued, &chain_since);
+                    let pushed = Pushed {
+                        node: (op >> 8) as u32 % 4,
+                        pkt: (op >> 32) % 4,
+                        parent,
+                        link: (op >> 12) as u32 % LINKS,
+                        time: now,
+                        size: 40 + (op >> 20) as u32 % 1000,
+                        tunneled: op >> 16 & 1 == 1,
+                    };
+                    let minted = pushed.record(&mut rec.data_events, parent);
+                    ensure_eq!(
+                        minted,
+                        tag(pushed.node, emitted_by_node(&model, pushed.node) + 1),
+                        "tag"
+                    );
+                    let since = parent.and_then(|tag| model.by_tag.get(&tag));
+                    chain_since.push(since.map_or(now, |at| chain_since[*at]));
+                    model.record(pushed, minted);
+                    issued.push(minted);
+                }
+                6..=7 => {
+                    // A delivery does not move the journal's clock.
+                    let via = cause(&issued, &chain_since).unwrap_or(0);
+                    let first = op >> 16 & 1 == 1;
+                    rec.record_delivery(Delivery {
+                        pkt: (op >> 32) % 4,
+                        host: NodeId((op >> 8) as u32 % HOSTS as u32),
+                        link: l((op >> 12) as u32 % LINKS),
+                        time: SimTime::from_nanos(now),
+                        first,
+                        via,
+                    });
+                    model.deliver(via, first);
+                }
+                _ => {
+                    let host = (op >> 8) as usize % HOSTS;
+                    let to = l((op >> 12) as u32 % LINKS);
+                    rec.record_move(MoveEvent {
+                        host: NodeId(host as u32),
+                        time: SimTime::from_nanos(now),
+                        from: Some(at_link[host]),
+                        to,
+                        subscribed: op >> 16 & 3 != 0,
+                        sending: false,
+                    });
+                    at_link[host] = to;
+                    model.advance(now);
+                }
+            }
+            // Rows ever recorded, and causes lost: exact, always.
+            let (loops, lost) = model.loops_and_lost_now();
+            ensure_eq!(rec.data_events.len(), model.rows.len(), "len()");
+            ensure_eq!(rec.data_events.beyond_horizon(), lost, "beyond_horizon()");
+            if !stale_causes {
+                ensure_eq!(lost, 0, "a held cause counted as lost");
+            }
+            if lost == 0 {
+                ensure_eq!(rec.data_events.loops(), loops, "loops()");
+                ensure_eq!(
+                    rec.data_events.link_usage(),
+                    model.link_usage(),
+                    "link_usage()"
+                );
+            }
+        }
+        let (_, lost) = model.loops_and_lost_now();
+
+        if lost == 0 {
+            let settled: Vec<ModelSettled> = rec
+                .settled()
+                .iter()
+                .map(|s| ModelSettled {
+                    tunneled: s.tunneled(),
+                    path_links: s.path_links(),
+                    whole: s.whole(),
+                })
+                .collect();
+            ensure_eq!(settled, model.settled, "settled()");
+        }
+
+        // Both leave-delay readers, whatever retired.
+        let a = analyze(&rec, &graph, LINKS as usize);
+        ensure_eq!(
+            a.leave_delays,
+            model.leave_delays(&rec.moves),
+            "analyze's leave delays"
+        );
+        let end = SimTime::from_nanos(model.clock + (ops.len() as u64 % 2) * TICK);
+        let t_mli = SimDuration::from_nanos(2 * TICK);
+        let verdict = Oracle::default().finalize(
+            &rec,
+            &FinalizeParams {
+                settle: end,
+                t_mli,
+                receivers: homes.clone(),
+                end,
+                disturbance_end: None,
+                reconverge_bound: SimDuration::from_secs(60),
+                protected_floor: None,
+                protect_window: None,
+            },
+        );
+        // LEAVE_MARGIN_SECS, the oracle's slack on T_MLI.
+        let bound_secs = t_mli.as_secs_f64() + 15.0;
+        let (worst, stale) = model.worst_leave_delay(&rec.moves, &homes, end, bound_secs);
+        ensure_eq!(
+            verdict.worst_leave_delay_secs,
+            worst,
+            "the oracle's worst leave delay"
+        );
+        let lost = u64::from(lost > 0);
+        let loops = rec.data_events.loops().len() as u64;
+        ensure_eq!(verdict.violation_count, loops + lost + stale, "violations");
+
+        if lost == 0 {
+            // The path sums, in delivery order as `analyze` takes them.
+            let (mut stretch, mut path, mut n) = (0.0f64, 0.0f64, 0u32);
+            for (d, s) in rec.deliveries.iter().zip(&model.settled) {
+                let optimal = graph.link_hop_distance(l(0), d.link).filter(|o| *o > 0);
+                if let (true, Some(optimal)) = (s.whole, optimal) {
+                    stretch += f64::from(s.path_links) / f64::from(optimal);
+                    path += f64::from(s.path_links);
+                    n += 1;
+                }
+            }
+            let mean = |sum: f64| if n > 0 { sum / f64::from(n) } else { 0.0 };
+            ensure_eq!(
+                (a.mean_stretch, a.mean_path_links),
+                (mean(stretch), mean(path)),
+                "paths"
+            );
+            let mut usage = model.link_usage();
+            usage.resize(LINKS as usize, LinkDataUsage::default());
+            ensure_eq!(a.link_usage, usage, "analyze's link usage");
+        }
+        Ok(())
+    }
+
+    fn emitted_by_node(model: &Model, node: u32) -> u64 {
+        model
+            .rows
+            .iter()
+            .filter(|row| row.pushed.node == node)
+            .count() as u64
+    }
+
+    proptest! {
+        /// Every cause named is one the journal still holds the whole chain
+        /// of: nothing is counted lost, and every answer is the whole rows'.
+        #[test]
+        fn a_journal_that_retires_answers_as_the_rows_it_retired_would(
+            ops in proptest::collection::vec(any::<u64>(), 1..150),
+            horizon_ticks in 0u64..12,
+        ) {
+            if let Err(why) = check(&ops, horizon_ticks, false, Mutant::None) {
+                panic!("{why}");
+            }
+        }
+
+        /// Causes named from any time in the past: a walk that comes to a
+        /// retired row is counted — never matched to a newer row under the
+        /// same table slot, never passed off as dangling — and until the
+        /// first one every answer is still the whole rows'.
+        #[test]
+        fn causes_beyond_the_horizon_are_counted_exactly(
+            ops in proptest::collection::vec(any::<u64>(), 1..150),
+            horizon_ticks in 0u64..12,
+        ) {
+            if let Err(why) = check(&ops, horizon_ticks, true, Mutant::None) {
+                panic!("{why}");
+            }
+        }
+    }
+
+    /// How many of 64 scripts tell the mutated model from the journal.
+    fn scripts_that_catch(mutant: Mutant) -> usize {
+        let mut rng = proptest::test_runner::TestRng::for_test("mutants").0;
+        let scripts = proptest::collection::vec(any::<u64>(), 1..150);
+        let caught = (0..64).filter(|case| {
+            let ops = scripts.generate(&mut rng);
+            check(&ops, case % 12, case % 2 == 0, mutant).is_err()
+        });
+        caught.count()
+    }
+
+    #[test]
+    fn the_unmutated_model_is_never_told_apart() {
+        assert_eq!(scripts_that_catch(Mutant::None), 0);
+    }
+
+    #[test]
+    fn a_row_retired_one_tick_early_is_caught() {
+        assert!(scripts_that_catch(Mutant::RetiresOneTickEarly) > 0);
+    }
+
+    #[test]
+    fn a_skipped_useful_mark_is_caught() {
+        assert!(scripts_that_catch(Mutant::SkipsTheUsefulMark) > 0);
+    }
+
+    #[test]
+    fn an_arrival_that_sees_its_own_instant_is_caught() {
+        assert!(scripts_that_catch(Mutant::SnapshotsInclusive) > 0);
     }
 }
