@@ -1,7 +1,8 @@
 //! Runs every experiment of the reproduction in sequence (Figures 1-5,
 //! Table 1, the §4.4 timer sweep and the §4.3.1 sender-cost sweep),
-//! timing each one and archiving the full run — tables plus a
-//! per-experiment wall-clock summary — to `results/exp_all_output.txt`.
+//! archiving every table to `results/exp_all_output.txt` and printing a
+//! per-experiment wall-clock summary, which stays out of the archive so
+//! the file is byte-identical across reruns.
 //! Pass --quick for reduced sweeps, `--workers N` to pin the sweep worker
 //! pool (`--serial` = `--workers 1`): any worker count produces
 //! byte-identical experiment JSON — the determinism-parity property.
@@ -61,7 +62,6 @@ fn main() {
     }
     let _ = writeln!(summary, "{:<14} {total:>8.3}s", "total");
     print!("{summary}");
-    let _ = writeln!(archive, "{summary}");
 
     std::fs::create_dir_all("results").ok();
     match std::fs::write("results/exp_all_output.txt", &archive) {

@@ -1,12 +1,14 @@
 //! # mobicast-bench
 //!
-//! Experiment binaries (one per table/figure of the paper — see DESIGN.md)
-//! and Criterion benchmarks for the simulator's hot paths.
+//! Experiment binaries (one per table/figure of the paper — see DESIGN.md),
+//! the `explain` packet-journey CLI and the `report` dashboard. The
+//! simulator's own speed is measured by the repo benchmark (`benchmark/`),
+//! not here.
 //!
 //! Run an experiment with e.g. `cargo run --release -p mobicast-bench
 //! --bin exp_fig2`; each binary prints the paper-style table and writes
-//! `results/<id>.json`. `exp_all` runs every experiment. Pass `--quick`
-//! for a reduced sweep.
+//! `results/<id>.json`, deterministic bytes only. `exp_all` runs every
+//! experiment. Pass `--quick` for a reduced sweep.
 
 use mobicast_core::experiments::ExperimentOutput;
 

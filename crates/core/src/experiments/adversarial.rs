@@ -221,7 +221,7 @@ mod tests {
                 assert_eq!(s.frames_corrupted, 0.0);
             }
         }
-        // Same seeds, same JSON — the determinism acceptance criterion.
+        // Same seeds, same JSON — the determinism acceptance check.
         let out2 = run(true);
         assert_eq!(
             serde_json::to_string(&out1.json).unwrap(),

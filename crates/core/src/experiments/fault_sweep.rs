@@ -206,7 +206,7 @@ mod tests {
                 assert!(s.delivery < clean.delivery);
             }
         }
-        // Same seeds, same JSON — the determinism acceptance criterion.
+        // Same seeds, same JSON — the determinism acceptance check.
         let out2 = run(true);
         assert_eq!(
             serde_json::to_string(&out1.json).unwrap(),

@@ -389,7 +389,7 @@ mod tests {
                 );
             }
         }
-        // Same seeds, same JSON — the determinism acceptance criterion.
+        // Same seeds, same JSON — the determinism acceptance check.
         let out2 = run(true);
         assert_eq!(
             serde_json::to_string(&out1.json).unwrap(),

@@ -4,8 +4,8 @@
 //! worker pool like every other sweep, and the report is fully
 //! deterministic (event counts, deliveries, state peaks — never
 //! wall-clock), so it participates in the determinism-parity harness.
-//! Wall-clock throughput for the same workload is measured separately by
-//! `exp_profile` and lands in `BENCH_sim.json`.
+//! The simulator's wall-clock throughput is the repo benchmark's to
+//! measure (`benchmark/`, whose `metro_*` workloads run these grids).
 
 use super::ExperimentOutput;
 use crate::report::Table;

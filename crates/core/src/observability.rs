@@ -211,11 +211,7 @@ pub const DEFAULT_DRIFT_THRESHOLD: f64 = 0.2;
 /// on — and ignore everything else (counters wobble legitimately when
 /// scenarios grow).
 fn watched(path: &str) -> bool {
-    path.contains("interruption")
-        || path.contains("deliver")
-        // The compact-state memory curve (BENCH_sim.json): a jump in
-        // bytes-per-listener is a state-table memory regression.
-        || path.contains("bytes_per_listener")
+    path.contains("interruption") || path.contains("deliver")
 }
 
 fn as_num(v: &Value) -> Option<f64> {

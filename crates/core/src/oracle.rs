@@ -113,8 +113,8 @@ pub struct OracleSummary {
 /// O(1) watermarks (`min_expires`) and mutation epochs in place, the
 /// per-entry walks only run when a table may actually have something to
 /// report — on a quiescent network every poll is O(routers), not
-/// O(routers × entries). `exp_profile` asserts the walk counters stay
-/// flat as listener counts grow.
+/// O(routers × entries). `mem_accounting.rs` asserts the walk counters do
+/// not grow as listener counts do.
 #[derive(Clone, Debug, Default, Serialize, serde::Deserialize)]
 pub struct PollStats {
     /// Router inspections performed (polled routers × epochs).

@@ -21,7 +21,6 @@ use mobicast_mld::ListenerTable;
 use mobicast_pimdm::table::{OifState, SgDetail, UpstreamState};
 use mobicast_pimdm::SgTable;
 use mobicast_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv6Addr;
 
 /// Fraction of listeners that roam and therefore hold a home-agent
@@ -34,7 +33,7 @@ const OIFS_PER_SG: usize = 2;
 
 /// One point of the aggregation curve: `listeners` receivers spread
 /// round-robin over `links` access links, joining `groups` groups.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MemAudit {
     pub listeners: usize,
     pub groups: usize,

@@ -1021,7 +1021,7 @@ mod tests {
             .build()
     }
 
-    /// The PR's acceptance criterion: with 10 % i.i.d. loss on every link
+    /// The fault model's acceptance bar: with 10 % i.i.d. loss on every link
     /// during [10 s, 60 s], all four Table-1 approaches recover to >= 99 %
     /// steady-state delivery once the loss window has cleared — the
     /// soft-state machinery (MLD robustness reports, PIM graft retries,

@@ -4,9 +4,12 @@
 //! fixed while widening group fan-in must reproduce the aggregation
 //! collapse Helmy's state-aggregation analysis predicts — bytes per
 //! listener falls as listeners share groups, because router state is per
-//! (link, group), not per listener.
+//! (link, group), not per listener. The oracle's state poll scales the
+//! same way: its walk does not grow with the listener population.
 
-use mobicast_core::scale::{aggregation_audit, aggregation_curve};
+use mobicast_core::scale::{aggregation_audit, aggregation_curve, metro_spec};
+use mobicast_core::stress::{run_stress, StressSpec};
+use mobicast_sim::SimDuration;
 
 /// `measured` within ±10% of `model`.
 fn within_ten_percent(measured: usize, model: usize) -> bool {
@@ -34,8 +37,8 @@ fn audit_matches_documented_model_within_ten_percent() {
 
 /// The audit is a contract, not an estimate: the table behind the three
 /// state holders may be rewritten, but the 100k-listener Helmy curve
-/// committed in `results/BENCH_sim.json` (293.4 → 15.1 bytes/listener)
-/// must come out to the byte.
+/// (293.4 → 15.1 bytes/listener, EXPERIMENTS.md "Metro scale") must come
+/// out to the byte.
 #[test]
 fn audit_reproduces_the_committed_curve_to_the_byte() {
     for (groups, bytes) in [(4096, 29_342_724), (64, 10_681_044), (4, 1_511_436)] {
@@ -76,4 +79,40 @@ fn aggregation_collapses_bytes_per_listener() {
     assert_eq!(last.mld_rows, last.links * last.groups);
     // Per-host binding state never aggregates.
     assert!(curve.iter().all(|a| a.bindings == a.listeners / 10));
+}
+
+/// The oracle's 5 s poll walks a router's (S,G) entries only when the
+/// table's expiry watermark is overdue or its mutation epoch moved, and
+/// the entries are per (S,G), not per listener: quadrupling the listener
+/// population on the same 120-router grid must not grow the walk. The
+/// source sends every 10 s, slower than the poll, so some polls find a
+/// router's table untouched since the last one and must skip it (at a 2 s
+/// interval every table is refreshed between two polls and the skip never
+/// fires).
+#[test]
+fn oracle_poll_walk_does_not_grow_with_listeners() {
+    let poll = |receivers| {
+        let spec = StressSpec {
+            movers: 4,
+            data_interval: SimDuration::from_secs(10),
+            ..metro_spec(120, receivers, 11)
+        };
+        run_stress(&spec).poll
+    };
+    let (few, many) = (poll(64), poll(256));
+    assert!(few.sg_entries_walked > 0);
+    assert!(
+        few.sg_walks < few.router_polls,
+        "every one of {} router polls walked: quiet tables are not skipped",
+        few.router_polls
+    );
+    assert!(
+        many.sg_entries_walked <= few.sg_entries_walked,
+        "poll walk grew with listeners: {} entries over {} polls at 64, \
+         {} over {} at 256",
+        few.sg_entries_walked,
+        few.router_polls,
+        many.sg_entries_walked,
+        many.router_polls
+    );
 }

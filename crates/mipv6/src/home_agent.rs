@@ -52,7 +52,7 @@ pub enum HaNote {
 #[derive(Debug, Default)]
 pub struct HomeAgent {
     cache: BindingCache,
-    /// Processing-load metrics (the paper's "system load" criterion).
+    /// Processing-load metrics (the paper's "system load" measure).
     pub binding_updates_processed: u64,
     pub packets_tunneled: u64,
     /// Binding-cache capacity; `None` = unbounded (the default).

@@ -173,8 +173,7 @@ impl ShardPlan {
 /// What one sharded run actually did: window count, per-shard event load
 /// and the critical path a parallel executor could not beat. The schedule
 /// fields are deterministic in (scenario, seed, plan) —
-/// [`same_schedule`](Self::same_schedule) compares exactly those. The
-/// wall-clock field is a measurement and excluded from parity.
+/// [`same_schedule`](Self::same_schedule) compares exactly those.
 ///
 /// `workers`, `handoff_events` and `barrier_stall_secs` are inert: the
 /// threaded backend that filled them was cut (DESIGN.md, "Threaded
@@ -201,8 +200,6 @@ pub struct ShardRunStats {
     pub critical_path_events: u64,
     /// Inert, always 0 (no worker boundary exists to cross).
     pub handoff_events: u64,
-    /// Wall-clock duration of the run (measurement, not deterministic).
-    pub wall_clock_secs: f64,
     /// Inert, always 0 (nothing ever waits on a barrier).
     pub barrier_stall_secs: f64,
 }
@@ -221,7 +218,7 @@ impl ShardRunStats {
 
     /// True when `other` realized the exact same deterministic schedule:
     /// identical windows, barriers, per-shard loads and critical path.
-    /// The worker label and the wall-clock measurement are not compared.
+    /// The worker label is not compared.
     pub fn same_schedule(&self, other: &ShardRunStats) -> bool {
         self.windows == other.windows
             && self.barrier_syncs == other.barrier_syncs
@@ -781,7 +778,6 @@ impl World {
     /// The realized schedule comes back in [`RunStats::sharded`].
     pub fn run(&mut self, t: SimTime, plan: &ExecPlan) -> RunStats {
         let before = self.events_executed;
-        let started = std::time::Instant::now();
         let mut windows = match plan {
             ExecPlan::Sequential => None,
             ExecPlan::Sharded { plan, workers } => Some(WindowRecon::new(plan, *workers, t)),
@@ -791,14 +787,9 @@ impl World {
             self.dispatch(ev, &mut windows);
         }
         self.queue.advance_to(t);
-        let sharded = windows.map(|recon| {
-            let mut stats = recon.finish();
-            stats.wall_clock_secs = started.elapsed().as_secs_f64();
-            stats
-        });
         RunStats {
             events_executed: self.events_executed - before,
-            sharded,
+            sharded: windows.map(WindowRecon::finish),
         }
     }
 

@@ -13,7 +13,7 @@
 //!   and the handle that names one scheduling ([`EventId`]).
 //! * [`wheel`] — the hierarchical timer wheel behind [`EventQueue`]
 //!   (O(1) scheduling, payloads in a slab, cancel by stamp compare; the
-//!   heap queue remains as the reference model [`HeapEventQueue`]).
+//!   original heap queue remains, in test builds, as its reference model).
 //! * [`rng`] — labelled deterministic RNG streams ([`RngFactory`]).
 //! * [`metrics`] — counters and sample series with summaries.
 //! * [`trace`] — structured, filterable simulation traces with a versioned
@@ -24,7 +24,8 @@
 //!   digest ([`TimeSeriesSet`], [`QuantileDigest`]).
 //! * [`perfetto`] / [`openmetrics`] — exporters rendering spans, series
 //!   and counters as a Chrome/Perfetto trace and an OpenMetrics snapshot.
-//! * [`profile`] — opt-in wall-clock profiling of the event loop.
+//! * [`profile`] — opt-in wall-clock profiling of the event loop (the only
+//!   module that reads the clock).
 //! * [`parallel`] — a dependency-free scoped worker pool fanning
 //!   independent deterministic runs across cores with ordered results.
 //!
@@ -54,7 +55,7 @@ pub use arena::{
 pub use budget::{RateLimit, ShedPolicy, TokenBucket};
 pub use metrics::{Counter, Counters, Series, SeriesSet, Summary};
 pub use profile::{Profiler, SimProfile, Stage};
-pub use queue::{EventId, EventQueue, HeapEventQueue};
+pub use queue::{EventId, EventQueue};
 pub use rng::RngFactory;
 pub use series::{QuantileDigest, TimeSeries, TimeSeriesSet};
 pub use span::{AttrValue, SpanBook, SpanId, SpanRecord};

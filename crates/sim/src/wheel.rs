@@ -1,5 +1,6 @@
 //! A hierarchical timer wheel with the exact semantics of the original
-//! binary-heap [`HeapEventQueue`](crate::queue::HeapEventQueue).
+//! binary-heap `HeapEventQueue`, which its differential test keeps as
+//! the reference model.
 //!
 //! The protocol stack schedules two very different kinds of events: frame
 //! deliveries a few tens of microseconds ahead (link delay + serialization)
