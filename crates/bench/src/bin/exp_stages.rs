@@ -5,17 +5,21 @@
 //! — beside the three handler categories. Stages are timed in one handler
 //! out of `STAGE_SAMPLE`; each stage cell reads `ms scaled up by that
 //! (share of handler time %) k-stretches timed`, net of the calibrated cost
-//! of the clock read each stretch spans. Wall-clock numbers: stdout only,
-//! nothing is written under `results/`.
+//! of the clock read each stretch spans. Under each row, the process's
+//! peak resident set (`VmHWM`) before the workload, once its first run is
+//! staged (built, faulted, scripted) and after its last run: memory by
+//! stage, cumulative across workloads unless one is picked. Wall-clock and
+//! memory numbers: stdout only, nothing is written under `results/`.
 //!
 //! `exp_stages [--seed N] [--workload NAME]`; every workload by default.
 
 use mobicast_core::builder::NetworkSpec;
+use mobicast_core::run;
 use mobicast_core::scenario::{self, PaperHost, ScenarioConfig};
-use mobicast_core::stress::{run_stress_profiled, StressRunOptions, StressSpec};
+use mobicast_core::stress::{StressRunOptions, StressSpec};
 use mobicast_core::{chaos, scale, Policy};
 use mobicast_sim::profile::{STAGES, STAGE_SAMPLE};
-use mobicast_sim::{SimDuration, SimProfile};
+use mobicast_sim::{SimDuration, SimProfile, Tracer};
 
 const WORKLOADS: [&str; 5] = [
     "paper_sweep",
@@ -26,16 +30,35 @@ const WORKLOADS: [&str; 5] = [
 ];
 
 /// `(count, total ns)` per handler category and per stage, summed over
-/// the runs of one workload.
+/// the runs of one workload, and the peak resident set (MB) when its first
+/// run was staged and after its last.
 #[derive(Default)]
 struct Sum {
     events: u64,
     handlers: [(u64, u64); 3],
     stages: [(u64, u64); STAGES.len()],
+    staged_mb: Option<f64>,
+    run_mb: f64,
+}
+
+/// The process's peak resident set so far (`VmHWM`), in MB; 0 where
+/// `/proc` has none.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status.lines().find_map(|l| {
+        let value = l.strip_prefix("VmHWM:")?.trim().trim_end_matches("kB");
+        value.trim().parse::<f64>().ok()
+    });
+    kb.unwrap_or(0.0) / 1024.0
 }
 
 impl Sum {
+    fn staged(&mut self) {
+        self.staged_mb.get_or_insert_with(peak_rss_mb);
+    }
+
     fn add(&mut self, p: &SimProfile) {
+        self.run_mb = peak_rss_mb();
         self.events += p.events_executed;
         for (slot, name) in self.handlers.iter_mut().zip(["deliver", "timer", "script"]) {
             slot.0 += p.handlers[name].count;
@@ -52,23 +75,35 @@ fn sweep(cfgs: Vec<ScenarioConfig>) -> Sum {
     let mut sum = Sum::default();
     for mut cfg in cfgs {
         cfg.profile = true;
-        let result = scenario::run(&cfg);
+        let staged = scenario::stage(&cfg, Tracer::null());
+        let staged = staged.unwrap_or_else(|e| panic!("scenario {}: {e}", cfg.name));
+        sum.staged();
+        let (result, _) = staged.run();
         assert_eq!(result.report.oracle.violation_count, 0, "{}", cfg.name);
         sum.add(&result.profile.expect("profiled run"));
     }
     sum
 }
 
+/// `spec` as `stress::run_stress_with` runs it, profiled.
 fn stress(spec: &StressSpec, opts: &StressRunOptions) -> Sum {
-    let (report, profile) = run_stress_profiled(spec, opts);
-    assert_eq!(report.oracle_violations, 0, "{}", spec.name);
+    let staged = spec
+        .lower()
+        .and_then(|plan| run::stage(&plan, Tracer::null()));
+    let mut staged = staged.unwrap_or_else(|e| panic!("stress {}: {e}", spec.name));
     let mut sum = Sum::default();
-    sum.add(&profile);
+    sum.staged();
+    let plan = opts.executor.plan(|shards| staged.net.shard_plan(shards));
+    let plan = plan.unwrap_or_else(|e| panic!("stress {}: {e}", spec.name));
+    staged.net.world.enable_profiling();
+    let out = run::run(staged, &plan);
+    assert_eq!(out.oracle.violation_count, 0, "{}", spec.name);
+    sum.add(&out.profile.expect("profiled run"));
     sum
 }
 
-fn run(workload: &str, seed: u64) -> Sum {
-    match workload {
+fn workload(name: &str, seed: u64) -> Sum {
+    match name {
         "paper_sweep" => sweep(
             Policy::active()
                 .into_iter()
@@ -151,7 +186,8 @@ fn main() {
         if only.as_deref().is_some_and(|o| o != w) {
             continue;
         }
-        let sum = run(w, seed);
+        let start_mb = peak_rss_mb();
+        let sum = workload(w, seed);
         let handled: u64 = sum.handlers.iter().map(|h| h.1).sum();
         let ms = |ns: u64| ns as f64 / 1e6;
         let stage = |i: usize| {
@@ -174,6 +210,12 @@ fn main() {
             stage(1),
             stage(2),
             stage(3),
+        );
+        println!(
+            "{:<15} VmHWM MB: {start_mb:.1} before, {:.1} staged, {:.1} run",
+            "",
+            sum.staged_mb.unwrap_or(0.0),
+            sum.run_mb
         );
     }
 }

@@ -25,6 +25,18 @@ pub fn link_prefix(link: LinkId) -> Prefix {
     Prefix::new(addr, 64)
 }
 
+/// The link whose [`link_prefix`] contains `addr`, or `None` for an address
+/// outside `2001:db8::/32`: the exact inverse of [`link_prefix`], which
+/// makes a FIB of one /64 per link an array indexed by link. `n` = 2³²
+/// (link `u32::MAX`) wrapped to `2001:db8::/64`, and comes back from there.
+pub fn link_of(addr: Ipv6Addr) -> Option<LinkId> {
+    let [0x2001, 0xdb8, lo, hi, ..] = addr.segments() else {
+        return None;
+    };
+    let n = u32::from(lo) | u32::from(hi) << 16;
+    Some(LinkId(n.wrapping_sub(1)))
+}
+
 /// The link-local address of `(node, ifindex)` — the same on every link.
 pub fn link_local_addr(node: NodeId, ifindex: IfIndex) -> Ipv6Addr {
     mobicast_ipv6::addr::link_local(iid(node, ifindex))
@@ -64,6 +76,25 @@ mod tests {
             for (j, other) in links.iter().enumerate() {
                 assert_eq!(link_prefix(*other).contains(addr), i == j, "{i} in {j}");
             }
+        }
+    }
+
+    #[test]
+    fn link_of_inverts_link_prefix() {
+        let links = [0, 1, 65_534, 65_535, 65_536, 200_000, u32::MAX].map(LinkId);
+        for link in links {
+            let prefix = link_prefix(link);
+            for addr in [
+                prefix.network(),
+                global_addr(NodeId(3), 1, link),
+                prefix.addr_with_iid(u64::MAX),
+            ] {
+                assert_eq!(link_of(addr), Some(link), "{addr}");
+            }
+        }
+        for off_plan in ["fe80::400", "ff1e::1", "2001:db9::1", "::", "2001:db7:1::1"] {
+            let addr: Ipv6Addr = off_plan.parse().unwrap();
+            assert_eq!(link_of(addr), None, "{addr}");
         }
     }
 

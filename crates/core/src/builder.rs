@@ -4,7 +4,7 @@
 use crate::addressing;
 use crate::host_node::{HostConfig, HostNode, SenderApp};
 use crate::interners::WorldInterners;
-use crate::netplan::{Directory, RouteEntry, RoutingTable, SharedDirectory};
+use crate::netplan::{Directory, NextHop, RoutingTable, SharedDirectory};
 use crate::recorder::{Recorder, SharedRecorder, JOURNAL_HORIZON};
 use crate::router_node::{RouterConfig, RouterIfaceInfo, RouterNode};
 use mobicast_ipv6::addr::GroupAddr;
@@ -245,42 +245,43 @@ fn router_node(
             global: addressing::global_addr(r, ifx as IfIndex, links[*l]),
         })
         .collect();
-    let mut routes = Vec::new();
-    for target in links {
-        let Some(route) = graph.route(r, *target) else {
-            continue;
-        };
-        let iface = attached
-            .iter()
-            .position(|l| links[*l] == route.first_link)
-            .expect("first link attached") as IfIndex;
-        let (next_hop, next_hop_node) = match route.next_router {
-            Some(n) => {
-                let n_ifx = spec.routers[n.index()]
-                    .iter()
-                    .position(|l| links[*l] == route.first_link)
-                    .expect("next router on shared link") as IfIndex;
-                (Some(addressing::link_local_addr(n, n_ifx)), Some(n))
-            }
-            None => (None, None),
-        };
-        routes.push(RouteEntry {
-            prefix: addressing::link_prefix(*target),
-            iface,
-            next_hop,
-            next_hop_node,
-            metric: route.link_hops,
-        });
-    }
     Box::new(RouterNode::new(
         r,
         router_cfg,
         ifaces,
-        RoutingTable::new(routes),
+        routing_table(spec, links, graph, r),
         rng,
         recorder.clone(),
         interners,
     ))
+}
+
+/// Router `r`'s FIB: per link, in link order (`links[i]` is `LinkId(i)`),
+/// the shortest route's first interface, next router and that router's
+/// ifindex on the shared link, and its length in links.
+fn routing_table(
+    spec: &NetworkSpec,
+    links: &[LinkId],
+    graph: &LinkGraph,
+    r: NodeId,
+) -> RoutingTable {
+    links
+        .iter()
+        .map(|target| {
+            let route = graph.route(r, *target)?;
+            let ifindex_on_first_link = |n: NodeId| {
+                spec.routers[n.index()]
+                    .iter()
+                    .position(|l| links[*l] == route.first_link)
+                    .expect("router on its route's first link") as IfIndex
+            };
+            let hop = NextHop {
+                iface: ifindex_on_first_link(r),
+                via: route.next_router.map(|n| (n, ifindex_on_first_link(n))),
+            };
+            Some((hop, route.link_hops))
+        })
+        .collect()
 }
 
 /// Assemble a world from a network spec and host list.
@@ -299,6 +300,7 @@ pub fn build(
     let links: Vec<LinkId> = (0..spec.n_links)
         .map(|_| world.add_link(spec.link_params))
         .collect();
+    debug_assert!(links.iter().enumerate().all(|(i, l)| l.index() == i));
 
     // Routers occupy the lowest node ids so "lowest router id on link" is
     // well defined and stable.
@@ -475,6 +477,166 @@ pub fn apply_fault_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netplan::{rpf_info, RouteEntry};
+    use mobicast_pimdm::RpfLookup;
+    use rand::Rng;
+
+    /// The FIB as it was before it was indexed by link: one `RouteEntry`
+    /// per reachable link, built link by link from `graph.route`.
+    fn route_list(
+        spec: &NetworkSpec,
+        links: &[LinkId],
+        graph: &LinkGraph,
+        r: NodeId,
+    ) -> Vec<RouteEntry> {
+        let attached = &spec.routers[r.index()];
+        let mut routes = Vec::new();
+        for target in links {
+            let Some(route) = graph.route(r, *target) else {
+                continue;
+            };
+            let iface = attached
+                .iter()
+                .position(|l| links[*l] == route.first_link)
+                .expect("first link attached") as IfIndex;
+            let (next_hop, next_hop_node) = match route.next_router {
+                Some(n) => {
+                    let n_ifx = spec.routers[n.index()]
+                        .iter()
+                        .position(|l| links[*l] == route.first_link)
+                        .expect("next router on shared link")
+                        as IfIndex;
+                    (Some(addressing::link_local_addr(n, n_ifx)), Some(n))
+                }
+                None => (None, None),
+            };
+            routes.push(RouteEntry {
+                prefix: addressing::link_prefix(*target),
+                iface,
+                next_hop,
+                next_hop_node,
+                metric: route.link_hops,
+            });
+        }
+        routes
+    }
+
+    /// Longest-prefix match by scanning routes in insertion order.
+    fn lookup_linear(routes: &[RouteEntry], dst: Ipv6Addr) -> Option<&RouteEntry> {
+        routes
+            .iter()
+            .filter(|r| r.prefix.contains(dst))
+            .max_by_key(|r| (r.prefix.len(), std::cmp::Reverse(r.metric)))
+    }
+
+    /// Addresses a FIB is asked about on `link`: a router's global address
+    /// there, a host-style one and the network address.
+    fn on_link_probes(net: &BuiltNetwork, spec: &NetworkSpec, link: usize) -> [Ipv6Addr; 3] {
+        let l = net.links[link];
+        let router = net.graph.routers_on_link(l)[0];
+        let ifx = spec.routers[router.index()]
+            .iter()
+            .position(|a| *a == link)
+            .unwrap() as IfIndex;
+        let host = NodeId(net.world.n_nodes() as u32 + 7);
+        [
+            addressing::global_addr(router, ifx, l),
+            addressing::global_addr(host, 0, l),
+            addressing::link_prefix(l).network(),
+        ]
+    }
+
+    /// Addresses no link of `net` holds.
+    fn off_plan_probes(net: &BuiltNetwork) -> [Ipv6Addr; 6] {
+        let beyond = LinkId(net.links.len() as u32);
+        let a = |s: &str| s.parse().unwrap();
+        [
+            addressing::link_local_addr(NodeId(1), 0),
+            a("ff1e::1"),
+            a("2001:db9::1"),
+            a("::"),
+            addressing::global_addr(NodeId(1), 0, beyond),
+            addressing::global_addr(NodeId(1), 0, LinkId(u32::MAX)),
+        ]
+    }
+
+    /// `r`'s FIB answers `lookup` and `rpf` for every probe exactly as the
+    /// linear scan over its route list does; returns how many it was asked.
+    fn assert_fib_matches_route_list(
+        net: &BuiltNetwork,
+        spec: &NetworkSpec,
+        r: NodeId,
+        probes: impl IntoIterator<Item = Ipv6Addr>,
+    ) -> usize {
+        let table = routing_table(spec, &net.links, &net.graph, r);
+        let routes = route_list(spec, &net.links, &net.graph, r);
+        let mut asked = 0;
+        for dst in probes {
+            let want = lookup_linear(&routes, dst);
+            assert_eq!(table.lookup(dst).as_ref(), want, "{r}: lookup({dst})");
+            assert_eq!(table.rpf(dst), want.map(rpf_info), "{r}: rpf({dst})");
+            asked += 1;
+        }
+        asked
+    }
+
+    /// Every router × every link (three addresses each) and six off-plan
+    /// addresses, on each shape the experiments build plus a network in
+    /// two pieces, which has unreachable links.
+    #[test]
+    fn fib_answers_as_the_route_list_scan_everywhere() {
+        let split = NetworkSpec {
+            n_links: 4,
+            routers: vec![vec![0, 1], vec![2, 3], vec![3]],
+            link_params: LinkParams::default(),
+            domains: Vec::new(),
+        };
+        let shapes = [
+            NetworkSpec::reference(),
+            NetworkSpec::string(8),
+            NetworkSpec::star(5),
+            NetworkSpec::tree(3, 4),
+            NetworkSpec::grid(10, 10),
+            split,
+        ];
+        for spec in shapes {
+            let net = build(&spec, &[], RouterConfig::default(), 1, Tracer::null());
+            let mut asked = 0;
+            for r in &net.routers {
+                let on_plan = (0..spec.n_links).flat_map(|l| on_link_probes(&net, &spec, l));
+                let probes = on_plan.chain(off_plan_probes(&net));
+                asked += assert_fib_matches_route_list(&net, &spec, *r, probes);
+            }
+            assert_eq!(asked, net.routers.len() * (3 * spec.n_links + 6));
+        }
+    }
+
+    /// The 1 012-router metro grid: 10 000 seeded (router, probe) pairs.
+    #[test]
+    fn fib_answers_as_the_route_list_scan_on_the_metro_grid() {
+        let spec = NetworkSpec::metro(1_000);
+        let net = build(&spec, &[], RouterConfig::default(), 1, Tracer::null());
+        let mut rng = RngFactory::new(11).stream("fib-probes");
+        let mut draw = |n: usize| rng.random_range(0..n);
+        let (on_plan, off_plan) = (3 * spec.n_links, off_plan_probes(&net));
+        let mut pairs: Vec<(usize, Ipv6Addr)> = (0..10_000)
+            .map(|_| {
+                let r = draw(net.routers.len());
+                let dst = match draw(on_plan + off_plan.len()) {
+                    k if k < on_plan => on_link_probes(&net, &spec, k / 3)[k % 3],
+                    k => off_plan[k - on_plan],
+                };
+                (r, dst)
+            })
+            .collect();
+        pairs.sort_by_key(|(r, _)| *r);
+        let mut asked = 0;
+        for chunk in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let r = net.routers[chunk[0].0];
+            asked += assert_fib_matches_route_list(&net, &spec, r, chunk.iter().map(|p| p.1));
+        }
+        assert_eq!(asked, 10_000);
+    }
 
     #[test]
     fn reference_topology_shape() {

@@ -1,19 +1,19 @@
 //! Static network-plan data shared by the composed nodes: routing tables,
 //! the link directory, data-payload framing and frame classification.
 
+use crate::addressing;
 use bytes::{BufMut, Bytes, BytesMut};
 use mobicast_ipv6::addr::{self, GroupAddr, Prefix};
 use mobicast_ipv6::packet::{proto, Packet};
 use mobicast_ipv6::udp::UdpDatagram;
 use mobicast_net::{Frame, FrameClass, IfIndex, NodeId};
-use std::cmp::Reverse;
 use std::net::Ipv6Addr;
 use std::rc::Rc;
 
 /// UDP port carrying the simulated multicast application stream.
 pub const MCAST_UDP_PORT: u16 = 5001;
 
-/// One route in a router's static table.
+/// One route of a router's table, as [`RoutingTable::lookup`] answers it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RouteEntry {
     pub prefix: Prefix,
@@ -26,81 +26,68 @@ pub struct RouteEntry {
     pub metric: u32,
 }
 
-/// A router's unicast routing table (longest prefix match, lowest metric).
-#[derive(Clone, Debug, Default)]
+/// Where a route leaves a router: out of `iface`, to the next router and
+/// that router's ifindex on the link they share, or (`via: None`) onto the
+/// attached destination link.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct NextHop {
+    pub(crate) iface: IfIndex,
+    pub(crate) via: Option<(NodeId, IfIndex)>,
+}
+
+/// A router's unicast routing table: one 4-byte row per link of the address
+/// plan. Every route is one link's /64, so [`RoutingTable::lookup`] reads the
+/// link off the address ([`addressing::link_of`]) instead of searching, and
+/// derives the prefix and the next hop's address instead of storing them.
+/// Built by collecting each link's route (`None`: unreachable) in link order.
+#[derive(Clone, Debug)]
 pub struct RoutingTable {
-    /// The forwarding table, as [`RoutingTable::new`] leaves it: sorted by
-    /// (prefix length descending, network ascending) with one entry per
-    /// prefix. [`RoutingTable::lookup`] relies on that order.
-    pub routes: Vec<RouteEntry>,
+    /// The distinct next hops, at most eight on a grid router (`None`: no
+    /// route).
+    hops: Vec<Option<NextHop>>,
+    /// Per link: (slot in `hops`, metric).
+    rows: Vec<(u16, u16)>,
 }
 
 impl RoutingTable {
-    /// Build the forwarding table from routes in any order. Of several
-    /// routes for one prefix the lowest metric wins, the last inserted among
-    /// equal metrics. Input already in table order (as the builder pushes
-    /// it: one /64 per link, ascending) costs one pass and is kept in place.
-    pub fn new(mut routes: Vec<RouteEntry>) -> Self {
-        if !in_table_order(&routes) {
-            // Stable sort of the reversed input: the winner of each prefix
-            // comes first in its group, and `dedup` keeps the first.
-            routes.reverse();
-            routes.sort_by_key(|r| (table_key(r), r.metric));
-            routes.dedup_by_key(|r| r.prefix);
-        }
-        RoutingTable { routes }
-    }
-
-    /// Longest-prefix match: for each distinct prefix length, longest
-    /// first, mask `dst` once and binary-search that length's networks.
-    pub fn lookup(&self, dst: Ipv6Addr) -> Option<&RouteEntry> {
-        let mut rest = &self.routes[..];
-        while let (Some(first), Some(last)) = (rest.first(), rest.last()) {
-            let len = first.prefix.len();
-            // One length throughout (a /64 per link) needs no search for
-            // where the length ends.
-            let run = if last.prefix.len() == len {
-                rest.len()
-            } else {
-                rest.partition_point(|r| r.prefix.len() == len)
-            };
-            let (same_len, shorter) = rest.split_at(run);
-            let network = u128::from(Prefix::new(dst, len).network());
-            if let Ok(i) = same_len.binary_search_by_key(&network, |r| table_key(r).1) {
-                return Some(&same_len[i]);
-            }
-            rest = shorter;
-        }
-        None
+    /// The route toward `dst`: the row of the link whose /64 holds it.
+    pub fn lookup(&self, dst: Ipv6Addr) -> Option<RouteEntry> {
+        let link = addressing::link_of(dst)?;
+        let &(slot, metric) = self.rows.get(link.index())?;
+        let hop = self.hops[usize::from(slot)]?;
+        Some(RouteEntry {
+            prefix: addressing::link_prefix(link),
+            iface: hop.iface,
+            next_hop: hop.via.map(|(n, ifx)| addressing::link_local_addr(n, ifx)),
+            next_hop_node: hop.via.map(|(n, _)| n),
+            metric: u32::from(metric),
+        })
     }
 }
 
-/// Where a route sorts in the table: longest prefixes first, networks
-/// ascending (as integers, which compare faster than `Ipv6Addr`'s
-/// segment-wise ordering and agree with it).
-fn table_key(r: &RouteEntry) -> (Reverse<u8>, u128) {
-    (Reverse(r.prefix.len()), u128::from(r.prefix.network()))
-}
-
-/// Strictly ascending by [`table_key`], hence one entry per prefix.
-fn in_table_order(routes: &[RouteEntry]) -> bool {
-    routes
-        .windows(2)
-        .all(|w| table_key(&w[0]) < table_key(&w[1]))
-}
-
-/// The linear scan `RoutingTable` replaced, over routes in insertion order:
-/// the reference its tests compare against.
-#[cfg(test)]
-fn lookup_linear(routes: &[RouteEntry], dst: Ipv6Addr) -> Option<&RouteEntry> {
-    routes
-        .iter()
-        .filter(|r| r.prefix.contains(dst))
-        .max_by_key(|r| (r.prefix.len(), Reverse(r.metric)))
+impl FromIterator<Option<(NextHop, u32)>> for RoutingTable {
+    fn from_iter<I: IntoIterator<Item = Option<(NextHop, u32)>>>(routes: I) -> Self {
+        // Outgrowing 16 bits takes ≥ 65 536 routers with a row for each of
+        // ≥ 65 536 links: a 16 GB table.
+        let narrow = |n: usize| u16::try_from(n).expect("a routing table under 16 GB");
+        let mut hops = Vec::new();
+        let rows = routes
+            .into_iter()
+            .map(|route| {
+                let (hop, metric) = route.map_or((None, 0), |(hop, metric)| (Some(hop), metric));
+                let slot = hops.iter().position(|h| *h == hop).unwrap_or(hops.len());
+                if slot == hops.len() {
+                    hops.push(hop);
+                }
+                (narrow(slot), narrow(metric as usize))
+            })
+            .collect();
+        RoutingTable { hops, rows }
+    }
 }
 
 /// The RPF answer a route toward the source gives.
-fn rpf_info(r: &RouteEntry) -> mobicast_pimdm::RpfInfo {
+pub(crate) fn rpf_info(r: &RouteEntry) -> mobicast_pimdm::RpfInfo {
     mobicast_pimdm::RpfInfo {
         iif: r.iface,
         upstream: r.next_hop,
@@ -111,7 +98,7 @@ fn rpf_info(r: &RouteEntry) -> mobicast_pimdm::RpfInfo {
 
 impl mobicast_pimdm::RpfLookup for RoutingTable {
     fn rpf(&self, src: Ipv6Addr) -> Option<mobicast_pimdm::RpfInfo> {
-        self.lookup(src).map(rpf_info)
+        self.lookup(src).as_ref().map(rpf_info)
     }
 }
 
@@ -260,7 +247,6 @@ pub fn frame_for(p: &Packet, l2_to: Option<NodeId>) -> Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addressing;
     use mobicast_ipv6::tunnel::encapsulate;
     use mobicast_net::LinkId;
 
@@ -275,118 +261,49 @@ mod tests {
         Packet::new(a(src), group.addr(), proto::UDP, body)
     }
 
+    /// Rows share their next hops, unreachable links answer nothing, and
+    /// what a lookup does not store it derives from the address plan.
     #[test]
-    fn routing_table_longest_prefix_match() {
-        let t = RoutingTable::new(vec![
-            RouteEntry {
-                prefix: "2001:db8::/32".parse().unwrap(),
-                iface: 0,
-                next_hop: Some(a("fe80::1")),
-                next_hop_node: Some(NodeId(1)),
-                metric: 5,
-            },
-            RouteEntry {
-                prefix: "2001:db8:4::/64".parse().unwrap(),
-                iface: 1,
-                next_hop: None,
-                next_hop_node: None,
-                metric: 1,
-            },
-        ]);
-        assert_eq!(t.lookup(a("2001:db8:4::9")).unwrap().iface, 1);
-        assert_eq!(t.lookup(a("2001:db8:9::9")).unwrap().iface, 0);
-        assert!(t.lookup(a("2002::1")).is_none());
-    }
-
-    /// Route `i` of a random set, drawn so that sets collide: few networks,
-    /// every interesting prefix length, metrics that tie. `iface` numbers
-    /// the insertion order, which makes the "last inserted" tie-break
-    /// observable.
-    fn arb_route(i: usize, w: u128) -> RouteEntry {
-        const LENS: [u8; 12] = [0, 1, 16, 32, 48, 63, 64, 64, 64, 65, 127, 128];
-        let len = LENS[(w >> 120) as usize % LENS.len()];
-        RouteEntry {
-            prefix: Prefix::new(arb_dst(w), len),
-            iface: i as IfIndex,
-            next_hop: (w & 0x100 != 0).then(|| a("fe80::1")),
-            next_hop_node: None,
-            metric: (w >> 16) as u32 % 3,
-        }
-    }
-
-    /// An address in one of five /64s of two /32s, host part 0–3.
-    fn arb_dst(w: u128) -> Ipv6Addr {
-        let site: u16 = if w & 0x10 == 0 { 0xdb8 } else { 0xdb9 };
-        Ipv6Addr::new(0x2001, site, (w >> 32) as u16 % 5, 0, 0, 0, 0, w as u16 & 3)
-    }
-
-    proptest::proptest! {
-        /// Model-based: on any route set — mixed lengths /0–/128, duplicate
-        /// prefixes, equal metrics, any order, empty — the sorted table
-        /// answers `lookup` and `rpf` exactly as the linear scan over the
-        /// routes as inserted.
-        #[test]
-        fn fib_agrees_with_linear_scan(
-            words in proptest::collection::vec(proptest::any::<u128>(), 0..24),
-            probes in proptest::collection::vec(proptest::any::<u128>(), 1..24),
-        ) {
-            use mobicast_pimdm::RpfLookup;
-            let routes: Vec<RouteEntry> =
-                words.iter().enumerate().map(|(i, w)| arb_route(i, *w)).collect();
-            let table = RoutingTable::new(routes.clone());
-            assert!(in_table_order(&table.routes));
-            // Rebuilding from table order changes nothing.
-            assert_eq!(RoutingTable::new(table.routes.clone()).routes, table.routes);
-            let dsts = probes
-                .iter()
-                .map(|w| arb_dst(*w))
-                .chain(routes.iter().map(|r| r.prefix.network()))
-                .chain([a("::"), a("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff")]);
-            for dst in dsts {
-                let want = lookup_linear(&routes, dst);
-                assert_eq!(table.lookup(dst), want, "lookup({dst}) over {routes:?}");
-                assert_eq!(table.rpf(dst), want.map(rpf_info), "rpf({dst})");
-            }
-        }
-    }
-
-    #[test]
-    fn builder_order_is_kept_in_place() {
-        // One /64 per link in link order, as `builder::router_node` pushes.
-        let routes: Vec<RouteEntry> = (0..600u32)
-            .map(|l| RouteEntry {
-                prefix: addressing::link_prefix(LinkId(l)),
-                iface: (l % 3) as IfIndex,
-                next_hop: None,
-                next_hop_node: None,
-                metric: l,
-            })
-            .collect();
-        let table = RoutingTable::new(routes.clone());
-        assert_eq!(table.routes, routes);
-        for l in [0u32, 1, 299, 598, 599] {
-            let dst = addressing::global_addr(NodeId(7), 0, LinkId(l));
-            assert_eq!(table.lookup(dst), Some(&routes[l as usize]));
-        }
-        assert_eq!(
-            table.lookup(addressing::global_addr(NodeId(7), 0, LinkId(600))),
-            None
-        );
-    }
-
-    #[test]
-    fn rpf_from_routing_table() {
+    fn rows_point_into_a_short_next_hop_list() {
         use mobicast_pimdm::RpfLookup;
-        let t = RoutingTable::new(vec![RouteEntry {
-            prefix: "2001:db8:1::/64".parse().unwrap(),
-            iface: 2,
-            next_hop: Some(a("fe80::1")),
-            next_hop_node: Some(NodeId(1)),
-            metric: 3,
-        }]);
-        let info = t.rpf(a("2001:db8:1::42")).unwrap();
-        assert_eq!(info.iif, 2);
-        assert_eq!(info.upstream, Some(a("fe80::1")));
+        let direct = NextHop {
+            iface: 1,
+            via: None,
+        };
+        let across = NextHop {
+            iface: 0,
+            via: Some((NodeId(4), 2)),
+        };
+        let table: RoutingTable = [
+            Some((direct, 1)),
+            None,
+            Some((across, 3)),
+            Some((across, 2)),
+            None,
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(table.hops.len(), 3);
+        assert_eq!(std::mem::size_of_val(&table.rows[0]), 4);
+        let on = |l: u32| addressing::global_addr(NodeId(9), 0, LinkId(l));
+        let route = table.lookup(on(2)).unwrap();
+        assert_eq!(route.prefix, addressing::link_prefix(LinkId(2)));
+        assert_eq!(route.iface, 0);
+        assert_eq!(
+            route.next_hop,
+            Some(addressing::link_local_addr(NodeId(4), 2))
+        );
+        assert_eq!(route.next_hop_node, Some(NodeId(4)));
+        assert_eq!(route.metric, 3);
+        assert_eq!(table.lookup(on(3)).unwrap().metric, 2);
+        let attached = table.lookup(on(0)).unwrap();
+        assert_eq!((attached.iface, attached.next_hop), (1, None));
+        for nothing in [on(1), on(4), on(5), a("2001:db9::1"), a("fe80::400")] {
+            assert_eq!(table.lookup(nothing), None, "{nothing}");
+        }
+        let info = table.rpf(on(2)).unwrap();
+        assert_eq!(info.iif, 0);
+        assert_eq!(info.upstream, route.next_hop);
         assert_eq!(info.metric, 3);
     }
 

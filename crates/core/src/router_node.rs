@@ -687,7 +687,7 @@ impl RouterNode {
             bump!(self.recorder, "router.hop_limit_drops");
             return;
         }
-        let Some(route) = self.table.lookup(packet.dst).copied() else {
+        let Some(route) = self.table.lookup(packet.dst) else {
             bump!(self.recorder, "router.no_route_drops");
             return;
         };
@@ -696,7 +696,7 @@ impl RouterNode {
         if route.next_hop.is_none() && !tunnel::is_tunnel(&packet) {
             if let Some(coa) = self.ha.intercept(packet.dst) {
                 if coa != packet.dst {
-                    let Some(out_route) = self.table.lookup(coa).copied() else {
+                    let Some(out_route) = self.table.lookup(coa) else {
                         return;
                     };
                     let src = self.iface_info(out_route.iface).global;
@@ -777,7 +777,7 @@ impl RouterNode {
         if self.ha.has_group_subscribers(group) && ingress.is_none_or(accepted) {
             let targets = self.ha.multicast_tunnel_targets(group);
             for (home, coa) in targets {
-                let Some(out_route) = self.table.lookup(coa).copied() else {
+                let Some(out_route) = self.table.lookup(coa) else {
                     continue;
                 };
                 let src = self.iface_info(out_route.iface).global;

@@ -20,7 +20,7 @@ use crate::scenario::group;
 use crate::strategy::Policy;
 use mobicast_mld::MldConfig;
 use mobicast_net::{ExecPlan, ExecutorConfig, FaultPlan, ShardRunStats};
-use mobicast_sim::{RngFactory, SimDuration, SimProfile, SimTime, Tracer};
+use mobicast_sim::{RngFactory, SimDuration, SimTime, Tracer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -60,8 +60,9 @@ impl StressSpec {
     }
 
     /// The stress lowering: a sender on link 0, strided receivers, the
-    /// `stress.moves` RNG schedule, and no faults.
-    fn lower(&self) -> Result<RunPlan<'_>, StageError> {
+    /// `stress.moves` RNG schedule, and no faults. For a caller that stops
+    /// between [`run::stage`] and [`run::run`]; [`run_stress`] does both.
+    pub fn lower(&self) -> Result<RunPlan<'_>, StageError> {
         let invalid = |field, reason: &str| {
             let reason = reason.into();
             Err(StageError::Invalid { field, reason })
@@ -166,8 +167,8 @@ pub struct StressReport {
     /// First few violation messages (empty on a legal run).
     pub violations: Vec<String>,
     /// Cost accounting of the oracle's 5 s state poll — deterministic, so
-    /// it participates in the parity checks, and the profile bench asserts
-    /// the walk counters stay flat as listener counts grow.
+    /// it participates in the parity checks, and `mem_accounting.rs`
+    /// asserts the walk counters stay flat as listener counts grow.
     pub poll: crate::oracle::PollStats,
 }
 
@@ -204,28 +205,7 @@ pub fn run_stress_with(
     opts: &StressRunOptions,
     tracer: Tracer,
 ) -> (StressReport, Option<ShardRunStats>) {
-    let (report, shard_stats, _) = run(spec, opts, tracer, false);
-    (report, shard_stats)
-}
-
-/// [`run_stress`] with the event loop's wall-clock profiler on. The
-/// profile travels beside the report, never inside it.
-pub fn run_stress_profiled(
-    spec: &StressSpec,
-    opts: &StressRunOptions,
-) -> (StressReport, SimProfile) {
-    let (report, _, profile) = run(spec, opts, Tracer::null(), true);
-    let profile = profile.unwrap_or_else(|| unreachable!("profiling was enabled before the run"));
-    (report, profile)
-}
-
-fn run(
-    spec: &StressSpec,
-    opts: &StressRunOptions,
-    tracer: Tracer,
-    profile: bool,
-) -> (StressReport, Option<ShardRunStats>, Option<SimProfile>) {
-    let (staged, moves, plan) = stage(spec, opts, tracer, profile);
+    let (staged, moves, plan) = stage(spec, opts, tracer);
     report(spec, moves, run::run(staged, &plan))
 }
 
@@ -235,19 +215,15 @@ fn stage(
     spec: &StressSpec,
     opts: &StressRunOptions,
     tracer: Tracer,
-    profile: bool,
 ) -> (run::Staged, usize, ExecPlan) {
     let staged = spec
         .lower()
         .and_then(|plan| Ok((run::stage(&plan, tracer)?, plan.moves.len())));
-    let (mut staged, moves) = staged.unwrap_or_else(|e| panic!("stress {}: {e}", spec.name));
+    let (staged, moves) = staged.unwrap_or_else(|e| panic!("stress {}: {e}", spec.name));
     let plan = match opts.executor.plan(|shards| staged.net.shard_plan(shards)) {
         Ok(plan) => plan,
         Err(e) => panic!("stress {}: invalid executor config: {e}", spec.name),
     };
-    if profile {
-        staged.net.world.enable_profiling();
-    }
     (staged, moves, plan)
 }
 
@@ -256,7 +232,7 @@ fn report(
     spec: &StressSpec,
     moves: usize,
     out: run::RunOutput,
-) -> (StressReport, Option<ShardRunStats>, Option<SimProfile>) {
+) -> (StressReport, Option<ShardRunStats>) {
     let rec = &out.recorder;
     let (first, dup) = rec.copies();
     let net = &out.net;
@@ -283,7 +259,7 @@ fn report(
         violations: out.oracle.violations,
         poll: out.poll,
     };
-    (report, out.shards, out.profile)
+    (report, out.shards)
 }
 
 /// The canonical stress specs: `quick` uses small shapes suitable for
@@ -390,7 +366,7 @@ mod tests {
                 };
                 let opts = StressRunOptions::default();
                 let retiring = run_stress_with(&spec, &opts, Tracer::null()).0;
-                let (staged, moves, plan) = stage(&spec, &opts, Tracer::null(), false);
+                let (staged, moves, plan) = stage(&spec, &opts, Tracer::null());
                 staged.net.recorder.set_journal_horizon(SimDuration::MAX);
                 let out = run::run(staged, &plan);
                 let journal = &out.recorder.data_events;

@@ -11,9 +11,8 @@
 //! (care-of) address or through its home agent.
 
 use crate::ids::{LinkId, NodeId};
-use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
+use std::cell::OnceCell;
+use std::collections::VecDeque;
 
 /// A route from a router toward a target link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,12 +35,13 @@ pub struct LinkGraph {
     link_routers: Vec<Vec<NodeId>>,
     /// Maps world NodeId to dense router index.
     router_index: Vec<Option<usize>>,
-    /// Memoized per-target BFS distance vectors. The adjacency is
-    /// immutable after construction, so entries never invalidate; without
-    /// the memo every `route`/`link_hop_distance` call re-runs a full BFS,
-    /// which made world *construction* O(routers × links × E) — the wall
-    /// that capped metro grids (each router's table asks for every link).
-    dist_cache: RefCell<BTreeMap<LinkId, Rc<[u32]>>>,
+    /// Memoized BFS distance vectors, one cell per target link. The
+    /// adjacency is immutable after construction, so entries never
+    /// invalidate; without the memo every `route`/`link_hop_distance` call
+    /// re-runs a full BFS, which made world *construction*
+    /// O(routers × links × E) — the wall that capped metro grids (each
+    /// router's table asks for every link).
+    dist_cache: Vec<OnceCell<Box<[u32]>>>,
 }
 
 impl LinkGraph {
@@ -74,7 +74,7 @@ impl LinkGraph {
             router_links,
             link_routers,
             router_index,
-            dist_cache: RefCell::new(BTreeMap::new()),
+            dist_cache: vec![OnceCell::new(); n_links],
         }
     }
 
@@ -125,16 +125,9 @@ impl LinkGraph {
     }
 
     /// Memoized [`Self::link_distances`]: one BFS per distinct target over
-    /// the graph's lifetime, shared via `Rc`.
-    fn distances(&self, target: LinkId) -> Rc<[u32]> {
-        if let Some(d) = self.dist_cache.borrow().get(&target) {
-            return Rc::clone(d);
-        }
-        let dist: Rc<[u32]> = self.link_distances(target).into();
-        self.dist_cache
-            .borrow_mut()
-            .insert(target, Rc::clone(&dist));
-        dist
+    /// the graph's lifetime.
+    fn distances(&self, target: LinkId) -> &[u32] {
+        self.dist_cache[target.index()].get_or_init(|| self.link_distances(target).into())
     }
 
     /// Shortest route from router `from` toward `target` link.

@@ -1,11 +1,13 @@
 //! Shared by the frame-corpus and wire round-trip tests: the reference
-//! every frame's parse memo is compared against.
+//! every frame's parse memo is compared against, and the copying decoders
+//! the zero-copy ones are.
 #![allow(dead_code)]
 
 use bytes::Bytes;
 use mobicast::core::netplan::extract_data_info;
 use mobicast::core::parsed::{parsed, Layers, Upper};
 use mobicast::ipv6::packet::{proto, Packet};
+use mobicast::ipv6::udp::UdpDatagram;
 use mobicast::ipv6::{tunnel, Icmpv6};
 use mobicast::mipv6::packets::{parse_binding_ack, parse_binding_update};
 use mobicast::net::{Frame, FrameClass};
@@ -67,6 +69,44 @@ pub fn assert_memo_matches_fresh_decode(frame: &Frame, seen: &mut Seen) {
 pub fn assert_memo_matches_fresh_decode_of(raw: &[u8]) {
     let frame = Frame::new(Bytes::copy_from_slice(raw), FrameClass::Other);
     assert_memo_matches_fresh_decode(&frame, &mut Seen::default());
+}
+
+/// The zero-copy decoders the frame path uses must agree with the copying
+/// ones on every input — the same value or the same typed error — at every
+/// level of a tunnel nest (to depth 8) and for the UDP datagram inside.
+/// `raw` is checked as a view at a non-zero offset of a larger buffer,
+/// which is what a decapsulated payload is. A frame carrying `raw` must
+/// read the same through its parse memo.
+pub fn assert_shared_decoders_agree(raw: &[u8]) {
+    assert_memo_matches_fresh_decode_of(raw);
+    let mut framed = vec![0xee; 3];
+    framed.extend_from_slice(raw);
+    framed.extend_from_slice(&[0xee; 2]);
+    let mut bytes = Bytes::from(framed).slice(3..3 + raw.len());
+    for level in 0..=8 {
+        let shared = Packet::decode_shared(&bytes);
+        assert_eq!(shared, Packet::decode(&bytes), "IPv6, tunnel level {level}");
+        let Ok(p) = shared else { return };
+        match p.payload_proto {
+            proto::UDP => {
+                assert_eq!(
+                    UdpDatagram::decode_shared(p.src, p.dst, &p.payload),
+                    UdpDatagram::decode(p.src, p.dst, &p.payload),
+                    "UDP, tunnel level {level}"
+                );
+                return;
+            }
+            proto::IPV6 => {
+                assert_eq!(
+                    tunnel::decapsulate(&p),
+                    Packet::decode(&p.payload),
+                    "decapsulate, tunnel level {level}"
+                );
+                bytes = p.payload;
+            }
+            _ => return,
+        }
+    }
 }
 
 fn ask_packet(layers: &Layers, p: &Packet) {

@@ -7,6 +7,8 @@
 
 mod common;
 
+use common::assert_shared_decoders_agree;
+
 use bytes::Bytes;
 use mobicast::ipv6::addr::GroupAddr;
 use mobicast::ipv6::packet::pseudo_header_checksum;
@@ -48,44 +50,6 @@ fn arb_sg_list() -> impl Strategy<Value = Vec<Sg>> {
             })
             .collect()
     })
-}
-
-/// The zero-copy decoders the frame path uses must agree with the copying
-/// ones on every input — the same value or the same typed error — at every
-/// level of a tunnel nest (to depth 8) and for the UDP datagram inside.
-/// `raw` is checked as a view at a non-zero offset of a larger buffer,
-/// which is what a decapsulated payload is. A frame carrying `raw` must
-/// read the same through its parse memo.
-fn assert_shared_decoders_agree(raw: &[u8]) {
-    common::assert_memo_matches_fresh_decode_of(raw);
-    let mut framed = vec![0xee; 3];
-    framed.extend_from_slice(raw);
-    framed.extend_from_slice(&[0xee; 2]);
-    let mut bytes = Bytes::from(framed).slice(3..3 + raw.len());
-    for level in 0..=8 {
-        let shared = Packet::decode_shared(&bytes);
-        assert_eq!(shared, Packet::decode(&bytes), "IPv6, tunnel level {level}");
-        let Ok(p) = shared else { return };
-        match p.payload_proto {
-            proto::UDP => {
-                assert_eq!(
-                    UdpDatagram::decode_shared(p.src, p.dst, &p.payload),
-                    UdpDatagram::decode(p.src, p.dst, &p.payload),
-                    "UDP, tunnel level {level}"
-                );
-                return;
-            }
-            proto::IPV6 => {
-                assert_eq!(
-                    decapsulate(&p),
-                    Packet::decode(&p.payload),
-                    "decapsulate, tunnel level {level}"
-                );
-                bytes = p.payload;
-            }
-            _ => return,
-        }
-    }
 }
 
 proptest! {
