@@ -3,7 +3,6 @@
 
 use crate::addressing;
 use crate::host_node::{HostConfig, HostNode, SenderApp};
-use crate::interners::WorldInterners;
 use crate::netplan::{Directory, NextHop, RoutingTable, SharedDirectory};
 use crate::recorder::{Recorder, SharedRecorder, JOURNAL_HORIZON};
 use crate::router_node::{RouterConfig, RouterIfaceInfo, RouterNode};
@@ -179,8 +178,6 @@ pub struct BuiltNetwork {
     pub graph: LinkGraph,
     pub recorder: SharedRecorder,
     pub directory: SharedDirectory,
-    /// World-level id pools all router state tables draw from.
-    pub interners: WorldInterners,
 }
 
 impl BuiltNetwork {
@@ -223,7 +220,6 @@ impl BuiltNetwork {
 /// Build one router behavior for `r` (interface info + routing table
 /// derived from the graph). Also used to construct the fresh, blank-state
 /// replacement stack when a fault plan restarts a crashed router.
-#[allow(clippy::too_many_arguments)]
 fn router_node(
     spec: &NetworkSpec,
     links: &[LinkId],
@@ -232,7 +228,6 @@ fn router_node(
     router_cfg: RouterConfig,
     rng: &RngFactory,
     recorder: &SharedRecorder,
-    interners: &WorldInterners,
 ) -> Box<RouterNode> {
     let attached = &spec.routers[r.index()];
     let ifaces: Vec<RouterIfaceInfo> = attached
@@ -252,7 +247,6 @@ fn router_node(
         routing_table(spec, links, graph, r),
         rng,
         recorder.clone(),
-        interners,
     ))
 }
 
@@ -340,11 +334,8 @@ pub fn build(
     });
 
     // Per-router interface info + routing tables.
-    let interners = WorldInterners::new();
     for (r, attached) in router_ids.iter().zip(&spec.routers) {
-        let node = router_node(
-            spec, &links, &graph, *r, router_cfg, &rng, &recorder, &interners,
-        );
+        let node = router_node(spec, &links, &graph, *r, router_cfg, &rng, &recorder);
         let id = world.add_node(attached.len(), node);
         debug_assert_eq!(id, *r);
         for (ifx, l) in attached.iter().enumerate() {
@@ -388,7 +379,6 @@ pub fn build(
         graph,
         recorder,
         directory,
-        interners,
     }
 }
 
@@ -466,7 +456,6 @@ pub fn apply_fault_plan(
             router_cfg,
             &rng.subfactory(&format!("restart.{k}")),
             &net.recorder,
-            &net.interners,
         );
         net.world.at(at(crash.restart_at_secs), move |w| {
             w.restart_node(node, fresh)

@@ -33,7 +33,6 @@ pub mod chaos;
 pub mod experiments;
 pub mod explain;
 pub mod host_node;
-pub mod interners;
 pub mod mobility;
 pub mod netplan;
 mod node_kit;
@@ -54,7 +53,6 @@ pub use analysis::{Analysis, RunReport};
 pub use builder::{build, BuiltNetwork, HostSpec, MapDomain, NetworkSpec};
 pub use explain::{DeliveryPath, Journey, JourneyHop};
 pub use host_node::{HostConfig, HostNode, SenderApp};
-pub use interners::WorldInterners;
 pub use observability::{
     diff_report_values, handoff_rows, policy_handoff_stats, HandoffRow, PhaseBreakdown,
     PolicyHandoffStats, DEFAULT_DRIFT_THRESHOLD,

@@ -9,7 +9,6 @@
 //! are suppressed by other listeners' reports, and send Done when the
 //! binding (and thus the proxied membership) goes away.
 
-use crate::interners::WorldInterners;
 use crate::netplan::{self, frame_for, RoutingTable};
 use crate::node_kit::{self, account_note, malformed, mld_packet, Malformed, Note, TimerSlot};
 use crate::parsed::{parsed, Layers, Upper};
@@ -208,19 +207,13 @@ impl RouterNode {
         table: RoutingTable,
         rng: &RngFactory,
         recorder: SharedRecorder,
-        interners: &WorldInterners,
     ) -> Self {
-        let mut pim = PimRouter::with_interners(
-            cfg.pim,
-            rng.indexed_stream("pim-router", u64::from(id.0)),
-            interners.addrs.clone(),
-            interners.groups.clone(),
-        );
+        let mut pim = PimRouter::new(cfg.pim, rng.indexed_stream("pim-router", u64::from(id.0)));
         pim.set_budget(cfg.budget.pim_sg_entries, cfg.budget.shed_policy);
         let port = |(i, info): (usize, RouterIfaceInfo)| {
             let ifx = i as IfIndex;
             pim.add_iface(ifx, info.ll);
-            let mut mld = MldRouterPort::with_interner(cfg.mld, info.ll, interners.groups.clone());
+            let mut mld = MldRouterPort::new(cfg.mld, info.ll);
             mld.set_budget(cfg.budget.mld_listeners, cfg.budget.shed_policy);
             let proxy_rng = rng.indexed_stream("ha-proxy", u64::from(id.0) * 16 + u64::from(ifx));
             Port {
@@ -232,7 +225,7 @@ impl RouterNode {
             }
         };
         let ports = ifaces.into_iter().enumerate().map(port).collect();
-        let mut ha = HomeAgent::with_interners(interners.addrs.clone(), interners.groups.clone());
+        let mut ha = HomeAgent::new();
         ha.set_budget(cfg.budget.binding_cache, cfg.budget.shed_policy);
         RouterNode {
             id,

@@ -2,16 +2,16 @@
 //! extended with the paper's per-binding multicast group list (the data the
 //! proposed Multicast Group List Sub-Option carries, §4.3.2).
 //!
-//! Bindings live in the shared [`SoftTable`] keyed by interned home
-//! address (iteration in home-address order, expiry column, watermark);
-//! each row holds the interned care-of address, the sequence number and
-//! the list of interned group ids. What is the cache's own sits above the
-//! table: per-group subscriber counts aggregated in `group_refs` (the
-//! paper's aggregation level: one entry per group per home agent, however
-//! many bindings subscribe) and the [`CacheDelta`] they produce.
+//! Bindings live in the shared [`SoftTable`] keyed by home address
+//! (iteration in home-address order, expiry column, watermark); each row
+//! holds the care-of address, the sequence number and the list of groups.
+//! What is the cache's own sits above the table: per-group subscriber
+//! counts aggregated in `group_refs` (the paper's aggregation level: one
+//! entry per group per home agent, however many bindings subscribe) and
+//! the [`CacheDelta`] they produce.
 
 use mobicast_ipv6::addr::GroupAddr;
-use mobicast_sim::arena::{InternId, KeySpace, Row, SharedInterner, SoftTable};
+use mobicast_sim::arena::SoftTable;
 use mobicast_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -41,21 +41,22 @@ impl CacheDelta {
 }
 
 /// Everything a binding holds besides its home address and expiry.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct BindingRow {
-    care_of: InternId,
+    care_of: Ipv6Addr,
     sequence: u16,
-    /// Interned ids of the groups the binding subscribes to, in the order
-    /// the Binding Update listed them.
-    groups: Vec<InternId>,
+    /// The groups the binding subscribes to, in the order the Binding
+    /// Update listed them.
+    groups: Vec<GroupAddr>,
 }
 
-impl Row for BindingRow {
-    /// Care-of id (4) + sequence (2) + group-list header (24).
-    const SLOT_BYTES: usize = 4 + 2 + 24;
-
-    fn heap_bytes(&self) -> usize {
-        self.groups.len() * 4
+impl Default for BindingRow {
+    fn default() -> Self {
+        BindingRow {
+            care_of: Ipv6Addr::UNSPECIFIED,
+            sequence: 0,
+            groups: Vec::new(),
+        }
     }
 }
 
@@ -65,11 +66,8 @@ type GroupRefs = BTreeMap<GroupAddr, usize>;
 /// The home agent's binding cache.
 #[derive(Debug)]
 pub struct BindingCache {
-    /// Bindings by home address. Home and care-of addresses share one
-    /// world-level id space.
-    table: SoftTable<SharedInterner<Ipv6Addr>, BindingRow>,
-    addrs: SharedInterner<Ipv6Addr>,
-    groups: SharedInterner<GroupAddr>,
+    /// Bindings by home address.
+    table: SoftTable<Ipv6Addr, BindingRow>,
     group_refs: GroupRefs,
 }
 
@@ -79,15 +77,9 @@ impl Default for BindingCache {
     }
 }
 
-/// Count one more subscriber for each of `gids`.
-fn ref_groups(
-    refs: &mut GroupRefs,
-    groups: &SharedInterner<GroupAddr>,
-    gids: &[InternId],
-    delta: &mut CacheDelta,
-) {
-    for &gid in gids {
-        let g = groups.resolve(gid);
+/// Count one more subscriber for each of `groups`.
+fn ref_groups(refs: &mut GroupRefs, groups: &[GroupAddr], delta: &mut CacheDelta) {
+    for &g in groups {
         let c = refs.entry(g).or_insert(0);
         *c += 1;
         if *c == 1 {
@@ -96,43 +88,23 @@ fn ref_groups(
     }
 }
 
-/// Count one subscriber fewer for each of `gids`.
-fn unref_groups(
-    refs: &mut GroupRefs,
-    groups: &SharedInterner<GroupAddr>,
-    gids: &[InternId],
-    delta: &mut CacheDelta,
-) {
-    for &gid in gids {
-        let g = groups.resolve(gid);
-        if let Some(c) = refs.get_mut(&g) {
+/// Count one subscriber fewer for each of `groups`.
+fn unref_groups(refs: &mut GroupRefs, groups: &[GroupAddr], delta: &mut CacheDelta) {
+    for g in groups {
+        if let Some(c) = refs.get_mut(g) {
             *c -= 1;
             if *c == 0 {
-                refs.remove(&g);
-                delta.groups_removed.push(g);
+                refs.remove(g);
+                delta.groups_removed.push(*g);
             }
         }
     }
 }
 
 impl BindingCache {
-    /// A cache with its own private id spaces (unit tests).
     pub fn new() -> Self {
-        Self::with_interners(
-            mobicast_sim::shared_interner(),
-            mobicast_sim::shared_interner(),
-        )
-    }
-
-    /// A cache drawing address and group ids from world-level interners.
-    pub fn with_interners(
-        addrs: SharedInterner<Ipv6Addr>,
-        groups: SharedInterner<GroupAddr>,
-    ) -> Self {
         BindingCache {
-            table: SoftTable::with_keys(addrs.clone()),
-            addrs,
-            groups,
+            table: SoftTable::new(),
             group_refs: BTreeMap::new(),
         }
     }
@@ -140,7 +112,7 @@ impl BindingCache {
     fn view(&self, slot: u32) -> BindingView {
         let row = self.table.row(slot);
         BindingView {
-            care_of: self.addrs.resolve(row.care_of),
+            care_of: row.care_of,
             expires: self.table.expires_at(slot),
             sequence: row.sequence,
         }
@@ -184,18 +156,10 @@ impl BindingCache {
     /// Care-of addresses of every binding subscribed to `group`, in home
     /// address order (the fan-out set for tunnelled multicast).
     pub fn subscribers(&self, group: GroupAddr) -> Vec<(Ipv6Addr, Ipv6Addr)> {
-        let Some(gid) = self.groups.borrow().get(&group) else {
-            return Vec::new();
-        };
         self.table
             .slots()
-            .filter(|&slot| self.table.row(slot).groups.contains(&gid))
-            .map(|slot| {
-                (
-                    self.table.key_of(slot),
-                    self.addrs.resolve(self.table.row(slot).care_of),
-                )
-            })
+            .filter(|&slot| self.table.row(slot).groups.contains(&group))
+            .map(|slot| (self.table.key_of(slot), self.table.row(slot).care_of))
             .collect()
     }
 
@@ -206,7 +170,7 @@ impl BindingCache {
 
     fn remove(&mut self, home: Ipv6Addr, delta: &mut CacheDelta) {
         if let Some(row) = self.table.remove(home) {
-            unref_groups(&mut self.group_refs, &self.groups, &row.groups, delta);
+            unref_groups(&mut self.group_refs, &row.groups, delta);
         }
     }
 
@@ -227,40 +191,24 @@ impl BindingCache {
             return delta;
         }
         let expires = now + lifetime;
-        // The id spaces span the full u32 range — in any buildable
-        // topology interning cannot fail, but degrade to ignoring the
-        // update rather than panicking if it ever does.
-        let Ok(care_of) = self.addrs.borrow_mut().intern(care_of) else {
-            return delta;
-        };
-        let gids: Vec<InternId> = {
-            let mut gi = self.groups.borrow_mut();
-            let Ok(gids) = groups.iter().map(|g| gi.intern(*g)).collect() else {
-                return delta;
-            };
-            gids
-        };
-        let (refs, interner) = (&mut self.group_refs, &self.groups);
+        let refs = &mut self.group_refs;
+        ref_groups(refs, &groups, &mut delta);
         match self.table.slot_of(home) {
             Some(slot) => {
-                ref_groups(refs, interner, &gids, &mut delta);
                 let row = self.table.row_mut(slot);
                 row.care_of = care_of;
                 row.sequence = sequence;
-                let old_groups = std::mem::replace(&mut row.groups, gids);
-                unref_groups(refs, interner, &old_groups, &mut delta);
+                let old_groups = std::mem::replace(&mut row.groups, groups);
+                unref_groups(refs, &old_groups, &mut delta);
                 self.table.set_expires(slot, expires);
             }
             None => {
                 let row = BindingRow {
                     care_of,
                     sequence,
-                    groups: gids,
+                    groups,
                 };
-                let Ok(slot) = self.table.insert(home, expires, row) else {
-                    return delta;
-                };
-                ref_groups(refs, interner, &self.table.row(slot).groups, &mut delta);
+                let Ok(_) = self.table.insert(home, expires, row);
             }
         }
         delta
@@ -299,14 +247,6 @@ impl BindingCache {
         // exactly so the next poll-guard read is tight again.
         self.table.refresh_min_expires();
         (dead, delta)
-    }
-
-    /// Deterministic byte audit of the cache: the table's audit (43 bytes
-    /// per allocated slot, 4 per subscribed group id, 4 per index and
-    /// free-list entry) plus one `(GroupAddr, usize)` pair per distinct
-    /// group in the refcount map.
-    pub fn state_bytes(&self) -> usize {
-        self.table.state_bytes() + self.group_refs.len() * (16 + 8)
     }
 }
 

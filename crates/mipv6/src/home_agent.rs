@@ -12,7 +12,6 @@
 use crate::binding::{BindingCache, CacheDelta};
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_ipv6::exthdr::{BindingAck, BindingUpdate};
-use mobicast_sim::arena::SharedInterner;
 use mobicast_sim::{ShedPolicy, SimDuration, SimTime};
 use std::net::Ipv6Addr;
 
@@ -66,18 +65,6 @@ impl HomeAgent {
         Self::default()
     }
 
-    /// A home agent whose binding cache draws address and group ids from
-    /// world-level interners shared across every node.
-    pub fn with_interners(
-        addrs: SharedInterner<Ipv6Addr>,
-        groups: SharedInterner<GroupAddr>,
-    ) -> Self {
-        HomeAgent {
-            cache: BindingCache::with_interners(addrs, groups),
-            ..Self::default()
-        }
-    }
-
     /// Bound the binding cache at `capacity` entries, shedding per
     /// `policy`. `None` restores the unbounded default.
     pub fn set_budget(&mut self, capacity: Option<u32>, policy: ShedPolicy) {
@@ -98,12 +85,6 @@ impl HomeAgent {
     /// occupancy counter read.
     pub fn binding_count(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Deterministic byte audit of the binding cache (see
-    /// [`BindingCache::state_bytes`]).
-    pub fn state_bytes(&self) -> usize {
-        self.cache.state_bytes()
     }
 
     fn delta_outputs(delta: CacheDelta) -> Vec<HaOutput> {

@@ -17,7 +17,6 @@ use crate::config::MldConfig;
 use crate::message::MldMessage;
 use crate::table::{min_deadline, ListenerTable, Rexmt};
 use mobicast_ipv6::addr::GroupAddr;
-use mobicast_sim::arena::SharedInterner;
 use mobicast_sim::{ShedPolicy, SimTime};
 use std::net::Ipv6Addr;
 
@@ -58,8 +57,8 @@ enum Role {
 }
 
 /// Router-side MLD state for one interface. Memberships live in a
-/// struct-of-arrays [`ListenerTable`] with interned group ids; the port
-/// keeps only the querier machinery around it.
+/// struct-of-arrays [`ListenerTable`]; the port keeps only the querier
+/// machinery around it.
 #[derive(Debug)]
 pub struct MldRouterPort {
     cfg: MldConfig,
@@ -79,20 +78,6 @@ pub struct MldRouterPort {
 
 impl MldRouterPort {
     pub fn new(cfg: MldConfig, my_addr: Ipv6Addr) -> Self {
-        Self::build(cfg, my_addr, ListenerTable::new())
-    }
-
-    /// A port whose listener table draws group ids from a world-level
-    /// interner shared across every node.
-    pub fn with_interner(
-        cfg: MldConfig,
-        my_addr: Ipv6Addr,
-        groups: SharedInterner<GroupAddr>,
-    ) -> Self {
-        Self::build(cfg, my_addr, ListenerTable::with_keys(groups))
-    }
-
-    fn build(cfg: MldConfig, my_addr: Ipv6Addr, groups: ListenerTable) -> Self {
         debug_assert!(cfg.validate().is_ok(), "invalid MLD config");
         MldRouterPort {
             cfg,
@@ -101,7 +86,7 @@ impl MldRouterPort {
             other_querier_deadline: None,
             next_general_query: None,
             startup_left: cfg.startup_query_count,
-            groups,
+            groups: ListenerTable::new(),
             notes: Vec::new(),
             budget: None,
             shed_policy: ShedPolicy::default(),
@@ -147,12 +132,6 @@ impl MldRouterPort {
     /// an O(1) occupancy counter read.
     pub fn membership_count(&self) -> usize {
         self.groups.len()
-    }
-
-    /// Deterministic byte audit of the membership table (see
-    /// [`ListenerTable::state_bytes`]).
-    pub fn state_bytes(&self) -> usize {
-        self.groups.state_bytes()
     }
 
     /// O(1) conservative lower bound on all membership expiries.
@@ -211,16 +190,7 @@ impl MldRouterPort {
                                 }
                             }
                         }
-                        if self
-                            .groups
-                            .insert(*group, expires, Rexmt::default())
-                            .is_err()
-                        {
-                            // Group-id space exhausted: degrade to shedding
-                            // the report instead of panicking.
-                            self.notes.push(MldNote::ListenerShed { group: *group });
-                            return out;
-                        }
+                        let Ok(_) = self.groups.insert(*group, expires, Rexmt::default());
                         out.push(RouterOutput::ListenerAdded(*group));
                         out
                     }

@@ -1,15 +1,11 @@
 //! The listener table backing [`MldRouterPort`]: the shared
-//! [`SoftTable`] keyed by interned group address, one specific-query
+//! [`SoftTable`] keyed by group address, one specific-query
 //! retransmission row per membership.
-//!
-//! Group addresses are interned through a [`SharedInterner`] — one
-//! world-level id space shared by every port — so each membership costs a
-//! 4-byte handle instead of a 16-byte address per row.
 //!
 //! [`MldRouterPort`]: crate::router::MldRouterPort
 
 use mobicast_ipv6::addr::GroupAddr;
-use mobicast_sim::arena::{Row, SharedInterner, SoftTable};
+use mobicast_sim::arena::SoftTable;
 use mobicast_sim::SimTime;
 
 /// Specific-query retransmission state for one membership:
@@ -17,13 +13,8 @@ use mobicast_sim::SimTime;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Rexmt(pub Option<(u32, SimTime)>);
 
-impl Row for Rexmt {
-    /// Remaining count (4) + next send time (8).
-    const SLOT_BYTES: usize = 12;
-}
-
-/// Membership table for one router interface: 25 audited bytes per slot.
-pub type ListenerTable = SoftTable<SharedInterner<GroupAddr>, Rexmt>;
+/// Membership table for one router interface.
+pub type ListenerTable = SoftTable<GroupAddr, Rexmt>;
 
 /// Earliest pending per-group deadline (expiry or retransmission): one
 /// linear sweep over the columns.

@@ -23,7 +23,6 @@ use crate::config::PimConfig;
 use crate::message::{PimMessage, Sg};
 use crate::table::{DownstreamPrune, OifState, SgDetail, SgTable, UpstreamState};
 use mobicast_ipv6::addr::GroupAddr;
-use mobicast_sim::arena::SharedInterner;
 use mobicast_sim::{ShedPolicy, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -150,7 +149,7 @@ pub struct SgSnapshot {
 }
 
 /// The PIM-DM protocol instance of one router. (S,G) state lives in a
-/// struct-of-arrays [`SgTable`] with interned source/group ids.
+/// struct-of-arrays [`SgTable`].
 pub struct PimRouter {
     cfg: PimConfig,
     rng: SmallRng,
@@ -169,27 +168,12 @@ pub struct PimRouter {
 
 impl PimRouter {
     pub fn new(cfg: PimConfig, rng: SmallRng) -> Self {
-        Self::build(cfg, rng, SgTable::new())
-    }
-
-    /// A router whose (S,G) table draws address and group ids from
-    /// world-level interners shared across every node.
-    pub fn with_interners(
-        cfg: PimConfig,
-        rng: SmallRng,
-        addrs: SharedInterner<Ipv6Addr>,
-        groups: SharedInterner<GroupAddr>,
-    ) -> Self {
-        Self::build(cfg, rng, SgTable::with_keys((addrs, groups)))
-    }
-
-    fn build(cfg: PimConfig, rng: SmallRng, entries: SgTable) -> Self {
         debug_assert!(cfg.validate().is_ok(), "invalid PIM config");
         PimRouter {
             cfg,
             rng,
             ifaces: BTreeMap::new(),
-            entries,
+            entries: SgTable::new(),
             next_hello: None,
             notes: Vec::new(),
             budget: None,
@@ -266,12 +250,6 @@ impl PimRouter {
     /// table walk on quiescent routers.
     pub fn mutation_epoch(&self) -> u64 {
         self.entries.mutation_epoch() + self.iface_epoch
-    }
-
-    /// Deterministic byte audit of the (S,G) table (see
-    /// [`SgTable::state_bytes`]).
-    pub fn state_bytes(&self) -> usize {
-        self.entries.state_bytes()
     }
 
     /// Snapshot of an entry for assertions and metrics.
@@ -381,18 +359,10 @@ impl PimRouter {
             last_prune_tx: None,
             iif_assert_winner: None,
         };
-        match self
+        let Ok(slot) = self
             .entries
-            .insert((s, g), now + self.cfg.data_timeout, detail)
-        {
-            Ok(slot) => Some(slot),
-            Err(_) => {
-                // Id space exhausted: degrade to shedding the entry
-                // instead of panicking.
-                self.notes.push(PimNote::SgShed { sg: (s, g) });
-                None
-            }
-        }
+            .insert((s, g), now + self.cfg.data_timeout, detail);
+        Some(slot)
     }
 
     /// A multicast data packet for `(s, g)` arrived on `iface`. Returns the

@@ -1,12 +1,12 @@
 //! The (S,G) table backing [`PimRouter`]: the shared [`SoftTable`] keyed
-//! by interned `(source, group)` with the data-timeout expiry as its hot
+//! by `(source, group)` with the data-timeout expiry as its hot
 //! column. The colder per-entry protocol state (upstream machine, per-oif
 //! prune/assert state) rides along as one [`SgDetail`] row per slot.
 //!
 //! [`PimRouter`]: crate::router::PimRouter
 
 use mobicast_ipv6::addr::GroupAddr;
-use mobicast_sim::arena::{Row, SharedInterner, SoftTable};
+use mobicast_sim::arena::SoftTable;
 use mobicast_sim::SimTime;
 use std::net::Ipv6Addr;
 
@@ -76,15 +76,5 @@ impl SgDetail {
     }
 }
 
-impl Row for SgDetail {
-    const SLOT_BYTES: usize = std::mem::size_of::<SgDetail>();
-
-    /// Each oif costs its `(IfIndex, OifState)` pair.
-    fn heap_bytes(&self) -> usize {
-        self.oifs.len() * std::mem::size_of::<(IfIndex, OifState)>()
-    }
-}
-
-/// (S,G) table for one PIM-DM router, ordered by `(source, group)`:
-/// 17 audited bytes per slot plus the detail row and its oif list.
-pub type SgTable = SoftTable<(SharedInterner<Ipv6Addr>, SharedInterner<GroupAddr>), SgDetail>;
+/// (S,G) table for one PIM-DM router, ordered by `(source, group)`.
+pub type SgTable = SoftTable<(Ipv6Addr, GroupAddr), SgDetail>;

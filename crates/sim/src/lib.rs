@@ -5,15 +5,14 @@
 //! Protocol Independent Multicast Dense Mode"*, ICPP 2000).
 //!
 //! Contents:
-//! * [`arena`] — compact-state primitives: a dense key interner
-//!   ([`Interner`]) and the one keyed soft-state table ([`SoftTable`])
-//!   behind the MLD, PIM-DM and binding-cache state.
+//! * [`arena`] — the one keyed soft-state table ([`SoftTable`]) behind
+//!   the MLD, PIM-DM and binding-cache state.
 //! * [`time`] — integer virtual time ([`SimTime`], [`SimDuration`]).
 //! * [`queue`] — a cancellable, FIFO-stable event queue ([`EventQueue`])
 //!   and the handle that names one scheduling ([`EventId`]).
 //! * [`wheel`] — the hierarchical timer wheel behind [`EventQueue`]
-//!   (O(1) scheduling, payloads in a slab, cancel by stamp compare; the
-//!   original heap queue remains, in test builds, as its reference model).
+//!   (O(1) scheduling, payloads in a slab, cancel by stamp compare; test
+//!   builds check it against a sorted-`Vec` reference model).
 //! * [`rng`] — labelled deterministic RNG streams ([`RngFactory`]).
 //! * [`metrics`] — counters and sample series with summaries.
 //! * [`trace`] — structured, filterable simulation traces with a versioned
@@ -49,9 +48,7 @@ pub mod time;
 pub mod trace;
 pub mod wheel;
 
-pub use arena::{
-    shared_interner, InternExhausted, InternId, Interner, KeySpace, Row, SharedInterner, SoftTable,
-};
+pub use arena::SoftTable;
 pub use budget::{RateLimit, ShedPolicy, TokenBucket};
 pub use metrics::{Counter, Counters, Series, SeriesSet, Summary};
 pub use profile::{Profiler, SimProfile, Stage};

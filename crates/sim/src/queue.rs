@@ -4,12 +4,11 @@
 //! (FIFO), which makes runs fully deterministic. Cancellation is O(1);
 //! a cancelled entry is skipped (and dropped) when it surfaces.
 //!
-//! Two implementations share the API and the exact `(time, sequence)` pop
-//! order: the production [`EventQueue`] is the hierarchical timer wheel of
-//! [`crate::wheel`] (O(1) schedule/placement, payloads in a slab, cancel
-//! by stamp compare); `HeapEventQueue` (test builds only) is the original
-//! binary-heap queue with a pending-id set, kept as the independent
-//! reference implementation for the wheel's differential test.
+//! The queue is the hierarchical timer wheel of [`crate::wheel`] (O(1)
+//! schedule/placement, payloads in a slab, cancel by stamp compare). Test
+//! builds add `SortedVecQueue`, a sorted `Vec` with the same API and the
+//! same `(time, sequence)` pop order: the wheel's differential test
+//! checks it against that model.
 
 /// The event queue used by the simulator: the timer wheel.
 pub type EventQueue<E> = crate::wheel::TimerWheel<E>;
@@ -46,151 +45,85 @@ impl EventId {
 }
 
 #[cfg(test)]
-pub(crate) use heap::HeapEventQueue;
+pub(crate) use model::SortedVecQueue;
 
 #[cfg(test)]
-mod heap {
+mod model {
     use super::EventId;
     use crate::time::SimTime;
-    use std::cmp::{Ordering, Reverse};
-    use std::collections::{BinaryHeap, HashSet};
 
-    /// One scheduled event of the heap queue, ordered by `(at, seq)`.
-    struct Entry<E> {
-        at: SimTime,
-        seq: u64,
-        payload: E,
-    }
-
-    impl<E> PartialEq for Entry<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.at == other.at && self.seq == other.seq
-        }
-    }
-    impl<E> Eq for Entry<E> {}
-    impl<E> PartialOrd for Entry<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<E> Ord for Entry<E> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            (self.at, self.seq).cmp(&(other.at, other.seq))
-        }
-    }
-
-    /// A deterministic, cancellable event queue over a binary heap.
-    ///
-    /// Sequence numbers are never reused, so an [`EventId`] unambiguously names
-    /// one scheduling. Cancelling an event that already fired (or was already
-    /// cancelled) is a no-op that returns `false`.
-    pub struct HeapEventQueue<E> {
-        heap: BinaryHeap<Reverse<Entry<E>>>,
-        /// Ids scheduled but neither popped nor cancelled yet.
-        pending: HashSet<u64>,
+    /// The wheel's reference model (test builds only): every pending event
+    /// in one `Vec` sorted by `(at, seq)`, so the next pop is the first
+    /// element. `cancel` removes the entry: an id is pending iff its `seq` is
+    /// still in the vector.
+    pub struct SortedVecQueue<E> {
+        pending: Vec<(SimTime, u64, E)>,
         next_seq: u64,
         now: SimTime,
         depth_high_water: usize,
     }
 
-    impl<E> HeapEventQueue<E> {
+    impl<E> SortedVecQueue<E> {
         pub fn new() -> Self {
-            HeapEventQueue {
-                heap: BinaryHeap::new(),
-                pending: HashSet::new(),
+            SortedVecQueue {
+                pending: Vec::new(),
                 next_seq: 0,
                 now: SimTime::ZERO,
                 depth_high_water: 0,
             }
         }
 
-        /// Current virtual time: the timestamp of the most recently popped event.
-        #[inline]
         pub fn now(&self) -> SimTime {
             self.now
         }
 
-        /// Schedule `payload` for delivery at absolute time `at`.
-        ///
-        /// Panics if `at` is in the past — scheduling backwards in time is
-        /// always a logic error in a DES.
         pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
-            assert!(
-                at >= self.now,
-                "cannot schedule into the past: at={at:?} now={:?}",
-                self.now
-            );
+            assert!(at >= self.now, "cannot schedule into the past");
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.heap.push(Reverse(Entry { at, seq, payload }));
-            self.pending.insert(seq);
+            // `seq` outranks every pending one: the entry goes after all at `at`.
+            let pos = self.pending.partition_point(|e| e.0 <= at);
+            self.pending.insert(pos, (at, seq, payload));
             self.depth_high_water = self.depth_high_water.max(self.pending.len());
             EventId::new(seq, 0)
         }
 
-        /// Cancel a previously scheduled event. Returns `true` iff the event was
-        /// still pending (and is now guaranteed not to fire).
         pub fn cancel(&mut self, id: EventId) -> bool {
-            self.pending.remove(&id.seq())
+            let found = self.pending.iter().position(|e| e.1 == id.seq());
+            found.map(|pos| self.pending.remove(pos)).is_some()
         }
 
-        /// Remove and return the next event `(time, payload)`, advancing `now`.
         pub fn pop(&mut self) -> Option<(SimTime, E)> {
-            while let Some(Reverse(entry)) = self.heap.pop() {
-                if !self.pending.remove(&entry.seq) {
-                    continue; // cancelled
-                }
-                debug_assert!(entry.at >= self.now);
-                self.now = entry.at;
-                return Some((entry.at, entry.payload));
+            if self.pending.is_empty() {
+                return None;
             }
-            None
+            let (at, _, payload) = self.pending.remove(0);
+            self.now = at;
+            Some((at, payload))
         }
 
-        /// Timestamp of the next pending event without popping it.
-        pub fn peek_time(&mut self) -> Option<SimTime> {
-            while let Some(Reverse(entry)) = self.heap.peek() {
-                if self.pending.contains(&entry.seq) {
-                    return Some(entry.at);
-                }
-                self.heap.pop();
-            }
-            None
+        pub fn peek_time(&self) -> Option<SimTime> {
+            self.pending.first().map(|e| e.0)
         }
 
-        /// True when no live events remain.
         pub fn is_empty(&self) -> bool {
             self.pending.is_empty()
         }
 
-        /// Number of live (scheduled, not fired, not cancelled) events.
         pub fn len(&self) -> usize {
             self.pending.len()
         }
 
-        /// Total number of events ever scheduled (diagnostic).
         pub fn scheduled_total(&self) -> u64 {
             self.next_seq
         }
 
-        /// Highest number of simultaneously live events ever observed
-        /// (diagnostic; maintained on every `schedule`, so it is always on and
-        /// costs one comparison).
         pub fn depth_high_water(&self) -> usize {
             self.depth_high_water
         }
 
-        /// Advance the clock to `t` without popping anything. Panics if a live
-        /// event earlier than `t` is still pending (that event must be popped
-        /// first) or if `t` is in the past.
         pub fn advance_to(&mut self, t: SimTime) {
-            assert!(t >= self.now, "cannot advance backwards");
-            if let Some(next) = self.peek_time() {
-                assert!(
-                    next >= t,
-                    "cannot advance past pending event at {next:?} to {t:?}"
-                );
-            }
+            assert!(t >= self.now && self.peek_time().is_none_or(|next| next >= t));
             self.now = t;
         }
     }

@@ -1,6 +1,6 @@
-//! A hierarchical timer wheel with the exact semantics of the original
-//! binary-heap `HeapEventQueue`, which its differential test keeps as
-//! the reference model.
+//! A hierarchical timer wheel: a cancellable event queue popping in
+//! `(time, sequence)` order, checked by its differential test against a
+//! sorted-`Vec` reference model.
 //!
 //! The protocol stack schedules two very different kinds of events: frame
 //! deliveries a few tens of microseconds ahead (link delay + serialization)
@@ -32,11 +32,10 @@
 //! place and is discarded when it surfaces; a recycled cell can never be
 //! mistaken for its previous occupant.
 //!
-//! Determinism: pops are globally ordered by `(time, sequence)` — the
-//! same total order the heap produced — so replacing the queue cannot
-//! perturb a single run. The differential tests at the bottom drive both
-//! implementations through identical random workloads and assert identical
-//! pop sequences.
+//! Determinism: pops are globally ordered by `(time, sequence)`. The
+//! differential test at the bottom drives the wheel and the sorted-`Vec`
+//! model through identical random workloads and asserts identical pop
+//! sequences.
 //!
 //! Invariants maintained:
 //! * every wheel key's tick is strictly greater than `current_tick`;
@@ -88,8 +87,7 @@ struct Cell<E> {
 const FREE: u64 = u64::MAX;
 
 /// A deterministic, cancellable event queue over a hierarchical timer
-/// wheel. Drop-in replacement for the heap-based queue: identical API,
-/// identical pop order, identical panics.
+/// wheel.
 pub struct TimerWheel<E> {
     /// `LEVELS * SLOTS` buckets; bucket `level * SLOTS + slot` holds
     /// keys whose tick matches `current_tick` above bit `6*(level+1)`
@@ -338,7 +336,7 @@ impl<E> TimerWheel<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::HeapEventQueue;
+    use crate::queue::SortedVecQueue;
     use crate::time::SimDuration;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -448,7 +446,7 @@ mod tests {
         }
     }
 
-    /// The differential harness: the wheel and the reference heap queue
+    /// The differential harness: the wheel and the sorted-`Vec` model
     /// process an identical randomized schedule/cancel/pop/advance script
     /// and must emit identical pop sequences and identical diagnostics
     /// after every operation. Cancels aim at every id ever handed out —
@@ -457,21 +455,21 @@ mod tests {
     /// them killed the new occupant, the pop sequences would part. Each
     /// payload must be dropped exactly once, however it left the wheel.
     #[test]
-    fn differential_against_heap_queue() {
+    fn differential_against_sorted_vec_model() {
         for seed in 0..8u64 {
             let mut rng = SmallRng::seed_from_u64(diff_seed(seed));
             let drops = Rc::new(RefCell::new(Vec::new()));
             let mut wheel: TimerWheel<Counted> = TimerWheel::new();
-            let mut heap: HeapEventQueue<usize> = HeapEventQueue::new();
+            let mut model: SortedVecQueue<usize> = SortedVecQueue::new();
             // Per payload number: both ids and whether the event is live.
             let mut ids: Vec<(EventId, EventId, bool)> = Vec::new();
             let mut stale_cancels = 0u32;
             let pop_both = |wheel: &mut TimerWheel<Counted>,
-                            heap: &mut HeapEventQueue<usize>,
+                            model: &mut SortedVecQueue<usize>,
                             ids: &mut Vec<(EventId, EventId, bool)>| {
                 let got = wheel.pop().map(|(at, p)| (at, p.n));
-                assert_eq!(got, heap.pop());
-                assert_eq!(wheel.now(), heap.now());
+                assert_eq!(got, model.pop());
+                assert_eq!(wheel.now(), model.now());
                 if let Some((_, n)) = got {
                     ids[n].2 = false;
                 }
@@ -496,23 +494,23 @@ mod tests {
                             n,
                             drops: drops.clone(),
                         };
-                        ids.push((wheel.schedule(at, payload), heap.schedule(at, n), true));
+                        ids.push((wheel.schedule(at, payload), model.schedule(at, n), true));
                     }
                     6..=7 => {
-                        pop_both(&mut wheel, &mut heap, &mut ids);
+                        pop_both(&mut wheel, &mut model, &mut ids);
                     }
                     8..=9 => {
                         if !ids.is_empty() {
                             let pick = rng.random_range(0..ids.len());
                             let (iw, ih, live) = &mut ids[pick];
                             assert_eq!(wheel.cancel(*iw), *live);
-                            assert_eq!(heap.cancel(*ih), *live);
+                            assert_eq!(model.cancel(*ih), *live);
                             stale_cancels += u32::from(!*live);
                             *live = false;
                         }
                     }
                     _ => {
-                        assert_eq!(wheel.peek_time(), heap.peek_time());
+                        assert_eq!(wheel.peek_time(), model.peek_time());
                         if let Some(next) = wheel.peek_time() {
                             // Advance halfway to the next event.
                             let mid = SimTime::from_nanos(
@@ -520,14 +518,14 @@ mod tests {
                                     + (next.as_nanos() - wheel.now().as_nanos()) / 2,
                             );
                             wheel.advance_to(mid);
-                            heap.advance_to(mid);
+                            model.advance_to(mid);
                         }
                     }
                 }
-                assert_eq!(wheel.len(), heap.len());
-                assert_eq!(wheel.is_empty(), heap.is_empty());
-                assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
-                assert_eq!(wheel.depth_high_water(), heap.depth_high_water());
+                assert_eq!(wheel.len(), model.len());
+                assert_eq!(wheel.is_empty(), model.is_empty());
+                assert_eq!(wheel.scheduled_total(), model.scheduled_total());
+                assert_eq!(wheel.depth_high_water(), model.depth_high_water());
                 assert_eq!(wheel.len(), ids.iter().filter(|id| id.2).count());
             }
             assert!(stale_cancels > 100, "script must exercise stale ids");
@@ -540,7 +538,7 @@ mod tests {
             // Drain the first half of what is left, drop the wheel with
             // the rest still queued.
             for _ in 0..wheel.len() / 2 {
-                assert!(pop_both(&mut wheel, &mut heap, &mut ids));
+                assert!(pop_both(&mut wheel, &mut model, &mut ids));
             }
             assert!(!wheel.is_empty());
             drop(wheel);
