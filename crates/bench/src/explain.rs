@@ -6,10 +6,10 @@
 //!
 //! Usage:
 //! ```text
-//! explain                 # explain the first delivered packet
-//! explain 0x400000007     # explain packet by id (hex or decimal)
-//! explain --list          # list recorded packet ids and exit
-//! explain --approach <id> # rerun under another registered policy
+//! mobicast explain                 # explain the first delivered packet
+//! mobicast explain 0x400000007     # explain packet by id (hex or decimal)
+//! mobicast explain --list          # list recorded packet ids and exit
+//! mobicast explain --approach <id> # rerun under another registered policy
 //! ```
 //!
 //! Packet ids are `origin_host << 32 | sequence`, as recorded in
@@ -44,25 +44,10 @@ fn parse_pkt(arg: &str) -> Option<u64> {
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let list = args.iter().any(|a| a == "--list");
-    let policy = mobicast_bench::approach_flag().unwrap_or(Policy::BIDIRECTIONAL_TUNNEL);
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--approach" {
-            it.next();
-        } else if !a.starts_with("--") {
-            positional.push(a.clone());
-        }
-    }
-    let pkt_arg = positional.first().cloned();
-    if pkt_arg.is_none() && !list && !positional.is_empty() {
-        eprintln!("usage: explain [pkt_id] [--list] [--approach <id>]");
-        return ExitCode::FAILURE;
-    }
-
+/// Explain `pkt_arg` (the first delivered packet when `None`), or with
+/// `list` print every recorded packet id, of the handoff run under
+/// `policy`.
+pub fn main(policy: Policy, pkt_arg: Option<String>, list: bool) -> ExitCode {
     let (tracer, ring) = RingBufferTracer::new(1_000_000);
     let cfg = scenario(policy, tracer);
     let (_, rec) = run_with_recorder(&cfg);

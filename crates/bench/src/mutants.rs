@@ -14,7 +14,7 @@
 //! share one `CARGO_TARGET_DIR` (default `target/mutants`), so each entry
 //! rebuilds only the crate it plants into and its dependents.
 //!
-//! Usage, from the repo root: `cargo run --release -p mobicast-bench --bin
+//! Usage, from the repo root: `cargo run --release -p mobicast-bench --
 //! mutants [LEDGER]` (`LEDGER` defaults to `mutants.txt`).
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -130,11 +130,8 @@ fn verdict(tree: &Path, target: &Path, m: &Mutant) -> io::Result<&'static str> {
     Ok(verdict)
 }
 
-fn main() -> ExitCode {
+pub fn main(ledger: String) -> ExitCode {
     let root = std::env::current_dir().expect("a working directory");
-    let ledger = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "mutants.txt".into());
     let mutants = match fs::read_to_string(&ledger)
         .map_err(|e| e.to_string())
         .and_then(|l| parse(&l))

@@ -9,10 +9,10 @@
 //! OpenMetrics snapshot per policy.
 //!
 //! ```text
-//! report                         # dashboard + artifacts
-//! report --diff OLD.json NEW.json [--threshold 0.2]
-//! report --check                 # exports match the committed goldens
-//! report --diff-selftest         # the gate flags an injected regression
+//! mobicast report                   # dashboard + artifacts
+//! mobicast report --diff OLD.json NEW.json [--threshold 0.2]
+//! mobicast report --check           # exports match the committed goldens
+//! mobicast report --diff-selftest   # the gate flags an injected regression
 //! ```
 //!
 //! `--diff` exits non-zero when any watched metric (interruption times,
@@ -20,6 +20,7 @@
 //! always pass. `--check` re-runs the fixed golden scenario and compares
 //! the exports byte-for-byte against `crates/core/tests/goldens/`.
 
+use crate::cli::ReportMode;
 use mobicast_core::observability::{self, PolicyHandoffStats, DEFAULT_DRIFT_THRESHOLD};
 use mobicast_core::report::Table;
 use mobicast_core::router_node::ResourceBudget;
@@ -36,7 +37,7 @@ use std::process::ExitCode;
 const TOP_N: usize = 3;
 
 /// The roaming scenario behind the dashboard: R1 leaves home into the
-/// MAP domain, then moves within it (same shape as `exp_handoff_latency`
+/// MAP domain, then moves within it (same shape as `handoff_latency`
 /// so the dashboard explains the experiment's numbers).
 fn handoff_cfg(policy: Policy) -> ScenarioConfig {
     ScenarioConfig::builder()
@@ -82,7 +83,7 @@ fn overload_cfg() -> ScenarioConfig {
         .build()
 }
 
-fn write_artifact(path: &Path, content: &str) {
+pub fn write_artifact(path: &Path, content: &str) {
     if let Some(dir) = path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
@@ -318,38 +319,20 @@ fn diff_selftest() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--check") {
-        return check();
+pub fn main(mode: ReportMode) -> ExitCode {
+    match mode {
+        ReportMode::Check => check(),
+        ReportMode::DiffSelftest => diff_selftest(),
+        ReportMode::Diff {
+            old,
+            new,
+            threshold,
+        } => diff(&old, &new, threshold),
+        ReportMode::Dashboard => {
+            let (text, doc) = dashboard();
+            print!("{text}");
+            mobicast_core::report::write_json("report-handoff", &doc);
+            ExitCode::SUCCESS
+        }
     }
-    if args.iter().any(|a| a == "--diff-selftest") {
-        return diff_selftest();
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--diff") {
-        let (Some(old), Some(new)) = (args.get(pos + 1), args.get(pos + 2)) else {
-            eprintln!("usage: report --diff OLD.json NEW.json [--threshold X]");
-            return ExitCode::FAILURE;
-        };
-        let threshold = match args.iter().position(|a| a == "--threshold") {
-            Some(tpos) => match args.get(tpos + 1).and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) if t > 0.0 => t,
-                _ => {
-                    eprintln!("report: --threshold needs a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => DEFAULT_DRIFT_THRESHOLD,
-        };
-        return diff(old, new, threshold);
-    }
-    if !args.is_empty() {
-        eprintln!("usage: report [--diff OLD NEW [--threshold X] | --check | --diff-selftest]");
-        return ExitCode::FAILURE;
-    }
-
-    let (text, doc) = dashboard();
-    print!("{text}");
-    mobicast_core::report::write_json("report-handoff", &doc);
-    ExitCode::SUCCESS
 }

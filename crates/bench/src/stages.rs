@@ -11,7 +11,8 @@
 //! stage, cumulative across workloads unless one is picked. Wall-clock and
 //! memory numbers: stdout only, nothing is written under `results/`.
 //!
-//! `exp_stages [--seed N] [--workload NAME]`; every workload by default.
+//! `mobicast stages [--seed N] [--workload NAME]`; every workload by
+//! default.
 
 use mobicast_core::builder::NetworkSpec;
 use mobicast_core::run;
@@ -21,7 +22,7 @@ use mobicast_core::{chaos, scale, Policy};
 use mobicast_sim::profile::{STAGES, STAGE_SAMPLE};
 use mobicast_sim::{SimDuration, SimProfile, Tracer};
 
-const WORKLOADS: [&str; 5] = [
+pub const WORKLOADS: [&str; 5] = [
     "paper_sweep",
     "chaos_campaign",
     "metro_flood",
@@ -105,7 +106,7 @@ fn stress(spec: &StressSpec, opts: &StressRunOptions) -> Sum {
 fn workload(name: &str, seed: u64) -> Sum {
     match name {
         "paper_sweep" => sweep(
-            Policy::active()
+            Policy::all()
                 .into_iter()
                 .flat_map(|policy| {
                     (0..40).map(move |i| {
@@ -125,7 +126,7 @@ fn workload(name: &str, seed: u64) -> Sum {
             (seed..seed + 48)
                 .flat_map(|s| {
                     let plan = chaos::plan_for_seed(s);
-                    Policy::active()
+                    Policy::all()
                         .into_iter()
                         .map(move |policy| plan.config(policy, s))
                 })
@@ -157,19 +158,8 @@ fn workload(name: &str, seed: u64) -> Sum {
     }
 }
 
-fn flag(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn main() {
-    let seed: u64 = flag("--seed").map_or(11, |s| s.parse().expect("--seed needs an integer"));
-    let only = flag("--workload");
+/// Print the table for `only` the named workload, or for every one.
+pub fn main(seed: u64, only: Option<String>) {
     println!(
         "{:<15} {:>10} {:>11} {:>9} {:>9} | {:>22} {:>22} {:>22} {:>22}",
         "workload",

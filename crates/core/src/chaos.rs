@@ -370,11 +370,13 @@ impl SeedOutcome {
 /// paper's four approaches plus extensions such as the hierarchical
 /// proxy) with the oracle on.
 pub fn check_seed(seed: u64) -> SeedOutcome {
+    check_seed_under(seed, &Policy::all())
+}
+
+/// [`check_seed`] under `policies` only, one verdict each, in order.
+pub fn check_seed_under(seed: u64, policies: &[Policy]) -> SeedOutcome {
     let plan = plan_for_seed(seed);
-    let verdicts = Policy::active()
-        .into_iter()
-        .map(|a| run_plan(&plan, a, seed))
-        .collect();
+    let verdicts = policies.iter().map(|&a| run_plan(&plan, a, seed)).collect();
     SeedOutcome {
         seed,
         plan,

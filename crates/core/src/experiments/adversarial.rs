@@ -10,13 +10,13 @@
 //! oracle's safety invariants each run is judged against the
 //! **reconvergence SLO**: once the corruption window closes and the last
 //! move has settled, delivery must return to steady state within the
-//! configured bound. A violation or an SLO miss fails the
-//! `exp_adversarial` binary (and the CI `adversarial` job).
+//! configured bound. A violation or an SLO miss fails `mobicast
+//! adversarial` (and the CI `adversarial` job).
 //!
 //! The sweep is deterministic: fixed seeds reproduce the same corruption
 //! realization and therefore byte-identical `results/adversarial.json`.
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::report::{secs, Table};
 use crate::scenario::{self, PaperHost, ScenarioConfig};
 use crate::strategy::Policy;
@@ -127,16 +127,21 @@ fn merge(scores: Vec<AdversarialScore>) -> AdversarialScore {
     out
 }
 
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(settings: Settings) -> ExperimentOutput {
+    let Settings { quick, workers, .. } = settings;
     let rates: Vec<f64> = if quick {
         vec![0.0, 0.02]
     } else {
         vec![0.0, 0.01, 0.02, 0.05]
     };
     let seeds: Vec<u64> = if quick { vec![1] } else { (1..=3).collect() };
-    let cells = sweep::grid(&Policy::active(), &rates, &seeds, |&policy, &rate, seed| {
-        one(policy, rate, seed)
-    });
+    let cells = sweep::grid(
+        &settings.policies(),
+        &rates,
+        &seeds,
+        workers,
+        |&policy, &rate, seed| one(policy, rate, seed),
+    );
     let scores: Vec<AdversarialScore> = cells.into_iter().map(merge).collect();
     let total_violations: u64 = scores.iter().map(|s| s.violations).sum();
     let total_slo_misses: u64 = scores.iter().map(|s| s.slo_misses).sum();
@@ -197,7 +202,7 @@ mod tests {
 
     #[test]
     fn adversarial_sweep_is_clean_and_deterministic() {
-        let out1 = run(true);
+        let out1 = run(Settings::new(true));
         assert_eq!(out1.json["total_violations"].as_u64(), Some(0));
         assert_eq!(out1.json["total_slo_misses"].as_u64(), Some(0));
         let scores: Vec<AdversarialScore> =
@@ -222,7 +227,7 @@ mod tests {
             }
         }
         // Same seeds, same JSON — the determinism acceptance check.
-        let out2 = run(true);
+        let out2 = run(Settings::new(true));
         assert_eq!(
             serde_json::to_string(&out1.json).unwrap(),
             serde_json::to_string(&out2.json).unwrap()

@@ -16,7 +16,7 @@
 //! output. A clean campaign reports `total_violations = 0`, which is what
 //! the CI chaos job asserts.
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::chaos::{self, SeedOutcome};
 use crate::report::{secs, Table};
 use crate::strategy::Policy;
@@ -38,16 +38,16 @@ struct ApproachAgg {
     worst_stale_sg_secs: f64,
 }
 
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(settings: Settings) -> ExperimentOutput {
+    let Settings { quick, workers, .. } = settings;
     let n_seeds = if quick { QUICK_SEEDS } else { FULL_SEEDS };
     let seeds: Vec<u64> = (1..=n_seeds).collect();
-    let outcomes: Vec<SeedOutcome> =
-        sweep::run_parallel(seeds, sweep::default_workers(), |&seed| {
-            chaos::check_seed(seed)
-        });
+    let policies = settings.policies();
+    let outcomes: Vec<SeedOutcome> = sweep::run_parallel(seeds, workers, |&seed| {
+        chaos::check_seed_under(seed, &policies)
+    });
 
     // Aggregate per approach.
-    let policies = Policy::active();
     let mut aggs: Vec<(Policy, ApproachAgg)> = policies
         .iter()
         .map(|&s| (s, ApproachAgg::default()))
@@ -143,14 +143,14 @@ mod tests {
 
     #[test]
     fn quick_chaos_campaign_is_clean_and_deterministic() {
-        let out1 = run(true);
+        let out1 = run(Settings::new(true));
         assert_eq!(
             out1.json["total_violations"],
             json!(0u64),
             "oracle violations in quick chaos campaign:\n{}",
             serde_json::to_string_pretty(&out1.json["repros"]).unwrap()
         );
-        let out2 = run(true);
+        let out2 = run(Settings::new(true));
         assert_eq!(
             serde_json::to_string(&out1.json).unwrap(),
             serde_json::to_string(&out2.json).unwrap()

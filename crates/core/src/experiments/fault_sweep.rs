@@ -19,7 +19,7 @@
 //! The whole sweep is deterministic: a fixed seed reproduces the same
 //! loss realization and therefore byte-identical JSON.
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::report::{secs, Table};
 use crate::scenario::{self, PaperHost, ScenarioConfig};
 use crate::strategy::Policy;
@@ -122,7 +122,8 @@ fn merge(scores: Vec<FaultScore>) -> FaultScore {
     out
 }
 
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(settings: Settings) -> ExperimentOutput {
+    let Settings { quick, workers, .. } = settings;
     let losses: Vec<f64> = if quick {
         vec![0.0, 0.10]
     } else {
@@ -130,9 +131,10 @@ pub fn run(quick: bool) -> ExperimentOutput {
     };
     let seeds: Vec<u64> = if quick { vec![1] } else { (1..=3).collect() };
     let cells = sweep::grid(
-        &Policy::active(),
+        &settings.policies(),
         &losses,
         &seeds,
+        workers,
         |&policy, &loss, seed| one(policy, loss, seed),
     );
     let scores: Vec<FaultScore> = cells.into_iter().map(merge).collect();
@@ -185,7 +187,7 @@ mod tests {
 
     #[test]
     fn fault_sweep_recovers_and_is_deterministic() {
-        let out1 = run(true);
+        let out1 = run(Settings::new(true));
         let scores: Vec<FaultScore> = serde_json::from_value(out1.json["scores"].clone()).unwrap();
         for s in &scores {
             // Steady state back at (essentially) full delivery everywhere.
@@ -207,7 +209,7 @@ mod tests {
             }
         }
         // Same seeds, same JSON — the determinism acceptance check.
-        let out2 = run(true);
+        let out2 = run(Settings::new(true));
         assert_eq!(
             serde_json::to_string(&out1.json).unwrap(),
             serde_json::to_string(&out2.json).unwrap()

@@ -6,13 +6,13 @@
 //! Links 1–4 with Links 5 and 6 pruned. The parallel routers B and C on
 //! the Link2/Link3 LAN elect a single forwarder via the assert process.
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::report::{bytes, Table};
 use crate::scenario::{self, ScenarioConfig};
 use mobicast_sim::SimDuration;
 use serde_json::json;
 
-pub fn run() -> ExperimentOutput {
+pub fn run(_: Settings) -> ExperimentOutput {
     let cfg = ScenarioConfig::builder()
         .duration(SimDuration::from_secs(180))
         .name("fig1")
@@ -78,7 +78,7 @@ pub fn run() -> ExperimentOutput {
 mod tests {
     #[test]
     fn tree_matches_figure1() {
-        let out = super::run();
+        let out = super::run(super::Settings::new(true));
         let tree: Vec<u64> = out.json["tree_links"]
             .as_array()
             .unwrap()

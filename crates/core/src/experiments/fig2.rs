@@ -7,7 +7,7 @@
 //! the leave delay on the abandoned Link 4 (bounded by T_MLI = 260 s),
 //! and the bandwidth wasted onto Link 4 until MLD notices.
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::report::{bytes, secs, Table};
 use crate::scenario::{self, PaperHost, ScenarioConfig};
 use crate::sweep;
@@ -55,7 +55,8 @@ fn one(p: &Params) -> RunStats {
     }
 }
 
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(settings: Settings) -> ExperimentOutput {
+    let Settings { quick, workers, .. } = settings;
     // Spread the move time across the 125 s query cycle so the
     // wait-for-query join delay is sampled uniformly.
     let move_times: Vec<f64> = if quick {
@@ -76,7 +77,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
             }
         }
     }
-    let stats = sweep::run_parallel(params, sweep::default_workers(), one);
+    let stats = sweep::run_parallel(params, workers, one);
 
     let mut series = SeriesSet::new();
     for s in &stats {
@@ -158,7 +159,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
 mod tests {
     #[test]
     fn unsolicited_reports_beat_waiting_for_query() {
-        let out = super::run(true);
+        let out = super::run(super::Settings::new(true));
         let fast = out.json["join_delay_unsolicited_mean_s"].as_f64().unwrap();
         let slow = out.json["join_delay_wait_query_mean_s"].as_f64().unwrap();
         assert!(fast < 2.0, "graft-speed join, got {fast}");

@@ -8,7 +8,7 @@
 //! home-agent processing load, and the unicast duplication when several
 //! mobile receivers share the same foreign link.
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::report::{bytes, secs, Table};
 use crate::scenario::{self, PaperHost, ScenarioConfig};
 use crate::strategy::Policy;
@@ -44,7 +44,7 @@ fn one(policy: Policy, extra: usize) -> Row {
     }
 }
 
-pub fn run() -> ExperimentOutput {
+pub fn run(_: Settings) -> ExperimentOutput {
     let rows = vec![
         one(Policy::LOCAL, 0),
         one(Policy::BIDIRECTIONAL_TUNNEL, 0),
@@ -111,7 +111,7 @@ pub fn run() -> ExperimentOutput {
 mod tests {
     #[test]
     fn tunnel_is_suboptimal_but_fast_to_join() {
-        let out = super::run();
+        let out = super::run(super::Settings::new(true));
         let tunnel = out.json["tunnel_stretch"].as_f64().unwrap();
         let local = out.json["local_stretch"].as_f64().unwrap();
         assert!(

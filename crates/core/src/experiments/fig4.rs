@@ -8,7 +8,7 @@
 //! S→HA carries extra bytes. Moving to Link 2 instead additionally
 //! triggers the spurious assert process (stale source address, §4.3.1).
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::report::{bytes, Table};
 use crate::scenario::{self, PaperHost, ScenarioConfig};
 use crate::strategy::Policy;
@@ -49,7 +49,7 @@ fn one(label: &'static str, policy: Policy, to_link: usize) -> Row {
     }
 }
 
-pub fn run() -> ExperimentOutput {
+pub fn run(_: Settings) -> ExperimentOutput {
     let rows = vec![
         one("local send, S -> Link 6", Policy::LOCAL, 6),
         one("local send, S -> Link 2 (assert case)", Policy::LOCAL, 2),
@@ -123,7 +123,7 @@ pub fn run() -> ExperimentOutput {
 mod tests {
     #[test]
     fn sender_mobility_tradeoffs_match_paper() {
-        let out = super::run();
+        let out = super::run(super::Settings::new(true));
         assert!(out.json["local_max_sg"].as_u64().unwrap() >= 2, "new tree");
         assert_eq!(out.json["tunnel_max_sg"].as_u64().unwrap(), 1, "tree kept");
         // In the reference network every link hosts a receiver, so the

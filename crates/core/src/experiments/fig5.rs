@@ -7,7 +7,7 @@
 //! the length rule and the end-to-end round trip through a real Binding
 //! Update packet, and reports the signalling cost per carried group.
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::report::Table;
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_ipv6::exthdr::{BindingUpdate, SubOption, BU_FLAG_ACK, BU_FLAG_HOME};
@@ -20,7 +20,7 @@ fn addr(s: &str) -> Ipv6Addr {
     s.parse().unwrap()
 }
 
-pub fn run() -> ExperimentOutput {
+pub fn run(_: Settings) -> ExperimentOutput {
     let mut table = Table::new(&[
         "N groups",
         "Sub-Option Len",
@@ -94,7 +94,7 @@ pub fn run() -> ExperimentOutput {
 mod tests {
     #[test]
     fn all_sizes_round_trip() {
-        let out = super::run();
+        let out = super::run(super::Settings::new(true));
         for row in out.json["rows"].as_array().unwrap() {
             assert!(row["round_trip_ok"].as_bool().unwrap());
             assert_eq!(

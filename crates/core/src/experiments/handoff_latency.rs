@@ -19,7 +19,7 @@
 //! defining property is visible in the counters: its intra-domain handoff
 //! emits *no* Binding Update to the home agent.
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::observability::{self, PolicyHandoffStats};
 use crate::report::Table;
 use crate::scenario::{self, PaperHost, ScenarioConfig};
@@ -87,7 +87,7 @@ fn one(policy: Policy) -> Row {
     }
 }
 
-pub fn run() -> ExperimentOutput {
+pub fn run(_: Settings) -> ExperimentOutput {
     let rows: Vec<Row> = Policy::all().into_iter().map(one).collect();
 
     let mut table = Table::new(&[
@@ -165,7 +165,7 @@ mod tests {
     /// home agent and recovers faster than the home-agent tunnel.
     #[test]
     fn hierarchical_proxy_handoff_is_local_and_faster() {
-        let out = run();
+        let out = run(Settings::new(true));
         let hier = &out.json["policies"]["hier-proxy"];
         let bt = &out.json["policies"]["bidir-tunnel"];
 

@@ -10,7 +10,7 @@
 //! local membership with the paper's unsolicited-Report optimization, and
 //! (c) the bi-directional tunnel.
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::mobility::{schedule, MobilityModel};
 use crate::report::{secs, Table};
 use crate::scenario::{self, Move, PaperHost, ScenarioConfig};
@@ -81,7 +81,8 @@ fn one(p: &Params) -> RunStats {
     }
 }
 
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(settings: Settings) -> ExperimentOutput {
+    let Settings { quick, workers, .. } = settings;
     let dwells: Vec<u64> = vec![400, 200, 100, 50];
     let seeds: Vec<u64> = if quick { vec![1, 2] } else { (1..=5).collect() };
     // (stable json key, policy, unsolicited reports)
@@ -113,7 +114,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
                         unsolicited,
                     })
                     .collect(),
-                sweep::default_workers(),
+                workers,
                 one,
             );
             let delivery = stats.iter().map(|s| s.delivery).sum::<f64>() / stats.len() as f64;
@@ -154,7 +155,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
 mod tests {
     #[test]
     fn high_mobility_punishes_wait_for_query() {
-        let out = super::run(true);
+        let out = super::run(super::Settings::new(true));
         let points = out.json["points"].as_array().unwrap();
         let fastest = &points[points.len() - 1]; // smallest dwell
         let wait = fastest["wait_query"]["delivery"].as_f64().unwrap();

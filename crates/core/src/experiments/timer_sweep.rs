@@ -8,7 +8,7 @@
 //! delay, leave delay, wasted bandwidth on abandoned links, and the MLD
 //! signalling cost the tuning buys that improvement with.
 
-use super::ExperimentOutput;
+use super::{ExperimentOutput, Settings};
 use crate::report::{bytes, secs, Table};
 use crate::scenario::{self, PaperHost, ScenarioConfig};
 use crate::sweep;
@@ -61,7 +61,8 @@ fn one(p: &Params) -> RunStats {
     }
 }
 
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(settings: Settings) -> ExperimentOutput {
+    let Settings { quick, workers, .. } = settings;
     let intervals: Vec<u64> = vec![10, 15, 25, 40, 60, 90, 125];
     let seeds: Vec<u64> = if quick { vec![1] } else { (1..=4).collect() };
     let offsets: Vec<f64> = if quick {
@@ -81,7 +82,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
             }
         }
     }
-    let stats = sweep::run_parallel(params, sweep::default_workers(), one);
+    let stats = sweep::run_parallel(params, workers, one);
 
     let mut series = SeriesSet::new();
     for s in &stats {
@@ -157,7 +158,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
 mod tests {
     #[test]
     fn smaller_query_interval_cuts_delays_at_signalling_cost() {
-        let out = super::run(true);
+        let out = super::run(super::Settings::new(true));
         let points = out.json["points"].as_array().unwrap();
         let first = &points[0]; // 10 s
         let last = &points[points.len() - 1]; // 125 s

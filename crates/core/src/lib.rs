@@ -24,7 +24,7 @@
 //! * [`observability`] — handoff span dashboard join and the
 //!   `report --diff` regression gate.
 //! * [`sweep`] — deterministic parallel parameter sweeps.
-//! * [`report`] — text tables and JSON output for the experiment binaries.
+//! * [`report`] — text tables and JSON output for the `mobicast` CLI.
 
 pub mod addressing;
 pub mod analysis;

@@ -1,4 +1,4 @@
-//! Text tables and JSON output for the experiment binaries.
+//! Text tables and JSON output for the `mobicast` CLI.
 
 use serde::Serialize;
 use std::fmt::Write as _;

@@ -20,7 +20,6 @@ use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::net::Ipv6Addr;
 use std::str::FromStr;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// How a mobile host away from home receives multicast traffic.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -222,31 +221,6 @@ impl DeliveryPolicy for HierarchicalProxy {
 
 static HIER_POLICY: HierarchicalProxy = HierarchicalProxy;
 
-/// Process-global single-approach override backing the experiment
-/// binaries' `--approach <id>` flag (see [`set_approach_override`]).
-static APPROACH_OVERRIDE: Mutex<Option<Policy>> = Mutex::new(None);
-
-/// Pin policy-sweeping experiments to a single approach — the `--approach
-/// <id>` CLI flag of `exp_all` / `exp_stress`. `None` restores the full
-/// registry sweep. Affects [`Policy::active`] only; [`Policy::all`] and
-/// [`Policy::PAPER`] always report the complete sets.
-pub fn set_approach_override(policy: Option<Policy>) {
-    *lock_override() = policy;
-}
-
-/// The approach pinned by [`set_approach_override`], if any.
-pub fn approach_override() -> Option<Policy> {
-    *lock_override()
-}
-
-/// A poisoned guard is recovered: the slot holds a `Copy` value, which no
-/// panic can leave half-written.
-fn lock_override() -> MutexGuard<'static, Option<Policy>> {
-    APPROACH_OVERRIDE
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Every policy, in registration order (the paper's four first, then
 /// extensions). Ids are the serialization format and must stay distinct.
 static REGISTRY: [Policy; 5] = [
@@ -285,10 +259,10 @@ impl Policy {
         REGISTRY.to_vec()
     }
 
-    /// The policies a sweep should cover: the single [`approach_override`]
-    /// when one is pinned, otherwise every registered policy.
+    /// The same as [`Policy::all`]. A sweep pinned to one policy says so in
+    /// its [`Settings`](crate::experiments::Settings).
     pub fn active() -> Vec<Policy> {
-        approach_override().map_or_else(Policy::all, |p| vec![p])
+        Policy::all()
     }
 
     /// Find a registered policy by its stable id.

@@ -13,6 +13,7 @@
 //! violation, not just a flaky metric.
 
 use crate::builder::{HostSpec, NetworkSpec};
+use crate::experiments::Settings;
 use crate::host_node::{HostConfig, SenderApp};
 use crate::router_node::{RouterConfig, RouterNode};
 use crate::run::{self, Judge, RunPlan, StageError};
@@ -264,8 +265,8 @@ fn report(
 
 /// The canonical stress specs: `quick` uses small shapes suitable for
 /// debug-mode test runs; full mode uses the 100+-router shapes.
-pub fn specs(quick: bool) -> Vec<StressSpec> {
-    let (grid, tree, duration, receivers, movers) = if quick {
+pub fn specs(settings: Settings) -> Vec<StressSpec> {
+    let (grid, tree, duration, receivers, movers) = if settings.quick {
         (
             NetworkSpec::grid(4, 4),
             NetworkSpec::tree(2, 4),
@@ -284,7 +285,7 @@ pub fn specs(quick: bool) -> Vec<StressSpec> {
     };
     let shapes = [("grid", grid), ("tree", tree)];
     // Default pair exercises both receive planes; `--approach` pins one.
-    let policies = crate::strategy::approach_override().map_or_else(
+    let policies = settings.approach.map_or_else(
         || vec![Policy::LOCAL, Policy::BIDIRECTIONAL_TUNNEL],
         |p| vec![p],
     );
@@ -336,7 +337,7 @@ mod tests {
 
     #[test]
     fn quick_stress_runs_clean() {
-        for spec in specs(true) {
+        for spec in specs(Settings::new(true)) {
             let report = run_stress(&spec);
             assert_eq!(
                 report.oracle_violations, 0,
@@ -358,7 +359,7 @@ mod tests {
     /// nothing it asked of the journal was past the horizon.
     #[test]
     fn whole_and_retiring_journals_report_the_same_stress_run() {
-        for spec in specs(true) {
+        for spec in specs(Settings::new(true)) {
             for seed in [11, 12, 13] {
                 let spec = StressSpec {
                     seed,
@@ -385,13 +386,13 @@ mod tests {
     fn too_short() -> StressSpec {
         StressSpec {
             duration: SimDuration::from_secs(79),
-            ..specs(true).remove(0)
+            ..specs(Settings::new(true)).remove(0)
         }
     }
 
     #[test]
     fn invalid_specs_are_typed_errors() {
-        let good = specs(true).remove(0);
+        let good = specs(Settings::new(true)).remove(0);
         let field_of = |spec: &StressSpec| match spec.lower().err() {
             Some(StageError::Invalid { field, .. }) => field,
             other => panic!("{other:?}"),
@@ -415,7 +416,7 @@ mod tests {
 
     #[test]
     fn stress_is_deterministic_in_seed() {
-        let spec = &specs(true)[0];
+        let spec = &specs(Settings::new(true))[0];
         let a = run_stress(spec);
         let b = run_stress(spec);
         assert_eq!(

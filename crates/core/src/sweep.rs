@@ -8,8 +8,6 @@
 //! byte-identical output — the property the determinism-parity harness
 //! pins down.
 
-pub use mobicast_sim::parallel::{configured_workers, set_worker_override, with_workers};
-
 /// Run `f` over `inputs` with up to `workers` threads, preserving order.
 pub fn run_parallel<I, O, F>(inputs: Vec<I>, workers: usize, f: F) -> Vec<O>
 where
@@ -20,13 +18,14 @@ where
     mobicast_sim::parallel::run_ordered(inputs, workers, f)
 }
 
-/// Run `f` over every `(row, column, seed)` of a parameter grid on the
-/// default worker pool and return one `Vec` of results per `(row, column)`
+/// Run `f` over every `(row, column, seed)` of a parameter grid on up to
+/// `workers` threads and return one `Vec` of results per `(row, column)`
 /// cell — rows outermost, then columns, each cell in seed order.
 pub fn grid<R: Sync, C: Sync, O: Send>(
     rows: &[R],
     cols: &[C],
     seeds: &[u64],
+    workers: usize,
     f: impl Fn(&R, &C, u64) -> O + Sync,
 ) -> Vec<Vec<O>> {
     let mut points = Vec::with_capacity(rows.len() * cols.len() * seeds.len());
@@ -35,19 +34,11 @@ pub fn grid<R: Sync, C: Sync, O: Send>(
             points.extend(seeds.iter().map(|&seed| (row, col, seed)));
         }
     }
-    let mut results = run_parallel(points, default_workers(), |&(row, col, seed)| {
-        f(row, col, seed)
-    })
-    .into_iter();
+    let mut results =
+        run_parallel(points, workers, |&(row, col, seed)| f(row, col, seed)).into_iter();
     (0..rows.len() * cols.len())
         .map(|_| results.by_ref().take(seeds.len()).collect())
         .collect()
-}
-
-/// Number of worker threads to use by default (respects the
-/// `MOBICAST_WORKERS` environment variable and any programmatic override).
-pub fn default_workers() -> usize {
-    configured_workers()
 }
 
 #[cfg(test)]
@@ -77,10 +68,5 @@ mod tests {
     fn more_workers_than_inputs() {
         let out = run_parallel(vec![5], 16, |x| x * x);
         assert_eq!(out, vec![25]);
-    }
-
-    #[test]
-    fn override_forces_serial_default() {
-        with_workers(1, || assert_eq!(default_workers(), 1));
     }
 }

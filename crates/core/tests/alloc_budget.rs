@@ -20,6 +20,7 @@
 //! and a test running on another thread would be counted too.
 
 use mobicast_core::builder;
+use mobicast_core::experiments::Settings;
 use mobicast_core::scale;
 use mobicast_core::scenario::{self, PaperHost, ScenarioConfig};
 use mobicast_core::strategy::Policy;
@@ -99,7 +100,7 @@ fn allocations_per_event(f: impl FnOnce() -> u64) -> f64 {
 /// The quick 4×4 stress grid (24 routers, multipath flooding, roaming
 /// receivers) under `policy`.
 fn grid_spec(policy: Policy) -> stress::StressSpec {
-    stress::specs(true)
+    stress::specs(Settings::new(true))
         .into_iter()
         .find(|s| s.name.starts_with("grid") && s.policy == policy)
         .expect("the quick specs include the grid under this policy")

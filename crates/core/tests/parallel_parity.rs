@@ -9,22 +9,22 @@
 //! experiments is `#[ignore]`d and exercised by the CI `parallel-parity`
 //! job with `--include-ignored` in release mode.
 
-use mobicast_core::experiments::{self, ExperimentOutput};
-use mobicast_core::sweep;
-use std::sync::Mutex;
+use mobicast_core::experiments::{self, ExperimentOutput, Settings};
 
-/// The worker override is process-global; serialize the parity tests so a
-/// "serial" leg is really serial even when the test harness runs threads.
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+/// The quick sweep on `workers` threads.
+fn on(workers: usize) -> Settings {
+    Settings {
+        workers,
+        ..Settings::new(true)
+    }
+}
 
 fn json_string(out: &ExperimentOutput) -> String {
     serde_json::to_string(&out.json).expect("experiment JSON serializes")
 }
 
-fn assert_parity(id: &str, run: impl Fn() -> ExperimentOutput) {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
-    let serial = sweep::with_workers(1, &run);
-    let parallel = sweep::with_workers(8, &run);
+fn assert_parity(id: &str, run: fn(Settings) -> ExperimentOutput) {
+    let (serial, parallel) = (run(on(1)), run(on(8)));
     assert_eq!(serial.id, id);
     assert_eq!(parallel.id, id);
     assert_eq!(
@@ -36,31 +36,22 @@ fn assert_parity(id: &str, run: impl Fn() -> ExperimentOutput) {
 
 #[test]
 fn fault_sweep_parity() {
-    assert_parity("fault_sweep", || experiments::fault_sweep::run(true));
+    assert_parity("fault_sweep", experiments::fault_sweep::run);
 }
 
 #[test]
 fn stress_parity() {
-    assert_parity("stress", || experiments::stress::run(true));
+    assert_parity("stress", experiments::stress::run);
 }
 
-/// The full harness: run *every* experiment serially and in parallel and
-/// require byte-identical JSON for each. Expensive (two full quick
-/// experiment suites), so ignored by default; CI runs it in release mode.
+/// The full harness: run *every* experiment of the registry serially and
+/// in parallel and require byte-identical JSON for each, under the id it is
+/// registered as. Expensive (two full quick experiment suites), so ignored
+/// by default; CI runs it in release mode.
 #[test]
 #[ignore = "full double experiment suite; run by the CI parallel-parity job"]
 fn all_experiments_serial_vs_parallel_identical() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
-    let serial = sweep::with_workers(1, || experiments::run_all(true));
-    let parallel = sweep::with_workers(8, || experiments::run_all(true));
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.id, p.id);
-        assert_eq!(
-            json_string(s),
-            json_string(p),
-            "{}: serial and parallel runs must produce byte-identical JSON",
-            s.id
-        );
+    for (id, run) in experiments::REGISTRY {
+        assert_parity(id, run);
     }
 }

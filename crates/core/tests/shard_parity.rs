@@ -17,6 +17,7 @@
 //! the 10k-router metro gate run by the CI `parallel-parity` job.
 
 use mobicast_core::builder::NetworkSpec;
+use mobicast_core::experiments::Settings;
 use mobicast_core::strategy::Policy;
 use mobicast_core::stress::{run_stress_with, specs, StressRunOptions, StressSpec};
 use mobicast_net::ShardRunStats;
@@ -107,7 +108,7 @@ fn parity_over(spec: &StressSpec, shard_counts: &[usize]) {
 /// Quick always-on gate: small grid and tree, both receive planes.
 #[test]
 fn sharded_runs_are_byte_identical_quick() {
-    for spec in &specs(true) {
+    for spec in &specs(Settings::new(true)) {
         parity_over(spec, &[1, 2, 4, 8]);
     }
 }

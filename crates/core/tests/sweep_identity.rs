@@ -10,6 +10,7 @@
 //! and commit the diff.
 
 use mobicast_core::experiments::fault_sweep::{self, FaultScore};
+use mobicast_core::experiments::Settings;
 use std::path::PathBuf;
 
 /// The paper's four approach names as they appear in report rows.
@@ -28,7 +29,7 @@ fn golden_path() -> PathBuf {
 /// re-serialized in row order (deterministic: the sweep is seeded and the
 /// serde shim preserves field order).
 fn paper_rows_json() -> String {
-    let out = fault_sweep::run(true);
+    let out = fault_sweep::run(Settings::new(true));
     let scores: Vec<FaultScore> = serde_json::from_value(out.json["scores"].clone())
         .expect("fault sweep JSON deserializes into its own score type");
     let paper: Vec<FaultScore> = scores

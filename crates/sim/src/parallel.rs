@@ -8,14 +8,10 @@
 //! — the property the determinism-parity harness asserts by re-running
 //! every experiment with `workers = 1` and comparing JSON byte-for-byte.
 //!
-//! Worker count resolution (first match wins):
-//! 1. a programmatic override installed with [`set_worker_override`]
-//!    (used by the parity harness to force serial execution),
-//! 2. the `MOBICAST_WORKERS` environment variable,
-//! 3. `std::thread::available_parallelism()`, clamped to [1, 16].
-//!
-//! With one worker the pool spawns no threads at all: the closure runs
-//! inline on the caller's thread, so "serial" really is the plain loop.
+//! The worker count is the caller's to pass; [`configured_workers`] is the
+//! default when nobody picked one. With one worker the pool spawns no
+//! threads at all: the closure runs inline on the caller's thread, so
+//! "serial" really is the plain loop.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,44 +19,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
 
-/// Sentinel for "no override installed".
-const NO_OVERRIDE: usize = 0;
-
-static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(NO_OVERRIDE);
-
-/// Force every subsequent [`configured_workers`] call to return `n`
-/// (process-wide). `None` removes the override. Returns the previous
-/// override. Intended for the determinism-parity harness and the
-/// experiment binaries' `--workers` flag, not for concurrent juggling.
-pub fn set_worker_override(n: Option<usize>) -> Option<usize> {
-    let raw = match n {
-        Some(n) => {
-            assert!(n >= 1, "worker override must be >= 1");
-            n
-        }
-        None => NO_OVERRIDE,
-    };
-    match WORKER_OVERRIDE.swap(raw, Ordering::SeqCst) {
-        NO_OVERRIDE => None,
-        prev => Some(prev),
-    }
-}
-
-/// Resolve the worker count: override, then `MOBICAST_WORKERS`, then
-/// available parallelism clamped to [1, 16].
+/// The default worker count: available parallelism clamped to [1, 16].
 pub fn configured_workers() -> usize {
-    match WORKER_OVERRIDE.load(Ordering::SeqCst) {
-        NO_OVERRIDE => {}
-        n => return n,
-    }
-    if let Ok(v) = std::env::var("MOBICAST_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-        eprintln!("warning: ignoring invalid MOBICAST_WORKERS={v:?}");
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
@@ -133,19 +93,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
         .unwrap_or("(a panic payload that is not a string)")
 }
 
-/// Convenience: run with an override installed for the duration of `g`,
-/// restoring the previous override afterwards (even on unwind).
-pub fn with_workers<R>(n: usize, g: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_worker_override(self.0);
-        }
-    }
-    let _restore = Restore(set_worker_override(Some(n)));
-    g()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,15 +121,6 @@ mod tests {
         assert!(out.is_empty());
         let out = run_ordered(vec![5u32], 16, |x| x * x);
         assert_eq!(out, vec![25]);
-    }
-
-    #[test]
-    fn with_workers_installs_and_restores() {
-        with_workers(3, || {
-            assert_eq!(configured_workers(), 3);
-            with_workers(1, || assert_eq!(configured_workers(), 1));
-            assert_eq!(configured_workers(), 3);
-        });
     }
 
     /// A panic on input 17 of 40 comes back naming the input, after the

@@ -9,7 +9,8 @@
 //!
 //! Wall-clock numbers are inherently nondeterministic, so a [`SimProfile`]
 //! must never be folded into a deterministic run report — it travels in
-//! `ScenarioResult::profile` to the repo benchmark and `exp_stages` only.
+//! `ScenarioResult::profile` to the repo benchmark and `mobicast stages`
+//! only.
 //! This is the one module of the library crates that reads the clock.
 
 use std::collections::BTreeMap;

@@ -52,6 +52,6 @@ fn main() {
     );
     println!(
         "\n(Also try the full sweep: cargo run --release -p mobicast-bench \
-         --bin exp_timer_sweep)"
+         -- timer_sweep)"
     );
 }

@@ -65,7 +65,7 @@ fn figure1(policy: Policy) -> ScenarioConfig {
 
 #[test]
 fn every_frame_of_every_policy_reads_as_its_bytes_decode() {
-    for policy in Policy::active() {
+    for policy in Policy::all() {
         let cfg = figure1(policy);
         let mut seen = Seen::default();
         for frame in corpus_of(&cfg) {
@@ -114,7 +114,7 @@ fn corrupted_copies_read_as_their_own_bytes_decode() {
 #[test]
 fn live_frames_and_their_mutants_decode_alike() {
     let mut distinct = HashSet::new();
-    let corpus: Vec<Frame> = Policy::active()
+    let corpus: Vec<Frame> = Policy::all()
         .into_iter()
         .flat_map(|policy| corpus_of(&figure1(policy)))
         .filter(|frame| distinct.insert(frame.bytes().clone()))

@@ -53,7 +53,7 @@ fn outcome(policy: Policy, inert_faults: bool, oracle: bool) -> (String, Option<
 /// oracle or not.
 #[test]
 fn inert_link_faults_change_nothing_a_run_reports() {
-    for policy in Policy::active() {
+    for policy in Policy::all() {
         for oracle in [false, true] {
             let fan_out = outcome(policy, false, oracle);
             let per_copy = outcome(policy, true, oracle);
