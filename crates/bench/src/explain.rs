@@ -17,11 +17,11 @@
 
 use std::process::ExitCode;
 
-use mobicast_core::scenario::{run_with_recorder, PaperHost, ScenarioConfig};
+use mobicast_core::scenario::{self, PaperHost, ScenarioConfig};
 use mobicast_core::{explain, Policy};
-use mobicast_sim::{RingBufferTracer, SimDuration, Tracer};
+use mobicast_sim::{RingBufferTracer, SimDuration};
 
-fn scenario(policy: Policy, tracer: Tracer) -> ScenarioConfig {
+fn scenario(policy: Policy) -> ScenarioConfig {
     // Light loss plus wire corruption, so journeys can show fault drops as
     // well as `✗ corrupted on link N` marks for frames mangled in flight.
     let mut fault = mobicast_net::FaultPlan::iid_loss(0.02);
@@ -31,7 +31,6 @@ fn scenario(policy: Policy, tracer: Tracer) -> ScenarioConfig {
         .policy(policy)
         .move_at(40.0, PaperHost::R3, 6)
         .fault(fault)
-        .tracer(tracer)
         .name(format!("handoff-{}", policy.id()))
         .build()
 }
@@ -49,8 +48,11 @@ fn parse_pkt(arg: &str) -> Option<u64> {
 /// `policy`.
 pub fn main(policy: Policy, pkt_arg: Option<String>, list: bool) -> ExitCode {
     let (tracer, ring) = RingBufferTracer::new(1_000_000);
-    let cfg = scenario(policy, tracer);
-    let (_, rec) = run_with_recorder(&cfg);
+    let cfg = scenario(policy);
+    let mut staged = scenario::stage(&cfg, tracer).expect("the handoff scenario stages");
+    // The explainer walks the whole journal.
+    staged.net().recorder.set_journal_horizon(SimDuration::MAX);
+    let (_, rec) = staged.run();
     let trace = ring.drain();
 
     if list {

@@ -353,9 +353,9 @@ pub fn render_with_spans(
 mod tests {
     use super::*;
     use crate::recorder::CHAIN_GUARD;
-    use crate::scenario::{run_with_recorder, PaperHost, ScenarioConfig};
+    use crate::scenario::{self, run_with_recorder, PaperHost, ScenarioConfig};
     use crate::strategy::Policy;
-    use mobicast_sim::SimDuration;
+    use mobicast_sim::{RingBufferTracer, SimDuration};
 
     fn cfg() -> ScenarioConfig {
         ScenarioConfig::builder()
@@ -364,6 +364,15 @@ mod tests {
             .move_at(20.0, PaperHost::R3, 6)
             .name("explain-test")
             .build()
+    }
+
+    /// [`run_with_recorder`], keeping the run's trace events as values.
+    fn run_traced(cfg: &ScenarioConfig) -> (Recorder, Vec<TraceEvent>) {
+        let (tracer, ring) = RingBufferTracer::new(1_000_000);
+        let mut staged = scenario::stage(cfg, tracer).expect("the test scenario stages");
+        staged.net().recorder.set_journal_horizon(SimDuration::MAX);
+        let (_, rec) = staged.run();
+        (rec, ring.drain())
     }
 
     /// The journey of every first delivery must match the raw provenance
@@ -432,19 +441,15 @@ mod tests {
     #[test]
     fn corrupted_hops_are_marked_in_render() {
         use mobicast_net::{CorruptionModel, FaultPlan};
-        use mobicast_sim::RingBufferTracer;
-        let (tracer, ring) = RingBufferTracer::new(1_000_000);
         let mut fault = FaultPlan::default();
         fault.link.corruption = CorruptionModel::uniform(0.05);
         let cfg = ScenarioConfig::builder()
             .duration(SimDuration::from_secs(60))
             .policy(Policy::BIDIRECTIONAL_TUNNEL)
             .fault(fault)
-            .tracer(tracer)
             .name("explain-corruption-test")
             .build();
-        let (_, rec) = run_with_recorder(&cfg);
-        let trace = ring.drain();
+        let (rec, trace) = run_traced(&cfg);
         assert!(
             trace
                 .iter()
@@ -465,8 +470,7 @@ mod tests {
     fn shed_and_rate_limited_hops_are_marked_in_render() {
         use crate::router_node::ResourceBudget;
         use mobicast_net::{FaultPlan, StormModel};
-        use mobicast_sim::{RateLimit, RingBufferTracer, ShedPolicy};
-        let (tracer, ring) = RingBufferTracer::new(1_000_000);
+        use mobicast_sim::{RateLimit, ShedPolicy};
         let cfg = ScenarioConfig::builder()
             .duration(SimDuration::from_secs(80))
             .policy(Policy::BIDIRECTIONAL_TUNNEL)
@@ -493,11 +497,9 @@ mod tests {
                 }),
                 event_queue_depth: None,
             })
-            .tracer(tracer)
             .name("explain-overload-test")
             .build();
-        let (_, rec) = run_with_recorder(&cfg);
-        let trace = ring.drain();
+        let (rec, trace) = run_traced(&cfg);
         assert!(
             trace
                 .iter()

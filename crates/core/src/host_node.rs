@@ -4,8 +4,7 @@
 //! extension such as the hierarchical proxy.
 
 use crate::netplan::{DataPayload, SharedDirectory, MCAST_UDP_PORT};
-use crate::node_kit::{self, malformed, mld_packet, Malformed, TimerSlot};
-use crate::observability::{trace_span_close, trace_span_open};
+use crate::node_kit::{self, malformed, mld_packet, span_close, span_open, Malformed, TimerSlot};
 use crate::parsed::{parsed, Upper};
 use crate::recorder::{packet_id, Delivery, MoveEvent, PacketMeta, SharedRecorder};
 use crate::strategy::{MoveAction, MoveContext, Policy, RecvPath, SendPath};
@@ -240,14 +239,10 @@ impl HostNode {
             // a tunnel), closed by the Binding Ack / first tunneled copy.
             if let Some(h) = self.spans.handoff {
                 if self.spans.bu.is_none() && self.spans.interruption.is_some() {
-                    let b = self.recorder.span_open("bu", self.id, ctx.now(), Some(h));
-                    trace_span_open(ctx, b, "bu", Some(h));
-                    self.spans.bu = Some(b);
+                    let now = ctx.now();
+                    self.spans.bu = Some(span_open(ctx, &self.recorder, "bu", now, Some(h)));
                     if self.cfg.policy.recv_plane() != RecvPath::Local && !self.at_home() {
-                        let t = self
-                            .recorder
-                            .span_open("tunnel", self.id, ctx.now(), Some(h));
-                        trace_span_open(ctx, t, "tunnel", Some(h));
+                        let t = span_open(ctx, &self.recorder, "tunnel", now, Some(h));
                         self.spans.tunnel = Some(t);
                     }
                 }
@@ -331,19 +326,15 @@ impl HostNode {
     fn open_handoff_spans(&mut self, ctx: &mut Ctx<'_>, from: Option<LinkId>, to: LinkId) {
         self.close_handoff_spans(ctx, true);
         let now = ctx.now();
-        let h = self.recorder.span_open("handoff", self.id, now, None);
+        let h = span_open(ctx, &self.recorder, "handoff", now, None);
         self.recorder
             .span_annotate(h, "policy", self.cfg.policy.id());
         if let Some(f) = from {
             self.recorder.span_annotate(h, "from_link", f.index());
         }
         self.recorder.span_annotate(h, "to_link", to.index());
-        trace_span_open(ctx, h, "handoff", None);
         let istart = self.spans.last_delivery.unwrap_or(now);
-        let i = self
-            .recorder
-            .span_open("interruption", self.id, istart, Some(h));
-        trace_span_open(ctx, i, "interruption", Some(h));
+        let i = span_open(ctx, &self.recorder, "interruption", istart, Some(h));
         self.spans.handoff = Some(h);
         self.spans.interruption = Some(i);
         self.spans.interruption_start = Some(istart);
@@ -353,7 +344,6 @@ impl HostNode {
     /// move supersedes an unrecovered handoff (`superseded = true`) —
     /// phases that never completed end here rather than dangling.
     fn close_handoff_spans(&mut self, ctx: &mut Ctx<'_>, superseded: bool) {
-        let now = ctx.now();
         for (slot, name) in [
             (self.spans.bu.take(), "bu"),
             (self.spans.tunnel.take(), "tunnel"),
@@ -361,8 +351,7 @@ impl HostNode {
             (self.spans.interruption.take(), "interruption"),
         ] {
             if let Some(id) = slot {
-                self.recorder.span_close(id, now);
-                trace_span_close(ctx, id, name);
+                span_close(ctx, &self.recorder, id, name);
             }
         }
         self.spans.interruption_start = None;
@@ -370,8 +359,7 @@ impl HostNode {
             if superseded {
                 self.recorder.span_annotate(h, "superseded", true);
             }
-            self.recorder.span_close(h, now);
-            trace_span_close(ctx, h, "handoff");
+            span_close(ctx, &self.recorder, h, "handoff");
         }
     }
 
@@ -397,19 +385,16 @@ impl HostNode {
         if let Some(prev) = self.spans.last_delivery {
             let gap = now.saturating_since(prev);
             if gap >= DELIVERY_GAP_MIN && self.spans.interruption.is_none() {
-                let g = self.recorder.span_open("delivery_gap", self.id, prev, None);
+                let g = span_open(ctx, &self.recorder, "delivery_gap", prev, None);
                 self.recorder.span_annotate(g, "gap_s", gap.as_secs_f64());
-                self.recorder.span_close(g, now);
-                trace_span_open(ctx, g, "delivery_gap", None);
-                trace_span_close(ctx, g, "delivery_gap");
+                span_close(ctx, &self.recorder, g, "delivery_gap");
             }
         }
         self.spans.last_delivery = Some(now);
         // Any copy arriving ends the interruption (and the handoff root);
         // the matching transport phase closes with it.
         if let Some(i) = self.spans.interruption.take() {
-            self.recorder.span_close(i, now);
-            trace_span_close(ctx, i, "interruption");
+            span_close(ctx, &self.recorder, i, "interruption");
             if let Some(h) = self.spans.handoff.take() {
                 if let Some(start) = self.spans.interruption_start.take() {
                     self.recorder.span_annotate(
@@ -418,8 +403,7 @@ impl HostNode {
                         now.saturating_since(start).as_secs_f64(),
                     );
                 }
-                self.recorder.span_close(h, now);
-                trace_span_close(ctx, h, "handoff");
+                span_close(ctx, &self.recorder, h, "handoff");
             }
         }
         let phase = if tunneled {
@@ -428,8 +412,7 @@ impl HostNode {
             self.spans.rejoin.take().map(|id| (id, "mld_rejoin"))
         };
         if let Some((id, name)) = phase {
-            self.recorder.span_close(id, now);
-            trace_span_close(ctx, id, name);
+            span_close(ctx, &self.recorder, id, name);
         }
         let first = self.receiver.seen.insert(payload.pkt);
         if first {
@@ -714,8 +697,7 @@ impl NodeBehavior for HostNode {
                     });
                     if ack.accepted() {
                         if let Some(b) = self.spans.bu.take() {
-                            self.recorder.span_close(b, now);
-                            trace_span_close(ctx, b, "bu");
+                            span_close(ctx, &self.recorder, b, "bu");
                         }
                     }
                     let outs = self.mn.on_binding_ack(ack.accepted(), now);
@@ -813,8 +795,7 @@ impl NodeBehavior for HostNode {
                 // arrives on the new link.
                 if rejoining {
                     if let Some(h) = self.spans.handoff {
-                        let r = self.recorder.span_open("mld_rejoin", self.id, now, Some(h));
-                        trace_span_open(ctx, r, "mld_rejoin", Some(h));
+                        let r = span_open(ctx, &self.recorder, "mld_rejoin", now, Some(h));
                         self.spans.rejoin = Some(r);
                     }
                 }

@@ -8,6 +8,9 @@
 //! * [`malformed`] — `framesMalformed` plus the typed trace event.
 //! * [`account_note`] — the only place a protocol machine's note becomes a
 //!   counter and a trace event.
+//! * [`span_open`] / [`span_close`] — the only way a causal span opens or
+//!   closes: in the recorder's span book and, in the same call, as a
+//!   `span_open` / `span_close` trace event.
 //!
 //! What differs by role stays with the caller: the `router.*` / `host.*`
 //! recorder counters, the router's ICMPv6 Parameter Problem, the host's
@@ -23,7 +26,7 @@ use mobicast_mipv6::HaNote;
 use mobicast_mld::{MldMessage, MldNote};
 use mobicast_net::{Ctx, Frame, IfIndex, NodeId, TimerKey};
 use mobicast_pimdm::PimNote;
-use mobicast_sim::{bump, Counters, EventId, SimTime, Stage, TraceCategory};
+use mobicast_sim::{bump, Counters, EventId, SimTime, SpanId, Stage, TraceCategory};
 use std::net::Ipv6Addr;
 
 /// One re-armable timer of a node: pending at no instant or at exactly one.
@@ -244,6 +247,36 @@ pub(crate) fn account_note(
     }
 }
 
+/// Open span `name` on the dispatched node, starting at `start` (now, or
+/// earlier for a span that covers the past), and mirror it into the trace
+/// as a `span_open` event at now.
+pub(crate) fn span_open(
+    ctx: &Ctx<'_>,
+    recorder: &SharedRecorder,
+    name: &'static str,
+    start: SimTime,
+    parent: Option<SpanId>,
+) -> SpanId {
+    let id = recorder.span_open(name, ctx.node, start, parent);
+    ctx.trace_event(TraceCategory::Span, "span_open", || {
+        let mut f = vec![("id", id.0.into()), ("name", name.into())];
+        if let Some(p) = parent {
+            f.push(("parent", p.0.into()));
+        }
+        f
+    });
+    id
+}
+
+/// Close span `id` (named `name`) at now, and mirror it into the trace as
+/// a `span_close` event.
+pub(crate) fn span_close(ctx: &Ctx<'_>, recorder: &SharedRecorder, id: SpanId, name: &'static str) {
+    recorder.span_close(id, ctx.now());
+    ctx.trace_event(TraceCategory::Span, "span_close", || {
+        vec![("id", id.0.into()), ("name", name.into())]
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,8 +287,8 @@ mod tests {
     use mobicast_ipv6::tunnel;
     use mobicast_ipv6::udp::UdpDatagram;
     use mobicast_net::{FrameClass, LinkId, LinkParams, NodeBehavior, World};
-    use mobicast_sim::trace::{jsonl_line, CapturingTracer};
-    use mobicast_sim::SimDuration;
+    use mobicast_sim::trace::jsonl_line;
+    use mobicast_sim::{RingBufferTracer, SimDuration};
     use std::any::Any;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -384,7 +417,7 @@ mod tests {
     }
     #[test]
     fn malformed_counts_once_and_names_the_layer() {
-        let (tracer, captured) = CapturingTracer::new();
+        let (tracer, ring) = RingBufferTracer::new(8);
         let mut w = World::with_tracer(tracer);
         let n = w.add_node(1, Box::new(Sink::default()));
         let frame = Frame::new(Bytes::from_static(b"xyz"), FrameClass::Other);
@@ -395,7 +428,7 @@ mod tests {
             malformed(ctx, &mut mib, Malformed::Tunnel(Ipv6Addr::LOCALHOST), &err);
         });
         assert_eq!(mib.get("framesMalformed"), 2);
-        let lines: Vec<String> = captured.events().iter().map(jsonl_line).collect();
+        let lines: Vec<String> = ring.drain().iter().map(jsonl_line).collect();
         let event = |fields: &str| {
             format!(
                 r#"{{"v":2,"t_ns":0,"node":0,"cat":"fault","kind":"malformed","fields":{{{fields},"error":"{err}"}}}}"#

@@ -1,43 +1,17 @@
-//! Observability glue: trace mirroring for causal spans, the per-run
-//! dashboard join (handoff spans × phase children × router graft spans),
-//! and the regression gate used by `report --diff`.
+//! Observability glue: the per-run dashboard join (handoff spans × phase
+//! children × router graft spans) and the regression gate used by
+//! `report --diff`.
 //!
-//! The span *data* lives in the recorder ([`mobicast_sim::SpanBook`]);
-//! this module owns what the rest of the crate does with it — the typed
-//! trace events mirroring every open/close (so JSONL traces replay the
-//! causal timeline), the joined rows the `report` CLI renders, and the
-//! drift detector that turns two report JSON files into a CI verdict.
+//! The span *data* lives in the recorder ([`mobicast_sim::SpanBook`]),
+//! opened and closed by `node_kit`, which mirrors every open/close into
+//! the trace; this module owns what the rest of the crate does with it —
+//! the joined rows the `report` CLI renders, and the drift detector that
+//! turns two report JSON files into a CI verdict.
 
 use crate::analysis::Observability;
-use mobicast_net::Ctx;
-use mobicast_sim::{SimTime, SpanId, SpanRecord, TraceCategory};
+use mobicast_sim::{FieldValue, SimTime, SpanRecord};
 use serde::Serialize;
 use serde_json::Value;
-
-/// Mirror a span open into the typed trace (category `span`, kind
-/// `span_open`), so exported JSONL carries the causal timeline alongside
-/// the protocol events.
-pub(crate) fn trace_span_open(
-    ctx: &Ctx<'_>,
-    id: SpanId,
-    name: &'static str,
-    parent: Option<SpanId>,
-) {
-    ctx.trace_event(TraceCategory::Span, "span_open", || {
-        let mut f = vec![("id", id.0.into()), ("name", name.into())];
-        if let Some(p) = parent {
-            f.push(("parent", p.0.into()));
-        }
-        f
-    });
-}
-
-/// Mirror a span close into the typed trace (kind `span_close`).
-pub(crate) fn trace_span_close(ctx: &Ctx<'_>, id: SpanId, name: &'static str) {
-    ctx.trace_event(TraceCategory::Span, "span_close", || {
-        vec![("id", id.0.into()), ("name", name.into())]
-    });
-}
 
 /// Per-phase causal breakdown of one handoff episode, in seconds. A
 /// `None` means the phase never ran for this approach (e.g. no binding
@@ -77,7 +51,7 @@ pub struct HandoffRow {
 }
 
 fn attr_bool(s: &SpanRecord, key: &str) -> bool {
-    matches!(s.attr(key), Some(mobicast_sim::AttrValue::Bool(true)))
+    matches!(s.attr(key), Some(FieldValue::Bool(true)))
 }
 
 /// Join every `handoff` root span with its phase children and the router
@@ -379,12 +353,7 @@ mod tests {
         let unfinished: Vec<_> = obs
             .spans
             .iter()
-            .filter(|s| {
-                matches!(
-                    s.attr("unfinished"),
-                    Some(mobicast_sim::AttrValue::Bool(true))
-                )
-            })
+            .filter(|s| attr_bool(s, "unfinished"))
             .collect();
         assert_eq!(unfinished.len(), 2, "h2 and i2 were force-closed");
     }

@@ -32,9 +32,8 @@
 use crate::analysis::LinkDataUsage;
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_net::{LinkId, NodeId};
-use mobicast_sim::span::AttrValue;
 use mobicast_sim::{
-    Counter, Counters, SeriesSet, SimDuration, SimTime, SpanBook, SpanId, TimeSeriesSet,
+    Counter, Counters, FieldValue, SeriesSet, SimDuration, SimTime, SpanBook, SpanId, TimeSeriesSet,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -963,8 +962,9 @@ impl SharedRecorder {
         self.0.borrow_mut().series.record(name, value);
     }
 
-    /// Open a causal span (see [`SpanBook::open`]).
-    pub fn span_open(
+    /// Open a causal span (see [`SpanBook::open`]); node glue opens
+    /// through `node_kit::span_open`, which also mirrors it into the trace.
+    pub(crate) fn span_open(
         &self,
         name: &str,
         node: NodeId,
@@ -978,12 +978,12 @@ impl SharedRecorder {
     }
 
     /// Attach a typed attribute to a span.
-    pub fn span_annotate(&self, id: SpanId, key: &str, value: impl Into<AttrValue>) {
+    pub fn span_annotate(&self, id: SpanId, key: &str, value: impl Into<FieldValue>) {
         self.0.borrow_mut().spans.annotate(id, key, value);
     }
 
-    /// Close a span (first close wins).
-    pub fn span_close(&self, id: SpanId, at: SimTime) {
+    /// Close a span (first close wins); see `node_kit::span_close`.
+    pub(crate) fn span_close(&self, id: SpanId, at: SimTime) {
         self.0.borrow_mut().spans.close(id, at);
     }
 

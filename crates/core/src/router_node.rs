@@ -10,7 +10,9 @@
 //! binding (and thus the proxied membership) goes away.
 
 use crate::netplan::{self, frame_for, RoutingTable};
-use crate::node_kit::{self, account_note, malformed, mld_packet, Malformed, Note, TimerSlot};
+use crate::node_kit::{
+    self, account_note, malformed, mld_packet, span_close, span_open, Malformed, Note, TimerSlot,
+};
 use crate::parsed::{parsed, Layers, Upper};
 use crate::recorder::SharedRecorder;
 use mobicast_ipv6::addr::{self, GroupAddr, Prefix};
@@ -83,15 +85,6 @@ impl ResourceBudget {
     /// A budget with no limits at all (the default).
     pub fn unbounded() -> Self {
         Self::default()
-    }
-
-    /// True when no limit is configured (admission control fully inert).
-    pub fn is_unbounded(&self) -> bool {
-        self.mld_listeners.is_none()
-            && self.pim_sg_entries.is_none()
-            && self.binding_cache.is_none()
-            && self.control_rate.is_none()
-            && self.event_queue_depth.is_none()
     }
 
     pub fn validate(&self) -> Result<(), String> {
@@ -340,18 +333,16 @@ impl RouterNode {
                 Note::Pim(PimNote::UpstreamGraftPending { sg })
                     if !self.graft_spans.iter().any(|(k, _)| *k == sg) =>
                 {
-                    let id = self.recorder.span_open("graft", self.id, ctx.now(), None);
+                    let id = span_open(ctx, &self.recorder, "graft", ctx.now(), None);
                     self.recorder.span_annotate(id, "src", sg.0.to_string());
                     self.recorder
                         .span_annotate(id, "group", sg.1.addr().to_string());
-                    crate::observability::trace_span_open(ctx, id, "graft", None);
                     self.graft_spans.push((sg, id));
                 }
                 Note::Pim(PimNote::GraftAcked { sg, .. }) => {
                     if let Some(pos) = self.graft_spans.iter().position(|(k, _)| *k == sg) {
                         let (_, id) = self.graft_spans.remove(pos);
-                        self.recorder.span_close(id, ctx.now());
-                        crate::observability::trace_span_close(ctx, id, "graft");
+                        span_close(ctx, &self.recorder, id, "graft");
                     }
                 }
                 _ => {}

@@ -110,15 +110,14 @@ pub struct ScenarioConfig {
     /// subscribed *before* the storm must keep at least this fraction of
     /// the stream (checked by the oracle). `None` disables the check.
     pub protected_floor: Option<f64>,
-    /// Optional tracer (None = silent). Mutually exclusive with
-    /// `trace_capture` — the builder rejects setting both.
-    pub tracer: Option<Tracer>,
     /// Scenario label used in the run-summary line and trace file names.
     /// Borrowed for the common static labels; owned for generated
     /// (per-seed) scenario names.
     pub name: Cow<'static, str>,
     /// Capture typed trace events into a bounded ring buffer of this
-    /// capacity and return them as `ScenarioResult.trace_jsonl`.
+    /// capacity and return them as `ScenarioResult.trace_jsonl`. A caller
+    /// that wants the events themselves stages with its own tracer
+    /// instead ([`stage`]).
     pub trace_capture: Option<usize>,
     /// Profile the event loop (wall-clock; see `ScenarioResult.profile`).
     pub profile: bool,
@@ -145,7 +144,6 @@ impl Default for ScenarioConfig {
             reconverge_slo_secs: 60.0,
             budget: ResourceBudget::default(),
             protected_floor: None,
-            tracer: None,
             name: Cow::Borrowed("scenario"),
             trace_capture: None,
             profile: false,
@@ -163,8 +161,6 @@ impl ScenarioConfig {
 
 impl fmt::Debug for ScenarioConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Tracers hold sinks, not data — their presence is the only fact
-        // worth printing.
         f.debug_struct("ScenarioConfig")
             .field("name", &self.name)
             .field("seed", &self.seed)
@@ -176,7 +172,6 @@ impl fmt::Debug for ScenarioConfig {
             .field("moves", &self.moves)
             .field("extra_receivers", &self.extra_receivers)
             .field("oracle", &self.oracle)
-            .field("tracer", &self.tracer.is_some())
             .field("trace_capture", &self.trace_capture)
             .field("profile", &self.profile)
             .field("summary", &self.summary)
@@ -203,8 +198,6 @@ impl std::error::Error for ScenarioBuildError {}
 /// as an error instead. Invariants enforced:
 ///
 /// * `moves` are sorted by time and target the paper's links 1–6;
-/// * `trace_capture` and `tracer` are mutually exclusive (an explicit
-///   tracer would otherwise silently swallow the capture request);
 /// * MLD/PIM timer profiles are internally consistent;
 /// * the data payload fits its 16-byte header.
 ///
@@ -322,11 +315,6 @@ impl ScenarioBuilder {
         self
     }
 
-    pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.cfg.tracer = Some(tracer);
-        self
-    }
-
     /// Label the scenario (static or generated — see
     /// [`ScenarioConfig::name`]).
     pub fn name(mut self, name: impl Into<Cow<'static, str>>) -> Self {
@@ -404,14 +392,6 @@ impl ScenarioBuilder {
                 ));
             }
         }
-        if cfg.trace_capture.is_some() && cfg.tracer.is_some() {
-            return Err(ScenarioBuildError(
-                "trace_capture and tracer are mutually exclusive: an explicit \
-                 tracer consumes the event stream, so the capture ring would \
-                 stay empty — drop one of the two"
-                    .into(),
-            ));
-        }
         Ok(cfg)
     }
 
@@ -437,8 +417,7 @@ pub struct ScenarioResult {
     /// Home-agent processing totals across routers.
     pub ha_binding_updates: u64,
     pub ha_packets_tunneled: u64,
-    /// Final multicast tree: links carrying useful data in the last tenth
-    /// of the run.
+    /// Multicast datagrams sent (`report.analysis.packets_sent`).
     pub sent: u64,
     /// Deterministic event count of the run (scheduler dispatches).
     pub events_executed: u64,
@@ -482,15 +461,12 @@ pub fn run_with_recorder(cfg: &ScenarioConfig) -> (ScenarioResult, crate::record
 }
 
 fn run_keeping(cfg: &ScenarioConfig, whole_journal: bool) -> (ScenarioResult, Recorder) {
-    let mut ring: Option<RingBufferTracer> = None;
-    let tracer = match (&cfg.tracer, cfg.trace_capture) {
-        (Some(t), _) => t.clone(),
-        (None, Some(capacity)) => {
+    let (tracer, ring) = match cfg.trace_capture {
+        Some(capacity) => {
             let (t, r) = RingBufferTracer::new(capacity);
-            ring = Some(r);
-            t
+            (t, Some(r))
         }
-        (None, None) => Tracer::null(),
+        None => (Tracer::null(), None),
     };
     let mut staged = stage(cfg, tracer).unwrap_or_else(|e| panic!("scenario {}: {e}", cfg.name));
     if whole_journal {
@@ -630,9 +606,12 @@ pub struct Staged<'a> {
 }
 
 /// Stage 1 of [`run()`]: everything up to, not including, the oracle — so
-/// a caller can reach the world before it runs. A [`StageError::Move`]
-/// counts the lowered moves: `cfg.moves` with, after each move of R3,
-/// one shadow move per extra receiver.
+/// a caller can reach the world before it runs. `tracer` receives the
+/// run's trace events: hand in a [`RingBufferTracer`]'s tracer to read
+/// them as values after the run (`cfg.trace_capture` is the JSONL export
+/// [`run()`] builds this way). A [`StageError::Move`] counts the lowered
+/// moves: `cfg.moves` with, after each move of R3, one shadow move per
+/// extra receiver.
 pub fn stage(cfg: &ScenarioConfig, tracer: Tracer) -> Result<Staged<'_>, StageError> {
     let mut staged = run::stage(&lower(cfg, &NetworkSpec::reference()), tracer)?;
     if cfg.profile {
@@ -999,12 +978,6 @@ fn finish(cfg: &ScenarioConfig, out: RunOutput) -> (ScenarioResult, Recorder) {
         trace_dropped: 0,
     };
     (result, rec)
-}
-
-/// Convenience: identify the paper's 1-based link numbers with link ids.
-pub fn paper_link(n: usize) -> mobicast_net::LinkId {
-    assert!((1..=6).contains(&n));
-    mobicast_net::LinkId(n as u32 - 1)
 }
 
 #[cfg(test)]
@@ -1400,15 +1373,6 @@ mod tests {
     /// defaults build cleanly.
     #[test]
     fn builder_rejects_inconsistent_knobs() {
-        // The PR 3 gap: an explicit tracer used to silently swallow
-        // trace_capture; now the combination is an error.
-        let err = ScenarioConfig::builder()
-            .trace_capture(1000)
-            .tracer(Tracer::null())
-            .try_build()
-            .unwrap_err();
-        assert!(err.to_string().contains("mutually exclusive"), "{err}");
-
         let err = ScenarioConfig::builder()
             .move_at(40.0, PaperHost::R3, 6)
             .move_at(30.0, PaperHost::R2, 3)
@@ -1430,6 +1394,12 @@ mod tests {
 
         assert!(ScenarioConfig::builder().try_build().is_ok());
     }
+
+    /// A configuration is plain data: sweeps may hand it to any thread.
+    const _: fn() = || {
+        fn ok<T: Send + Sync>() {}
+        ok::<ScenarioConfig>();
+    };
 
     /// Generated names thread through as owned strings; static labels stay
     /// borrowed — both land in the config verbatim.

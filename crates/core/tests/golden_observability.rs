@@ -105,7 +105,7 @@ fn every_policy_produces_causal_handoff_spans() {
         assert_eq!(handoffs.len(), 1, "{id}: one move, one episode");
         let h = handoffs[0];
         assert!(
-            matches!(h.attr("policy"), Some(mobicast_sim::AttrValue::Str(s)) if s == id),
+            matches!(h.attr("policy"), Some(mobicast_sim::FieldValue::Str(s)) if s == id),
             "{id}: root span carries the policy"
         );
         assert!(h.end_ns.is_some(), "{id}: episode closed by recovery");

@@ -61,10 +61,11 @@ fn run_case(
             }),
             event_queue_depth: None,
         })
-        .tracer(tracer)
         .name(format!("overload-determinism-seed{seed}"))
         .build();
-    let r = scenario::run(&cfg);
+    let (r, _) = scenario::stage(&cfg, tracer)
+        .expect("the storm scenario stages")
+        .run();
 
     let mut transcript = String::new();
     for ev in ring.drain() {

@@ -179,10 +179,6 @@ impl MldHostPort {
     pub fn is_joined(&self, group: GroupAddr) -> bool {
         self.groups.contains_key(&group)
     }
-
-    pub fn joined_groups(&self) -> impl Iterator<Item = GroupAddr> + '_ {
-        self.groups.keys().copied()
-    }
 }
 
 #[cfg(test)]

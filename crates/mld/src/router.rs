@@ -119,11 +119,6 @@ impl MldRouterPort {
         self.role == Role::Querier
     }
 
-    /// Groups with listeners on this link, in address order.
-    pub fn listener_groups(&self) -> impl Iterator<Item = GroupAddr> + '_ {
-        self.groups.keys()
-    }
-
     pub fn has_listener(&self, group: GroupAddr) -> bool {
         self.groups.contains(group)
     }
@@ -132,11 +127,6 @@ impl MldRouterPort {
     /// an O(1) occupancy counter read.
     pub fn membership_count(&self) -> usize {
         self.groups.len()
-    }
-
-    /// O(1) conservative lower bound on all membership expiries.
-    pub fn min_membership_expiry(&self) -> SimTime {
-        self.groups.min_expires()
     }
 
     /// An MLD message was heard on the link from `from`.

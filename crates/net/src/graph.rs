@@ -87,18 +87,6 @@ impl LinkGraph {
         &self.link_routers[link.index()]
     }
 
-    /// Links attached to router `n` (empty if `n` is not a router).
-    pub fn links_of_router(&self, n: NodeId) -> &[LinkId] {
-        match self.dense(n) {
-            Some(d) => &self.router_links[d],
-            None => &[],
-        }
-    }
-
-    pub fn is_router(&self, n: NodeId) -> bool {
-        self.dense(n).is_some()
-    }
-
     /// Distance in link hops from every link to `target` (BFS over the
     /// link adjacency through routers). `u32::MAX` = unreachable.
     pub fn link_distances(&self, target: LinkId) -> Vec<u32> {

@@ -15,10 +15,10 @@
 //!   builds check it against a sorted-`Vec` reference model).
 //! * [`rng`] — labelled deterministic RNG streams ([`RngFactory`]).
 //! * [`metrics`] — counters and sample series with summaries.
-//! * [`trace`] — structured, filterable simulation traces with a versioned
-//!   JSONL export.
-//! * [`span`] — deterministic sim-time causal spans with stable ids and
-//!   parent links ([`SpanBook`]).
+//! * [`trace`] — structured simulation traces: one [`Tracer`], null or a
+//!   bounded ring ([`RingBufferTracer`]), with a versioned JSONL export.
+//! * [`span`] — deterministic sim-time causal spans with stable ids,
+//!   parent links and [`FieldValue`] attributes ([`SpanBook`]).
 //! * [`series`] — sim-time gauge timelines and a mergeable quantile
 //!   digest ([`TimeSeriesSet`], [`QuantileDigest`]).
 //! * [`perfetto`] / [`openmetrics`] — exporters rendering spans, series
@@ -55,9 +55,7 @@ pub use profile::{Profiler, SimProfile, Stage};
 pub use queue::{EventId, EventQueue};
 pub use rng::RngFactory;
 pub use series::{QuantileDigest, TimeSeries, TimeSeriesSet};
-pub use span::{AttrValue, SpanBook, SpanId, SpanRecord};
+pub use span::{SpanBook, SpanId, SpanRecord};
 pub use time::{SimDuration, SimTime};
-pub use trace::{
-    FieldValue, Fields, RingBufferTracer, TraceCategory, TraceEvent, TraceSink, Tracer,
-};
+pub use trace::{FieldValue, Fields, RingBufferTracer, TraceCategory, TraceEvent, Tracer};
 pub use wheel::TimerWheel;

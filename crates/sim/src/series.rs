@@ -189,11 +189,6 @@ impl QuantileDigest {
         self.count == 0
     }
 
-    /// Mean observation in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-
     /// The `q`-quantile (`0.0 ..= 1.0`) in nanoseconds, nearest-rank over
     /// the bucketed histogram. Exact at the extremes (`q == 0` returns
     /// `min`, `q >= 1` returns `max`); in between the bucket upper bound

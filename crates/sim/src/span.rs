@@ -1,19 +1,21 @@
 //! Deterministic sim-time spans with stable ids and parent links.
 //!
 //! A span is a named interval on the simulation clock, optionally nested
-//! under a parent span and carrying typed attributes. Node glue opens a
-//! span when a causal episode starts (a handoff, a BU round-trip, a PIM
-//! graft) and closes it when the episode completes; the [`SpanBook`]
-//! derives ids from `(node, per-node open count)`, so the same seed
-//! produces the same ids — serial or parallel — and the serialized form
-//! is byte-stable.
+//! under a parent span and carrying typed attributes — the trace's own
+//! scalar, [`FieldValue`]. Node glue opens a span when a causal episode
+//! starts (a handoff, a BU round-trip, a PIM graft) and closes it when the
+//! episode completes, mirroring both into the trace in the same call. The
+//! [`SpanBook`] derives ids from `(node, per-node open count)`, so the
+//! same seed produces the same ids — serial or parallel — and the
+//! serialized form is byte-stable.
 //!
 //! Spans carry *sim* time only. Wall-clock measurements stay in
 //! `SimProfile` and never enter a span (the determinism contract of
 //! `RunReport`).
 
 use crate::time::SimTime;
-use serde::{Serialize, Value};
+use crate::trace::FieldValue;
+use serde::Serialize;
 use std::fmt;
 
 /// Stable identifier of a span within one run.
@@ -39,81 +41,6 @@ impl fmt::Display for SpanId {
     }
 }
 
-/// A typed attribute value on a span.
-#[derive(Clone, Debug, PartialEq)]
-pub enum AttrValue {
-    U64(u64),
-    I64(i64),
-    F64(f64),
-    Bool(bool),
-    Str(String),
-}
-
-impl Serialize for AttrValue {
-    fn to_json_value(&self) -> Value {
-        match self {
-            AttrValue::U64(n) => Value::U64(*n),
-            AttrValue::I64(n) => Value::I64(*n),
-            AttrValue::F64(x) => Value::F64(*x),
-            AttrValue::Bool(b) => Value::Bool(*b),
-            AttrValue::Str(s) => Value::Str(s.clone()),
-        }
-    }
-}
-
-impl fmt::Display for AttrValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AttrValue::U64(n) => write!(f, "{n}"),
-            AttrValue::I64(n) => write!(f, "{n}"),
-            AttrValue::F64(x) => write!(f, "{x}"),
-            AttrValue::Bool(b) => write!(f, "{b}"),
-            AttrValue::Str(s) => f.write_str(s),
-        }
-    }
-}
-
-impl From<u64> for AttrValue {
-    fn from(n: u64) -> Self {
-        AttrValue::U64(n)
-    }
-}
-impl From<u32> for AttrValue {
-    fn from(n: u32) -> Self {
-        AttrValue::U64(n as u64)
-    }
-}
-impl From<usize> for AttrValue {
-    fn from(n: usize) -> Self {
-        AttrValue::U64(n as u64)
-    }
-}
-impl From<i64> for AttrValue {
-    fn from(n: i64) -> Self {
-        AttrValue::I64(n)
-    }
-}
-impl From<f64> for AttrValue {
-    fn from(x: f64) -> Self {
-        AttrValue::F64(x)
-    }
-}
-impl From<bool> for AttrValue {
-    fn from(b: bool) -> Self {
-        AttrValue::Bool(b)
-    }
-}
-impl From<String> for AttrValue {
-    fn from(s: String) -> Self {
-        AttrValue::Str(s)
-    }
-}
-impl From<&str> for AttrValue {
-    fn from(s: &str) -> Self {
-        AttrValue::Str(s.to_owned())
-    }
-}
-
 /// One recorded span.
 #[derive(Clone, Debug, Serialize)]
 pub struct SpanRecord {
@@ -130,7 +57,7 @@ pub struct SpanRecord {
     /// Close time; `None` while still open (force-closed at run end).
     pub end_ns: Option<u64>,
     /// Typed attributes, in annotation order.
-    pub attrs: Vec<(String, AttrValue)>,
+    pub attrs: Vec<(String, FieldValue)>,
 }
 
 impl SpanRecord {
@@ -151,7 +78,7 @@ impl SpanRecord {
     }
 
     /// First attribute with the given key.
-    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
+    pub fn attr(&self, key: &str) -> Option<&FieldValue> {
         self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 }
@@ -189,7 +116,7 @@ impl SpanBook {
 
     /// Attach a typed attribute to an existing span. Unknown ids are
     /// ignored (the span may have been dropped by a bounded collector).
-    pub fn annotate(&mut self, id: SpanId, key: &str, value: impl Into<AttrValue>) {
+    pub fn annotate(&mut self, id: SpanId, key: &str, value: impl Into<FieldValue>) {
         if let Some(s) = self.get_mut(id) {
             s.attrs.push((key.to_owned(), value.into()));
         }
@@ -214,7 +141,7 @@ impl SpanBook {
             if s.end_ns.is_none() {
                 s.end_ns = Some(t.max(s.start_ns));
                 s.attrs
-                    .push(("unfinished".to_owned(), AttrValue::Bool(true)));
+                    .push(("unfinished".to_owned(), FieldValue::Bool(true)));
                 n += 1;
             }
         }
@@ -290,7 +217,7 @@ mod tests {
         assert_eq!(book.close_open(SimTime::from_secs(20)), 1);
         let rec = book.get(a).unwrap();
         assert_eq!(rec.end_ns, Some(20_000_000_000));
-        assert_eq!(rec.attr("unfinished"), Some(&AttrValue::Bool(true)));
+        assert_eq!(rec.attr("unfinished"), Some(&FieldValue::Bool(true)));
         assert!(book.get(b).unwrap().attr("unfinished").is_none());
     }
 

@@ -116,11 +116,6 @@ impl SimDuration {
     }
 
     #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MILLI as f64
-    }
-
-    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }

@@ -2,16 +2,20 @@
 //!
 //! Traces are the debugging backbone of the simulator: every protocol event
 //! (packet send, state transition, timer) can be emitted as a `TraceEvent`.
-//! Sinks decide what to do with them — collect, print, or drop.
+//! There is one [`Tracer`], and it is either null (every emit is one
+//! branch, and its closure never runs) or a handle on a bounded ring whose
+//! [`RingBufferTracer`] end drains or exports the events after the run.
 //!
 //! Events come in two flavours: free-form notes (`kind == "note"`, message
-//! text only) and *typed* events (a stable `kind` string plus typed
-//! key/value fields), which survive machine processing. Typed events are
-//! what the JSONL export ([`jsonl_line`]) and the packet-journey explainer
-//! consume; the schema is versioned ([`TRACE_SCHEMA_VERSION`]) and every
-//! exported line can be checked with [`validate_jsonl_line`].
+//! text only) and *typed* events (a stable `kind` string plus
+//! [`FieldValue`] fields), which survive machine processing. Causal spans
+//! ([`crate::span`]) carry the same value type as attributes. Typed events
+//! are what the JSONL export ([`jsonl_line`]) and the packet-journey
+//! explainer consume; the schema is versioned ([`TRACE_SCHEMA_VERSION`])
+//! and every exported line can be checked with [`validate_jsonl_line`].
 
 use crate::time::SimTime;
+use serde::{Serialize, Value};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
@@ -84,7 +88,8 @@ impl fmt::Display for TraceCategory {
     }
 }
 
-/// A typed field value attached to a structured trace event.
+/// A typed scalar: a field of a structured trace event or an attribute
+/// of a span.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FieldValue {
     U64(u64),
@@ -92,6 +97,18 @@ pub enum FieldValue {
     F64(f64),
     Bool(bool),
     Str(String),
+}
+
+impl Serialize for FieldValue {
+    fn to_json_value(&self) -> Value {
+        match self {
+            FieldValue::U64(n) => Value::U64(*n),
+            FieldValue::I64(n) => Value::I64(*n),
+            FieldValue::F64(x) => Value::F64(*x),
+            FieldValue::Bool(b) => Value::Bool(*b),
+            FieldValue::Str(s) => Value::Str(s.clone()),
+        }
+    }
 }
 
 impl fmt::Display for FieldValue {
@@ -155,7 +172,7 @@ impl From<std::net::Ipv6Addr> for FieldValue {
 /// Field list of a typed event.
 pub type Fields = Vec<(&'static str, FieldValue)>;
 
-/// Event kind used for free-form string messages (the legacy emit path).
+/// Event kind used for free-form string messages ([`Tracer::emit_with`]).
 pub const NOTE_KIND: &str = "note";
 
 /// One trace record.
@@ -173,7 +190,7 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// A free-form note (legacy string-message event).
+    /// A free-form note (message text, no fields).
     pub fn note(at: SimTime, category: TraceCategory, node: usize, message: String) -> Self {
         TraceEvent {
             at,
@@ -237,21 +254,9 @@ pub const TRACE_SCHEMA_VERSION: u64 = 2;
 /// Oldest schema version [`validate_jsonl_line`] still accepts.
 pub const TRACE_SCHEMA_MIN_VERSION: u64 = 1;
 
-fn field_to_json(v: &FieldValue) -> serde_json::Value {
-    use serde_json::Value;
-    match v {
-        FieldValue::U64(n) => Value::U64(*n),
-        FieldValue::I64(n) => Value::I64(*n),
-        FieldValue::F64(x) => Value::F64(*x),
-        FieldValue::Bool(b) => Value::Bool(*b),
-        FieldValue::Str(s) => Value::Str(s.clone()),
-    }
-}
-
 impl TraceEvent {
     /// The event as one schema-versioned JSON object (one JSONL line).
-    pub fn to_json_value(&self) -> serde_json::Value {
-        use serde_json::Value;
+    pub fn to_json_value(&self) -> Value {
         let mut members = vec![
             ("v".to_owned(), Value::U64(TRACE_SCHEMA_VERSION)),
             ("t_ns".to_owned(), Value::U64(self.at.as_nanos())),
@@ -266,7 +271,7 @@ impl TraceEvent {
                 Value::Object(
                     self.fields
                         .iter()
-                        .map(|(k, v)| ((*k).to_owned(), field_to_json(v)))
+                        .map(|(k, v)| ((*k).to_owned(), v.to_json_value()))
                         .collect(),
                 ),
             ),
@@ -276,11 +281,6 @@ impl TraceEvent {
         }
         Value::Object(members)
     }
-}
-
-/// The header line starting every JSONL trace export.
-pub fn jsonl_header() -> String {
-    format!("{{\"schema\":\"{TRACE_SCHEMA}\",\"version\":{TRACE_SCHEMA_VERSION}}}")
 }
 
 /// Header line carrying the count of events evicted from a bounded
@@ -337,112 +337,37 @@ pub fn validate_jsonl_line(line: &str) -> Result<(), String> {
     let fields = v["fields"].as_object().ok_or("missing object \"fields\"")?;
     for (key, val) in fields {
         match val {
-            serde_json::Value::U64(_)
-            | serde_json::Value::I64(_)
-            | serde_json::Value::F64(_)
-            | serde_json::Value::Bool(_)
-            | serde_json::Value::Str(_) => {}
+            Value::U64(_) | Value::I64(_) | Value::F64(_) | Value::Bool(_) | Value::Str(_) => {}
             _ => return Err(format!("field {key:?} is not a scalar")),
         }
     }
     Ok(())
 }
 
-/// Where trace events go.
-pub trait TraceSink {
-    fn emit(&mut self, event: TraceEvent);
-    /// Fast-path check so callers can skip formatting entirely.
-    fn enabled(&self, _category: TraceCategory) -> bool {
-        true
-    }
-}
-
-/// Drops everything; `enabled` returns false so callers skip formatting.
-#[derive(Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn emit(&mut self, _event: TraceEvent) {}
-    fn enabled(&self, _category: TraceCategory) -> bool {
-        false
-    }
-}
-
-/// Collects events in memory (used heavily by tests).
-#[derive(Default)]
-pub struct VecSink {
-    pub events: Vec<TraceEvent>,
-}
-
-impl TraceSink for VecSink {
-    fn emit(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-}
-
-/// Prints events to stdout, optionally restricted to some categories.
-pub struct StdoutSink {
-    /// If `Some`, only these categories are printed.
-    pub filter: Option<Vec<TraceCategory>>,
-}
-
-impl StdoutSink {
-    pub fn all() -> Self {
-        StdoutSink { filter: None }
-    }
-
-    pub fn only(categories: Vec<TraceCategory>) -> Self {
-        StdoutSink {
-            filter: Some(categories),
-        }
-    }
-}
-
-impl TraceSink for StdoutSink {
-    fn emit(&mut self, event: TraceEvent) {
-        println!("{event}");
-    }
-    fn enabled(&self, category: TraceCategory) -> bool {
-        match &self.filter {
-            None => true,
-            Some(cats) => cats.contains(&category),
-        }
-    }
-}
-
-/// Shared handle to a trace sink. The simulation is single-threaded, so
-/// `Rc<RefCell<..>>` is the right tool (no atomics on the hot path).
+/// The simulation's one tracer: null, or a handle on a bounded ring it
+/// shares with a [`RingBufferTracer`]. The simulation is single-threaded,
+/// so the ring sits behind `Rc<RefCell<..>>` (no atomics on the hot path).
+/// Every emit takes a closure that runs only when the tracer is live, so
+/// a null tracer costs one `Option` branch per call site.
 #[derive(Clone)]
 pub struct Tracer {
-    sink: Rc<RefCell<dyn TraceSink>>,
+    ring: Option<Rc<RefCell<Ring>>>,
 }
 
 impl Tracer {
-    pub fn new(sink: impl TraceSink + 'static) -> Self {
-        Tracer {
-            sink: Rc::new(RefCell::new(sink)),
-        }
-    }
-
     /// A tracer that discards everything.
     pub fn null() -> Self {
-        Tracer::new(NullSink)
+        Tracer { ring: None }
     }
 
-    pub fn enabled(&self, category: TraceCategory) -> bool {
-        self.sink.borrow().enabled(category)
+    /// Whether events are kept at all: a null tracer keeps none, a ring
+    /// keeps every category.
+    pub fn enabled(&self) -> bool {
+        self.ring.is_some()
     }
 
-    pub fn emit(&self, at: SimTime, category: TraceCategory, node: usize, message: String) {
-        if self.enabled(category) {
-            self.sink
-                .borrow_mut()
-                .emit(TraceEvent::note(at, category, node, message));
-        }
-    }
-
-    /// Emit with lazy message construction: the closure runs only when the
-    /// category is enabled.
+    /// Emit a free-form note; the message closure runs only when the
+    /// tracer is live.
     pub fn emit_with(
         &self,
         at: SimTime,
@@ -450,15 +375,14 @@ impl Tracer {
         node: usize,
         f: impl FnOnce() -> String,
     ) {
-        if self.enabled(category) {
-            self.sink
-                .borrow_mut()
-                .emit(TraceEvent::note(at, category, node, f()));
+        if let Some(ring) = &self.ring {
+            ring.borrow_mut()
+                .push(TraceEvent::note(at, category, node, f()));
         }
     }
 
-    /// Emit a typed event; the field closure runs only when the category is
-    /// enabled, so disabled tracing pays one virtual call and nothing else.
+    /// Emit a typed event; the field closure runs only when the tracer is
+    /// live.
     pub fn emit_typed(
         &self,
         at: SimTime,
@@ -467,124 +391,82 @@ impl Tracer {
         kind: &'static str,
         fields: impl FnOnce() -> Fields,
     ) {
-        if self.enabled(category) {
-            self.sink
-                .borrow_mut()
-                .emit(TraceEvent::typed(at, category, node, kind, fields()));
+        if let Some(ring) = &self.ring {
+            ring.borrow_mut()
+                .push(TraceEvent::typed(at, category, node, kind, fields()));
         }
     }
 }
 
-/// Bounded in-memory sink: keeps the most recent `capacity` events and
-/// counts how many older ones were evicted. This is the default sink for
-/// trace export — a run of any length uses bounded memory, and the export
-/// records how much history was lost.
-pub struct RingBufferSink {
+/// The bounded collector behind a live [`Tracer`]: keeps the most recent
+/// `capacity` events and counts how many older ones were evicted.
+struct Ring {
     capacity: usize,
     events: VecDeque<TraceEvent>,
     dropped: u64,
-    /// If `Some`, only these categories are recorded.
-    pub filter: Option<Vec<TraceCategory>>,
 }
 
-impl RingBufferSink {
-    pub fn new(capacity: usize) -> Self {
-        RingBufferSink {
-            capacity: capacity.max(1),
-            events: VecDeque::new(),
-            dropped: 0,
-            filter: None,
-        }
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn emit(&mut self, event: TraceEvent) {
+impl Ring {
+    fn push(&mut self, event: TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
         }
         self.events.push_back(event);
     }
-    fn enabled(&self, category: TraceCategory) -> bool {
-        match &self.filter {
-            None => true,
-            Some(cats) => cats.contains(&category),
-        }
-    }
 }
 
-/// A tracer backed by a [`RingBufferSink`] whose contents can be drained
-/// after the run (same shared-handle pattern as [`CapturingTracer`]).
+/// The reading end of a live [`Tracer`]'s ring: a run of any length uses
+/// bounded memory, and the export records how much history was lost.
 pub struct RingBufferTracer {
-    sink: Rc<RefCell<RingBufferSink>>,
+    ring: Rc<RefCell<Ring>>,
 }
 
 impl RingBufferTracer {
+    /// A tracer keeping the newest `capacity` events (at least one), and
+    /// the handle that reads them after the run.
     pub fn new(capacity: usize) -> (Tracer, RingBufferTracer) {
-        let sink = Rc::new(RefCell::new(RingBufferSink::new(capacity)));
-        let tracer = Tracer { sink: sink.clone() };
-        (tracer, RingBufferTracer { sink })
+        let ring = Rc::new(RefCell::new(Ring {
+            capacity: capacity.max(1),
+            events: VecDeque::new(),
+            dropped: 0,
+        }));
+        let tracer = Tracer {
+            ring: Some(ring.clone()),
+        };
+        (tracer, RingBufferTracer { ring })
     }
 
     /// Number of events evicted because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        self.sink.borrow().dropped
+        self.ring.borrow().dropped
     }
 
     pub fn len(&self) -> usize {
-        self.sink.borrow().events.len()
+        self.ring.borrow().events.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.sink.borrow().events.is_empty()
+        self.ring.borrow().events.is_empty()
     }
 
     /// Remove and return all buffered events, oldest first.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        self.sink.borrow_mut().events.drain(..).collect()
+        self.ring.borrow_mut().events.drain(..).collect()
     }
 
     /// Render the buffered events as a full JSONL export: header line first
     /// (carrying the evicted-event count, so lost history is visible in the
     /// file itself), then one line per event, oldest first.
     pub fn export_jsonl(&self) -> String {
-        let sink = self.sink.borrow();
-        let mut out = jsonl_header_with_dropped(sink.dropped);
+        let ring = self.ring.borrow();
+        let mut out = jsonl_header_with_dropped(ring.dropped);
         out.push('\n');
-        for e in &sink.events {
+        for e in &ring.events {
             out.push_str(&jsonl_line(e));
             out.push('\n');
         }
         out
-    }
-}
-
-/// A tracer whose `VecSink` can be inspected after the run (test helper).
-pub struct CapturingTracer {
-    events: Rc<RefCell<VecSink>>,
-}
-
-impl CapturingTracer {
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> (Tracer, CapturingTracer) {
-        let sink = Rc::new(RefCell::new(VecSink::default()));
-        let tracer = Tracer { sink: sink.clone() };
-        (tracer, CapturingTracer { events: sink })
-    }
-
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.borrow().events.clone()
-    }
-
-    pub fn messages_in(&self, category: TraceCategory) -> Vec<String> {
-        self.events
-            .borrow()
-            .events
-            .iter()
-            .filter(|e| e.category == category)
-            .map(|e| e.message.clone())
-            .collect()
     }
 }
 
@@ -593,26 +475,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_sink_disables_formatting() {
+    fn null_tracer_runs_no_closure() {
         let t = Tracer::null();
-        assert!(!t.enabled(TraceCategory::Pim));
+        assert!(!t.enabled());
         let mut called = false;
         t.emit_with(SimTime::ZERO, TraceCategory::Pim, 0, || {
             called = true;
             String::new()
         });
-        assert!(!called, "lazy closure must not run for a null sink");
+        t.emit_typed(SimTime::ZERO, TraceCategory::Pim, 0, "x", || {
+            called = true;
+            vec![]
+        });
+        assert!(!called, "lazy closures must not run for a null tracer");
     }
 
     #[test]
-    fn capturing_tracer_records() {
-        let (t, cap) = CapturingTracer::new();
-        t.emit(SimTime::from_secs(1), TraceCategory::Mld, 3, "join".into());
-        t.emit(SimTime::from_secs(2), TraceCategory::Pim, 4, "graft".into());
-        let events = cap.events();
+    fn ring_tracer_records_notes() {
+        let (t, ring) = RingBufferTracer::new(8);
+        assert!(t.enabled());
+        t.emit_with(SimTime::from_secs(1), TraceCategory::Mld, 3, || {
+            "join".into()
+        });
+        t.emit_with(SimTime::from_secs(2), TraceCategory::Pim, 4, || {
+            "graft".into()
+        });
+        let events = ring.drain();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].node, 3);
-        assert_eq!(cap.messages_in(TraceCategory::Pim), vec!["graft"]);
+        assert_eq!(events[0].kind, NOTE_KIND);
+        assert_eq!(events[1].category, TraceCategory::Pim);
+        assert_eq!(events[1].message, "graft");
     }
 
     #[test]
@@ -631,7 +524,7 @@ mod tests {
 
     #[test]
     fn typed_events_format_and_export() {
-        let (t, cap) = CapturingTracer::new();
+        let (t, ring) = RingBufferTracer::new(8);
         t.emit_typed(
             SimTime::from_secs(2),
             TraceCategory::Pim,
@@ -639,7 +532,8 @@ mod tests {
             "assert",
             || vec![("iface", 1u32.into()), ("won", true.into())],
         );
-        let events = cap.events();
+        let export = ring.export_jsonl();
+        let events = ring.drain();
         assert_eq!(events.len(), 1);
         let e = &events[0];
         assert_eq!(e.kind, "assert");
@@ -647,23 +541,17 @@ mod tests {
         assert!(s.contains("assert iface=1 won=true"), "{s}");
 
         let line = jsonl_line(e);
-        validate_jsonl_line(&line).expect("typed event line is schema-valid");
-        validate_jsonl_line(&jsonl_header()).expect("header line is schema-valid");
+        assert_eq!(
+            export,
+            format!("{}\n{line}\n", jsonl_header_with_dropped(0))
+        );
+        for line in export.lines() {
+            validate_jsonl_line(line).expect("export line is schema-valid");
+        }
         let v = serde_json::from_str(&line).unwrap();
         assert_eq!(v["kind"].as_str(), Some("assert"));
         assert_eq!(v["t_ns"].as_u64(), Some(2_000_000_000));
         assert_eq!(v["fields"]["iface"].as_u64(), Some(1));
-    }
-
-    #[test]
-    fn typed_closure_skipped_when_disabled() {
-        let t = Tracer::null();
-        let mut called = false;
-        t.emit_typed(SimTime::ZERO, TraceCategory::Pim, 0, "x", || {
-            called = true;
-            vec![]
-        });
-        assert!(!called);
     }
 
     #[test]
@@ -736,13 +624,5 @@ mod tests {
             "{\"v\":3,\"t_ns\":0,\"node\":0,\"cat\":\"pim\",\"kind\":\"x\",\"fields\":{}}"
         )
         .is_err());
-    }
-
-    #[test]
-    fn stdout_filter_logic() {
-        let s = StdoutSink::only(vec![TraceCategory::Mld]);
-        assert!(s.enabled(TraceCategory::Mld));
-        assert!(!s.enabled(TraceCategory::Pim));
-        assert!(StdoutSink::all().enabled(TraceCategory::Pim));
     }
 }

@@ -65,11 +65,11 @@ proptest! {
             let mut emitted = 0u64;
             for (b, n) in bursts.iter().enumerate() {
                 for i in 0..*n {
-                    tracer.emit(
+                    tracer.emit_with(
                         SimTime::from_nanos(emitted),
                         TraceCategory::Harness,
                         b,
-                        format!("burst {b} event {i}"),
+                        || format!("burst {b} event {i}"),
                     );
                     emitted += 1;
                 }

@@ -6,16 +6,12 @@
 
 use mobicast::core::scenario::{self, PaperHost, ScenarioConfig};
 use mobicast::core::strategy::Policy;
-use mobicast::sim::{SimDuration, TraceCategory, Tracer};
-use mobicast_sim::trace::StdoutSink;
+use mobicast::sim::{RingBufferTracer, SimDuration, TraceCategory};
 
 fn main() {
-    // Trace the interesting protocol activity to stdout.
-    let tracer = Tracer::new(StdoutSink::only(vec![
-        TraceCategory::Mobility,
-        TraceCategory::MobileIp,
-        TraceCategory::App,
-    ]));
+    // Capture the run's trace; the interesting protocol activity is
+    // printed once the run is over.
+    let (tracer, ring) = RingBufferTracer::new(1_000_000);
 
     // Receiver 3 moves from its home Link 4 to the pruned Link 6 at
     // t = 60 s (the paper's Figure 2 scenario).
@@ -23,12 +19,20 @@ fn main() {
         .duration(SimDuration::from_secs(180))
         .policy(Policy::LOCAL)
         .move_at(60.0, PaperHost::R3, 6)
-        .tracer(tracer)
         .name("quickstart")
         .build();
 
     println!("running the Figure-2 handover on the reference network...\n");
-    let result = scenario::run(&cfg);
+    let staged = scenario::stage(&cfg, tracer).expect("the quickstart scenario stages");
+    let (result, _) = staged.run();
+    for event in ring.drain() {
+        if matches!(
+            event.category,
+            TraceCategory::Mobility | TraceCategory::MobileIp | TraceCategory::App
+        ) {
+            println!("{event}");
+        }
+    }
 
     println!("\n--- results ---");
     println!("packets sent by S: {}", result.sent);
