@@ -2,6 +2,7 @@
 //! the link directory, data-payload framing and frame classification.
 
 use crate::addressing;
+use crate::parsed::{parsed, with_forwarded_layers};
 use bytes::{BufMut, Bytes, BytesMut};
 use mobicast_ipv6::addr::{self, GroupAddr, Prefix};
 use mobicast_ipv6::packet::{proto, Packet};
@@ -232,16 +233,47 @@ pub fn classify(p: &Packet) -> FrameClass {
 /// destination (multicast → broadcast; unicast → the owner node derived
 /// from the address plan, unless an explicit `l2_to` next hop is given).
 pub fn frame_for(p: &Packet, l2_to: Option<NodeId>) -> Frame {
-    let class = classify(p);
-    let bytes = p.encode();
-    if addr::is_multicast(p.dst) {
+    addressed(p.encode(), classify(p), p.dst, l2_to)
+}
+
+/// `bytes` of class `class` in a frame addressed to `dst` as [`frame_for`]
+/// addresses it.
+fn addressed(bytes: Bytes, class: FrameClass, dst: Ipv6Addr, l2_to: Option<NodeId>) -> Frame {
+    if addr::is_multicast(dst) {
         Frame::new(bytes, class)
     } else {
-        match l2_to.or_else(|| node_of_addr(p.dst)) {
+        match l2_to.or_else(|| node_of_addr(dst)) {
             Some(n) => Frame::unicast(bytes, class, n),
             None => Frame::new(bytes, class),
         }
     }
+}
+
+/// Offset of the hop limit in the IPv6 fixed header.
+const HOP_LIMIT_AT: usize = 7;
+
+/// The bytes that arrived in `arrived`, if they may go on the wire again as
+/// they are: not a copy damaged in flight (those are re-encoded from their
+/// parse, so corrupted bytes are never propagated). They are then the
+/// encoding of the packet they parse to, since every frame is built by an
+/// encoder whose output re-encodes to itself.
+pub(crate) fn intact(arrived: &Frame) -> Option<&Bytes> {
+    (!arrived.damaged).then(|| arrived.bytes())
+}
+
+/// `arrived` forwarded one hop: the bytes that arrived with the hop limit
+/// (byte 7) one lower, addressed as [`frame_for`] addresses, and a parse
+/// memo seeded from the arriving one, so the next hop decodes nothing. This
+/// is `frame_for` of the arriving packet with its hop limit decremented,
+/// without the encode. `None` (build it with `frame_for`) for a damaged
+/// copy, bytes that did not parse, or a hop limit of 0.
+pub(crate) fn forwarded(arrived: &Frame, l2_to: Option<NodeId>) -> Option<Frame> {
+    let layers = parsed(arrived).ok()?;
+    let mut wire = intact(arrived)?.to_vec();
+    wire[HOP_LIMIT_AT] = wire[HOP_LIMIT_AT].checked_sub(1)?;
+    let packet = layers.packet();
+    let frame = addressed(Bytes::from(wire), classify(packet), packet.dst, l2_to);
+    Some(with_forwarded_layers(frame, layers))
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! The node kit: the glue `RouterNode` and `HostNode` share, one copy each.
 //!
 //! * [`TimerSlot`] — a slot is armed to at most one instant.
-//! * [`emit`] — the only caller of the journal's `record`, where a
-//!   provenance tag is minted.
+//! * [`transmit`] — the only caller of the journal's `record`, where a
+//!   provenance tag is minted, once per transmission; [`emit`] is it for
+//!   a packet the caller built.
 //! * [`mld_packet`] — the hop-limit-1, Router-Alert framing of every MLD
 //!   message.
 //! * [`malformed`] — `framesMalformed` plus the typed trace event.
@@ -61,11 +62,7 @@ impl TimerSlot {
     }
 }
 
-/// Transmit `packet` from `node` on `ifx`. If it carries the multicast
-/// application stream and the interface is attached, the recorder's journal
-/// gets the emission and the frame the provenance tag minted for it;
-/// `parent` is the tag of the frame whose processing caused this emission
-/// (`None` at an origin).
+/// Transmit `packet` from `node` on `ifx`: [`transmit`] of its frame.
 pub(crate) fn emit(
     ctx: &mut Ctx<'_>,
     recorder: &SharedRecorder,
@@ -75,13 +72,33 @@ pub(crate) fn emit(
     l2_to: Option<NodeId>,
     parent: Option<u64>,
 ) {
+    let frame = ctx.in_stage(Stage::Emit, || frame_for(packet, l2_to));
+    transmit(ctx, recorder, node, &[ifx], &frame, parent);
+}
+
+/// Transmit `frame` from `node` on each of `oifs`: one transmission per
+/// interface, all sharing the frame's bytes and parse memo. If it carries
+/// the multicast application stream, each transmission on an attached
+/// interface gets its own entry in the recorder's journal and its copy the
+/// provenance tag minted for it; `parent` is the tag of the frame whose
+/// processing caused this emission (`None` at an origin).
+pub(crate) fn transmit(
+    ctx: &mut Ctx<'_>,
+    recorder: &SharedRecorder,
+    node: NodeId,
+    oifs: &[IfIndex],
+    frame: &Frame,
+    parent: Option<u64>,
+) {
     let outer = ctx.stage(Stage::Emit);
-    let mut frame = frame_for(packet, l2_to);
-    if let Some(info) = ctx.in_stage(Stage::Parse, || frame_data(&frame)) {
-        if let Some(link) = ctx.link_on(ifx) {
+    // Asked before the first clone, so that every copy shares the parse.
+    let info = ctx.in_stage(Stage::Parse, || frame_data(frame));
+    let size = u32::try_from(frame.len()).expect("a frame is far below 4 GiB");
+    for &ifx in oifs {
+        let mut copy = frame.clone();
+        if let (Some(info), Some(link)) = (info, ctx.link_on(ifx)) {
             ctx.stage(Stage::Account);
-            let size = u32::try_from(frame.len()).expect("a frame is far below 4 GiB");
-            frame.tag = recorder.record_data(
+            copy.tag = recorder.record_data(
                 node,
                 info.payload.pkt,
                 parent,
@@ -92,8 +109,8 @@ pub(crate) fn emit(
             );
             ctx.stage(Stage::Emit);
         }
+        ctx.send(ifx, copy);
     }
-    ctx.send(ifx, frame);
     ctx.stage(outer);
 }
 

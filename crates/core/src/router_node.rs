@@ -15,6 +15,7 @@ use crate::node_kit::{
 };
 use crate::parsed::{parsed, Layers, Upper};
 use crate::recorder::SharedRecorder;
+use bytes::Bytes;
 use mobicast_ipv6::addr::{self, GroupAddr, Prefix};
 use mobicast_ipv6::icmpv6::{
     AdvertisedPrefix, Icmpv6, PARAM_PROBLEM_ERRONEOUS_FIELD, PARAM_PROBLEM_UNRECOGNIZED_OPTION,
@@ -368,6 +369,11 @@ impl RouterNode {
             .any(|p| p.info.ll == a || p.info.global == a)
     }
 
+    /// [`node_kit::transmit`] as this router.
+    fn transmit(&self, ctx: &mut Ctx<'_>, oifs: &[IfIndex], frame: &Frame, parent: Option<u64>) {
+        node_kit::transmit(ctx, &self.recorder, self.id, oifs, frame, parent);
+    }
+
     /// [`node_kit::emit`] as this router.
     fn emit(
         &self,
@@ -560,7 +566,7 @@ impl RouterNode {
                     ctx.trace_event(TraceCategory::MobileIp, "back_tx", || {
                         vec![("home", home.into()), ("care_of", care_of.into())]
                     });
-                    self.route_unicast(ctx, packet, None);
+                    self.route_unicast(ctx, &packet, None, None);
                 }
                 HaOutput::ProxyJoin(g) => {
                     let anchor = self
@@ -620,23 +626,25 @@ impl RouterNode {
             let report = Packet::new(src, packet.src, proto::ICMPV6, body);
             bump!(self.recorder, "router.param_problem_sent");
             bump!(self.mib, "paramProblemsSent");
-            self.route_unicast(ctx, report, None);
+            self.route_unicast(ctx, &report, None, None);
         }
         true
     }
 
-    /// Encapsulate `inner` toward `dst`, enforcing the RFC 2473 Tunnel
-    /// Encapsulation Limit. On refusal the packet is discarded and an ICMPv6
-    /// Parameter Problem (code 0, pointer at the exhausted limit option,
-    /// RFC 2473 §6.7) is sent to the inner source.
+    /// Encapsulate `inner`, whose encoding is `inner_wire`, toward `dst`,
+    /// enforcing the RFC 2473 Tunnel Encapsulation Limit. On refusal the
+    /// packet is discarded and an ICMPv6 Parameter Problem (code 0, pointer
+    /// at the exhausted limit option, RFC 2473 §6.7) is sent to the inner
+    /// source.
     fn encap_checked(
         &mut self,
         ctx: &mut Ctx<'_>,
         src: Ipv6Addr,
         dst: Ipv6Addr,
         inner: &Packet,
+        inner_wire: Bytes,
     ) -> Option<Packet> {
-        match tunnel::encapsulate_limited(src, dst, inner) {
+        match tunnel::encapsulate_limited_wire(src, dst, inner, inner_wire) {
             Ok(outer) => {
                 ctx.in_stage(Stage::Account, || bump!(self.mib, "tunnelEncaps"));
                 ctx.trace_event(TraceCategory::MobileIp, "tunnel_encap", || {
@@ -658,7 +666,7 @@ impl RouterNode {
                 .encode(src, inner.src);
                 let report = Packet::new(src, inner.src, proto::ICMPV6, body);
                 bump!(self.recorder, "tunnel.param_problem_sent");
-                self.route_unicast(ctx, report, None);
+                self.route_unicast(ctx, &report, None, None);
                 None
             }
         }
@@ -666,7 +674,16 @@ impl RouterNode {
 
     /// Forward a unicast packet according to the routing table, applying
     /// home-agent interception for destinations on attached (home) links.
-    fn route_unicast(&mut self, ctx: &mut Ctx<'_>, mut packet: Packet, parent: Option<u64>) {
+    /// `arrived` is the frame `packet` was parsed from, when it is being
+    /// forwarded rather than originated or decapsulated here: its bytes go
+    /// back on the wire (`netplan::forwarded`) instead of an encoding.
+    fn route_unicast(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        packet: &Packet,
+        arrived: Option<&Frame>,
+        parent: Option<u64>,
+    ) {
         if packet.hop_limit <= 1 {
             bump!(self.recorder, "router.hop_limit_drops");
             return;
@@ -677,37 +694,38 @@ impl RouterNode {
         };
         // Home-agent interception: destination is on an attached link and
         // has a binding — tunnel to the care-of address instead.
-        if route.next_hop.is_none() && !tunnel::is_tunnel(&packet) {
+        if route.next_hop.is_none() && !tunnel::is_tunnel(packet) {
             if let Some(coa) = self.ha.intercept(packet.dst) {
                 if coa != packet.dst {
                     let Some(out_route) = self.table.lookup(coa) else {
                         return;
                     };
                     let src = self.iface_info(out_route.iface).global;
-                    let Some(outer) = self.encap_checked(ctx, src, coa, &packet) else {
+                    let wire = wire_of(packet, arrived);
+                    let Some(outer) = self.encap_checked(ctx, src, coa, packet, wire) else {
                         return;
                     };
                     bump!(self.recorder, "ha.unicast_tunnel_encap");
-                    self.route_unicast(ctx, outer, parent);
+                    self.route_unicast(ctx, &outer, None, parent);
                     return;
                 }
             }
         }
-        packet.hop_limit -= 1;
         let l2 = route
             .next_hop_node
             .or_else(|| netplan::node_of_addr(packet.dst));
-        self.emit(ctx, route.iface, &packet, l2, parent);
+        let frame = ctx.in_stage(Stage::Emit, || one_hop_on(packet, arrived, l2));
+        self.transmit(ctx, &[route.iface], &frame, parent);
     }
 
-    /// Handle an accepted or flooded multicast data packet. `tag` is the
-    /// provenance tag of the arriving frame.
+    /// Handle an accepted or flooded multicast data packet, which arrived
+    /// in `arrived`.
     fn handle_multicast_data(
         &mut self,
         ctx: &mut Ctx<'_>,
         ifx: IfIndex,
         packet: &Packet,
-        tag: u64,
+        arrived: &Frame,
     ) {
         let Some(group) = GroupAddr::try_new(packet.dst) else {
             return;
@@ -723,8 +741,8 @@ impl RouterNode {
             bump!(self.recorder, "router.mcast_data_processed")
         });
         self.pim_sends(ctx, sends);
-        let parent = (tag != 0).then_some(tag);
-        if !self.forward_multicast(ctx, packet, group, fwd, Some(ifx), parent) {
+        let parent = (arrived.tag != 0).then_some(arrived.tag);
+        if !self.forward_multicast(ctx, packet, Some((ifx, arrived)), group, fwd, parent) {
             bump!(self.recorder, "router.hop_limit_drops");
         }
     }
@@ -732,40 +750,43 @@ impl RouterNode {
     /// The tail of multicast data handling, native or decapsulated:
     /// forward `packet` out of `fwd` and send a unicast copy to every
     /// mobile host subscribed through us — of native data only if it came
-    /// in on `ingress`, its RPF interface (checked only when someone is
-    /// subscribed). Returns false, having done neither, when there is
+    /// in on its RPF interface (checked only when someone is subscribed).
+    /// Native data comes with its ingress interface and the frame it
+    /// arrived in. Returns false, having done neither, when there is
     /// somewhere to forward to but no hop limit left.
     fn forward_multicast(
         &mut self,
         ctx: &mut Ctx<'_>,
         packet: &Packet,
+        native: Option<(IfIndex, &Frame)>,
         group: GroupAddr,
         fwd: Vec<IfIndex>,
-        ingress: Option<IfIndex>,
         parent: Option<u64>,
     ) -> bool {
+        let arrived = native.map(|(_, frame)| frame);
         if !fwd.is_empty() {
             if packet.hop_limit <= 1 {
                 return false;
             }
-            let mut forwarded = packet.clone();
-            forwarded.hop_limit -= 1;
-            for out in fwd {
-                self.emit(ctx, out, &forwarded, None, parent);
-            }
+            // One frame for the whole decision, one transmission per oif.
+            let frame = ctx.in_stage(Stage::Emit, || one_hop_on(packet, arrived, None));
+            self.transmit(ctx, &fwd, &frame, parent);
         }
         // Home-agent multicast tunnelling: one unicast copy per subscribed
         // mobile host (paper §4.3.2 — this is where the "same datagrams
         // sent via unicast to each group member" cost comes from).
-        let accepted = |ifx| self.table.rpf(packet.src).is_some_and(|i| i.iif == ifx);
-        if self.ha.has_group_subscribers(group) && ingress.is_none_or(accepted) {
+        let accepted = |(ifx, _)| self.table.rpf(packet.src).is_some_and(|i| i.iif == ifx);
+        if self.ha.has_group_subscribers(group) && native.is_none_or(accepted) {
             let targets = self.ha.multicast_tunnel_targets(group);
+            // One inner encoding for every target.
+            let mut wire = None;
             for (home, coa) in targets {
                 let Some(out_route) = self.table.lookup(coa) else {
                     continue;
                 };
                 let src = self.iface_info(out_route.iface).global;
-                let Some(outer) = self.encap_checked(ctx, src, coa, packet) else {
+                let wire = wire.get_or_insert_with(|| wire_of(packet, arrived)).clone();
+                let Some(outer) = self.encap_checked(ctx, src, coa, packet, wire) else {
                     continue;
                 };
                 ctx.in_stage(Stage::Account, || {
@@ -776,7 +797,7 @@ impl RouterNode {
                         bump!(self.mib, "mapTunnelEncaps");
                     }
                 });
-                self.route_unicast(ctx, outer, parent);
+                self.route_unicast(ctx, &outer, None, parent);
             }
         }
         true
@@ -828,7 +849,7 @@ impl RouterNode {
                 // link (our own transmission is not looped back to us).
                 self.handle_multicast_data_from_decap(ctx, home_ifx, inner, parent);
             } else {
-                self.route_unicast(ctx, inner.clone(), parent);
+                self.route_unicast(ctx, inner, None, parent);
             }
             return;
         }
@@ -879,7 +900,7 @@ impl RouterNode {
             .pim
             .on_data(home_ifx, packet.src, group, now, &self.table);
         self.pim_sends(ctx, sends);
-        self.forward_multicast(ctx, packet, group, fwd, None, parent);
+        self.forward_multicast(ctx, packet, None, group, fwd, parent);
     }
 
     fn send_router_advert(&mut self, ctx: &mut Ctx<'_>, ifx: IfIndex) {
@@ -911,6 +932,30 @@ impl RouterNode {
         let next = self.ha.next_deadline();
         self.ha_timer.arm(ctx, TIMER_HA, next);
     }
+}
+
+/// `packet`, which arrived in `arrived` if it is being forwarded, one hop
+/// on: the arriving bytes with the hop limit one lower when they may go on
+/// the wire again as they are, else `packet` so decremented and encoded.
+/// The caller has checked the hop limit is above 1.
+fn one_hop_on(packet: &Packet, arrived: Option<&Frame>, l2_to: Option<NodeId>) -> Frame {
+    arrived
+        .and_then(|frame| netplan::forwarded(frame, l2_to))
+        .unwrap_or_else(|| {
+            let next = Packet {
+                hop_limit: packet.hop_limit - 1,
+                ..packet.clone()
+            };
+            frame_for(&next, l2_to)
+        })
+}
+
+/// The encoding of `packet`: the bytes it arrived in when they may go on
+/// the wire again as they are, else a new one.
+fn wire_of(packet: &Packet, arrived: Option<&Frame>) -> Bytes {
+    arrived
+        .and_then(netplan::intact)
+        .map_or_else(|| packet.encode(), Bytes::clone)
 }
 
 impl NodeBehavior for RouterNode {
@@ -1051,7 +1096,7 @@ impl NodeBehavior for RouterNode {
                 }
             }
             _ if packet.is_multicast() => {
-                self.handle_multicast_data(ctx, ifx, packet, frame.tag);
+                self.handle_multicast_data(ctx, ifx, packet, frame);
                 self.arm_pim(ctx);
             }
             _ if self.is_my_addr(packet.dst) => {
@@ -1061,7 +1106,7 @@ impl NodeBehavior for RouterNode {
             }
             _ => {
                 let parent = (frame.tag != 0).then_some(frame.tag);
-                self.route_unicast(ctx, packet.clone(), parent);
+                self.route_unicast(ctx, packet, Some(frame), parent);
             }
         }
         ctx.stage(Stage::Account);

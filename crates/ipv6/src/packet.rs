@@ -227,7 +227,40 @@ impl Packet {
 
 /// Internet checksum (RFC 1071) over the IPv6 pseudo-header plus a message
 /// body; used by ICMPv6 (and therefore MLD) and available to UDP.
+///
+/// The one's-complement sum is taken over 64-bit big-endian words (RFC 1071
+/// §2(B): the sum is independent of the word size, since 2⁶⁴ ≡ 1 modulo
+/// 2¹⁶ − 1) into a 128-bit accumulator, whose carries are folded once at
+/// the end. A body whose length is not a multiple of 8 ends in a word
+/// padded with zero bytes, as the 16-bit sum pads an odd last byte.
 pub fn pseudo_header_checksum(src: Ipv6Addr, dst: Ipv6Addr, next_header: u8, body: &[u8]) -> u16 {
+    let halves = |a: Ipv6Addr| {
+        let a = u128::from(a);
+        u128::from(a as u64) + (a >> 64)
+    };
+    // The pseudo-header's last eight octets: 32-bit length, 24 zero bits,
+    // next header.
+    let tail = ((body.len() as u64) << 32) | u64::from(next_header);
+    let mut sum = halves(src) + halves(dst) + u128::from(tail);
+    let mut words = body.chunks_exact(8);
+    for word in &mut words {
+        sum += u128::from(u64::from_be_bytes(word.try_into().unwrap_or([0; 8])));
+    }
+    let mut last = [0u8; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    sum += u128::from(u64::from_be_bytes(last));
+    // Fold 128 → 16 bits, adding each carry back in (end-around carry).
+    let mut folded = (sum as u64 as u128) + (sum >> 64);
+    while folded > 0xffff {
+        folded = (folded & 0xffff) + (folded >> 16);
+    }
+    !(folded as u16)
+}
+
+/// The RFC 1071 sum as a plain 16-bit loop: the reference
+/// [`pseudo_header_checksum`] is checked against.
+#[cfg(test)]
+fn pseudo_header_checksum_16(src: Ipv6Addr, dst: Ipv6Addr, next_header: u8, body: &[u8]) -> u16 {
     let mut sum: u32 = 0;
     let mut add16 = |hi: u8, lo: u8| {
         sum += u32::from(u16::from_be_bytes([hi, lo]));
@@ -439,5 +472,75 @@ mod tests {
         let q = Packet::decode(&p.encode()).unwrap();
         assert_eq!(q.traffic_class, 0xb8);
         assert_eq!(q.flow_label, 0xabcde);
+    }
+
+    proptest::proptest! {
+        /// The 64-bit-word sum against the 16-bit reference loop, on
+        /// bodies of every length up to 1 600 bytes (odd ones included),
+        /// random or dense with ones (long carry chains), and random
+        /// addresses and next header.
+        #[test]
+        fn checksum_equals_the_sixteen_bit_reference(
+            body in proptest::collection::vec(proptest::any::<u8>(), 0..1601),
+            dense in proptest::any::<bool>(),
+            src in proptest::any::<u128>(),
+            dst in proptest::any::<u128>(),
+            next_header in proptest::any::<u8>(),
+        ) {
+            let body: Vec<u8> = body.iter().map(|b| if dense { b | 0xf0 } else { *b }).collect();
+            let (src, dst) = (Ipv6Addr::from(src), Ipv6Addr::from(dst));
+            for end in [body.len(), body.len().saturating_sub(1), body.len() / 2] {
+                proptest::prop_assert_eq!(
+                    pseudo_header_checksum(src, dst, next_header, &body[..end]),
+                    pseudo_header_checksum_16(src, dst, next_header, &body[..end])
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_folds_every_carry_of_an_all_ones_body() {
+        let ones = Ipv6Addr::from(u128::MAX);
+        for len in [0, 1, 2, 7, 8, 9, 15, 16, 512, 1_499, 1_600, 65_535] {
+            let body = vec![0xff; len];
+            for (src, dst) in [(ones, ones), (addr("::1"), addr("ff02::1"))] {
+                assert_eq!(
+                    pseudo_header_checksum(src, dst, 0xff, &body),
+                    pseudo_header_checksum_16(src, dst, 0xff, &body),
+                    "{len} bytes of 0xff"
+                );
+            }
+        }
+    }
+
+    /// A sum of zero: the pseudo-header and body add up to nothing, so the
+    /// checksum is `0xffff`; and a body whose sum is all ones gives a
+    /// checksum of 0, which UDP must send as `0xffff` (RFC 2460 §8.1).
+    #[test]
+    fn checksum_of_a_zero_sum_and_udp_zero_rule() {
+        let zero = Ipv6Addr::UNSPECIFIED;
+        assert_eq!(pseudo_header_checksum(zero, zero, 0, &[]), 0xffff);
+        assert_eq!(pseudo_header_checksum_16(zero, zero, 0, &[]), 0xffff);
+        // Pseudo-header: 10 (length) + 17 (next header); UDP header: 10
+        // (length). The payload word completes the sum to 0xffff, so the
+        // checksum computes as 0.
+        let (src, dst) = (zero, zero);
+        let filler = 0xffff - 10 - 17 - 10;
+        let payload = Bytes::copy_from_slice(&(filler as u16).to_be_bytes());
+        let udp = crate::udp::UdpDatagram::new(0, 0, payload.clone());
+        let mut zeroed = vec![0, 0, 0, 0, 0, 10, 0, 0];
+        zeroed.extend_from_slice(&payload);
+        assert_eq!(pseudo_header_checksum(src, dst, proto::UDP, &zeroed), 0);
+        assert_eq!(pseudo_header_checksum_16(src, dst, proto::UDP, &zeroed), 0);
+        let wire = udp.encode(src, dst);
+        assert_eq!(
+            &wire[6..8],
+            &[0xff, 0xff],
+            "a zero checksum goes out as 0xffff"
+        );
+        assert_eq!(
+            crate::udp::UdpDatagram::decode(src, dst, &wire).map(|d| d.payload),
+            Ok(payload)
+        );
     }
 }

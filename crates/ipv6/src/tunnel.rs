@@ -10,6 +10,7 @@
 use crate::error::DecodeError;
 use crate::exthdr::{ExtHeader, Option6};
 use crate::packet::{proto, Packet, FIXED_HEADER_LEN};
+use bytes::Bytes;
 use std::net::Ipv6Addr;
 
 /// Per-packet byte overhead of one encapsulation level (the outer fixed
@@ -54,11 +55,29 @@ pub fn encapsulate_limited(
     outer_dst: Ipv6Addr,
     inner: &Packet,
 ) -> Result<Packet, EncapLimitExceeded> {
+    encapsulate_limited_wire(outer_src, outer_dst, inner, inner.encode())
+}
+
+/// [`encapsulate_limited`] over `inner_wire`, the encoding of `inner` the
+/// caller already holds (the bytes it arrived in, or one encoding shared by
+/// every copy of a fan-out), so that nothing is encoded again per copy.
+/// `inner` is read for its limit option and its protocol only.
+pub fn encapsulate_limited_wire(
+    outer_src: Ipv6Addr,
+    outer_dst: Ipv6Addr,
+    inner: &Packet,
+    inner_wire: Bytes,
+) -> Result<Packet, EncapLimitExceeded> {
+    debug_assert_eq!(
+        Packet::decode_shared(&inner_wire).as_ref(),
+        Ok(inner),
+        "inner_wire is not the encoding of inner"
+    );
     let remaining = tunnel_encap_limit(inner).unwrap_or(DEFAULT_ENCAP_LIMIT);
     if remaining == 0 {
         return Err(EncapLimitExceeded);
     }
-    let mut outer = encapsulate(outer_src, outer_dst, inner);
+    let mut outer = Packet::new(outer_src, outer_dst, proto::IPV6, inner_wire);
     if is_tunnel(inner) {
         outer.ext.push(ExtHeader::DestinationOptions(vec![
             Option6::TunnelEncapLimit(remaining - 1),
@@ -88,7 +107,6 @@ pub fn is_tunnel(p: &Packet) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
 
     fn a(s: &str) -> Ipv6Addr {
         s.parse().unwrap()
@@ -166,6 +184,20 @@ mod tests {
         let parsed = Packet::decode(&t2.encode()).unwrap();
         assert_eq!(tunnel_encap_limit(&parsed), Some(DEFAULT_ENCAP_LIMIT - 1));
         assert_eq!(decapsulate(&parsed).unwrap(), t1);
+    }
+
+    #[test]
+    fn supplied_inner_wire_encapsulates_as_the_packet_does() {
+        let inner = sample_inner();
+        let t1 = encapsulate_limited(a("::1"), a("::2"), &inner).unwrap();
+        let wire = t1.encode();
+        let supplied = encapsulate_limited_wire(a("::3"), a("::4"), &t1, wire.clone()).unwrap();
+        assert_eq!(
+            supplied,
+            encapsulate_limited(a("::3"), a("::4"), &t1).unwrap()
+        );
+        assert_eq!(tunnel_encap_limit(&supplied), Some(DEFAULT_ENCAP_LIMIT - 1));
+        assert_eq!(supplied.payload.as_ptr(), wire.as_ptr(), "not copied");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! the emitter, the oracle, each receiver of a fan-out — reads. This layer
 //! never looks inside it; it only guarantees the pairing: the bytes are
 //! private and [`Frame::with_bytes`], the one way to change them, starts
-//! the copy with an empty memo.
+//! the copy with an empty memo. The one way to start a frame with a filled
+//! memo is [`Frame::with_memo`], for an upper layer that already knows what
+//! new bytes parse to (a router forwarding what it just parsed).
 
 use bytes::Bytes;
 use std::any::Any;
@@ -161,6 +163,16 @@ impl Frame {
         self
     }
 
+    /// This frame with its memo filled by `memo`, which the caller vouches
+    /// is what the memo's `parse` would make of the bytes: the forwarding
+    /// path knows the parse of the bytes it forwards from the parse of the
+    /// bytes that arrived, and checks it against a fresh parse in debug
+    /// builds.
+    pub fn with_memo<T: Any>(mut self, memo: T) -> Self {
+        self.memo = OnceCell::from(Rc::new(memo) as Rc<dyn Any>);
+        self
+    }
+
     /// What the bytes parse to: `parse` runs on the first ask and its
     /// result is kept for every later one, on this frame and on its
     /// clones. `parse` must be a pure function of the bytes, and a program
@@ -238,6 +250,17 @@ mod tests {
         assert_eq!(*copy.memo(|b| b.len()), 1, "parsed from its own bytes");
         assert_eq!(*f.memo(|_| -> usize { unreachable!("filled") }), 3);
         assert_eq!((copy.class, copy.l2, copy.tag), (f.class, f.l2, f.tag));
+    }
+
+    #[test]
+    fn a_seeded_memo_is_read_without_parsing_and_shared_by_clones() {
+        let f = Frame::new(Bytes::from_static(&[1, 2, 3]), FrameClass::Other).with_memo(3usize);
+        assert_eq!(*f.memo(|_| -> usize { unreachable!("seeded") }), 3);
+        let copy = f.clone().with_tag(9);
+        assert_eq!(*copy.memo(|_| -> usize { unreachable!("shared") }), 3);
+        // New bytes still drop it.
+        let other = f.with_bytes(Bytes::from_static(&[4]));
+        assert_eq!(*other.memo(|b| b.len()), 1);
     }
 
     #[test]

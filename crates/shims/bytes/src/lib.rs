@@ -18,9 +18,10 @@ pub struct Bytes(Repr);
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    /// A view of `range` within a shared allocation; the whole allocation
-    /// stays alive as long as any view of it does.
-    Shared(Arc<[u8]>, Range<usize>),
+    /// A view of `range` within a shared buffer; the whole buffer stays
+    /// alive as long as any view of it does. The `Vec` is the one a
+    /// [`BytesMut`] or a caller's `Vec` grew, handed over as it is.
+    Shared(Arc<Vec<u8>>, Range<usize>),
 }
 
 impl Bytes {
@@ -36,7 +37,7 @@ impl Bytes {
 
     /// Copy a slice into a new shared buffer.
     pub fn copy_from_slice(b: &[u8]) -> Self {
-        Bytes(Repr::Shared(Arc::from(b), 0..b.len()))
+        Bytes::from(b.to_vec())
     }
 
     /// A view of `range` within this buffer sharing its storage (no
@@ -109,9 +110,11 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes the vector's buffer over: the bytes are neither copied nor
+    /// reallocated (only the reference count is a new, small allocation).
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();
-        Bytes(Repr::Shared(Arc::from(v.into_boxed_slice()), 0..len))
+        Bytes(Repr::Shared(Arc::new(v), 0..len))
     }
 }
 
@@ -183,7 +186,8 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
-    /// Convert into an immutable, cheaply clonable buffer.
+    /// Convert into an immutable, cheaply clonable buffer that keeps this
+    /// one's allocation (no copy).
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -253,17 +257,26 @@ impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
     }
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.buf.put_bytes(val, cnt);
+    }
 }
 
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.resize(self.len() + cnt, val);
+    }
 }
 
 impl<T: BufMut + ?Sized> BufMut for &mut T {
     fn put_slice(&mut self, src: &[u8]) {
         (**self).put_slice(src);
+    }
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        (**self).put_bytes(val, cnt);
     }
 }
 
@@ -352,5 +365,47 @@ mod tests {
         m.put_bytes(0, 2);
         assert_eq!(&m[..], &[1, 2, 0xff, 0, 0]);
         assert_eq!(m.freeze().as_ref(), &[1, 2, 0xff, 0, 0]);
+    }
+
+    #[test]
+    fn freeze_and_from_vec_keep_the_allocation() {
+        let mut m = BytesMut::with_capacity(64);
+        m.put_bytes(7, 64);
+        let before = m.as_ptr();
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ptr(), before, "freeze copied the buffer");
+        assert_eq!(frozen.slice(8..).as_ptr(), before.wrapping_add(8));
+        let v = vec![1u8, 2, 3];
+        let before = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), before, "From<Vec> copied it");
+    }
+
+    #[test]
+    fn put_bytes_of_zero_is_a_no_op() {
+        let mut m = BytesMut::new();
+        m.put_u8(9);
+        m.put_bytes(0xaa, 0);
+        assert_eq!(&m[..], &[9]);
+        let mut v = vec![1u8];
+        v.put_bytes(0xaa, 0);
+        (&mut v).put_bytes(0xaa, 0);
+        assert_eq!(v, [1]);
+    }
+
+    #[test]
+    fn bulk_put_bytes_equals_byte_by_byte() {
+        let mut bulk = BytesMut::with_capacity(3);
+        bulk.put_u16(0x0102);
+        bulk.put_bytes(0x5a, 4_096);
+        let mut one_by_one = BytesMut::with_capacity(3);
+        one_by_one.put_u16(0x0102);
+        for _ in 0..4_096 {
+            one_by_one.put_u8(0x5a);
+        }
+        assert_eq!(bulk.len(), 2 + 4_096);
+        assert_eq!(bulk, one_by_one);
+        let mut via_ref = Vec::new();
+        (&mut via_ref).put_bytes(0x5a, 4_096);
+        assert_eq!(via_ref[..], one_by_one[2..]);
     }
 }

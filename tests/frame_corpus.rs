@@ -6,13 +6,16 @@
 //! every delivery policy, plus two chaos seeds whose plans corrupt frames.
 //! The same live frames also seed the wire mutators: bit flips and
 //! truncations of real traffic, where the zero-copy decoders must agree
-//! with the copying ones.
+//! with the copying ones. And every one of them is its own re-encoding,
+//! the premise on which a router forwards the bytes that arrived.
 
 mod common;
 
 use common::{assert_memo_matches_fresh_decode, assert_shared_decoders_agree, Seen};
 use mobicast::core::scenario::{self, PaperHost, ScenarioConfig};
 use mobicast::core::{chaos, Policy};
+use mobicast::ipv6::packet::Packet;
+use mobicast::ipv6::tunnel;
 use mobicast::net::{ExecPlan, Frame, IfIndex, LinkId, NodeId, WorldProbe};
 use mobicast::sim::{RngFactory, SimTime, Tracer};
 use rand::Rng;
@@ -78,6 +81,32 @@ fn every_frame_of_every_policy_reads_as_its_bytes_decode() {
             0,
             "{policy:?}: {seen:?}"
         );
+    }
+}
+
+/// A router forwards an undamaged frame as the bytes that arrived with the
+/// hop limit one lower, and tunnels one as those bytes behind an outer
+/// header, instead of re-encoding what it parsed. That is byte-identical
+/// only if every frame is a fixed point of decode-then-encode, at every
+/// tunnel level: `Packet::decode(b)?.encode() == b`.
+#[test]
+fn every_frame_of_every_policy_is_its_own_reencoding() {
+    for policy in Policy::all() {
+        let mut frames = 0u64;
+        for frame in corpus_of(&figure1(policy)) {
+            assert!(!frame.damaged, "no fault plan");
+            let mut wire = frame.bytes().clone();
+            loop {
+                let packet = Packet::decode(&wire).expect("an undamaged frame decodes");
+                assert_eq!(packet.encode(), wire, "{policy:?}: not its own encoding");
+                if !tunnel::is_tunnel(&packet) {
+                    break;
+                }
+                wire = packet.payload;
+            }
+            frames += 1;
+        }
+        assert!(frames > 1_000, "{policy:?}: {frames} frames");
     }
 }
 
