@@ -20,7 +20,7 @@ use super::{ExperimentOutput, Settings};
 use crate::chaos::{self, SeedOutcome};
 use crate::report::{secs, Table};
 use crate::strategy::Policy;
-use crate::sweep;
+use mobicast_sim::parallel::run_ordered;
 use serde_json::json;
 
 /// Seeds exercised by the full campaign (the acceptance floor is 50).
@@ -43,7 +43,7 @@ pub fn run(settings: Settings) -> ExperimentOutput {
     let n_seeds = if quick { QUICK_SEEDS } else { FULL_SEEDS };
     let seeds: Vec<u64> = (1..=n_seeds).collect();
     let policies = settings.policies();
-    let outcomes: Vec<SeedOutcome> = sweep::run_parallel(seeds, workers, |&seed| {
+    let outcomes: Vec<SeedOutcome> = run_ordered(seeds, workers, |&seed| {
         chaos::check_seed_under(seed, &policies)
     });
 

@@ -10,8 +10,7 @@
 use super::{ExperimentOutput, Settings};
 use crate::report::{bytes, secs, Table};
 use crate::scenario::{self, PaperHost, ScenarioConfig};
-use crate::sweep;
-use mobicast_sim::{SeriesSet, SimDuration};
+use mobicast_sim::{parallel::run_ordered, SeriesSet, SimDuration};
 use serde_json::json;
 
 struct Params {
@@ -77,7 +76,7 @@ pub fn run(settings: Settings) -> ExperimentOutput {
             }
         }
     }
-    let stats = sweep::run_parallel(params, workers, one);
+    let stats = run_ordered(params, workers, one);
 
     let mut series = SeriesSet::new();
     for s in &stats {

@@ -11,12 +11,11 @@
 //! (c) the bi-directional tunnel.
 
 use super::{ExperimentOutput, Settings};
-use crate::mobility::{schedule, MobilityModel};
+use crate::mobility::schedule;
 use crate::report::{secs, Table};
 use crate::scenario::{self, Move, PaperHost, ScenarioConfig};
 use crate::strategy::Policy;
-use crate::sweep;
-use mobicast_sim::{RngFactory, SimDuration, SimTime};
+use mobicast_sim::{parallel::run_ordered, RngFactory, SimDuration, SimTime};
 use serde_json::json;
 
 #[derive(Clone, Copy)]
@@ -41,11 +40,8 @@ const DURATION_S: u64 = 1200;
 fn one(p: &Params) -> RunStats {
     let rng = RngFactory::new(p.seed).subfactory("mobility");
     let sched = schedule(
-        &MobilityModel::ExponentialDwell {
-            mean_dwell: SimDuration::from_secs(p.mean_dwell_s),
-        },
-        &[0, 1, 2, 3],
-        0,
+        SimDuration::from_secs(p.mean_dwell_s),
+        ROAM_LINKS.len(),
         SimTime::from_secs(60),
         SimTime::from_secs(DURATION_S - 60),
         &rng,
@@ -104,7 +100,7 @@ pub fn run(settings: Settings) -> ExperimentOutput {
         let mut cells = vec![format!("{dwell}s"), String::new()];
         let mut entry = json!({ "mean_dwell_s": dwell });
         for (key, policy, unsolicited) in variants {
-            let stats = sweep::run_parallel(
+            let stats = run_ordered(
                 seeds
                     .iter()
                     .map(|&seed| Params {

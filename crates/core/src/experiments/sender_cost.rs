@@ -15,11 +15,10 @@ use crate::router_node::RouterConfig;
 use crate::run::{self, RunPlan};
 use crate::scenario::{self, Move, PaperHost, ScenarioConfig};
 use crate::strategy::Policy;
-use crate::sweep;
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_net::{ExecPlan, FaultPlan};
 use mobicast_pimdm::PimConfig;
-use mobicast_sim::{SimDuration, SimTime, Tracer};
+use mobicast_sim::{parallel::run_ordered, SimDuration, SimTime, Tracer};
 use serde_json::json;
 
 /// One string-topology run: sender homed on the first link, receiver on
@@ -131,7 +130,7 @@ pub fn run(settings: Settings) -> ExperimentOutput {
     // Waste of one string scenario averaged over the seeds, and the links
     // the first seed's flood touched.
     let string_mean = |n_links, payload, interval_ms, prune_delay_s| {
-        let stats = sweep::run_parallel(seeds.clone(), workers, |&seed| {
+        let stats = run_ordered(seeds.clone(), workers, |&seed| {
             string_run(&StringParams {
                 n_links,
                 payload,

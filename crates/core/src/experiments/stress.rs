@@ -10,13 +10,12 @@
 use super::{ExperimentOutput, Settings};
 use crate::report::Table;
 use crate::stress::{self, StressReport};
-use crate::sweep;
+use mobicast_sim::parallel::run_ordered;
 use serde_json::json;
 
 pub fn run(settings: Settings) -> ExperimentOutput {
     let specs = stress::specs(settings);
-    let reports: Vec<StressReport> =
-        sweep::run_parallel(specs, settings.workers, stress::run_stress);
+    let reports: Vec<StressReport> = run_ordered(specs, settings.workers, stress::run_stress);
 
     let mut table = Table::new(&[
         "scenario",

@@ -11,9 +11,8 @@
 use super::{ExperimentOutput, Settings};
 use crate::report::{bytes, secs, Table};
 use crate::scenario::{self, PaperHost, ScenarioConfig};
-use crate::sweep;
 use mobicast_mld::MldConfig;
-use mobicast_sim::{SeriesSet, SimDuration};
+use mobicast_sim::{parallel::run_ordered, SeriesSet, SimDuration};
 use serde_json::json;
 
 #[derive(Clone, Copy)]
@@ -82,7 +81,7 @@ pub fn run(settings: Settings) -> ExperimentOutput {
             }
         }
     }
-    let stats = sweep::run_parallel(params, workers, one);
+    let stats = run_ordered(params, workers, one);
 
     let mut series = SeriesSet::new();
     for s in &stats {

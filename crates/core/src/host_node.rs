@@ -7,7 +7,7 @@ use crate::netplan::{DataPayload, SharedDirectory, MCAST_UDP_PORT};
 use crate::node_kit::{self, malformed, mld_packet, span_close, span_open, Malformed, TimerSlot};
 use crate::parsed::{parsed, Upper};
 use crate::recorder::{packet_id, Delivery, MoveEvent, PacketMeta, SharedRecorder};
-use crate::strategy::{MoveAction, MoveContext, Policy, RecvPath, SendPath};
+use crate::strategy::{Policy, RecvPath, SendPath};
 use mobicast_ipv6::addr::{self, GroupAddr};
 use mobicast_ipv6::icmpv6::Icmpv6;
 use mobicast_ipv6::packet::{proto, Packet};
@@ -132,7 +132,7 @@ impl HostNode {
         let iid = crate::addressing::iid(id, 0);
         let home_addr = home_prefix.addr_with_iid(iid);
         let ll_addr = crate::addressing::link_local_addr(id, 0);
-        let include_group_list = cfg.policy.binding_update_extras().include_group_list;
+        let include_group_list = cfg.policy.include_group_list();
         HostNode {
             id,
             cfg,
@@ -769,15 +769,11 @@ impl NodeBehavior for HostNode {
                 // new link (hierarchical policies register with the domain
                 // MAP; the paper's four approaches always pick the home
                 // agent, making the retarget a no-op).
-                let action = self.cfg.policy.on_move(&MoveContext {
-                    to_home_link: l == self.home_link,
-                    home_agent: self.mn.home_agent(),
-                    map_agent: self.dir.map_agent.get(l.index()).copied().flatten(),
-                });
-                let target = match action {
-                    MoveAction::RegisterHome => self.mn.home_agent(),
-                    MoveAction::RegisterWithAgent(a) => a,
-                };
+                let target = self.cfg.policy.agent_after_move(
+                    l == self.home_link,
+                    self.dir.map_agent.get(l.index()).copied().flatten(),
+                    self.mn.home_agent(),
+                );
                 let outs = self.mn.set_agent(target);
                 if !outs.is_empty() {
                     self.emit_mn(ctx, outs);

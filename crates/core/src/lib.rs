@@ -8,8 +8,8 @@
 //! Section 4.3: join delay, leave delay, protocol overhead, bandwidth
 //! consumption, routing optimality, and system load.
 //!
-//! * [`strategy`] — the open [`strategy::DeliveryPolicy`] registry; the
-//!   paper's Table-1 approaches are the four built-in policies.
+//! * [`strategy`] — the delivery policies as a table of [`Policy`] values:
+//!   the paper's four Table-1 approaches and the hierarchical proxy.
 //! * [`router_node`] / [`host_node`] — composed nodes: IPv6 forwarding,
 //!   MLD, PIM-DM, home agent / mobile node, applications.
 //! * [`builder`] — network assembly; [`builder::NetworkSpec::reference`]
@@ -23,7 +23,7 @@
 //! * [`explain`] — packet-journey explainer over the provenance chains.
 //! * [`observability`] — handoff span dashboard join and the
 //!   `report --diff` regression gate.
-//! * [`sweep`] — deterministic parallel parameter sweeps.
+//! * [`sweep`] — deterministic parallel parameter grids.
 //! * [`report`] — text tables and JSON output for the `mobicast` CLI.
 
 pub mod addressing;
@@ -62,4 +62,4 @@ pub use router_node::{ResourceBudget, RouterConfig, RouterNode};
 pub use scenario::{
     run, run_with_recorder, Move, PaperHost, ScenarioBuilder, ScenarioConfig, ScenarioResult,
 };
-pub use strategy::{BuExtras, DeliveryPolicy, MoveAction, MoveContext, Policy, RecvPath, SendPath};
+pub use strategy::{Policy, RecvPath, SendPath};

@@ -2,108 +2,67 @@
 //!
 //! The paper treats host movement as a rate ("the mobility rate of the
 //! sender", §4.3.1): hosts dwell on a link for some time, then move to
-//! another link. This module generates deterministic (seeded) move
-//! schedules from two classic processes:
+//! another link. [`schedule`] generates deterministic (seeded) move
+//! schedules from a Poisson movement process: dwell times drawn from an
+//! exponential distribution, the next link chosen uniformly among the
+//! others.
 //!
-//! * [`MobilityModel::ExponentialDwell`] — dwell times drawn from an
-//!   exponential distribution (Poisson movement process), next link chosen
-//!   uniformly among the allowed links (≠ current).
-//! * [`MobilityModel::FixedPeriod`] — deterministic dwell, round-robin
-//!   through the allowed links.
-//!
-//! Schedules are plain `(time, link)` lists, so they plug into both the
-//! reference scenario (`ScenarioConfig::moves`) and hand-built worlds.
+//! Schedules are plain `(time, link index)` lists, so they plug into both
+//! the reference scenario (`ScenarioConfig::moves`) and hand-built worlds.
 
 use mobicast_sim::rng::sample_exponential;
 use mobicast_sim::{RngFactory, SimDuration, SimTime};
 use rand::Rng;
 
-/// How a host roams.
-#[derive(Clone, Debug)]
-pub enum MobilityModel {
-    /// Exponentially distributed dwell time with the given mean.
-    ExponentialDwell { mean_dwell: SimDuration },
-    /// Fixed dwell time, links visited round-robin.
-    FixedPeriod { dwell: SimDuration },
-}
-
 /// One scheduled link change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScheduledMove {
     pub at: SimTime,
-    /// Index into the `links` slice passed to [`schedule`].
+    /// Index of the destination among the `n_links` passed to [`schedule`].
     pub to_link_index: usize,
 }
 
-/// Generate a move schedule for one host.
-///
-/// * `links` — the candidate links (indices are returned); the host is
-///   assumed to start on `links[start_index]`.
-/// * `start` / `end` — the window in which moves may occur.
+/// Generate a move schedule for one host that starts on link index 0 of
+/// `n_links` (at least two) and dwells an exponentially distributed time
+/// with mean `mean_dwell` on each link; moves fall inside `start..end`.
 ///
 /// Deterministic for a given `(rng label, seed)`.
 pub fn schedule(
-    model: &MobilityModel,
-    links: &[usize],
-    start_index: usize,
+    mean_dwell: SimDuration,
+    n_links: usize,
     start: SimTime,
     end: SimTime,
     rng: &RngFactory,
     label: &str,
 ) -> Vec<ScheduledMove> {
-    assert!(!links.is_empty());
-    assert!(start_index < links.len());
+    assert!(n_links >= 2, "nowhere to move among {n_links} link(s)");
     let mut out = Vec::new();
     let mut stream = rng.stream(label);
     let mut now = start;
-    let mut current = start_index;
+    let mut current = 0;
     loop {
-        let dwell = match model {
-            MobilityModel::ExponentialDwell { mean_dwell } => SimDuration::from_secs_f64(
-                sample_exponential(&mut stream, mean_dwell.as_secs_f64()),
-            ),
-            MobilityModel::FixedPeriod { dwell } => *dwell,
-        };
-        now += dwell;
+        now +=
+            SimDuration::from_secs_f64(sample_exponential(&mut stream, mean_dwell.as_secs_f64()));
         if now >= end {
             break;
         }
-        let next = if links.len() == 1 {
-            current
-        } else {
-            match model {
-                MobilityModel::FixedPeriod { .. } => (current + 1) % links.len(),
-                MobilityModel::ExponentialDwell { .. } => {
-                    // Uniform among the other links.
-                    let mut idx = stream.random_range(0..links.len() - 1);
-                    if idx >= current {
-                        idx += 1;
-                    }
-                    idx
-                }
-            }
-        };
-        if next != current {
+        // Uniform among the other links.
+        let mut idx = stream.random_range(0..n_links - 1);
+        if idx >= current {
+            idx += 1;
+        }
+        if idx != current {
             out.push(ScheduledMove {
                 at: now,
-                to_link_index: next,
+                to_link_index: idx,
             });
-            current = next;
+            current = idx;
         }
         if out.len() > 100_000 {
             panic!("mobility schedule unreasonably long (dwell too small?)");
         }
     }
     out
-}
-
-/// Mean number of moves per unit time implied by a schedule (diagnostic
-/// for experiment reports).
-pub fn move_rate(moves: &[ScheduledMove], window: SimDuration) -> f64 {
-    if window.is_zero() {
-        return 0.0;
-    }
-    moves.len() as f64 / window.as_secs_f64()
 }
 
 #[cfg(test)]
@@ -114,68 +73,23 @@ mod tests {
         RngFactory::new(77)
     }
 
-    #[test]
-    fn fixed_period_is_round_robin() {
-        let moves = schedule(
-            &MobilityModel::FixedPeriod {
-                dwell: SimDuration::from_secs(100),
-            },
-            &[0, 1, 2],
-            0,
-            SimTime::ZERO,
-            SimTime::from_secs(350),
-            &rng(),
-            "h",
-        );
-        assert_eq!(
-            moves,
-            vec![
-                ScheduledMove {
-                    at: SimTime::from_secs(100),
-                    to_link_index: 1
-                },
-                ScheduledMove {
-                    at: SimTime::from_secs(200),
-                    to_link_index: 2
-                },
-                ScheduledMove {
-                    at: SimTime::from_secs(300),
-                    to_link_index: 0
-                },
-            ]
-        );
+    fn secs(s: u64) -> SimTime {
+        SimTime::from_secs(s)
     }
 
     #[test]
     fn exponential_dwell_mean_is_respected() {
         let mean = SimDuration::from_secs(50);
-        let moves = schedule(
-            &MobilityModel::ExponentialDwell { mean_dwell: mean },
-            &[0, 1, 2, 3],
-            0,
-            SimTime::ZERO,
-            SimTime::from_secs(100_000),
-            &rng(),
-            "h",
-        );
-        let rate = move_rate(&moves, SimDuration::from_secs(100_000));
+        let moves = schedule(mean, 4, SimTime::ZERO, secs(100_000), &rng(), "h");
+        let rate = moves.len() as f64 / 100_000.0;
         // Expected rate 1/50 = 0.02 moves/s.
         assert!((rate - 0.02).abs() < 0.002, "rate {rate} vs expected 0.02");
     }
 
     #[test]
     fn never_moves_to_current_link() {
-        let moves = schedule(
-            &MobilityModel::ExponentialDwell {
-                mean_dwell: SimDuration::from_secs(10),
-            },
-            &[0, 1],
-            0,
-            SimTime::ZERO,
-            SimTime::from_secs(10_000),
-            &rng(),
-            "h",
-        );
+        let mean = SimDuration::from_secs(10);
+        let moves = schedule(mean, 2, SimTime::ZERO, secs(10_000), &rng(), "h");
         let mut current = 0usize;
         for m in &moves {
             assert_ne!(m.to_link_index, current, "self-move at {:?}", m.at);
@@ -186,71 +100,19 @@ mod tests {
 
     #[test]
     fn deterministic_per_label_and_seed() {
-        let model = MobilityModel::ExponentialDwell {
-            mean_dwell: SimDuration::from_secs(30),
-        };
-        let a = schedule(
-            &model,
-            &[0, 1, 2],
-            0,
-            SimTime::ZERO,
-            SimTime::from_secs(5000),
-            &rng(),
-            "x",
-        );
-        let b = schedule(
-            &model,
-            &[0, 1, 2],
-            0,
-            SimTime::ZERO,
-            SimTime::from_secs(5000),
-            &rng(),
-            "x",
-        );
-        assert_eq!(a, b);
-        let c = schedule(
-            &model,
-            &[0, 1, 2],
-            0,
-            SimTime::ZERO,
-            SimTime::from_secs(5000),
-            &rng(),
-            "y",
-        );
-        assert_ne!(a, c, "different labels roam differently");
+        let mean = SimDuration::from_secs(30);
+        let run = |label| schedule(mean, 3, SimTime::ZERO, secs(5000), &rng(), label);
+        assert_eq!(run("x"), run("x"));
+        assert_ne!(run("x"), run("y"), "different labels roam differently");
     }
 
     #[test]
     fn moves_stay_inside_window() {
-        let moves = schedule(
-            &MobilityModel::FixedPeriod {
-                dwell: SimDuration::from_secs(7),
-            },
-            &[0, 1],
-            0,
-            SimTime::from_secs(100),
-            SimTime::from_secs(200),
-            &rng(),
-            "h",
-        );
+        let mean = SimDuration::from_secs(7);
+        let moves = schedule(mean, 2, secs(100), secs(200), &rng(), "h");
+        assert!(!moves.is_empty());
         for m in &moves {
-            assert!(m.at > SimTime::from_secs(100) && m.at < SimTime::from_secs(200));
+            assert!(m.at > secs(100) && m.at < secs(200));
         }
-    }
-
-    #[test]
-    fn single_link_never_moves() {
-        let moves = schedule(
-            &MobilityModel::FixedPeriod {
-                dwell: SimDuration::from_secs(5),
-            },
-            &[3],
-            0,
-            SimTime::ZERO,
-            SimTime::from_secs(100),
-            &rng(),
-            "h",
-        );
-        assert!(moves.is_empty());
     }
 }

@@ -56,6 +56,11 @@ const TIMER_RA: u64 = 4;
 /// RA responses are `TIMER_RA_RESPONSE + ifindex`.
 const TIMER_RA_RESPONSE: u64 = 0x100;
 
+/// Period of unsolicited Router Advertisements.
+const RA_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Delay before answering a Router Solicitation.
+const RA_RESPONSE_DELAY: SimDuration = SimDuration::from_millis(20);
+
 /// Per-node control-plane resource budget: capacities for every state
 /// table a router keeps, the shedding policy applied when a table is full,
 /// and an optional token-bucket rate limit on control-plane ingress.
@@ -100,28 +105,12 @@ impl ResourceBudget {
 }
 
 /// Router behaviour configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RouterConfig {
     pub mld: MldConfig,
     pub pim: PimConfig,
-    /// Period of unsolicited Router Advertisements.
-    pub ra_interval: SimDuration,
-    /// Delay before answering a Router Solicitation.
-    pub ra_response_delay: SimDuration,
     /// Control-plane resource budget (default: unbounded).
     pub budget: ResourceBudget,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            mld: MldConfig::default(),
-            pim: PimConfig::default(),
-            ra_interval: SimDuration::from_secs(1),
-            ra_response_delay: SimDuration::from_millis(20),
-            budget: ResourceBudget::default(),
-        }
-    }
 }
 
 /// Static interface facts.
@@ -1089,7 +1078,7 @@ impl NodeBehavior for RouterNode {
                     if !port.ra_pending {
                         port.ra_pending = true;
                         ctx.set_timer_after(
-                            self.cfg.ra_response_delay,
+                            RA_RESPONSE_DELAY,
                             TimerKey(TIMER_RA_RESPONSE + u64::from(ifx)),
                         );
                     }
@@ -1158,7 +1147,7 @@ impl NodeBehavior for RouterNode {
                 for ifx in 0..self.ports.len() as IfIndex {
                     self.send_router_advert(ctx, ifx);
                 }
-                ctx.set_timer_after(self.cfg.ra_interval, TimerKey(TIMER_RA));
+                ctx.set_timer_after(RA_INTERVAL, TimerKey(TIMER_RA));
             }
             k if k >= TIMER_RA_RESPONSE => {
                 let ifx = (k - TIMER_RA_RESPONSE) as IfIndex;

@@ -3,9 +3,9 @@
 //! script, and a CBR multicast stream — run to completion and analyzed.
 //!
 //! Configurations are constructed through [`ScenarioBuilder`]
-//! ([`ScenarioConfig::builder`]): the builder owns the defaults, the
-//! fluent setters, and the validation ([`ScenarioBuilder::try_build`])
-//! that rejects inconsistent knob combinations before a run starts.
+//! ([`ScenarioConfig::builder`]), which owns the defaults and the fluent
+//! setters. [`stage`] is the one validation gate: it rejects an
+//! inconsistent knob combination as a [`StageError`] before a run starts.
 
 use crate::analysis::{analyze, RunReport};
 use crate::builder::{BuiltNetwork, HostSpec, NetworkSpec};
@@ -110,7 +110,7 @@ pub struct ScenarioConfig {
     /// subscribed *before* the storm must keep at least this fraction of
     /// the stream (checked by the oracle). `None` disables the check.
     pub protected_floor: Option<f64>,
-    /// Scenario label used in the run-summary line and trace file names.
+    /// Scenario label used in trace file names and panic messages.
     /// Borrowed for the common static labels; owned for generated
     /// (per-seed) scenario names.
     pub name: Cow<'static, str>,
@@ -121,8 +121,6 @@ pub struct ScenarioConfig {
     pub trace_capture: Option<usize>,
     /// Profile the event loop (wall-clock; see `ScenarioResult.profile`).
     pub profile: bool,
-    /// Print the one-line run summary to stderr when the run finishes.
-    pub summary: bool,
 }
 
 impl Default for ScenarioConfig {
@@ -147,7 +145,6 @@ impl Default for ScenarioConfig {
             name: Cow::Borrowed("scenario"),
             trace_capture: None,
             profile: false,
-            summary: false,
         }
     }
 }
@@ -174,34 +171,16 @@ impl fmt::Debug for ScenarioConfig {
             .field("oracle", &self.oracle)
             .field("trace_capture", &self.trace_capture)
             .field("profile", &self.profile)
-            .field("summary", &self.summary)
             .finish_non_exhaustive()
     }
 }
 
-/// A [`ScenarioConfig`] that failed validation, with the reason.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScenarioBuildError(String);
-
-impl fmt::Display for ScenarioBuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid scenario: {}", self.0)
-    }
-}
-
-impl std::error::Error for ScenarioBuildError {}
-
-/// Fluent, validating constructor for [`ScenarioConfig`].
-///
-/// Every setter returns `self`; [`ScenarioBuilder::build`] validates the
-/// combination (panicking with the reason) and [`try_build`] returns it
-/// as an error instead. Invariants enforced:
-///
-/// * `moves` are sorted by time and target the paper's links 1–6;
-/// * MLD/PIM timer profiles are internally consistent;
-/// * the data payload fits its 16-byte header.
-///
-/// [`try_build`]: ScenarioBuilder::try_build
+/// Fluent constructor for [`ScenarioConfig`]: every setter returns
+/// `self` and [`ScenarioBuilder::build`] hands the configuration out.
+/// [`stage`] validates it, so an inconsistent combination — moves out of
+/// time order or off the paper's links 1–6, an inconsistent MLD/PIM
+/// timer profile, a payload short of its 16-byte header — fails the run,
+/// not the build.
 #[derive(Clone, Default)]
 pub struct ScenarioBuilder {
     cfg: ScenarioConfig,
@@ -256,11 +235,6 @@ impl ScenarioBuilder {
 
     pub fn payload_size(mut self, bytes: usize) -> Self {
         self.cfg.payload_size = bytes;
-        self
-    }
-
-    pub fn traffic_start(mut self, at: SimTime) -> Self {
-        self.cfg.traffic_start = at;
         self
     }
 
@@ -327,81 +301,9 @@ impl ScenarioBuilder {
         self
     }
 
-    pub fn profile(mut self, on: bool) -> Self {
-        self.cfg.profile = on;
-        self
-    }
-
-    pub fn summary(mut self, on: bool) -> Self {
-        self.cfg.summary = on;
-        self
-    }
-
-    /// Validate and hand out the configuration.
-    pub fn try_build(self) -> Result<ScenarioConfig, ScenarioBuildError> {
-        let cfg = self.cfg;
-        if let Err(e) = cfg.mld.validate() {
-            return Err(ScenarioBuildError(format!("MLD profile: {e}")));
-        }
-        if let Err(e) = cfg.pim.validate() {
-            return Err(ScenarioBuildError(format!("PIM profile: {e}")));
-        }
-        if cfg.payload_size < 16 {
-            return Err(ScenarioBuildError(format!(
-                "payload_size {} smaller than the 16-byte data header",
-                cfg.payload_size
-            )));
-        }
-        for w in cfg.moves.windows(2) {
-            if w[1].at_secs < w[0].at_secs {
-                return Err(ScenarioBuildError(format!(
-                    "moves not sorted by time: {:.3}s after {:.3}s",
-                    w[1].at_secs, w[0].at_secs
-                )));
-            }
-        }
-        for mv in &cfg.moves {
-            if !(1..=6).contains(&mv.to_link) {
-                return Err(ScenarioBuildError(format!(
-                    "move target link {} outside the reference topology (1-6)",
-                    mv.to_link
-                )));
-            }
-        }
-        // NaN must be rejected too, hence the non-negated comparison.
-        if cfg.reconverge_slo_secs <= 0.0 || cfg.reconverge_slo_secs.is_nan() {
-            return Err(ScenarioBuildError(format!(
-                "reconverge_slo_secs must be positive, got {}",
-                cfg.reconverge_slo_secs
-            )));
-        }
-        if let Err(e) = cfg.budget.validate() {
-            return Err(ScenarioBuildError(format!("resource budget: {e}")));
-        }
-        if let Some(floor) = cfg.protected_floor {
-            if !(floor > 0.0 && floor <= 1.0) {
-                return Err(ScenarioBuildError(format!(
-                    "protected_floor must be in (0, 1], got {floor}"
-                )));
-            }
-            if cfg.fault.storm.is_none() {
-                return Err(ScenarioBuildError(
-                    "protected_floor set but the fault plan has no storm to \
-                     protect against — add one or drop the floor"
-                        .into(),
-                ));
-            }
-        }
-        Ok(cfg)
-    }
-
-    /// As [`try_build`](Self::try_build), panicking on invalid input —
-    /// the right choice for experiment code with hardcoded knobs.
+    /// Hand out the configuration.
     pub fn build(self) -> ScenarioConfig {
-        match self.try_build() {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
+        self.cfg
     }
 }
 
@@ -477,25 +379,6 @@ fn run_keeping(cfg: &ScenarioConfig, whole_journal: bool) -> (ScenarioResult, Re
         result.trace_dropped = ring.dropped();
         result.trace_jsonl = Some(ring.export_jsonl());
     }
-    if cfg.summary {
-        let verdict = if !result.report.oracle.enabled {
-            "off"
-        } else if result.report.oracle.violations.is_empty() {
-            "clean"
-        } else {
-            "VIOLATIONS"
-        };
-        eprintln!(
-            "[run] scenario={} approach={} seed={} dur={:.0}s events={} sent={} oracle={}",
-            cfg.name,
-            cfg.policy.name(),
-            cfg.seed,
-            cfg.duration.as_secs_f64(),
-            result.events_executed,
-            result.sent,
-            verdict,
-        );
-    }
     (result, rec)
 }
 
@@ -569,7 +452,7 @@ fn lower<'a>(cfg: &ScenarioConfig, topology: &'a NetworkSpec) -> RunPlan<'a> {
         Judge {
             reconverge_bound: SimDuration::from_nanos((cfg.reconverge_slo_secs * 1e9) as u64),
             protected_floor: cfg.protected_floor,
-            // Builder validation ties the floor to a storm.
+            // `validate` ties the floor to a storm.
             protect_window: cfg.protected_floor.map(|_| {
                 let storm = &cfg.fault.storm;
                 let until = storm.end_secs.min(cfg.duration.as_secs_f64());
@@ -586,7 +469,6 @@ fn lower<'a>(cfg: &ScenarioConfig, topology: &'a NetworkSpec) -> RunPlan<'a> {
             mld: cfg.mld,
             pim: cfg.pim,
             budget: cfg.budget,
-            ..RouterConfig::default()
         },
         seed: cfg.seed,
         duration: cfg.duration,
@@ -613,6 +495,7 @@ pub struct Staged<'a> {
 /// moves: `cfg.moves` with, after each move of R3, one shadow move per
 /// extra receiver.
 pub fn stage(cfg: &ScenarioConfig, tracer: Tracer) -> Result<Staged<'_>, StageError> {
+    validate(cfg)?;
     let mut staged = run::stage(&lower(cfg, &NetworkSpec::reference()), tracer)?;
     if cfg.profile {
         staged.net.world.enable_profiling();
@@ -620,6 +503,45 @@ pub fn stage(cfg: &ScenarioConfig, tracer: Tracer) -> Result<Staged<'_>, StageEr
     schedule_storm(&mut staged.net, cfg, group());
     schedule_gauge_sampler(&mut staged.net, cfg);
     Ok(Staged { cfg, staged })
+}
+
+/// The rules only a scenario has; [`run::stage`] checks the MLD and PIM
+/// profiles, the fault plan and every lowered move's host and link.
+fn validate(cfg: &ScenarioConfig) -> Result<(), StageError> {
+    let invalid = |field, reason| Err(StageError::Invalid { field, reason });
+    if cfg.payload_size < 16 {
+        let reason = format!("{} smaller than the 16-byte data header", cfg.payload_size);
+        return invalid("payload_size", reason);
+    }
+    if let Some(w) = cfg.moves.windows(2).find(|w| w[1].at_secs < w[0].at_secs) {
+        let (after, before) = (w[1].at_secs, w[0].at_secs);
+        return invalid(
+            "moves",
+            format!("not sorted by time: {after:.3}s after {before:.3}s"),
+        );
+    }
+    // NaN must be rejected too, hence the non-negated comparison.
+    let slo = cfg.reconverge_slo_secs;
+    if slo <= 0.0 || slo.is_nan() {
+        return invalid(
+            "reconverge_slo_secs",
+            format!("must be positive, got {slo}"),
+        );
+    }
+    if let Err(reason) = cfg.budget.validate() {
+        return invalid("budget", reason);
+    }
+    if let Some(floor) = cfg.protected_floor {
+        if !(floor > 0.0 && floor <= 1.0) {
+            return invalid("protected_floor", format!("must be in (0, 1], got {floor}"));
+        }
+        if cfg.fault.storm.is_none() {
+            let reason = "set but the fault plan has no storm to protect against — \
+                          add one or drop the floor";
+            return invalid("protected_floor", reason.into());
+        }
+    }
+    Ok(())
 }
 
 impl Staged<'_> {
@@ -983,7 +905,9 @@ fn finish(cfg: &ScenarioConfig, out: RunOutput) -> (ScenarioResult, Recorder) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobicast_net::{CorruptionModel, FaultWindow, LinkFault, LinkFlap, LossModel, RouterCrash};
+    use mobicast_net::{
+        CorruptionModel, FaultWindow, LinkFault, LinkFlap, LossModel, RouterCrash, StormModel,
+    };
 
     fn faulty_cfg(policy: Policy, fault: FaultPlan) -> ScenarioConfig {
         ScenarioConfig::builder()
@@ -1264,14 +1188,14 @@ mod tests {
     /// and the wall-clock profile must cover every executed event.
     #[test]
     fn node_stats_trace_and_profile_are_consistent() {
-        let cfg = ScenarioConfig::builder()
+        let mut cfg = ScenarioConfig::builder()
             .duration_secs(80)
             .policy(Policy::BIDIRECTIONAL_TUNNEL)
             .move_at(30.0, PaperHost::R3, 6)
             .fault(FaultPlan::iid_loss(0.05))
             .trace_capture(200_000)
-            .profile(true)
             .build();
+        cfg.profile = true;
         let r = run(&cfg);
 
         // MIB counters vs recorder/world ground truth.
@@ -1368,31 +1292,56 @@ mod tests {
         );
     }
 
-    /// The builder's validation contract: every inconsistent knob
-    /// combination is rejected with a descriptive reason, and the
-    /// defaults build cleanly.
+    /// The scenario's validation contract: [`stage`] rejects every
+    /// inconsistent knob combination as a typed error naming the field,
+    /// with a descriptive reason, and the defaults stage cleanly.
     #[test]
-    fn builder_rejects_inconsistent_knobs() {
-        let err = ScenarioConfig::builder()
+    fn stage_rejects_inconsistent_knobs() {
+        let rejected = |cfg: ScenarioConfig| match stage(&cfg, Tracer::null()).err() {
+            Some(StageError::Invalid { field, reason }) => (field, reason),
+            other => panic!("{other:?}"),
+        };
+        let storm = StormModel {
+            zap_rate: 1.0,
+            zap_groups: 2,
+            start_secs: 10.0,
+            end_secs: 20.0,
+            ..StormModel::none()
+        };
+        let b = ScenarioConfig::builder;
+        let stormy = || {
+            b().fault(FaultPlan {
+                storm,
+                ..FaultPlan::default()
+            })
+        };
+        let no_queue = ResourceBudget {
+            event_queue_depth: Some(0),
+            ..ResourceBudget::default()
+        };
+        let unsorted = b()
             .move_at(40.0, PaperHost::R3, 6)
-            .move_at(30.0, PaperHost::R2, 3)
-            .try_build()
-            .unwrap_err();
-        assert!(err.to_string().contains("sorted"), "{err}");
+            .move_at(30.0, PaperHost::R2, 3);
+        let slo = "reconverge_slo_secs";
+        let cases = [
+            (b().payload_size(8), "payload_size", "16-byte"),
+            (unsorted, "moves", "sorted"),
+            (b().reconverge_slo_secs(0.0), slo, "positive"),
+            (b().reconverge_slo_secs(f64::NAN), slo, "NaN"),
+            (b().budget(no_queue), "budget", "event_queue_depth"),
+            (stormy().protected_floor(0.0), "protected_floor", "(0, 1]"),
+            (stormy().protected_floor(1.5), "protected_floor", "(0, 1]"),
+            (b().protected_floor(0.9), "protected_floor", "no storm"),
+        ];
+        for (builder, field, says) in cases {
+            let (got, reason) = rejected(builder.build());
+            assert_eq!(got, field, "{reason}");
+            assert!(reason.contains(says), "{field}: {reason}");
+        }
 
-        let err = ScenarioConfig::builder()
-            .move_at(10.0, PaperHost::R3, 7)
-            .try_build()
-            .unwrap_err();
-        assert!(err.to_string().contains("1-6"), "{err}");
-
-        let err = ScenarioConfig::builder()
-            .payload_size(8)
-            .try_build()
-            .unwrap_err();
-        assert!(err.to_string().contains("16-byte"), "{err}");
-
-        assert!(ScenarioConfig::builder().try_build().is_ok());
+        assert!(stage(&b().build(), Tracer::null()).is_ok());
+        let floored = stormy().protected_floor(1.0).build();
+        assert!(stage(&floored, Tracer::null()).is_ok());
     }
 
     /// A configuration is plain data: sweeps may hand it to any thread.

@@ -1,20 +1,15 @@
 //! Delivery policies: the paper's four approaches to multicast for mobile
-//! hosts (Table 1) plus an open registry for approaches beyond them.
+//! hosts (Table 1) plus the hierarchical proxy, as a table of values.
 //!
 //! The paper's approaches are the cross product of how a mobile host
 //! *receives* (locally via MLD on the foreign link, or through a tunnel
 //! from its mobility agent) and how it *sends* (locally on the foreign
-//! link, or reverse-tunnelled to its home agent). Rather than hardwiring
-//! that 2×2 everywhere, the host/agent glue consults a [`DeliveryPolicy`]
-//! — an object-safe trait whose hooks ([`DeliveryPolicy::recv_plane`],
-//! [`DeliveryPolicy::send_plane`], [`DeliveryPolicy::on_move`],
-//! [`DeliveryPolicy::binding_update_extras`]) cover every decision the
-//! glue used to switch on. The four paper approaches are four registered
-//! policies; a fifth, [`Policy::HIERARCHICAL_PROXY`], registers a
-//! MAP-style regional agent so intra-domain handoffs never touch the home
-//! agent. Adding approach N+1 means one `impl DeliveryPolicy` plus a line
-//! in the static registry — sweeps, CLI flags and report labels pick it up
-//! from there.
+//! link, or reverse-tunnelled to its home agent). A [`Policy`] is one row:
+//! its two planes plus one flag, `regional`, which the fifth approach,
+//! [`Policy::HIERARCHICAL_PROXY`], sets — register with the destination
+//! link's MAP-style regional agent when it has one, so intra-domain
+//! handoffs never touch the home agent. Every decision the host and agent
+//! glue makes derives from those three facts.
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
@@ -44,206 +39,68 @@ pub enum SendPath {
     HomeTunnel,
 }
 
-/// Extra content a policy wants carried in Binding Updates.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct BuExtras {
-    /// Attach the paper's Multicast Group List Sub-Option, so the mobility
-    /// agent learns which groups to proxy-join on the host's behalf.
-    pub include_group_list: bool,
-}
-
-/// What the host glue knows when a mobile attaches to a new link, handed
-/// to [`DeliveryPolicy::on_move`].
-#[derive(Clone, Copy, Debug)]
-pub struct MoveContext {
-    /// The destination is the mobile's home link.
-    pub to_home_link: bool,
-    /// The mobile's home agent address.
-    pub home_agent: Ipv6Addr,
-    /// Regional mobility agent (MAP) serving the destination link, if the
-    /// network advertises one there.
-    pub map_agent: Option<Ipv6Addr>,
-}
-
-/// A policy's registration decision on attach, returned by
-/// [`DeliveryPolicy::on_move`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MoveAction {
-    /// Bind the new care-of address at the home agent (plain Mobile IPv6).
-    RegisterHome,
-    /// Bind at a regional mobility agent instead; the home agent is left
-    /// untouched while the mobile stays inside the agent's domain.
-    RegisterWithAgent(Ipv6Addr),
-}
-
-/// One approach to multicast delivery for mobile hosts.
-///
-/// Object-safe: the simulation stores policies as `&'static dyn
-/// DeliveryPolicy` (see [`Policy`]). Implementations are stateless —
-/// per-host state lives in the host, keyed by what these hooks return.
-/// The provided defaults derive every secondary property from the two
-/// planes, so a plane-only policy needs nothing but `id`, `name`,
-/// `recv_plane` and `send_plane`.
-pub trait DeliveryPolicy: Sync {
-    /// Stable machine identifier (CLI flags, serialized output, lookups).
-    fn id(&self) -> &'static str;
-
-    /// Human-readable label used in tables and report rows.
-    fn name(&self) -> &'static str;
-
-    /// How the mobile receives group traffic while away from home.
-    fn recv_plane(&self) -> RecvPath;
-
-    /// How the mobile sends group traffic while away from home.
-    fn send_plane(&self) -> SendPath;
-
-    /// Which mobility agent the mobile registers with after a move.
-    fn on_move(&self, _ctx: &MoveContext) -> MoveAction {
-        MoveAction::RegisterHome
-    }
-
-    /// Extra Binding Update content. By default the Multicast Group List
-    /// Sub-Option rides along exactly when the agent must proxy-join
-    /// (tunnelled receive plane).
-    fn binding_update_extras(&self) -> BuExtras {
-        BuExtras {
-            include_group_list: self.recv_plane() == RecvPath::HomeTunnel,
-        }
-    }
-
-    /// Does this approach require the paper's Mobile IPv6 draft extension
-    /// (the Multicast Group List Sub-Option) or PIM-capable agents?
-    /// (Static property discussed in §4.3; reported in the Table-1
-    /// comparison.)
-    fn requires_draft_changes(&self) -> bool {
-        self.binding_update_extras().include_group_list
-    }
-
-    /// Is routing to mobile *receivers* optimal under this approach (§4.3)?
-    fn receiver_routing_optimal(&self) -> bool {
-        self.recv_plane() == RecvPath::Local
-    }
-
-    /// Is routing from mobile *senders* optimal under this approach?
-    fn sender_routing_optimal(&self) -> bool {
-        self.send_plane() == SendPath::Local
-    }
-
-    /// Does a moving sender force a new distribution tree (flood + prune)?
-    fn sender_move_rebuilds_tree(&self) -> bool {
-        self.send_plane() == SendPath::Local
-    }
-}
-
-/// A handle to a registered [`DeliveryPolicy`] — `Copy`, comparable by
-/// [`DeliveryPolicy::id`], and `Deref`s to the trait so hook calls read
-/// naturally (`policy.recv_plane()`).
-#[derive(Clone, Copy)]
-pub struct Policy(&'static dyn DeliveryPolicy);
-
-/// One of the paper's plane-product approaches: everything derives from
-/// the `(recv, send)` pair.
-struct PlanePolicy {
+/// One approach to multicast delivery for mobile hosts: a row of the
+/// table [`Policy::all`] lists. Equal rows are the same policy; ids are
+/// the serialization format and are distinct.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Policy {
     id: &'static str,
     name: &'static str,
     recv: RecvPath,
     send: SendPath,
+    /// Register with the destination link's regional agent (MAP) when it
+    /// has one, instead of the home agent.
+    regional: bool,
 }
-
-impl DeliveryPolicy for PlanePolicy {
-    fn id(&self) -> &'static str {
-        self.id
-    }
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn recv_plane(&self) -> RecvPath {
-        self.recv
-    }
-    fn send_plane(&self) -> SendPath {
-        self.send
-    }
-}
-
-static LOCAL_POLICY: PlanePolicy = PlanePolicy {
-    id: "local",
-    name: "local group membership",
-    recv: RecvPath::Local,
-    send: SendPath::Local,
-};
-static BIDIR_POLICY: PlanePolicy = PlanePolicy {
-    id: "bidir-tunnel",
-    name: "bi-directional tunnel",
-    recv: RecvPath::HomeTunnel,
-    send: SendPath::HomeTunnel,
-};
-static MH_HA_POLICY: PlanePolicy = PlanePolicy {
-    id: "tunnel-mh-ha",
-    name: "uni-dir tunnel MH->HA",
-    recv: RecvPath::Local,
-    send: SendPath::HomeTunnel,
-};
-static HA_MH_POLICY: PlanePolicy = PlanePolicy {
-    id: "tunnel-ha-mh",
-    name: "uni-dir tunnel HA->MH",
-    recv: RecvPath::HomeTunnel,
-    send: SendPath::Local,
-};
-
-/// Approach 5: hierarchical multicast proxy. A MAP-style router joins on
-/// behalf of roaming receivers in its domain and tunnels the stream over
-/// the (short) intra-domain path; handoffs between the domain's links
-/// re-register with the MAP only, so the home agent never hears about
-/// them. Outside any domain the policy degrades to plain home
-/// registration (bi-directional-tunnel receive, local send).
-struct HierarchicalProxy;
-
-impl DeliveryPolicy for HierarchicalProxy {
-    fn id(&self) -> &'static str {
-        "hier-proxy"
-    }
-    fn name(&self) -> &'static str {
-        "hierarchical proxy"
-    }
-    fn recv_plane(&self) -> RecvPath {
-        RecvPath::HomeTunnel
-    }
-    fn send_plane(&self) -> SendPath {
-        SendPath::Local
-    }
-    fn on_move(&self, ctx: &MoveContext) -> MoveAction {
-        match (ctx.to_home_link, ctx.map_agent) {
-            (false, Some(map)) => MoveAction::RegisterWithAgent(map),
-            _ => MoveAction::RegisterHome,
-        }
-    }
-}
-
-static HIER_POLICY: HierarchicalProxy = HierarchicalProxy;
-
-/// Every policy, in registration order (the paper's four first, then
-/// extensions). Ids are the serialization format and must stay distinct.
-static REGISTRY: [Policy; 5] = [
-    Policy::LOCAL,
-    Policy::BIDIRECTIONAL_TUNNEL,
-    Policy::TUNNEL_MH_TO_HA,
-    Policy::TUNNEL_HA_TO_MH,
-    Policy::HIERARCHICAL_PROXY,
-];
 
 impl Policy {
     /// Approach 1: local group membership on the foreign link.
-    pub const LOCAL: Policy = Policy(&LOCAL_POLICY);
+    pub const LOCAL: Policy = Policy {
+        id: "local",
+        name: "local group membership",
+        recv: RecvPath::Local,
+        send: SendPath::Local,
+        regional: false,
+    };
     /// Approach 2: bi-directional tunnel between home agent and mobile host.
-    pub const BIDIRECTIONAL_TUNNEL: Policy = Policy(&BIDIR_POLICY);
+    pub const BIDIRECTIONAL_TUNNEL: Policy = Policy {
+        id: "bidir-tunnel",
+        name: "bi-directional tunnel",
+        recv: RecvPath::HomeTunnel,
+        send: SendPath::HomeTunnel,
+        regional: false,
+    };
     /// Approach 3: uni-directional tunnel from the mobile host to the home
     /// agent (send tunnelled, receive local).
-    pub const TUNNEL_MH_TO_HA: Policy = Policy(&MH_HA_POLICY);
+    pub const TUNNEL_MH_TO_HA: Policy = Policy {
+        id: "tunnel-mh-ha",
+        name: "uni-dir tunnel MH->HA",
+        recv: RecvPath::Local,
+        send: SendPath::HomeTunnel,
+        regional: false,
+    };
     /// Approach 4: uni-directional tunnel from the home agent to the mobile
     /// host (receive tunnelled, send local).
-    pub const TUNNEL_HA_TO_MH: Policy = Policy(&HA_MH_POLICY);
-    /// Approach 5: hierarchical multicast proxy (regional MAP agent).
-    pub const HIERARCHICAL_PROXY: Policy = Policy(&HIER_POLICY);
+    pub const TUNNEL_HA_TO_MH: Policy = Policy {
+        id: "tunnel-ha-mh",
+        name: "uni-dir tunnel HA->MH",
+        recv: RecvPath::HomeTunnel,
+        send: SendPath::Local,
+        regional: false,
+    };
+    /// Approach 5: hierarchical multicast proxy. A MAP-style router joins
+    /// on behalf of roaming receivers in its domain and tunnels the stream
+    /// over the (short) intra-domain path; handoffs between the domain's
+    /// links re-register with the MAP only, so the home agent never hears
+    /// about them. Outside any domain it is plain home registration
+    /// (tunnelled receive, local send).
+    pub const HIERARCHICAL_PROXY: Policy = Policy {
+        id: "hier-proxy",
+        name: "hierarchical proxy",
+        recv: RecvPath::HomeTunnel,
+        send: SendPath::Local,
+        regional: true,
+    };
 
     /// The paper's four approaches in Table-1 order.
     pub const PAPER: [Policy; 4] = [
@@ -253,10 +110,10 @@ impl Policy {
         Policy::TUNNEL_HA_TO_MH,
     ];
 
-    /// Every registered policy, in registration order (the paper's four
-    /// first, then extensions). Sweeps and CLI flags enumerate this.
+    /// Every policy, the paper's four first, then the hierarchical proxy.
+    /// Sweeps and CLI flags enumerate this.
     pub fn all() -> Vec<Policy> {
-        REGISTRY.to_vec()
+        ALL.to_vec()
     }
 
     /// The same as [`Policy::all`]. A sweep pinned to one policy says so in
@@ -265,30 +122,90 @@ impl Policy {
         Policy::all()
     }
 
-    /// Find a registered policy by its stable id.
+    /// Find a policy by its stable id.
     pub fn lookup(id: &str) -> Option<Policy> {
-        REGISTRY.iter().copied().find(|p| p.id() == id)
+        ALL.into_iter().find(|p| p.id == id)
+    }
+
+    /// Stable machine identifier (CLI flags, serialized output, lookups).
+    pub fn id(&self) -> &'static str {
+        self.id
+    }
+
+    /// Human-readable label used in tables and report rows.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// How the mobile receives group traffic while away from home.
+    pub fn recv_plane(&self) -> RecvPath {
+        self.recv
+    }
+
+    /// How the mobile sends group traffic while away from home.
+    pub fn send_plane(&self) -> SendPath {
+        self.send
+    }
+
+    /// Attach the paper's Multicast Group List Sub-Option to Binding
+    /// Updates: exactly when the agent must proxy-join (tunnelled receive
+    /// plane).
+    pub fn include_group_list(&self) -> bool {
+        self.recv == RecvPath::HomeTunnel
+    }
+
+    /// The mobility agent to register with after a move: the destination
+    /// link's regional agent (`map_agent`) when the policy is regional and
+    /// the link is not home, else the home agent.
+    pub fn agent_after_move(
+        &self,
+        to_home_link: bool,
+        map_agent: Option<Ipv6Addr>,
+        home_agent: Ipv6Addr,
+    ) -> Ipv6Addr {
+        match map_agent {
+            Some(map) if self.regional && !to_home_link => map,
+            _ => home_agent,
+        }
+    }
+
+    /// Does this approach require the paper's Mobile IPv6 draft extension
+    /// (the Multicast Group List Sub-Option) or PIM-capable agents?
+    /// (Static property discussed in §4.3; reported in the Table-1
+    /// comparison.)
+    pub fn requires_draft_changes(&self) -> bool {
+        self.include_group_list()
+    }
+
+    /// Is routing to mobile *receivers* optimal under this approach (§4.3)?
+    pub fn receiver_routing_optimal(&self) -> bool {
+        self.recv == RecvPath::Local
+    }
+
+    /// Is routing from mobile *senders* optimal under this approach?
+    pub fn sender_routing_optimal(&self) -> bool {
+        self.send == SendPath::Local
+    }
+
+    /// Does a moving sender force a new distribution tree (flood + prune)?
+    pub fn sender_move_rebuilds_tree(&self) -> bool {
+        self.send == SendPath::Local
     }
 }
 
-impl std::ops::Deref for Policy {
-    type Target = dyn DeliveryPolicy;
-    fn deref(&self) -> &Self::Target {
-        self.0
-    }
-}
-
-impl PartialEq for Policy {
-    fn eq(&self, other: &Self) -> bool {
-        self.id() == other.id()
-    }
-}
-
-impl Eq for Policy {}
+/// The table: the paper's four approaches in Table-1 order, then the
+/// hierarchical proxy.
+const ALL: [Policy; 5] = [
+    Policy::LOCAL,
+    Policy::BIDIRECTIONAL_TUNNEL,
+    Policy::TUNNEL_MH_TO_HA,
+    Policy::TUNNEL_HA_TO_MH,
+    Policy::HIERARCHICAL_PROXY,
+];
 
 impl fmt::Debug for Policy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("Policy").field(&self.id()).finish()
+        f.debug_tuple("Policy").field(&self.id).finish()
     }
 }
 
@@ -298,7 +215,7 @@ impl fmt::Display for Policy {
     }
 }
 
-/// Error parsing a policy id, listing the registered ids.
+/// Error parsing a policy id, listing every known id.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParsePolicyError {
     input: String,
@@ -345,7 +262,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registered_policies_are_distinct() {
+    fn policies_are_distinct() {
         let all = Policy::all();
         assert!(all.len() >= 5);
         let mut ids: Vec<_> = all.iter().map(|p| p.id()).collect();
@@ -359,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn paper_policies_lead_the_registry() {
+    fn paper_policies_lead_the_table() {
         let all = Policy::all();
         assert_eq!(&all[..4], &Policy::PAPER[..]);
         assert_eq!(all[4], Policy::HIERARCHICAL_PROXY);
@@ -411,30 +328,17 @@ mod tests {
         let map: Ipv6Addr = "2001:db8:3::d".parse().unwrap();
         let ha: Ipv6Addr = "2001:db8:1::a".parse().unwrap();
         let p = Policy::HIERARCHICAL_PROXY;
-        let ctx = MoveContext {
-            to_home_link: false,
-            home_agent: ha,
-            map_agent: Some(map),
-        };
-        assert_eq!(p.on_move(&ctx), MoveAction::RegisterWithAgent(map));
+        assert_eq!(p.agent_after_move(false, Some(map), ha), map);
         // No MAP on the destination → fall back to the home agent.
-        assert_eq!(
-            p.on_move(&MoveContext {
-                map_agent: None,
-                ..ctx
-            }),
-            MoveAction::RegisterHome
-        );
+        assert_eq!(p.agent_after_move(false, None, ha), ha);
         // Returning home always re-registers (deregisters) at the HA.
-        assert_eq!(
-            p.on_move(&MoveContext {
-                to_home_link: true,
-                ..ctx
-            }),
-            MoveAction::RegisterHome
-        );
+        assert_eq!(p.agent_after_move(true, Some(map), ha), ha);
+        // The paper's four never leave the home agent.
+        for q in Policy::PAPER {
+            assert_eq!(q.agent_after_move(false, Some(map), ha), ha);
+        }
         // The group list rides along: the MAP must learn what to join.
-        assert!(p.binding_update_extras().include_group_list);
+        assert!(p.include_group_list());
     }
 
     #[test]
@@ -456,7 +360,7 @@ mod tests {
         // Group-list sub-option exactly on the tunnelled-receive approaches.
         for p in Policy::PAPER {
             assert_eq!(
-                p.binding_update_extras().include_group_list,
+                p.include_group_list(),
                 p.recv_plane() == RecvPath::HomeTunnel
             );
         }
