@@ -108,7 +108,7 @@ pub fn explain(rec: &Recorder, pkt: u64) -> Journey {
         }
         hops.reverse(); // origin first
         journey.paths.push(DeliveryPath {
-            delivery: *d,
+            delivery: d,
             hops,
             complete: chain.end() == ChainEnd::Origin,
         });

@@ -6,7 +6,7 @@
 use crate::netplan::{DataPayload, SharedDirectory, MCAST_UDP_PORT};
 use crate::node_kit::{self, malformed, mld_packet, span_close, span_open, Malformed, TimerSlot};
 use crate::parsed::{parsed, Upper};
-use crate::recorder::{packet_id, Delivery, MoveEvent, PacketMeta, SharedRecorder};
+use crate::recorder::{packet_id, Delivery, MoveEvent, PacketId, PacketMeta, SharedRecorder};
 use crate::strategy::{Policy, RecvPath, SendPath};
 use mobicast_ipv6::addr::{self, GroupAddr};
 use mobicast_ipv6::icmpv6::Icmpv6;
@@ -20,7 +20,7 @@ use mobicast_sim::{
     bump, counter, Counters, RngFactory, SimDuration, SimTime, SpanId, Stage, TraceCategory,
 };
 use std::any::Any;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 
 const TIMER_MLD: u64 = 1;
@@ -64,9 +64,48 @@ pub struct SenderApp {
     pub stop: SimTime,
 }
 
+/// The datagrams a receiver has had a copy of: an exact set of packet ids
+/// kept as words of 64 — `(id / 64, one bit per id)` — sorted by word. A
+/// sender's consecutive sequence numbers cost 16 bytes per 64 datagrams;
+/// a sparse or corrupted id costs one word of its own, never a bitmap
+/// reaching up to it, and nothing is hashed.
+#[derive(Debug, Default)]
+struct SeenSet {
+    words: Vec<(u64, u64)>,
+}
+
+impl SeenSet {
+    /// Add `pkt`: true when it was not in the set yet.
+    fn insert(&mut self, pkt: PacketId) -> bool {
+        let (word, bit) = (pkt / 64, 1u64 << (pkt % 64));
+        // Copies arrive in sequence order but for a few stragglers: the
+        // last word answers most of them.
+        let at = match self.words.last() {
+            Some(&(last, _)) if last == word => self.words.len() - 1,
+            Some(&(last, _)) if last > word => {
+                match self.words.binary_search_by_key(&word, |&(w, _)| w) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        self.words.insert(at, (word, 0));
+                        at
+                    }
+                }
+            }
+            _ => {
+                self.words.push((word, 0));
+                self.words.len() - 1
+            }
+        };
+        let mask = &mut self.words[at].1;
+        let fresh = *mask & bit == 0;
+        *mask |= bit;
+        fresh
+    }
+}
+
 #[derive(Debug, Default)]
 struct ReceiverState {
-    seen: HashSet<u64>,
+    seen: SeenSet,
     /// Set when the (subscribed) host attaches to a link; cleared by the
     /// first delivery — the paper's join delay.
     attach_pending: Option<SimTime>,
@@ -804,5 +843,55 @@ impl NodeBehavior for HostNode {
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SeenSet;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// A packet id as a receiver may see it: one of a few origins with a
+    /// sequence number near either end of `u32`, or any 64 bits at all (a
+    /// corrupted id).
+    fn pkt() -> impl Strategy<Value = u64> {
+        any::<u64>().prop_map(|w| {
+            let (origin, seq) = (w >> 8 & 3, w >> 16 & 0xff);
+            match w % 5 {
+                0 => w,
+                1 | 2 => origin << 32 | seq,
+                _ => origin << 32 | (u64::from(u32::MAX) - seq),
+            }
+        })
+    }
+
+    proptest! {
+        /// The set answers every insert as a `HashSet` does, and its words
+        /// cost at most 32 bytes per distinct id however far apart the ids
+        /// lie.
+        #[test]
+        fn seen_set_agrees_with_a_hash_set(ids in proptest::collection::vec(pkt(), 0..600)) {
+            let mut set = SeenSet::default();
+            let mut model = HashSet::new();
+            for id in ids {
+                prop_assert_eq!(set.insert(id), model.insert(id), "insert {:#x}", id);
+            }
+            let held: u32 = set.words.iter().map(|(_, mask)| mask.count_ones()).sum();
+            prop_assert_eq!(held as usize, model.len());
+            prop_assert!(set.words.windows(2).all(|w| w[0].0 < w[1].0));
+            let bytes = set.words.capacity() * std::mem::size_of::<(u64, u64)>();
+            prop_assert!(bytes <= 32 * model.len().max(2), "{} bytes for {} ids", bytes, model.len());
+        }
+    }
+
+    #[test]
+    fn a_sequence_costs_sixteen_bytes_per_sixty_four_ids() {
+        let mut set = SeenSet::default();
+        for seq in 0..6400 {
+            assert!(set.insert(7 << 32 | seq));
+        }
+        assert!(!set.insert(7 << 32 | 6399));
+        assert_eq!(set.words.len(), 100);
     }
 }

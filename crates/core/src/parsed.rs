@@ -10,10 +10,11 @@
 //! read the same answers, `Ok` or typed `Err`. A copy mangled in flight is
 //! new bytes, so it has a memo of its own. Each part is filled on first
 //! ask, so nobody pays for an answer no one wanted. The one memo not filled
-//! from the wire is a forwarded frame's ([`with_forwarded_layers`]): its
-//! bytes are the arriving bytes with the hop limit one lower, so its layers
-//! are the arriving layers with the hop limit one lower, and debug builds
-//! check them equal to a fresh parse of the new bytes.
+//! from the wire is a forwarded frame's, seeded as the frame is built for
+//! the next hop: its bytes are the arriving bytes with the hop limit one
+//! lower, so its layers are the arriving layers with the hop limit one
+//! lower, and debug builds check them equal to a fresh parse of the new
+//! bytes.
 //!
 //! The views borrow from the frame; anything kept past the handler must be
 //! copied out.

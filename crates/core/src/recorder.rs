@@ -141,6 +141,10 @@ pub(crate) const IN_FLIGHT_TAIL: SimDuration = SimDuration::from_secs(1);
 /// within a second.
 pub(crate) const JOURNAL_HORIZON: SimDuration = SimDuration::from_secs(5);
 
+/// The least room a journal's ring shrinks to: a quiet run's few rows are
+/// not worth a shrink and a regrowth.
+const RING_FLOOR: usize = 4_096;
+
 /// One journal entry, packed: what [`DataEvent`] shows, with the parent as
 /// a position (or [`ORIGIN`] / [`DANGLING`] / [`RETIRED`]), the tunnelled
 /// flag in the top bit of the size, and — in what was padding — whether
@@ -410,6 +414,14 @@ impl Journal {
             self.rows.pop_front();
             self.retired += 1;
         }
+        // Give back what a burst grew: a ring less than a quarter full
+        // shrinks to twice what it holds. A resize copies no more rows than
+        // were recorded or retired since the last one, so the cost is
+        // amortised O(1); positions and order do not move.
+        let (held, capacity) = (self.rows.len(), self.rows.capacity());
+        if capacity > RING_FLOOR && held * 4 < capacity {
+            self.rows.shrink_to((held * 2).max(RING_FLOOR));
+        }
     }
 
     /// Keep rows for `horizon` of the journal's clock from now on
@@ -430,6 +442,12 @@ impl Journal {
     /// Rows that have retired: the position of the oldest row still held.
     pub fn retired(&self) -> usize {
         self.retired
+    }
+
+    /// Rows the journal has room for without growing: what its ring costs,
+    /// whatever it holds.
+    pub fn capacity(&self) -> usize {
+        self.rows.capacity()
     }
 
     /// The native emissions that re-entered a link a native ancestor —
@@ -719,7 +737,8 @@ impl Iterator for Chain<'_> {
     }
 }
 
-/// A datagram reaching a receiver application.
+/// A datagram reaching a receiver application: what
+/// [`Recorder::record_delivery`] takes and what [`Deliveries`] yields.
 #[derive(Clone, Copy, Debug)]
 pub struct Delivery {
     pub pkt: PacketId,
@@ -732,8 +751,82 @@ pub struct Delivery {
     pub via: u64,
 }
 
+/// The bit of `DeliveryRow::time_first` that holds the first-copy flag.
+const FIRST_BIT: u64 = 1 << 63;
+
+/// One delivery, packed into 32 bytes: what [`Delivery`] shows, with the
+/// first-copy flag in the top bit of the time (a `Delivery` is 40 bytes,
+/// seven of them padding after `first`).
+#[derive(Clone, Copy)]
+struct DeliveryRow {
+    pkt: PacketId,
+    via: u64,
+    time_first: u64,
+    host: u32,
+    link: u32,
+}
+
+impl DeliveryRow {
+    /// # Panics
+    /// When the delivery's time does not fit below the first-copy bit
+    /// (2⁶³ ns, about 292 years).
+    fn pack(d: &Delivery) -> Self {
+        let nanos = d.time.as_nanos();
+        assert!(
+            nanos < FIRST_BIT,
+            "delivery time {nanos} ns does not fit beside the first-copy bit"
+        );
+        DeliveryRow {
+            pkt: d.pkt,
+            via: d.via,
+            time_first: nanos | if d.first { FIRST_BIT } else { 0 },
+            host: d.host.0,
+            link: d.link.0,
+        }
+    }
+
+    fn unpack(&self) -> Delivery {
+        Delivery {
+            pkt: self.pkt,
+            host: NodeId(self.host),
+            link: LinkId(self.link),
+            time: SimTime::from_nanos(self.time_first & !FIRST_BIT),
+            first: self.time_first & FIRST_BIT != 0,
+            via: self.via,
+        }
+    }
+}
+
+/// Every delivery a run recorded, in the order recorded, held as packed
+/// rows and read back by value. Grown by [`Recorder::record_delivery`]
+/// only.
+#[derive(Default)]
+pub struct Deliveries {
+    rows: Vec<DeliveryRow>,
+}
+
+impl Deliveries {
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The first delivery recorded.
+    pub fn first(&self) -> Option<Delivery> {
+        self.rows.first().map(DeliveryRow::unpack)
+    }
+
+    /// Every delivery, in the order recorded, by value.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Delivery> + '_ {
+        self.rows.iter().map(DeliveryRow::unpack)
+    }
+}
+
 /// What a delivery's `via` came to, settled as the delivery was recorded
-/// (two bytes beside each [`Delivery`], which cannot grow).
+/// (two bytes beside each delivery row, which has no room for them).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Settled {
     links: u8,
@@ -790,8 +883,7 @@ pub enum WindowEnd {
 pub struct Recorder {
     pub packets: Vec<PacketMeta>,
     pub data_events: Journal,
-    /// Grown by [`record_delivery`](Self::record_delivery) only.
-    pub deliveries: Vec<Delivery>,
+    pub deliveries: Deliveries,
     /// Grown by [`record_move`](Self::record_move) only.
     pub moves: Vec<MoveEvent>,
     /// Free-form counters contributed by nodes (control message counts,
@@ -822,7 +914,7 @@ impl Recorder {
     /// that delivered it is still held.
     pub fn record_delivery(&mut self, d: Delivery) {
         self.settled.push(self.data_events.settle(d.via, d.first));
-        self.deliveries.push(d);
+        self.deliveries.rows.push(DeliveryRow::pack(&d));
     }
 
     /// Record a move at `m.time`, the run's clock, and with it the latest
@@ -838,16 +930,7 @@ impl Recorder {
     }
 
     /// Beside each of `deliveries`, what its `via` came to.
-    ///
-    /// # Panics
-    /// When a delivery was pushed onto `deliveries` directly.
     pub fn settled(&self) -> &[Settled] {
-        assert_eq!(
-            self.settled.len(),
-            self.deliveries.len(),
-            "deliveries settled vs deliveries held: one was not recorded through \
-             Recorder::record_delivery"
-        );
         &self.settled
     }
 
@@ -1154,6 +1237,32 @@ mod tests {
         );
     }
 
+    /// A burst far above the floor, then a quiet stretch: once the burst
+    /// has retired the ring is back at the floor, and what it still holds
+    /// reads as before.
+    #[test]
+    fn a_retired_burst_gives_its_ring_back() {
+        let mut j = Journal::default();
+        j.set_horizon(SimDuration::from_millis(100));
+        for _ in 0..10 * RING_FLOOR {
+            emit(&mut j, 1, None);
+        }
+        assert!(j.capacity() >= 10 * RING_FLOOR);
+        let mut last = None;
+        for ms in 1..=300 {
+            let at = SimTime::from_millis(ms);
+            last = Some(j.record(NodeId(2), 1, last, LinkId(1), at, 100, false));
+            assert!(
+                j.capacity() <= 4 * j.rows.len().max(RING_FLOOR),
+                "at {ms} ms"
+            );
+        }
+        assert_eq!(j.capacity(), RING_FLOOR);
+        assert_eq!((j.len(), j.rows.len()), (10 * RING_FLOOR + 300, 101));
+        assert_eq!(j.position(last.unwrap()), Some(j.len() - 1));
+        assert_eq!(j.chain(last.unwrap()).count(), 64);
+    }
+
     #[test]
     #[should_panic(expected = "the journal's clock runs forward")]
     fn an_emission_before_the_clock_is_refused() {
@@ -1179,18 +1288,39 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not recorded through Recorder::record_delivery")]
-    fn a_delivery_pushed_past_the_recorder_is_caught_when_read() {
+    fn a_delivery_row_is_32_bytes_and_reads_back_as_recorded() {
+        assert_eq!(std::mem::size_of::<DeliveryRow>(), 32);
         let mut rec = Recorder::default();
-        rec.deliveries.push(Delivery {
+        let last = SimTime::from_nanos(FIRST_BIT - 1);
+        let sent =
+            [(SimTime::ZERO, true), (last, false), (last, true)].map(|(time, first)| Delivery {
+                pkt: u64::MAX - u64::from(first),
+                host: NodeId(u32::MAX),
+                link: LinkId(7),
+                time,
+                first,
+                via: 1 << 40,
+            });
+        for d in sent {
+            rec.record_delivery(d);
+        }
+        let read: Vec<_> = rec.deliveries.iter().map(|d| format!("{d:?}")).collect();
+        assert_eq!(read, sent.map(|d| format!("{d:?}")));
+        assert_eq!(rec.deliveries.first().map(|d| d.first), Some(true));
+        assert_eq!(rec.settled().len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit beside the first-copy bit")]
+    fn a_delivery_time_that_would_flip_the_first_copy_bit_is_refused() {
+        Recorder::default().record_delivery(Delivery {
             pkt: 1,
             host: NodeId(0),
             link: LinkId(0),
-            time: SimTime::ZERO,
-            first: true,
+            time: SimTime::from_nanos(FIRST_BIT),
+            first: false,
             via: 0,
         });
-        rec.settled();
     }
 
     #[test]

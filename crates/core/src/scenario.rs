@@ -565,11 +565,14 @@ const ROUTER_LABELS: [char; 5] = ['A', 'B', 'C', 'D', 'E'];
 /// Sim-time interval between observability gauge samples.
 const GAUGE_SAMPLE_SECS: u64 = 5;
 
-/// Shared state of the gauge sampler ticks.
+/// Shared state of the gauge sampler ticks, timeline names built once.
 struct SamplerCtx {
     recorder: crate::recorder::SharedRecorder,
-    routers: Vec<mobicast_net::NodeId>,
-    links: Vec<mobicast_net::LinkId>,
+    /// Per labelled router: its `mld_listeners`, `pim_sg`, `bindings` and
+    /// `bucket_tokens` timelines.
+    routers: Vec<(mobicast_net::NodeId, [String; 4])>,
+    /// Per link: its `bytes` timeline.
+    links: Vec<(mobicast_net::LinkId, String)>,
     end: SimTime,
 }
 
@@ -585,8 +588,17 @@ struct SamplerCtx {
 fn schedule_gauge_sampler(net: &mut BuiltNetwork, cfg: &ScenarioConfig) {
     let ctx = std::rc::Rc::new(SamplerCtx {
         recorder: net.recorder.clone(),
-        routers: net.routers.clone(),
-        links: net.links.clone(),
+        routers: ROUTER_LABELS
+            .iter()
+            .zip(&net.routers)
+            .map(|(label, r)| {
+                let gauges = ["mld_listeners", "pim_sg", "bindings", "bucket_tokens"];
+                (*r, gauges.map(|g| format!("router.{label}.{g}")))
+            })
+            .collect(),
+        links: (net.links.iter().enumerate())
+            .map(|(i, l)| (*l, format!("link.{}.bytes", i + 1)))
+            .collect(),
         end: SimTime::ZERO + cfg.duration,
     });
     let first = SimTime::from_secs(GAUGE_SAMPLE_SECS);
@@ -609,7 +621,7 @@ fn sample_gauges(w: &mut mobicast_net::World, ctx: &SamplerCtx) {
     let now = w.now();
     let rec = &ctx.recorder;
     rec.sample_at("world.queue_depth", now, w.queue_len() as f64);
-    for (label, r) in ROUTER_LABELS.iter().zip(&ctx.routers) {
+    for (r, [mld_name, sg_name, bindings_name, tokens_name]) in &ctx.routers {
         let Some(router) = w.behavior::<RouterNode>(*r) else {
             continue;
         };
@@ -617,16 +629,16 @@ fn sample_gauges(w: &mut mobicast_net::World, ctx: &SamplerCtx) {
         let sg = router.pim().entry_count() as f64;
         let bindings = router.home_agent().binding_count() as f64;
         let tokens = router.bucket_available();
-        rec.sample_at(&format!("router.{label}.mld_listeners"), now, mld);
-        rec.sample_at(&format!("router.{label}.pim_sg"), now, sg);
-        rec.sample_at(&format!("router.{label}.bindings"), now, bindings);
+        rec.sample_at(mld_name, now, mld);
+        rec.sample_at(sg_name, now, sg);
+        rec.sample_at(bindings_name, now, bindings);
         if let Some(tk) = tokens {
-            rec.sample_at(&format!("router.{label}.bucket_tokens"), now, f64::from(tk));
+            rec.sample_at(tokens_name, now, f64::from(tk));
         }
     }
-    for (i, l) in ctx.links.iter().enumerate() {
+    for (l, name) in &ctx.links {
         let bytes: u64 = w.link_stats(*l).bytes.iter().sum();
-        rec.sample_at(&format!("link.{}.bytes", i + 1), now, bytes as f64);
+        rec.sample_at(name, now, bytes as f64);
     }
     let shed = rec.with(|r| r.counters.sum_prefix("overload."));
     rec.sample_at("overload.shed_total", now, shed as f64);

@@ -1,7 +1,8 @@
 //! Allocation budget of the forwarding path: heap allocations per executed
 //! event, whole run included (build, dispatch, recorder, oracle finalize,
-//! report), must stay under a committed ceiling; and the heap a built metro
-//! network holds before its first event must stay under another.
+//! report), must stay under a committed ceiling; the heap a built metro
+//! network holds before its first event must stay under another; and so
+//! must the most heap a roaming-grid run holds at once.
 //!
 //! The frame path decodes each frame once and hands payloads on as views
 //! (`Packet::decode_shared`, `Bytes::slice`), and a router forwards the
@@ -25,7 +26,7 @@
 //! The tests take turns (`ONE_AT_A_TIME`): the counters are process-wide,
 //! and a test running on another thread would be counted too.
 
-use mobicast_core::builder;
+use mobicast_core::builder::{self, NetworkSpec};
 use mobicast_core::experiments::Settings;
 use mobicast_core::scale;
 use mobicast_core::scenario::{self, PaperHost, ScenarioConfig};
@@ -45,6 +46,8 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Bytes allocated and not yet freed, counted always.
 static LIVE: AtomicI64 = AtomicI64::new(0);
+/// The most `LIVE` has been since a test last reset it.
+static PEAK: AtomicI64 = AtomicI64::new(0);
 
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -56,7 +59,8 @@ fn my_turn() -> MutexGuard<'static, ()> {
 
 #[inline]
 fn note(grown: usize, freed: usize) {
-    LIVE.fetch_add(grown as i64 - freed as i64, Relaxed);
+    let delta = grown as i64 - freed as i64;
+    PEAK.fetch_max(LIVE.fetch_add(delta, Relaxed) + delta, Relaxed);
     if COUNTING.load(Relaxed) {
         ALLOCATIONS.fetch_add(1, Relaxed);
         ALLOCATED_BYTES.fetch_add(grown as u64, Relaxed);
@@ -231,6 +235,47 @@ fn metro_build_holds_under_budget() {
     assert!(
         held_mb <= CEILING_MB,
         "{}: the built network holds {held_mb:.2} MB, over the budget of {CEILING_MB} MB",
+        spec.name
+    );
+}
+
+/// The most heap a whole run of the 4×4 roaming grid (the `roam_tunnel`
+/// benchmark workload's smoke size: 24 receivers, every one roaming twice
+/// under the bidirectional tunnel, four datagrams a second for 150 s)
+/// holds at once — build, run, oracle and report — above what was held
+/// before it. Every datagram to an away receiver is tunnelled to it alone,
+/// so what grows is the recorder's delivery rows, the journal's ring and
+/// the hosts' duplicate sets.
+#[test]
+fn roaming_grid_peak_heap_stays_under_budget() {
+    // ≈ 1.15 × the 1.566 MB read with 32-byte delivery rows and duplicate
+    // sets of 64-id words (debug builds read the same); 1.913 MB with
+    // 40-byte rows and hashed sets.
+    const CEILING_MB: f64 = 1.8;
+    let _turn = my_turn();
+    let spec = stress::StressSpec {
+        name: "roam4x4/bidir/seed11".into(),
+        topology: NetworkSpec::grid(4, 4),
+        policy: Policy::BIDIRECTIONAL_TUNNEL,
+        seed: 11,
+        duration: SimDuration::from_secs(150),
+        receivers: 24,
+        movers: 24,
+        moves_per_mover: 2,
+        data_interval: SimDuration::from_millis(250),
+    };
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    let report = stress::run_stress(&spec);
+    let peak_mb = (PEAK.load(Relaxed) - before) as f64 / 1e6;
+    assert_eq!(report.oracle_violations, 0, "{}", spec.name);
+    eprintln!(
+        "{}: {peak_mb:.3} MB peak heap over the run (ceiling {CEILING_MB})",
+        spec.name
+    );
+    assert!(
+        peak_mb <= CEILING_MB,
+        "{}: the run held {peak_mb:.3} MB at its peak, over the budget of {CEILING_MB} MB",
         spec.name
     );
 }

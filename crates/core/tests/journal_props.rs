@@ -13,7 +13,8 @@
 //! from beyond it; the journal's loop findings, settled deliveries, per-link
 //! usage and both leave-delay readers must equal what the whole rows give
 //! whenever no walk touched a row past the horizon — and the walks that did
-//! are counted, exactly.
+//! are counted, exactly. And the window gives back what a burst grew: once
+//! a burst has passed the horizon the ring's room follows the rows held.
 
 use mobicast_core::analysis::{analyze, LinkDataUsage};
 use mobicast_core::explain::explain;
@@ -1002,6 +1003,65 @@ mod retiring {
         ) {
             if let Err(why) = check(&ops, horizon_ticks, true, Mutant::None) {
                 panic!("{why}");
+            }
+        }
+    }
+
+    /// Rows the journal's ring keeps room for however few it holds
+    /// (`recorder::RING_FLOOR`).
+    const RING_FLOOR: usize = 4_096;
+
+    proptest! {
+        /// A burst recorded at one instant, up to ten times the ring's floor,
+        /// then a trickle: once the burst has passed the horizon the ring
+        /// has room for at most four times the rows it holds, or for four
+        /// floors — and every row still held reads back as recorded.
+        #[test]
+        fn a_burst_past_the_horizon_gives_its_ring_back(
+            burst in 0usize..40_000,
+            gaps in proptest::collection::vec(0u64..6, 1..200),
+            horizon_ticks in 1u64..12,
+        ) {
+            let horizon = horizon_ticks * TICK;
+            let mut journal = Journal::default();
+            journal.set_horizon(SimDuration::from_nanos(horizon));
+            let pushed = |i: usize, time: u64| Pushed {
+                node: i as u32 % 4,
+                pkt: i as u64 % 3,
+                parent: None,
+                link: i as u32 % LINKS,
+                time,
+                size: 40 + i as u32 % 1000,
+                tunneled: i.is_multiple_of(5),
+            };
+            for i in 0..burst {
+                pushed(i, 0).record(&mut journal, None);
+            }
+            let mut trickle = Vec::new();
+            let mut now = 0;
+            for (i, gap) in gaps.into_iter().enumerate() {
+                now += gap * TICK;
+                let row = pushed(i, now);
+                trickle.push((row.record(&mut journal, None), row));
+                if now > horizon {
+                    let held = journal.len() - journal.retired();
+                    prop_assert!(
+                        journal.capacity() <= 4 * held.max(RING_FLOOR),
+                        "room for {} rows holding {} at {} ns",
+                        journal.capacity(),
+                        held,
+                        now
+                    );
+                }
+            }
+            prop_assert_eq!(journal.len(), burst + trickle.len());
+            for (tag, row) in trickle {
+                if let Some(ev) = journal.by_tag(tag) {
+                    prop_assert_eq!(
+                        (ev.time.as_nanos(), ev.link.0, ev.size, ev.tunneled),
+                        (row.time, row.link, row.size, row.tunneled)
+                    );
+                }
             }
         }
     }

@@ -18,7 +18,8 @@
 //! `(time, sequence)`; everything else hangs in the wheel. Advancing pops
 //! the earliest non-empty slot: level-0 slots drain straight into the
 //! bottom heap (one slot = one tick), higher slots cascade down one level
-//! at a time.
+//! at a time. A 64-bit occupancy mask per level finds that slot with one
+//! `trailing_zeros` instead of a scan over empty buckets.
 //!
 //! Storage: payloads live in a slab of cells (a `Vec` plus a LIFO free
 //! list) and never move once scheduled; the wheel slots and the bottom
@@ -30,7 +31,9 @@
 //! reaching the top of the bottom heap is live iff its cell still carries
 //! the key's `seq`. A key whose event was cancelled simply goes stale in
 //! place and is discarded when it surfaces; a recycled cell can never be
-//! mistaken for its previous occupant.
+//! mistaken for its previous occupant. A drained bucket keeps its buffer
+//! for its next fill, but not a burst's: one with room for more than four
+//! times the keys it held (and more than 64) keeps room for twice them.
 //!
 //! Determinism: pops are globally ordered by `(time, sequence)`. The
 //! differential test at the bottom drives the wheel and the sorted-`Vec`
@@ -42,6 +45,8 @@
 //! * every bottom-heap key's tick is at or below `current_tick`;
 //! * `current_tick` only advances, and only to the base of the earliest
 //!   non-empty slot — never past a pending event;
+//! * a bucket's bit in its level's occupancy mask is set iff the bucket
+//!   holds keys;
 //! * a cell is occupied iff its stamp is the `seq` of exactly one key
 //!   still held in the wheel or the bottom heap.
 
@@ -59,6 +64,9 @@ const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 /// Levels needed so the top level spans every representable tick:
 /// ticks fit in `64 - TICK_BITS = 48` bits and `8 * LEVEL_BITS = 48`.
 const LEVELS: usize = 8;
+/// A drained bucket with room for at most this many keys keeps it,
+/// however few it held.
+const BUCKET_FLOOR: usize = 64;
 
 #[inline]
 fn tick_of(at: SimTime) -> u64 {
@@ -93,15 +101,15 @@ pub struct TimerWheel<E> {
     /// keys whose tick matches `current_tick` above bit `6*(level+1)`
     /// and has `slot` in bits `[6*level, 6*level+6)`.
     slots: Vec<Vec<Key>>,
+    /// Per level, bit `slot` set iff bucket `level * SLOTS + slot` holds
+    /// keys: the next non-empty slot is one `trailing_zeros` away.
+    occupied: [u64; LEVELS],
     /// Keys with tick <= `current_tick`, ordered exactly by `(at, seq)`.
     bottom: BinaryHeap<Reverse<Key>>,
     /// Payload slab, addressed by `Key::cell` / [`EventId`].
     cells: Vec<Cell<E>>,
     /// Free cells, reused last-freed-first.
     free: Vec<u32>,
-    /// The buffer a cascading slot is swapped with, so a drained bucket
-    /// keeps an allocation instead of regrowing from empty.
-    spare: Vec<Key>,
     /// Number of keys physically stored in `slots` (including keys whose
     /// event was cancelled and that have not surfaced yet).
     in_wheel: usize,
@@ -123,10 +131,10 @@ impl<E> TimerWheel<E> {
     pub fn new() -> Self {
         TimerWheel {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            occupied: [0; LEVELS],
             bottom: BinaryHeap::new(),
             cells: Vec::new(),
             free: Vec::new(),
-            spare: Vec::new(),
             in_wheel: 0,
             current_tick: 0,
             live: 0,
@@ -155,6 +163,7 @@ impl<E> TimerWheel<E> {
         debug_assert!(level < LEVELS);
         let slot = ((tick >> (LEVEL_BITS * level as u32)) & SLOT_MASK) as usize;
         self.slots[level * SLOTS + slot].push(key);
+        self.occupied[level] |= 1 << slot;
         self.in_wheel += 1;
     }
 
@@ -165,37 +174,43 @@ impl<E> TimerWheel<E> {
         if self.in_wheel == 0 {
             return false;
         }
-        for level in 0..LEVELS as u32 {
-            let cur_slot = ((self.current_tick >> (LEVEL_BITS * level)) & SLOT_MASK) as usize;
-            for slot in cur_slot + 1..SLOTS {
-                let bucket = level as usize * SLOTS + slot;
-                if self.slots[bucket].is_empty() {
-                    continue;
-                }
-                self.in_wheel -= self.slots[bucket].len();
-                let width = LEVEL_BITS * level;
-                // Clear this level's and all lower bits, then re-apply the
-                // slot index: the least tick the slot can hold.
-                let base = (self.current_tick >> (width + LEVEL_BITS)) << (width + LEVEL_BITS);
-                self.current_tick = base | ((slot as u64) << width);
-                if level == 0 {
-                    // One level-0 slot = exactly one tick.
-                    self.bottom
-                        .extend(self.slots[bucket].drain(..).map(Reverse));
-                } else {
-                    // Every key lands strictly below `level`, never back
-                    // in this bucket, so the bucket can hold the spare
-                    // buffer while its keys are re-placed.
-                    let mut keys = std::mem::take(&mut self.spare);
-                    std::mem::swap(&mut keys, &mut self.slots[bucket]);
-                    for &key in &keys {
-                        self.place(key);
-                    }
-                    keys.clear();
-                    self.spare = keys;
-                }
-                return true;
+        for level in 0..LEVELS {
+            let width = LEVEL_BITS * level as u32;
+            let cur_slot = (self.current_tick >> width) & SLOT_MASK;
+            // The occupied slots above the current one.
+            let ahead = self.occupied[level] & (u64::MAX << cur_slot << 1);
+            if ahead == 0 {
+                continue;
             }
+            let slot = ahead.trailing_zeros() as usize;
+            self.occupied[level] &= !(1 << slot);
+            let bucket = level * SLOTS + slot;
+            let held = self.slots[bucket].len();
+            self.in_wheel -= held;
+            // Clear this level's and all lower bits, then re-apply the
+            // slot index: the least tick the slot can hold.
+            let base = (self.current_tick >> (width + LEVEL_BITS)) << (width + LEVEL_BITS);
+            self.current_tick = base | ((slot as u64) << width);
+            let mut keys = std::mem::take(&mut self.slots[bucket]);
+            if level == 0 {
+                // One level-0 slot = exactly one tick.
+                self.bottom.extend(keys.drain(..).map(Reverse));
+            } else {
+                // Every key lands strictly below `level`, never back in
+                // this bucket, so the bucket gets its buffer back below.
+                for &key in &keys {
+                    self.place(key);
+                }
+                keys.clear();
+            }
+            // A drained bucket keeps its buffer for the next fill; one with
+            // room for more than four times what it held keeps room for
+            // twice that, so a burst's buffer is given back.
+            if keys.capacity() > BUCKET_FLOOR && keys.capacity() > 4 * held {
+                keys.shrink_to(2 * held);
+            }
+            self.slots[bucket] = keys;
+            return true;
         }
         unreachable!("in_wheel > 0 but every slot above current_tick is empty");
     }
@@ -527,6 +542,10 @@ mod tests {
                 assert_eq!(wheel.scheduled_total(), model.scheduled_total());
                 assert_eq!(wheel.depth_high_water(), model.depth_high_water());
                 assert_eq!(wheel.len(), ids.iter().filter(|id| id.2).count());
+                for (bucket, keys) in wheel.slots.iter().enumerate() {
+                    let bit = wheel.occupied[bucket / SLOTS] >> (bucket % SLOTS) & 1;
+                    assert_eq!(bit == 1, !keys.is_empty(), "occupancy of bucket {bucket}");
+                }
             }
             assert!(stale_cancels > 100, "script must exercise stale ids");
             assert_eq!(
@@ -614,6 +633,36 @@ mod tests {
         assert_eq!(q.pop_due(t(2)), None);
         assert_eq!((q.now(), q.len()), (t(1), 1));
         assert_eq!(q.pop_due(t(3)), Some((t(3), "b")));
+    }
+
+    /// The buckets a burst grew give the room back the next time each
+    /// drains a small fill: the wheel keeps its buffers, not its
+    /// high-water mark.
+    #[test]
+    fn a_bucket_gives_back_a_burst_on_its_next_drain() {
+        let room = |q: &TimerWheel<u32>| q.slots.iter().map(Vec::capacity).sum::<usize>();
+        let mut q = TimerWheel::new();
+        let burst = t(1);
+        // 2^18 ticks later: the same bucket at levels 0, 1 and 2.
+        let again = burst + SimDuration::from_nanos(1 << (TICK_BITS + 3 * LEVEL_BITS));
+        for i in 0..10_000 {
+            q.schedule(burst, i);
+        }
+        for i in 0..10 {
+            q.schedule(again, i);
+        }
+        for i in 0..10_000 {
+            assert_eq!(q.pop(), Some((burst, i)));
+        }
+        assert!(room(&q) >= 3 * 10_000, "a bucket keeps its buffer");
+        for i in 0..10 {
+            assert_eq!(q.pop(), Some((again, i)));
+        }
+        assert!(
+            room(&q) <= LEVELS * BUCKET_FLOOR,
+            "room for {} keys",
+            room(&q)
+        );
     }
 
     /// Domain-separate the differential seeds from other tests.
