@@ -195,42 +195,3 @@ pub fn run(settings: Settings) -> ExperimentOutput {
         text,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn adversarial_sweep_is_clean_and_deterministic() {
-        let out1 = run(Settings::new(true));
-        assert_eq!(out1.json["total_violations"].as_u64(), Some(0));
-        assert_eq!(out1.json["total_slo_misses"].as_u64(), Some(0));
-        let scores: Vec<AdversarialScore> =
-            serde_json::from_value(out1.json["scores"].clone()).unwrap();
-        for s in &scores {
-            assert!(
-                s.steady_delivery >= 0.99,
-                "{} at {:.0}% corruption: steady {}",
-                s.name,
-                s.rate * 100.0,
-                s.steady_delivery
-            );
-            if s.rate > 0.0 {
-                assert!(s.frames_corrupted > 0.0, "{}: nothing corrupted", s.name);
-                assert!(
-                    s.frames_malformed > 0.0,
-                    "{}: corruption produced no decode errors",
-                    s.name
-                );
-            } else {
-                assert_eq!(s.frames_corrupted, 0.0);
-            }
-        }
-        // Same seeds, same JSON — the determinism acceptance check.
-        let out2 = run(Settings::new(true));
-        assert_eq!(
-            serde_json::to_string(&out1.json).unwrap(),
-            serde_json::to_string(&out2.json).unwrap()
-        );
-    }
-}

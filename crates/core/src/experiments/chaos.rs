@@ -136,24 +136,3 @@ pub fn run(settings: Settings) -> ExperimentOutput {
         text,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_chaos_campaign_is_clean_and_deterministic() {
-        let out1 = run(Settings::new(true));
-        assert_eq!(
-            out1.json["total_violations"],
-            json!(0u64),
-            "oracle violations in quick chaos campaign:\n{}",
-            serde_json::to_string_pretty(&out1.json["repros"]).unwrap()
-        );
-        let out2 = run(Settings::new(true));
-        assert_eq!(
-            serde_json::to_string(&out1.json).unwrap(),
-            serde_json::to_string(&out2.json).unwrap()
-        );
-    }
-}

@@ -180,39 +180,3 @@ pub fn run(settings: Settings) -> ExperimentOutput {
         text,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fault_sweep_recovers_and_is_deterministic() {
-        let out1 = run(Settings::new(true));
-        let scores: Vec<FaultScore> = serde_json::from_value(out1.json["scores"].clone()).unwrap();
-        for s in &scores {
-            // Steady state back at (essentially) full delivery everywhere.
-            assert!(
-                s.steady_delivery >= 0.99,
-                "{} at {:.0}% loss: steady {}",
-                s.name,
-                s.loss * 100.0,
-                s.steady_delivery
-            );
-            if s.loss > 0.0 {
-                assert!(s.frames_dropped > 0.0, "{}: no drops injected", s.name);
-                // Lossy whole-run delivery must be below the clean baseline.
-                let clean = scores
-                    .iter()
-                    .find(|c| c.name == s.name && c.loss == 0.0)
-                    .unwrap();
-                assert!(s.delivery < clean.delivery);
-            }
-        }
-        // Same seeds, same JSON — the determinism acceptance check.
-        let out2 = run(Settings::new(true));
-        assert_eq!(
-            serde_json::to_string(&out1.json).unwrap(),
-            serde_json::to_string(&out2.json).unwrap()
-        );
-    }
-}

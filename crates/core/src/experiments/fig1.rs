@@ -73,21 +73,3 @@ pub fn run(_: Settings) -> ExperimentOutput {
         text,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn tree_matches_figure1() {
-        let out = super::run(super::Settings::new(true));
-        let tree: Vec<u64> = out.json["tree_links"]
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|v| v.as_u64().unwrap())
-            .collect();
-        assert_eq!(tree, vec![1, 2, 3, 4], "paper Figure 1 tree");
-        assert!(out.json["assert_messages"].as_u64().unwrap() > 0);
-        let stretch = out.json["mean_stretch"].as_f64().unwrap();
-        assert!((stretch - 1.0).abs() < 0.05, "static tree is optimal");
-    }
-}

@@ -153,20 +153,3 @@ pub fn run(settings: Settings) -> ExperimentOutput {
         text,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn unsolicited_reports_beat_waiting_for_query() {
-        let out = super::run(super::Settings::new(true));
-        let fast = out.json["join_delay_unsolicited_mean_s"].as_f64().unwrap();
-        let slow = out.json["join_delay_wait_query_mean_s"].as_f64().unwrap();
-        assert!(fast < 2.0, "graft-speed join, got {fast}");
-        assert!(
-            slow > 10.0 * fast,
-            "waiting for a query must be much slower: {slow} vs {fast}"
-        );
-        let leave = out.json["leave_delay_max_s"].as_f64().unwrap();
-        assert!(leave <= 261.0, "leave delay bounded by T_MLI: {leave}");
-    }
-}

@@ -106,27 +106,3 @@ pub fn run(_: Settings) -> ExperimentOutput {
         text,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn tunnel_is_suboptimal_but_fast_to_join() {
-        let out = super::run(super::Settings::new(true));
-        let tunnel = out.json["tunnel_stretch"].as_f64().unwrap();
-        let local = out.json["local_stretch"].as_f64().unwrap();
-        assert!(
-            tunnel > local + 0.3,
-            "tunnel routing must be suboptimal: {tunnel} vs {local}"
-        );
-        assert!(out.json["tunnel_join_delay_s"].as_f64().unwrap() < 2.0);
-        // Duplication scales with co-located receivers (6x receivers →
-        // ~6x tunneled copies).
-        let one = out.json["ha_tunneled_1_receiver"].as_u64().unwrap() as f64;
-        let six = out.json["ha_tunneled_6_receivers"].as_u64().unwrap() as f64;
-        let factor = six / one;
-        assert!(
-            (4.5..7.5).contains(&factor),
-            "expected ~6x duplication, got {factor}"
-        );
-    }
-}

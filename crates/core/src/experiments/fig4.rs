@@ -118,27 +118,3 @@ pub fn run(_: Settings) -> ExperimentOutput {
         text,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn sender_mobility_tradeoffs_match_paper() {
-        let out = super::run(super::Settings::new(true));
-        assert!(out.json["local_max_sg"].as_u64().unwrap() >= 2, "new tree");
-        assert_eq!(out.json["tunnel_max_sg"].as_u64().unwrap(), 1, "tree kept");
-        // In the reference network every link hosts a receiver, so the
-        // re-flood of the new tree is mostly *useful* traffic; the paper's
-        // flood-waste claim is quantified on sparse topologies in the
-        // sender_cost experiment. Here the local handover must still leak
-        // some bytes (stale-source window + transient floods).
-        let lw = out.json["local_wasted_bytes"].as_u64().unwrap();
-        assert!(lw > 0, "handover must waste some bytes: {lw}");
-        assert!(
-            out.json["assert_case_asserts"].as_u64().unwrap()
-                > out.json["local_link6_asserts"].as_u64().unwrap(),
-            "stale source on an on-tree LAN must provoke asserts"
-        );
-        assert!(out.json["tunnel_stretch"].as_f64().unwrap() > 1.05);
-        assert!(out.json["tunnel_worst_delivery"].as_f64().unwrap() > 0.9);
-    }
-}

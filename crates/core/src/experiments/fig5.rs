@@ -89,18 +89,3 @@ pub fn run(_: Settings) -> ExperimentOutput {
         text,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn all_sizes_round_trip() {
-        let out = super::run(super::Settings::new(true));
-        for row in out.json["rows"].as_array().unwrap() {
-            assert!(row["round_trip_ok"].as_bool().unwrap());
-            assert_eq!(
-                row["sub_option_len"].as_u64().unwrap(),
-                16 * row["n"].as_u64().unwrap()
-            );
-        }
-    }
-}

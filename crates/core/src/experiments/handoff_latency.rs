@@ -156,52 +156,3 @@ pub fn run(_: Settings) -> ExperimentOutput {
         text,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Approach 5's contract: an intra-domain handoff is invisible to the
-    /// home agent and recovers faster than the home-agent tunnel.
-    #[test]
-    fn hierarchical_proxy_handoff_is_local_and_faster() {
-        let out = run(Settings::new(true));
-        let hier = &out.json["policies"]["hier-proxy"];
-        let bt = &out.json["policies"]["bidir-tunnel"];
-
-        // No move of R1 ever signals the home agent under the proxy: both
-        // registrations go to the MAP.
-        assert_eq!(hier["ha_binding_updates"].as_u64().unwrap(), 0);
-        assert!(hier["map_binding_updates"].as_u64().unwrap() >= 2);
-        // The flat tunnel signals the home agent on every move and never
-        // touches the MAP.
-        assert!(bt["ha_binding_updates"].as_u64().unwrap() >= 2);
-        assert_eq!(bt["map_binding_updates"].as_u64().unwrap(), 0);
-
-        // The locally-handled intra-domain handoff beats the home-agent
-        // round trip.
-        let hier_intra = hier["intra_domain_rejoin_s"].as_f64().unwrap();
-        let bt_intra = bt["intra_domain_rejoin_s"].as_f64().unwrap();
-        assert!(
-            hier_intra < bt_intra / 2.0,
-            "intra-domain rejoin: hier {hier_intra} vs tunnel {bt_intra}"
-        );
-
-        // Every policy keeps delivering to the roaming receiver, and the
-        // causal span view agrees: two episodes, both recovered, with a
-        // non-trivial interruption digest.
-        for p in Policy::all() {
-            let pol = &out.json["policies"][p.id()];
-            let d = pol["r1_delivery"].as_f64().unwrap();
-            assert!(d > 0.8, "{}: delivery {d}", p.id());
-            let obs = &pol["observability"];
-            assert_eq!(obs["handoffs"].as_u64().unwrap(), 2, "{}", p.id());
-            assert_eq!(obs["recovered"].as_u64().unwrap(), 2, "{}", p.id());
-            assert!(
-                obs["interruption_p95_s"].as_f64().unwrap() > 0.0,
-                "{}",
-                p.id()
-            );
-        }
-    }
-}

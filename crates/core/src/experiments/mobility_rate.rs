@@ -146,25 +146,3 @@ pub fn run(settings: Settings) -> ExperimentOutput {
         text,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn high_mobility_punishes_wait_for_query() {
-        let out = super::run(super::Settings::new(true));
-        let points = out.json["points"].as_array().unwrap();
-        let fastest = &points[points.len() - 1]; // smallest dwell
-        let wait = fastest["wait_query"]["delivery"].as_f64().unwrap();
-        let unsol = fastest["unsolicited"]["delivery"].as_f64().unwrap();
-        let tunnel = fastest["tunnel"]["delivery"].as_f64().unwrap();
-        assert!(
-            wait < unsol - 0.03,
-            "waiting for queries must hurt at high mobility: {wait} vs {unsol}"
-        );
-        assert!(tunnel > 0.9, "tunnel stays robust: {tunnel}");
-        assert!(
-            unsol > 0.9,
-            "unsolicited reports keep local viable: {unsol}"
-        );
-    }
-}

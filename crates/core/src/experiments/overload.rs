@@ -317,85 +317,3 @@ pub fn run(settings: Settings) -> ExperimentOutput {
         text,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn overload_sweep_is_clean_and_deterministic() {
-        let out1 = run(Settings::new(true));
-        assert_eq!(out1.json["total_violations"].as_u64(), Some(0));
-        assert_eq!(out1.json["total_slo_misses"].as_u64(), Some(0));
-        assert_eq!(out1.json["total_floor_misses"].as_u64(), Some(0));
-        let scores: Vec<OverloadScore> =
-            serde_json::from_value(out1.json["scores"].clone()).unwrap();
-        let b = budget();
-        for s in &scores {
-            assert!(
-                s.protected_flow_min >= PROTECTED_FLOOR,
-                "{} under {} storm: protected flow {}",
-                s.name,
-                s.level,
-                s.protected_flow_min
-            );
-            assert!(
-                s.mld_high_water <= u64::from(b.mld_listeners.unwrap()),
-                "{} under {}: MLD high-water {} over budget",
-                s.name,
-                s.level,
-                s.mld_high_water
-            );
-            assert!(
-                s.pim_high_water <= u64::from(b.pim_sg_entries.unwrap()),
-                "{} under {}: PIM high-water {} over budget",
-                s.name,
-                s.level,
-                s.pim_high_water
-            );
-            assert!(
-                s.binding_high_water <= u64::from(b.binding_cache.unwrap()),
-                "{} under {}: binding high-water {} over budget",
-                s.name,
-                s.level,
-                s.binding_high_water
-            );
-            if s.level == "severe" {
-                assert!(
-                    s.shed > 0.0,
-                    "{}: a severe storm must overflow the budgets",
-                    s.name
-                );
-                assert!(
-                    s.rate_limited > 0.0,
-                    "{}: a severe storm must trip the token bucket",
-                    s.name
-                );
-                // The sampled gauge timeline pins *when* shedding began:
-                // inside the storm window, never before it.
-                assert!(
-                    s.shed_onset_s >= STORM_START_SECS && s.shed_onset_s <= STORM_END_SECS,
-                    "{}: shed onset {:.0}s outside the storm window",
-                    s.name,
-                    s.shed_onset_s
-                );
-            }
-            if s.level == "calm" {
-                assert_eq!(s.shed, 0.0, "{}: nothing to shed without a storm", s.name);
-                assert_eq!(s.shed_onset_s, 0.0, "{}: no shed onset when calm", s.name);
-                assert!(
-                    s.delivery >= 0.99,
-                    "{}: calm delivery {}",
-                    s.name,
-                    s.delivery
-                );
-            }
-        }
-        // Same seeds, same JSON — the determinism acceptance check.
-        let out2 = run(Settings::new(true));
-        assert_eq!(
-            serde_json::to_string(&out1.json).unwrap(),
-            serde_json::to_string(&out2.json).unwrap()
-        );
-    }
-}

@@ -219,26 +219,3 @@ pub fn run(settings: Settings) -> ExperimentOutput {
         text,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn waste_grows_with_each_factor() {
-        let out = super::run(super::Settings::new(true));
-        let inc = |key: &str, field: &str| {
-            let rows = out.json[key].as_array().unwrap();
-            let first = rows[0][field].as_u64().unwrap();
-            let last = rows[rows.len() - 1][field].as_u64().unwrap();
-            (first, last)
-        };
-        let (f, l) = inc("bitrate", "wasted");
-        assert!(l > f, "bit rate: {f} -> {l}");
-        let (f, l) = inc("network_size", "wasted");
-        assert!(l > f, "network size: {f} -> {l}");
-        let (f, l) = inc("mobility", "wasted");
-        assert!(l > f, "mobility rate: {f} -> {l}");
-        // Prune delay: more waiting, more waste (weakly monotone).
-        let (f, l) = inc("prune_delay", "wasted");
-        assert!(l >= f, "prune delay: {f} -> {l}");
-    }
-}

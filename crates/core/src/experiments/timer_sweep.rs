@@ -152,31 +152,3 @@ pub fn run(settings: Settings) -> ExperimentOutput {
         text,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn smaller_query_interval_cuts_delays_at_signalling_cost() {
-        let out = super::run(super::Settings::new(true));
-        let points = out.json["points"].as_array().unwrap();
-        let first = &points[0]; // 10 s
-        let last = &points[points.len() - 1]; // 125 s
-        assert!(
-            first["join_delay_s"].as_f64().unwrap() < 0.4 * last["join_delay_s"].as_f64().unwrap(),
-            "join delay must shrink roughly with T_Query"
-        );
-        assert!(
-            first["leave_delay_s"].as_f64().unwrap()
-                < 0.4 * last["leave_delay_s"].as_f64().unwrap(),
-            "leave delay must shrink roughly with T_MLI"
-        );
-        assert!(
-            first["mld_bytes"].as_f64().unwrap() > last["mld_bytes"].as_f64().unwrap(),
-            "more queries cost more signalling"
-        );
-        assert!(
-            first["wasted_bytes"].as_f64().unwrap() < last["wasted_bytes"].as_f64().unwrap(),
-            "stale forwarding shrinks with the leave delay"
-        );
-    }
-}

@@ -176,21 +176,6 @@ impl Policy {
     pub fn requires_draft_changes(&self) -> bool {
         self.include_group_list()
     }
-
-    /// Is routing to mobile *receivers* optimal under this approach (§4.3)?
-    pub fn receiver_routing_optimal(&self) -> bool {
-        self.recv == RecvPath::Local
-    }
-
-    /// Is routing from mobile *senders* optimal under this approach?
-    pub fn sender_routing_optimal(&self) -> bool {
-        self.send == SendPath::Local
-    }
-
-    /// Does a moving sender force a new distribution tree (flood + prune)?
-    pub fn sender_move_rebuilds_tree(&self) -> bool {
-        self.send == SendPath::Local
-    }
 }
 
 /// The table: the paper's four approaches in Table-1 order, then the
@@ -280,32 +265,6 @@ mod tests {
         let all = Policy::all();
         assert_eq!(&all[..4], &Policy::PAPER[..]);
         assert_eq!(all[4], Policy::HIERARCHICAL_PROXY);
-    }
-
-    #[test]
-    fn table1_static_properties() {
-        // §4.3.1: local membership — optimal routing, no draft changes.
-        assert!(Policy::LOCAL.receiver_routing_optimal());
-        assert!(Policy::LOCAL.sender_routing_optimal());
-        assert!(!Policy::LOCAL.requires_draft_changes());
-        assert!(Policy::LOCAL.sender_move_rebuilds_tree());
-
-        // §4.3.2: bi-directional tunnel — suboptimal both ways, needs the
-        // sub-option, no tree rebuild.
-        assert!(!Policy::BIDIRECTIONAL_TUNNEL.receiver_routing_optimal());
-        assert!(!Policy::BIDIRECTIONAL_TUNNEL.sender_routing_optimal());
-        assert!(Policy::BIDIRECTIONAL_TUNNEL.requires_draft_changes());
-        assert!(!Policy::BIDIRECTIONAL_TUNNEL.sender_move_rebuilds_tree());
-
-        // §4.3.3: MH->HA — optimal receive, suboptimal send, no changes.
-        assert!(Policy::TUNNEL_MH_TO_HA.receiver_routing_optimal());
-        assert!(!Policy::TUNNEL_MH_TO_HA.sender_routing_optimal());
-        assert!(!Policy::TUNNEL_MH_TO_HA.requires_draft_changes());
-
-        // §4.3.4: HA->MH — "combines most disadvantages".
-        assert!(!Policy::TUNNEL_HA_TO_MH.receiver_routing_optimal());
-        assert!(Policy::TUNNEL_HA_TO_MH.sender_move_rebuilds_tree());
-        assert!(Policy::TUNNEL_HA_TO_MH.requires_draft_changes());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The paper's closed forms as an outside oracle: each row states a cited
 //! claim as an expectation and checks it against runs of the simulator.
 //! A failing row is either a simulator bug or loose prose in the claim;
-//! either way it is recorded in EXPERIMENTS.md's claim-vs-measured table.
+//! either way it is recorded in EXPERIMENTS.md, "Closed forms as an outside
+//! oracle".
 //!
 //! Rows:
 //! * 3(d) tunnel overhead — RFC 2473 §§4–5: one level of IPv6-in-IPv6
