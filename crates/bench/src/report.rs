@@ -27,7 +27,7 @@ use mobicast_core::router_node::ResourceBudget;
 use mobicast_core::scenario::{self, PaperHost, ScenarioConfig};
 use mobicast_core::{Policy, RunReport};
 use mobicast_net::{FaultPlan, StormModel};
-use mobicast_sim::{RateLimit, ShedPolicy, SimDuration};
+use mobicast_sim::{RateLimit, SimDuration};
 use serde::Serialize;
 use serde_json::{json, Value};
 use std::path::{Path, PathBuf};
@@ -72,7 +72,6 @@ fn overload_cfg() -> ScenarioConfig {
             mld_listeners: Some(8),
             pim_sg_entries: Some(8),
             binding_cache: Some(4),
-            shed_policy: ShedPolicy::RejectNew,
             control_rate: Some(RateLimit {
                 rate_per_sec: 5.0,
                 burst: 10,

@@ -31,7 +31,7 @@ const CORRUPT_END_SECS: f64 = 60.0;
 const MOVE_AT_SECS: f64 = 30.0;
 const DURATION_SECS: u64 = 150;
 /// Reconvergence demanded within this bound after the window closes.
-const SLO_SECS: f64 = 60.0;
+const SLO_SECS: f64 = crate::run::RECONVERGE_BOUND.as_nanos() as f64 / 1e9;
 
 #[derive(Default, Clone, serde::Serialize, serde::Deserialize)]
 pub struct AdversarialScore {
@@ -73,7 +73,6 @@ fn one(policy: Policy, rate: f64, seed: u64) -> AdversarialScore {
         .policy(policy)
         .move_at(MOVE_AT_SECS, PaperHost::R3, 6)
         .fault(fault)
-        .reconverge_slo_secs(SLO_SECS)
         .name(format!(
             "adversarial-{}-rate{:.1}-seed{}",
             policy.id(),

@@ -16,9 +16,9 @@
 //! * once the storm ends and R3's post-storm move settles, delivery
 //!   reconverges within the `SLO_SECS` bound.
 //!
-//! Budgets use [`ShedPolicy::RejectNew`]: established state is never
-//! evicted for the attacker's benefit, so the decoy joins bounce while
-//! the data group's listeners ride out the storm untouched. The sweep is
+//! A full table refuses the newcomer: established state is never given
+//! up for the attacker's benefit, so the decoy joins bounce while the
+//! data group's listeners ride out the storm untouched. The sweep is
 //! deterministic: fixed seeds reproduce the same storm realization and
 //! therefore byte-identical `results/overload.json`.
 
@@ -29,7 +29,7 @@ use crate::scenario::{self, PaperHost, ScenarioConfig};
 use crate::strategy::Policy;
 use crate::sweep;
 use mobicast_net::{FaultPlan, StormModel};
-use mobicast_sim::{RateLimit, ShedPolicy, SimDuration};
+use mobicast_sim::{RateLimit, SimDuration};
 use serde_json::json;
 
 /// The storm rages inside this window.
@@ -40,7 +40,7 @@ const STORM_END_SECS: f64 = 90.0;
 const MOVE_AT_SECS: f64 = 100.0;
 const DURATION_SECS: u64 = 170;
 /// Reconvergence demanded within this bound after the last disturbance.
-const SLO_SECS: f64 = 60.0;
+const SLO_SECS: f64 = crate::run::RECONVERGE_BOUND.as_nanos() as f64 / 1e9;
 /// Pre-storm receivers must keep this fraction of first-copy deliveries
 /// for datagrams sent during the storm.
 const PROTECTED_FLOOR: f64 = 0.9;
@@ -73,7 +73,6 @@ fn budget() -> ResourceBudget {
         mld_listeners: Some(8),
         pim_sg_entries: Some(8),
         binding_cache: Some(4),
-        shed_policy: ShedPolicy::RejectNew,
         control_rate: Some(RateLimit {
             rate_per_sec: 5.0,
             burst: 10,
@@ -128,7 +127,6 @@ fn one(policy: Policy, level: &str, storm: StormModel, seed: u64) -> OverloadSco
             ..FaultPlan::default()
         })
         .budget(budget())
-        .reconverge_slo_secs(SLO_SECS)
         .name(format!("overload-{}-{}-seed{}", policy.id(), level, seed));
     if !storm.is_none() {
         b = b.protected_floor(PROTECTED_FLOOR);
@@ -164,12 +162,7 @@ fn one(policy: Policy, level: &str, storm: StormModel, seed: u64) -> OverloadSco
         level: level.into(),
         delivery,
         protected_flow_min: o.protected_flow_min.unwrap_or(1.0),
-        shed: node_total("mldReportsShed")
-            + node_total("mldListenersEvicted")
-            + node_total("pimSgShed")
-            + node_total("pimSgEvicted")
-            + node_total("haBindingsShed")
-            + node_total("haBindingsEvicted"),
+        shed: node_total("mldReportsShed") + node_total("pimSgShed") + node_total("haBindingsShed"),
         rate_limited: node_total("mldRateLimited")
             + node_total("pimRateLimited")
             + node_total("buRateLimited"),

@@ -282,7 +282,7 @@ pub fn render_with_spans(
     }
 
     // Admission-control decisions during the packet's live window: state
-    // shed or evicted by a resource budget, control messages dropped by
+    // refused by a full table, control messages dropped by
     // the ingress token bucket. These explain why a hop is missing — a
     // shed listener or rate-limited graft means a branch never formed.
     if let (Some(trace), Some((start, end))) = (trace, journey.window()) {
@@ -463,14 +463,14 @@ mod tests {
         assert!(marked, "no journey rendered a corrupted-hop mark");
     }
 
-    /// Admission-control decisions (shed, evicted, rate-limited) inside a
+    /// Admission-control decisions (shed, rate-limited) inside a
     /// packet's live window must surface as explicit `⊘` marks when the
     /// trace is interleaved.
     #[test]
     fn shed_and_rate_limited_hops_are_marked_in_render() {
         use crate::router_node::ResourceBudget;
         use mobicast_net::{FaultPlan, StormModel};
-        use mobicast_sim::{RateLimit, ShedPolicy};
+        use mobicast_sim::RateLimit;
         let cfg = ScenarioConfig::builder()
             .duration(SimDuration::from_secs(80))
             .policy(Policy::BIDIRECTIONAL_TUNNEL)
@@ -490,7 +490,6 @@ mod tests {
                 mld_listeners: Some(4),
                 pim_sg_entries: Some(4),
                 binding_cache: Some(2),
-                shed_policy: ShedPolicy::RejectNew,
                 control_rate: Some(RateLimit {
                     rate_per_sec: 2.0,
                     burst: 4,

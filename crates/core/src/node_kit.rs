@@ -229,9 +229,6 @@ pub(crate) fn account_note(
             PimNote::SgShed { sg } => row!(
                 "pimSgShed" + "overload.pim_sg_shed", Overload, "pim_sg_shed",
                 {src: sg.0, group: sg.1.addr()}),
-            PimNote::SgEvicted { sg } => row!(
-                "pimSgEvicted" + "overload.pim_sg_evicted", Overload, "pim_sg_evicted",
-                {src: sg.0, group: sg.1.addr()}),
         },
         Note::Mld(ifx, mld) => match mld {
             MldNote::QuerierElected => row!(
@@ -243,17 +240,10 @@ pub(crate) fn account_note(
             MldNote::ListenerShed { group } => row!(
                 "mldReportsShed" + "overload.mld_listeners_shed", Overload, "mld_listener_shed",
                 {iface: u64::from(ifx), group: group.addr()}),
-            MldNote::ListenerEvicted { group } => row!(
-                "mldListenersEvicted" + "overload.mld_listeners_evicted", Overload,
-                "mld_listener_evicted",
-                {iface: u64::from(ifx), group: group.addr()}),
         },
         Note::Ha(ha) => match ha {
             HaNote::BindingShed { home } => row!(
                 "haBindingsShed" + "overload.ha_bindings_shed", Overload, "binding_shed",
-                {home: home}),
-            HaNote::BindingEvicted { home } => row!(
-                "haBindingsEvicted" + "overload.ha_bindings_evicted", Overload, "binding_evicted",
                 {home: home}),
             // Anti-replay, not admission control: kept out of the
             // `overload.*` ground truth, visible in the same places.

@@ -348,7 +348,7 @@ impl Oracle {
             }
             // Bounded memory: with a ResourceBudget configured, no state
             // table may ever exceed its cap — admission control must shed
-            // or evict *before* insertion, so even a momentary overshoot
+            // *before* insertion, so even a momentary overshoot
             // is a leak in the enforcement path.
             let budget = *router.budget();
             let tables = [

@@ -27,8 +27,8 @@ use mobicast_mld::{HostOutput, MldConfig, MldHostPort, MldMessage, MldRouterPort
 use mobicast_net::{Ctx, Frame, IfIndex, LinkId, NodeBehavior, NodeId, TimerKey};
 use mobicast_pimdm::{PimConfig, PimDest, PimMessage, PimNote, PimRouter, PimSend, RpfLookup};
 use mobicast_sim::{
-    bump, counter, Counter, Counters, RateLimit, RngFactory, ShedPolicy, SimDuration, SimTime,
-    SpanId, Stage, TokenBucket, TraceCategory,
+    bump, counter, Counter, Counters, RateLimit, RngFactory, SimDuration, SimTime, SpanId, Stage,
+    TokenBucket, TraceCategory,
 };
 use std::any::Any;
 use std::cell::OnceCell;
@@ -62,8 +62,9 @@ const RA_INTERVAL: SimDuration = SimDuration::from_secs(1);
 const RA_RESPONSE_DELAY: SimDuration = SimDuration::from_millis(20);
 
 /// Per-node control-plane resource budget: capacities for every state
-/// table a router keeps, the shedding policy applied when a table is full,
-/// and an optional token-bucket rate limit on control-plane ingress.
+/// table a router keeps (a full table refuses the newcomer; established
+/// state is never disturbed) and an optional token-bucket rate limit on
+/// control-plane ingress.
 ///
 /// The default budget is unbounded (every field `None`): behaviour is then
 /// bit-for-bit identical to a router without admission control — no RNG
@@ -76,8 +77,6 @@ pub struct ResourceBudget {
     pub pim_sg_entries: Option<u32>,
     /// Cap on home-agent binding-cache entries.
     pub binding_cache: Option<u32>,
-    /// What to do with a new entry when its table is full.
-    pub shed_policy: ShedPolicy,
     /// Token-bucket limit on control-plane ingress (MLD Report/Done,
     /// PIM Join/Prune/Graft/Assert, Binding Updates) — one shared bucket
     /// per router.
@@ -88,11 +87,6 @@ pub struct ResourceBudget {
 }
 
 impl ResourceBudget {
-    /// A budget with no limits at all (the default).
-    pub fn unbounded() -> Self {
-        Self::default()
-    }
-
     pub fn validate(&self) -> Result<(), String> {
         if let Some(rl) = &self.control_rate {
             rl.validate()?;
@@ -192,12 +186,12 @@ impl RouterNode {
         recorder: SharedRecorder,
     ) -> Self {
         let mut pim = PimRouter::new(cfg.pim, rng.indexed_stream("pim-router", u64::from(id.0)));
-        pim.set_budget(cfg.budget.pim_sg_entries, cfg.budget.shed_policy);
+        pim.set_budget(cfg.budget.pim_sg_entries);
         let port = |(i, info): (usize, RouterIfaceInfo)| {
             let ifx = i as IfIndex;
             pim.add_iface(ifx, info.ll);
             let mut mld = MldRouterPort::new(cfg.mld, info.ll);
-            mld.set_budget(cfg.budget.mld_listeners, cfg.budget.shed_policy);
+            mld.set_budget(cfg.budget.mld_listeners);
             let proxy_rng = rng.indexed_stream("ha-proxy", u64::from(id.0) * 16 + u64::from(ifx));
             Port {
                 info,
@@ -209,7 +203,7 @@ impl RouterNode {
         };
         let ports = ifaces.into_iter().enumerate().map(port).collect();
         let mut ha = HomeAgent::new();
-        ha.set_budget(cfg.budget.binding_cache, cfg.budget.shed_policy);
+        ha.set_budget(cfg.budget.binding_cache);
         RouterNode {
             id,
             cfg,

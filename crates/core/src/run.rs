@@ -56,7 +56,6 @@ pub struct Judge {
     /// from. `None`: nothing to recover from, or a run-long fault leaves
     /// no recovery point.
     pub disturbance_end: Option<SimTime>,
-    pub reconverge_bound: SimDuration,
     pub protected_floor: Option<f64>,
     pub protect_window: Option<(SimTime, SimTime)>,
 }
@@ -67,6 +66,9 @@ pub(crate) fn at_secs(secs: f64) -> SimTime {
     SimTime::from_nanos((secs * 1e9) as u64)
 }
 
+/// Delivery must return to steady state within this long after the last
+/// disturbance clears (the oracle's reconvergence SLO).
+pub(crate) const RECONVERGE_BOUND: SimDuration = SimDuration::from_secs(60);
 /// Time granted after traffic start for the initial flood's asserts.
 const ASSERT_SETTLE_SECS: f64 = 15.0;
 /// Reconvergence margin demanded after the last scheduled disturbance
@@ -76,8 +78,7 @@ const SETTLE_MARGIN_SECS: f64 = 30.0;
 impl Judge {
     /// The terms for a run whose traffic starts at `traffic_start` and is
     /// disturbed by moves at `move_secs` and by `fault` — the one rule
-    /// every front-end times its judge by — with a 60 s reconvergence
-    /// bound and no protected floor.
+    /// every front-end times its judge by — with no protected floor.
     pub fn after(
         traffic_start: SimTime,
         move_secs: impl IntoIterator<Item = f64>,
@@ -99,7 +100,6 @@ impl Judge {
         Judge {
             settle: at_secs(settle),
             disturbance_end: latest.map(at_secs),
-            reconverge_bound: SimDuration::from_secs(60),
             protected_floor: None,
             protect_window: None,
         }
@@ -206,7 +206,7 @@ pub fn stage(plan: &RunPlan<'_>, tracer: Tracer) -> Result<Staged, StageError> {
             .collect(),
         end,
         disturbance_end: j.disturbance_end,
-        reconverge_bound: j.reconverge_bound,
+        reconverge_bound: RECONVERGE_BOUND,
         protected_floor: j.protected_floor,
         protect_window: j.protect_window,
     });

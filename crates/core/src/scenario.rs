@@ -97,14 +97,9 @@ pub struct ScenarioConfig {
     /// checked for forwarding loops, persistent duplicates, stale state,
     /// binding staleness and unbounded encapsulation).
     pub oracle: bool,
-    /// Reconvergence SLO bound in seconds: after the last scheduled
-    /// disturbance clears, delivery must return to steady state within
-    /// this long. Judged by the oracle whenever the run has a disturbance
-    /// with a recovery point (see `OracleSummary::reconverge_ok`).
-    pub reconverge_slo_secs: f64,
     /// Control-plane resource budget applied to every router (state-table
-    /// caps, shed policy, ingress rate limit). Default: unbounded — no
-    /// admission control at all.
+    /// caps, a full table refusing the newcomer, and an ingress rate
+    /// limit). Default: unbounded — no admission control at all.
     pub budget: ResourceBudget,
     /// Protected-flow delivery floor: during a signaling storm, receivers
     /// subscribed *before* the storm must keep at least this fraction of
@@ -139,7 +134,6 @@ impl Default for ScenarioConfig {
             extra_receivers: 0,
             fault: FaultPlan::default(),
             oracle: true,
-            reconverge_slo_secs: 60.0,
             budget: ResourceBudget::default(),
             protected_floor: None,
             name: Cow::Borrowed("scenario"),
@@ -266,12 +260,6 @@ impl ScenarioBuilder {
 
     pub fn oracle(mut self, on: bool) -> Self {
         self.cfg.oracle = on;
-        self
-    }
-
-    /// Tighten or relax the reconvergence SLO bound (default 60 s).
-    pub fn reconverge_slo_secs(mut self, secs: f64) -> Self {
-        self.cfg.reconverge_slo_secs = secs;
         self
     }
 
@@ -450,7 +438,6 @@ fn lower<'a>(cfg: &ScenarioConfig, topology: &'a NetworkSpec) -> RunPlan<'a> {
     let judge = cfg.oracle.then(|| {
         let move_secs = cfg.moves.iter().map(|mv| mv.at_secs);
         Judge {
-            reconverge_bound: SimDuration::from_nanos((cfg.reconverge_slo_secs * 1e9) as u64),
             protected_floor: cfg.protected_floor,
             // `validate` ties the floor to a storm.
             protect_window: cfg.protected_floor.map(|_| {
@@ -518,14 +505,6 @@ fn validate(cfg: &ScenarioConfig) -> Result<(), StageError> {
         return invalid(
             "moves",
             format!("not sorted by time: {after:.3}s after {before:.3}s"),
-        );
-    }
-    // NaN must be rejected too, hence the non-negated comparison.
-    let slo = cfg.reconverge_slo_secs;
-    if slo <= 0.0 || slo.is_nan() {
-        return invalid(
-            "reconverge_slo_secs",
-            format!("must be positive, got {slo}"),
         );
     }
     if let Err(reason) = cfg.budget.validate() {
@@ -1334,12 +1313,9 @@ mod tests {
         let unsorted = b()
             .move_at(40.0, PaperHost::R3, 6)
             .move_at(30.0, PaperHost::R2, 3);
-        let slo = "reconverge_slo_secs";
         let cases = [
             (b().payload_size(8), "payload_size", "16-byte"),
             (unsorted, "moves", "sorted"),
-            (b().reconverge_slo_secs(0.0), slo, "positive"),
-            (b().reconverge_slo_secs(f64::NAN), slo, "NaN"),
             (b().budget(no_queue), "budget", "event_queue_depth"),
             (stormy().protected_floor(0.0), "protected_floor", "(0, 1]"),
             (stormy().protected_floor(1.5), "protected_floor", "(0, 1]"),

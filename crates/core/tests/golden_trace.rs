@@ -21,7 +21,7 @@ use mobicast_core::strategy::Policy;
 use mobicast_core::{chaos, observability, RunReport};
 use mobicast_net::{FaultPlan, StormModel};
 use mobicast_sim::trace::validate_jsonl_line;
-use mobicast_sim::{openmetrics, perfetto, RateLimit, ShedPolicy, SimDuration};
+use mobicast_sim::{openmetrics, perfetto, RateLimit, SimDuration};
 use std::path::PathBuf;
 
 const TRACE_CAPACITY: usize = 100_000;
@@ -192,7 +192,6 @@ fn storm_trace_and_exports_validate() {
         mld_listeners: Some(8),
         pim_sg_entries: Some(8),
         binding_cache: Some(4),
-        shed_policy: ShedPolicy::RejectNew,
         control_rate: Some(RateLimit {
             rate_per_sec: 5.0,
             burst: 10,
@@ -209,7 +208,6 @@ fn storm_trace_and_exports_validate() {
                 ..FaultPlan::default()
             })
             .budget(budget)
-            .reconverge_slo_secs(60.0)
             .protected_floor(0.9)
             .trace_capture(TRACE_CAPACITY)
             .name("storm")

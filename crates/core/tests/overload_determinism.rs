@@ -1,12 +1,11 @@
-//! Deterministic-eviction property: admission control is part of the
+//! Deterministic-admission property: admission control is part of the
 //! simulator's determinism contract. For any seed and storm intensity,
 //! re-running the same budgeted scenario must reproduce the *identical*
-//! sequence of admission decisions — every shed, eviction and rate-limit
-//! drop at the same simulated time, on the same node, with the same
-//! arguments — and identical ground-truth counters. A divergence would
-//! mean iteration order or wall-clock leaked into the shedding path
-//! (e.g. a HashMap walk picking eviction victims), which would break
-//! sweep reproducibility and golden results. On failure the proptest
+//! sequence of admission decisions — every shed and rate-limit drop at
+//! the same simulated time, on the same node, with the same arguments —
+//! and identical ground-truth counters. A divergence would mean
+//! iteration order or wall-clock leaked into the shedding path, which
+//! would break sweep reproducibility and golden results. On failure the proptest
 //! shim shrinks the integers toward zero, yielding a minimal
 //! seed/intensity pair.
 
@@ -14,20 +13,14 @@ use mobicast_core::router_node::ResourceBudget;
 use mobicast_core::scenario::{self, PaperHost, ScenarioConfig};
 use mobicast_core::strategy::Policy;
 use mobicast_net::{FaultPlan, StormModel};
-use mobicast_sim::{RateLimit, RingBufferTracer, ShedPolicy, SimDuration, TraceCategory};
+use mobicast_sim::{RateLimit, RingBufferTracer, SimDuration, TraceCategory};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 
 /// Run one budgeted storm scenario and return (admission-decision
 /// transcript, ground-truth counter transcript). Both are rendered to
 /// strings so a mismatch diffs cleanly.
-fn run_case(
-    seed: u64,
-    zap_rate: f64,
-    zap_groups: u32,
-    bu_rate: f64,
-    evict: bool,
-) -> (String, String) {
+fn run_case(seed: u64, zap_rate: f64, zap_groups: u32, bu_rate: f64) -> (String, String) {
     let (tracer, ring) = RingBufferTracer::new(1_000_000);
     let cfg = ScenarioConfig::builder()
         .seed(seed)
@@ -50,11 +43,6 @@ fn run_case(
             mld_listeners: Some(4),
             pim_sg_entries: Some(4),
             binding_cache: Some(2),
-            shed_policy: if evict {
-                ShedPolicy::EvictStalest
-            } else {
-                ShedPolicy::RejectNew
-            },
             control_rate: Some(RateLimit {
                 rate_per_sec: 4.0,
                 burst: 8,
@@ -95,13 +83,11 @@ proptest! {
         zap_rate_x10 in 10u32..80,
         zap_groups in 4u32..16,
         bu_rate_x10 in 0u32..40,
-        evict_sel in 0u8..2,
     ) {
         let zap_rate = f64::from(zap_rate_x10) / 10.0;
         let bu_rate = f64::from(bu_rate_x10) / 10.0;
-        let evict = evict_sel == 1;
-        let (tr_a, ct_a) = run_case(seed, zap_rate, zap_groups, bu_rate, evict);
-        let (tr_b, ct_b) = run_case(seed, zap_rate, zap_groups, bu_rate, evict);
+        let (tr_a, ct_a) = run_case(seed, zap_rate, zap_groups, bu_rate);
+        let (tr_b, ct_b) = run_case(seed, zap_rate, zap_groups, bu_rate);
         prop_assert_eq!(&tr_a, &tr_b, "admission-decision transcripts diverge");
         prop_assert_eq!(&ct_a, &ct_b, "ground-truth counters diverge");
         // A storm this size against these budgets must actually exercise

@@ -1,6 +1,6 @@
 //! Ground-truth reconciliation for the overload/admission-control model:
-//! every per-node MIB counter the budgeted tables keep (sheds, evictions,
-//! rate-limit drops) must agree exactly with the recorder's aggregate
+//! every per-node MIB counter the budgeted tables keep (sheds, rate-limit
+//! drops) must agree exactly with the recorder's aggregate
 //! ground truth — every admission decision is counted once, no decision
 //! path is double-counted and none is silent — and the high-water gauges
 //! must respect the configured budgets at every router.
@@ -9,17 +9,14 @@ use mobicast_core::router_node::ResourceBudget;
 use mobicast_core::scenario::{PaperHost, ScenarioConfig};
 use mobicast_core::{scenario, strategy::Policy};
 use mobicast_net::{FaultPlan, StormModel};
-use mobicast_sim::{RateLimit, ShedPolicy, SimDuration};
+use mobicast_sim::{RateLimit, SimDuration};
 
 /// (per-node MIB counter, recorder ground-truth counter) pairs that must
 /// increment in lockstep — one per admission-control decision path.
-const OVERLOAD_PAIRS: [(&str, &str); 9] = [
+const OVERLOAD_PAIRS: [(&str, &str); 6] = [
     ("mldReportsShed", "overload.mld_listeners_shed"),
-    ("mldListenersEvicted", "overload.mld_listeners_evicted"),
     ("pimSgShed", "overload.pim_sg_shed"),
-    ("pimSgEvicted", "overload.pim_sg_evicted"),
     ("haBindingsShed", "overload.ha_bindings_shed"),
-    ("haBindingsEvicted", "overload.ha_bindings_evicted"),
     ("mldRateLimited", "overload.rate_limited.mld"),
     ("pimRateLimited", "overload.rate_limited.pim"),
     ("buRateLimited", "overload.rate_limited.bu"),
@@ -37,12 +34,11 @@ fn storm() -> StormModel {
     }
 }
 
-fn budget(shed_policy: ShedPolicy) -> ResourceBudget {
+fn budget() -> ResourceBudget {
     ResourceBudget {
         mld_listeners: Some(6),
         pim_sg_entries: Some(6),
         binding_cache: Some(2),
-        shed_policy,
         control_rate: Some(RateLimit {
             rate_per_sec: 5.0,
             burst: 10,
@@ -51,7 +47,8 @@ fn budget(shed_policy: ShedPolicy) -> ResourceBudget {
     }
 }
 
-fn run_reconciled(shed_policy: ShedPolicy, name: &str) -> scenario::ScenarioResult {
+#[test]
+fn overload_counters_reconcile_under_reject_new() {
     let cfg = ScenarioConfig::builder()
         .seed(7)
         .duration(SimDuration::from_secs(170))
@@ -61,8 +58,8 @@ fn run_reconciled(shed_policy: ShedPolicy, name: &str) -> scenario::ScenarioResu
             storm: storm(),
             ..FaultPlan::default()
         })
-        .budget(budget(shed_policy))
-        .name(name.to_string())
+        .budget(budget())
+        .name("overload-reconcile-reject")
         .build();
     let r = scenario::run(&cfg);
 
@@ -79,7 +76,7 @@ fn run_reconciled(shed_policy: ShedPolicy, name: &str) -> scenario::ScenarioResu
     }
 
     // High-water gauges respect the budget on every router individually.
-    let b = budget(shed_policy);
+    let b = budget();
     for (node, counters) in &r.report.node_stats {
         let checks = [
             ("mldListenersHighWater", b.mld_listeners.unwrap()),
@@ -94,13 +91,6 @@ fn run_reconciled(shed_policy: ShedPolicy, name: &str) -> scenario::ScenarioResu
             );
         }
     }
-    r
-}
-
-#[test]
-fn overload_counters_reconcile_under_reject_new() {
-    let r = run_reconciled(ShedPolicy::RejectNew, "overload-reconcile-reject");
-    let node_total = |key: &str| -> u64 { r.report.node_stats.values().map(|c| c.get(key)).sum() };
 
     // The storm actually overflowed the budgets and tripped the bucket.
     assert!(node_total("mldReportsShed") > 0, "storm shed nothing");
@@ -109,27 +99,10 @@ fn overload_counters_reconcile_under_reject_new() {
             > 0,
         "storm never tripped the token bucket"
     );
-    // RejectNew never evicts.
-    assert_eq!(node_total("mldListenersEvicted"), 0);
-    assert_eq!(node_total("pimSgEvicted"), 0);
-    assert_eq!(node_total("haBindingsEvicted"), 0);
-
     // Admission control must not corrupt the protocol state machines.
     assert_eq!(
         r.report.oracle.violation_count, 0,
         "{:?}",
         r.report.oracle.violations
-    );
-}
-
-#[test]
-fn overload_counters_reconcile_under_evict_stalest() {
-    let r = run_reconciled(ShedPolicy::EvictStalest, "overload-reconcile-evict");
-    let node_total = |key: &str| -> u64 { r.report.node_stats.values().map(|c| c.get(key)).sum() };
-
-    // EvictStalest trades old state for new instead of bouncing the new.
-    assert!(
-        node_total("mldListenersEvicted") > 0,
-        "storm evicted nothing under EvictStalest"
     );
 }

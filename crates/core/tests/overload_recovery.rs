@@ -11,7 +11,7 @@
 use mobicast_core::router_node::ResourceBudget;
 use mobicast_core::scenario::{PaperHost, ScenarioConfig};
 use mobicast_core::{scenario, strategy::Policy};
-use mobicast_sim::{RateLimit, ShedPolicy, SimDuration};
+use mobicast_sim::{RateLimit, SimDuration};
 
 fn starved_budget(rate_per_sec: f64) -> ResourceBudget {
     ResourceBudget {
@@ -19,7 +19,6 @@ fn starved_budget(rate_per_sec: f64) -> ResourceBudget {
         mld_listeners: None,
         pim_sg_entries: None,
         binding_cache: None,
-        shed_policy: ShedPolicy::RejectNew,
         control_rate: Some(RateLimit {
             rate_per_sec,
             burst: 1,
@@ -44,7 +43,6 @@ fn dropped_control_messages_are_recovered_by_retransmission() {
         // retransmissions under test here are MLD's unsolicited-report
         // burst and PIM's graft-retry.)
         .budget(starved_budget(0.5))
-        .reconverge_slo_secs(60.0)
         .name("overload-recovery")
         .build();
     let r = scenario::run(&cfg);
@@ -101,9 +99,8 @@ fn generous_bucket_drops_nothing() {
                 rate_per_sec: 50.0,
                 burst: 100,
             }),
-            ..ResourceBudget::unbounded()
+            ..ResourceBudget::default()
         })
-        .reconverge_slo_secs(60.0)
         .name("overload-recovery-control")
         .build();
     let r = scenario::run(&cfg);

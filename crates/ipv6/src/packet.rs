@@ -185,15 +185,6 @@ impl Packet {
         self.ext.iter().find_map(ExtHeader::dest_options)
     }
 
-    /// The Home Address destination option, if present (Mobile IPv6 senders
-    /// away from home attach it so correspondents learn their home address).
-    pub fn home_address_option(&self) -> Option<Ipv6Addr> {
-        self.dest_options()?.iter().find_map(|o| match o {
-            crate::exthdr::Option6::HomeAddress(a) => Some(*a),
-            _ => None,
-        })
-    }
-
     /// RFC 8200 §4.2: scan the extension headers for an option whose type
     /// the node does not recognize and whose high-order bits demand more
     /// than skipping it. Returns the mandated action together with the
@@ -328,7 +319,6 @@ mod tests {
         let wire = p.encode();
         let q = Packet::decode(&wire).unwrap();
         assert_eq!(p, q);
-        assert_eq!(q.home_address_option(), Some(addr("2001:db8:1::9")));
         assert!(q.is_multicast());
     }
 

@@ -12,7 +12,7 @@
 use crate::binding::{BindingCache, CacheDelta};
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_ipv6::exthdr::{BindingAck, BindingUpdate};
-use mobicast_sim::{ShedPolicy, SimDuration, SimTime};
+use mobicast_sim::{SimDuration, SimTime};
 use std::net::Ipv6Addr;
 
 /// Outputs of the home-agent machine.
@@ -36,11 +36,8 @@ pub enum HaOutput {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HaNote {
     /// A first-time registration was refused because the binding cache is
-    /// at capacity under [`ShedPolicy::RejectNew`].
+    /// at capacity.
     BindingShed { home: Ipv6Addr },
-    /// The stalest binding was evicted to admit a new registration under
-    /// [`ShedPolicy::EvictStalest`].
-    BindingEvicted { home: Ipv6Addr },
     /// A Binding Update older than the cached binding (modulo-2^16
     /// sequence comparison, draft-10 §4.4) was discarded — a replayed or
     /// reordered update must not reinstall a stale care-of address.
@@ -56,7 +53,6 @@ pub struct HomeAgent {
     pub packets_tunneled: u64,
     /// Binding-cache capacity; `None` = unbounded (the default).
     budget: Option<u32>,
-    shed_policy: ShedPolicy,
     notes: Vec<HaNote>,
 }
 
@@ -65,11 +61,10 @@ impl HomeAgent {
         Self::default()
     }
 
-    /// Bound the binding cache at `capacity` entries, shedding per
-    /// `policy`. `None` restores the unbounded default.
-    pub fn set_budget(&mut self, capacity: Option<u32>, policy: ShedPolicy) {
+    /// Bound the binding cache at `capacity` entries: a full cache refuses
+    /// first-time registrations. `None` restores the unbounded default.
+    pub fn set_budget(&mut self, capacity: Option<u32>) {
         self.budget = capacity;
-        self.shed_policy = policy;
     }
 
     /// Drain buffered admission-control notes (see [`HaNote`]).
@@ -123,35 +118,23 @@ impl HomeAgent {
             .map(<[GroupAddr]>::to_vec)
             .unwrap_or_default();
         let lifetime = SimDuration::from_secs(u64::from(bu.lifetime_secs));
-        let mut out = Vec::new();
         // Admission control: only first-time registrations can grow the
-        // cache; refreshes and deregistrations always pass.
-        if !lifetime.is_zero() && !self.cache.contains(home) {
-            if let Some(cap) = self.budget {
-                if self.cache.len() >= cap as usize {
-                    match self.shed_policy {
-                        // Also taken when eviction cannot make room
-                        // (capacity zero).
-                        ShedPolicy::EvictStalest if !self.cache.is_empty() => {
-                            if let Some((victim, delta)) = self.cache.evict_stalest() {
-                                self.notes.push(HaNote::BindingEvicted { home: victim });
-                                out.extend(Self::delta_outputs(delta));
-                            }
-                        }
-                        _ => {
-                            // Silent drop: the mobile host's BU retransmit
-                            // machinery retries once load subsides.
-                            self.notes.push(HaNote::BindingShed { home });
-                            return out;
-                        }
-                    }
-                }
-            }
+        // cache; refreshes and deregistrations always pass. A refused one
+        // is dropped silently: the mobile host's BU retransmit machinery
+        // retries once load subsides.
+        if !lifetime.is_zero()
+            && !self.cache.contains(home)
+            && self
+                .budget
+                .is_some_and(|cap| self.cache.len() >= cap as usize)
+        {
+            self.notes.push(HaNote::BindingShed { home });
+            return Vec::new();
         }
         let delta = self
             .cache
             .update(home, care_of, lifetime, bu.sequence, groups, now);
-        out.extend(Self::delta_outputs(delta));
+        let mut out = Self::delta_outputs(delta);
         if bu.ack_requested() {
             out.push(HaOutput::SendBindingAck {
                 care_of,
@@ -288,7 +271,7 @@ mod tests {
     #[test]
     fn budget_reject_new_sheds_registration_but_allows_refresh() {
         let mut ha = HomeAgent::new();
-        ha.set_budget(Some(1), ShedPolicy::RejectNew);
+        ha.set_budget(Some(1));
         let out = ha.on_binding_update(a("::a1"), a("::c1"), &bu(1, 256, vec![g(1)]), t(0));
         assert!(out.contains(&HaOutput::ProxyJoin(g(1))));
         // Second host: shed silently — no ack, no proxy change.
@@ -310,25 +293,6 @@ mod tests {
         ha.on_binding_update(a("::a1"), a("::c9"), &bu(3, 0, vec![]), t(3));
         let out = ha.on_binding_update(a("::a2"), a("::c2"), &bu(2, 256, vec![g(2)]), t(4));
         assert!(out.contains(&HaOutput::ProxyJoin(g(2))));
-    }
-
-    #[test]
-    fn budget_evict_stalest_releases_victim_groups() {
-        let mut ha = HomeAgent::new();
-        ha.set_budget(Some(2), ShedPolicy::EvictStalest);
-        ha.on_binding_update(a("::a1"), a("::c1"), &bu(1, 100, vec![g(1)]), t(0));
-        ha.on_binding_update(a("::a2"), a("::c2"), &bu(1, 256, vec![g(2)]), t(0));
-        // ::a1 expires first -> evicted; its proxy membership is released.
-        let out = ha.on_binding_update(a("::a3"), a("::c3"), &bu(1, 256, vec![g(3)]), t(5));
-        assert!(out.contains(&HaOutput::ProxyLeave(g(1))));
-        assert!(out.contains(&HaOutput::ProxyJoin(g(3))));
-        assert_eq!(ha.binding_count(), 2);
-        assert_eq!(
-            ha.take_notes(),
-            vec![HaNote::BindingEvicted { home: a("::a1") }]
-        );
-        assert_eq!(ha.intercept(a("::a1")), None);
-        assert_eq!(ha.intercept(a("::a3")), Some(a("::c3")));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::config::MldConfig;
 use crate::message::MldMessage;
 use crate::table::{min_deadline, ListenerTable, Rexmt};
 use mobicast_ipv6::addr::GroupAddr;
-use mobicast_sim::{ShedPolicy, SimTime};
+use mobicast_sim::SimTime;
 use std::net::Ipv6Addr;
 
 /// Outputs of the router machine.
@@ -43,11 +43,8 @@ pub enum MldNote {
     /// We yielded the querier role to a lower-addressed router.
     QuerierResigned { other: Ipv6Addr },
     /// A Report for a new group was refused because the listener table is
-    /// at capacity under [`ShedPolicy::RejectNew`].
+    /// at capacity.
     ListenerShed { group: GroupAddr },
-    /// The stalest membership was evicted to admit a new group under
-    /// [`ShedPolicy::EvictStalest`].
-    ListenerEvicted { group: GroupAddr },
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -73,7 +70,6 @@ pub struct MldRouterPort {
     notes: Vec<MldNote>,
     /// Listener-table capacity; `None` = unbounded (the default).
     budget: Option<u32>,
-    shed_policy: ShedPolicy,
 }
 
 impl MldRouterPort {
@@ -89,15 +85,14 @@ impl MldRouterPort {
             groups: ListenerTable::new(),
             notes: Vec::new(),
             budget: None,
-            shed_policy: ShedPolicy::default(),
         }
     }
 
-    /// Bound the listener table at `capacity` entries, shedding per
-    /// `policy`. `None` restores the unbounded default.
-    pub fn set_budget(&mut self, capacity: Option<u32>, policy: ShedPolicy) {
+    /// Bound the listener table at `capacity` entries: a full table
+    /// refuses Reports for new groups. `None` restores the unbounded
+    /// default.
+    pub fn set_budget(&mut self, capacity: Option<u32>) {
         self.budget = capacity;
-        self.shed_policy = policy;
     }
 
     /// Drain buffered transition notes (see [`MldNote`]).
@@ -160,29 +155,15 @@ impl MldRouterPort {
                         Vec::new()
                     }
                     None => {
-                        let mut out = Vec::new();
-                        if let Some(cap) = self.budget {
-                            if self.groups.len() >= cap as usize {
-                                match self.shed_policy {
-                                    // Also taken when eviction cannot make
-                                    // room (capacity zero).
-                                    ShedPolicy::EvictStalest
-                                        if let Some(victim) = self.groups.stalest() =>
-                                    {
-                                        self.groups.remove(victim);
-                                        self.notes.push(MldNote::ListenerEvicted { group: victim });
-                                        out.push(RouterOutput::ListenerRemoved(victim));
-                                    }
-                                    _ => {
-                                        self.notes.push(MldNote::ListenerShed { group: *group });
-                                        return out;
-                                    }
-                                }
-                            }
+                        if self
+                            .budget
+                            .is_some_and(|cap| self.groups.len() >= cap as usize)
+                        {
+                            self.notes.push(MldNote::ListenerShed { group: *group });
+                            return Vec::new();
                         }
                         let Ok(_) = self.groups.insert(*group, expires, Rexmt::default());
-                        out.push(RouterOutput::ListenerAdded(*group));
-                        out
+                        vec![RouterOutput::ListenerAdded(*group)]
                     }
                 }
             }
@@ -570,7 +551,7 @@ mod tests {
     #[test]
     fn reject_new_sheds_over_budget_reports() {
         let mut r = querier();
-        r.set_budget(Some(2), ShedPolicy::RejectNew);
+        r.set_budget(Some(2));
         let h = a("fe80::99");
         assert_eq!(
             r.on_message(h, &MldMessage::Report { group: g(1) }, t(0)),
@@ -594,46 +575,9 @@ mod tests {
     }
 
     #[test]
-    fn evict_stalest_makes_room_deterministically() {
+    fn zero_capacity_budget_refuses_every_new_group() {
         let mut r = querier();
-        r.set_budget(Some(2), ShedPolicy::EvictStalest);
-        let h = a("fe80::99");
-        r.on_message(h, &MldMessage::Report { group: g(1) }, t(0));
-        r.on_message(h, &MldMessage::Report { group: g(2) }, t(5));
-        r.take_notes();
-        // g(1) expires first -> it is the stalest victim.
-        let out = r.on_message(h, &MldMessage::Report { group: g(3) }, t(10));
-        assert_eq!(
-            out,
-            vec![
-                RouterOutput::ListenerRemoved(g(1)),
-                RouterOutput::ListenerAdded(g(3)),
-            ]
-        );
-        assert_eq!(
-            r.take_notes(),
-            vec![MldNote::ListenerEvicted { group: g(1) }]
-        );
-        assert_eq!(r.membership_count(), 2);
-    }
-
-    #[test]
-    fn evict_stalest_ties_break_on_group_order() {
-        let mut r = querier();
-        r.set_budget(Some(2), ShedPolicy::EvictStalest);
-        let h = a("fe80::99");
-        // Same expiry instant: the lower group address loses.
-        r.on_message(h, &MldMessage::Report { group: g(7) }, t(0));
-        r.on_message(h, &MldMessage::Report { group: g(4) }, t(0));
-        r.take_notes();
-        let out = r.on_message(h, &MldMessage::Report { group: g(9) }, t(1));
-        assert_eq!(out[0], RouterOutput::ListenerRemoved(g(4)));
-    }
-
-    #[test]
-    fn zero_capacity_evict_budget_degrades_to_reject() {
-        let mut r = querier();
-        r.set_budget(Some(0), ShedPolicy::EvictStalest);
+        r.set_budget(Some(0));
         assert!(r
             .on_message(a("fe80::99"), &MldMessage::Report { group: g(1) }, t(0))
             .is_empty());

@@ -1,17 +1,11 @@
-//! Deterministic fault injection: per-link frame loss (i.i.d. or bursty),
-//! bounded delay jitter, scheduled link down/up flaps, and router
-//! crash/restart with full protocol-state loss.
+//! Deterministic fault injection: per-link i.i.d. frame loss, bounded
+//! delay jitter, in-flight corruption, scheduled link down/up flaps, and
+//! router crash/restart with full protocol-state loss.
 //!
 //! All randomness is drawn from labelled [`rand`] streams handed in by the
 //! harness (one stream per link, derived from the scenario seed via
 //! `RngFactory`), so a given seed reproduces the exact same drop and jitter
 //! sequence — the simulator's determinism contract extends to its faults.
-//!
-//! Loss follows the two-state Gilbert–Elliott model: the link alternates
-//! between a Good and a Bad state with per-frame transition probabilities,
-//! and each state drops frames with its own probability. Setting the
-//! transition probabilities to zero degenerates to i.i.d. (Bernoulli) loss
-//! in the Good state, which is how [`LossModel::iid`] is expressed.
 
 use bytes::Bytes;
 use mobicast_sim::{counter, Counter, SimDuration};
@@ -19,17 +13,12 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Two-state Gilbert–Elliott loss process (i.i.d. loss as degenerate case).
+/// Independent (Bernoulli) frame loss: each copy is dropped with
+/// probability `p`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LossModel {
-    /// Per-frame drop probability in the Good state.
-    pub loss_good: f64,
-    /// Per-frame drop probability in the Bad (burst) state.
-    pub loss_bad: f64,
-    /// Per-frame probability of moving Good -> Bad.
-    pub p_good_to_bad: f64,
-    /// Per-frame probability of moving Bad -> Good.
-    pub p_bad_to_good: f64,
+    /// Per-copy drop probability.
+    pub p: f64,
 }
 
 impl Default for LossModel {
@@ -41,71 +30,23 @@ impl Default for LossModel {
 impl LossModel {
     /// No loss.
     pub const fn none() -> Self {
-        LossModel {
-            loss_good: 0.0,
-            loss_bad: 0.0,
-            p_good_to_bad: 0.0,
-            p_bad_to_good: 0.0,
-        }
+        LossModel { p: 0.0 }
     }
 
     /// Independent (Bernoulli) loss with probability `p` per frame.
     pub const fn iid(p: f64) -> Self {
-        LossModel {
-            loss_good: p,
-            loss_bad: 0.0,
-            p_good_to_bad: 0.0,
-            p_bad_to_good: 0.0,
-        }
-    }
-
-    /// Full Gilbert–Elliott parameterization.
-    pub const fn gilbert_elliott(
-        p_good_to_bad: f64,
-        p_bad_to_good: f64,
-        loss_good: f64,
-        loss_bad: f64,
-    ) -> Self {
-        LossModel {
-            loss_good,
-            loss_bad,
-            p_good_to_bad,
-            p_bad_to_good,
-        }
+        LossModel { p }
     }
 
     pub fn is_none(&self) -> bool {
-        self.loss_good == 0.0 && (self.loss_bad == 0.0 || self.p_good_to_bad == 0.0)
+        self.p == 0.0
     }
 
     pub fn validate(&self) -> Result<(), String> {
-        for (name, p) in [
-            ("loss_good", self.loss_good),
-            ("loss_bad", self.loss_bad),
-            ("p_good_to_bad", self.p_good_to_bad),
-            ("p_bad_to_good", self.p_bad_to_good),
-        ] {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("{name} = {p} outside [0, 1]"));
-            }
-        }
-        if self.p_good_to_bad > 0.0 && self.p_bad_to_good == 0.0 && self.loss_bad >= 1.0 {
-            return Err("absorbing Bad state with certain loss kills the link".into());
+        if !(0.0..=1.0).contains(&self.p) {
+            return Err(format!("loss p = {} outside [0, 1]", self.p));
         }
         Ok(())
-    }
-
-    /// Long-run expected loss rate: the chain's stationary distribution
-    /// weighs the two states' loss probabilities. For i.i.d. parameters
-    /// this is just `loss_good`.
-    pub fn stationary_loss_rate(&self) -> f64 {
-        let denom = self.p_good_to_bad + self.p_bad_to_good;
-        if denom == 0.0 {
-            // No transitions: the chain stays in its initial (Good) state.
-            return self.loss_good;
-        }
-        let pi_bad = self.p_good_to_bad / denom;
-        (1.0 - pi_bad) * self.loss_good + pi_bad * self.loss_bad
     }
 }
 
@@ -157,15 +98,6 @@ impl CorruptionKind {
         }
     }
 
-    /// Does this kind mutate the delivered bytes (as opposed to delivery
-    /// timing/multiplicity)?
-    pub fn mutates_bytes(self) -> bool {
-        matches!(
-            self,
-            CorruptionKind::BitFlip | CorruptionKind::Truncate | CorruptionKind::Garbage
-        )
-    }
-
     /// World counter for this kind.
     pub fn counter(self) -> &'static Counter {
         match self {
@@ -178,9 +110,12 @@ impl CorruptionKind {
     }
 }
 
+/// Upper bound on the extra delay of a duplicated or replayed copy.
+const MAX_REPLAY_DELAY: SimDuration = SimDuration::from_millis(50);
+
 /// Adversarial wire-corruption process for one link: with probability
-/// `rate` per receiver copy, one [`CorruptionKind`] (picked by relative
-/// weight) is applied to the copy between send and deliver.
+/// `rate` per receiver copy, one [`CorruptionKind`] (all five equally
+/// likely) is applied to the copy between send and deliver.
 ///
 /// Like [`LossModel`], the process is fully seeded: a disabled model makes
 /// zero RNG draws, so installing `CorruptionModel::none()` leaves existing
@@ -189,12 +124,6 @@ impl CorruptionKind {
 pub struct CorruptionModel {
     /// Per-receiver-copy probability that the copy is corrupted at all.
     pub rate: f64,
-    /// Relative weights of the kinds, indexed by [`CorruptionKind::index`]
-    /// (`[bit_flip, truncate, garbage, duplicate, replay]`). Need not sum
-    /// to one; all-zero with a positive rate is rejected by `validate`.
-    pub weights: [f64; CORRUPTION_KIND_COUNT],
-    /// Upper bound on the extra delay of duplicated/replayed copies.
-    pub max_replay_delay: SimDuration,
 }
 
 impl Default for CorruptionModel {
@@ -206,61 +135,31 @@ impl Default for CorruptionModel {
 impl CorruptionModel {
     /// No corruption (and no RNG draws).
     pub const fn none() -> Self {
-        CorruptionModel {
-            rate: 0.0,
-            weights: [0.0; CORRUPTION_KIND_COUNT],
-            max_replay_delay: SimDuration::ZERO,
-        }
+        CorruptionModel { rate: 0.0 }
     }
 
-    /// All five kinds equally likely at total rate `rate`, with a 50 ms
-    /// replay/duplicate delay bound.
+    /// All five kinds equally likely at total rate `rate`.
     pub const fn uniform(rate: f64) -> Self {
-        CorruptionModel {
-            rate,
-            weights: [1.0; CORRUPTION_KIND_COUNT],
-            max_replay_delay: SimDuration::from_millis(50),
-        }
+        CorruptionModel { rate }
     }
 
     pub fn is_none(&self) -> bool {
-        self.rate == 0.0 || self.weights.iter().all(|&w| w == 0.0)
+        self.rate == 0.0
     }
 
     pub fn validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.rate) {
             return Err(format!("corruption rate = {} outside [0, 1]", self.rate));
         }
-        for (kind, &w) in CorruptionKind::ALL.iter().zip(&self.weights) {
-            if !(w >= 0.0 && w.is_finite()) {
-                return Err(format!("corruption weight {} = {w} invalid", kind.name()));
-            }
-        }
-        if self.rate > 0.0 && self.weights.iter().all(|&w| w == 0.0) {
-            return Err("positive corruption rate with all-zero weights".into());
-        }
         Ok(())
     }
 
-    /// Pick a kind by relative weight using exactly one RNG draw.
-    fn pick(&self, rng: &mut SmallRng) -> CorruptionKind {
-        let total: f64 = self.weights.iter().sum();
-        let mut x = rng.random::<f64>() * total;
-        for (kind, &w) in CorruptionKind::ALL.iter().zip(&self.weights) {
-            if x < w {
-                return *kind;
-            }
-            x -= w;
-        }
-        // Float round-off on the last boundary: fall back to the heaviest
-        // trailing kind with nonzero weight.
-        *CorruptionKind::ALL
-            .iter()
-            .zip(&self.weights)
-            .rev()
-            .find(|(_, &w)| w > 0.0)
-            .map(|(k, _)| k)
-            .unwrap_or(&CorruptionKind::BitFlip)
+    /// Pick a kind, all equally likely, using exactly one RNG draw. The
+    /// largest draw, 1 − 2⁻⁵³, times 5 rounds to just below 5, so the
+    /// index is always in range.
+    fn pick(rng: &mut SmallRng) -> CorruptionKind {
+        let x = rng.random::<f64>() * CORRUPTION_KIND_COUNT as f64;
+        CorruptionKind::ALL[x as usize]
     }
 }
 
@@ -287,13 +186,12 @@ impl LinkFault {
     }
 }
 
-/// Runtime fault state of one link: the configuration, the Gilbert–Elliott
-/// channel state, and the link's private RNG stream.
+/// Runtime fault state of one link: the configuration and the link's
+/// private RNG stream.
 #[derive(Debug)]
 pub struct LinkFaultState {
     cfg: LinkFault,
     rng: SmallRng,
-    in_bad: bool,
 }
 
 impl LinkFaultState {
@@ -301,34 +199,17 @@ impl LinkFaultState {
     /// `factory.indexed_stream("fault.link", link.0 as u64)`), otherwise
     /// drop sequences on different links become correlated.
     pub fn new(cfg: LinkFault, rng: SmallRng) -> Self {
-        LinkFaultState {
-            cfg,
-            rng,
-            in_bad: false,
-        }
+        LinkFaultState { cfg, rng }
     }
 
     pub fn cfg(&self) -> &LinkFault {
         &self.cfg
     }
 
-    /// Decide the fate of one frame copy headed to one receiver. Advances
-    /// the Gilbert–Elliott state, then samples the current state's loss
-    /// probability. Draw order is fixed, so a seed fully determines the
-    /// sequence of outcomes.
+    /// Decide the fate of one frame copy headed to one receiver: one
+    /// Bernoulli trial, one draw (none when the link is lossless).
     pub fn should_drop(&mut self) -> bool {
-        let m = self.cfg.loss;
-        if m.is_none() {
-            return false;
-        }
-        if self.in_bad {
-            if m.p_bad_to_good > 0.0 && self.rng.random::<f64>() < m.p_bad_to_good {
-                self.in_bad = false;
-            }
-        } else if m.p_good_to_bad > 0.0 && self.rng.random::<f64>() < m.p_good_to_bad {
-            self.in_bad = true;
-        }
-        let p = if self.in_bad { m.loss_bad } else { m.loss_good };
+        let p = self.cfg.loss.p;
         p > 0.0 && self.rng.random::<f64>() < p
     }
 
@@ -353,7 +234,7 @@ impl LinkFaultState {
         if self.rng.random::<f64>() >= c.rate {
             return None;
         }
-        Some(c.pick(&mut self.rng))
+        Some(CorruptionModel::pick(&mut self.rng))
     }
 
     /// Mutate the wire bytes of a corrupted copy according to `kind`.
@@ -390,14 +271,10 @@ impl LinkFaultState {
     }
 
     /// Extra delay of a duplicated or replayed copy: uniform in
-    /// `(0, max_replay_delay]` (never zero, so the copy genuinely lands
-    /// after the original / after its nominal arrival).
+    /// `(0, 50 ms]` (never zero, so the copy genuinely lands after the
+    /// original / after its nominal arrival).
     pub fn replay_delay(&mut self) -> SimDuration {
-        let max = self.cfg.corruption.max_replay_delay.as_nanos();
-        if max == 0 {
-            return SimDuration::from_nanos(1);
-        }
-        SimDuration::from_nanos(self.rng.random_range(1..=max))
+        SimDuration::from_nanos(self.rng.random_range(1..=MAX_REPLAY_DELAY.as_nanos()))
     }
 }
 
@@ -543,18 +420,6 @@ impl FaultPlan {
         }
     }
 
-    /// Every link corrupts `rate` of its frame copies (all kinds equally
-    /// likely), all run long.
-    pub fn uniform_corruption(rate: f64) -> Self {
-        FaultPlan {
-            link: LinkFault {
-                corruption: CorruptionModel::uniform(rate),
-                ..LinkFault::default()
-            },
-            ..FaultPlan::default()
-        }
-    }
-
     pub fn validate(&self) -> Result<(), String> {
         self.link.validate()?;
         if let Some(w) = self.window {
@@ -639,57 +504,9 @@ mod tests {
     }
 
     #[test]
-    fn gilbert_elliott_matches_stationary_closed_form() {
-        // pi_bad = 0.02 / (0.02 + 0.2) = 1/11; expected loss
-        // = (10/11)*0.01 + (1/11)*0.5 ≈ 0.05455.
-        let model = LossModel::gilbert_elliott(0.02, 0.2, 0.01, 0.5);
-        let expect = model.stationary_loss_rate();
-        assert!((expect - (10.0 / 11.0 * 0.01 + 1.0 / 11.0 * 0.5)).abs() < 1e-12);
-        let mut s = LinkFaultState::new(
-            LinkFault {
-                loss: model,
-                jitter: SimDuration::ZERO,
-                corruption: CorruptionModel::none(),
-            },
-            rng(3),
-        );
-        let n = 400_000;
-        let drops = (0..n).filter(|_| s.should_drop()).count();
-        let rate = drops as f64 / f64::from(n);
-        assert!(
-            (rate - expect).abs() < 0.005,
-            "measured {rate}, expected {expect}"
-        );
-    }
-
-    #[test]
-    fn gilbert_elliott_losses_are_bursty() {
-        // Strongly sticky Bad state: losses must cluster more than i.i.d.
-        let model = LossModel::gilbert_elliott(0.01, 0.05, 0.0, 1.0);
-        let mut s = LinkFaultState::new(
-            LinkFault {
-                loss: model,
-                jitter: SimDuration::ZERO,
-                corruption: CorruptionModel::none(),
-            },
-            rng(4),
-        );
-        let outcomes: Vec<bool> = (0..200_000).map(|_| s.should_drop()).collect();
-        let losses = outcomes.iter().filter(|&&d| d).count() as f64;
-        let pairs = outcomes.windows(2).filter(|w| w[0] && w[1]).count() as f64;
-        // P(loss | previous loss) far exceeds the marginal loss rate.
-        let conditional = pairs / losses;
-        let marginal = losses / outcomes.len() as f64;
-        assert!(
-            conditional > 4.0 * marginal,
-            "conditional {conditional} vs marginal {marginal}"
-        );
-    }
-
-    #[test]
     fn same_seed_same_drop_and_jitter_sequence() {
         let cfg = LinkFault {
-            loss: LossModel::gilbert_elliott(0.1, 0.3, 0.05, 0.6),
+            loss: LossModel::iid(0.2),
             jitter: SimDuration::from_millis(5),
             corruption: CorruptionModel::none(),
         };
@@ -851,21 +668,16 @@ mod tests {
     }
 
     #[test]
-    fn corruption_kinds_follow_weights() {
-        for (i, want) in CorruptionKind::ALL.iter().enumerate() {
-            let mut weights = [0.0; CORRUPTION_KIND_COUNT];
-            weights[i] = 1.0;
-            let mut s = corrupting(
-                CorruptionModel {
-                    rate: 1.0,
-                    weights,
-                    max_replay_delay: SimDuration::from_millis(10),
-                },
-                13,
-            );
-            for _ in 0..100 {
-                assert_eq!(s.corruption(), Some(*want));
-            }
+    fn corruption_kinds_are_equally_likely() {
+        let mut s = corrupting(CorruptionModel::uniform(1.0), 13);
+        let n = 50_000;
+        let mut seen = [0u32; CORRUPTION_KIND_COUNT];
+        for _ in 0..n {
+            seen[s.corruption().expect("rate 1 corrupts every copy").index()] += 1;
+        }
+        for (kind, &hits) in CorruptionKind::ALL.iter().zip(&seen) {
+            let share = f64::from(hits) / f64::from(n);
+            assert!((share - 0.2).abs() < 0.01, "{}: {share}", kind.name());
         }
     }
 
@@ -937,7 +749,10 @@ mod tests {
             let (ka, kb) = (a.corruption(), b.corruption());
             assert_eq!(ka, kb);
             if let Some(kind) = ka {
-                if kind.mutates_bytes() {
+                if matches!(
+                    kind,
+                    CorruptionKind::BitFlip | CorruptionKind::Truncate | CorruptionKind::Garbage
+                ) {
                     assert_eq!(
                         a.corrupt_bytes(kind, &payload).to_vec(),
                         b.corrupt_bytes(kind, &payload).to_vec()
@@ -954,17 +769,22 @@ mod tests {
         assert!(CorruptionModel::none().validate().is_ok());
         assert!(CorruptionModel::uniform(0.05).validate().is_ok());
         assert!(CorruptionModel::uniform(1.5).validate().is_err());
-        let mut m = CorruptionModel::uniform(0.1);
-        m.weights = [0.0; CORRUPTION_KIND_COUNT];
-        assert!(m.validate().is_err(), "positive rate needs a usable kind");
-        m.weights = [1.0, -1.0, 0.0, 0.0, 0.0];
-        assert!(m.validate().is_err(), "negative weight rejected");
-        assert!(FaultPlan::uniform_corruption(2.0).validate().is_err());
+        assert!(corruption_plan(2.0).validate().is_err());
+    }
+
+    fn corruption_plan(rate: f64) -> FaultPlan {
+        FaultPlan {
+            link: LinkFault {
+                corruption: CorruptionModel::uniform(rate),
+                ..LinkFault::default()
+            },
+            ..FaultPlan::default()
+        }
     }
 
     #[test]
     fn corruption_plan_recovery_bound() {
-        let mut plan = FaultPlan::uniform_corruption(0.02);
+        let mut plan = corruption_plan(0.02);
         assert!(!plan.is_none());
         assert!(plan.validate().is_ok());
         assert_eq!(

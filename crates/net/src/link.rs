@@ -178,10 +178,6 @@ impl Link {
             .get_or_insert_with(|| Rc::from(self.members.as_slice()))
             .clone()
     }
-
-    pub fn is_attached(&self, node: NodeId) -> bool {
-        self.members.iter().any(|m| m.node == node)
-    }
 }
 
 /// Time at which a frame handed to the transmitter at `now` finishes
@@ -260,10 +256,8 @@ mod tests {
         let mut l = Link::new(LinkParams::default());
         l.attach(NodeId(1), 0);
         l.attach(NodeId(2), 1);
-        assert!(l.is_attached(NodeId(1)));
         assert!(l.detach(NodeId(1), 0));
         assert!(!l.detach(NodeId(1), 0));
-        assert!(!l.is_attached(NodeId(1)));
         assert_eq!(l.members().len(), 1);
     }
 

@@ -1826,13 +1826,6 @@ mod tests {
         };
 
         assert_eq!(run(CorruptionModel::none()), run(CorruptionModel::none()));
-        // weights all zero => is_none() even with positive rate field unused
-        let disabled = CorruptionModel {
-            rate: 0.0,
-            weights: [1.0; crate::fault::CORRUPTION_KIND_COUNT],
-            max_replay_delay: SimDuration::from_millis(50),
-        };
-        assert_eq!(run(CorruptionModel::none()), run(disabled));
     }
 
     #[test]

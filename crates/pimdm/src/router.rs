@@ -23,7 +23,7 @@ use crate::config::PimConfig;
 use crate::message::{PimMessage, Sg};
 use crate::table::{DownstreamPrune, OifState, SgDetail, SgTable, UpstreamState};
 use mobicast_ipv6::addr::GroupAddr;
-use mobicast_sim::{ShedPolicy, SimDuration, SimTime};
+use mobicast_sim::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -116,12 +116,8 @@ pub enum PimNote {
     OifResumed { sg: Sg, iface: IfIndex },
     /// The (S,G) entry hit its data timeout and was deleted.
     EntryExpired { sg: Sg },
-    /// A new (S,G) was refused because the entry table is at capacity
-    /// under [`ShedPolicy::RejectNew`].
+    /// A new (S,G) was refused because the entry table is at capacity.
     SgShed { sg: Sg },
-    /// The stalest (S,G) entry was evicted to admit a new one under
-    /// [`ShedPolicy::EvictStalest`].
-    SgEvicted { sg: Sg },
 }
 
 #[derive(Debug)]
@@ -159,7 +155,6 @@ pub struct PimRouter {
     notes: Vec<PimNote>,
     /// (S,G) table capacity; `None` = unbounded (the default).
     budget: Option<u32>,
-    shed_policy: ShedPolicy,
     /// Bumped whenever an interface's member or neighbor *set* changes —
     /// the non-table inputs of the forwarding predicate (see
     /// [`PimRouter::mutation_epoch`]).
@@ -177,16 +172,14 @@ impl PimRouter {
             next_hello: None,
             notes: Vec::new(),
             budget: None,
-            shed_policy: ShedPolicy::default(),
             iface_epoch: 0,
         }
     }
 
-    /// Bound the (S,G) table at `capacity` entries, shedding per `policy`.
-    /// `None` restores the unbounded default.
-    pub fn set_budget(&mut self, capacity: Option<u32>, policy: ShedPolicy) {
+    /// Bound the (S,G) table at `capacity` entries: a full table refuses
+    /// new ones. `None` restores the unbounded default.
+    pub fn set_budget(&mut self, capacity: Option<u32>) {
         self.budget = capacity;
-        self.shed_policy = policy;
     }
 
     /// Drain the state-transition notes accumulated since the last call.
@@ -328,21 +321,12 @@ impl PimRouter {
             return Some(slot);
         }
         let info = rpf.rpf(s)?;
-        if let Some(cap) = self.budget {
-            if self.entries.len() >= cap as usize {
-                match self.shed_policy {
-                    // Also taken when eviction cannot make room
-                    // (capacity zero).
-                    ShedPolicy::EvictStalest if let Some(victim) = self.entries.stalest() => {
-                        self.entries.remove(victim);
-                        self.notes.push(PimNote::SgEvicted { sg: victim });
-                    }
-                    _ => {
-                        self.notes.push(PimNote::SgShed { sg: (s, g) });
-                        return None;
-                    }
-                }
-            }
+        if self
+            .budget
+            .is_some_and(|cap| self.entries.len() >= cap as usize)
+        {
+            self.notes.push(PimNote::SgShed { sg: (s, g) });
+            return None;
         }
         let oifs = self
             .ifaces

@@ -5,7 +5,7 @@ use crate::config::PimConfig;
 use crate::message::PimMessage;
 use crate::router::{PimDest, PimNote, PimRouter, PimSend, RpfInfo};
 use mobicast_ipv6::addr::GroupAddr;
-use mobicast_sim::{RngFactory, ShedPolicy, SimDuration, SimTime};
+use mobicast_sim::{RngFactory, SimDuration, SimTime};
 use std::net::Ipv6Addr;
 
 fn a(s: &str) -> Ipv6Addr {
@@ -739,7 +739,7 @@ fn src(i: u16) -> Ipv6Addr {
 #[test]
 fn sg_budget_reject_new_sheds_new_sources() {
     let mut r = router();
-    r.set_budget(Some(2), ShedPolicy::RejectNew);
+    r.set_budget(Some(2));
     r.start(t(0));
     r.on_data(0, src(1), g(1), t(1), &rpf_flood);
     r.on_data(0, src(2), g(1), t(2), &rpf_flood);
@@ -751,41 +751,4 @@ fn sg_budget_reject_new_sheds_new_sources() {
     assert_eq!(r.take_notes(), vec![PimNote::SgShed { sg: (src(3), g(1)) }]);
     assert!(r.snapshot(src(1), g(1)).is_some());
     assert!(r.snapshot(src(3), g(1)).is_none());
-}
-
-#[test]
-fn sg_budget_evict_stalest_admits_new_source() {
-    let mut r = router();
-    r.set_budget(Some(2), ShedPolicy::EvictStalest);
-    r.start(t(0));
-    neighbor(&mut r, 1, "fe80::21", t(0));
-    r.on_data(0, src(1), g(1), t(1), &rpf_flood);
-    r.on_data(0, src(2), g(1), t(5), &rpf_flood);
-    r.take_notes();
-    // src(1) expires first -> evicted to admit src(3).
-    let (fwd, _) = r.on_data(0, src(3), g(1), t(9), &rpf_flood);
-    assert!(!fwd.is_empty(), "new source is forwarded after eviction");
-    assert_eq!(r.entry_count(), 2);
-    assert_eq!(
-        r.take_notes(),
-        vec![PimNote::SgEvicted { sg: (src(1), g(1)) }]
-    );
-    assert!(r.snapshot(src(1), g(1)).is_none());
-    assert!(r.snapshot(src(3), g(1)).is_some());
-}
-
-#[test]
-fn sg_budget_eviction_sequence_is_deterministic() {
-    let run = || {
-        let mut r = router();
-        r.set_budget(Some(3), ShedPolicy::EvictStalest);
-        r.start(t(0));
-        let mut notes = Vec::new();
-        for i in 0..20u16 {
-            r.on_data(0, src(i % 7), g(1 + i % 3), t(1 + u64::from(i)), &rpf_flood);
-            notes.extend(r.take_notes());
-        }
-        notes
-    };
-    assert_eq!(run(), run());
 }

@@ -186,14 +186,6 @@ impl<K: Ord + Copy, R: Default> SoftTable<K, R> {
         &mut self.rows[i]
     }
 
-    /// The eviction victim: minimum `(expires, key)`, by a linear sweep.
-    pub fn stalest(&self) -> Option<K> {
-        self.slots()
-            .map(|slot| (self.expires[slot as usize], self.keys[slot as usize]))
-            .min()
-            .map(|(_, key)| key)
-    }
-
     /// O(1) conservative lower bound on all live expiries. If this is in
     /// the future, no entry can be overdue — the guard that keeps oracle
     /// polls flat as tables grow.

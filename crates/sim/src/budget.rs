@@ -1,47 +1,13 @@
-//! Resource-budget primitives for control-plane overload robustness:
-//! the shedding-policy selector shared by every bounded state table, and a
-//! deterministic token bucket for rate limiting control-plane ingress.
+//! Control-plane rate limiting for overload robustness: a deterministic
+//! token bucket over simulated time.
 //!
-//! Both are pure state machines over [`SimTime`] — no
-//! randomness, no wall clock — so a budgeted run is exactly as
-//! reproducible as an unbudgeted one. Tables that need a tie-break among
-//! equally stale victims iterate their (ordered) key space, which makes
-//! the choice a deterministic function of table contents, not of hash
-//! order or insertion history.
+//! The bucket is a pure state machine over [`SimTime`] — no randomness,
+//! no wall clock — so a rate-limited run is exactly as reproducible as an
+//! unlimited one. (Table capacities need no primitive here: a full table
+//! refuses the newcomer, a one-line check in each protocol machine.)
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-
-/// What a bounded state table does when an admission would exceed its
-/// capacity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShedPolicy {
-    /// Refuse the new entry; established state is never disturbed. The
-    /// newcomer must rely on protocol retransmission to get in later.
-    RejectNew,
-    /// Evict the entry closest to its natural expiry (the "stalest") to
-    /// make room; ties break on the table's key order.
-    EvictStalest,
-}
-
-impl ShedPolicy {
-    /// Stable lowercase name used in counters, trace events and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShedPolicy::RejectNew => "reject_new",
-            ShedPolicy::EvictStalest => "evict_stalest",
-        }
-    }
-}
-
-// Manual impl (not `#[derive(Default)]` + `#[default]`): the vendored
-// serde_derive shim does not tolerate variant attributes.
-#[allow(clippy::derivable_impls)]
-impl Default for ShedPolicy {
-    fn default() -> Self {
-        ShedPolicy::RejectNew
-    }
-}
 
 /// Token-bucket rate limit parameters: sustained `rate_per_sec` with a
 /// burst allowance of `burst` back-to-back messages.
@@ -121,17 +87,6 @@ impl TokenBucket {
     pub fn available(&self) -> u32 {
         (self.nano_tokens / NANO) as u32
     }
-
-    /// Earliest instant at which one whole token will be available again
-    /// (now, if one already is). Useful for scheduling retries.
-    pub fn next_token_at(&self, now: SimTime) -> SimTime {
-        if self.nano_tokens >= NANO {
-            return now;
-        }
-        let deficit = NANO - self.nano_tokens;
-        let wait_ns = (deficit as f64 / self.limit.rate_per_sec).ceil() as u64;
-        self.last.max(now) + SimDuration::from_nanos(wait_ns)
-    }
 }
 
 #[cfg(test)]
@@ -197,21 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn next_token_at_predicts_admission() {
-        let mut b = TokenBucket::new(RateLimit {
-            rate_per_sec: 4.0,
-            burst: 1,
-        });
-        assert!(b.try_take(t(1)));
-        let again = b.next_token_at(t(1));
-        assert!(again > t(1));
-        assert!(!b.try_take(again - SimDuration::from_nanos(1_000)));
-        // (the failed probe advanced `last`; predict from the probe time)
-        let again = b.next_token_at(again);
-        assert!(b.try_take(again));
-    }
-
-    #[test]
     fn rate_limit_validation() {
         assert!(RateLimit {
             rate_per_sec: 1.0,
@@ -231,12 +171,5 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn shed_policy_names_are_stable() {
-        assert_eq!(ShedPolicy::RejectNew.name(), "reject_new");
-        assert_eq!(ShedPolicy::EvictStalest.name(), "evict_stalest");
-        assert_eq!(ShedPolicy::default(), ShedPolicy::RejectNew);
     }
 }

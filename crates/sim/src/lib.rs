@@ -49,7 +49,7 @@ pub mod trace;
 pub mod wheel;
 
 pub use arena::SoftTable;
-pub use budget::{RateLimit, ShedPolicy, TokenBucket};
+pub use budget::{RateLimit, TokenBucket};
 pub use metrics::{Counter, Counters, Series, SeriesSet, Summary};
 pub use profile::{Profiler, SimProfile, Stage};
 pub use queue::{EventId, EventQueue};

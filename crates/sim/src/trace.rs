@@ -42,7 +42,7 @@ pub enum TraceCategory {
     Harness,
     /// Injected faults (loss bursts, link flaps, crashes).
     Fault,
-    /// Overload admission control (sheds, evictions, rate-limit drops).
+    /// Overload admission control (sheds, rate-limit drops).
     Overload,
     /// Causal span lifecycle (open/close of handoff-phase spans).
     Span,

@@ -43,8 +43,8 @@ fn t(secs: u64) -> SimTime {
 
 /// Drive a [`SoftTable`] and a `BTreeMap` reference through the op
 /// sequence encoded in `ops` (insert / refresh-expiry / shorten-expiry /
-/// row-mutate / remove / expiry-sweep + `refresh_min_expires` /
-/// evict-stalest) and compare every observable after every op.
+/// row-mutate / remove / expiry-sweep + `refresh_min_expires`) and
+/// compare every observable after every op.
 fn check_against_model<K: Ord + Copy + Debug>(key_at: impl Fn(u32) -> K, ops: &[u32]) {
     let mut table: SoftTable<K, Tag> = SoftTable::new();
     let mut model: BTreeMap<K, (SimTime, Tag)> = BTreeMap::new();
@@ -53,12 +53,6 @@ fn check_against_model<K: Ord + Copy + Debug>(key_at: impl Fn(u32) -> K, ops: &[
     let mut retired = Vec::new();
     let mut allocated = 0u32;
     let mut now = 0u64;
-    let stalest_of = |m: &BTreeMap<K, (SimTime, Tag)>| {
-        m.iter()
-            .map(|(k, (exp, _))| (*exp, *k))
-            .min()
-            .map(|(_, k)| k)
-    };
 
     for (step, &w) in ops.iter().enumerate() {
         let key = key_at((w >> 3) & 0xff);
@@ -109,8 +103,6 @@ fn check_against_model<K: Ord + Copy + Debug>(key_at: impl Fn(u32) -> K, ops: &[
                     e.1 .0.push((w >> 16) as u8);
                 }
             }
-            // Hard remove.
-            5 => remove_both(&mut table, &mut model, key),
             // Expiry sweep at `now`, then retighten the watermark.
             6 => {
                 let due: Vec<K> = table
@@ -134,14 +126,8 @@ fn check_against_model<K: Ord + Copy + Debug>(key_at: impl Fn(u32) -> K, ops: &[
                     "step {step}: refreshed watermark is exact"
                 );
             }
-            // Evict-stalest (budget pressure).
-            _ => {
-                let victim = table.stalest();
-                assert_eq!(victim, stalest_of(&model), "step {step}: victim diverged");
-                if let Some(victim) = victim {
-                    remove_both(&mut table, &mut model, victim);
-                }
-            }
+            // Hard remove.
+            _ => remove_both(&mut table, &mut model, key),
         }
 
         // Full observable state must match after every op.
@@ -160,7 +146,6 @@ fn check_against_model<K: Ord + Copy + Debug>(key_at: impl Fn(u32) -> K, ops: &[
         assert_eq!(table.is_empty(), model.is_empty());
         assert_eq!(table.contains(key), model.contains_key(&key));
         assert!(table.keys().eq(model.keys().copied()));
-        assert_eq!(table.stalest(), stalest_of(&model));
         for (pos, k) in model.keys().enumerate() {
             assert_eq!(table.slot_of(*k), Some(table.slot_at(pos)));
         }
