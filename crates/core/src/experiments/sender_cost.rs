@@ -69,7 +69,6 @@ fn string_run(p: &StringParams) -> StringStats {
     let router_cfg = RouterConfig {
         pim: PimConfig {
             prune_delay: SimDuration::from_secs(p.prune_delay_s),
-            ..PimConfig::default()
         },
         ..RouterConfig::default()
     };

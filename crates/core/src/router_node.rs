@@ -1119,7 +1119,7 @@ impl NodeBehavior for RouterNode {
             }
             TIMER_PIM => {
                 self.pim_timer.fired();
-                let sends = self.pim.on_deadline(now, &self.table);
+                let sends = self.pim.on_deadline(now);
                 self.pim_sends(ctx, sends);
                 self.arm_pim(ctx);
             }

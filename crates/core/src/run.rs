@@ -336,7 +336,8 @@ mod tests {
             other => panic!("{other}"),
         };
         let mut bad = cfg();
-        bad.mld.robustness = 0;
+        // Paper footnote 5: T_Query must not be shorter than T_RespDel.
+        bad.mld.query_interval = SimDuration::from_secs(5);
         assert_eq!(field_of(&bad), "mld");
         let mut bad = cfg();
         bad.pim.prune_delay = SimDuration::ZERO;

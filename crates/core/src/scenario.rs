@@ -212,11 +212,6 @@ impl ScenarioBuilder {
         self
     }
 
-    pub fn pim(mut self, pim: PimConfig) -> Self {
-        self.cfg.pim = pim;
-        self
-    }
-
     pub fn unsolicited_reports(mut self, on: bool) -> Self {
         self.cfg.unsolicited_reports = on;
         self

@@ -9,28 +9,33 @@
 use mobicast_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-/// MLD protocol timer profile.
+/// Robustness Variable RV (RFC 2710 §7.1).
+pub const ROBUSTNESS: u32 = 2;
+
+/// Query Response Interval / Maximum Response Delay `T_RespDel` inserted
+/// into General Queries (RFC 2710 §7.3).
+pub const QUERY_RESPONSE_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
+/// Number of startup General Queries: RV (RFC 2710 §7.7).
+pub const STARTUP_QUERY_COUNT: u32 = ROBUSTNESS;
+
+/// Maximum Response Delay of the Multicast-Address-Specific Queries sent
+/// in response to a Done (RFC 2710 §7.8).
+pub const LAST_LISTENER_QUERY_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Number of specific queries before giving up: RV (RFC 2710 §7.9).
+pub const LAST_LISTENER_QUERY_COUNT: u32 = ROBUSTNESS;
+
+/// Interval between repeated unsolicited Reports on join (RFC 2710
+/// §7.10).
+pub const UNSOLICITED_REPORT_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
+/// MLD protocol timer profile: the one timer a run varies.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MldConfig {
-    /// Robustness Variable (RV). Default 2.
-    pub robustness: u32,
     /// Query Interval `T_Query`: period between General Queries sent by the
     /// querier. Default 125 s.
     pub query_interval: SimDuration,
-    /// Query Response Interval / Maximum Response Delay `T_RespDel`
-    /// inserted into General Queries. Default 10 s.
-    pub query_response_interval: SimDuration,
-    /// Interval between startup General Queries. Default `T_Query / 4`.
-    pub startup_query_interval: SimDuration,
-    /// Number of startup General Queries. Default RV.
-    pub startup_query_count: u32,
-    /// Maximum Response Delay for Multicast-Address-Specific Queries sent
-    /// in response to a Done. Default 1 s.
-    pub last_listener_query_interval: SimDuration,
-    /// Number of specific queries before giving up. Default RV.
-    pub last_listener_query_count: u32,
-    /// Interval between repeated unsolicited Reports on join. Default 10 s.
-    pub unsolicited_report_interval: SimDuration,
 }
 
 impl Default for MldConfig {
@@ -43,51 +48,37 @@ impl MldConfig {
     /// RFC 2710 defaults with the given Query Interval; the dependent
     /// timers (startup interval, other-querier interval, MLI) follow.
     pub fn with_query_interval(query_interval: SimDuration) -> Self {
-        MldConfig {
-            robustness: 2,
-            query_interval,
-            query_response_interval: SimDuration::from_secs(10),
-            startup_query_interval: query_interval / 4,
-            startup_query_count: 2,
-            last_listener_query_interval: SimDuration::from_secs(1),
-            last_listener_query_count: 2,
-            unsolicited_report_interval: SimDuration::from_secs(10),
-        }
+        MldConfig { query_interval }
+    }
+
+    /// Interval between startup General Queries: `T_Query / 4`
+    /// (RFC 2710 §7.6).
+    pub fn startup_query_interval(&self) -> SimDuration {
+        self.query_interval / 4
     }
 
     /// Multicast Listener Interval: how long a membership stays alive
     /// without Reports. `RV · T_Query + T_RespDel` (260 s with defaults) —
     /// the paper's leave-delay bound.
     pub fn multicast_listener_interval(&self) -> SimDuration {
-        self.query_interval
-            .saturating_mul(u64::from(self.robustness))
-            + self.query_response_interval
+        self.query_interval.saturating_mul(u64::from(ROBUSTNESS)) + QUERY_RESPONSE_INTERVAL
     }
 
     /// Other Querier Present Interval:
     /// `RV · T_Query + T_RespDel / 2`.
     pub fn other_querier_present_interval(&self) -> SimDuration {
-        self.query_interval
-            .saturating_mul(u64::from(self.robustness))
-            + self.query_response_interval / 2
+        self.query_interval.saturating_mul(u64::from(ROBUSTNESS)) + QUERY_RESPONSE_INTERVAL / 2
     }
 
     /// Validate the profile. The paper (footnote 5) requires
-    /// `T_Query ≥ T_RespDel`; RFC 2710 additionally requires a nonzero
-    /// robustness.
+    /// `T_Query ≥ T_RespDel`, which also keeps T_Query positive.
     pub fn validate(&self) -> Result<(), String> {
-        if self.robustness == 0 {
-            return Err("robustness variable must be >= 1".into());
-        }
-        if self.query_interval < self.query_response_interval {
+        if self.query_interval < QUERY_RESPONSE_INTERVAL {
             return Err(format!(
                 "query interval {} must be >= query response interval {} \
                  (paper §4.4, footnote 5)",
-                self.query_interval, self.query_response_interval
+                self.query_interval, QUERY_RESPONSE_INTERVAL
             ));
-        }
-        if self.query_interval.is_zero() {
-            return Err("query interval must be positive".into());
         }
         Ok(())
     }
@@ -126,15 +117,6 @@ mod tests {
         assert!(cfg.validate().is_err());
         let cfg = MldConfig::with_query_interval(SimDuration::from_secs(10));
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn validation_rejects_zero_robustness() {
-        let cfg = MldConfig {
-            robustness: 0,
-            ..MldConfig::default()
-        };
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

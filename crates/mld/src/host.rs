@@ -17,7 +17,7 @@
 //!   Done on the old link (paper §4.4), which the simulation models by the
 //!   mover never calling [`MldHostPort::leave`].
 
-use crate::config::MldConfig;
+use crate::config::{MldConfig, ROBUSTNESS, UNSOLICITED_REPORT_INTERVAL};
 use crate::message::MldMessage;
 use mobicast_ipv6::addr::GroupAddr;
 use mobicast_sim::{SimDuration, SimTime};
@@ -45,7 +45,6 @@ struct HostGroupState {
 /// Host-side MLD state for one interface.
 #[derive(Debug)]
 pub struct MldHostPort {
-    cfg: MldConfig,
     rng: SmallRng,
     groups: BTreeMap<GroupAddr, HostGroupState>,
 }
@@ -54,28 +53,23 @@ impl MldHostPort {
     pub fn new(cfg: MldConfig, rng: SmallRng) -> Self {
         debug_assert!(cfg.validate().is_ok(), "invalid MLD config");
         MldHostPort {
-            cfg,
             rng,
             groups: BTreeMap::new(),
         }
     }
 
-    pub fn config(&self) -> &MldConfig {
-        &self.cfg
-    }
-
     /// Join `group`: send an unsolicited Report immediately and schedule
-    /// `robustness - 1` retransmissions. Idempotent for already-joined
+    /// `RV - 1` retransmissions. Idempotent for already-joined
     /// groups.
     pub fn join(&mut self, group: GroupAddr, now: SimTime) -> Vec<HostOutput> {
         if self.groups.contains_key(&group) {
             return Vec::new();
         }
-        let burst = self.cfg.robustness.saturating_sub(1);
+        let burst = ROBUSTNESS - 1;
         self.groups.insert(
             group,
             HostGroupState {
-                pending: (burst > 0).then(|| now + self.cfg.unsolicited_report_interval),
+                pending: (burst > 0).then(|| now + UNSOLICITED_REPORT_INTERVAL),
                 burst,
                 last_reporter: true,
             },
@@ -171,7 +165,7 @@ impl MldHostPort {
             if st.burst > 0 {
                 st.burst -= 1;
             }
-            st.pending = (st.burst > 0).then(|| now + self.cfg.unsolicited_report_interval);
+            st.pending = (st.burst > 0).then(|| now + UNSOLICITED_REPORT_INTERVAL);
         }
         out
     }
@@ -308,20 +302,6 @@ mod tests {
         h.on_deadline(t(10));
         h.on_query(None, SimDuration::ZERO, t(42));
         assert_eq!(h.next_deadline(), Some(t(42)));
-    }
-
-    #[test]
-    fn robustness_three_sends_three_reports() {
-        let cfg = MldConfig {
-            robustness: 3,
-            ..MldConfig::default()
-        };
-        let mut h = host(cfg);
-        let mut count = h.join(g(1), t(0)).len();
-        while let Some(dl) = h.next_deadline() {
-            count += h.on_deadline(dl).len();
-        }
-        assert_eq!(count, 3);
     }
 
     #[test]

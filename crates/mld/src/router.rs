@@ -13,7 +13,10 @@
 //! mirroring RFC 2710 §2: "MLD provides the collected information to the
 //! multicast routing protocol".
 
-use crate::config::MldConfig;
+use crate::config::{
+    MldConfig, LAST_LISTENER_QUERY_COUNT, LAST_LISTENER_QUERY_INTERVAL, QUERY_RESPONSE_INTERVAL,
+    STARTUP_QUERY_COUNT,
+};
 use crate::message::MldMessage;
 use crate::table::{min_deadline, ListenerTable, Rexmt};
 use mobicast_ipv6::addr::GroupAddr;
@@ -81,7 +84,7 @@ impl MldRouterPort {
             role: Role::Querier,
             other_querier_deadline: None,
             next_general_query: None,
-            startup_left: cfg.startup_query_count,
+            startup_left: STARTUP_QUERY_COUNT,
             groups: ListenerTable::new(),
             notes: Vec::new(),
             budget: None,
@@ -98,10 +101,6 @@ impl MldRouterPort {
     /// Drain buffered transition notes (see [`MldNote`]).
     pub fn take_notes(&mut self) -> Vec<MldNote> {
         std::mem::take(&mut self.notes)
-    }
-
-    pub fn config(&self) -> &MldConfig {
-        &self.cfg
     }
 
     /// Begin operating: emits the first startup General Query.
@@ -175,8 +174,8 @@ impl MldRouterPort {
                 let Some(slot) = self.groups.slot_of(*group) else {
                     return Vec::new();
                 };
-                let llqi = self.cfg.last_listener_query_interval;
-                let count = self.cfg.last_listener_query_count;
+                let llqi = LAST_LISTENER_QUERY_INTERVAL;
+                let count = LAST_LISTENER_QUERY_COUNT;
                 self.groups
                     .set_expires(slot, now + llqi.saturating_mul(u64::from(count)));
                 self.groups.row_mut(slot).0 = if count > 1 {
@@ -227,12 +226,12 @@ impl MldRouterPort {
         if matches!(self.next_general_query, Some(t) if t <= now) {
             debug_assert_eq!(self.role, Role::Querier);
             out.push(RouterOutput::Send(MldMessage::Query {
-                max_response_delay: self.cfg.query_response_interval,
+                max_response_delay: QUERY_RESPONSE_INTERVAL,
                 group: None,
             }));
             let interval = if self.startup_left > 1 {
                 self.startup_left -= 1;
-                self.cfg.startup_query_interval
+                self.cfg.startup_query_interval()
             } else {
                 self.startup_left = self.startup_left.min(1);
                 self.cfg.query_interval
@@ -248,11 +247,11 @@ impl MldRouterPort {
             if let Some((left, at)) = self.groups.row(slot).0 {
                 if at <= now {
                     out.push(RouterOutput::Send(MldMessage::Query {
-                        max_response_delay: self.cfg.last_listener_query_interval,
+                        max_response_delay: LAST_LISTENER_QUERY_INTERVAL,
                         group: Some(self.groups.key_of(slot)),
                     }));
                     self.groups.row_mut(slot).0 = if left > 1 {
-                        Some((left - 1, now + self.cfg.last_listener_query_interval))
+                        Some((left - 1, now + LAST_LISTENER_QUERY_INTERVAL))
                     } else {
                         None
                     };

@@ -11,6 +11,7 @@
 // Test helpers may unwrap freely (the lint wall targets non-test code).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use mobicast_mld::config::{QUERY_RESPONSE_INTERVAL, ROBUSTNESS, STARTUP_QUERY_COUNT};
 use mobicast_mld::{MldConfig, MldMessage, MldNote, MldRouterPort, RouterOutput};
 use mobicast_sim::{SimDuration, SimTime};
 use std::net::Ipv6Addr;
@@ -128,7 +129,7 @@ fn cfg() -> MldConfig {
 
 fn general_query() -> MldMessage {
     MldMessage::Query {
-        max_response_delay: cfg().query_response_interval,
+        max_response_delay: QUERY_RESPONSE_INTERVAL,
         group: None,
     }
 }
@@ -178,10 +179,10 @@ fn the_table_has_exactly_one_row_per_cell_and_every_row_holds() {
 fn querier_general_query_timer_sends_a_query_and_rearms() {
     let mut r = querier();
     // Second (last) startup query after [Startup Query Interval] = 125 / 4 s.
-    let startup = t(0) + cfg().startup_query_interval;
-    assert_eq!(cfg().startup_query_count, cfg().robustness);
+    let startup = t(0) + cfg().startup_query_interval();
+    assert_eq!(STARTUP_QUERY_COUNT, ROBUSTNESS);
     assert_eq!(
-        cfg().startup_query_interval,
+        cfg().startup_query_interval(),
         SimDuration::from_nanos(31_250_000_000)
     );
     assert_eq!(r.next_deadline(), Some(startup));
@@ -247,7 +248,7 @@ fn non_querier_has_no_general_query_timer() {
     assert_eq!(r.next_deadline(), Some(t(1 + 255)));
     // At the instant the startup query would have gone out, and at the
     // next periodic one: nothing to do.
-    for due in [t(0) + cfg().startup_query_interval, t(200)] {
+    for due in [t(0) + cfg().startup_query_interval(), t(200)] {
         assert!(r.on_deadline(due).is_empty());
         assert!(!r.is_querier());
     }

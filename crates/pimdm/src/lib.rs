@@ -19,6 +19,8 @@ pub mod router;
 pub mod table;
 
 #[cfg(test)]
+mod chain_choreography;
+#[cfg(test)]
 mod tests;
 
 pub use config::PimConfig;

@@ -19,7 +19,10 @@
 //! * **Hello / neighbor liveness**; a new neighbor on a pruned interface
 //!   clears the prune so the newcomer receives data.
 
-use crate::config::PimConfig;
+use crate::config::{
+    PimConfig, ASSERT_TIME, CONTROL_RATE_LIMIT, DATA_TIMEOUT, GRAFT_RETRY, HELLO_HOLDTIME,
+    HELLO_PERIOD, PRUNE_HOLD_TIME,
+};
 use crate::message::{PimMessage, Sg};
 use crate::table::{DownstreamPrune, OifState, SgDetail, SgTable, UpstreamState};
 use mobicast_ipv6::addr::GroupAddr;
@@ -30,6 +33,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
 
 pub use crate::table::IfIndex;
+
+#[cfg(test)]
+#[path = "spec.rs"]
+pub(crate) mod spec;
 
 /// Result of a unicast RPF lookup toward a source.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -201,27 +208,14 @@ impl PimRouter {
         assert!(prev.is_none(), "iface {iface} registered twice");
     }
 
-    pub fn my_addr(&self, iface: IfIndex) -> Option<Ipv6Addr> {
-        self.ifaces.get(&iface).map(|i| i.my_addr)
-    }
-
     /// Begin operating: send initial Hellos.
     pub fn start(&mut self, now: SimTime) -> Vec<PimSend> {
-        self.next_hello = Some(now + self.cfg.hello_period);
+        self.next_hello = Some(now + HELLO_PERIOD);
         self.hellos()
     }
 
     fn hellos(&self) -> Vec<PimSend> {
-        self.ifaces
-            .keys()
-            .map(|iface| PimSend {
-                iface: *iface,
-                dest: PimDest::AllRouters,
-                msg: PimMessage::Hello {
-                    holdtime: self.cfg.hello_holdtime,
-                },
-            })
-            .collect()
+        self.ifaces.keys().map(|iface| hello(*iface)).collect()
     }
 
     /// Number of (S,G) entries held (the paper's router state-load
@@ -274,13 +268,6 @@ impl PimRouter {
         self.entries.keys().collect()
     }
 
-    pub fn neighbor_count(&self, iface: IfIndex) -> usize {
-        self.ifaces
-            .get(&iface)
-            .map(|i| i.neighbors.len())
-            .unwrap_or(0)
-    }
-
     fn oif_forwards(&self, oif: &OifState, iface: IfIndex, g: GroupAddr) -> bool {
         if oif.assert_loser_until.is_some() {
             return false;
@@ -308,6 +295,41 @@ impl PimRouter {
             .filter(|(iface, oif)| self.oif_forwards(oif, *iface, key.1))
             .map(|(iface, _)| *iface)
             .collect()
+    }
+
+    /// Clear prune state on `iface`: a Join, a Graft or a new member asks
+    /// for the traffic again.
+    fn resume_oif(&mut self, slot: u32, key: Sg, iface: IfIndex) {
+        if let Some(oif) = self.entries.row_mut(slot).oif_mut(iface) {
+            if !matches!(oif.prune, DownstreamPrune::NoInfo) {
+                self.notes.push(PimNote::OifResumed { sg: key, iface });
+            }
+            oif.prune = DownstreamPrune::NoInfo;
+        }
+    }
+
+    /// Prune ourselves off the tree toward `up`: the Prune to send.
+    fn prune_upstream(&mut self, slot: u32, key: Sg, up: Ipv6Addr, now: SimTime) -> PimSend {
+        let e = self.entries.row_mut(slot);
+        let until = now + PRUNE_HOLD_TIME;
+        e.upstream_state = UpstreamState::Pruned { until };
+        e.last_prune_tx = Some(now);
+        self.notes.push(PimNote::UpstreamPruned { sg: key, until });
+        join_prune(e.iif, up, key, false)
+    }
+
+    /// If we pruned ourselves off the tree, graft back on: the Graft to
+    /// send.
+    fn graft_if_pruned(&mut self, slot: u32, key: Sg, now: SimTime) -> Option<PimSend> {
+        let e = self.entries.row_mut(slot);
+        let (UpstreamState::Pruned { .. }, Some(up)) = (e.upstream_state, e.upstream) else {
+            return None;
+        };
+        e.upstream_state = UpstreamState::AckPending {
+            retry_at: now + GRAFT_RETRY,
+        };
+        self.notes.push(PimNote::UpstreamGraftPending { sg: key });
+        Some(graft(e.iif, up, key))
     }
 
     fn ensure_entry(
@@ -343,9 +365,7 @@ impl PimRouter {
             last_prune_tx: None,
             iif_assert_winner: None,
         };
-        let Ok(slot) = self
-            .entries
-            .insert((s, g), now + self.cfg.data_timeout, detail);
+        let Ok(slot) = self.entries.insert((s, g), now + DATA_TIMEOUT, detail);
         Some(slot)
     }
 
@@ -370,28 +390,15 @@ impl PimRouter {
             // parallel forwarder on that LAN: start the assert process.
             let forwards_here = e
                 .oif(iface)
-                .map(|oif| self.oif_forwards(oif, iface, g))
-                .unwrap_or(false);
-            if forwards_here {
-                let rate_ok = match e.oif(iface).and_then(|oif| oif.last_assert_tx) {
-                    Some(t) => now.saturating_since(t) >= self.cfg.control_rate_limit,
-                    None => true,
-                };
-                if rate_ok {
-                    if let Some(info) = rpf.rpf(s) {
-                        sends.push(PimSend {
-                            iface,
-                            dest: PimDest::AllRouters,
-                            msg: PimMessage::Assert {
-                                group: g,
-                                source: s,
-                                metric_pref: info.metric_pref,
-                                metric: info.metric,
-                            },
-                        });
-                        if let Some(oif) = self.entries.row_mut(slot).oif_mut(iface) {
-                            oif.last_assert_tx = Some(now);
-                        }
+                .is_some_and(|oif| self.oif_forwards(oif, iface, g));
+            let due = e
+                .oif(iface)
+                .is_some_and(|oif| rate_ok(oif.last_assert_tx, now));
+            if forwards_here && due {
+                if let Some(info) = rpf.rpf(s) {
+                    sends.push(assert_msg(iface, s, g, &info));
+                    if let Some(oif) = self.entries.row_mut(slot).oif_mut(iface) {
+                        oif.last_assert_tx = Some(now);
                     }
                 }
             }
@@ -399,34 +406,15 @@ impl PimRouter {
         }
 
         // Correct (RPF) interface: refresh and forward.
-        self.entries.set_expires(slot, now + self.cfg.data_timeout);
+        self.entries.set_expires(slot, now + DATA_TIMEOUT);
         let fwd = self.forward_list(&key);
         if fwd.is_empty() {
             // No interested downstream interfaces: prune toward the source
             // (rate-limited; spec sends a Prune whenever data arrives on the
             // iif while the oif list is null).
-            let e = self.entries.row_mut(slot);
-            if let Some(upstream) = e.upstream {
-                let rate_ok = match e.last_prune_tx {
-                    Some(t) => now.saturating_since(t) >= self.cfg.control_rate_limit,
-                    None => true,
-                };
-                if rate_ok {
-                    e.last_prune_tx = Some(now);
-                    let until = now + self.cfg.prune_hold_time;
-                    e.upstream_state = UpstreamState::Pruned { until };
-                    let iif = e.iif;
-                    sends.push(PimSend {
-                        iface: iif,
-                        dest: PimDest::AllRouters,
-                        msg: PimMessage::JoinPrune {
-                            upstream,
-                            joins: vec![],
-                            prunes: vec![key],
-                        },
-                    });
-                    self.notes.push(PimNote::UpstreamPruned { sg: key, until });
-                }
+            let e = self.entries.row(slot);
+            if let Some(upstream) = e.upstream.filter(|_| rate_ok(e.last_prune_tx, now)) {
+                sends.push(self.prune_upstream(slot, key, upstream, now));
             }
         }
         (fwd, sends)
@@ -487,16 +475,7 @@ impl PimRouter {
             // the interface so it receives data (it has no prune state).
             for pos in 0..self.entries.len() {
                 let slot = self.entries.slot_at(pos);
-                let key = self.entries.key_of(slot);
-                if let Some(oif) = self.entries.row_mut(slot).oif_mut(iface) {
-                    if matches!(
-                        oif.prune,
-                        DownstreamPrune::Pruned { .. } | DownstreamPrune::PrunePending { .. }
-                    ) {
-                        oif.prune = DownstreamPrune::NoInfo;
-                        self.notes.push(PimNote::OifResumed { sg: key, iface });
-                    }
-                }
+                self.resume_oif(slot, self.entries.key_of(slot), iface);
             }
         }
         Vec::new()
@@ -556,16 +535,8 @@ impl PimRouter {
         for key in joins {
             if for_me {
                 // Join cancels a pending (or held) prune on this interface.
-                if !self.entries.contains(*key) {
-                    let _ = self.ensure_entry(key.0, key.1, now, rpf);
-                }
-                if let Some(slot) = self.entries.slot_of(*key) {
-                    if let Some(oif) = self.entries.row_mut(slot).oif_mut(iface) {
-                        if !matches!(oif.prune, DownstreamPrune::NoInfo) {
-                            self.notes.push(PimNote::OifResumed { sg: *key, iface });
-                        }
-                        oif.prune = DownstreamPrune::NoInfo;
-                    }
+                if let Some(slot) = self.ensure_entry(key.0, key.1, now, rpf) {
+                    self.resume_oif(slot, *key, iface);
                 }
             } else if let Some(slot) = self.entries.slot_of(*key) {
                 // Another downstream router already overrode the prune:
@@ -598,37 +569,13 @@ impl PimRouter {
         let mut sends = Vec::new();
         let mut acked = Vec::new();
         for key in grafted {
-            if !self.entries.contains(*key) {
-                let _ = self.ensure_entry(key.0, key.1, now, rpf);
-            }
-            let Some(slot) = self.entries.slot_of(*key) else {
+            let Some(slot) = self.ensure_entry(key.0, key.1, now, rpf) else {
                 continue;
             };
-            let e = self.entries.row_mut(slot);
-            if let Some(oif) = e.oif_mut(iface) {
-                if !matches!(oif.prune, DownstreamPrune::NoInfo) {
-                    self.notes.push(PimNote::OifResumed { sg: *key, iface });
-                }
-                oif.prune = DownstreamPrune::NoInfo;
-            }
+            self.resume_oif(slot, *key, iface);
             acked.push(*key);
             // Propagate the graft upstream if we are pruned there.
-            let e = self.entries.row_mut(slot);
-            if let (UpstreamState::Pruned { .. }, Some(up)) = (e.upstream_state, e.upstream) {
-                e.upstream_state = UpstreamState::AckPending {
-                    retry_at: now + self.cfg.graft_retry,
-                };
-                let iif = e.iif;
-                sends.push(PimSend {
-                    iface: iif,
-                    dest: PimDest::Unicast(up),
-                    msg: PimMessage::Graft {
-                        upstream: up,
-                        entries: vec![*key],
-                    },
-                });
-                self.notes.push(PimNote::UpstreamGraftPending { sg: *key });
-            }
+            sends.extend(self.graft_if_pruned(slot, *key, now));
         }
         if !acked.is_empty() {
             sends.push(PimSend {
@@ -714,25 +661,12 @@ impl PimRouter {
         };
         if i_win {
             oif.assert_loser_until = None;
-            let rate_ok = match oif.last_assert_tx {
-                Some(t) => now.saturating_since(t) >= self.cfg.control_rate_limit,
-                None => true,
-            };
-            if rate_ok {
+            if rate_ok(oif.last_assert_tx, now) {
                 oif.last_assert_tx = Some(now);
-                sends.push(PimSend {
-                    iface,
-                    dest: PimDest::AllRouters,
-                    msg: PimMessage::Assert {
-                        group: g,
-                        source: s,
-                        metric_pref: my.metric_pref,
-                        metric: my.metric,
-                    },
-                });
+                sends.push(assert_msg(iface, s, g, &my));
             }
         } else {
-            oif.assert_loser_until = Some(now + self.cfg.assert_time);
+            oif.assert_loser_until = Some(now + ASSERT_TIME);
         }
         self.notes.push(PimNote::AssertResolved {
             sg: key,
@@ -774,34 +708,13 @@ impl PimRouter {
                 let Some(slot) = self.entries.slot_of(key) else {
                     continue; // unreachable: key came from this table
                 };
-                let e = self.entries.row_mut(slot);
-                if e.iif == iface {
+                if self.entries.row(slot).iif == iface {
                     // Members on the incoming link are served by the
                     // upstream forwarder on that link, not by us.
                     continue;
                 }
-                if let Some(oif) = e.oif_mut(iface) {
-                    if !matches!(oif.prune, DownstreamPrune::NoInfo) {
-                        self.notes.push(PimNote::OifResumed { sg: key, iface });
-                    }
-                    oif.prune = DownstreamPrune::NoInfo;
-                }
-                let e = self.entries.row_mut(slot);
-                if let (UpstreamState::Pruned { .. }, Some(up)) = (e.upstream_state, e.upstream) {
-                    e.upstream_state = UpstreamState::AckPending {
-                        retry_at: now + self.cfg.graft_retry,
-                    };
-                    let iif = e.iif;
-                    sends.push(PimSend {
-                        iface: iif,
-                        dest: PimDest::Unicast(up),
-                        msg: PimMessage::Graft {
-                            upstream: up,
-                            entries: vec![key],
-                        },
-                    });
-                    self.notes.push(PimNote::UpstreamGraftPending { sg: key });
-                }
+                self.resume_oif(slot, key, iface);
+                sends.extend(self.graft_if_pruned(slot, key, now));
             } else {
                 // Member left. If nothing downstream needs traffic any more,
                 // prune immediately (paper §3.2: MLD "notifies the multicast
@@ -810,23 +723,10 @@ impl PimRouter {
                 let Some(slot) = self.entries.slot_of(key) else {
                     continue; // unreachable: key came from this table
                 };
-                let e = self.entries.row_mut(slot);
+                let e = self.entries.row(slot);
                 if now_empty && matches!(e.upstream_state, UpstreamState::Forwarding) {
                     if let Some(up) = e.upstream {
-                        let until = now + self.cfg.prune_hold_time;
-                        e.upstream_state = UpstreamState::Pruned { until };
-                        e.last_prune_tx = Some(now);
-                        let iif = e.iif;
-                        sends.push(PimSend {
-                            iface: iif,
-                            dest: PimDest::AllRouters,
-                            msg: PimMessage::JoinPrune {
-                                upstream: up,
-                                joins: vec![],
-                                prunes: vec![key],
-                            },
-                        });
-                        self.notes.push(PimNote::UpstreamPruned { sg: key, until });
+                        sends.push(self.prune_upstream(slot, key, up, now));
                     }
                 }
             }
@@ -874,12 +774,12 @@ impl PimRouter {
     }
 
     /// Fire all deadlines due at `now`.
-    pub fn on_deadline(&mut self, now: SimTime, _rpf: &dyn RpfLookup) -> Vec<PimSend> {
+    pub fn on_deadline(&mut self, now: SimTime) -> Vec<PimSend> {
         let mut sends = Vec::new();
 
         if matches!(self.next_hello, Some(t) if t <= now) {
             sends.extend(self.hellos());
-            self.next_hello = Some(now + self.cfg.hello_period);
+            self.next_hello = Some(now + HELLO_PERIOD);
         }
 
         // Neighbor expiry.
@@ -901,19 +801,9 @@ impl PimRouter {
                 continue;
             }
             let e = self.entries.row_mut(slot);
-            if matches!(e.override_join_at, Some(t) if t <= now) {
-                e.override_join_at = None;
+            if e.override_join_at.take_if(|t| *t <= now).is_some() {
                 if let Some(up) = e.upstream {
-                    let iif = e.iif;
-                    sends.push(PimSend {
-                        iface: iif,
-                        dest: PimDest::AllRouters,
-                        msg: PimMessage::JoinPrune {
-                            upstream: up,
-                            joins: vec![key],
-                            prunes: vec![],
-                        },
-                    });
+                    sends.push(join_prune(e.iif, up, key, true));
                 }
             }
             match e.upstream_state {
@@ -924,18 +814,10 @@ impl PimRouter {
                 }
                 UpstreamState::AckPending { retry_at } if retry_at <= now => {
                     if let Some(up) = e.upstream {
-                        let iif = e.iif;
-                        sends.push(PimSend {
-                            iface: iif,
-                            dest: PimDest::Unicast(up),
-                            msg: PimMessage::Graft {
-                                upstream: up,
-                                entries: vec![key],
-                            },
-                        });
+                        sends.push(graft(e.iif, up, key));
                     }
                     e.upstream_state = UpstreamState::AckPending {
-                        retry_at: now + self.cfg.graft_retry,
+                        retry_at: now + GRAFT_RETRY,
                     };
                 }
                 _ => {}
@@ -944,7 +826,7 @@ impl PimRouter {
             for (iface, oif) in e.oifs.iter_mut() {
                 match oif.prune {
                     DownstreamPrune::PrunePending { fire_at } if fire_at <= now => {
-                        let until = now + self.cfg.prune_hold_time;
+                        let until = now + PRUNE_HOLD_TIME;
                         oif.prune = DownstreamPrune::Pruned { until };
                         self.notes.push(PimNote::OifPruned {
                             sg: key,
@@ -974,5 +856,66 @@ impl PimRouter {
         }
         self.entries.refresh_min_expires();
         sends
+    }
+}
+
+/// Did the last data-triggered Prune / Assert go out long enough ago?
+fn rate_ok(last: Option<SimTime>, now: SimTime) -> bool {
+    last.is_none_or(|t| now.saturating_since(t) >= CONTROL_RATE_LIMIT)
+}
+
+/// A Hello to all routers on `iface`.
+fn hello(iface: IfIndex) -> PimSend {
+    PimSend {
+        iface,
+        dest: PimDest::AllRouters,
+        msg: PimMessage::Hello {
+            holdtime: HELLO_HOLDTIME,
+        },
+    }
+}
+
+/// A Join (`join`) or a Prune for `key`, to all routers on the iif,
+/// addressed to the upstream neighbor `up`.
+fn join_prune(iif: IfIndex, up: Ipv6Addr, key: Sg, join: bool) -> PimSend {
+    let (joins, prunes) = if join {
+        (vec![key], vec![])
+    } else {
+        (vec![], vec![key])
+    };
+    PimSend {
+        iface: iif,
+        dest: PimDest::AllRouters,
+        msg: PimMessage::JoinPrune {
+            upstream: up,
+            joins,
+            prunes,
+        },
+    }
+}
+
+/// A Graft for `key`, unicast to the upstream neighbor `up` on the iif.
+fn graft(iif: IfIndex, up: Ipv6Addr, key: Sg) -> PimSend {
+    PimSend {
+        iface: iif,
+        dest: PimDest::Unicast(up),
+        msg: PimMessage::Graft {
+            upstream: up,
+            entries: vec![key],
+        },
+    }
+}
+
+/// Our Assert for `(s, g)` on `iface`, carrying our route's metrics.
+fn assert_msg(iface: IfIndex, s: Ipv6Addr, g: GroupAddr, my: &RpfInfo) -> PimSend {
+    PimSend {
+        iface,
+        dest: PimDest::AllRouters,
+        msg: PimMessage::Assert {
+            group: g,
+            source: s,
+            metric_pref: my.metric_pref,
+            metric: my.metric,
+        },
     }
 }

@@ -44,7 +44,7 @@ pub struct OifState {
 }
 
 /// Cold per-entry protocol state (everything except the key and expiry).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SgDetail {
     pub iif: IfIndex,
     pub upstream: Option<Ipv6Addr>,

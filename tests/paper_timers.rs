@@ -9,7 +9,11 @@
 use mobicast::core::scenario::{self, PaperHost, ScenarioConfig};
 use mobicast::core::strategy::Policy;
 use mobicast::mipv6::mobile::{DEFAULT_BINDING_LIFETIME, MAX_BINDACK_TIMEOUT};
+use mobicast::mld::config::{QUERY_RESPONSE_INTERVAL, ROBUSTNESS};
 use mobicast::mld::MldConfig;
+use mobicast::pimdm::config::{
+    ASSERT_TIME, DATA_TIMEOUT, GRAFT_RETRY, HELLO_HOLDTIME, HELLO_PERIOD, PRUNE_HOLD_TIME,
+};
 use mobicast::pimdm::PimConfig;
 use mobicast::sim::SimDuration;
 
@@ -24,7 +28,7 @@ fn default_timers_match_the_paper() {
         ("MLD Query Interval (T_Query)", mld.query_interval, 125),
         (
             "MLD Query Response Interval (T_RespDel)",
-            mld.query_response_interval,
+            QUERY_RESPONSE_INTERVAL,
             10,
         ),
         // T_MLI = Robustness × T_Query + T_RespDel = 2 × 125 + 10.
@@ -34,13 +38,13 @@ fn default_timers_match_the_paper() {
             260,
         ),
         // draft-ietf-pim-v2-dm-03 §4: (S,G) soft-state and prune timing.
-        ("PIM-DM Data Timeout", pim.data_timeout, 210),
-        ("PIM-DM Prune Hold Time", pim.prune_hold_time, 210),
+        ("PIM-DM Data Timeout", DATA_TIMEOUT, 210),
+        ("PIM-DM Prune Hold Time", PRUNE_HOLD_TIME, 210),
         ("PIM-DM Prune Delay (T_PruneDel)", pim.prune_delay, 3),
-        ("PIM-DM Hello Period", pim.hello_period, 30),
-        ("PIM-DM Hello Holdtime", pim.hello_holdtime, 105),
-        ("PIM-DM Assert Time", pim.assert_time, 180),
-        ("PIM-DM Graft Retry Period", pim.graft_retry, 3),
+        ("PIM-DM Hello Period", HELLO_PERIOD, 30),
+        ("PIM-DM Hello Holdtime", HELLO_HOLDTIME, 105),
+        ("PIM-DM Assert Time", ASSERT_TIME, 180),
+        ("PIM-DM Graft Retry Period", GRAFT_RETRY, 3),
         // Mobile IPv6 binding lifetime used throughout the scenarios.
         (
             "MIPv6 Default Binding Lifetime",
@@ -58,11 +62,7 @@ fn default_timers_match_the_paper() {
         );
     }
 
-    assert_eq!(
-        MldConfig::default().robustness,
-        2,
-        "MLD Robustness Variable"
-    );
+    assert_eq!(ROBUSTNESS, 2, "MLD Robustness Variable");
 }
 
 /// The paper's leave-delay bound: after the last listener leaves a link
