@@ -3,9 +3,10 @@
 //! `benchmark/src/workloads.rs` generates them) printing
 //! [`SimProfile::stages`] — self time in parse / protocol / emit / account
 //! — beside the three handler categories. Stages are timed in one handler
-//! out of `STAGE_SAMPLE`; each stage cell reads `ms scaled up by that
-//! (share of handler time %) k-stretches timed`, net of the calibrated cost
-//! of the clock read each stretch spans. Under each row, the process's
+//! out of `STAGE_SAMPLE` and scaled up to every handler of the same
+//! duration; each stage cell reads `ms (share of handler time %)
+//! k-stretches timed`, net of the calibrated cost of the clock read each
+//! stretch spans. Under each row, the process's
 //! peak resident set (`VmHWM`) before the workload, once its first run is
 //! staged (built, faulted, scripted) and after its last run: memory by
 //! stage, cumulative across workloads unless one is picked. Wall-clock and
@@ -19,7 +20,7 @@ use mobicast_core::run;
 use mobicast_core::scenario::{self, PaperHost, ScenarioConfig};
 use mobicast_core::stress::{StressRunOptions, StressSpec};
 use mobicast_core::{chaos, scale, Policy};
-use mobicast_sim::profile::{STAGES, STAGE_SAMPLE};
+use mobicast_sim::profile::STAGES;
 use mobicast_sim::{SimDuration, SimProfile, Tracer};
 
 pub const WORKLOADS: [&str; 5] = [
@@ -181,12 +182,12 @@ pub fn main(seed: u64, only: Option<String>) {
         let handled: u64 = sum.handlers.iter().map(|h| h.1).sum();
         let ms = |ns: u64| ns as f64 / 1e6;
         let stage = |i: usize| {
-            let scaled = sum.stages[i].1 * STAGE_SAMPLE;
+            let (stretches, ns) = sum.stages[i];
             format!(
                 "{:>8.1} ({:>4.1}) {:>6}",
-                ms(scaled),
-                100.0 * scaled as f64 / handled.max(1) as f64,
-                sum.stages[i].0 / 1000
+                ms(ns),
+                100.0 * ns as f64 / handled.max(1) as f64,
+                stretches / 1000
             )
         };
         println!(

@@ -2,12 +2,12 @@
 //! the link directory, data-payload framing and frame classification.
 
 use crate::addressing;
-use crate::parsed::{parsed, with_forwarded_layers};
+use crate::parsed::parsed;
 use bytes::{BufMut, Bytes, BytesMut};
 use mobicast_ipv6::addr::{self, GroupAddr, Prefix};
 use mobicast_ipv6::packet::{proto, Packet};
 use mobicast_ipv6::udp::UdpDatagram;
-use mobicast_net::{Frame, FrameClass, IfIndex, NodeId};
+use mobicast_net::{Frame, FrameClass, IfIndex, L2Dest, NodeId};
 use std::net::Ipv6Addr;
 use std::rc::Rc;
 
@@ -233,47 +233,59 @@ pub fn classify(p: &Packet) -> FrameClass {
 /// destination (multicast → broadcast; unicast → the owner node derived
 /// from the address plan, unless an explicit `l2_to` next hop is given).
 pub fn frame_for(p: &Packet, l2_to: Option<NodeId>) -> Frame {
-    addressed(p.encode(), classify(p), p.dst, l2_to)
+    let mut frame = Frame::new(p.encode(), classify(p));
+    frame.l2 = l2_dest(p.dst, l2_to);
+    frame
 }
 
-/// `bytes` of class `class` in a frame addressed to `dst` as [`frame_for`]
-/// addresses it.
-fn addressed(bytes: Bytes, class: FrameClass, dst: Ipv6Addr, l2_to: Option<NodeId>) -> Frame {
-    if addr::is_multicast(dst) {
-        Frame::new(bytes, class)
-    } else {
-        match l2_to.or_else(|| node_of_addr(dst)) {
-            Some(n) => Frame::unicast(bytes, class, n),
-            None => Frame::new(bytes, class),
-        }
+/// The link-layer destination [`frame_for`] gives a packet to `dst`.
+fn l2_dest(dst: Ipv6Addr, l2_to: Option<NodeId>) -> L2Dest {
+    match l2_to.or_else(|| node_of_addr(dst)) {
+        Some(n) if !addr::is_multicast(dst) => L2Dest::Node(n),
+        _ => L2Dest::Broadcast,
     }
 }
 
 /// Offset of the hop limit in the IPv6 fixed header.
-const HOP_LIMIT_AT: usize = 7;
+const HOP_LIMIT_AT: u16 = 7;
+
+/// The hop limit `packet` has on the wire. `arrived` is the frame it was
+/// parsed from, if any: a forwarded frame shares its predecessor's parse
+/// and carries its own hop limit as a patch.
+pub fn hop_limit(packet: &Packet, arrived: Option<&Frame>) -> u8 {
+    match arrived.and_then(Frame::patch) {
+        Some((HOP_LIMIT_AT, value)) => value,
+        _ => packet.hop_limit,
+    }
+}
 
 /// The bytes that arrived in `arrived`, if they may go on the wire again as
 /// they are: not a copy damaged in flight (those are re-encoded from their
 /// parse, so corrupted bytes are never propagated). They are then the
 /// encoding of the packet they parse to, since every frame is built by an
 /// encoder whose output re-encodes to itself.
-pub(crate) fn intact(arrived: &Frame) -> Option<&Bytes> {
-    (!arrived.damaged).then(|| arrived.bytes())
+pub(crate) fn intact(arrived: &Frame) -> Option<Bytes> {
+    (!arrived.damaged).then(|| arrived.wire())
 }
 
-/// `arrived` forwarded one hop: the bytes that arrived with the hop limit
-/// (byte 7) one lower, addressed as [`frame_for`] addresses, and a parse
-/// memo seeded from the arriving one, so the next hop decodes nothing. This
-/// is `frame_for` of the arriving packet with its hop limit decremented,
-/// without the encode. `None` (build it with `frame_for`) for a damaged
-/// copy, bytes that did not parse, or a hop limit of 0.
+/// `arrived` forwarded one hop: a clone sharing its buffer and filled parse
+/// memo, patched to the hop limit one lower and addressed as [`frame_for`]
+/// addresses. Its wire is that of `frame_for` of the arriving packet with
+/// the hop limit decremented, without the encode, the parse or a copy.
+/// `None` (build it with `frame_for`) for a damaged copy, bytes that did
+/// not parse, or a hop limit of 0.
 pub(crate) fn forwarded(arrived: &Frame, l2_to: Option<NodeId>) -> Option<Frame> {
-    let layers = parsed(arrived).ok()?;
-    let mut wire = intact(arrived)?.to_vec();
-    wire[HOP_LIMIT_AT] = wire[HOP_LIMIT_AT].checked_sub(1)?;
-    let packet = layers.packet();
-    let frame = addressed(Bytes::from(wire), classify(packet), packet.dst, l2_to);
-    Some(with_forwarded_layers(frame, layers))
+    let packet = parsed(arrived).ok()?.packet();
+    let hops = hop_limit(packet, Some(arrived)).checked_sub(1)?;
+    if arrived.damaged {
+        return None;
+    }
+    let mut frame = arrived.clone().with_patch(HOP_LIMIT_AT, hops);
+    (frame.class, frame.l2, frame.tag) = (classify(packet), l2_dest(packet.dst, l2_to), 0);
+    // The shared parse is of the buffer, whose byte 7 is the hop limit it
+    // parsed (the corpus test decodes every forwarded wire).
+    debug_assert_eq!(frame.buffer()[usize::from(HOP_LIMIT_AT)], packet.hop_limit);
+    Some(frame)
 }
 
 #[cfg(test)]

@@ -428,7 +428,7 @@ mod tests {
         let mut w = World::with_tracer(tracer);
         let n = w.add_node(1, Box::new(Sink::default()));
         let frame = Frame::new(Bytes::from_static(b"xyz"), FrameClass::Other);
-        let err = Packet::decode_shared(frame.bytes()).unwrap_err();
+        let err = Packet::decode_shared(frame.buffer()).unwrap_err();
         let mut mib = Counters::new();
         w.with_node(n, |_, ctx| {
             malformed(ctx, &mut mib, Malformed::Frame("pim", &frame), &err);

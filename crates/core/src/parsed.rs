@@ -1,26 +1,26 @@
-//! What a frame's wire bytes parse to, computed once per transmission.
+//! What a frame's bytes parse to, computed once per transmission.
 //!
 //! Every question a node or the oracle asks of a frame — the IPv6 packet,
 //! its ICMPv6 / PIM message or tunnelled inner packet, the application
 //! data under any tunnels, a discard-demanding unknown option, a Binding
 //! Update or Acknowledgement — is a pure function of the bytes. [`parsed`]
 //! answers them from the frame's parse memo (`Frame::memo`): the first
-//! asker decodes, always from the wire bytes and never from the packet the
-//! emitter encoded; the emitter, the oracle and every receiver of a fan-out
-//! read the same answers, `Ok` or typed `Err`. A copy mangled in flight is
-//! new bytes, so it has a memo of its own. Each part is filled on first
-//! ask, so nobody pays for an answer no one wanted. The one memo not filled
-//! from the wire is a forwarded frame's, seeded as the frame is built for
-//! the next hop: its bytes are the arriving bytes with the hop limit one
-//! lower, so its layers are the arriving layers with the hop limit one
-//! lower, and debug builds check them equal to a fresh parse of the new
-//! bytes.
+//! asker decodes, always from the frame's buffer and never from the packet
+//! the emitter encoded; the emitter, the oracle and every receiver of a
+//! fan-out read the same answers, `Ok` or typed `Err`. A copy mangled in
+//! flight is new bytes, so it has a memo of its own. Each part is filled on
+//! first ask, so nobody pays for an answer no one wanted.
+//!
+//! A forwarded frame shares the arriving frame's buffer and memo, and
+//! carries its lowered hop limit as a patch (`netplan::forwarded`): the
+//! memo's packet has the hop limit of the buffer, and the one field a
+//! patch changes is read through `netplan::hop_limit`. Every other answer
+//! is the same for each hop of the chain, so it is computed once for all.
 //!
 //! The views borrow from the frame; anything kept past the handler must be
 //! copied out.
 
 use crate::netplan::{data_info_at, DataInfo};
-use bytes::Bytes;
 use mobicast_ipv6::exthdr::{BindingAck, BindingUpdate, UnknownOptionAction};
 use mobicast_ipv6::icmpv6::Icmpv6;
 use mobicast_ipv6::packet::{proto, Packet};
@@ -40,19 +40,6 @@ pub fn parsed(frame: &Frame) -> Result<&Layers, &DecodeError> {
     frame
         .memo::<Memo>(|bytes| Packet::decode_shared(bytes).map(Layers::new))
         .as_ref()
-}
-
-/// `frame`, whose bytes are those `arrived` parsed from with the hop limit
-/// one lower, with its memo seeded from `arrived`: the same layers and every
-/// answer already asked of them, the hop limit one lower and every payload
-/// view cut from `frame`'s own bytes (so the seeded memo keeps no reference
-/// to the arriving buffer). Nothing is decoded, decapsulated or
-/// checksummed; debug builds check the result against a fresh parse.
-pub(crate) fn with_forwarded_layers(frame: Frame, arrived: &Layers) -> Frame {
-    let layers = arrived.forwarded(frame.bytes());
-    #[cfg(debug_assertions)]
-    layers.assert_is_parse_of(frame.bytes());
-    frame.with_memo::<Memo>(Ok(layers))
 }
 
 /// The application data `frame` carries, if any. Asked by an emitter of
@@ -101,66 +88,6 @@ impl Layers {
             upper: OnceCell::new(),
             data: OnceCell::new(),
             signalling: OnceCell::new(),
-        }
-    }
-
-    /// These layers over `wire`, the encoding of this packet with the hop
-    /// limit one lower: every view is re-cut from `wire`, and every answer
-    /// already asked is carried over. A view is the tail of the bytes it
-    /// was cut from (a packet's payload ends its encoding), so it is the
-    /// same-length tail of `wire`.
-    fn forwarded(&self, wire: &Bytes) -> Layers {
-        let tail = |view: &Bytes| wire.slice(wire.len() - view.len()..);
-        let packet = Packet {
-            hop_limit: self.packet.hop_limit - 1,
-            payload: tail(&self.packet.payload),
-            ..self.packet.clone()
-        };
-        let upper = self.upper.get().map(|upper| match upper {
-            Upper::Tunnel(Ok(inner)) => Upper::Tunnel(Ok(Packet {
-                payload: tail(&inner.payload),
-                ..inner.clone()
-            })),
-            other => other.clone(),
-        });
-        Layers {
-            packet,
-            unknown_option: self.unknown_option,
-            upper: upper.map_or_else(OnceCell::new, OnceCell::from),
-            data: self.data.clone(),
-            signalling: self.signalling.clone(),
-        }
-    }
-
-    /// Panics unless every answer these layers hold is what a fresh parse
-    /// of `wire` gives, and every view lies in `wire`.
-    #[cfg(debug_assertions)]
-    fn assert_is_parse_of(&self, wire: &Bytes) {
-        let fresh = Packet::decode_shared(wire).map(Layers::new);
-        let Ok(fresh) = fresh else {
-            panic!("forwarded bytes do not parse: {fresh:?}");
-        };
-        assert_eq!(self.packet, fresh.packet);
-        assert_eq!(self.unknown_option, fresh.unknown_option);
-        let within = |view: &Bytes| view.is_empty() || wire.as_ptr_range().contains(&view.as_ptr());
-        assert!(
-            within(&self.packet.payload),
-            "payload outside the new bytes"
-        );
-        if let Some(upper) = self.upper.get() {
-            assert_eq!(upper, fresh.upper());
-            if let Upper::Tunnel(Ok(inner)) = upper {
-                assert!(
-                    within(&inner.payload),
-                    "inner payload outside the new bytes"
-                );
-            }
-        }
-        if let Some(data) = self.data.get() {
-            assert_eq!(data.as_ref(), fresh.data());
-        }
-        if let Some(signalling) = self.signalling.get() {
-            assert_eq!(signalling.as_deref(), fresh.signalling());
         }
     }
 

@@ -287,17 +287,20 @@ impl RouterNode {
     /// `RunReport.node_stats` and reconciled against the budget). Runs after
     /// every frame and timer, so `mib` — cold memory on a large topology —
     /// is touched only when a reading rises (or on the first call, which
-    /// creates each gauge even at 0).
-    fn record_high_waters(&mut self) {
+    /// creates each gauge even at 0). A data frame can grow the (S,G) table
+    /// only, so after one (`data`) only that table is read once every gauge
+    /// exists.
+    fn record_high_waters(&mut self, data: bool) {
+        let all = !data || self.high_waters[0].is_none();
+        let listeners = all.then(|| self.mld_listener_port_max());
+        let bindings = all.then(|| self.ha.binding_count());
         let readings = [
-            (
-                counter!("mldListenersHighWater"),
-                self.mld_listener_port_max(),
-            ),
-            (counter!("pimSgHighWater"), self.pim.entry_count()),
-            (counter!("bindingCacheHighWater"), self.ha.binding_count()),
+            (counter!("mldListenersHighWater"), listeners),
+            (counter!("pimSgHighWater"), Some(self.pim.entry_count())),
+            (counter!("bindingCacheHighWater"), bindings),
         ];
         for ((gauge, value), recorded) in readings.into_iter().zip(&mut self.high_waters) {
+            let Some(value) = value else { continue };
             if recorded.is_none_or(|r| value > r) {
                 self.mib.raise(gauge, value as u64);
                 *recorded = Some(value);
@@ -667,7 +670,7 @@ impl RouterNode {
         arrived: Option<&Frame>,
         parent: Option<u64>,
     ) {
-        if packet.hop_limit <= 1 {
+        if netplan::hop_limit(packet, arrived) <= 1 {
             bump!(self.recorder, "router.hop_limit_drops");
             return;
         }
@@ -684,8 +687,8 @@ impl RouterNode {
                         return;
                     };
                     let src = self.iface_info(out_route.iface).global;
-                    let wire = wire_of(packet, arrived);
-                    let Some(outer) = self.encap_checked(ctx, src, coa, packet, wire) else {
+                    let (inner, wire) = wire_of(packet, arrived);
+                    let Some(outer) = self.encap_checked(ctx, src, coa, &inner, wire) else {
                         return;
                     };
                     bump!(self.recorder, "ha.unicast_tunnel_encap");
@@ -748,7 +751,7 @@ impl RouterNode {
     ) -> bool {
         let arrived = native.map(|(_, frame)| frame);
         if !fwd.is_empty() {
-            if packet.hop_limit <= 1 {
+            if netplan::hop_limit(packet, arrived) <= 1 {
                 return false;
             }
             // One frame for the whole decision, one transmission per oif.
@@ -768,8 +771,8 @@ impl RouterNode {
                     continue;
                 };
                 let src = self.iface_info(out_route.iface).global;
-                let wire = wire.get_or_insert_with(|| wire_of(packet, arrived)).clone();
-                let Some(outer) = self.encap_checked(ctx, src, coa, packet, wire) else {
+                let (inner, bytes) = wire.get_or_insert_with(|| wire_of(packet, arrived));
+                let Some(outer) = self.encap_checked(ctx, src, coa, inner, bytes.clone()) else {
                     continue;
                 };
                 ctx.in_stage(Stage::Account, || {
@@ -918,27 +921,32 @@ impl RouterNode {
 }
 
 /// `packet`, which arrived in `arrived` if it is being forwarded, one hop
-/// on: the arriving bytes with the hop limit one lower when they may go on
-/// the wire again as they are, else `packet` so decremented and encoded.
-/// The caller has checked the hop limit is above 1.
+/// on: the arriving frame with the hop limit one lower when its bytes may
+/// go on the wire again as they are, else `packet` so decremented and
+/// encoded. The caller has checked the hop limit is above 1.
 fn one_hop_on(packet: &Packet, arrived: Option<&Frame>, l2_to: Option<NodeId>) -> Frame {
     arrived
         .and_then(|frame| netplan::forwarded(frame, l2_to))
         .unwrap_or_else(|| {
             let next = Packet {
-                hop_limit: packet.hop_limit - 1,
+                hop_limit: netplan::hop_limit(packet, arrived) - 1,
                 ..packet.clone()
             };
             frame_for(&next, l2_to)
         })
 }
 
-/// The encoding of `packet`: the bytes it arrived in when they may go on
-/// the wire again as they are, else a new one.
-fn wire_of(packet: &Packet, arrived: Option<&Frame>) -> Bytes {
-    arrived
-        .and_then(netplan::intact)
-        .map_or_else(|| packet.encode(), Bytes::clone)
+/// `packet`, which arrived in `arrived` if it is being forwarded, as it is
+/// on the wire, and its encoding: the wire it arrived in when that may go
+/// on the wire again as it is, else a new one.
+fn wire_of(packet: &Packet, arrived: Option<&Frame>) -> (Packet, Bytes) {
+    let packet = Packet {
+        hop_limit: netplan::hop_limit(packet, arrived),
+        ..packet.clone()
+    };
+    let wire = arrived.and_then(netplan::intact);
+    let wire = wire.unwrap_or_else(|| packet.encode());
+    (packet, wire)
 }
 
 impl NodeBehavior for RouterNode {
@@ -1081,6 +1089,9 @@ impl NodeBehavior for RouterNode {
             _ if packet.is_multicast() => {
                 self.handle_multicast_data(ctx, ifx, packet, frame);
                 self.arm_pim(ctx);
+                ctx.stage(Stage::Account);
+                self.record_high_waters(true);
+                return;
             }
             _ if self.is_my_addr(packet.dst) => {
                 self.handle_local(ctx, layers, frame.tag);
@@ -1093,7 +1104,7 @@ impl NodeBehavior for RouterNode {
             }
         }
         ctx.stage(Stage::Account);
-        self.record_high_waters();
+        self.record_high_waters(false);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, key: TimerKey) {
@@ -1151,7 +1162,7 @@ impl NodeBehavior for RouterNode {
             _ => {}
         }
         ctx.stage(Stage::Account);
-        self.record_high_waters();
+        self.record_high_waters(false);
     }
 
     fn on_link_change(&mut self, _ctx: &mut Ctx<'_>, _ifx: IfIndex, _link: Option<LinkId>) {

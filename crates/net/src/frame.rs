@@ -10,11 +10,14 @@
 //! also carries an opaque *parse memo*: a once-cell the upper layer fills
 //! the first time anyone asks ([`Frame::memo`]) and every later asker —
 //! the emitter, the oracle, each receiver of a fan-out — reads. This layer
-//! never looks inside it; it only guarantees the pairing: the bytes are
-//! private and [`Frame::with_bytes`], the one way to change them, starts
-//! the copy with an empty memo. The one way to start a frame with a filled
-//! memo is [`Frame::with_memo`], for an upper layer that already knows what
-//! new bytes parse to (a router forwarding what it just parsed).
+//! never looks inside it; it only guarantees the pairing: the buffer is
+//! private and [`Frame::with_bytes`], the one way to change it, starts the
+//! copy with an empty memo.
+//!
+//! A one-byte *patch* ([`Frame::with_patch`]) lets a router forward what
+//! arrived with the hop limit one lower while sharing the arriving buffer
+//! and its memo: the memo describes the buffer, the upper layer reads the
+//! patched field through [`Frame::patch`], and [`Frame::wire`] applies it.
 
 use bytes::Bytes;
 use std::any::Any;
@@ -100,6 +103,8 @@ pub enum L2Dest {
 #[derive(Clone, Debug)]
 pub struct Frame {
     bytes: Bytes,
+    /// `(offset, value)`: the wire carries `value` there instead.
+    patch: Option<(u16, u8)>,
     /// What `bytes` parse to, in the upper layer's terms. A clone shares
     /// a filled memo; a clone taken before the first ask fills its own.
     memo: OnceCell<Rc<dyn Any>>,
@@ -123,6 +128,7 @@ impl Frame {
     pub fn new(bytes: Bytes, class: FrameClass) -> Self {
         Frame {
             bytes,
+            patch: None,
             memo: OnceCell::new(),
             class,
             l2: L2Dest::Broadcast,
@@ -134,46 +140,55 @@ impl Frame {
     /// A frame addressed to one node's interface on the link.
     pub fn unicast(bytes: Bytes, class: FrameClass, to: crate::ids::NodeId) -> Self {
         Frame {
-            bytes,
-            memo: OnceCell::new(),
-            class,
             l2: L2Dest::Node(to),
-            tag: 0,
-            damaged: false,
+            ..Frame::new(bytes, class)
         }
     }
 
-    /// Attach a provenance tag.
-    pub fn with_tag(mut self, tag: u64) -> Self {
-        self.tag = tag;
-        self
-    }
-
-    /// The wire bytes.
+    /// The shared buffer: the wire bytes but for the patched byte, if any.
+    /// The memo is its parse.
     #[inline]
-    pub fn bytes(&self) -> &Bytes {
+    pub fn buffer(&self) -> &Bytes {
         &self.bytes
     }
 
+    /// The bytes on the wire: the buffer, or a copy of it carrying the
+    /// patched byte.
+    pub fn wire(&self) -> Bytes {
+        match self.patch {
+            None => self.bytes.clone(),
+            Some((at, value)) => {
+                let mut wire = self.bytes.to_vec();
+                wire[usize::from(at)] = value;
+                Bytes::from(wire)
+            }
+        }
+    }
+
+    /// The patch, `(offset, value)`, if the wire differs from the buffer.
+    #[inline]
+    pub fn patch(&self) -> Option<(u16, u8)> {
+        self.patch
+    }
+
+    /// This frame with the wire carrying `value` at `at` (replacing any
+    /// earlier patch). The buffer and a filled memo stay shared.
+    pub fn with_patch(mut self, at: u16, value: u8) -> Self {
+        assert!(usize::from(at) < self.len(), "patch beyond the bytes");
+        self.patch = Some((at, value));
+        self
+    }
+
     /// This frame carrying other bytes (a copy mangled in flight). The
-    /// memo described the old bytes and is dropped.
+    /// memo described the old buffer and is dropped, and so is the patch.
     pub fn with_bytes(mut self, bytes: Bytes) -> Self {
         self.bytes = bytes;
+        self.patch = None;
         self.memo = OnceCell::new();
         self
     }
 
-    /// This frame with its memo filled by `memo`, which the caller vouches
-    /// is what the memo's `parse` would make of the bytes: the forwarding
-    /// path knows the parse of the bytes it forwards from the parse of the
-    /// bytes that arrived, and checks it against a fresh parse in debug
-    /// builds.
-    pub fn with_memo<T: Any>(mut self, memo: T) -> Self {
-        self.memo = OnceCell::from(Rc::new(memo) as Rc<dyn Any>);
-        self
-    }
-
-    /// What the bytes parse to: `parse` runs on the first ask and its
+    /// What the buffer parses to: `parse` runs on the first ask and its
     /// result is kept for every later one, on this frame and on its
     /// clones. `parse` must be a pure function of the bytes, and a program
     /// uses one `T` for all its frames.
@@ -234,7 +249,8 @@ mod tests {
         let mut runs = 0;
         assert_eq!(*f.memo(|b| (runs += 1, b.len()).1), 3);
         assert_eq!(*f.memo(|_| -> usize { unreachable!("filled") }), 3);
-        let late = f.clone().with_tag(7);
+        let mut late = f.clone();
+        late.tag = 7;
         assert_eq!(*late.memo(|_| -> usize { unreachable!("shared") }), 3);
         assert_eq!(runs, 1);
         // A clone taken before the first ask parses on its own.
@@ -246,21 +262,26 @@ mod tests {
         let f = Frame::new(Bytes::from_static(&[1, 2, 3]), FrameClass::Other);
         assert_eq!(*f.memo(|b| b.len()), 3);
         let copy = f.clone().with_bytes(Bytes::from_static(&[9]));
-        assert_eq!(copy.bytes().as_ref(), &[9]);
+        assert_eq!(copy.buffer().as_ref(), &[9]);
         assert_eq!(*copy.memo(|b| b.len()), 1, "parsed from its own bytes");
         assert_eq!(*f.memo(|_| -> usize { unreachable!("filled") }), 3);
         assert_eq!((copy.class, copy.l2, copy.tag), (f.class, f.l2, f.tag));
     }
 
     #[test]
-    fn a_seeded_memo_is_read_without_parsing_and_shared_by_clones() {
-        let f = Frame::new(Bytes::from_static(&[1, 2, 3]), FrameClass::Other).with_memo(3usize);
-        assert_eq!(*f.memo(|_| -> usize { unreachable!("seeded") }), 3);
-        let copy = f.clone().with_tag(9);
-        assert_eq!(*copy.memo(|_| -> usize { unreachable!("shared") }), 3);
-        // New bytes still drop it.
-        let other = f.with_bytes(Bytes::from_static(&[4]));
-        assert_eq!(*other.memo(|b| b.len()), 1);
+    fn a_patch_changes_the_wire_and_shares_buffer_and_memo() {
+        let f = Frame::new(Bytes::from_static(&[1, 2, 3]), FrameClass::Other);
+        assert_eq!(*f.memo(|b| b.len()), 3);
+        let patched = f.clone().with_patch(1, 9);
+        assert_eq!(patched.wire().as_ref(), &[1, 9, 3]);
+        assert_eq!(patched.patch(), Some((1, 9)));
+        assert_eq!(patched.buffer().as_ptr(), f.buffer().as_ptr());
+        assert_eq!(*patched.memo(|_| -> usize { unreachable!("shared") }), 3);
+        assert_eq!((f.patch(), f.wire().as_ref()), (None, &[1u8, 2, 3][..]));
+        // A second patch replaces the first; new bytes drop it.
+        assert_eq!(patched.clone().with_patch(0, 7).wire().as_ref(), &[7, 2, 3]);
+        let other = patched.with_bytes(Bytes::from_static(&[4]));
+        assert_eq!((other.patch(), *other.memo(|b| b.len())), (None, 1));
     }
 
     #[test]

@@ -891,7 +891,7 @@ impl World {
                             crate::fault::CorruptionKind::Replay => {
                                 arrival += fault.replay_delay();
                             }
-                            _ => deliver_bytes = Some(fault.corrupt_bytes(kind, frame.bytes())),
+                            _ => deliver_bytes = Some(fault.corrupt_bytes(kind, &frame.wire())),
                         }
                     }
                 }
@@ -1105,7 +1105,7 @@ mod tests {
                     ctx.now()
                 ),
             );
-            if self.reply && frame.bytes().as_ref() == b"ping" {
+            if self.reply && frame.buffer().as_ref() == b"ping" {
                 ctx.send(
                     ifindex,
                     Frame::new(Bytes::from_static(b"pong"), FrameClass::Other),

@@ -28,7 +28,7 @@ impl NodeBehavior for Asker {
             self.parses.set(self.parses.get() + 1);
             bytes.to_vec()
         });
-        let own = memo.as_slice() == frame.bytes().as_ref();
+        let own = memo.as_slice() == frame.buffer().as_ref();
         let at = memo as *const Vec<u8> as usize;
         self.heard.borrow_mut().push((frame.damaged, own, at));
     }

@@ -29,6 +29,7 @@ use mobicast_ipv6::addr::GroupAddr;
 use mobicast_sim::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
 
@@ -166,6 +167,10 @@ pub struct PimRouter {
     /// the non-table inputs of the forwarding predicate (see
     /// [`PimRouter::mutation_epoch`]).
     iface_epoch: u64,
+    /// What `next_deadline` answers while it holds (`SimTime::MAX`: no
+    /// deadline); `None` when a change may have raised it, so the next ask
+    /// scans.
+    deadline: Cell<Option<SimTime>>,
 }
 
 impl PimRouter {
@@ -180,6 +185,7 @@ impl PimRouter {
             notes: Vec::new(),
             budget: None,
             iface_epoch: 0,
+            deadline: Cell::new(None),
         }
     }
 
@@ -210,6 +216,7 @@ impl PimRouter {
 
     /// Begin operating: send initial Hellos.
     pub fn start(&mut self, now: SimTime) -> Vec<PimSend> {
+        self.deadline.set(None);
         self.next_hello = Some(now + HELLO_PERIOD);
         self.hellos()
     }
@@ -284,15 +291,13 @@ impl PimRouter {
         !st.neighbors.is_empty() && !matches!(oif.prune, DownstreamPrune::Pruned { .. })
     }
 
-    fn forward_list(&self, key: &Sg) -> Vec<IfIndex> {
-        let Some(slot) = self.entries.slot_of(*key) else {
-            return Vec::new();
-        };
+    fn forward_list(&self, slot: u32) -> Vec<IfIndex> {
+        let g = self.entries.key_of(slot).1;
         self.entries
             .row(slot)
             .oifs
             .iter()
-            .filter(|(iface, oif)| self.oif_forwards(oif, *iface, key.1))
+            .filter(|(iface, oif)| self.oif_forwards(oif, *iface, g))
             .map(|(iface, _)| *iface)
             .collect()
     }
@@ -312,10 +317,13 @@ impl PimRouter {
     fn prune_upstream(&mut self, slot: u32, key: Sg, up: Ipv6Addr, now: SimTime) -> PimSend {
         let e = self.entries.row_mut(slot);
         let until = now + PRUNE_HOLD_TIME;
+        let old = upstream_timer(e.upstream_state);
         e.upstream_state = UpstreamState::Pruned { until };
         e.last_prune_tx = Some(now);
+        let prune = join_prune(e.iif, up, key, false);
+        self.retime(old, Some(until));
         self.notes.push(PimNote::UpstreamPruned { sg: key, until });
-        join_prune(e.iif, up, key, false)
+        prune
     }
 
     /// If we pruned ourselves off the tree, graft back on: the Graft to
@@ -366,6 +374,7 @@ impl PimRouter {
             iif_assert_winner: None,
         };
         let Ok(slot) = self.entries.insert((s, g), now + DATA_TIMEOUT, detail);
+        self.retime(None, Some(now + DATA_TIMEOUT));
         Some(slot)
     }
 
@@ -388,13 +397,10 @@ impl PimRouter {
         if iface != e.iif {
             // Wrong interface. If we actively forward onto it, there is a
             // parallel forwarder on that LAN: start the assert process.
-            let forwards_here = e
-                .oif(iface)
-                .is_some_and(|oif| self.oif_forwards(oif, iface, g));
-            let due = e
-                .oif(iface)
-                .is_some_and(|oif| rate_ok(oif.last_assert_tx, now));
-            if forwards_here && due {
+            let due = e.oif(iface).is_some_and(|oif| {
+                self.oif_forwards(oif, iface, g) && rate_ok(oif.last_assert_tx, now)
+            });
+            if due {
                 if let Some(info) = rpf.rpf(s) {
                     sends.push(assert_msg(iface, s, g, &info));
                     if let Some(oif) = self.entries.row_mut(slot).oif_mut(iface) {
@@ -406,8 +412,10 @@ impl PimRouter {
         }
 
         // Correct (RPF) interface: refresh and forward.
-        self.entries.set_expires(slot, now + DATA_TIMEOUT);
-        let fwd = self.forward_list(&key);
+        let refreshed = now + DATA_TIMEOUT;
+        self.retime(Some(self.entries.expires_at(slot)), Some(refreshed));
+        self.entries.set_expires(slot, refreshed);
+        let fwd = self.forward_list(slot);
         if fwd.is_empty() {
             // No interested downstream interfaces: prune toward the source
             // (rate-limited; spec sends a Prune whenever data arrives on the
@@ -429,6 +437,7 @@ impl PimRouter {
         now: SimTime,
         rpf: &dyn RpfLookup,
     ) -> Vec<PimSend> {
+        self.deadline.set(None);
         match msg {
             PimMessage::Hello { holdtime } => self.on_hello(iface, from, *holdtime, now),
             PimMessage::JoinPrune {
@@ -513,14 +522,15 @@ impl PimRouter {
                 // Overheard another router pruning our upstream on our iif
                 // LAN. If we still need the traffic, schedule a Join
                 // override at a random point inside the override window.
-                let still_needed = !self.forward_list(key).is_empty();
+                let slot = self.entries.slot_of(*key);
+                let still_needed = slot.is_some_and(|slot| !self.forward_list(slot).is_empty());
                 let window = self.cfg.prune_delay.as_nanos().saturating_mul(2) / 3;
                 let delay = if window == 0 {
                     SimDuration::ZERO
                 } else {
                     SimDuration::from_nanos(self.rng.random_range(0..window))
                 };
-                if let Some(slot) = self.entries.slot_of(*key) {
+                if let Some(slot) = slot {
                     let e = self.entries.row_mut(slot);
                     if e.iif == iface && e.upstream == Some(upstream) && still_needed {
                         let candidate = now + delay;
@@ -686,6 +696,7 @@ impl PimRouter {
         now: SimTime,
         _rpf: &dyn RpfLookup,
     ) -> Vec<PimSend> {
+        self.deadline.set(None);
         let mut sends = Vec::new();
         {
             let Some(st) = self.ifaces.get_mut(&iface) else {
@@ -719,10 +730,10 @@ impl PimRouter {
                 // Member left. If nothing downstream needs traffic any more,
                 // prune immediately (paper §3.2: MLD "notifies the multicast
                 // routing protocol", which stops forwarding).
-                let now_empty = self.forward_list(&key).is_empty();
                 let Some(slot) = self.entries.slot_of(key) else {
                     continue; // unreachable: key came from this table
                 };
+                let now_empty = self.forward_list(slot).is_empty();
                 let e = self.entries.row(slot);
                 if now_empty && matches!(e.upstream_state, UpstreamState::Forwarding) {
                     if let Some(up) = e.upstream {
@@ -734,47 +745,53 @@ impl PimRouter {
         sends
     }
 
-    /// Earliest pending protocol deadline.
+    /// Earliest pending protocol deadline: the cached answer while it
+    /// holds, else a scan. Debug builds check every answer against a scan.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let mut min: Option<SimTime> = None;
-        let mut consider = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                min = Some(match min {
-                    Some(m) => m.min(t),
-                    None => t,
-                });
-            }
-        };
-        consider(self.next_hello);
-        for st in self.ifaces.values() {
-            for dl in st.neighbors.values() {
-                consider(Some(*dl));
-            }
-        }
-        for pos in 0..self.entries.len() {
-            let slot = self.entries.slot_at(pos);
-            consider(Some(self.entries.expires_at(slot)));
+        let next = self.deadline.get().unwrap_or_else(|| self.scan_deadline());
+        debug_assert_eq!(next, self.scan_deadline(), "the cached deadline");
+        self.deadline.set(Some(next));
+        (next < SimTime::MAX).then_some(next)
+    }
+
+    /// A timer moved from `old` to `new` (`None`: not running): lower the
+    /// cached answer to `new`, or forget it if the timer may have been it.
+    fn retime(&self, old: Option<SimTime>, new: Option<SimTime>) {
+        let kept = self
+            .deadline
+            .get()
+            .filter(|min| old.is_none_or(|old| old > *min));
+        self.deadline
+            .set(kept.map(|min| new.map_or(min, |new| min.min(new))));
+    }
+
+    /// The earliest of every pending deadline, walked: hello, neighbors,
+    /// and each (S,G)'s timers (`SimTime::MAX`: none).
+    fn scan_deadline(&self) -> SimTime {
+        let nbrs = self.ifaces.values().flat_map(|st| st.neighbors.values());
+        let entries = self.entries.slots().flat_map(|slot| {
             let e = self.entries.row(slot);
-            consider(e.override_join_at);
-            match e.upstream_state {
-                UpstreamState::Pruned { until } => consider(Some(until)),
-                UpstreamState::AckPending { retry_at } => consider(Some(retry_at)),
-                UpstreamState::Forwarding => {}
-            }
-            for (_, oif) in &e.oifs {
-                match oif.prune {
-                    DownstreamPrune::PrunePending { fire_at } => consider(Some(fire_at)),
-                    DownstreamPrune::Pruned { until } => consider(Some(until)),
-                    DownstreamPrune::NoInfo => {}
-                }
-                consider(oif.assert_loser_until);
-            }
-        }
-        min
+            let oifs = e.oifs.iter().flat_map(|(_, oif)| {
+                let prune = match oif.prune {
+                    DownstreamPrune::PrunePending { fire_at: t }
+                    | DownstreamPrune::Pruned { until: t } => Some(t),
+                    DownstreamPrune::NoInfo => None,
+                };
+                [prune, oif.assert_loser_until]
+            });
+            let own = [Some(self.entries.expires_at(slot)), e.override_join_at];
+            own.into_iter()
+                .chain([upstream_timer(e.upstream_state)])
+                .chain(oifs)
+        });
+        let timers = nbrs.copied().map(Some).chain(entries);
+        let earliest = self.next_hello.into_iter().chain(timers.flatten()).min();
+        earliest.unwrap_or(SimTime::MAX)
     }
 
     /// Fire all deadlines due at `now`.
     pub fn on_deadline(&mut self, now: SimTime) -> Vec<PimSend> {
+        self.deadline.set(None);
         let mut sends = Vec::new();
 
         if matches!(self.next_hello, Some(t) if t <= now) {
@@ -856,6 +873,14 @@ impl PimRouter {
         }
         self.entries.refresh_min_expires();
         sends
+    }
+}
+
+/// The deadline of the upstream state's timer, if it runs one.
+fn upstream_timer(state: UpstreamState) -> Option<SimTime> {
+    match state {
+        UpstreamState::Pruned { until: t } | UpstreamState::AckPending { retry_at: t } => Some(t),
+        UpstreamState::Forwarding => None,
     }
 }
 

@@ -56,6 +56,15 @@ pub const STAGES: [&str; 4] = ["parse", "protocol", "emit", "account"];
 /// what the handler categories measure.
 pub const STAGE_SAMPLE: u64 = 16;
 
+/// Handlers are grouped by duration, a power of two of nanoseconds each,
+/// and a group's sampled handlers stand for that group alone: a rare long
+/// one that is sampled counts once, not `STAGE_SAMPLE` times over.
+const STRATA: usize = u64::BITS as usize + 1;
+
+/// One group's time over all its handlers and over its sampled ones, and
+/// their stretches per stage.
+type Stratum = (u64, u64, [HandlerStats; STAGES.len()]);
+
 /// Summary of one profiled run. Wall-clock based: keep out of
 /// deterministic reports.
 #[derive(Clone, Debug)]
@@ -64,10 +73,12 @@ pub struct SimProfile {
     pub events_scheduled: u64,
     pub queue_depth_high_water: u64,
     pub handlers: BTreeMap<String, HandlerStats>,
-    /// Self time per [`Stage`] (one sample per uninterrupted stretch) in
-    /// the one handler in [`STAGE_SAMPLE`] that is timed this finely, over
-    /// all handler categories. Stretches outside every stage are not
-    /// listed, so the totals sum to less than that share of `handlers`'.
+    /// Self time per [`Stage`] over all handler categories: `count` is the
+    /// uninterrupted stretches timed in the one handler in [`STAGE_SAMPLE`]
+    /// that is timed this finely, `total_ns` their time scaled up to every
+    /// handler of the same duration (to the power of two). Stretches
+    /// outside every stage are not listed, nor are durations no sampled
+    /// handler had, so the totals sum to less than `handlers`'.
     pub stages: BTreeMap<String, HandlerStats>,
 }
 
@@ -85,7 +96,9 @@ pub struct Profiler {
     /// What one clock read costs here: every stretch spans about one and
     /// is recorded net of it.
     clock_read_ns: u64,
-    stages: [HandlerStats; STAGES.len()],
+    /// The stretches of the handler now running.
+    stretches: [HandlerStats; STAGES.len()],
+    strata: [Stratum; STRATA],
 }
 
 impl Profiler {
@@ -109,7 +122,8 @@ impl Profiler {
             stage: Stage::Outside,
             stage_since: last,
             clock_read_ns,
-            stages: Default::default(),
+            stretches: Default::default(),
+            strata: [Stratum::default(); STRATA],
         }
     }
 
@@ -127,7 +141,7 @@ impl Profiler {
     fn switch_stage(&mut self, stage: Stage) -> Stage {
         let now = Instant::now();
         let prev = std::mem::replace(&mut self.stage, stage);
-        if let Some(stats) = self.stages.get_mut(prev as usize) {
+        if let Some(stats) = self.stretches.get_mut(prev as usize) {
             let ns = (now - self.stage_since).as_nanos().min(u64::MAX as u128) as u64;
             stats.record(ns.saturating_sub(self.clock_read_ns));
         }
@@ -153,16 +167,39 @@ impl Profiler {
     /// handler left open, if any.
     #[inline]
     pub fn record(&mut self, idx: usize, started: Instant) {
+        let sampled = self.stages_on;
         self.enter_stage(Stage::Outside);
         self.stages_on = false;
         let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.events += 1;
         self.handlers[idx].record(ns);
+        let stretches = std::mem::take(&mut self.stretches);
+        // A sampled handler is grouped by its duration net of its reads.
+        let reads: u64 = stretches.iter().map(|s| s.count).sum();
+        let ns = ns.saturating_sub(reads * self.clock_read_ns);
+        let (all, timed, stages) = &mut self.strata[(u64::BITS - ns.leading_zeros()) as usize];
+        *all += ns;
+        if sampled {
+            *timed += ns;
+            for (stage, stretch) in stages.iter_mut().zip(stretches) {
+                stage.count += stretch.count;
+                stage.total_ns += stretch.total_ns;
+            }
+        }
     }
 
     /// Summarize the run. Queue statistics are supplied by the scheduler
     /// that owns the event queue.
     pub fn finish(&self, queue_depth_high_water: usize, events_scheduled: u64) -> SimProfile {
+        // Each group's stretches, scaled by its time over its sampled time.
+        let mut stages = [HandlerStats::default(); STAGES.len()];
+        for &(all, timed, stretches) in self.strata.iter().filter(|g| g.1 > 0) {
+            for (sum, s) in stages.iter_mut().zip(stretches) {
+                let scaled = u128::from(s.total_ns) * u128::from(all) / u128::from(timed);
+                sum.count += s.count;
+                sum.total_ns += scaled as u64;
+            }
+        }
         let named = |names: &[&str], stats: &[HandlerStats]| {
             names
                 .iter()
@@ -175,7 +212,7 @@ impl Profiler {
             events_scheduled,
             queue_depth_high_water: queue_depth_high_water as u64,
             handlers: named(self.categories, &self.handlers),
-            stages: named(&STAGES, &self.stages),
+            stages: named(&STAGES, &stages),
         }
     }
 }
@@ -227,5 +264,40 @@ mod tests {
         assert_eq!(prof.stages["protocol"].count, 2, "two stretches");
         assert_eq!(prof.stages["emit"].count, 1);
         assert_eq!(prof.stages["parse"].count, 0);
+    }
+
+    /// The fault `mobicast stages` showed on the metro run: one ~45 ms
+    /// handler that the fixed sequence samples was scaled up by
+    /// `STAGE_SAMPLE`, so `account` read more than all handler time. Here
+    /// one sampled handler of 20 ms in `account` among 4 000 quick ones must
+    /// count about once.
+    #[test]
+    fn a_rare_long_handler_that_is_sampled_counts_once() {
+        let mut p = Profiler::new(&["deliver"]);
+        for _ in 0..4_000 {
+            let started = p.begin_handler();
+            p.enter_stage(Stage::Parse);
+            p.record(0, started);
+        }
+        let started = loop {
+            let started = p.begin_handler();
+            if p.stages_on {
+                break started;
+            }
+            p.record(0, started);
+        };
+        p.enter_stage(Stage::Account);
+        let long = std::time::Duration::from_millis(20);
+        while started.elapsed() < long {
+            std::hint::spin_loop();
+        }
+        p.record(0, started);
+        let prof = p.finish(0, 0);
+        let handled = prof.handlers["deliver"].total_ns;
+        let account = prof.stages["account"].total_ns;
+        assert!(account >= 19_000_000, "{account} ns");
+        assert!(account <= handled, "{account} of {handled} ns");
+        let staged: u64 = prof.stages.values().map(|s| s.total_ns).sum();
+        assert!(staged <= handled, "{staged} of {handled} ns");
     }
 }

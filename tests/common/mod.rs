@@ -4,7 +4,7 @@
 #![allow(dead_code)]
 
 use bytes::Bytes;
-use mobicast::core::netplan::extract_data_info;
+use mobicast::core::netplan::{extract_data_info, hop_limit};
 use mobicast::core::parsed::{parsed, Layers, Upper};
 use mobicast::ipv6::packet::{proto, Packet};
 use mobicast::ipv6::udp::UdpDatagram;
@@ -25,24 +25,28 @@ pub struct Seen {
 }
 
 /// Every answer of `frame`'s parse memo equals the plain decoder run on
-/// the same bytes — `Ok` values and every typed `Err`. Asked of the frame
-/// as captured (its memo may have been filled during a run) and of two
-/// new frames over the same bytes, in opposite orders.
+/// its wire — `Ok` values and every typed `Err` — with the hop limit read
+/// as the nodes read it (`netplan::hop_limit`: a forwarded frame shares
+/// its predecessor's parse and patches the hop limit). Asked of the frame
+/// as captured (its memo may have been filled during a run, or shared
+/// along a chain of hops) and of two new frames over the wire bytes, in
+/// opposite orders.
 pub fn assert_memo_matches_fresh_decode(frame: &Frame, seen: &mut Seen) {
-    let fresh = Packet::decode_shared(frame.bytes());
-    let forward = Frame::new(frame.bytes().clone(), frame.class);
-    let backward = Frame::new(frame.bytes().clone(), frame.class);
+    let wire = frame.wire();
+    let fresh = Packet::decode_shared(&wire);
+    let forward = Frame::new(wire.clone(), frame.class);
+    let backward = Frame::new(wire, frame.class);
     for (asked, reversed) in [(frame, false), (&forward, false), (&backward, true)] {
         match (parsed(asked), &fresh) {
             (Err(got), Err(want)) => assert_eq!(got, want),
             (Ok(layers), Ok(p)) => {
-                let mut asks: [fn(&Layers, &Packet); 4] =
+                let mut asks: [fn(&Frame, &Layers, &Packet); 4] =
                     [ask_packet, ask_upper, ask_data, ask_signalling];
                 if reversed {
                     asks.reverse();
                 }
                 for ask in asks {
-                    ask(layers, p);
+                    ask(asked, layers, p);
                 }
             }
             (got, want) => panic!("memo {got:?}, fresh decode {want:?}"),
@@ -109,12 +113,16 @@ pub fn assert_shared_decoders_agree(raw: &[u8]) {
     }
 }
 
-fn ask_packet(layers: &Layers, p: &Packet) {
-    assert_eq!(layers.packet(), p);
+fn ask_packet(frame: &Frame, layers: &Layers, p: &Packet) {
+    let on_wire = Packet {
+        hop_limit: hop_limit(layers.packet(), Some(frame)),
+        ..layers.packet().clone()
+    };
+    assert_eq!(&on_wire, p);
     assert_eq!(layers.unknown_option_problem(), p.unknown_option_problem());
 }
 
-fn ask_upper(layers: &Layers, p: &Packet) {
+fn ask_upper(_: &Frame, layers: &Layers, p: &Packet) {
     let want = match p.payload_proto {
         proto::ICMPV6 => Upper::Icmpv6(Icmpv6::decode(p.src, p.dst, &p.payload)),
         proto::PIM => Upper::Pim(PimMessage::decode(p.src, p.dst, &p.payload)),
@@ -124,11 +132,11 @@ fn ask_upper(layers: &Layers, p: &Packet) {
     assert_eq!(layers.upper(), &want);
 }
 
-fn ask_data(layers: &Layers, p: &Packet) {
+fn ask_data(_: &Frame, layers: &Layers, p: &Packet) {
     assert_eq!(layers.data().copied(), extract_data_info(p));
 }
 
-fn ask_signalling(layers: &Layers, p: &Packet) {
+fn ask_signalling(_: &Frame, layers: &Layers, p: &Packet) {
     let (update, ack) = (parse_binding_update(p), parse_binding_ack(p));
     assert_eq!(layers.binding_update(), update.as_ref());
     assert_eq!(layers.binding_ack(), ack.as_ref());

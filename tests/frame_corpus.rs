@@ -1,13 +1,16 @@
 //! Real-frame corpus differential for the per-frame parse memo: every
 //! frame a run puts on a link or hands to a receiver — clean
 //! transmissions, per-receiver copies and the copies corruption mangled —
-//! must read, through `core::parsed`, exactly as the plain decoders read
-//! its bytes. The corpus is whatever the Figure-1 scenario produces under
-//! every delivery policy, plus two chaos seeds whose plans corrupt frames.
-//! The same live frames also seed the wire mutators: bit flips and
-//! truncations of real traffic, where the zero-copy decoders must agree
-//! with the copying ones. And every one of them is its own re-encoding,
-//! the premise on which a router forwards the bytes that arrived.
+//! must read, through `core::parsed` and `netplan::hop_limit`, exactly as
+//! the plain decoders read its wire. The corpus is whatever the Figure-1
+//! scenario produces under every delivery policy, plus two chaos seeds
+//! whose plans corrupt frames. A forwarded frame shares the arriving
+//! frame's buffer and parse and patches the hop limit: its wire must be
+//! the arriving wire one hop on, and a link that corrupts it must mangle
+//! that wire. The same live frames also seed the wire mutators: bit flips
+//! and truncations of real traffic, where the zero-copy decoders must
+//! agree with the copying ones. And every one of them is its own
+//! re-encoding, the premise on which a router forwards what arrived.
 
 mod common;
 
@@ -20,7 +23,7 @@ use mobicast::net::{ExecPlan, Frame, IfIndex, LinkId, NodeId, WorldProbe};
 use mobicast::sim::{RngFactory, SimTime, Tracer};
 use rand::Rng;
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 /// Keeps every frame the world shows a probe: each transmission, and each
@@ -95,7 +98,7 @@ fn every_frame_of_every_policy_is_its_own_reencoding() {
         let mut frames = 0u64;
         for frame in corpus_of(&figure1(policy)) {
             assert!(!frame.damaged, "no fault plan");
-            let mut wire = frame.bytes().clone();
+            let mut wire = frame.wire();
             loop {
                 let packet = Packet::decode(&wire).expect("an undamaged frame decodes");
                 assert_eq!(packet.encode(), wire, "{policy:?}: not its own encoding");
@@ -110,6 +113,49 @@ fn every_frame_of_every_policy_is_its_own_reencoding() {
     }
 }
 
+/// Every forwarded frame's wire is what a router used to build by copying
+/// the arriving wire and lowering its hop limit (byte 7): the wire of a
+/// frame heard over the same buffer, one hop earlier, with byte 7 one
+/// lower.
+#[test]
+fn every_forwarded_wire_is_the_arriving_wire_one_hop_on() {
+    for policy in Policy::all() {
+        let frames = corpus_of(&figure1(policy));
+        let buffer = |f: &Frame| (f.buffer().as_ptr() as usize, f.len());
+        let mut heard = HashMap::new();
+        for frame in &frames {
+            let wire = frame.wire();
+            heard.entry((buffer(frame), wire[7])).or_insert(wire);
+        }
+        let mut forwarded = 0u64;
+        for frame in frames.iter().filter(|f| f.patch().is_some()) {
+            assert_eq!(frame.patch().map(|(at, _)| at), Some(7), "{policy:?}");
+            let wire = frame.wire();
+            let arrived = &heard[&(buffer(frame), wire[7] + 1)];
+            let mut old = arrived.to_vec();
+            old[7] -= 1;
+            assert_eq!(wire.as_ref(), old.as_slice(), "{policy:?}");
+            forwarded += 1;
+        }
+        assert!(
+            forwarded > 1_000,
+            "{policy:?}: {forwarded} forwarded frames"
+        );
+    }
+}
+
+/// Is `copy` `from` with one bit flipped, or cut short?
+fn mangled_from(copy: &[u8], from: &[u8]) -> bool {
+    let bits = |a: &[u8]| {
+        a.iter()
+            .zip(from)
+            .map(|(x, y)| (x ^ y).count_ones())
+            .sum::<u32>()
+    };
+    let flipped = copy.len() == from.len() && bits(copy) == 1;
+    flipped || (copy.len() < from.len() && from.starts_with(copy))
+}
+
 #[test]
 fn corrupted_copies_read_as_their_own_bytes_decode() {
     let corrupting = (0u64..)
@@ -122,14 +168,32 @@ fn corrupted_copies_read_as_their_own_bytes_decode() {
         })
         .take(2);
     let mut seen = Seen::default();
-    let mut damaged = 0u64;
+    let (mut damaged, mut from_wire, mut from_buffer) = (0u64, 0u64, 0u64);
     for seed in corrupting {
         let cfg = chaos::plan_for_seed(seed).config(Policy::BIDIRECTIONAL_TUNNEL, seed);
-        for frame in corpus_of(&cfg) {
+        let frames = corpus_of(&cfg);
+        // Forwarded data transmissions by tag: a damaged copy keeps it.
+        let sent: HashMap<u64, &Frame> = frames
+            .iter()
+            .filter(|f| f.tag != 0 && !f.damaged && f.patch().is_some())
+            .map(|f| (f.tag, f))
+            .collect();
+        for frame in &frames {
             damaged += u64::from(frame.damaged);
-            assert_memo_matches_fresh_decode(&frame, &mut seen);
+            assert_memo_matches_fresh_decode(frame, &mut seen);
+            if let Some(sent) = sent.get(&frame.tag).filter(|_| frame.damaged) {
+                let wire = mangled_from(frame.buffer(), &sent.wire());
+                from_wire += u64::from(wire);
+                from_buffer += u64::from(!wire && mangled_from(frame.buffer(), sent.buffer()));
+            }
         }
     }
+    // A forwarded copy is corrupted from its wire, not from the buffer it
+    // shares with the frame it was forwarded from.
+    assert!(
+        from_wire > 0 && from_buffer == 0,
+        "{from_wire} {from_buffer}"
+    );
     // The corpus reached the error side of every accessor.
     assert!(damaged > 0, "{seen:?}");
     assert!(seen.undecodable > 0 && seen.upper_errors > 0, "{seen:?}");
@@ -146,12 +210,12 @@ fn live_frames_and_their_mutants_decode_alike() {
     let corpus: Vec<Frame> = Policy::all()
         .into_iter()
         .flat_map(|policy| corpus_of(&figure1(policy)))
-        .filter(|frame| distinct.insert(frame.bytes().clone()))
+        .filter(|frame| distinct.insert(frame.wire()))
         .collect();
     let mut rng = RngFactory::new(3).stream("wire-mutants");
     let mut mutants = 0u64;
     for frame in &corpus {
-        let bytes = frame.bytes();
+        let bytes = &frame.wire();
         assert_shared_decoders_agree(bytes);
         for _ in 0..8 {
             let bit = rng.random_range(0..bytes.len() * 8);

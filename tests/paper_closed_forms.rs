@@ -116,7 +116,7 @@ fn every_tunnelled_frame_is_the_native_frame_plus_forty_bytes() {
 #[test]
 fn each_nested_tunnel_level_adds_forty_eight_bytes() {
     let (_, frame) = tunnel_accounting(&figure1(Policy::BIDIRECTIONAL_TUNNEL));
-    let mut packet = Packet::decode(frame.bytes()).expect("a live tunnel frame decodes");
+    let mut packet = Packet::decode(&frame.wire()).expect("a live tunnel frame decodes");
     assert_eq!(packet.encode().len(), NATIVE + TUNNEL_OVERHEAD, "depth 1");
     let (src, dst) = (packet.src, packet.dst);
     for depth in 2..=4 {
