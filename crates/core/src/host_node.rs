@@ -14,7 +14,7 @@ use mobicast_ipv6::packet::{proto, Packet};
 use mobicast_ipv6::tunnel;
 use mobicast_ipv6::udp::UdpDatagram;
 use mobicast_mipv6::{packets as mip_packets, MnOutput, MobileNode};
-use mobicast_mld::{HostOutput, MldConfig, MldHostPort, MldMessage};
+use mobicast_mld::{MldConfig, MldHostPort, MldMessage};
 use mobicast_net::{Ctx, Frame, IfIndex, LinkId, NodeBehavior, NodeId, TimerKey};
 use mobicast_sim::{
     bump, counter, Counters, RngFactory, SimDuration, SimTime, SpanId, Stage, TraceCategory,
@@ -233,8 +233,8 @@ impl HostNode {
         node_kit::emit(ctx, &self.recorder, self.id, 0, packet, l2_to, None);
     }
 
-    fn emit_mld(&mut self, ctx: &mut Ctx<'_>, outs: Vec<HostOutput>) {
-        for HostOutput::Send(msg) in outs {
+    fn emit_mld(&mut self, ctx: &mut Ctx<'_>, outs: impl IntoIterator<Item = MldMessage>) {
+        for msg in outs {
             ctx.in_stage(Stage::Account, || {
                 bump!(self.recorder, "host.mld_reports_sent");
                 match msg {
@@ -311,7 +311,7 @@ impl HostNode {
     /// cannot use the Done message when they leave a link").
     pub fn app_unsubscribe(&mut self, ctx: &mut Ctx<'_>, group: GroupAddr) {
         self.subscribed.remove(&group);
-        let outs = self.mld.leave(group, ctx.now());
+        let outs = self.mld.leave(group);
         self.emit_mld(ctx, outs);
         self.arm_mld(ctx);
         let groups: Vec<GroupAddr> = self.subscribed.iter().copied().collect();

@@ -285,7 +285,7 @@ pub(crate) fn span_close(ctx: &Ctx<'_>, recorder: &SharedRecorder, id: SpanId, n
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::netplan::{DataPayload, MCAST_UDP_PORT};
     use crate::recorder::Recorder;
@@ -302,7 +302,7 @@ mod tests {
 
     /// Logs the tag of every frame and the key of every timer it gets.
     #[derive(Default)]
-    struct Sink {
+    pub(crate) struct Sink {
         tags: Rc<RefCell<Vec<u64>>>,
         timers: Rc<RefCell<Vec<u64>>>,
     }

@@ -23,7 +23,7 @@ use mobicast_ipv6::icmpv6::{
 use mobicast_ipv6::packet::{proto, Packet};
 use mobicast_ipv6::tunnel;
 use mobicast_mipv6::{packets as mip_packets, HaOutput, HomeAgent};
-use mobicast_mld::{HostOutput, MldConfig, MldHostPort, MldMessage, MldRouterPort, RouterOutput};
+use mobicast_mld::{MldConfig, MldHostPort, MldMessage, MldRouterPort, RouterOutput};
 use mobicast_net::{Ctx, Frame, IfIndex, LinkId, NodeBehavior, NodeId, TimerKey};
 use mobicast_pimdm::{PimConfig, PimDest, PimMessage, PimNote, PimRouter, PimSend, RpfLookup};
 use mobicast_sim::{
@@ -446,8 +446,7 @@ impl RouterNode {
                     } = msg
                     {
                         let proxy = &mut self.ports[port].proxy;
-                        let proxy_outs = proxy.on_query(group, max_response_delay, ctx.now());
-                        self.apply_proxy_outputs(ctx, ifx, proxy_outs);
+                        proxy.on_query(group, max_response_delay, ctx.now());
                     }
                 }
                 RouterOutput::ListenerAdded(g) => {
@@ -481,8 +480,13 @@ impl RouterNode {
     /// Apply MLD host-port (HA proxy) outputs: transmit on the link and
     /// loop back into our own router port (a node does not hear its own
     /// frames).
-    fn apply_proxy_outputs(&mut self, ctx: &mut Ctx<'_>, ifx: IfIndex, outs: Vec<HostOutput>) {
-        for HostOutput::Send(msg) in outs {
+    fn apply_proxy_outputs(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        ifx: IfIndex,
+        outs: impl IntoIterator<Item = MldMessage>,
+    ) {
+        for msg in outs {
             let src = self.iface_info(ifx).global;
             self.emit_mld(ctx, ifx, src, msg);
             ctx.in_stage(Stage::Account, || bump!(self.recorder, "ha.proxy_mld_sent"));
@@ -500,7 +504,7 @@ impl RouterNode {
                 format!("{role} proxy-leaves {g} on if{ifx}")
             });
         }
-        let outs = self.ports[usize::from(ifx)].proxy.leave(g, ctx.now());
+        let outs = self.ports[usize::from(ifx)].proxy.leave(g);
         self.apply_proxy_outputs(ctx, ifx, outs);
     }
 
@@ -830,6 +834,8 @@ impl RouterNode {
                 if onto_link.hop_limit > 1 {
                     onto_link.hop_limit -= 1;
                     self.emit(ctx, home_ifx, &onto_link, None, parent);
+                } else {
+                    bump!(self.recorder, "router.hop_limit_drops");
                 }
                 // Process it ourselves as the origin router on the home
                 // link (our own transmission is not looped back to us).
@@ -886,7 +892,9 @@ impl RouterNode {
             .pim
             .on_data(home_ifx, packet.src, group, now, &self.table);
         self.pim_sends(ctx, sends);
-        self.forward_multicast(ctx, packet, None, group, fwd, parent);
+        if !self.forward_multicast(ctx, packet, None, group, fwd, parent) {
+            bump!(self.recorder, "router.hop_limit_drops");
+        }
     }
 
     fn send_router_advert(&mut self, ctx: &mut Ctx<'_>, ifx: IfIndex) {
@@ -1061,18 +1069,14 @@ impl NodeBehavior for RouterNode {
                     self.apply_mld_outputs(ctx, ifx, outs);
                     // The HA proxy listener also hears link traffic.
                     let proxy = &mut self.ports[port].proxy;
-                    let proxy_outs = match msg {
+                    match msg {
                         MldMessage::Query {
                             max_response_delay,
                             group,
                         } => proxy.on_query(group, max_response_delay, now),
-                        MldMessage::Report { group } => {
-                            proxy.on_report_heard(group);
-                            Vec::new()
-                        }
-                        MldMessage::Done { .. } => Vec::new(),
-                    };
-                    self.apply_proxy_outputs(ctx, ifx, proxy_outs);
+                        MldMessage::Report { group } => proxy.on_report_heard(group),
+                        MldMessage::Done { .. } => {}
+                    }
                     self.arm_mld(ctx);
                     self.arm_pim(ctx);
                 } else if matches!(icmp, Icmpv6::RouterSolicit) {
@@ -1174,5 +1178,83 @@ impl NodeBehavior for RouterNode {
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::addressing::{global_addr, link_local_addr, link_prefix};
+    use crate::netplan::{DataPayload, NextHop, MCAST_UDP_PORT};
+    use crate::node_kit::tests::Sink;
+    use crate::recorder::Recorder;
+    use mobicast_ipv6::udp::UdpDatagram;
+    use mobicast_net::{ExecPlan, LinkParams, World};
+
+    /// A mobile sender's datagram, reverse-tunnelled to its home agent with
+    /// one hop left, can go neither onto the home link nor out toward a
+    /// listener: each drop is counted.
+    #[test]
+    fn a_decapsulated_datagram_out_of_hops_is_counted_where_it_drops() {
+        let mut w = World::new();
+        let params = LinkParams {
+            bandwidth_bps: 8_000_000,
+            delay: SimDuration::from_micros(10),
+        };
+        let (home, away) = (w.add_link(params), w.add_link(params));
+        let (ha, mobile) = (NodeId(0), NodeId(1));
+        let ifaces: Vec<RouterIfaceInfo> = [home, away]
+            .into_iter()
+            .enumerate()
+            .map(|(ifx, link)| RouterIfaceInfo {
+                link,
+                prefix: link_prefix(link),
+                ll: link_local_addr(ha, ifx as IfIndex),
+                global: global_addr(ha, ifx as IfIndex, link),
+            })
+            .collect();
+        let routes = [0, 1].map(|iface| Some((NextHop { iface, via: None }, 0)));
+        let recorder = Recorder::new_shared();
+        let rng = RngFactory::new(1);
+        let cfg = RouterConfig::default();
+        let router = RouterNode::new(
+            ha,
+            cfg,
+            ifaces.clone(),
+            routes.into_iter().collect(),
+            &rng,
+            recorder.clone(),
+        );
+        w.add_node(2, Box::new(router));
+        w.add_node(2, Box::new(Sink::default()));
+        for (node, ifx, link) in [
+            (ha, 0, home),
+            (ha, 1, away),
+            (mobile, 0, home),
+            (mobile, 1, away),
+        ] {
+            w.attach(node, ifx, link);
+        }
+        // A listener away from home gives the group an oif there.
+        let group = GroupAddr::test_group(1);
+        let report = mld_packet(link_local_addr(mobile, 1), MldMessage::Report { group });
+        w.with_node(mobile, |_, ctx| ctx.send(1, frame_for(&report, None)));
+        w.run(SimTime::from_millis(10), &ExecPlan::Sequential);
+
+        let home_addr = global_addr(mobile, 0, home);
+        let payload = DataPayload {
+            pkt: 1,
+            sent_nanos: 0,
+        }
+        .encode(64);
+        let udp = UdpDatagram::new(MCAST_UDP_PORT, MCAST_UDP_PORT, payload);
+        let body = udp.encode(home_addr, group.addr());
+        let inner = Packet::new(home_addr, group.addr(), proto::UDP, body).with_hop_limit(1);
+        let outer = tunnel::encapsulate(global_addr(mobile, 1, away), ifaces[0].global, &inner);
+        w.with_node(mobile, |_, ctx| ctx.send(1, frame_for(&outer, Some(ha))));
+        w.run(SimTime::from_millis(20), &ExecPlan::Sequential);
+        let count = |name| recorder.with(|r| r.counters.get(name));
+        assert_eq!(count("ha.tunnel_decap"), 1);
+        assert_eq!(count("router.hop_limit_drops"), 2);
     }
 }

@@ -66,7 +66,8 @@ fn surface_of(src: &str) -> Vec<String> {
             continue;
         }
         if pending_cfg_test {
-            if trimmed.starts_with("mod ") {
+            // `mod x;` declares a test file; `mod x {` opens a block.
+            if trimmed.starts_with("mod ") && !trimmed.ends_with(';') {
                 in_test_mod = true;
             }
             if !trimmed.starts_with("#[") {

@@ -101,30 +101,11 @@ mod tests {
     }
 
     #[test]
-    fn tuned_profile_scales_mli() {
-        let cfg = MldConfig::with_query_interval(SimDuration::from_secs(20));
-        assert_eq!(
-            cfg.multicast_listener_interval(),
-            SimDuration::from_secs(50)
-        );
-        cfg.validate().unwrap();
-    }
-
-    #[test]
     fn validation_enforces_paper_footnote5() {
         // T_Query must not be smaller than T_RespDel (10 s default).
         let cfg = MldConfig::with_query_interval(SimDuration::from_secs(5));
         assert!(cfg.validate().is_err());
         let cfg = MldConfig::with_query_interval(SimDuration::from_secs(10));
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn other_querier_interval() {
-        let cfg = MldConfig::default();
-        assert_eq!(
-            cfg.other_querier_present_interval(),
-            SimDuration::from_secs(255)
-        );
     }
 }

@@ -16,10 +16,11 @@ pub mod config;
 pub mod host;
 pub mod message;
 pub mod router;
-pub mod table;
+
+#[cfg(test)]
+mod link_choreography;
 
 pub use config::MldConfig;
-pub use host::{HostOutput, MldHostPort};
+pub use host::MldHostPort;
 pub use message::MldMessage;
 pub use router::{MldNote, MldRouterPort, RouterOutput};
-pub use table::ListenerTable;

@@ -1,15 +1,22 @@
 //! Link-level MLD choreography: several host and router state machines
 //! driven against each other through a tiny in-test "link" that relays
 //! every output message to every other party — the protocol dance of
-//! RFC 2710 without any simulator.
+//! RFC 2710 without any simulator. Each machine call is classified into
+//! the cells of `router::spec`'s tables as it is made, so the scenarios'
+//! coverage can be set against the proptests'.
 
-// Test helpers may unwrap freely (the lint wall targets non-test code).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
+use crate::router::spec::{self, Call};
+use crate::{MldConfig, MldHostPort, MldMessage, MldRouterPort, RouterOutput};
 use mobicast_ipv6::addr::GroupAddr;
-use mobicast_mld::{HostOutput, MldConfig, MldHostPort, MldMessage, MldRouterPort, RouterOutput};
 use mobicast_sim::{RngFactory, SimDuration, SimTime};
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
+
+thread_local! {
+    /// The cells the scenarios reach.
+    static CELLS: RefCell<BTreeSet<spec::Cell>> = const { RefCell::new(BTreeSet::new()) };
+}
 
 fn a(s: &str) -> Ipv6Addr {
     s.parse().unwrap()
@@ -30,6 +37,23 @@ struct Lan {
     hosts: Vec<(Ipv6Addr, MldHostPort)>,
     /// Membership notifications from every router, in order.
     log: Vec<(Ipv6Addr, String)>,
+}
+
+/// Make `call` on router `r`, recording its cells.
+fn on_router(r: &mut MldRouterPort, call: &Call, now: SimTime) -> Vec<RouterOutput> {
+    let fx = spec::step_router(&mut spec::router_state(r), call, now);
+    CELLS.with(|c| c.borrow_mut().extend(fx.cells));
+    spec::on_router(r, call, now)
+}
+
+/// Make `call` on host `h`, recording its cells (classified against the
+/// host after the call, whose report delays show which draws it took).
+fn on_host(h: &mut MldHostPort, call: &Call, now: SimTime) -> Vec<MldMessage> {
+    let mut before = spec::host_state(h);
+    let outs = spec::on_host(h, call, now);
+    let fx = spec::step_host(&mut before, call, now, &spec::host_state(h));
+    CELLS.with(|c| c.borrow_mut().extend(fx.cells));
+    outs
 }
 
 impl Lan {
@@ -57,7 +81,7 @@ impl Lan {
     fn start(&mut self, now: SimTime) {
         let mut outs = Vec::new();
         for (addr, r) in self.routers.iter_mut() {
-            for o in r.start(now) {
+            for o in on_router(r, &Call::Start, now) {
                 outs.push((*addr, o));
             }
         }
@@ -80,63 +104,28 @@ impl Lan {
 
     /// Deliver `msg` from `from` to every *other* party on the link.
     fn broadcast(&mut self, from: Ipv6Addr, msg: MldMessage, now: SimTime) {
+        let heard = Call::Heard(from, msg);
         let mut router_outs = Vec::new();
         for (addr, r) in self.routers.iter_mut() {
-            if *addr == from {
-                continue;
-            }
-            for o in r.on_message(from, &msg, now) {
-                router_outs.push((*addr, o));
+            if *addr != from {
+                router_outs.extend(on_router(r, &heard, now).into_iter().map(|o| (*addr, o)));
             }
         }
-        let mut host_outs = Vec::new();
         for (addr, h) in self.hosts.iter_mut() {
-            if *addr == from {
-                continue;
+            if *addr != from {
+                on_host(h, &heard, now);
             }
-            match msg {
-                MldMessage::Query {
-                    max_response_delay,
-                    group,
-                } => {
-                    h.on_query(group, max_response_delay, now);
-                }
-                MldMessage::Report { group } => h.on_report_heard(group),
-                MldMessage::Done { .. } => {}
-            }
-            let _ = addr;
         }
         for (fr, o) in router_outs {
             self.apply_router_output(fr, o, now);
         }
-        for (fr, o) in host_outs.drain(..) {
-            let (f, msg2): (Ipv6Addr, MldMessage) = (fr, o);
-            self.broadcast(f, msg2, now);
-        }
     }
 
-    fn host_join(&mut self, host: usize, gr: GroupAddr, now: SimTime) {
-        let (addr, port) = &mut self.hosts[host];
-        let from = *addr;
-        let outs: Vec<MldMessage> = port
-            .join(gr, now)
-            .into_iter()
-            .map(|HostOutput::Send(m)| m)
-            .collect();
-        for m in outs {
-            self.broadcast(from, m, now);
-        }
-    }
-
-    fn host_leave(&mut self, host: usize, gr: GroupAddr, now: SimTime) {
-        let (addr, port) = &mut self.hosts[host];
-        let from = *addr;
-        let outs: Vec<MldMessage> = port
-            .leave(gr, now)
-            .into_iter()
-            .map(|HostOutput::Send(m)| m)
-            .collect();
-        for m in outs {
+    /// Make `call` on host `host` and put what it sends on the link.
+    fn host(&mut self, host: usize, call: Call, now: SimTime) {
+        let (from, port) = &mut self.hosts[host];
+        let from = *from;
+        for m in on_host(port, &call, now) {
             self.broadcast(from, m, now);
         }
     }
@@ -144,25 +133,15 @@ impl Lan {
     /// Advance virtual time to `until`, firing all deadlines in order.
     fn run_until(&mut self, until: SimTime) {
         loop {
-            let next_router = self
-                .routers
-                .iter()
-                .filter_map(|(_, r)| r.next_deadline())
-                .min();
-            let next_host = self
-                .hosts
-                .iter()
-                .filter_map(|(_, h)| h.next_deadline())
-                .min();
-            let next = [next_router, next_host].into_iter().flatten().min();
-            let Some(now) = next else { break };
-            if now > until {
+            let routers = self.routers.iter().filter_map(|(_, r)| r.next_deadline());
+            let hosts = self.hosts.iter().filter_map(|(_, h)| h.next_deadline());
+            let Some(now) = routers.chain(hosts).min().filter(|t| *t <= until) else {
                 break;
-            }
+            };
             let mut router_outs = Vec::new();
             for (addr, r) in self.routers.iter_mut() {
                 if r.next_deadline().is_some_and(|d| d <= now) {
-                    for o in r.on_deadline(now) {
+                    for o in on_router(r, &Call::Deadline, now) {
                         router_outs.push((*addr, o));
                     }
                 }
@@ -170,7 +149,7 @@ impl Lan {
             let mut host_msgs = Vec::new();
             for (addr, h) in self.hosts.iter_mut() {
                 if h.next_deadline().is_some_and(|d| d <= now) {
-                    for HostOutput::Send(m) in h.on_deadline(now) {
+                    for m in on_host(h, &Call::Deadline, now) {
                         host_msgs.push((*addr, m));
                     }
                 }
@@ -219,7 +198,7 @@ fn join_reaches_every_router_on_the_lan() {
         2,
     );
     lan.start(t(0));
-    lan.host_join(0, g(1), t(5));
+    lan.host(0, Call::Join(g(1)), t(5));
     assert!(lan.all_know_listener(g(1)), "both routers saw the report");
 }
 
@@ -234,8 +213,8 @@ fn report_suppression_between_hosts() {
         3,
     );
     lan.start(t(0));
-    lan.host_join(0, g(1), t(1));
-    lan.host_join(1, g(1), t(1));
+    lan.host(0, Call::Join(g(1)), t(1));
+    lan.host(1, Call::Join(g(1)), t(1));
     // Run through several query cycles; membership must stay alive the
     // whole time purely via query-response.
     lan.run_until(t(800));
@@ -246,7 +225,7 @@ fn report_suppression_between_hosts() {
 fn membership_survives_on_query_refresh_only() {
     let mut lan = Lan::new(MldConfig::default(), &["fe80::1"], &["fe80::aa"], 4);
     lan.start(t(0));
-    lan.host_join(0, g(1), t(1));
+    lan.host(0, Call::Join(g(1)), t(1));
     lan.run_until(t(1000));
     assert!(
         lan.all_know_listener(g(1)),
@@ -258,8 +237,8 @@ fn membership_survives_on_query_refresh_only() {
 fn leave_with_done_removes_membership_fast() {
     let mut lan = Lan::new(MldConfig::default(), &["fe80::1"], &["fe80::aa"], 5);
     lan.start(t(0));
-    lan.host_join(0, g(1), t(1));
-    lan.host_leave(0, g(1), t(50));
+    lan.host(0, Call::Join(g(1)), t(1));
+    lan.host(0, Call::Leave(g(1)), t(50));
     // Last-listener queries go unanswered; removal within 2 s (2 × LLQI).
     lan.run_until(t(60));
     assert!(!lan.all_know_listener(g(1)));
@@ -276,9 +255,9 @@ fn done_with_remaining_listener_keeps_membership() {
         6,
     );
     lan.start(t(0));
-    lan.host_join(0, g(1), t(1));
-    lan.host_join(1, g(1), t(2)); // suppressed or not, both joined
-    lan.host_leave(0, g(1), t(50));
+    lan.host(0, Call::Join(g(1)), t(1));
+    lan.host(1, Call::Join(g(1)), t(2)); // suppressed or not, both joined
+    lan.host(0, Call::Leave(g(1)), t(50));
     lan.run_until(t(70));
     assert!(
         lan.all_know_listener(g(1)),
@@ -291,9 +270,9 @@ fn silent_departure_expires_after_mli() {
     // The mobile-host case: the host vanishes without Done.
     let mut lan = Lan::new(MldConfig::default(), &["fe80::1"], &["fe80::aa"], 7);
     lan.start(t(0));
-    lan.host_join(0, g(1), t(1));
+    lan.host(0, Call::Join(g(1)), t(1));
     // Host disappears at t=30: drop its state so it stops answering.
-    lan.hosts[0].1.depart_link();
+    lan.host(0, Call::Depart, t(30));
     lan.run_until(t(30 + 400));
     assert!(!lan.all_know_listener(g(1)), "expired after T_MLI");
     // And the removal happened no earlier than ~MLI after the last report.
@@ -306,11 +285,36 @@ fn tuned_timers_expire_silent_listener_faster() {
     let cfg = MldConfig::with_query_interval(SimDuration::from_secs(15));
     let mut fast = Lan::new(cfg, &["fe80::1"], &["fe80::aa"], 8);
     fast.start(t(0));
-    fast.host_join(0, g(1), t(1));
-    fast.hosts[0].1.depart_link();
+    fast.host(0, Call::Join(g(1)), t(1));
+    fast.host(0, Call::Depart, t(1));
     fast.run_until(t(100));
     assert!(
         !fast.all_know_listener(g(1)),
         "MLI = 2*15+10 = 40 s: expired well before t=100"
+    );
+}
+
+/// Cells per table by kind: how many the eight LAN scenarios above
+/// reach, and how many only the proptests do. A scenario may reach no
+/// cell the proptests miss (so, with the proptests' own check, no
+/// impossible one).
+#[test]
+fn scenarios_reach_only_cells_the_proptests_reach() {
+    CELLS.with(|c| c.borrow_mut().clear());
+    querier_election_converges_to_lowest_address();
+    join_reaches_every_router_on_the_lan();
+    report_suppression_between_hosts();
+    membership_survives_on_query_refresh_only();
+    leave_with_done_removes_membership_fast();
+    done_with_remaining_listener_keeps_membership();
+    silent_departure_expires_after_mli();
+    tuned_timers_expire_silent_listener_faster();
+    let scenarios = CELLS.with(|c| c.borrow().clone());
+    let proptest = spec::proptest_cells();
+    eprintln!("{}", spec::report(proptest, &scenarios));
+    let extra: Vec<_> = scenarios.difference(proptest).collect();
+    assert!(
+        extra.is_empty(),
+        "scenario cells the proptests never reach: {extra:?}"
     );
 }

@@ -18,10 +18,14 @@ use crate::config::{
     STARTUP_QUERY_COUNT,
 };
 use crate::message::MldMessage;
-use crate::table::{min_deadline, ListenerTable, Rexmt};
 use mobicast_ipv6::addr::GroupAddr;
+use mobicast_sim::arena::SoftTable;
 use mobicast_sim::SimTime;
 use std::net::Ipv6Addr;
+
+#[cfg(test)]
+#[path = "spec.rs"]
+pub(crate) mod spec;
 
 /// Outputs of the router machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,9 +60,8 @@ enum Role {
     NonQuerier,
 }
 
-/// Router-side MLD state for one interface. Memberships live in a
-/// struct-of-arrays [`ListenerTable`]; the port keeps only the querier
-/// machinery around it.
+/// Router-side MLD state for one interface: the querier machinery and
+/// the memberships.
 #[derive(Debug)]
 pub struct MldRouterPort {
     cfg: MldConfig,
@@ -69,7 +72,10 @@ pub struct MldRouterPort {
     /// Next scheduled General Query (only meaningful as querier).
     next_general_query: Option<SimTime>,
     startup_left: u32,
-    groups: ListenerTable,
+    /// The memberships, keyed by group, in the shared struct-of-arrays
+    /// [`SoftTable`]. A row is the specific-query retransmission after a
+    /// Done, `(queries left, next send)`; `None` when nothing is pending.
+    groups: SoftTable<GroupAddr, Option<(u32, SimTime)>>,
     notes: Vec<MldNote>,
     /// Listener-table capacity; `None` = unbounded (the default).
     budget: Option<u32>,
@@ -85,7 +91,7 @@ impl MldRouterPort {
             other_querier_deadline: None,
             next_general_query: None,
             startup_left: STARTUP_QUERY_COUNT,
-            groups: ListenerTable::new(),
+            groups: SoftTable::new(),
             notes: Vec::new(),
             budget: None,
         }
@@ -150,7 +156,7 @@ impl MldRouterPort {
                     Some(slot) => {
                         self.groups.set_expires(slot, expires);
                         // A listener answered the specific query.
-                        self.groups.row_mut(slot).0 = None;
+                        *self.groups.row_mut(slot) = None;
                         Vec::new()
                     }
                     None => {
@@ -161,7 +167,7 @@ impl MldRouterPort {
                             self.notes.push(MldNote::ListenerShed { group: *group });
                             return Vec::new();
                         }
-                        let Ok(_) = self.groups.insert(*group, expires, Rexmt::default());
+                        let Ok(_) = self.groups.insert(*group, expires, None);
                         vec![RouterOutput::ListenerAdded(*group)]
                     }
                 }
@@ -178,7 +184,7 @@ impl MldRouterPort {
                 let count = LAST_LISTENER_QUERY_COUNT;
                 self.groups
                     .set_expires(slot, now + llqi.saturating_mul(u64::from(count)));
-                self.groups.row_mut(slot).0 = if count > 1 {
+                *self.groups.row_mut(slot) = if count > 1 {
                     Some((count - 1, now + llqi))
                 } else {
                     None
@@ -194,20 +200,21 @@ impl MldRouterPort {
     /// Earliest pending deadline (query schedule, querier election fallback,
     /// membership expiry, specific-query retransmission).
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let mut min: Option<SimTime> = None;
-        let mut consider = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                min = Some(match min {
-                    Some(m) => m.min(t),
-                    None => t,
-                });
-            }
-        };
-        consider(self.next_general_query);
-        consider(self.other_querier_deadline);
         // One linear sweep over the SoA columns.
-        consider(min_deadline(&self.groups));
-        min
+        let groups = self.groups.slots().map(|slot| {
+            let expires = self.groups.expires_at(slot);
+            self.groups
+                .row(slot)
+                .map_or(expires, |(_, at)| expires.min(at))
+        });
+        [
+            self.next_general_query,
+            self.other_querier_deadline,
+            groups.min(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     /// Fire all deadlines due at `now`.
@@ -233,7 +240,6 @@ impl MldRouterPort {
                 self.startup_left -= 1;
                 self.cfg.startup_query_interval()
             } else {
-                self.startup_left = self.startup_left.min(1);
                 self.cfg.query_interval
             };
             self.next_general_query = Some(now + interval);
@@ -244,13 +250,13 @@ impl MldRouterPort {
         let mut removed = Vec::new();
         for pos in 0..self.groups.len() {
             let slot = self.groups.slot_at(pos);
-            if let Some((left, at)) = self.groups.row(slot).0 {
+            if let Some((left, at)) = *self.groups.row(slot) {
                 if at <= now {
                     out.push(RouterOutput::Send(MldMessage::Query {
                         max_response_delay: LAST_LISTENER_QUERY_INTERVAL,
                         group: Some(self.groups.key_of(slot)),
                     }));
-                    self.groups.row_mut(slot).0 = if left > 1 {
+                    *self.groups.row_mut(slot) = if left > 1 {
                         Some((left - 1, now + LAST_LISTENER_QUERY_INTERVAL))
                     } else {
                         None
@@ -267,320 +273,5 @@ impl MldRouterPort {
         }
         self.groups.refresh_min_expires();
         out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mobicast_sim::SimDuration;
-
-    fn g(i: u16) -> GroupAddr {
-        GroupAddr::test_group(i)
-    }
-
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    fn a(s: &str) -> Ipv6Addr {
-        s.parse().unwrap()
-    }
-
-    fn querier() -> MldRouterPort {
-        MldRouterPort::new(MldConfig::default(), a("fe80::10"))
-    }
-
-    fn expect_general_query(out: &[RouterOutput]) {
-        assert!(
-            out.iter()
-                .any(|o| matches!(o, RouterOutput::Send(MldMessage::Query { group: None, .. }))),
-            "expected a general query in {out:?}"
-        );
-    }
-
-    #[test]
-    fn startup_sends_immediate_query_then_periodic() {
-        let mut r = querier();
-        let out = r.start(t(0));
-        expect_general_query(&out);
-        // Startup: second query after startup interval (125/4 s), then 125 s.
-        let d1 = r.next_deadline().unwrap();
-        assert_eq!(d1, SimTime::from_nanos(31_250_000_000));
-        expect_general_query(&r.on_deadline(d1));
-        let d2 = r.next_deadline().unwrap();
-        assert_eq!(d2, d1 + SimDuration::from_secs(125));
-    }
-
-    #[test]
-    fn report_adds_listener_once() {
-        let mut r = querier();
-        r.start(t(0));
-        let out = r.on_message(a("fe80::99"), &MldMessage::Report { group: g(1) }, t(1));
-        assert_eq!(out, vec![RouterOutput::ListenerAdded(g(1))]);
-        let out = r.on_message(a("fe80::98"), &MldMessage::Report { group: g(1) }, t(2));
-        assert!(out.is_empty(), "second report refreshes, no new add");
-        assert!(r.has_listener(g(1)));
-        assert_eq!(r.membership_count(), 1);
-    }
-
-    #[test]
-    fn membership_expires_after_mli_without_reports() {
-        // This is the paper's leave-delay mechanism: a moved receiver is
-        // noticed only after T_MLI = 260 s with defaults.
-        let mut r = querier();
-        r.start(t(0));
-        r.on_message(a("fe80::99"), &MldMessage::Report { group: g(1) }, t(100));
-        // Drain intermediate deadlines (queries) up to expiry.
-        let mut removed_at = None;
-        while let Some(dl) = r.next_deadline() {
-            if dl > t(100) + MldConfig::default().multicast_listener_interval() {
-                break;
-            }
-            let out = r.on_deadline(dl);
-            if out.contains(&RouterOutput::ListenerRemoved(g(1))) {
-                removed_at = Some(dl);
-                break;
-            }
-        }
-        assert_eq!(
-            removed_at,
-            Some(t(100) + SimDuration::from_secs(260)),
-            "listener removed exactly at report time + T_MLI"
-        );
-        assert!(!r.has_listener(g(1)));
-    }
-
-    #[test]
-    fn reports_refresh_expiry() {
-        let mut r = querier();
-        r.start(t(0));
-        r.on_message(a("fe80::99"), &MldMessage::Report { group: g(1) }, t(0));
-        r.on_message(a("fe80::99"), &MldMessage::Report { group: g(1) }, t(200));
-        // At t=260 (original expiry) the listener must still be present.
-        r.on_deadline(t(260));
-        assert!(r.has_listener(g(1)));
-    }
-
-    #[test]
-    fn querier_election_lowest_address_wins() {
-        let mut r = querier(); // fe80::10
-        r.start(t(0));
-        assert!(r.is_querier());
-        // A query from a higher address: we stay querier.
-        r.on_message(
-            a("fe80::20"),
-            &MldMessage::Query {
-                max_response_delay: SimDuration::from_secs(10),
-                group: None,
-            },
-            t(1),
-        );
-        assert!(r.is_querier());
-        // From a lower address: we yield.
-        r.on_message(
-            a("fe80::1"),
-            &MldMessage::Query {
-                max_response_delay: SimDuration::from_secs(10),
-                group: None,
-            },
-            t(2),
-        );
-        assert!(!r.is_querier());
-        // No general query scheduled while non-querier; only the
-        // other-querier-present deadline remains (no groups).
-        let dl = r.next_deadline().unwrap();
-        assert_eq!(
-            dl,
-            t(2) + MldConfig::default().other_querier_present_interval()
-        );
-        // When the other querier falls silent, we take over and query again.
-        let out = r.on_deadline(dl);
-        expect_general_query(&out);
-        assert!(r.is_querier());
-    }
-
-    #[test]
-    fn querier_transitions_are_noted() {
-        let mut r = querier(); // fe80::10
-        r.start(t(0));
-        assert!(r.take_notes().is_empty(), "no transition yet");
-        r.on_message(
-            a("fe80::1"),
-            &MldMessage::Query {
-                max_response_delay: SimDuration::from_secs(10),
-                group: None,
-            },
-            t(1),
-        );
-        assert_eq!(
-            r.take_notes(),
-            vec![MldNote::QuerierResigned {
-                other: a("fe80::1")
-            }]
-        );
-        // A second query from the same querier is not a transition.
-        r.on_message(
-            a("fe80::1"),
-            &MldMessage::Query {
-                max_response_delay: SimDuration::from_secs(10),
-                group: None,
-            },
-            t(2),
-        );
-        assert!(r.take_notes().is_empty());
-        // Takeover when the other querier falls silent.
-        let dl = r.next_deadline().unwrap();
-        r.on_deadline(dl);
-        assert_eq!(r.take_notes(), vec![MldNote::QuerierElected]);
-    }
-
-    #[test]
-    fn non_querier_still_tracks_membership() {
-        let mut r = querier();
-        r.start(t(0));
-        r.on_message(
-            a("fe80::1"),
-            &MldMessage::Query {
-                max_response_delay: SimDuration::from_secs(10),
-                group: None,
-            },
-            t(1),
-        );
-        assert!(!r.is_querier());
-        let out = r.on_message(a("fe80::99"), &MldMessage::Report { group: g(2) }, t(3));
-        assert_eq!(out, vec![RouterOutput::ListenerAdded(g(2))]);
-    }
-
-    #[test]
-    fn done_triggers_specific_queries_then_removal() {
-        let mut r = querier();
-        r.start(t(0));
-        r.on_message(a("fe80::99"), &MldMessage::Report { group: g(1) }, t(10));
-        let out = r.on_message(a("fe80::99"), &MldMessage::Done { group: g(1) }, t(20));
-        // Immediate first specific query.
-        assert_eq!(
-            out,
-            vec![RouterOutput::Send(MldMessage::Query {
-                max_response_delay: SimDuration::from_secs(1),
-                group: Some(g(1)),
-            })]
-        );
-        // Second specific query at +1 s.
-        let dl = r.next_deadline().unwrap();
-        assert_eq!(dl, t(21));
-        let out = r.on_deadline(dl);
-        assert!(out.iter().any(|o| matches!(
-            o,
-            RouterOutput::Send(MldMessage::Query { group: Some(gr), .. }) if *gr == g(1)
-        )));
-        // No report arrives: removal at 20 + 2 * LLQI = 22 s.
-        let dl = r.next_deadline().unwrap();
-        assert_eq!(dl, t(22));
-        let out = r.on_deadline(dl);
-        assert!(out.contains(&RouterOutput::ListenerRemoved(g(1))));
-        // Fast leave: 2 s instead of 260 s.
-    }
-
-    #[test]
-    fn report_cancels_last_listener_process() {
-        let mut r = querier();
-        r.start(t(0));
-        r.on_message(a("fe80::99"), &MldMessage::Report { group: g(1) }, t(10));
-        r.on_message(a("fe80::99"), &MldMessage::Done { group: g(1) }, t(20));
-        // Another listener answers the specific query.
-        r.on_message(a("fe80::98"), &MldMessage::Report { group: g(1) }, t(21));
-        // Membership must survive well past the fast-leave deadline.
-        r.on_deadline(t(30));
-        assert!(r.has_listener(g(1)));
-    }
-
-    #[test]
-    fn non_querier_ignores_done() {
-        let mut r = querier();
-        r.start(t(0));
-        r.on_message(
-            a("fe80::1"),
-            &MldMessage::Query {
-                max_response_delay: SimDuration::from_secs(10),
-                group: None,
-            },
-            t(1),
-        );
-        r.on_message(a("fe80::99"), &MldMessage::Report { group: g(1) }, t(2));
-        let out = r.on_message(a("fe80::99"), &MldMessage::Done { group: g(1) }, t(3));
-        assert!(out.is_empty());
-        assert!(r.has_listener(g(1)));
-    }
-
-    #[test]
-    fn done_for_unknown_group_is_ignored() {
-        let mut r = querier();
-        r.start(t(0));
-        let out = r.on_message(a("fe80::99"), &MldMessage::Done { group: g(9) }, t(1));
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn tuned_query_interval_shortens_leave_detection() {
-        // Paper §4.4: decreasing T_Query decreases the leave delay.
-        let cfg = MldConfig::with_query_interval(SimDuration::from_secs(20));
-        let mut r = MldRouterPort::new(cfg, a("fe80::10"));
-        r.start(t(0));
-        r.on_message(a("fe80::99"), &MldMessage::Report { group: g(1) }, t(0));
-        let mut removed_at = None;
-        while let Some(dl) = r.next_deadline() {
-            if dl > t(120) {
-                break;
-            }
-            if r.on_deadline(dl)
-                .contains(&RouterOutput::ListenerRemoved(g(1)))
-            {
-                removed_at = Some(dl);
-                break;
-            }
-        }
-        assert_eq!(
-            removed_at,
-            Some(t(0) + cfg.multicast_listener_interval()),
-            "MLI = 2*20+10 = 50 s with the tuned profile"
-        );
-    }
-
-    #[test]
-    fn reject_new_sheds_over_budget_reports() {
-        let mut r = querier();
-        r.set_budget(Some(2));
-        let h = a("fe80::99");
-        assert_eq!(
-            r.on_message(h, &MldMessage::Report { group: g(1) }, t(0)),
-            vec![RouterOutput::ListenerAdded(g(1))]
-        );
-        assert_eq!(
-            r.on_message(h, &MldMessage::Report { group: g(2) }, t(1)),
-            vec![RouterOutput::ListenerAdded(g(2))]
-        );
-        // Third distinct group: refused, established state untouched.
-        assert!(r
-            .on_message(h, &MldMessage::Report { group: g(3) }, t(2))
-            .is_empty());
-        assert!(r.has_listener(g(1)) && r.has_listener(g(2)) && !r.has_listener(g(3)));
-        assert_eq!(r.take_notes(), vec![MldNote::ListenerShed { group: g(3) }]);
-        // A refresh of an admitted group is never shed.
-        assert!(r
-            .on_message(h, &MldMessage::Report { group: g(1) }, t(3))
-            .is_empty());
-        assert!(r.take_notes().is_empty());
-    }
-
-    #[test]
-    fn zero_capacity_budget_refuses_every_new_group() {
-        let mut r = querier();
-        r.set_budget(Some(0));
-        assert!(r
-            .on_message(a("fe80::99"), &MldMessage::Report { group: g(1) }, t(0))
-            .is_empty());
-        assert_eq!(r.membership_count(), 0);
-        assert_eq!(r.take_notes(), vec![MldNote::ListenerShed { group: g(1) }]);
     }
 }
