@@ -13,7 +13,7 @@ use mobicast_ipv6::icmpv6::Icmpv6;
 use mobicast_ipv6::packet::{proto, Packet};
 use mobicast_ipv6::tunnel;
 use mobicast_ipv6::udp::UdpDatagram;
-use mobicast_mipv6::{packets as mip_packets, MnOutput, MobileNode};
+use mobicast_mipv6::{packets as mip_packets, BuSend, MobileNode};
 use mobicast_mld::{MldConfig, MldHostPort, MldMessage};
 use mobicast_net::{Ctx, Frame, IfIndex, LinkId, NodeBehavior, NodeId, TimerKey};
 use mobicast_sim::{
@@ -247,13 +247,13 @@ impl HostNode {
         }
     }
 
-    fn emit_mn(&mut self, ctx: &mut Ctx<'_>, outs: Vec<MnOutput>) {
-        for o in outs {
-            let MnOutput::SendBindingUpdate {
-                home_agent,
-                source,
-                binding_update,
-            } = o;
+    fn emit_mn(&mut self, ctx: &mut Ctx<'_>, out: Option<BuSend>) {
+        if let Some(BuSend {
+            home_agent,
+            source,
+            binding_update,
+        }) = out
+        {
             let seq = binding_update.sequence;
             let packet = mip_packets::binding_update_packet(
                 source,
@@ -813,9 +813,9 @@ impl NodeBehavior for HostNode {
                     self.dir.map_agent.get(l.index()).copied().flatten(),
                     self.mn.home_agent(),
                 );
-                let outs = self.mn.set_agent(target);
-                if !outs.is_empty() {
-                    self.emit_mn(ctx, outs);
+                let out = self.mn.set_agent(target);
+                if out.is_some() {
+                    self.emit_mn(ctx, out);
                 }
                 // Movement detection: solicit an RA immediately.
                 self.send_router_solicit(ctx);

@@ -422,6 +422,74 @@ pub(crate) mod tests {
         );
         assert_eq!(*tags.borrow(), [tag(1), tag(2), 0, tag(3)]);
     }
+    /// One frame bad twice over, a damaged Binding Ack that also carries
+    /// an unknown option demanding discard, counts where each role's first
+    /// gate stands: at a router as `buAuthFailures`, at a host as
+    /// `unknownOptionDrops` (DESIGN.md "Node glue").
+    #[test]
+    fn a_doubly_bad_frame_counts_under_each_roles_first_gate() {
+        use crate::addressing::{global_addr, link_local_addr, link_prefix};
+        use crate::host_node::{HostConfig, HostNode};
+        use crate::netplan::{Directory, NextHop};
+        use crate::router_node::{RouterConfig, RouterIfaceInfo, RouterNode};
+        use mobicast_ipv6::exthdr::BindingAck;
+        use mobicast_net::{ExecPlan, L2Dest};
+        use mobicast_sim::RngFactory;
+
+        let mut w = World::new();
+        let link = w.add_link(LinkParams {
+            bandwidth_bps: 8_000_000,
+            delay: SimDuration::from_micros(10),
+        });
+        let (router, host, peer) = (NodeId(0), NodeId(1), NodeId(2));
+        let iface = RouterIfaceInfo {
+            link,
+            prefix: link_prefix(link),
+            ll: link_local_addr(router, 0),
+            global: global_addr(router, 0, link),
+        };
+        let (recorder, rng) = (Recorder::new_shared(), RngFactory::new(1));
+        let hop = NextHop {
+            iface: 0,
+            via: None,
+        };
+        let routes = [Some((hop, 0))].into_iter().collect();
+        let cfg = RouterConfig::default();
+        let r = RouterNode::new(router, cfg, vec![iface], routes, &rng, recorder.clone());
+        let dir = Rc::new(Directory::default());
+        let (cfg, ha) = (HostConfig::default(), iface.global);
+        let h = HostNode::new(host, cfg, link, ha, None, None, &rng, dir, recorder.clone());
+        w.add_node(1, Box::new(r));
+        w.add_node(1, Box::new(h));
+        w.add_node(1, Box::new(Sink::default()));
+        for node in [router, host, peer] {
+            w.attach(node, 0, link);
+        }
+        let ack = Option6::BindingAck(BindingAck {
+            status: 0,
+            sequence: 1,
+            lifetime_secs: 256,
+            refresh_secs: 128,
+        });
+        // Option type bits 01: skip the rest and discard (RFC 8200 §4.2).
+        let unknown = Option6::Unknown {
+            kind: 0x7e,
+            data: vec![0],
+        };
+        let packet = Packet::new(ha, global_addr(host, 0, link), proto::NONE, Bytes::new())
+            .with_ext(ExtHeader::DestinationOptions(vec![ack, unknown]));
+        let mut frame = frame_for(&packet, None);
+        (frame.l2, frame.damaged) = (L2Dest::Broadcast, true);
+        w.with_node(peer, |_, ctx| ctx.send(0, frame));
+        w.run(SimTime::from_millis(10), &ExecPlan::Sequential);
+        let names = ["buAuthFailures", "unknownOptionDrops"];
+        let mib = |c: &Counters| names.map(|n| c.get(n));
+        let router_mib = w.behavior::<RouterNode>(router).map(|r| mib(r.mib()));
+        let host_mib = w.behavior::<HostNode>(host).map(|h| mib(h.mib()));
+        assert_eq!(router_mib, Some([1, 0]), "router: signalling gate first");
+        assert_eq!(host_mib, Some([0, 1]), "host: option gate first");
+    }
+
     #[test]
     fn malformed_counts_once_and_names_the_layer() {
         let (tracer, ring) = RingBufferTracer::new(8);

@@ -1140,14 +1140,9 @@ impl NodeBehavior for RouterNode {
             }
             TIMER_HA => {
                 self.ha_timer.fired();
-                let outs = self.ha.on_deadline(now);
-                let notes = self.ha.take_notes();
-                self.drain_notes(ctx, notes.into_iter().map(Note::Ha));
                 // Expired bindings release their proxy memberships.
-                for o in outs {
-                    if let HaOutput::ProxyLeave(g) = o {
-                        self.proxy_leave_everywhere(ctx, g, None);
-                    }
+                for g in self.ha.on_deadline(now) {
+                    self.proxy_leave_everywhere(ctx, g, None);
                 }
                 self.arm_ha(ctx);
                 self.arm_mld(ctx);

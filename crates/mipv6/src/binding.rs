@@ -34,20 +34,14 @@ pub struct CacheDelta {
     pub groups_removed: Vec<GroupAddr>,
 }
 
-impl CacheDelta {
-    pub fn is_empty(&self) -> bool {
-        self.groups_added.is_empty() && self.groups_removed.is_empty()
-    }
-}
-
 /// Everything a binding holds besides its home address and expiry.
 #[derive(Debug)]
-struct BindingRow {
+pub(crate) struct BindingRow {
     care_of: Ipv6Addr,
     sequence: u16,
     /// The groups the binding subscribes to, in the order the Binding
     /// Update listed them.
-    groups: Vec<GroupAddr>,
+    pub(crate) groups: Vec<GroupAddr>,
 }
 
 impl Default for BindingRow {
@@ -67,7 +61,7 @@ type GroupRefs = BTreeMap<GroupAddr, usize>;
 #[derive(Debug)]
 pub struct BindingCache {
     /// Bindings by home address.
-    table: SoftTable<Ipv6Addr, BindingRow>,
+    pub(crate) table: SoftTable<Ipv6Addr, BindingRow>,
     group_refs: GroupRefs,
 }
 
@@ -153,6 +147,11 @@ impl BindingCache {
             .collect()
     }
 
+    /// Is any binding subscribed to `group`?
+    pub(crate) fn has_subscribers(&self, group: GroupAddr) -> bool {
+        self.group_refs.contains_key(&group)
+    }
+
     fn remove(&mut self, home: Ipv6Addr, delta: &mut CacheDelta) {
         if let Some(row) = self.table.remove(home) {
             unref_groups(&mut self.group_refs, &row.groups, delta);
@@ -216,8 +215,8 @@ impl BindingCache {
 
     /// Drop expired bindings (the paper: a missing refresh lets the home
     /// agent "give up the representation of the host as member of its
-    /// multicast group"). Returns the expired homes and the proxy delta.
-    pub fn expire(&mut self, now: SimTime) -> (Vec<Ipv6Addr>, CacheDelta) {
+    /// multicast group"). Returns the proxy delta.
+    pub fn expire(&mut self, now: SimTime) -> CacheDelta {
         let mut delta = CacheDelta::default();
         let dead: Vec<Ipv6Addr> = self
             .table
@@ -231,7 +230,7 @@ impl BindingCache {
         // The sweep visited everything anyway: recompute the watermark
         // exactly so the next poll-guard read is tight again.
         self.table.refresh_min_expires();
-        (dead, delta)
+        delta
     }
 }
 
@@ -261,7 +260,7 @@ mod tests {
             vec![],
             t(0),
         );
-        assert!(d.is_empty());
+        assert_eq!(d, CacheDelta::default());
         let e = c.lookup(a("2001:db8:4::9")).unwrap();
         assert_eq!(e.care_of, a("2001:db8:1::9"));
         assert_eq!(e.expires, t(256));
@@ -301,7 +300,7 @@ mod tests {
         let mut c = BindingCache::new();
         c.update(a("::a"), a("::a1"), LIFE, 1, vec![g(1)], t(0));
         let d = c.update(a("::a"), a("::a2"), LIFE, 2, vec![g(1)], t(100));
-        assert!(d.is_empty(), "same groups: no proxy change");
+        assert_eq!(d, CacheDelta::default(), "same groups: no proxy change");
         let e = c.lookup(a("::a")).unwrap();
         assert_eq!(e.care_of, a("::a2"));
         assert_eq!(e.expires, t(356));
@@ -314,11 +313,11 @@ mod tests {
         c.update(a("::a"), a("::a1"), LIFE, 1, vec![g(1)], t(0));
         c.update(a("::b"), a("::b1"), LIFE, 1, vec![g(1)], t(50));
         assert_eq!(c.next_deadline(), Some(t(256)));
-        let (dead, delta) = c.expire(t(256));
-        assert_eq!(dead, vec![a("::a")]);
+        let delta = c.expire(t(256));
+        assert_eq!(c.lookup(a("::a")), None);
         assert!(delta.groups_removed.is_empty(), "::b still subscribed");
-        let (dead, delta) = c.expire(t(306));
-        assert_eq!(dead, vec![a("::b")]);
+        let delta = c.expire(t(306));
+        assert_eq!(c.lookup(a("::b")), None);
         assert_eq!(delta.groups_removed, vec![g(1)]);
         assert!(c.is_empty());
     }
@@ -327,7 +326,7 @@ mod tests {
     fn dereg_of_unknown_home_is_noop() {
         let mut c = BindingCache::new();
         let d = c.update(a("::a"), a("::a1"), SimDuration::ZERO, 1, vec![], t(0));
-        assert!(d.is_empty());
+        assert_eq!(d, CacheDelta::default());
         assert!(c.is_empty());
     }
 
@@ -349,14 +348,14 @@ mod tests {
         assert_eq!(c.min_expires(), t(256));
         // Nothing can be overdue before the watermark.
         assert!(c.min_expires() > t(100));
-        let (dead, _) = c.expire(t(256));
-        assert_eq!(dead, vec![a("::a")]);
+        c.expire(t(256));
+        assert!(!c.contains(a("::a")) && c.contains(a("::b")));
         assert_eq!(c.min_expires(), t(296), "sweep retightens the watermark");
     }
 
     /// The refcount/delta layer restated over a plain `BTreeMap` with full
     /// addresses: the reference the differential test below compares
-    /// every returned delta and dead list against.
+    /// every returned delta against.
     #[derive(Default)]
     struct RefCache {
         entries: BTreeMap<Ipv6Addr, RefEntry>,
@@ -434,7 +433,7 @@ mod tests {
             delta
         }
 
-        fn expire(&mut self, now: SimTime) -> (Vec<Ipv6Addr>, CacheDelta) {
+        fn expire(&mut self, now: SimTime) -> CacheDelta {
             let mut delta = CacheDelta::default();
             let dead: Vec<Ipv6Addr> = self
                 .entries
@@ -442,10 +441,10 @@ mod tests {
                 .filter(|(_, e)| e.expires <= now)
                 .map(|(h, _)| *h)
                 .collect();
-            for h in &dead {
-                self.remove(*h, &mut delta);
+            for h in dead {
+                self.remove(h, &mut delta);
             }
-            (dead, delta)
+            delta
         }
     }
 
@@ -500,10 +499,8 @@ mod tests {
                     }
                     // Expiry sweep.
                     _ => {
-                        let (dead1, d1) = soa.expire(t(now));
-                        let (dead2, d2) = old.expire(t(now));
-                        assert_eq!(dead1, dead2, "seed {seed} step {step}: dead diverged");
-                        assert_eq!(d1, d2);
+                        let (d1, d2) = (soa.expire(t(now)), old.expire(t(now)));
+                        assert_eq!(d1, d2, "seed {seed} step {step}: expiry diverged");
                     }
                 }
                 // Full observable state must match after every op.
@@ -523,8 +520,10 @@ mod tests {
                     .map(|(h, e)| (*h, e.care_of, e.expires, e.sequence))
                     .collect();
                 assert_eq!(snap1, snap2, "seed {seed} step {step}: entries diverged");
-                for &grp in soa.group_refs.keys() {
-                    assert_eq!(soa.subscribers(grp), old.subscribers(grp));
+                for grp in (0u16..12).map(GroupAddr::test_group) {
+                    let subs = old.subscribers(grp);
+                    assert_eq!(soa.subscribers(grp), subs);
+                    assert_eq!(soa.has_subscribers(grp), !subs.is_empty());
                 }
                 // Watermark invariant: never later than any live expiry.
                 for (_, v) in soa.entries() {

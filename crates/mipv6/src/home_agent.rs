@@ -52,7 +52,7 @@ pub struct HomeAgent {
     pub binding_updates_processed: u64,
     pub packets_tunneled: u64,
     /// Binding-cache capacity; `None` = unbounded (the default).
-    budget: Option<u32>,
+    pub(crate) budget: Option<u32>,
     notes: Vec<HaNote>,
 }
 
@@ -169,7 +169,7 @@ impl HomeAgent {
 
     /// Is any binding subscribed to `group`?
     pub fn has_group_subscribers(&self, group: GroupAddr) -> bool {
-        !self.cache.subscribers(group).is_empty()
+        self.cache.has_subscribers(group)
     }
 
     /// Earliest binding expiry.
@@ -177,134 +177,9 @@ impl HomeAgent {
         self.cache.next_deadline()
     }
 
-    /// Expire stale bindings; returns proxy-leave outputs.
-    pub fn on_deadline(&mut self, now: SimTime) -> Vec<HaOutput> {
-        let (_dead, delta) = self.cache.expire(now);
-        Self::delta_outputs(delta)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mobicast_ipv6::exthdr::{SubOption, BU_FLAG_ACK, BU_FLAG_HOME};
-
-    fn a(s: &str) -> Ipv6Addr {
-        s.parse().unwrap()
-    }
-    fn g(i: u16) -> GroupAddr {
-        GroupAddr::test_group(i)
-    }
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    fn bu(seq: u16, lifetime: u32, groups: Vec<GroupAddr>) -> BindingUpdate {
-        let mut sub_options = Vec::new();
-        if !groups.is_empty() {
-            sub_options.push(SubOption::MulticastGroupList(groups));
-        }
-        BindingUpdate {
-            flags: BU_FLAG_ACK | BU_FLAG_HOME,
-            sequence: seq,
-            lifetime_secs: lifetime,
-            sub_options,
-        }
-    }
-
-    #[test]
-    fn binding_update_acked_and_cached() {
-        let mut ha = HomeAgent::new();
-        let out = ha.on_binding_update(a("::aa"), a("::c"), &bu(1, 256, vec![]), t(0));
-        assert_eq!(out.len(), 1);
-        match &out[0] {
-            HaOutput::SendBindingAck { care_of, home, ack } => {
-                assert_eq!(*care_of, a("::c"));
-                assert_eq!(*home, a("::aa"));
-                assert!(ack.accepted());
-                assert_eq!(ack.sequence, 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(ha.intercept(a("::aa")), Some(a("::c")));
-        assert_eq!(ha.intercept(a("::ee")), None);
-        assert_eq!(ha.binding_count(), 1);
-        assert_eq!(ha.binding_updates_processed, 1);
-    }
-
-    #[test]
-    fn group_list_triggers_proxy_join_and_leave() {
-        let mut ha = HomeAgent::new();
-        let out = ha.on_binding_update(a("::aa"), a("::c"), &bu(1, 256, vec![g(1)]), t(0));
-        assert!(out.contains(&HaOutput::ProxyJoin(g(1))));
-        // Deregistration releases the proxy membership.
-        let out = ha.on_binding_update(a("::aa"), a("::c"), &bu(2, 0, vec![]), t(10));
-        assert!(out.contains(&HaOutput::ProxyLeave(g(1))));
-        assert_eq!(ha.binding_count(), 0);
-    }
-
-    #[test]
-    fn multicast_fanout_counts_tunnel_load() {
-        let mut ha = HomeAgent::new();
-        ha.on_binding_update(a("::a1"), a("::c1"), &bu(1, 256, vec![g(1)]), t(0));
-        ha.on_binding_update(a("::a2"), a("::c2"), &bu(1, 256, vec![g(1)]), t(0));
-        ha.on_binding_update(a("::a3"), a("::c3"), &bu(1, 256, vec![g(2)]), t(0));
-        assert!(ha.has_group_subscribers(g(1)));
-        let targets = ha.multicast_tunnel_targets(g(1));
-        assert_eq!(
-            targets,
-            vec![(a("::a1"), a("::c1")), (a("::a2"), a("::c2"))]
-        );
-        assert_eq!(ha.packets_tunneled, 2, "one tunnel copy per subscriber");
-    }
-
-    #[test]
-    fn binding_expiry_releases_proxy_membership() {
-        let mut ha = HomeAgent::new();
-        ha.on_binding_update(a("::aa"), a("::c"), &bu(1, 256, vec![g(1)]), t(0));
-        assert_eq!(ha.next_deadline(), Some(t(256)));
-        let out = ha.on_deadline(t(256));
-        assert_eq!(out, vec![HaOutput::ProxyLeave(g(1))]);
-        assert_eq!(ha.intercept(a("::aa")), None);
-    }
-
-    #[test]
-    fn budget_reject_new_sheds_registration_but_allows_refresh() {
-        let mut ha = HomeAgent::new();
-        ha.set_budget(Some(1));
-        let out = ha.on_binding_update(a("::a1"), a("::c1"), &bu(1, 256, vec![g(1)]), t(0));
-        assert!(out.contains(&HaOutput::ProxyJoin(g(1))));
-        // Second host: shed silently — no ack, no proxy change.
-        let out = ha.on_binding_update(a("::a2"), a("::c2"), &bu(1, 256, vec![g(2)]), t(1));
-        assert!(out.is_empty());
-        assert_eq!(ha.binding_count(), 1);
-        assert_eq!(
-            ha.take_notes(),
-            vec![HaNote::BindingShed { home: a("::a2") }]
-        );
-        // Refreshing the admitted binding still works.
-        let out = ha.on_binding_update(a("::a1"), a("::c9"), &bu(2, 256, vec![g(1)]), t(2));
-        assert!(out
-            .iter()
-            .any(|o| matches!(o, HaOutput::SendBindingAck { .. })));
-        assert_eq!(ha.intercept(a("::a1")), Some(a("::c9")));
-        assert!(ha.take_notes().is_empty());
-        // Deregistration always passes and frees the slot.
-        ha.on_binding_update(a("::a1"), a("::c9"), &bu(3, 0, vec![]), t(3));
-        let out = ha.on_binding_update(a("::a2"), a("::c2"), &bu(2, 256, vec![g(2)]), t(4));
-        assert!(out.contains(&HaOutput::ProxyJoin(g(2))));
-    }
-
-    #[test]
-    fn no_ack_when_not_requested() {
-        let mut ha = HomeAgent::new();
-        let quiet = BindingUpdate {
-            flags: BU_FLAG_HOME,
-            sequence: 1,
-            lifetime_secs: 256,
-            sub_options: vec![],
-        };
-        let out = ha.on_binding_update(a("::aa"), a("::c"), &quiet, t(0));
-        assert!(out.is_empty());
+    /// Expire stale bindings; returns the groups whose proxy membership
+    /// ends with them (an expiry adds no subscriber, so joins none).
+    pub fn on_deadline(&mut self, now: SimTime) -> Vec<GroupAddr> {
+        self.cache.expire(now).groups_removed
     }
 }

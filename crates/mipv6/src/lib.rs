@@ -8,7 +8,8 @@
 //! proposed **Multicast Group List Sub-Option**).
 //!
 //! Packet construction helpers live in [`packets`]; actual transmission is
-//! the job of the node glue in `mobicast-core`.
+//! the job of the node glue in `mobicast-core`. Both machines are specified
+//! once, as tables (`spec.rs`, test-only).
 
 pub mod binding;
 pub mod home_agent;
@@ -17,4 +18,7 @@ pub mod packets;
 
 pub use binding::{BindingCache, BindingView, CacheDelta};
 pub use home_agent::{HaNote, HaOutput, HomeAgent};
-pub use mobile::{Location, MnOutput, MobileNode, DEFAULT_BINDING_LIFETIME};
+pub use mobile::{BuSend, MobileNode, DEFAULT_BINDING_LIFETIME};
+
+#[cfg(test)]
+mod spec;

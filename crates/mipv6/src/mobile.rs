@@ -7,6 +7,8 @@
 //! it with its home agent via a Binding Update. The machine optionally
 //! appends the paper's Multicast Group List Sub-Option so the home agent
 //! joins groups on the host's behalf (receive-via-tunnel strategies).
+//! Every entry point sends at most one Binding Update; `spec.rs` holds
+//! the table each one follows.
 
 use mobicast_ipv6::addr::{GroupAddr, Prefix};
 use mobicast_ipv6::exthdr::{BindingUpdate, SubOption, BU_FLAG_ACK, BU_FLAG_HOME};
@@ -24,25 +26,27 @@ pub const INITIAL_BINDACK_TIMEOUT: SimDuration = SimDuration::from_secs(1);
 /// Retransmission backoff cap (draft §11.8: `MAX_BINDACK_TIMEOUT`).
 pub const MAX_BINDACK_TIMEOUT: SimDuration = SimDuration::from_secs(256);
 
-/// Where the mobile node currently is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Location {
-    AtHome,
-    Away { care_of: Ipv6Addr },
+/// Transmit a Binding Update to the current mobility agent (the home
+/// agent, or a regional MAP-style agent after [`MobileNode::set_agent`]).
+/// The glue wraps it in an IPv6 packet from `source` carrying a Home
+/// Address option.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BuSend {
+    pub home_agent: Ipv6Addr,
+    pub source: Ipv6Addr,
+    pub binding_update: BindingUpdate,
 }
 
-/// Outputs of the mobile-node machine.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MnOutput {
-    /// Transmit a Binding Update to the current mobility agent (the home
-    /// agent, or a regional MAP-style agent after
-    /// [`MobileNode::set_agent`]). The glue wraps it in an IPv6 packet from
-    /// `source` carrying a Home Address option.
-    SendBindingUpdate {
-        home_agent: Ipv6Addr,
-        source: Ipv6Addr,
-        binding_update: BindingUpdate,
-    },
+/// The last Binding Update sent, kept until acknowledged so it can be
+/// retransmitted verbatim (same sequence number, draft §11.8).
+#[derive(Debug)]
+pub(crate) struct PendingBu {
+    pub(crate) bu: BindingUpdate,
+    /// When to retransmit it.
+    pub(crate) at: SimTime,
+    /// Current retransmission timeout; doubles per retry up to
+    /// [`MAX_BINDACK_TIMEOUT`].
+    pub(crate) timeout: SimDuration,
 }
 
 /// Mobile IPv6 state of one mobile host.
@@ -54,24 +58,17 @@ pub struct MobileNode {
     /// Where Binding Updates currently go: the home agent by default, or a
     /// regional (MAP-style) agent selected by a hierarchical delivery
     /// policy via [`MobileNode::set_agent`].
-    agent: Ipv6Addr,
+    pub(crate) agent: Ipv6Addr,
     /// Interface identifier used for stateless autoconfiguration.
     iid: u64,
-    sequence: u16,
-    location: Location,
-    lifetime: SimDuration,
-    /// When to refresh the binding (while away).
-    refresh_at: Option<SimTime>,
-    /// The last Binding Update sent, kept until acknowledged so it can be
-    /// retransmitted verbatim (same sequence number, draft §11.8).
-    pending_bu: Option<BindingUpdate>,
-    /// When to retransmit the pending Binding Update.
-    retransmit_at: Option<SimTime>,
-    /// Current retransmission timeout; doubles per retry up to
-    /// [`MAX_BINDACK_TIMEOUT`].
-    retransmit_timeout: SimDuration,
+    pub(crate) sequence: u16,
+    /// The care-of address while away; `None` at home.
+    pub(crate) care_of: Option<Ipv6Addr>,
+    /// When to refresh the binding (armed only while away).
+    pub(crate) refresh_at: Option<SimTime>,
+    pub(crate) pending: Option<PendingBu>,
     /// Groups to advertise in the Multicast Group List Sub-Option.
-    groups: Vec<GroupAddr>,
+    pub(crate) groups: Vec<GroupAddr>,
     /// Whether Binding Updates carry the group list (paper Fig. 5) —
     /// enabled by the receive-via-home-tunnel strategies.
     include_group_list: bool,
@@ -97,12 +94,9 @@ impl MobileNode {
             agent: home_agent,
             iid,
             sequence: 0,
-            location: Location::AtHome,
-            lifetime: DEFAULT_BINDING_LIFETIME,
+            care_of: None,
             refresh_at: None,
-            pending_bu: None,
-            retransmit_at: None,
-            retransmit_timeout: INITIAL_BINDACK_TIMEOUT,
+            pending: None,
             groups: Vec::new(),
             include_group_list,
             binding_updates_sent: 0,
@@ -118,11 +112,6 @@ impl MobileNode {
         self.home_agent
     }
 
-    /// The agent Binding Updates are currently addressed to.
-    pub fn agent(&self) -> Ipv6Addr {
-        self.agent
-    }
-
     /// Retarget registration at a different mobility agent (hierarchical
     /// policies: the domain MAP while roaming inside its domain, the home
     /// agent elsewhere). A no-op when `agent` is already the target.
@@ -133,47 +122,36 @@ impl MobileNode {
     /// because the reply would race the handoff the retarget is part of.
     /// In-flight registration state is dropped; the next Router
     /// Advertisement registers cleanly with the new agent.
-    pub fn set_agent(&mut self, agent: Ipv6Addr) -> Vec<MnOutput> {
+    pub fn set_agent(&mut self, agent: Ipv6Addr) -> Option<BuSend> {
         if agent == self.agent {
-            return Vec::new();
+            return None;
         }
         let old = std::mem::replace(&mut self.agent, agent);
-        let mut out = Vec::new();
-        if !self.at_home() {
-            self.sequence = self.sequence.wrapping_add(1);
-            self.binding_updates_sent += 1;
-            out.push(MnOutput::SendBindingUpdate {
-                home_agent: old,
-                source: self.current_address(),
-                binding_update: BindingUpdate {
-                    flags: BU_FLAG_HOME,
-                    sequence: self.sequence,
-                    lifetime_secs: 0,
-                    sub_options: Vec::new(),
-                },
-            });
-        }
-        self.pending_bu = None;
-        self.retransmit_at = None;
+        self.pending = None;
         self.refresh_at = None;
-        out
-    }
-
-    pub fn location(&self) -> Location {
-        self.location
+        let source = self.care_of?;
+        self.sequence = self.sequence.wrapping_add(1);
+        self.binding_updates_sent += 1;
+        Some(BuSend {
+            home_agent: old,
+            source,
+            binding_update: BindingUpdate {
+                flags: BU_FLAG_HOME,
+                sequence: self.sequence,
+                lifetime_secs: 0,
+                sub_options: Vec::new(),
+            },
+        })
     }
 
     pub fn at_home(&self) -> bool {
-        self.location == Location::AtHome
+        self.care_of.is_none()
     }
 
     /// The source address this host currently uses on the wire: the care-of
     /// address when away (Mobile IPv6 §10.1), the home address at home.
     pub fn current_address(&self) -> Ipv6Addr {
-        match self.location {
-            Location::AtHome => self.home_address,
-            Location::Away { care_of } => care_of,
-        }
+        self.care_of.unwrap_or(self.home_address)
     }
 
     /// Signalling load metric: number of Binding Updates sent.
@@ -185,7 +163,7 @@ impl MobileNode {
     /// single-slot implementation. Feeds the retransmit-queue
     /// high-water metric.
     pub fn pending_bu_depth(&self) -> usize {
-        usize::from(self.pending_bu.is_some())
+        usize::from(self.pending.is_some())
     }
 
     /// Times a fresh Binding Update replaced a still-unacknowledged one.
@@ -193,413 +171,121 @@ impl MobileNode {
         self.bu_replaced
     }
 
-    fn build_bu(&mut self, lifetime: SimDuration, now: SimTime) -> Vec<MnOutput> {
+    /// Send a fresh Binding Update: a registration for
+    /// [`DEFAULT_BINDING_LIFETIME`] while away, a zero-lifetime
+    /// deregistration at home.
+    fn build_bu(&mut self, now: SimTime) -> Option<BuSend> {
         self.sequence = self.sequence.wrapping_add(1);
         self.binding_updates_sent += 1;
+        let away = !self.at_home();
+        let lifetime = if away {
+            DEFAULT_BINDING_LIFETIME
+        } else {
+            SimDuration::ZERO
+        };
         let mut sub_options = Vec::new();
-        if self.include_group_list && !lifetime.is_zero() {
+        if self.include_group_list && away {
             sub_options.push(SubOption::MulticastGroupList(self.groups.clone()));
         }
-        let secs = lifetime.as_nanos() / 1_000_000_000;
         let bu = BindingUpdate {
             flags: BU_FLAG_ACK | BU_FLAG_HOME,
             sequence: self.sequence,
-            lifetime_secs: secs.min(u64::from(u32::MAX)) as u32,
+            lifetime_secs: (lifetime.as_nanos() / 1_000_000_000) as u32,
             sub_options,
         };
-        self.refresh_at = if lifetime.is_zero() {
-            None
-        } else {
-            // Refresh at 80 % of the lifetime so the binding never lapses.
-            Some(now + lifetime.mul_f64(0.8))
-        };
+        // Refresh at 80 % of the lifetime so the binding never lapses.
+        self.refresh_at = away.then(|| now + lifetime.mul_f64(0.8));
         // Every BU requests an ack; retransmit until one arrives. A BU
         // still awaiting its ack is superseded, not queued.
-        if self.pending_bu.is_some() {
+        if self.pending.is_some() {
             self.bu_replaced += 1;
         }
-        self.pending_bu = Some(bu.clone());
-        self.retransmit_timeout = INITIAL_BINDACK_TIMEOUT;
-        self.retransmit_at = Some(now + INITIAL_BINDACK_TIMEOUT);
-        vec![MnOutput::SendBindingUpdate {
+        self.pending = Some(PendingBu {
+            bu: bu.clone(),
+            at: now + INITIAL_BINDACK_TIMEOUT,
+            timeout: INITIAL_BINDACK_TIMEOUT,
+        });
+        Some(BuSend {
             home_agent: self.agent,
             source: self.current_address(),
             binding_update: bu,
-        }]
+        })
     }
 
     /// A Router Advertisement for `prefix` was heard on the host's
     /// interface. Performs movement detection and, when a new foreign link
-    /// is detected, care-of address configuration + Binding Update.
-    pub fn on_router_advert(&mut self, prefix: Prefix, now: SimTime) -> Vec<MnOutput> {
-        if prefix == self.home_prefix {
-            return match self.location {
-                Location::AtHome => Vec::new(),
-                Location::Away { .. } => {
-                    // Returned home: deregister the binding.
-                    self.location = Location::AtHome;
-                    self.build_bu(SimDuration::ZERO, now)
-                }
-            };
+    /// is detected, care-of address configuration + Binding Update; back
+    /// on the home link, the binding is deregistered.
+    pub fn on_router_advert(&mut self, prefix: Prefix, now: SimTime) -> Option<BuSend> {
+        let care_of = (prefix != self.home_prefix).then(|| prefix.addr_with_iid(self.iid));
+        if care_of == self.care_of {
+            return None;
         }
-        let care_of = prefix.addr_with_iid(self.iid);
-        match self.location {
-            Location::Away { care_of: cur } if cur == care_of => Vec::new(), // same link
-            _ => {
-                self.location = Location::Away { care_of };
-                self.build_bu(self.lifetime, now)
-            }
-        }
+        self.care_of = care_of;
+        self.build_bu(now)
     }
 
     /// A Binding Acknowledgement arrived. An accepted ack confirms the
     /// pending Binding Update and stops its retransmission; a rejected ack
     /// (while away) triggers an immediate retry with a fresh sequence.
-    pub fn on_binding_ack(&mut self, accepted: bool, now: SimTime) -> Vec<MnOutput> {
-        self.pending_bu = None;
-        self.retransmit_at = None;
+    pub fn on_binding_ack(&mut self, accepted: bool, now: SimTime) -> Option<BuSend> {
+        self.pending = None;
         if accepted || self.at_home() {
-            return Vec::new();
+            return None;
         }
-        self.build_bu(self.lifetime, now)
+        self.build_bu(now)
     }
 
     /// Update the group list the host wants its home agent to serve. While
     /// away (and when the sub-option is enabled), a fresh Binding Update
     /// carries the change immediately — the paper's extended BU.
-    pub fn set_groups(&mut self, groups: Vec<GroupAddr>, now: SimTime) -> Vec<MnOutput> {
+    pub fn set_groups(&mut self, groups: Vec<GroupAddr>, now: SimTime) -> Option<BuSend> {
         self.groups = groups;
-        if !self.at_home() && self.include_group_list {
-            self.build_bu(self.lifetime, now)
-        } else {
-            Vec::new()
+        if self.at_home() || !self.include_group_list {
+            return None;
         }
-    }
-
-    pub fn groups(&self) -> &[GroupAddr] {
-        &self.groups
+        self.build_bu(now)
     }
 
     /// Send an unscheduled Binding Update refreshing the current binding
     /// (used by storm scripts to model BU floods: a buggy or hostile mobile
     /// re-registering far faster than the refresh timer requires). At home
     /// there is no binding to refresh, so nothing happens.
-    pub fn force_refresh(&mut self, now: SimTime) -> Vec<MnOutput> {
+    pub fn force_refresh(&mut self, now: SimTime) -> Option<BuSend> {
         if self.at_home() {
-            return Vec::new();
+            return None;
         }
-        self.build_bu(self.lifetime, now)
+        self.build_bu(now)
     }
 
     /// Next instant the machine needs a timer callback: the earlier of the
     /// binding refresh and the pending-BU retransmission.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        match (self.refresh_at, self.retransmit_at) {
+        let retransmit = self.pending.as_ref().map(|p| p.at);
+        match (self.refresh_at, retransmit) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
     }
 
-    /// Fire the timer: retransmit an unacknowledged Binding Update (with
-    /// exponential backoff, draft §11.8) and/or refresh the binding.
-    pub fn on_deadline(&mut self, now: SimTime) -> Vec<MnOutput> {
-        let mut out = Vec::new();
-        if matches!(self.retransmit_at, Some(t) if t <= now) {
-            match self.pending_bu.clone() {
-                Some(bu) => {
-                    // Same sequence number: this is a retransmission, not a
-                    // new registration.
-                    self.retransmit_timeout =
-                        (self.retransmit_timeout * 2).min(MAX_BINDACK_TIMEOUT);
-                    self.retransmit_at = Some(now + self.retransmit_timeout);
-                    self.binding_updates_sent += 1;
-                    out.push(MnOutput::SendBindingUpdate {
-                        home_agent: self.agent,
-                        source: self.current_address(),
-                        binding_update: bu,
-                    });
-                }
-                None => self.retransmit_at = None,
-            }
+    /// Fire the timer: refresh the binding, or retransmit an
+    /// unacknowledged Binding Update (same sequence number, with
+    /// exponential backoff, draft §11.8). The two never fall due together:
+    /// the BU that arms both puts its retries whole seconds after it and
+    /// the refresh 204.8 s after it.
+    pub fn on_deadline(&mut self, now: SimTime) -> Option<BuSend> {
+        if self.refresh_at.is_some_and(|t| t <= now) {
+            return self.build_bu(now);
         }
-        if matches!(self.refresh_at, Some(t) if t <= now) && !self.at_home() {
-            out.extend(self.build_bu(self.lifetime, now));
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn a(s: &str) -> Ipv6Addr {
-        s.parse().unwrap()
-    }
-    fn p(s: &str) -> Prefix {
-        s.parse().unwrap()
-    }
-    fn g(i: u16) -> GroupAddr {
-        GroupAddr::test_group(i)
-    }
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    fn mn(with_groups: bool) -> MobileNode {
-        MobileNode::new(
-            a("2001:db8:4::1234"),
-            p("2001:db8:4::/64"),
-            a("2001:db8:4::d"),
-            0x1234,
-            with_groups,
-        )
-    }
-
-    #[test]
-    fn home_ra_while_home_is_quiet() {
-        let mut m = mn(false);
-        assert!(m.on_router_advert(p("2001:db8:4::/64"), t(0)).is_empty());
-        assert!(m.at_home());
-        assert_eq!(m.current_address(), a("2001:db8:4::1234"));
-    }
-
-    #[test]
-    fn foreign_ra_triggers_coa_and_binding_update() {
-        let mut m = mn(false);
-        let out = m.on_router_advert(p("2001:db8:6::/64"), t(5));
-        assert_eq!(out.len(), 1);
-        match &out[0] {
-            MnOutput::SendBindingUpdate {
-                home_agent,
-                source,
-                binding_update,
-            } => {
-                assert_eq!(*home_agent, a("2001:db8:4::d"));
-                assert_eq!(*source, a("2001:db8:6::1234"), "SLAAC care-of address");
-                assert!(binding_update.home_registration());
-                assert!(binding_update.ack_requested());
-                assert_eq!(binding_update.lifetime_secs, 256);
-                assert!(binding_update.multicast_groups().is_none());
-            }
-        }
-        assert!(!m.at_home());
-        assert_eq!(m.current_address(), a("2001:db8:6::1234"));
-        assert_eq!(m.binding_updates_sent(), 1);
-    }
-
-    #[test]
-    fn repeated_ra_on_same_link_is_quiet() {
-        let mut m = mn(false);
-        m.on_router_advert(p("2001:db8:6::/64"), t(5));
-        assert!(m.on_router_advert(p("2001:db8:6::/64"), t(10)).is_empty());
-        assert_eq!(m.binding_updates_sent(), 1);
-    }
-
-    #[test]
-    fn moving_again_re_registers() {
-        let mut m = mn(false);
-        m.on_router_advert(p("2001:db8:6::/64"), t(5));
-        let out = m.on_router_advert(p("2001:db8:1::/64"), t(50));
-        assert_eq!(out.len(), 1);
-        assert_eq!(m.current_address(), a("2001:db8:1::1234"));
-        assert_eq!(m.binding_updates_sent(), 2);
-    }
-
-    #[test]
-    fn returning_home_deregisters() {
-        let mut m = mn(false);
-        m.on_router_advert(p("2001:db8:6::/64"), t(5));
-        let out = m.on_router_advert(p("2001:db8:4::/64"), t(60));
-        match &out[0] {
-            MnOutput::SendBindingUpdate { binding_update, .. } => {
-                assert_eq!(binding_update.lifetime_secs, 0, "deregistration");
-            }
-        }
-        assert!(m.at_home());
-        // The deregistration BU itself awaits an ack; once acknowledged,
-        // nothing is pending at home.
-        m.on_binding_ack(true, t(61));
-        assert_eq!(m.next_deadline(), None, "no refresh while home");
-    }
-
-    #[test]
-    fn group_list_included_when_enabled() {
-        let mut m = mn(true);
-        m.set_groups(vec![g(1), g(2)], t(0));
-        let out = m.on_router_advert(p("2001:db8:6::/64"), t(5));
-        match &out[0] {
-            MnOutput::SendBindingUpdate { binding_update, .. } => {
-                assert_eq!(
-                    binding_update.multicast_groups().unwrap(),
-                    &[g(1), g(2)],
-                    "paper Fig. 5 sub-option"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn group_change_while_away_sends_fresh_bu() {
-        let mut m = mn(true);
-        m.on_router_advert(p("2001:db8:6::/64"), t(5));
-        let out = m.set_groups(vec![g(3)], t(20));
-        assert_eq!(out.len(), 1, "extended BU on group change");
-        // Without the sub-option enabled nothing is sent.
-        let mut m2 = mn(false);
-        m2.on_router_advert(p("2001:db8:6::/64"), t(5));
-        assert!(m2.set_groups(vec![g(3)], t(20)).is_empty());
-    }
-
-    #[test]
-    fn binding_refresh_fires_at_80_percent() {
-        let mut m = mn(false);
-        m.on_router_advert(p("2001:db8:6::/64"), t(0));
-        // Until the BU is acked, the next deadline is its retransmission.
-        m.on_binding_ack(true, t(1));
-        // 80% of 256 s = 204.8 s.
-        let dl = m.next_deadline().unwrap();
-        assert_eq!(dl, SimTime::from_nanos(204_800_000_000));
-        let out = m.on_deadline(dl);
-        assert_eq!(out.len(), 1, "refresh BU");
-        m.on_binding_ack(true, dl + SimDuration::from_millis(10));
-        assert!(m.next_deadline().unwrap() > dl);
-    }
-
-    #[test]
-    fn unacked_bu_retransmits_with_exponential_backoff() {
-        let mut m = mn(false);
-        m.on_router_advert(p("2001:db8:6::/64"), t(0));
-        assert_eq!(m.binding_updates_sent(), 1);
-        // First retransmission after INITIAL_BINDACK_TIMEOUT = 1 s.
-        assert_eq!(m.next_deadline(), Some(t(1)));
-        // Retries at t = 1, 3, 7, 15, 31, 63, 127 (gaps 2, 4, ..., 128);
-        // past that, the 204.8 s binding refresh precedes the next retry.
-        let mut now = t(1);
-        let mut expected_gap = 2u64; // doubled after the first retry
-        for _ in 0..7 {
-            let out = m.on_deadline(now);
-            assert_eq!(out.len(), 1, "retransmission at {now}");
-            match &out[0] {
-                MnOutput::SendBindingUpdate { binding_update, .. } => {
-                    assert_eq!(binding_update.sequence, 1, "same sequence on retry");
-                }
-            }
-            now += SimDuration::from_secs(expected_gap);
-            expected_gap *= 2;
-        }
-        assert_eq!(now, t(255), "exponential backoff schedule");
-        // 1 original + 7 retransmissions.
-        assert_eq!(m.binding_updates_sent(), 8);
-        // An accepted ack stops the retransmission cycle.
-        m.on_binding_ack(true, t(130));
-        assert_eq!(
-            m.next_deadline(),
-            Some(SimTime::from_nanos(204_800_000_000)),
-            "only the refresh remains armed"
-        );
-        assert!(m.on_deadline(now + SimDuration::from_secs(300)).len() == 1);
-    }
-
-    #[test]
-    fn deadline_before_retransmit_time_is_a_no_op() {
-        let mut m = mn(false);
-        m.on_router_advert(p("2001:db8:6::/64"), t(0));
-        assert!(m.on_deadline(SimTime::from_millis(500)).is_empty());
-        assert_eq!(m.binding_updates_sent(), 1);
-    }
-
-    #[test]
-    fn new_movement_replaces_pending_bu() {
-        let mut m = mn(false);
-        m.on_router_advert(p("2001:db8:6::/64"), t(0));
-        // Moves again before the first BU is acked: the new BU (seq 2)
-        // supersedes the old one and retransmission restarts at 1 s.
-        let out = m.on_router_advert(p("2001:db8:1::/64"), t(10));
-        match &out[0] {
-            MnOutput::SendBindingUpdate { binding_update, .. } => {
-                assert_eq!(binding_update.sequence, 2);
-            }
-        }
-        assert_eq!(m.next_deadline(), Some(t(11)));
-        let retry = m.on_deadline(t(11));
-        match &retry[0] {
-            MnOutput::SendBindingUpdate {
-                binding_update,
-                source,
-                ..
-            } => {
-                assert_eq!(binding_update.sequence, 2, "retries the newest BU");
-                assert_eq!(*source, a("2001:db8:1::1234"));
-            }
-        }
-    }
-
-    #[test]
-    fn retarget_while_away_releases_old_agent_and_registers_with_new() {
-        let mut m = mn(true);
-        m.set_groups(vec![g(1)], t(0));
-        m.on_router_advert(p("2001:db8:6::/64"), t(5));
-        m.on_binding_ack(true, t(6));
-        // Switch to a regional agent: one fire-and-forget deregistration
-        // to the old agent, no retransmission armed for it.
-        let out = m.set_agent(a("2001:db8:5::e"));
-        assert_eq!(out.len(), 1);
-        match &out[0] {
-            MnOutput::SendBindingUpdate {
-                home_agent,
-                binding_update,
-                ..
-            } => {
-                assert_eq!(
-                    *home_agent,
-                    a("2001:db8:4::d"),
-                    "dereg goes to the old agent"
-                );
-                assert_eq!(binding_update.lifetime_secs, 0);
-                assert!(!binding_update.ack_requested(), "fire-and-forget");
-            }
-        }
-        assert_eq!(m.agent(), a("2001:db8:5::e"));
-        assert_eq!(m.next_deadline(), None, "old binding state dropped");
-        // The next movement registers with the new agent.
-        let out = m.on_router_advert(p("2001:db8:5::/64"), t(10));
-        match &out[0] {
-            MnOutput::SendBindingUpdate { home_agent, .. } => {
-                assert_eq!(*home_agent, a("2001:db8:5::e"));
-            }
-        }
-        // Retargeting to the current agent is a strict no-op.
-        assert!(m.set_agent(a("2001:db8:5::e")).is_empty());
-    }
-
-    #[test]
-    fn retarget_at_home_is_silent() {
-        let mut m = mn(false);
-        let out = m.set_agent(a("2001:db8:5::e"));
-        assert!(out.is_empty(), "no binding exists at home to release");
-        assert_eq!(m.home_agent(), a("2001:db8:4::d"), "home agent unchanged");
-        assert_eq!(m.binding_updates_sent(), 0);
-    }
-
-    #[test]
-    fn rejected_ack_retries() {
-        let mut m = mn(false);
-        m.on_router_advert(p("2001:db8:6::/64"), t(0));
-        assert!(m.on_binding_ack(true, t(1)).is_empty());
-        let out = m.on_binding_ack(false, t(2));
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn sequence_numbers_increase() {
-        let mut m = mn(false);
-        m.on_router_advert(p("2001:db8:6::/64"), t(0));
-        let out = m.on_router_advert(p("2001:db8:1::/64"), t(10));
-        match &out[0] {
-            MnOutput::SendBindingUpdate { binding_update, .. } => {
-                assert_eq!(binding_update.sequence, 2);
-            }
-        }
+        let source = self.current_address();
+        let p = self.pending.as_mut().filter(|p| p.at <= now)?;
+        p.timeout = (p.timeout * 2).min(MAX_BINDACK_TIMEOUT);
+        p.at = now + p.timeout;
+        self.binding_updates_sent += 1;
+        Some(BuSend {
+            home_agent: self.agent,
+            source,
+            binding_update: p.bu.clone(),
+        })
     }
 }
