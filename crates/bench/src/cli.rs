@@ -16,8 +16,7 @@ commands:
                       one metro-grid run of at least N routers (N >= 4)
   explain [PKT] [--list]
                       the causal journey of one packet of the handoff run
-  report [--check | --diff-selftest | --diff OLD NEW [--threshold X]]
-                      the observability dashboard, or its regression gate
+  report              the observability dashboard, written to results/report-*
   stages [--seed N] [--workload NAME]
                       where handler time goes on the benchmark workloads
   mutants [LEDGER]    re-plant every defect of the mutation ledger (mutants.txt)
@@ -35,19 +34,6 @@ violation, a reconvergence-SLO miss or a protected-flow floor miss.";
 #[derive(Debug)]
 pub struct UsageError(pub String);
 
-/// What `report` does.
-#[derive(Debug)]
-pub enum ReportMode {
-    Dashboard,
-    Check,
-    DiffSelftest,
-    Diff {
-        old: String,
-        new: String,
-        threshold: f64,
-    },
-}
-
 /// What `mobicast` was asked to do.
 #[derive(Debug)]
 pub enum Command {
@@ -55,7 +41,7 @@ pub enum Command {
     All,
     Metro { routers: usize, receivers: usize },
     Explain { pkt: Option<String>, list: bool },
-    Report(ReportMode),
+    Report,
     Stages { seed: u64, workload: Option<String> },
     Mutants { ledger: String },
 }
@@ -81,8 +67,7 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(Command, Setting
     let name = name.ok_or_else(|| UsageError("no command".into()))?;
     let mut settings = Settings::new(false);
     let (mut routers, mut receivers, mut seed, mut workload) = (None, None, None, None);
-    let (mut list, mut check, mut selftest, mut diff, mut threshold) =
-        (false, false, false, None, None);
+    let mut list = false;
     let mut positional = Vec::new();
     while let Some(arg) = args.next() {
         let mut value = || {
@@ -110,16 +95,6 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(Command, Setting
                 workload = Some(name);
             }
             "--list" => list = true,
-            "--check" => check = true,
-            "--diff-selftest" => selftest = true,
-            "--diff" => diff = Some((value()?, value()?)),
-            "--threshold" => {
-                let t: f64 = number(&arg, &value()?)?;
-                if t.is_nan() || t <= 0.0 {
-                    return Err(UsageError("--threshold needs a positive number".into()));
-                }
-                threshold = Some(t);
-            }
             flag if flag.starts_with('-') => {
                 return Err(UsageError(format!("unknown flag {flag}")));
             }
@@ -143,17 +118,7 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(Command, Setting
             pkt: positional.pop(),
             list,
         },
-        ("report", _) => Command::Report(match diff {
-            _ if check => ReportMode::Check,
-            _ if selftest => ReportMode::DiffSelftest,
-            Some((old, new)) => ReportMode::Diff {
-                old,
-                new,
-                threshold: threshold
-                    .unwrap_or(mobicast_core::observability::DEFAULT_DRIFT_THRESHOLD),
-            },
-            None => ReportMode::Dashboard,
-        }),
+        ("report", _) => Command::Report,
         ("stages", _) => Command::Stages {
             seed: seed.unwrap_or(11),
             workload,
@@ -225,17 +190,7 @@ mod tests {
                 r#"Stages { seed: 5, workload: Some("roam_tunnel") }"#,
             ),
             ("mutants", r#"Mutants { ledger: "mutants.txt" }"#),
-            ("report", "Report(Dashboard)"),
-            ("report --check --diff a b", "Report(Check)"),
-            ("report --diff-selftest", "Report(DiffSelftest)"),
-            (
-                "report --diff a b",
-                r#"Report(Diff { old: "a", new: "b", threshold: 0.2 })"#,
-            ),
-            (
-                "report --diff a b --threshold 0.5",
-                r#"Report(Diff { old: "a", new: "b", threshold: 0.5 })"#,
-            ),
+            ("report", "Report"),
         ] {
             assert_eq!(format!("{:?}", cli(line).unwrap().0), want, "{line}");
         }
@@ -256,11 +211,7 @@ mod tests {
             ("stress --routers 3", "--routers needs a count >= 4"),
             ("stages --seed 1.5", "--seed needs a number"),
             ("stages --workload nope", "unknown workload \"nope\""),
-            ("report --diff a.json", "--diff needs a value"),
-            (
-                "report --diff a b --threshold -1",
-                "--threshold needs a positive number",
-            ),
+            ("report --check", "unknown flag --check"),
             ("fig1 --fast", "unknown flag --fast"),
             ("fig1 extra", "fig1: unexpected argument \"extra\""),
             ("explain 1 2", "explain: unexpected argument \"2\""),

@@ -174,7 +174,7 @@ fn main() -> ExitCode {
             let policy = settings.approach.unwrap_or(Policy::BIDIRECTIONAL_TUNNEL);
             explain::main(policy, pkt, list)
         }
-        Command::Report(mode) => report::main(mode),
+        Command::Report => report::main(),
         Command::Stages { seed, workload } => {
             stages::main(seed, workload);
             ExitCode::SUCCESS

@@ -1,7 +1,7 @@
 //! The mutation ledger, re-run: each entry of `mutants.txt` is a planted
 //! defect that a named test must catch. The source tree (without
-//! `target/`, `results/` and `.git/`) is copied to a scratch directory
-//! once; every entry's test must pass there unmutated. Then, entry by
+//! `target/` and `.git/`; with `results/`, which the claims test compares
+//! its runs against) is copied to a scratch directory once; every entry's test must pass there unmutated. Then, entry by
 //! entry, the defect is planted, `cargo test --offline -q <test>` runs and
 //! the file is restored. Each entry prints
 //!
@@ -24,10 +24,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 
-/// Not copied: build output, run output and history.
-const SKIP: [&str; 6] = [
+/// Not copied: build output, benchmark run output and history.
+const SKIP: [&str; 5] = [
     "target",
-    "results",
     ".git",
     ".bench_build",
     "benchmark/target",

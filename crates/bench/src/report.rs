@@ -1,27 +1,15 @@
-//! Per-run observability dashboard and regression gate.
+//! The per-run observability dashboard: `mobicast report`.
 //!
-//! Default mode runs the two-handoff roaming scenario under every
-//! registered delivery policy plus one storm-under-budget overload run,
-//! then renders the joined causal dashboard: per-policy handoff
-//! interruption percentiles, the slowest episodes with their BU / rejoin
-//! / graft phase breakdown, and the overload shed timeline. Artifacts go
-//! to `results/`: the dashboard JSON plus a Perfetto `trace.json` and an
-//! OpenMetrics snapshot per policy.
-//!
-//! ```text
-//! mobicast report                   # dashboard + artifacts
-//! mobicast report --diff OLD.json NEW.json [--threshold 0.2]
-//! mobicast report --check           # exports match the committed goldens
-//! mobicast report --diff-selftest   # the gate flags an injected regression
-//! ```
-//!
-//! `--diff` exits non-zero when any watched metric (interruption times,
-//! delivery quantities) drifts beyond the threshold; identical inputs
-//! always pass. `--check` re-runs the fixed golden scenario and compares
-//! the exports byte-for-byte against `crates/core/tests/goldens/`.
+//! It runs the two-handoff roaming scenario under every registered
+//! delivery policy plus one storm-under-budget overload run, then renders
+//! the joined causal dashboard: per-policy handoff interruption
+//! percentiles, the slowest episodes with their BU / rejoin / graft phase
+//! breakdown, and the overload shed timeline. Artifacts go to `results/`:
+//! the dashboard JSON (`report-handoff.json`) plus a Perfetto `trace.json`
+//! and an OpenMetrics snapshot per policy. They are committed; CI reruns
+//! `report` and requires them unchanged.
 
-use crate::cli::ReportMode;
-use mobicast_core::observability::{self, PolicyHandoffStats, DEFAULT_DRIFT_THRESHOLD};
+use mobicast_core::observability::{self, PolicyHandoffStats};
 use mobicast_core::report::Table;
 use mobicast_core::router_node::ResourceBudget;
 use mobicast_core::scenario::{self, PaperHost, ScenarioConfig};
@@ -211,127 +199,9 @@ fn dashboard() -> (String, Value) {
     (text, doc)
 }
 
-fn goldens_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../core/tests/goldens")
-}
-
-/// `--check`: the golden scenario's exports must match the committed
-/// goldens byte for byte (the same contract the core test enforces, but
-/// runnable anywhere the CLI is).
-fn check() -> ExitCode {
-    let cfg = observability::golden_scenario();
-    let r = scenario::run(&cfg);
-    let mut ok = true;
-    for (name, got) in [
-        (
-            "golden-observability.trace.json",
-            observability::run_perfetto(&cfg.name, &r.report),
-        ),
-        (
-            "golden-observability.om.txt",
-            observability::run_openmetrics(&r.report),
-        ),
-    ] {
-        let path = goldens_dir().join(name);
-        match std::fs::read_to_string(&path) {
-            Ok(want) if want == got => println!("ok: {name}"),
-            Ok(_) => {
-                eprintln!(
-                    "MISMATCH: {name} (regenerate with MOBICAST_UPDATE_GOLDENS=1 \
-                     cargo test -p mobicast-core --test golden_observability)"
-                );
-                ok = false;
-            }
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", path.display());
-                ok = false;
-            }
-        }
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn diff(old_path: &str, new_path: &str, threshold: f64) -> ExitCode {
-    let load = |p: &str| -> Result<Value, String> {
-        let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
-        serde_json::from_str(&text).map_err(|e| format!("{p}: not valid JSON: {e}"))
-    };
-    let (old, new) = match (load(old_path), load(new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (o, n) => {
-            for r in [o, n] {
-                if let Err(e) = r {
-                    eprintln!("report --diff: {e}");
-                }
-            }
-            return ExitCode::FAILURE;
-        }
-    };
-    let flags = observability::diff_report_values(&old, &new, threshold);
-    if flags.is_empty() {
-        println!(
-            "no watched metric drifted beyond {:.0}% ({old_path} vs {new_path})",
-            threshold * 100.0
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "regression gate: {} watched metric(s) drifted beyond {:.0}%:",
-            flags.len(),
-            threshold * 100.0
-        );
-        for f in &flags {
-            eprintln!("  {f}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
-/// `--diff-selftest`: prove the gate flags an injected 25 % interruption
-/// regression and passes identical inputs — the CI sanity check for the
-/// gate itself.
-fn diff_selftest() -> ExitCode {
-    let base = json!({
-        "policies": [{
-            "policy": "bidir-tunnel",
-            "interruption_p95_s": 1.0,
-            "interruption_p99_s": 1.4,
-        }],
-        "overload": { "shed_total": 12.0 },
-    });
-    if !observability::diff_report_values(&base, &base, DEFAULT_DRIFT_THRESHOLD).is_empty() {
-        eprintln!("selftest: identical inputs flagged");
-        return ExitCode::FAILURE;
-    }
-    let mut worse = base.clone();
-    worse["policies"][0]["interruption_p95_s"] = json!(1.25);
-    let flags = observability::diff_report_values(&base, &worse, DEFAULT_DRIFT_THRESHOLD);
-    if flags.len() != 1 || !flags[0].contains("interruption_p95_s") {
-        eprintln!("selftest: injected 25% regression not flagged: {flags:?}");
-        return ExitCode::FAILURE;
-    }
-    println!("diff gate selftest: ok");
+pub fn main() -> ExitCode {
+    let (text, doc) = dashboard();
+    print!("{text}");
+    mobicast_core::report::write_json("report-handoff", &doc);
     ExitCode::SUCCESS
-}
-
-pub fn main(mode: ReportMode) -> ExitCode {
-    match mode {
-        ReportMode::Check => check(),
-        ReportMode::DiffSelftest => diff_selftest(),
-        ReportMode::Diff {
-            old,
-            new,
-            threshold,
-        } => diff(&old, &new, threshold),
-        ReportMode::Dashboard => {
-            let (text, doc) = dashboard();
-            print!("{text}");
-            mobicast_core::report::write_json("report-handoff", &doc);
-            ExitCode::SUCCESS
-        }
-    }
 }

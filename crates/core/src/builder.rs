@@ -76,18 +76,6 @@ impl NetworkSpec {
         }
     }
 
-    /// A star: one hub link, `n - 1` leaf links, each leaf behind its own
-    /// router.
-    pub fn star(n_leaves: usize) -> NetworkSpec {
-        assert!(n_leaves >= 1);
-        NetworkSpec {
-            n_links: n_leaves + 1,
-            routers: (0..n_leaves).map(|i| vec![0, i + 1]).collect(),
-            link_params: LinkParams::default(),
-            domains: Vec::new(),
-        }
-    }
-
     /// A `w × h` grid of links — link `(x, y)` has index `y*w + x` — with a
     /// router joining every pair of horizontally or vertically adjacent
     /// links. Heavily multipath (every inner face is a cycle), so floods
@@ -470,6 +458,17 @@ mod tests {
     use mobicast_pimdm::RpfLookup;
     use rand::Rng;
 
+    /// A star: one hub link and `n_leaves` leaf links, each leaf behind
+    /// its own router.
+    fn star(n_leaves: usize) -> NetworkSpec {
+        NetworkSpec {
+            n_links: n_leaves + 1,
+            routers: (0..n_leaves).map(|i| vec![0, i + 1]).collect(),
+            link_params: LinkParams::default(),
+            domains: Vec::new(),
+        }
+    }
+
     /// The FIB as it was before it was indexed by link: one `RouteEntry`
     /// per reachable link, built link by link from `graph.route`.
     fn route_list(
@@ -583,7 +582,7 @@ mod tests {
         let shapes = [
             NetworkSpec::reference(),
             NetworkSpec::string(8),
-            NetworkSpec::star(5),
+            star(5),
             NetworkSpec::tree(3, 4),
             NetworkSpec::grid(10, 10),
             split,
@@ -673,7 +672,7 @@ mod tests {
 
     #[test]
     fn star_topology() {
-        let spec = NetworkSpec::star(4);
+        let spec = star(4);
         let net = build(&spec, &[], RouterConfig::default(), 1, Tracer::null());
         assert_eq!(net.links.len(), 5);
         // Any leaf to any other leaf: 3 links (leaf, hub, leaf).

@@ -21,8 +21,8 @@
 //!   leave delays, delivery paths).
 //! * [`recorder`] — run-time event capture feeding the analysis.
 //! * [`explain`] — packet-journey explainer over the provenance chains.
-//! * [`observability`] — handoff span dashboard join and the
-//!   `report --diff` regression gate.
+//! * [`observability`] — handoff span dashboard join and the Perfetto /
+//!   OpenMetrics exports.
 //! * [`sweep`] — deterministic parallel parameter grids.
 //! * [`report`] — text tables and JSON output for the `mobicast` CLI.
 
@@ -54,8 +54,7 @@ pub use builder::{build, BuiltNetwork, HostSpec, MapDomain, NetworkSpec};
 pub use explain::{DeliveryPath, Journey, JourneyHop};
 pub use host_node::{HostConfig, HostNode, SenderApp};
 pub use observability::{
-    diff_report_values, handoff_rows, policy_handoff_stats, HandoffRow, PhaseBreakdown,
-    PolicyHandoffStats, DEFAULT_DRIFT_THRESHOLD,
+    handoff_rows, policy_handoff_stats, HandoffRow, PhaseBreakdown, PolicyHandoffStats,
 };
 pub use oracle::{Oracle, OracleSummary, PollStats};
 pub use router_node::{ResourceBudget, RouterConfig, RouterNode};

@@ -1,17 +1,14 @@
 //! Observability glue: the per-run dashboard join (handoff spans × phase
-//! children × router graft spans) and the regression gate used by
-//! `report --diff`.
+//! children × router graft spans) and the Perfetto / OpenMetrics exports.
 //!
 //! The span *data* lives in the recorder ([`mobicast_sim::SpanBook`]),
 //! opened and closed by `node_kit`, which mirrors every open/close into
 //! the trace; this module owns what the rest of the crate does with it —
-//! the joined rows the `report` CLI renders, and the drift detector that
-//! turns two report JSON files into a CI verdict.
+//! the joined rows the `report` CLI renders and the exported documents.
 
 use crate::analysis::Observability;
 use mobicast_sim::{FieldValue, SimTime, SpanRecord};
 use serde::Serialize;
-use serde_json::Value;
 
 /// Per-phase causal breakdown of one handoff episode, in seconds. A
 /// `None` means the phase never ran for this approach (e.g. no binding
@@ -166,8 +163,8 @@ pub fn run_openmetrics(report: &crate::analysis::RunReport) -> String {
 }
 
 /// The fixed run behind the exporter goldens: R3 roams to Link 6 once
-/// under the bidirectional tunnel. Shared by the core golden test and
-/// `report --check`, so both always agree on the exact bytes.
+/// under the bidirectional tunnel. Shared by the core golden test and the
+/// repo benchmark's export kernel.
 pub fn golden_scenario() -> crate::scenario::ScenarioConfig {
     crate::scenario::ScenarioConfig::builder()
         .duration(mobicast_sim::SimDuration::from_secs(90))
@@ -175,91 +172,6 @@ pub fn golden_scenario() -> crate::scenario::ScenarioConfig {
         .move_at(40.0, crate::scenario::PaperHost::R3, 6)
         .name("observability-golden")
         .build()
-}
-
-/// Default relative drift beyond which `report --diff` fails the gate.
-pub const DEFAULT_DRIFT_THRESHOLD: f64 = 0.2;
-
-/// Is a JSON path worth gating on? We watch interruption times and
-/// delivery quantities — the two families the paper's evaluation turns
-/// on — and ignore everything else (counters wobble legitimately when
-/// scenarios grow).
-fn watched(path: &str) -> bool {
-    path.contains("interruption") || path.contains("deliver")
-}
-
-fn as_num(v: &Value) -> Option<f64> {
-    v.as_f64().or_else(|| v.as_u64().map(|n| n as f64))
-}
-
-fn diff_walk(path: &str, old: &Value, new: &Value, threshold: f64, out: &mut Vec<String>) {
-    match (old, new) {
-        (Value::Object(o), Value::Object(n)) => {
-            for (k, ov) in o.iter() {
-                let p = if path.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{path}.{k}")
-                };
-                match n.iter().find(|(nk, _)| nk == k) {
-                    Some((_, nv)) => diff_walk(&p, ov, nv, threshold, out),
-                    None if watched(&p) => out.push(format!("{p}: removed")),
-                    None => {}
-                }
-            }
-            for (k, _) in n.iter() {
-                let p = if path.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{path}.{k}")
-                };
-                if !o.iter().any(|(ok, _)| ok == k) && watched(&p) {
-                    out.push(format!("{p}: added"));
-                }
-            }
-        }
-        (Value::Array(o), Value::Array(n)) => {
-            for (i, (ov, nv)) in o.iter().zip(n.iter()).enumerate() {
-                diff_walk(&format!("{path}[{i}]"), ov, nv, threshold, out);
-            }
-            if o.len() != n.len() && watched(path) {
-                out.push(format!("{path}: length {} -> {}", o.len(), n.len()));
-            }
-        }
-        _ => {
-            if !watched(path) {
-                return;
-            }
-            if let (Some(a), Some(b)) = (as_num(old), as_num(new)) {
-                let drift = if a.abs() < 1e-12 {
-                    if b.abs() < 1e-9 {
-                        return;
-                    }
-                    f64::INFINITY
-                } else {
-                    (b - a).abs() / a.abs()
-                };
-                if drift > threshold {
-                    let pct = if drift.is_finite() {
-                        format!("{:+.1}%", (b - a) / a.abs() * 100.0)
-                    } else {
-                        "from zero".to_owned()
-                    };
-                    out.push(format!("{path}: {a} -> {b} ({pct})"));
-                }
-            }
-        }
-    }
-}
-
-/// Compare two report JSON documents and list every watched metric
-/// (interruption times, delivery quantities) whose relative drift
-/// exceeds `threshold`. Empty output means the gate passes; identical
-/// inputs always pass.
-pub fn diff_report_values(old: &Value, new: &Value, threshold: f64) -> Vec<String> {
-    let mut out = Vec::new();
-    diff_walk("", old, new, threshold, &mut out);
-    out
 }
 
 /// Force-close every span still open at the run horizon and fold closed
@@ -298,7 +210,6 @@ pub(crate) fn finalize_observability(
 mod tests {
     use super::*;
     use mobicast_sim::{SpanBook, TimeSeriesSet};
-    use serde_json::json;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -356,48 +267,5 @@ mod tests {
             .filter(|s| attr_bool(s, "unfinished"))
             .collect();
         assert_eq!(unfinished.len(), 2, "h2 and i2 were force-closed");
-    }
-
-    #[test]
-    fn diff_passes_identical_and_flags_regression() {
-        let old = json!({
-            "policies": [{
-                "policy": "local",
-                "interruption_p95_s": 1.0,
-                "handoffs": 4,
-            }],
-            "delivered": 100,
-        });
-        assert!(diff_report_values(&old, &old, DEFAULT_DRIFT_THRESHOLD).is_empty());
-
-        let mut new = old.clone();
-        new["policies"][0]["interruption_p95_s"] = json!(1.25);
-        let flags = diff_report_values(&old, &new, DEFAULT_DRIFT_THRESHOLD);
-        assert_eq!(flags.len(), 1, "{flags:?}");
-        assert!(flags[0].contains("interruption_p95_s"), "{flags:?}");
-
-        // Unwatched keys may drift freely.
-        let mut new2 = old.clone();
-        new2["policies"][0]["handoffs"] = json!(40);
-        assert!(diff_report_values(&old, &new2, DEFAULT_DRIFT_THRESHOLD).is_empty());
-    }
-
-    #[test]
-    fn diff_flags_watched_shape_changes() {
-        let old = json!({"delivered": 10, "interruption_max_s": 2.0});
-        let new = json!({"delivered": 10});
-        let flags = diff_report_values(&old, &new, 0.5);
-        assert_eq!(flags, vec!["interruption_max_s: removed".to_owned()]);
-
-        let old = json!({"deliveries": [1, 2, 3]});
-        let new = json!({"deliveries": [1, 2]});
-        let flags = diff_report_values(&old, &new, 0.5);
-        assert!(flags.iter().any(|f| f.contains("length")), "{flags:?}");
-
-        // From-zero growth on a watched key is always flagged.
-        let old = json!({"interruption_p99_s": 0.0});
-        let new = json!({"interruption_p99_s": 3.0});
-        let flags = diff_report_values(&old, &new, 10.0);
-        assert_eq!(flags.len(), 1, "{flags:?}");
     }
 }

@@ -43,7 +43,7 @@ fn check_golden(name: &str, got: &str) {
 }
 
 /// The fixed golden run exports byte-identical, validator-clean Perfetto
-/// and OpenMetrics documents — same contract `report --check` enforces.
+/// and OpenMetrics documents.
 #[test]
 fn observability_exports_match_goldens() {
     let cfg = observability::golden_scenario();

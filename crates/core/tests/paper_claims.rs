@@ -1,9 +1,12 @@
 //! The paper's claims as data: each claim is one row of [`CLAIMS`], both
 //! the self-check and the source of EXPERIMENTS.md's claim tables.
-//! `every_claim_holds_on_a_quick_run` runs every experiment with a row at
-//! `Settings::new(true)` (those that fault, corrupt or storm their links
-//! twice, to compare the JSON) and names every failing row with what it
-//! measured. `experiments_md_blocks_render_the_committed_results` renders
+//! `every_claim_holds_on_a_quick_run` runs every registered experiment at
+//! `Settings::new(true)`, names every failing row with what it measured,
+//! and compares each output byte for byte with the committed
+//! `results/<id>.json` as `report::write_json` renders it
+//! (`to_string_pretty`): those bytes are the reproduction's contract, and
+//! equality with a file another process wrote is also the determinism
+//! check. `experiments_md_blocks_render_the_committed_results` renders
 //! each experiment's rows from the committed `results/<id>.json` into the
 //! block between `<!-- claims:<id> -->` and `<!-- /claims:<id> -->` of
 //! EXPERIMENTS.md and compares; `MOBICAST_UPDATE_GOLDENS=1` rewrites it.
@@ -91,9 +94,6 @@ const EXPERIMENTS: &[(&str, V)] = &[
     ("stress", N(4.0)),
     ("handoff_latency", N(5.0)),
 ];
-
-/// The experiments whose quick run must print the same JSON twice.
-const RERUN: [&str; 4] = ["fault_sweep", "adversarial", "overload", "chaos"];
 
 #[rustfmt::skip]
 const CLAIMS: &[Claim] = &[
@@ -530,8 +530,13 @@ fn every_claim_holds_on_a_quick_run() {
         orphan.map(|c| c.0)
     );
 
-    let jobs: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).chain(RERUN).collect();
-    let outputs = run_ordered(jobs.clone(), configured_workers(), |id| {
+    let jobs: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+    assert_eq!(
+        jobs.len(),
+        REGISTRY.len(),
+        "a registered experiment has no block"
+    );
+    let outputs = run_ordered(jobs, configured_workers(), |id| {
         let run = REGISTRY
             .iter()
             .find(|r| r.0 == *id)
@@ -540,19 +545,22 @@ fn every_claim_holds_on_a_quick_run() {
         run(Settings::new(true)).json
     });
 
-    let mut failures: Vec<String> = EXPERIMENTS
-        .iter()
-        .zip(&outputs)
-        .flat_map(|((exp, _), json)| {
-            let failing = CLAIMS.iter().filter(|c| c.2 == *exp && !judge(c.3, json).0);
-            failing.map(|claim| row_line(claim, json))
-        })
-        .collect();
-    for (exp, again) in RERUN.iter().zip(&outputs[EXPERIMENTS.len()..]) {
-        let first = &outputs[jobs.iter().position(|j| j == exp).unwrap()];
-        if serde_json::to_string(first).unwrap() != serde_json::to_string(again).unwrap() {
+    let mut failures = Vec::new();
+    for ((exp, _), json) in EXPERIMENTS.iter().zip(&outputs) {
+        let failing = CLAIMS.iter().filter(|c| c.2 == *exp && !judge(c.3, json).0);
+        failures.extend(failing.map(|claim| row_line(claim, json)));
+        let got = serde_json::to_string_pretty(json).unwrap();
+        let want = committed(exp);
+        if got != want {
+            let line = 1 + got
+                .lines()
+                .zip(want.lines())
+                .take_while(|(a, b)| a == b)
+                .count();
             failures.push(format!(
-                "{exp}: two quick runs with the same seeds printed different JSON"
+                "{exp}: the quick run differs from the committed results/{exp}.json \
+                 from line {line}; if the change is intended, run `mobicast all --quick` \
+                 and commit results/"
             ));
         }
     }
@@ -564,16 +572,23 @@ fn every_claim_holds_on_a_quick_run() {
     );
 }
 
+fn repo() -> PathBuf {
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+}
+
+/// The committed `results/<exp>.json`, as `mobicast all --quick` wrote it.
+fn committed(exp: &str) -> String {
+    let path = repo().join(format!("results/{exp}.json"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
 #[test]
 fn experiments_md_blocks_render_the_committed_results() {
-    let repo = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let path = repo.join("EXPERIMENTS.md");
+    let path = repo().join("EXPERIMENTS.md");
     let doc = std::fs::read_to_string(&path).expect("EXPERIMENTS.md");
     let mut rendered = doc.clone();
     for (exp, count) in EXPERIMENTS {
-        let text = std::fs::read_to_string(repo.join(format!("results/{exp}.json")))
-            .expect("a committed result");
-        let json = serde_json::from_str(&text).expect("result JSON");
+        let json = serde_json::from_str(&committed(exp)).expect("result JSON");
         let open = format!("<!-- claims:{exp} -->\n");
         let missing = || -> usize { panic!("EXPERIMENTS.md lacks the claims:{exp} markers") };
         let start = rendered.find(&open).unwrap_or_else(missing) + open.len();

@@ -1,17 +1,33 @@
-//! Shared by the frame-corpus and wire round-trip tests: the reference
-//! every frame's parse memo is compared against, and the copying decoders
-//! the zero-copy ones are.
+//! Shared by the frame-corpus, wire round-trip and property tests: the
+//! reference every frame's parse memo is compared against, the copying
+//! decoders the zero-copy ones are, and the address strategies.
 #![allow(dead_code)]
 
 use bytes::Bytes;
 use mobicast::core::netplan::{extract_data_info, hop_limit};
 use mobicast::core::parsed::{parsed, Layers, Upper};
+use mobicast::ipv6::addr::GroupAddr;
 use mobicast::ipv6::packet::{proto, Packet};
 use mobicast::ipv6::udp::UdpDatagram;
 use mobicast::ipv6::{tunnel, Icmpv6};
 use mobicast::mipv6::packets::{parse_binding_ack, parse_binding_update};
 use mobicast::net::{Frame, FrameClass};
 use mobicast::pimdm::PimMessage;
+use proptest::prelude::*;
+use std::net::Ipv6Addr;
+
+pub fn arb_addr() -> impl Strategy<Value = Ipv6Addr> {
+    any::<u128>().prop_map(Ipv6Addr::from)
+}
+
+/// Any address but a multicast one (`ff00::/8`).
+pub fn arb_unicast() -> impl Strategy<Value = Ipv6Addr> {
+    any::<u128>().prop_map(|x| Ipv6Addr::from(x & !(0xff_u128 << 120)))
+}
+
+pub fn arb_group() -> impl Strategy<Value = GroupAddr> {
+    any::<u16>().prop_map(GroupAddr::test_group)
+}
 
 /// What a check of one frame found, so a corpus can show it was not vacuous.
 #[derive(Default, Debug)]

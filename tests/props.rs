@@ -2,8 +2,12 @@
 //! structures: arbitrary inputs must round-trip, never panic, and preserve
 //! the protocol invariants the simulator relies on.
 
+mod common;
+
+use common::{arb_addr, arb_group, arb_unicast};
+
 use bytes::Bytes;
-use mobicast::ipv6::addr::{GroupAddr, Prefix};
+use mobicast::ipv6::addr::Prefix;
 use mobicast::ipv6::exthdr::{BindingUpdate, ExtHeader, Option6, SubOption};
 use mobicast::ipv6::packet::{proto, Packet};
 use mobicast::ipv6::udp::UdpDatagram;
@@ -11,18 +15,6 @@ use mobicast::ipv6::{decapsulate, encapsulate, Icmpv6};
 use mobicast::sim::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::net::Ipv6Addr;
-
-fn arb_addr() -> impl Strategy<Value = Ipv6Addr> {
-    any::<u128>().prop_map(Ipv6Addr::from)
-}
-
-fn arb_unicast() -> impl Strategy<Value = Ipv6Addr> {
-    any::<u128>().prop_map(|x| Ipv6Addr::from(x & !(0xff_u128 << 120)))
-}
-
-fn arb_group() -> impl Strategy<Value = GroupAddr> {
-    any::<u16>().prop_map(GroupAddr::test_group)
-}
 
 proptest! {
     #[test]
@@ -44,11 +36,6 @@ proptest! {
         p.flow_label = flow;
         let q = Packet::decode(&p.encode()).unwrap();
         prop_assert_eq!(p, q);
-    }
-
-    #[test]
-    fn packet_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = Packet::decode(&bytes);
     }
 
     #[test]

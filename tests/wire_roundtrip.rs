@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::assert_shared_decoders_agree;
+use common::{arb_addr, arb_group, arb_unicast, assert_shared_decoders_agree};
 
 use bytes::Bytes;
 use mobicast::ipv6::addr::GroupAddr;
@@ -24,18 +24,6 @@ use mobicast::pimdm::{PimMessage, Sg};
 use mobicast::sim::SimDuration;
 use proptest::prelude::*;
 use std::net::Ipv6Addr;
-
-fn arb_addr() -> impl Strategy<Value = Ipv6Addr> {
-    any::<u128>().prop_map(Ipv6Addr::from)
-}
-
-fn arb_unicast() -> impl Strategy<Value = Ipv6Addr> {
-    any::<u128>().prop_map(|x| Ipv6Addr::from(x & !(0xff_u128 << 120)))
-}
-
-fn arb_group() -> impl Strategy<Value = GroupAddr> {
-    any::<u16>().prop_map(GroupAddr::test_group)
-}
 
 /// An (S,G) list derived from raw 128-bit words (the shim has no tuple
 /// strategies): low bits give the source, high bits pick the group.
@@ -215,7 +203,7 @@ proptest! {
 
     #[test]
     fn decoders_never_panic_on_arbitrary_bytes(
-        raw in proptest::collection::vec(any::<u8>(), 0..96),
+        raw in proptest::collection::vec(any::<u8>(), 0..200),
         src in arb_unicast(),
         dst in arb_addr(),
     ) {
