@@ -6,11 +6,12 @@
 //! out of `STAGE_SAMPLE` and scaled up to every handler of the same
 //! duration; each stage cell reads `ms (share of handler time %)
 //! k-stretches timed`, net of the calibrated cost of the clock read each
-//! stretch spans. Under each row, the process's
-//! peak resident set (`VmHWM`) before the workload, once its first run is
-//! staged (built, faulted, scripted) and after its last run: memory by
-//! stage, cumulative across workloads unless one is picked. Wall-clock and
-//! memory numbers: stdout only, nothing is written under `results/`.
+//! stretch spans. Under each row, the wall time its runs spent staged
+//! (built, faulted, scripted), and the process's peak resident set
+//! (`VmHWM`) before the workload, once its first run is staged and after
+//! its last run: memory by stage, cumulative across workloads unless one
+//! is picked. Wall-clock and memory numbers: stdout only, nothing is
+//! written under `results/`.
 //!
 //! `mobicast stages [--seed N] [--workload NAME]`; every workload by
 //! default.
@@ -22,6 +23,7 @@ use mobicast_core::stress::{StressRunOptions, StressSpec};
 use mobicast_core::{chaos, scale, Policy};
 use mobicast_sim::profile::STAGES;
 use mobicast_sim::{SimDuration, SimProfile, Tracer};
+use std::time::{Duration, Instant};
 
 pub const WORKLOADS: [&str; 5] = [
     "paper_sweep",
@@ -32,13 +34,14 @@ pub const WORKLOADS: [&str; 5] = [
 ];
 
 /// `(count, total ns)` per handler category and per stage, summed over
-/// the runs of one workload, and the peak resident set (MB) when its first
-/// run was staged and after its last.
+/// the runs of one workload, the wall time spent staging them, and the peak
+/// resident set (MB) when its first run was staged and after its last.
 #[derive(Default)]
 struct Sum {
     events: u64,
     handlers: [(u64, u64); 3],
     stages: [(u64, u64); STAGES.len()],
+    staging: Duration,
     staged_mb: Option<f64>,
     run_mb: f64,
 }
@@ -55,7 +58,8 @@ fn peak_rss_mb() -> f64 {
 }
 
 impl Sum {
-    fn staged(&mut self) {
+    fn staged(&mut self, start: Instant) {
+        self.staging += start.elapsed();
         self.staged_mb.get_or_insert_with(peak_rss_mb);
     }
 
@@ -77,9 +81,10 @@ fn sweep(cfgs: Vec<ScenarioConfig>) -> Sum {
     let mut sum = Sum::default();
     for mut cfg in cfgs {
         cfg.profile = true;
+        let start = Instant::now();
         let staged = scenario::stage(&cfg, Tracer::null());
         let staged = staged.unwrap_or_else(|e| panic!("scenario {}: {e}", cfg.name));
-        sum.staged();
+        sum.staged(start);
         let (result, _) = staged.run();
         assert_eq!(result.report.oracle.violation_count, 0, "{}", cfg.name);
         sum.add(&result.profile.expect("profiled run"));
@@ -89,12 +94,13 @@ fn sweep(cfgs: Vec<ScenarioConfig>) -> Sum {
 
 /// `spec` as `stress::run_stress_with` runs it, profiled.
 fn stress(spec: &StressSpec, opts: &StressRunOptions) -> Sum {
+    let start = Instant::now();
     let staged = spec
         .lower()
         .and_then(|plan| run::stage(&plan, Tracer::null()));
     let mut staged = staged.unwrap_or_else(|e| panic!("stress {}: {e}", spec.name));
     let mut sum = Sum::default();
-    sum.staged();
+    sum.staged(start);
     let plan = opts.executor.plan(|shards| staged.net.shard_plan(shards));
     let plan = plan.unwrap_or_else(|e| panic!("stress {}: {e}", spec.name));
     staged.net.world.enable_profiling();
@@ -203,8 +209,9 @@ pub fn main(seed: u64, only: Option<String>) {
             stage(3),
         );
         println!(
-            "{:<15} VmHWM MB: {start_mb:.1} before, {:.1} staged, {:.1} run",
+            "{:<15} staging ms: {:.1}; VmHWM MB: {start_mb:.1} before, {:.1} staged, {:.1} run",
             "",
+            sum.staging.as_secs_f64() * 1e3,
             sum.staged_mb.unwrap_or(0.0),
             sum.run_mb
         );

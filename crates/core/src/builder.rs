@@ -3,7 +3,7 @@
 
 use crate::addressing;
 use crate::host_node::{HostConfig, HostNode, SenderApp};
-use crate::netplan::{Directory, NextHop, RoutingTable, SharedDirectory};
+use crate::netplan::{Directory, RoutingTable, SharedDirectory};
 use crate::recorder::{Recorder, SharedRecorder, JOURNAL_HORIZON};
 use crate::router_node::{RouterConfig, RouterIfaceInfo, RouterNode};
 use mobicast_ipv6::addr::GroupAddr;
@@ -12,6 +12,7 @@ use mobicast_net::{
 };
 use mobicast_sim::{RngFactory, SimTime, Tracer};
 use std::net::Ipv6Addr;
+use std::rc::Rc;
 
 /// A MAP domain for hierarchical delivery policies: while attached to any
 /// of the domain's links, a roaming host registers with the domain's MAP
@@ -116,6 +117,14 @@ impl NetworkSpec {
         Self::grid(w.max(2), w.max(2))
     }
 
+    /// Each router with its links, in interface order: router `i` is
+    /// `NodeId(i)` and link `l` is `LinkId(l)`, as [`build`] numbers them.
+    pub(crate) fn topology(&self) -> Vec<(NodeId, Vec<LinkId>)> {
+        let links = |ls: &Vec<usize>| ls.iter().map(|l| LinkId(*l as u32)).collect();
+        let ids = (0..).map(NodeId);
+        ids.zip(self.routers.iter().map(links)).collect()
+    }
+
     /// A complete `fanout`-ary tree of links with `depth` levels, one
     /// router per parent–child edge. Links are BFS-indexed (root = 0, the
     /// children of link `i` are `i*fanout + 1 ..= i*fanout + fanout`).
@@ -163,7 +172,8 @@ pub struct BuiltNetwork {
     pub routers: Vec<NodeId>,
     pub hosts: Vec<NodeId>,
     pub links: Vec<LinkId>,
-    pub graph: LinkGraph,
+    /// The routing plan every router's FIB is a view of.
+    pub graph: Rc<LinkGraph>,
     pub recorder: SharedRecorder,
     pub directory: SharedDirectory,
 }
@@ -205,13 +215,13 @@ impl BuiltNetwork {
     }
 }
 
-/// Build one router behavior for `r` (interface info + routing table
-/// derived from the graph). Also used to construct the fresh, blank-state
+/// Build one router behavior for `r` (interface info + its view of the
+/// routing plan in `graph`). Also used to construct the fresh, blank-state
 /// replacement stack when a fault plan restarts a crashed router.
 fn router_node(
     spec: &NetworkSpec,
     links: &[LinkId],
-    graph: &LinkGraph,
+    graph: &Rc<LinkGraph>,
     r: NodeId,
     router_cfg: RouterConfig,
     rng: &RngFactory,
@@ -232,38 +242,10 @@ fn router_node(
         r,
         router_cfg,
         ifaces,
-        routing_table(spec, links, graph, r),
+        RoutingTable::new(r, graph.clone()),
         rng,
         recorder.clone(),
     ))
-}
-
-/// Router `r`'s FIB: per link, in link order (`links[i]` is `LinkId(i)`),
-/// the shortest route's first interface, next router and that router's
-/// ifindex on the shared link, and its length in links.
-fn routing_table(
-    spec: &NetworkSpec,
-    links: &[LinkId],
-    graph: &LinkGraph,
-    r: NodeId,
-) -> RoutingTable {
-    links
-        .iter()
-        .map(|target| {
-            let route = graph.route(r, *target)?;
-            let ifindex_on_first_link = |n: NodeId| {
-                spec.routers[n.index()]
-                    .iter()
-                    .position(|l| links[*l] == route.first_link)
-                    .expect("router on its route's first link") as IfIndex
-            };
-            let hop = NextHop {
-                iface: ifindex_on_first_link(r),
-                via: route.next_router.map(|n| (n, ifindex_on_first_link(n))),
-            };
-            Some((hop, route.link_hops))
-        })
-        .collect()
 }
 
 /// Assemble a world from a network spec and host list.
@@ -287,19 +269,12 @@ pub fn build(
     // Routers occupy the lowest node ids so "lowest router id on link" is
     // well defined and stable.
     let router_ids: Vec<NodeId> = (0..spec.routers.len() as u32).map(NodeId).collect();
-    let graph = LinkGraph::new(
-        spec.n_links,
-        &router_ids
-            .iter()
-            .zip(&spec.routers)
-            .map(|(id, ls)| (*id, ls.iter().map(|l| links[*l]).collect()))
-            .collect::<Vec<_>>(),
-    );
+    let graph = Rc::new(LinkGraph::new(spec.n_links, &spec.topology()));
 
     // Directory: default router per link.
     let mut default_router = vec![None; spec.n_links];
     for (slot, link) in default_router.iter_mut().zip(&links) {
-        *slot = graph.routers_on_link(*link).first().copied();
+        *slot = graph.routers_on_link(*link).first().map(|(r, _)| *r);
     }
     // MAP agent per link: the domain MAP's global address on its first
     // interface attached to a domain link.
@@ -316,12 +291,12 @@ pub fn build(
             map_agent[*l] = Some(addr);
         }
     }
-    let directory: SharedDirectory = std::rc::Rc::new(Directory {
+    let directory: SharedDirectory = Rc::new(Directory {
         default_router,
         map_agent,
     });
 
-    // Per-router interface info + routing tables.
+    // Per-router interface info + views of the routing plan.
     for (r, attached) in router_ids.iter().zip(&spec.routers) {
         let node = router_node(spec, &links, &graph, *r, router_cfg, &rng, &recorder);
         let id = world.add_node(attached.len(), node);
@@ -455,32 +430,22 @@ pub fn apply_fault_plan(
 mod tests {
     use super::*;
     use crate::netplan::{rpf_info, RouteEntry};
+    use crate::route_reference::{star, Reference};
     use mobicast_pimdm::RpfLookup;
     use rand::Rng;
 
-    /// A star: one hub link and `n_leaves` leaf links, each leaf behind
-    /// its own router.
-    fn star(n_leaves: usize) -> NetworkSpec {
-        NetworkSpec {
-            n_links: n_leaves + 1,
-            routers: (0..n_leaves).map(|i| vec![0, i + 1]).collect(),
-            link_params: LinkParams::default(),
-            domains: Vec::new(),
-        }
-    }
-
     /// The FIB as it was before it was indexed by link: one `RouteEntry`
-    /// per reachable link, built link by link from `graph.route`.
+    /// per reachable link, built link by link from the per-pair search.
     fn route_list(
         spec: &NetworkSpec,
         links: &[LinkId],
-        graph: &LinkGraph,
+        reference: &Reference,
         r: NodeId,
     ) -> Vec<RouteEntry> {
         let attached = &spec.routers[r.index()];
         let mut routes = Vec::new();
         for target in links {
-            let Some(route) = graph.route(r, *target) else {
+            let Some(route) = reference.route(r, *target) else {
                 continue;
             };
             let iface = attached
@@ -488,7 +453,7 @@ mod tests {
                 .position(|l| links[*l] == route.first_link)
                 .expect("first link attached") as IfIndex;
             let (next_hop, next_hop_node) = match route.next_router {
-                Some(n) => {
+                Some((n, _)) => {
                     let n_ifx = spec.routers[n.index()]
                         .iter()
                         .position(|l| links[*l] == route.first_link)
@@ -519,13 +484,9 @@ mod tests {
 
     /// Addresses a FIB is asked about on `link`: a router's global address
     /// there, a host-style one and the network address.
-    fn on_link_probes(net: &BuiltNetwork, spec: &NetworkSpec, link: usize) -> [Ipv6Addr; 3] {
+    fn on_link_probes(net: &BuiltNetwork, link: usize) -> [Ipv6Addr; 3] {
         let l = net.links[link];
-        let router = net.graph.routers_on_link(l)[0];
-        let ifx = spec.routers[router.index()]
-            .iter()
-            .position(|a| *a == link)
-            .unwrap() as IfIndex;
+        let (router, ifx) = net.graph.routers_on_link(l)[0];
         let host = NodeId(net.world.n_nodes() as u32 + 7);
         [
             addressing::global_addr(router, ifx, l),
@@ -553,11 +514,12 @@ mod tests {
     fn assert_fib_matches_route_list(
         net: &BuiltNetwork,
         spec: &NetworkSpec,
+        reference: &Reference,
         r: NodeId,
         probes: impl IntoIterator<Item = Ipv6Addr>,
     ) -> usize {
-        let table = routing_table(spec, &net.links, &net.graph, r);
-        let routes = route_list(spec, &net.links, &net.graph, r);
+        let table = RoutingTable::new(r, net.graph.clone());
+        let routes = route_list(spec, &net.links, reference, r);
         let mut asked = 0;
         for dst in probes {
             let want = lookup_linear(&routes, dst);
@@ -589,11 +551,12 @@ mod tests {
         ];
         for spec in shapes {
             let net = build(&spec, &[], RouterConfig::default(), 1, Tracer::null());
+            let reference = Reference::of_spec(&spec);
             let mut asked = 0;
             for r in &net.routers {
-                let on_plan = (0..spec.n_links).flat_map(|l| on_link_probes(&net, &spec, l));
+                let on_plan = (0..spec.n_links).flat_map(|l| on_link_probes(&net, l));
                 let probes = on_plan.chain(off_plan_probes(&net));
-                asked += assert_fib_matches_route_list(&net, &spec, *r, probes);
+                asked += assert_fib_matches_route_list(&net, &spec, &reference, *r, probes);
             }
             assert_eq!(asked, net.routers.len() * (3 * spec.n_links + 6));
         }
@@ -611,17 +574,19 @@ mod tests {
             .map(|_| {
                 let r = draw(net.routers.len());
                 let dst = match draw(on_plan + off_plan.len()) {
-                    k if k < on_plan => on_link_probes(&net, &spec, k / 3)[k % 3],
+                    k if k < on_plan => on_link_probes(&net, k / 3)[k % 3],
                     k => off_plan[k - on_plan],
                 };
                 (r, dst)
             })
             .collect();
         pairs.sort_by_key(|(r, _)| *r);
+        let reference = Reference::of_spec(&spec);
         let mut asked = 0;
         for chunk in pairs.chunk_by(|a, b| a.0 == b.0) {
             let r = net.routers[chunk[0].0];
-            asked += assert_fib_matches_route_list(&net, &spec, r, chunk.iter().map(|p| p.1));
+            let probes = chunk.iter().map(|p| p.1);
+            asked += assert_fib_matches_route_list(&net, &spec, &reference, r, probes);
         }
         assert_eq!(asked, 10_000);
     }

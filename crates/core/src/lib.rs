@@ -41,6 +41,8 @@ pub mod oracle;
 pub mod parsed;
 pub mod recorder;
 pub mod report;
+#[cfg(test)]
+mod route_reference;
 pub mod router_node;
 pub mod run;
 pub mod scale;

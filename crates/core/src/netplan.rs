@@ -7,7 +7,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use mobicast_ipv6::addr::{self, GroupAddr, Prefix};
 use mobicast_ipv6::packet::{proto, Packet};
 use mobicast_ipv6::udp::UdpDatagram;
-use mobicast_net::{Frame, FrameClass, IfIndex, L2Dest, NodeId};
+use mobicast_net::{Frame, FrameClass, IfIndex, L2Dest, LinkGraph, NodeId};
 use std::net::Ipv6Addr;
 use std::rc::Rc;
 
@@ -27,63 +27,36 @@ pub struct RouteEntry {
     pub metric: u32,
 }
 
-/// Where a route leaves a router: out of `iface`, to the next router and
-/// that router's ifindex on the link they share, or (`via: None`) onto the
-/// attached destination link.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct NextHop {
-    pub(crate) iface: IfIndex,
-    pub(crate) via: Option<(NodeId, IfIndex)>,
-}
-
-/// A router's unicast routing table: one 4-byte row per link of the address
-/// plan. Every route is one link's /64, so [`RoutingTable::lookup`] reads the
-/// link off the address ([`addressing::link_of`]) instead of searching, and
-/// derives the prefix and the next hop's address instead of storing them.
-/// Built by collecting each link's route (`None`: unreachable) in link order.
+/// A router's unicast routing table: a view of the network's routing plan
+/// from one router. Every route is one link's /64, so
+/// [`RoutingTable::lookup`] reads the link off the address
+/// ([`addressing::link_of`]), asks the shared [`LinkGraph`] for the route
+/// toward it, and derives the prefix and the next hop's address from the
+/// address plan. Cloning one shares the plan.
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
-    /// The distinct next hops, at most eight on a grid router (`None`: no
-    /// route).
-    hops: Vec<Option<NextHop>>,
-    /// Per link: (slot in `hops`, metric).
-    rows: Vec<(u16, u16)>,
+    router: NodeId,
+    graph: Rc<LinkGraph>,
 }
 
 impl RoutingTable {
-    /// The route toward `dst`: the row of the link whose /64 holds it.
+    /// `router`'s view of the plan in `graph`.
+    pub(crate) fn new(router: NodeId, graph: Rc<LinkGraph>) -> Self {
+        RoutingTable { router, graph }
+    }
+
+    /// The route toward `dst`: toward the link whose /64 holds it.
     pub fn lookup(&self, dst: Ipv6Addr) -> Option<RouteEntry> {
-        let link = addressing::link_of(dst)?;
-        let &(slot, metric) = self.rows.get(link.index())?;
-        let hop = self.hops[usize::from(slot)]?;
+        let link = addressing::link_of(dst).filter(|l| l.index() < self.graph.n_links())?;
+        let route = self.graph.route(self.router, link)?;
+        let via = route.next_router;
         Some(RouteEntry {
             prefix: addressing::link_prefix(link),
-            iface: hop.iface,
-            next_hop: hop.via.map(|(n, ifx)| addressing::link_local_addr(n, ifx)),
-            next_hop_node: hop.via.map(|(n, _)| n),
-            metric: u32::from(metric),
+            iface: route.iface,
+            next_hop: via.map(|(n, ifx)| addressing::link_local_addr(n, ifx)),
+            next_hop_node: via.map(|(n, _)| n),
+            metric: route.link_hops,
         })
-    }
-}
-
-impl FromIterator<Option<(NextHop, u32)>> for RoutingTable {
-    fn from_iter<I: IntoIterator<Item = Option<(NextHop, u32)>>>(routes: I) -> Self {
-        // Outgrowing 16 bits takes ≥ 65 536 routers with a row for each of
-        // ≥ 65 536 links: a 16 GB table.
-        let narrow = |n: usize| u16::try_from(n).expect("a routing table under 16 GB");
-        let mut hops = Vec::new();
-        let rows = routes
-            .into_iter()
-            .map(|route| {
-                let (hop, metric) = route.map_or((None, 0), |(hop, metric)| (Some(hop), metric));
-                let slot = hops.iter().position(|h| *h == hop).unwrap_or(hops.len());
-                if slot == hops.len() {
-                    hops.push(hop);
-                }
-                (narrow(slot), narrow(metric as usize))
-            })
-            .collect();
-        RoutingTable { hops, rows }
     }
 }
 
@@ -305,50 +278,44 @@ mod tests {
         Packet::new(a(src), group.addr(), proto::UDP, body)
     }
 
-    /// Rows share their next hops, unreachable links answer nothing, and
-    /// what a lookup does not store it derives from the address plan.
+    /// Unreachable links answer nothing, and what a lookup does not read
+    /// off the plan it derives from the address plan: a router 4 on
+    /// {L1, L0} and a router 2 on {L3, L2, L0}, with L4 on no router.
     #[test]
-    fn rows_point_into_a_short_next_hop_list() {
+    fn a_table_reads_its_routes_off_the_shared_plan() {
         use mobicast_pimdm::RpfLookup;
-        let direct = NextHop {
-            iface: 1,
-            via: None,
-        };
-        let across = NextHop {
-            iface: 0,
-            via: Some((NodeId(4), 2)),
-        };
-        let table: RoutingTable = [
-            Some((direct, 1)),
-            None,
-            Some((across, 3)),
-            Some((across, 2)),
-            None,
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(table.hops.len(), 3);
-        assert_eq!(std::mem::size_of_val(&table.rows[0]), 4);
+        let l = LinkId;
+        let graph = LinkGraph::new(
+            5,
+            &[
+                (NodeId(4), vec![l(1), l(0)]),
+                (NodeId(2), vec![l(3), l(2), l(0)]),
+            ],
+        );
+        let table = RoutingTable::new(NodeId(4), Rc::new(graph));
         let on = |l: u32| addressing::global_addr(NodeId(9), 0, LinkId(l));
         let route = table.lookup(on(2)).unwrap();
         assert_eq!(route.prefix, addressing::link_prefix(LinkId(2)));
-        assert_eq!(route.iface, 0);
+        assert_eq!(route.iface, 1);
         assert_eq!(
             route.next_hop,
-            Some(addressing::link_local_addr(NodeId(4), 2))
+            Some(addressing::link_local_addr(NodeId(2), 2))
         );
-        assert_eq!(route.next_hop_node, Some(NodeId(4)));
-        assert_eq!(route.metric, 3);
+        assert_eq!(route.next_hop_node, Some(NodeId(2)));
+        assert_eq!(route.metric, 2);
         assert_eq!(table.lookup(on(3)).unwrap().metric, 2);
-        let attached = table.lookup(on(0)).unwrap();
-        assert_eq!((attached.iface, attached.next_hop), (1, None));
-        for nothing in [on(1), on(4), on(5), a("2001:db9::1"), a("fe80::400")] {
+        let attached = table.lookup(on(1)).unwrap();
+        assert_eq!(
+            (attached.iface, attached.next_hop, attached.metric),
+            (0, None, 1)
+        );
+        for nothing in [on(4), on(5), a("2001:db9::1"), a("fe80::400")] {
             assert_eq!(table.lookup(nothing), None, "{nothing}");
         }
         let info = table.rpf(on(2)).unwrap();
-        assert_eq!(info.iif, 0);
+        assert_eq!(info.iif, 1);
         assert_eq!(info.upstream, route.next_hop);
-        assert_eq!(info.metric, 3);
+        assert_eq!(info.metric, 2);
     }
 
     #[test]

@@ -430,7 +430,7 @@ pub(crate) mod tests {
     fn a_doubly_bad_frame_counts_under_each_roles_first_gate() {
         use crate::addressing::{global_addr, link_local_addr, link_prefix};
         use crate::host_node::{HostConfig, HostNode};
-        use crate::netplan::{Directory, NextHop};
+        use crate::netplan::{Directory, RoutingTable};
         use crate::router_node::{RouterConfig, RouterIfaceInfo, RouterNode};
         use mobicast_ipv6::exthdr::BindingAck;
         use mobicast_net::{ExecPlan, L2Dest};
@@ -449,11 +449,8 @@ pub(crate) mod tests {
             global: global_addr(router, 0, link),
         };
         let (recorder, rng) = (Recorder::new_shared(), RngFactory::new(1));
-        let hop = NextHop {
-            iface: 0,
-            via: None,
-        };
-        let routes = [Some((hop, 0))].into_iter().collect();
+        let graph = mobicast_net::LinkGraph::new(1, &[(router, vec![link])]);
+        let routes = RoutingTable::new(router, Rc::new(graph));
         let cfg = RouterConfig::default();
         let r = RouterNode::new(router, cfg, vec![iface], routes, &rng, recorder.clone());
         let dir = Rc::new(Directory::default());

@@ -379,6 +379,15 @@ impl Journal {
         (judged, lost)
     }
 
+    /// [`Self::judge_while`], keeping the findings and the lost walks.
+    fn judge(&mut self, due: impl Fn(&Row) -> bool) {
+        let mut loops = std::mem::take(&mut self.loops);
+        let (judged, lost) = self.judge_while(due, |found| loops.push(found));
+        self.loops = loops;
+        self.judged += judged;
+        self.beyond_horizon += lost;
+    }
+
     /// Move the journal's clock to `now`: judge the loop-freedom of every
     /// row more than half the horizon older, then retire every row more than
     /// the horizon older, folding its size into its link's useful or wasted
@@ -400,11 +409,7 @@ impl Journal {
         let half = SimDuration::from_nanos(self.horizon.as_nanos() / 2);
         let due = |row: &Row| now.saturating_since(row.time) > half;
         if self.rows.get(self.judged - self.retired).is_some_and(due) {
-            let mut loops = std::mem::take(&mut self.loops);
-            let (judged, lost) = self.judge_while(due, |found| loops.push(found));
-            self.loops = loops;
-            self.judged += judged;
-            self.beyond_horizon += lost;
+            self.judge(due);
         }
         while let Some(oldest) = self.rows.front() {
             if now.saturating_since(oldest.time) <= self.horizon {
@@ -1080,11 +1085,13 @@ impl SharedRecorder {
         f(&self.0.borrow())
     }
 
-    /// Take the recorded data out (consumes the contents). Causes the
-    /// journal could not follow show up as a `journal.beyondHorizon`
-    /// counter — present only when there were any.
+    /// Take the recorded data out (consumes the contents), judging the rows
+    /// the journal has left once, so that `loops` and `beyond_horizon` read
+    /// what is stored. Causes the journal could not follow show up as a
+    /// `journal.beyondHorizon` counter — present only when there were any.
     pub fn take(&self) -> Recorder {
         let mut taken = std::mem::take(&mut *self.0.borrow_mut());
+        taken.data_events.judge(|_| true);
         let undecided = taken.data_events.beyond_horizon();
         if undecided > 0 {
             taken.counters.add("journal.beyondHorizon", undecided);
@@ -1497,5 +1504,29 @@ mod tests {
         let taken = rec.take();
         assert_eq!(taken.deliveries.len(), 1);
         assert!(rec.with(|r| r.deliveries.is_empty()));
+    }
+
+    /// One chain, an emission every 2 ms under a 100 ms horizon, each on a
+    /// new link but every tenth, which re-enters its parent's link: `take`
+    /// leaves no row unjudged, and the journal it hands back answers
+    /// `loops` and `beyond_horizon` as the one it took did.
+    #[test]
+    fn take_judges_the_rows_left_once() {
+        let rec = Recorder::new_shared();
+        rec.set_journal_horizon(SimDuration::from_millis(100));
+        let mut last = None;
+        for k in 0..500u32 {
+            let at = SimTime::from_millis(2 * u64::from(k));
+            let link = LinkId(if k % 10 == 0 { k.saturating_sub(1) } else { k });
+            let journal = &mut rec.0.borrow_mut().data_events;
+            last = Some(journal.record(NodeId(1), 1, last, link, at, 100, false));
+        }
+        let answers = |j: &Journal| (j.loops(), j.beyond_horizon());
+        let before = rec.with(|r| answers(&r.data_events));
+        assert!(!before.0.is_empty() && before.1 > 0);
+        assert!(rec.with(|r| r.data_events.judged < r.data_events.len()));
+        let taken = rec.take();
+        assert_eq!(taken.data_events.judged, taken.data_events.len());
+        assert_eq!(answers(&taken.data_events), before);
     }
 }

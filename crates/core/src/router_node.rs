@@ -1180,11 +1180,12 @@ impl NodeBehavior for RouterNode {
 mod tests {
     use super::*;
     use crate::addressing::{global_addr, link_local_addr, link_prefix};
-    use crate::netplan::{DataPayload, NextHop, MCAST_UDP_PORT};
+    use crate::netplan::{DataPayload, MCAST_UDP_PORT};
     use crate::node_kit::tests::Sink;
     use crate::recorder::Recorder;
     use mobicast_ipv6::udp::UdpDatagram;
-    use mobicast_net::{ExecPlan, LinkParams, World};
+    use mobicast_net::{ExecPlan, LinkGraph, LinkParams, World};
+    use std::rc::Rc;
 
     /// A mobile sender's datagram, reverse-tunnelled to its home agent with
     /// one hop left, can go neither onto the home link nor out toward a
@@ -1208,7 +1209,7 @@ mod tests {
                 global: global_addr(ha, ifx as IfIndex, link),
             })
             .collect();
-        let routes = [0, 1].map(|iface| Some((NextHop { iface, via: None }, 0)));
+        let graph = LinkGraph::new(2, &[(ha, vec![home, away])]);
         let recorder = Recorder::new_shared();
         let rng = RngFactory::new(1);
         let cfg = RouterConfig::default();
@@ -1216,7 +1217,7 @@ mod tests {
             ha,
             cfg,
             ifaces.clone(),
-            routes.into_iter().collect(),
+            RoutingTable::new(ha, Rc::new(graph)),
             &rng,
             recorder.clone(),
         );

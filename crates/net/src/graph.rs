@@ -5,117 +5,169 @@
 //! link id, then lowest node id). PIM-DM's RPF checks and the prefix routing
 //! tables in the IPv6 stack are both derived from this graph.
 //!
+//! The routes are computed once, as one plan: a row per target link, filled
+//! by one BFS from that link. The graph is undirected, so row `t` gives the
+//! distance from every link to `t`, and each cell also names the next router
+//! from its link toward `t`. A route is then one cell read per link of the
+//! asking router.
+//!
 //! Only *routers* forward packets; hosts appear in the world but not in the
 //! routing graph, so host mobility never changes unicast routes — exactly
 //! the IPv6 model, where a moved host is reachable only via its new
 //! (care-of) address or through its home agent.
 
-use crate::ids::{LinkId, NodeId};
-use std::cell::OnceCell;
-use std::collections::VecDeque;
+use crate::ids::{IfIndex, LinkId, NodeId};
 
 /// A route from a router toward a target link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Route {
     /// The directly attached link to send on first.
     pub first_link: LinkId,
-    /// The next router on the path (None when `first_link` is the target,
-    /// i.e. the destination link is directly attached).
-    pub next_router: Option<NodeId>,
+    /// The asking router's ifindex on `first_link`.
+    pub iface: IfIndex,
+    /// The next router on the path and its ifindex on `first_link` (None
+    /// when `first_link` is the target, i.e. the destination link is
+    /// directly attached).
+    pub next_router: Option<(NodeId, IfIndex)>,
     /// Number of links on the path, counting the target (≥ 1).
     pub link_hops: u32,
 }
 
-/// Bipartite router/link adjacency with all-pairs router→link routes.
+/// [`Cell::dist`] of a link the target cannot be reached from.
+const UNREACHABLE: u16 = u16::MAX;
+
+/// One cell of the routing plan: a link seen from one target link.
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    /// Link hops from this link to the target (0: the target itself).
+    dist: u16,
+    /// Index, among the routers on this link in ascending id order, of the
+    /// lowest-id router with a link one hop closer to the target. Every
+    /// router asking from this link at its shortest distance gets the same
+    /// answer, as it has no link that close itself. Unused at distance 0.
+    next: u16,
+}
+
+/// Bipartite router/link adjacency with the all-pairs routing plan.
 #[derive(Clone, Debug, Default)]
 pub struct LinkGraph {
-    /// For each router (dense index), attached links.
-    router_links: Vec<Vec<LinkId>>,
-    /// For each link (dense index), attached routers.
-    link_routers: Vec<Vec<NodeId>>,
-    /// Maps world NodeId to dense router index.
-    router_index: Vec<Option<usize>>,
-    /// Memoized BFS distance vectors, one cell per target link. The
-    /// adjacency is immutable after construction, so entries never
-    /// invalidate; without the memo every `route`/`link_hop_distance` call
-    /// re-runs a full BFS, which made world *construction*
-    /// O(routers × links × E) — the wall that capped metro grids (each
-    /// router's table asks for every link).
-    dist_cache: Vec<OnceCell<Box<[u32]>>>,
+    /// Every router's links in the order given to [`LinkGraph::new`],
+    /// router after router in id order: a link's first position in its
+    /// router's run is the router's ifindex on it.
+    ports: Vec<LinkId>,
+    /// Node `n`'s links are `ports[port_start[n]..port_start[n + 1]]`
+    /// (none for a node that is not a router).
+    port_start: Vec<usize>,
+    /// For each link (dense index), attached routers in ascending id order,
+    /// each with its ifindex on the link.
+    link_routers: Vec<Vec<(NodeId, IfIndex)>>,
+    /// Row `t` (`n_links` cells) holds every link's cell toward link `t`.
+    plan: Box<[Cell]>,
 }
 
 impl LinkGraph {
     /// Build from `(router, links-the-router-attaches)` pairs and the total
-    /// number of links in the world.
+    /// number of links in the world, and compute the routing plan.
     pub fn new(n_links: usize, routers: &[(NodeId, Vec<LinkId>)]) -> Self {
-        let max_node = routers
-            .iter()
-            .map(|(n, _)| n.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut router_index = vec![None; max_node];
-        let mut router_links = Vec::with_capacity(routers.len());
+        let mut by_id: Vec<_> = routers.iter().collect();
+        by_id.sort_by_key(|(node, _)| *node);
+        let (mut ports, mut port_start) = (Vec::new(), vec![0]);
         let mut link_routers = vec![Vec::new(); n_links];
-        for (dense, (node, links)) in routers.iter().enumerate() {
-            router_index[node.index()] = Some(dense);
-            let mut ls = links.clone();
-            ls.sort();
-            ls.dedup();
-            for l in &ls {
+        for (node, links) in by_id {
+            port_start.resize(node.index() + 1, ports.len());
+            assert_eq!(port_start.len(), node.index() + 1, "{node} listed twice");
+            assert!(links.len() <= 1 << IfIndex::BITS, "{node}: ifindices fit");
+            ports.extend(links);
+            port_start.push(ports.len());
+            for (ifx, l) in links.iter().enumerate() {
                 assert!(l.index() < n_links, "link {l} out of range");
-                link_routers[l.index()].push(*node);
+                link_routers[l.index()].push((*node, ifx as IfIndex));
             }
-            router_links.push(ls);
         }
         for routers_on_link in &mut link_routers {
+            // By (router, ifindex): a link listed twice keeps its first.
             routers_on_link.sort();
+            routers_on_link.dedup_by_key(|(r, _)| *r);
         }
-        LinkGraph {
-            router_links,
+        let mut graph = LinkGraph {
+            ports,
+            port_start,
             link_routers,
-            router_index,
-            dist_cache: vec![OnceCell::new(); n_links],
-        }
+            plan: Box::default(),
+        };
+        graph.plan = graph.plan();
+        graph
     }
 
-    fn dense(&self, n: NodeId) -> Option<usize> {
-        self.router_index.get(n.index()).copied().flatten()
-    }
-
-    /// Routers attached to `link`, in ascending id order.
-    pub fn routers_on_link(&self, link: LinkId) -> &[NodeId] {
-        &self.link_routers[link.index()]
-    }
-
-    /// Distance in link hops from every link to `target` (BFS over the
-    /// link adjacency through routers). `u32::MAX` = unreachable.
-    pub fn link_distances(&self, target: LinkId) -> Vec<u32> {
-        let n = self.link_routers.len();
-        let mut dist = vec![u32::MAX; n];
-        let mut q = VecDeque::new();
-        dist[target.index()] = 0;
-        q.push_back(target);
-        while let Some(l) = q.pop_front() {
-            let d = dist[l.index()];
-            for r in &self.link_routers[l.index()] {
-                let Some(dense) = self.dense(*r) else {
-                    continue; // unreachable: link membership implies a graph row
-                };
-                for nl in &self.router_links[dense] {
-                    if dist[nl.index()] == u32::MAX {
-                        dist[nl.index()] = d + 1;
-                        q.push_back(*nl);
-                    }
-                }
+    /// One BFS per target link over the link adjacency (through routers).
+    /// A link's next router is settled when the link is popped: every link
+    /// one hop closer to the target has its distance by then.
+    fn plan(&self) -> Box<[Cell]> {
+        let n = self.n_links();
+        // Distances stay below `UNREACHABLE`: 65 535 links is a 17 GB plan.
+        assert!(n < usize::from(UNREACHABLE), "a routing plan under 17 GB");
+        // Per link, the other links of each of its routers in ascending
+        // router id order, each with the router's index on the link.
+        let mut start = Vec::with_capacity(n + 1);
+        let mut reach: Vec<(u16, LinkId)> = Vec::new();
+        for (l, on_link) in (0..).map(LinkId).zip(&self.link_routers) {
+            start.push(reach.len());
+            assert!(on_link.len() <= 1 << 16, "{l}: under 65 536 routers");
+            for (i, (r, _)) in on_link.iter().enumerate() {
+                let others = self.ports(*r).iter().filter(|x| **x != l);
+                reach.extend(others.map(|x| (i as u16, *x)));
             }
         }
-        dist
+        start.push(reach.len());
+        let unreached = Cell {
+            dist: UNREACHABLE,
+            next: 0,
+        };
+        let mut plan = vec![unreached; n * n].into_boxed_slice();
+        let mut queue = Vec::with_capacity(n);
+        for (target, row) in plan.chunks_exact_mut(n.max(1)).enumerate() {
+            row[target].dist = 0;
+            queue.clear();
+            queue.push(target);
+            let mut head = 0;
+            while let Some(&l) = queue.get(head) {
+                head += 1;
+                let d = row[l].dist;
+                let mut next = None;
+                for &(i, x) in &reach[start[l]..start[l + 1]] {
+                    match row[x.index()].dist {
+                        UNREACHABLE => {
+                            row[x.index()].dist = d + 1;
+                            queue.push(x.index());
+                        }
+                        dx if next.is_none() && dx + 1 == d => next = Some(i),
+                        _ => {}
+                    }
+                }
+                debug_assert!(d == 0 || next.is_some(), "reached through a router");
+                row[l].next = next.unwrap_or(0);
+            }
+        }
+        plan
     }
 
-    /// Memoized [`Self::link_distances`]: one BFS per distinct target over
-    /// the graph's lifetime.
-    fn distances(&self, target: LinkId) -> &[u32] {
-        self.dist_cache[target.index()].get_or_init(|| self.link_distances(target).into())
+    /// `n`'s links in interface order; none if it is not a router.
+    fn ports(&self, n: NodeId) -> &[LinkId] {
+        match self.port_start.get(n.index()..n.index() + 2) {
+            Some(&[start, end]) => &self.ports[start..end],
+            _ => &[],
+        }
+    }
+
+    /// `from`'s cell toward `target`.
+    fn cell(&self, from: LinkId, target: LinkId) -> Cell {
+        self.plan[target.index() * self.n_links() + from.index()]
+    }
+
+    /// Routers attached to `link`, in ascending id order, each with its
+    /// ifindex on the link.
+    pub fn routers_on_link(&self, link: LinkId) -> &[(NodeId, IfIndex)] {
+        &self.link_routers[link.index()]
     }
 
     /// Shortest route from router `from` toward `target` link.
@@ -125,52 +177,32 @@ impl LinkGraph {
     /// node id wins. Returns `None` if `from` is not a router or `target`
     /// is unreachable from it.
     pub fn route(&self, from: NodeId, target: LinkId) -> Option<Route> {
-        let dense = self.dense(from)?;
-        let dist = self.distances(target);
-        let mut best: Option<(u32, LinkId)> = None;
-        for l in &self.router_links[dense] {
-            let d = dist[l.index()];
-            if d == u32::MAX {
-                continue;
-            }
-            match best {
-                Some((bd, bl)) if (d, *l) >= (bd, bl) => {}
-                _ => best = Some((d, *l)),
-            }
-        }
-        let (d, first_link) = best?;
-        if d == 0 {
-            return Some(Route {
-                first_link,
-                next_router: None,
-                link_hops: 1,
-            });
-        }
-        // The next router is the lowest-id router on `first_link` (other
-        // than `from`) that is one hop closer to the target.
-        let next_router = self.link_routers[first_link.index()]
+        // The first minimum is the link's first mention: its ifindex.
+        let (dist, first_link, iface, next) = self
+            .ports(from)
             .iter()
-            .filter(|r| **r != from)
-            .find(|r| {
-                self.dense(**r).is_some_and(|rd| {
-                    self.router_links[rd]
-                        .iter()
-                        .any(|l| dist[l.index()] == d - 1)
-                })
+            .enumerate()
+            .map(|(ifx, l)| {
+                let cell = self.cell(*l, target);
+                // `new` checked that every position fits.
+                (cell.dist, *l, ifx as IfIndex, cell.next)
             })
-            .copied();
-        next_router.map(|next| Route {
+            .min_by_key(|&(dist, l, ..)| (dist, l))
+            .filter(|&(dist, ..)| dist != UNREACHABLE)?;
+        let next_router =
+            (dist > 0).then(|| self.link_routers[first_link.index()][usize::from(next)]);
+        Some(Route {
             first_link,
-            next_router: Some(next),
-            link_hops: d + 1,
+            iface,
+            next_router,
+            link_hops: u32::from(dist) + 1,
         })
     }
 
     /// Shortest distance in link hops between two links (1 = same link).
     pub fn link_hop_distance(&self, from: LinkId, to: LinkId) -> Option<u32> {
-        let dist = self.distances(to);
-        let d = dist[from.index()];
-        (d != u32::MAX).then_some(d + 1)
+        let dist = self.cell(from, to).dist;
+        (dist != UNREACHABLE).then(|| u32::from(dist) + 1)
     }
 
     /// Number of links in the graph.
@@ -215,8 +247,8 @@ mod tests {
     fn multi_hop_route() {
         let g = string_graph();
         let r = g.route(n(0), l(3)).unwrap();
-        assert_eq!(r.first_link, l(1));
-        assert_eq!(r.next_router, Some(n(1)));
+        assert_eq!((r.first_link, r.iface), (l(1), 1));
+        assert_eq!(r.next_router, Some((n(1), 0)));
         assert_eq!(r.link_hops, 3);
     }
 
@@ -241,16 +273,34 @@ mod tests {
             ],
         );
         let r = g2.route(n(2), l(1)).unwrap();
-        assert_eq!(r.next_router, Some(n(0)), "lowest-id router wins ties");
+        assert_eq!(r.next_router, Some((n(0), 0)), "lowest-id router wins ties");
         assert_eq!(r.link_hops, 2);
         let _ = g;
     }
 
     #[test]
-    fn link_distances_from_target() {
+    fn link_hop_distances_toward_a_target() {
         let g = string_graph();
-        let d = g.link_distances(l(0));
-        assert_eq!(d, vec![0, 1, 2, 3]);
+        let d: Vec<_> = (0..4).map(|i| g.link_hop_distance(l(i), l(0))).collect();
+        assert_eq!(d, [Some(1), Some(2), Some(3), Some(4)]);
+    }
+
+    #[test]
+    fn ports_follow_the_given_link_order() {
+        // A router listing L2 before L0, and L2 twice.
+        let g = LinkGraph::new(
+            3,
+            &[(n(4), vec![l(2), l(0), l(2)]), (n(1), vec![l(1), l(2)])],
+        );
+        assert_eq!(g.routers_on_link(l(2)), &[(n(1), 1), (n(4), 0)]);
+        assert_eq!(g.routers_on_link(l(0)), &[(n(4), 1)]);
+        let r = g.route(n(4), l(1)).unwrap();
+        assert_eq!(
+            (r.first_link, r.iface, r.next_router, r.link_hops),
+            (l(2), 0, Some((n(1), 1)), 2)
+        );
+        let r = g.route(n(4), l(0)).unwrap();
+        assert_eq!((r.iface, r.next_router), (1, None));
     }
 
     #[test]
@@ -266,7 +316,7 @@ mod tests {
             1,
             &[(n(5), vec![l(0)]), (n(1), vec![l(0)]), (n(3), vec![l(0)])],
         );
-        assert_eq!(g.routers_on_link(l(0)), &[n(1), n(3), n(5)]);
+        assert_eq!(g.routers_on_link(l(0)), &[(n(1), 0), (n(3), 0), (n(5), 0)]);
     }
 
     #[test]
@@ -287,12 +337,12 @@ mod tests {
         // (lowest id of the parallel pair B/C).
         let r = g.route(n(3), l(0)).unwrap();
         assert_eq!(r.first_link, l(2));
-        assert_eq!(r.next_router, Some(n(1)));
+        assert_eq!(r.next_router, Some((n(1), 1)));
         assert_eq!(r.link_hops, 3);
         // E is 4 links from L0 (L4, L2, L1, L0 path through D, B, A).
         let r = g.route(n(4), l(0)).unwrap();
         assert_eq!(r.first_link, l(4));
-        assert_eq!(r.next_router, Some(n(3)));
+        assert_eq!(r.next_router, Some((n(3), 2)));
         assert_eq!(r.link_hops, 4);
     }
 }

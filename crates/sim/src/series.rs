@@ -68,10 +68,12 @@ pub struct TimeSeriesSet {
 impl TimeSeriesSet {
     /// Append a sample to the named series, creating it on first use.
     pub fn sample(&mut self, name: &str, at: SimTime, value: f64) {
-        self.series
-            .entry(name.to_owned())
-            .or_default()
-            .push(at, value);
+        // Not `entry`, which takes an owned name: a copy per sample.
+        if !self.series.contains_key(name) {
+            self.series.insert(name.to_owned(), TimeSeries::default());
+        }
+        let series = self.series.get_mut(name).expect("inserted above");
+        series.push(at, value);
     }
 
     pub fn get(&self, name: &str) -> Option<&TimeSeries> {
