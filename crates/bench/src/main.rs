@@ -13,7 +13,6 @@ mod report;
 mod stages;
 
 use std::fmt::Write as _;
-use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -48,7 +47,8 @@ fn misses(json: &Value) -> Vec<String> {
 /// gated total above zero.
 fn emit(out: &ExperimentOutput) -> bool {
     println!("{out}");
-    mobicast_core::report::write_json(out.id, &out.json);
+    let json = report::pretty(&out.json);
+    report::write_artifact(&format!("results/{}.json", out.id), &json);
     let misses = misses(&out.json);
     if !misses.is_empty() {
         let id = out.id;
@@ -70,7 +70,7 @@ fn exit(passed: bool) -> ExitCode {
 /// summary, which stays out of the archive so the file is byte-identical
 /// across reruns.
 fn all(settings: Settings) -> ExitCode {
-    let mut archive = String::new();
+    let mut outputs = Vec::new();
     let mut summary = String::from("== timing — wall-clock per experiment ==\n");
     let mut passed = true;
     let all_start = Instant::now();
@@ -81,12 +81,13 @@ fn all(settings: Settings) -> ExitCode {
         let _ = writeln!(summary, "{id:<14} {secs:>8.3}s");
         passed &= emit(&out);
         println!();
-        let _ = writeln!(archive, "{out}");
+        outputs.push(out);
     }
     let total = all_start.elapsed().as_secs_f64();
     let _ = writeln!(summary, "{:<14} {total:>8.3}s", "total");
     print!("{summary}");
-    report::write_artifact(Path::new("results/exp_all_output.txt"), &archive);
+    let archive = experiments::archive(&outputs);
+    report::write_artifact("results/exp_all_output.txt", &archive);
     exit(passed)
 }
 
@@ -147,7 +148,7 @@ fn metro(routers: usize, receivers: usize) -> ExitCode {
         "shard_stats": stats,
         "report": report,
     });
-    mobicast_core::report::write_json("stress_metro", &out);
+    report::write_artifact("results/stress_metro.json", &report::pretty(&out));
 
     if report.oracle_violations > 0 {
         eprintln!(

@@ -6,8 +6,8 @@
 //! percentiles, the slowest episodes with their BU / rejoin / graft phase
 //! breakdown, and the overload shed timeline. Artifacts go to `results/`:
 //! the dashboard JSON (`report-handoff.json`) plus a Perfetto `trace.json`
-//! and an OpenMetrics snapshot per policy. They are committed; CI reruns
-//! `report` and requires them unchanged.
+//! and an OpenMetrics snapshot per policy. They are committed, and a unit
+//! test renders them and requires each equal to its file byte for byte.
 
 use mobicast_core::observability::{self, PolicyHandoffStats};
 use mobicast_core::report::Table;
@@ -18,7 +18,7 @@ use mobicast_net::{FaultPlan, StormModel};
 use mobicast_sim::{RateLimit, SimDuration};
 use serde::Serialize;
 use serde_json::{json, Value};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 /// Slowest handoff episodes shown per policy.
@@ -70,7 +70,9 @@ fn overload_cfg() -> ScenarioConfig {
         .build()
 }
 
-pub fn write_artifact(path: &Path, content: &str) {
+/// Write `content` to `path` (best effort: a failure only warns).
+pub fn write_artifact(path: &str, content: &str) {
+    let path = Path::new(path);
     if let Some(dir) = path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
@@ -80,25 +82,29 @@ pub fn write_artifact(path: &Path, content: &str) {
     }
 }
 
+/// `value` as a results file holds it.
+pub fn pretty(value: &Value) -> String {
+    serde_json::to_string_pretty(value).expect("a JSON value renders")
+}
+
 fn opt_ms(v: Option<f64>) -> String {
     v.map_or_else(|| "-".to_owned(), |s| format!("{:.3} ms", s * 1e3))
 }
 
-fn dashboard() -> (String, Value) {
+/// The dashboard text and every artifact as (path, contents), unwritten.
+fn dashboard() -> (String, Vec<(String, String)>) {
+    let mut artifacts = Vec::new();
     let mut sections: Vec<(PolicyHandoffStats, RunReport)> = Vec::new();
     for policy in Policy::all() {
         let cfg = handoff_cfg(policy);
         let r = scenario::run(&cfg);
         let stats =
             observability::policy_handoff_stats(policy.id(), &r.report.observability, TOP_N);
-        write_artifact(
-            &PathBuf::from(format!("results/report-{}.trace.json", policy.id())),
-            &observability::run_perfetto(&cfg.name, &r.report),
-        );
-        write_artifact(
-            &PathBuf::from(format!("results/report-{}.om.txt", policy.id())),
-            &observability::run_openmetrics(&r.report),
-        );
+        let id = policy.id();
+        let trace = observability::run_perfetto(&cfg.name, &r.report);
+        artifacts.push((format!("results/report-{id}.trace.json"), trace));
+        let metrics = observability::run_openmetrics(&r.report);
+        artifacts.push((format!("results/report-{id}.om.txt"), metrics));
         sections.push((stats, r.report));
     }
 
@@ -196,12 +202,53 @@ fn dashboard() -> (String, Value) {
         },
         "oracle_clean": oracle_clean,
     });
-    (text, doc)
+    artifacts.push(("results/report-handoff.json".to_owned(), pretty(&doc)));
+    (text, artifacts)
 }
 
 pub fn main() -> ExitCode {
-    let (text, doc) = dashboard();
+    let (text, artifacts) = dashboard();
     print!("{text}");
-    mobicast_core::report::write_json("report-handoff", &doc);
+    for (path, contents) in &artifacts {
+        write_artifact(path, contents);
+    }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+    use std::path::Path;
+
+    /// The committed `results/report-*` files are exactly what `report`
+    /// renders, byte for byte.
+    #[test]
+    fn every_artifact_equals_its_committed_file() {
+        let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        let (_, artifacts) = super::dashboard();
+        let differing: Vec<&str> = artifacts
+            .iter()
+            .filter(|(path, contents)| {
+                std::fs::read_to_string(root.join(path)).ok().as_ref() != Some(contents)
+            })
+            .map(|(path, _)| path.as_str())
+            .collect();
+        assert!(
+            differing.is_empty(),
+            "`mobicast report` renders other bytes than the committed {}; if the \
+             change is intended, run `mobicast report` and commit results/",
+            differing.join(", ")
+        );
+        let rendered: BTreeSet<String> = artifacts.into_iter().map(|(path, _)| path).collect();
+        let committed: BTreeSet<String> = std::fs::read_dir(root.join("results"))
+            .expect("the committed results/ directory")
+            .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with("report-"))
+            .map(|name| format!("results/{name}"))
+            .collect();
+        assert_eq!(
+            committed, rendered,
+            "a committed report artifact is not rendered, or one rendered is not committed"
+        );
+    }
 }

@@ -97,6 +97,12 @@ impl fmt::Display for ExperimentOutput {
     }
 }
 
+/// `results/exp_all_output.txt`: each output's report and a blank line, in
+/// the order given ([`REGISTRY`]'s, by `mobicast all`).
+pub fn archive(outputs: &[ExperimentOutput]) -> String {
+    outputs.iter().map(|out| format!("{out}\n")).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::REGISTRY;

@@ -1,8 +1,6 @@
-//! Text tables and JSON output for the `mobicast` CLI.
+//! Text tables for the `mobicast` CLI.
 
-use serde::Serialize;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// A simple aligned text table.
 #[derive(Default)]
@@ -77,26 +75,6 @@ pub fn bytes(v: u64) -> String {
         format!("{:.1}kB", v as f64 / 1e3)
     } else {
         format!("{v}B")
-    }
-}
-
-/// Write a serializable result to `results/<name>.json` relative to the
-/// workspace (best effort; failures only warn).
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(&path, s) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                eprintln!("(wrote {})", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
     }
 }
 

@@ -9,7 +9,7 @@
 //! are suppressed by other listeners' reports, and send Done when the
 //! binding (and thus the proxied membership) goes away.
 
-use crate::netplan::{self, frame_for, RoutingTable};
+use crate::netplan::{self, frame_for, RouteEntry, RoutingTable};
 use crate::node_kit::{
     self, account_note, malformed, mld_packet, span_close, span_open, Malformed, Note, TimerSlot,
 };
@@ -621,47 +621,6 @@ impl RouterNode {
         true
     }
 
-    /// Encapsulate `inner`, whose encoding is `inner_wire`, toward `dst`,
-    /// enforcing the RFC 2473 Tunnel Encapsulation Limit. On refusal the
-    /// packet is discarded and an ICMPv6 Parameter Problem (code 0, pointer
-    /// at the exhausted limit option, RFC 2473 §6.7) is sent to the inner
-    /// source.
-    fn encap_checked(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        src: Ipv6Addr,
-        dst: Ipv6Addr,
-        inner: &Packet,
-        inner_wire: Bytes,
-    ) -> Option<Packet> {
-        match tunnel::encapsulate_limited_wire(src, dst, inner, inner_wire) {
-            Ok(outer) => {
-                ctx.in_stage(Stage::Account, || bump!(self.mib, "tunnelEncaps"));
-                ctx.trace_event(TraceCategory::MobileIp, "tunnel_encap", || {
-                    vec![("dst", dst.into()), ("inner_src", inner.src.into())]
-                });
-                Some(outer)
-            }
-            Err(tunnel::EncapLimitExceeded) => {
-                bump!(self.recorder, "tunnel.encap_limit_exceeded");
-                ctx.trace(TraceCategory::MobileIp, || {
-                    format!("encap limit exhausted tunnelling {} to {dst}", inner.src)
-                });
-                // Pointer: fixed header (40) + destination-options header
-                // (2) = offset of the Tunnel Encapsulation Limit option.
-                let body = Icmpv6::ParamProblem {
-                    code: PARAM_PROBLEM_ERRONEOUS_FIELD,
-                    pointer: 42,
-                }
-                .encode(src, inner.src);
-                let report = Packet::new(src, inner.src, proto::ICMPV6, body);
-                bump!(self.recorder, "tunnel.param_problem_sent");
-                self.route_unicast(ctx, &report, None, None);
-                None
-            }
-        }
-    }
-
     /// Forward a unicast packet according to the routing table, applying
     /// home-agent interception for destinations on attached (home) links.
     /// `arrived` is the frame `packet` was parsed from, when it is being
@@ -687,25 +646,77 @@ impl RouterNode {
         if route.next_hop.is_none() && !tunnel::is_tunnel(packet) {
             if let Some(coa) = self.ha.intercept(packet.dst) {
                 if coa != packet.dst {
-                    let Some(out_route) = self.table.lookup(coa) else {
-                        return;
-                    };
-                    let src = self.iface_info(out_route.iface).global;
                     let (inner, wire) = wire_of(packet, arrived);
-                    let Some(outer) = self.encap_checked(ctx, src, coa, &inner, wire) else {
-                        return;
-                    };
-                    bump!(self.recorder, "ha.unicast_tunnel_encap");
-                    self.route_unicast(ctx, &outer, None, parent);
+                    self.tunnel_to(ctx, coa, &inner, wire, parent, |me, _| {
+                        bump!(me.recorder, "ha.unicast_tunnel_encap")
+                    });
                     return;
                 }
             }
         }
+        self.send_on(ctx, &route, packet, arrived, parent);
+    }
+
+    /// Send `packet` (from `arrived`, if forwarded) one hop on its `route`.
+    fn send_on(
+        &self,
+        ctx: &mut Ctx<'_>,
+        route: &RouteEntry,
+        packet: &Packet,
+        arrived: Option<&Frame>,
+        parent: Option<u64>,
+    ) {
         let l2 = route
             .next_hop_node
             .or_else(|| netplan::node_of_addr(packet.dst));
         let frame = ctx.in_stage(Stage::Emit, || one_hop_on(packet, arrived, l2));
         self.transmit(ctx, &[route.iface], &frame, parent);
+    }
+
+    /// Tunnel `inner` (encoded as `wire`) to `coa` from the interface its
+    /// route leaves on, under the RFC 2473 encapsulation limit: `account`
+    /// runs between encapsulation and send; a refusal drops the packet and
+    /// sends the inner source a Parameter Problem (code 0, §6.7). The outer
+    /// packet is fresh: no hop-limit check or interception applies to it.
+    fn tunnel_to(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        coa: Ipv6Addr,
+        inner: &Packet,
+        wire: Bytes,
+        parent: Option<u64>,
+        account: impl FnOnce(&mut Self, &mut Ctx<'_>),
+    ) {
+        let Some(route) = self.table.lookup(coa) else {
+            return;
+        };
+        let src = self.iface_info(route.iface).global;
+        match tunnel::encapsulate_limited_wire(src, coa, inner, wire) {
+            Ok(outer) => {
+                ctx.in_stage(Stage::Account, || bump!(self.mib, "tunnelEncaps"));
+                ctx.trace_event(TraceCategory::MobileIp, "tunnel_encap", || {
+                    vec![("dst", coa.into()), ("inner_src", inner.src.into())]
+                });
+                account(self, ctx);
+                self.send_on(ctx, &route, &outer, None, parent);
+            }
+            Err(tunnel::EncapLimitExceeded) => {
+                bump!(self.recorder, "tunnel.encap_limit_exceeded");
+                ctx.trace(TraceCategory::MobileIp, || {
+                    format!("encap limit exhausted tunnelling {} to {coa}", inner.src)
+                });
+                // Pointer: fixed header (40) + destination-options header
+                // (2) = offset of the Tunnel Encapsulation Limit option.
+                let body = Icmpv6::ParamProblem {
+                    code: PARAM_PROBLEM_ERRONEOUS_FIELD,
+                    pointer: 42,
+                }
+                .encode(src, inner.src);
+                let report = Packet::new(src, inner.src, proto::ICMPV6, body);
+                bump!(self.recorder, "tunnel.param_problem_sent");
+                self.route_unicast(ctx, &report, None, None);
+            }
+        }
     }
 
     /// Handle an accepted or flooded multicast data packet, which arrived
@@ -771,23 +782,17 @@ impl RouterNode {
             // One inner encoding for every target.
             let mut wire = None;
             for (home, coa) in targets {
-                let Some(out_route) = self.table.lookup(coa) else {
-                    continue;
-                };
-                let src = self.iface_info(out_route.iface).global;
                 let (inner, bytes) = wire.get_or_insert_with(|| wire_of(packet, arrived));
-                let Some(outer) = self.encap_checked(ctx, src, coa, inner, bytes.clone()) else {
-                    continue;
-                };
-                ctx.in_stage(Stage::Account, || {
-                    if self.is_home_for(home) {
-                        bump!(self.recorder, "ha.mcast_tunnel_encap");
-                    } else {
-                        bump!(self.recorder, "map.mcast_tunnel_encap");
-                        bump!(self.mib, "mapTunnelEncaps");
-                    }
+                self.tunnel_to(ctx, coa, inner, bytes.clone(), parent, |me, ctx| {
+                    ctx.in_stage(Stage::Account, || {
+                        if me.is_home_for(home) {
+                            bump!(me.recorder, "ha.mcast_tunnel_encap");
+                        } else {
+                            bump!(me.recorder, "map.mcast_tunnel_encap");
+                            bump!(me.mib, "mapTunnelEncaps");
+                        }
+                    })
                 });
-                self.route_unicast(ctx, &outer, None, parent);
             }
         }
         true

@@ -4,7 +4,7 @@
 //! lives there) is rendered to a stable text form and diffed against the
 //! committed `tests/api-surface*.txt`, one file per crate. An unreviewed
 //! API change — a renamed method, a removed re-export, a struct field
-//! changing type — fails CI's `api-surface` job with a line diff instead
+//! changing type — fails the tier-1 `cargo test` with a line diff instead
 //! of silently breaking downstream callers.
 //!
 //! Intentional changes are recorded with

@@ -3,20 +3,21 @@
 //! `every_claim_holds_on_a_quick_run` runs every registered experiment at
 //! `Settings::new(true)`, names every failing row with what it measured,
 //! and compares each output byte for byte with the committed
-//! `results/<id>.json` as `report::write_json` renders it
-//! (`to_string_pretty`): those bytes are the reproduction's contract, and
-//! equality with a file another process wrote is also the determinism
-//! check. `experiments_md_blocks_render_the_committed_results` renders
-//! each experiment's rows from the committed `results/<id>.json` into the
-//! block between `<!-- claims:<id> -->` and `<!-- /claims:<id> -->` of
-//! EXPERIMENTS.md and compares; `MOBICAST_UPDATE_GOLDENS=1` rewrites it.
+//! `results/<id>.json` as `mobicast` writes it (`to_string_pretty`), and
+//! their text with the committed `results/exp_all_output.txt` as
+//! `experiments::archive` renders it: those bytes are the reproduction's
+//! contract, and equality with a file another process wrote is also the
+//! determinism check. `experiments_md_blocks_render_the_committed_results`
+//! renders each experiment's rows from the committed `results/<id>.json`
+//! into the block between `<!-- claims:<id> -->` and `<!-- /claims:<id> -->`
+//! of EXPERIMENTS.md and compares; `MOBICAST_UPDATE_GOLDENS=1` rewrites it.
 //!
 //! Operands are JSON pointers into an experiment's output, or literals. A
 //! pointer may hold one `*` step: the row then checks every array element
 //! or object value there, each other operand's `*` standing for the same
 //! one. Rows comparing two sweep points name both: the quick order is fixed.
 
-use mobicast_core::experiments::{Settings, REGISTRY};
+use mobicast_core::experiments::{self, Settings, REGISTRY};
 use mobicast_core::Policy;
 use mobicast_sim::parallel::{configured_workers, run_ordered};
 use serde_json::Value;
@@ -530,40 +531,29 @@ fn every_claim_holds_on_a_quick_run() {
         orphan.map(|c| c.0)
     );
 
-    let jobs: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
     assert_eq!(
-        jobs.len(),
+        EXPERIMENTS.len(),
         REGISTRY.len(),
         "a registered experiment has no block"
     );
-    let outputs = run_ordered(jobs, configured_workers(), |id| {
-        let run = REGISTRY
-            .iter()
-            .find(|r| r.0 == *id)
-            .expect("a registered experiment")
-            .1;
-        run(Settings::new(true)).json
+    let outputs = run_ordered(REGISTRY.to_vec(), configured_workers(), |(_, run)| {
+        run(Settings::new(true))
     });
 
     let mut failures = Vec::new();
-    for ((exp, _), json) in EXPERIMENTS.iter().zip(&outputs) {
+    for (exp, _) in EXPERIMENTS {
+        let json = &outputs
+            .iter()
+            .find(|out| out.id == *exp)
+            .expect("an experiment with a block is registered")
+            .json;
         let failing = CLAIMS.iter().filter(|c| c.2 == *exp && !judge(c.3, json).0);
         failures.extend(failing.map(|claim| row_line(claim, json)));
         let got = serde_json::to_string_pretty(json).unwrap();
-        let want = committed(exp);
-        if got != want {
-            let line = 1 + got
-                .lines()
-                .zip(want.lines())
-                .take_while(|(a, b)| a == b)
-                .count();
-            failures.push(format!(
-                "{exp}: the quick run differs from the committed results/{exp}.json \
-                 from line {line}; if the change is intended, run `mobicast all --quick` \
-                 and commit results/"
-            ));
-        }
+        failures.extend(difference(&format!("{exp}.json"), &got));
     }
+    let archive = experiments::archive(&outputs);
+    failures.extend(difference("exp_all_output.txt", &archive));
     assert!(
         failures.is_empty(),
         "{} checks fail:\n{}",
@@ -576,10 +566,27 @@ fn repo() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
-/// The committed `results/<exp>.json`, as `mobicast all --quick` wrote it.
-fn committed(exp: &str) -> String {
-    let path = repo().join(format!("results/{exp}.json"));
+/// The committed `results/<file>`, as `mobicast all --quick` wrote it.
+fn committed(file: &str) -> String {
+    let path = repo().join("results").join(file);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Where the quick run's `got` first differs from the committed
+/// `results/<file>`, if it does.
+fn difference(file: &str, got: &str) -> Option<String> {
+    let want = committed(file);
+    let line = 1 + got
+        .lines()
+        .zip(want.lines())
+        .take_while(|(a, b)| a == b)
+        .count();
+    (got != want).then(|| {
+        format!(
+            "the quick run differs from the committed results/{file} from line {line}; \
+             if the change is intended, run `mobicast all --quick` and commit results/"
+        )
+    })
 }
 
 #[test]
@@ -588,7 +595,7 @@ fn experiments_md_blocks_render_the_committed_results() {
     let doc = std::fs::read_to_string(&path).expect("EXPERIMENTS.md");
     let mut rendered = doc.clone();
     for (exp, count) in EXPERIMENTS {
-        let json = serde_json::from_str(&committed(exp)).expect("result JSON");
+        let json = serde_json::from_str(&committed(&format!("{exp}.json"))).expect("result JSON");
         let open = format!("<!-- claims:{exp} -->\n");
         let missing = || -> usize { panic!("EXPERIMENTS.md lacks the claims:{exp} markers") };
         let start = rendered.find(&open).unwrap_or_else(missing) + open.len();
