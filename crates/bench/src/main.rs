@@ -17,8 +17,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use mobicast_core::experiments::{self, ExperimentOutput, Settings};
-use mobicast_core::stress::{run_stress_with, StressRunOptions};
+use mobicast_core::stress::{run_stress_with, StressReport, StressRunOptions};
 use mobicast_core::Policy;
+use mobicast_net::ShardRunStats;
 use serde_json::{json, Value};
 
 use cli::Command;
@@ -30,6 +31,10 @@ const GATED: [&str; 3] = ["total_violations", "total_slo_misses", "total_floor_m
 /// Shard count for the metro run: enough regions that the schedule is
 /// interesting, few enough that every shard holds real work.
 const METRO_SHARDS: usize = 16;
+
+/// Where `stress --routers N` writes its artifact; the committed file is
+/// `stress --routers 1000 --receivers 400`'s.
+const METRO_ARTIFACT: &str = "results/stress_metro.json";
 
 /// The gated totals an experiment's `json` reports above zero, as
 /// `key = n`.
@@ -91,21 +96,59 @@ fn all(settings: Settings) -> ExitCode {
     exit(passed)
 }
 
-/// One metro-grid run of (at least) `routers` routers under a sharded plan,
-/// reporting events/sec, the shard schedule and the achievable
-/// conservative-parallel speedup. Its deterministic report and schedule
-/// land in `results/stress_metro.json`; its wall time is printed only.
-fn metro(routers: usize, receivers: usize) -> ExitCode {
-    let spec = mobicast_core::scale::metro_spec(routers, receivers, 11);
-    eprintln!(
-        "(metro run: {} with {receivers} receivers, {METRO_SHARDS} shards)",
-        spec.name
-    );
+/// One metro-grid run of (at least) `routers` routers and `receivers`
+/// receivers, seed 11, under a sharded plan: what `results/stress_metro.json`
+/// holds.
+struct Metro {
+    receivers: usize,
+    report: StressReport,
+    stats: Option<ShardRunStats>,
+}
 
-    let opts = StressRunOptions::sharded(METRO_SHARDS, 1);
+impl Metro {
+    fn run(routers: usize, receivers: usize) -> Metro {
+        let spec = mobicast_core::scale::metro_spec(routers, receivers, 11);
+        eprintln!(
+            "(metro run: {} with {receivers} receivers, {METRO_SHARDS} shards)",
+            spec.name
+        );
+        let opts = StressRunOptions::sharded(METRO_SHARDS, 1);
+        let (report, stats) = run_stress_with(&spec, &opts, mobicast_sim::Tracer::null());
+        Metro {
+            receivers,
+            report,
+            stats,
+        }
+    }
+
+    /// The deterministic report and shard schedule, as the results file
+    /// holds them.
+    fn artifact(&self) -> String {
+        let report = &self.report;
+        report::pretty(&json!({
+            "spec": {
+                "name": report.name,
+                "routers": report.routers,
+                "links": report.links,
+                "hosts": report.hosts,
+                "receivers": self.receivers,
+                "shards": METRO_SHARDS,
+            },
+            "events_executed": report.events_executed,
+            "shard_stats": self.stats,
+            "report": report,
+        }))
+    }
+}
+
+/// The metro run, reporting events/sec, the shard schedule and the
+/// achievable conservative-parallel speedup. Its artifact lands in
+/// `results/stress_metro.json`; its wall time is printed only.
+fn metro(routers: usize, receivers: usize) -> ExitCode {
     let wall_start = Instant::now();
-    let (report, stats) = run_stress_with(&spec, &opts, mobicast_sim::Tracer::null());
+    let metro = Metro::run(routers, receivers);
     let wall_secs = wall_start.elapsed().as_secs_f64();
+    let report = &metro.report;
 
     let events_per_sec = report.events_executed as f64 / wall_secs.max(1e-9);
     println!(
@@ -116,7 +159,7 @@ fn metro(routers: usize, receivers: usize) -> ExitCode {
         "  {} events in {wall_secs:.2}s wall = {events_per_sec:.0} events/sec",
         report.events_executed
     );
-    if let Some(s) = &stats {
+    if let Some(s) = &metro.stats {
         println!(
             "  schedule: {} windows, {} barrier syncs, critical path {} events, \
              achievable speedup {:.2}x",
@@ -134,21 +177,7 @@ fn metro(routers: usize, receivers: usize) -> ExitCode {
         report.duplicate_deliveries,
         report.oracle_violations
     );
-
-    let out = json!({
-        "spec": {
-            "name": report.name,
-            "routers": report.routers,
-            "links": report.links,
-            "hosts": report.hosts,
-            "receivers": receivers,
-            "shards": METRO_SHARDS,
-        },
-        "events_executed": report.events_executed,
-        "shard_stats": stats,
-        "report": report,
-    });
-    report::write_artifact("results/stress_metro.json", &report::pretty(&out));
+    report::write_artifact(METRO_ARTIFACT, &metro.artifact());
 
     if report.oracle_violations > 0 {
         eprintln!(
@@ -203,5 +232,28 @@ mod tests {
             json[key] = json!(2);
             assert_eq!(misses(&json), vec![format!("{key} = 2")]);
         }
+    }
+
+    /// The committed `results/stress_metro.json` is exactly what
+    /// `stress --routers 1000 --receivers 400` renders, byte for byte. A
+    /// 1 012-router run: release builds only.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn the_metro_artifact_equals_its_committed_file() {
+        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        let committed = std::fs::read_to_string(root.join(METRO_ARTIFACT))
+            .expect("the committed metro artifact");
+        let rendered = Metro::run(1_000, 400).artifact();
+        let same = committed
+            .lines()
+            .zip(rendered.lines())
+            .take_while(|(a, b)| a == b);
+        let first_diff = same.count() + 1;
+        assert!(
+            committed == rendered,
+            "`mobicast stress --routers 1000 --receivers 400` renders other bytes than \
+             the committed {METRO_ARTIFACT} (first at line {first_diff}); if the change is \
+             intended, rerun it and commit results/"
+        );
     }
 }

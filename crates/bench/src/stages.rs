@@ -10,13 +10,16 @@
 //! (built, faulted, scripted), and the process's peak resident set
 //! (`VmHWM`) before the workload, once its first run is staged and after
 //! its last run: memory by stage, cumulative across workloads unless one
-//! is picked. Wall-clock and memory numbers: stdout only, nothing is
-//! written under `results/`.
+//! is picked. Beside them, the deliveries its runs recorded and the bytes
+//! each takes in the recorder's column, and the longest handler's duration
+//! group ([`SimProfile::longest_handler_under_ns`]). Wall-clock and memory
+//! numbers: stdout only, nothing is written under `results/`.
 //!
 //! `mobicast stages [--seed N] [--workload NAME]`; every workload by
 //! default.
 
 use mobicast_core::builder::NetworkSpec;
+use mobicast_core::recorder::Recorder;
 use mobicast_core::run;
 use mobicast_core::scenario::{self, PaperHost, ScenarioConfig};
 use mobicast_core::stress::{StressRunOptions, StressSpec};
@@ -34,8 +37,10 @@ pub const WORKLOADS: [&str; 5] = [
 ];
 
 /// `(count, total ns)` per handler category and per stage, summed over
-/// the runs of one workload, the wall time spent staging them, and the peak
-/// resident set (MB) when its first run was staged and after its last.
+/// the runs of one workload, the wall time spent staging them, the peak
+/// resident set (MB) when its first run was staged and after its last, the
+/// deliveries recorded and their column bytes, and the upper edge of the
+/// longest handler's duration group.
 #[derive(Default)]
 struct Sum {
     events: u64,
@@ -44,6 +49,9 @@ struct Sum {
     staging: Duration,
     staged_mb: Option<f64>,
     run_mb: f64,
+    deliveries: usize,
+    column_bytes: usize,
+    longest_under_ns: u64,
 }
 
 /// The process's peak resident set so far (`VmHWM`), in MB; 0 where
@@ -63,8 +71,11 @@ impl Sum {
         self.staged_mb.get_or_insert_with(peak_rss_mb);
     }
 
-    fn add(&mut self, p: &SimProfile) {
+    fn add(&mut self, p: &SimProfile, rec: &Recorder) {
         self.run_mb = peak_rss_mb();
+        self.deliveries += rec.deliveries.len();
+        self.column_bytes += rec.deliveries.column_bytes();
+        self.longest_under_ns = self.longest_under_ns.max(p.longest_handler_under_ns);
         self.events += p.events_executed;
         for (slot, name) in self.handlers.iter_mut().zip(["deliver", "timer", "script"]) {
             slot.0 += p.handlers[name].count;
@@ -85,9 +96,9 @@ fn sweep(cfgs: Vec<ScenarioConfig>) -> Sum {
         let staged = scenario::stage(&cfg, Tracer::null());
         let staged = staged.unwrap_or_else(|e| panic!("scenario {}: {e}", cfg.name));
         sum.staged(start);
-        let (result, _) = staged.run();
+        let (result, rec) = staged.run();
         assert_eq!(result.report.oracle.violation_count, 0, "{}", cfg.name);
-        sum.add(&result.profile.expect("profiled run"));
+        sum.add(&result.profile.expect("profiled run"), &rec);
     }
     sum
 }
@@ -106,7 +117,7 @@ fn stress(spec: &StressSpec, opts: &StressRunOptions) -> Sum {
     staged.net.world.enable_profiling();
     let out = run::run(staged, &plan);
     assert_eq!(out.oracle.violation_count, 0, "{}", spec.name);
-    sum.add(&out.profile.expect("profiled run"));
+    sum.add(&out.profile.expect("profiled run"), &out.recorder);
     sum
 }
 
@@ -209,11 +220,16 @@ pub fn main(seed: u64, only: Option<String>) {
             stage(3),
         );
         println!(
-            "{:<15} staging ms: {:.1}; VmHWM MB: {start_mb:.1} before, {:.1} staged, {:.1} run",
+            "{:<15} staging ms: {:.1}; VmHWM MB: {start_mb:.1} before, {:.1} staged, {:.1} run; \
+             deliveries: {} at {:.1} B each; longest handler: {:.3}-{:.3} ms",
             "",
             sum.staging.as_secs_f64() * 1e3,
             sum.staged_mb.unwrap_or(0.0),
-            sum.run_mb
+            sum.run_mb,
+            sum.deliveries,
+            sum.column_bytes as f64 / sum.deliveries.max(1) as f64,
+            ms(sum.longest_under_ns / 2),
+            ms(sum.longest_under_ns),
         );
     }
 }

@@ -825,14 +825,18 @@ fn finish(cfg: &ScenarioConfig, out: RunOutput) -> (ScenarioResult, Recorder) {
     // Re-join recovery: for every move of a subscribed receiver, the time
     // until its first post-move data delivery — the end-to-end measure of
     // the soft-state recovery machinery (MLD robustness reports, PIM
-    // grafts, binding-update retransmissions).
-    for mv in rec.moves.iter().filter(|m| m.subscribed) {
-        let first = rec
-            .deliveries
-            .iter()
-            .filter(|d| d.host == mv.host && d.time >= mv.time)
-            .map(|d| d.time)
-            .min();
+    // grafts, binding-update retransmissions). One pass over the
+    // deliveries answers every move.
+    let rejoins: Vec<_> = rec.moves.iter().filter(|m| m.subscribed).collect();
+    let mut first: Vec<Option<SimTime>> = vec![None; rejoins.len()];
+    for d in rec.deliveries.iter() {
+        for (mv, first) in rejoins.iter().zip(&mut first) {
+            if d.host == mv.host && d.time >= mv.time && first.is_none_or(|t| d.time < t) {
+                *first = Some(d.time);
+            }
+        }
+    }
+    for (mv, first) in rejoins.iter().zip(first) {
         if let Some(t) = first {
             series.record("rejoin_recovery", (t - mv.time).as_secs_f64());
         }

@@ -80,6 +80,11 @@ pub struct SimProfile {
     /// outside every stage are not listed, nor are durations no sampled
     /// handler had, so the totals sum to less than `handlers`'.
     pub stages: BTreeMap<String, HandlerStats>,
+    /// No handler took this long: the upper edge of the longest duration
+    /// group any handler fell in, a power of two of ns (net of the clock
+    /// reads the handler spanned), so the longest handler took at least
+    /// half of it. 0 when no handler took a nanosecond.
+    pub longest_handler_under_ns: u64,
 }
 
 /// Accumulates handler timings while a run executes.
@@ -200,6 +205,7 @@ impl Profiler {
                 sum.total_ns += scaled as u64;
             }
         }
+        let longest = self.strata.iter().rposition(|g| g.0 > 0);
         let named = |names: &[&str], stats: &[HandlerStats]| {
             names
                 .iter()
@@ -213,6 +219,9 @@ impl Profiler {
             queue_depth_high_water: queue_depth_high_water as u64,
             handlers: named(self.categories, &self.handlers),
             stages: named(&STAGES, &stages),
+            longest_handler_under_ns: longest.map_or(0, |group| {
+                1u64.checked_shl(group as u32).unwrap_or(u64::MAX)
+            }),
         }
     }
 }
@@ -299,5 +308,9 @@ mod tests {
         assert!(account <= handled, "{account} of {handled} ns");
         let staged: u64 = prof.stages.values().map(|s| s.total_ns).sum();
         assert!(staged <= handled, "{staged} of {handled} ns");
+        // The 20 ms handler (net of its clock reads) is the longest.
+        let under = prof.longest_handler_under_ns;
+        assert!(under.is_power_of_two() && under > 19_000_000, "{under} ns");
+        assert!(under / 2 <= handled, "{under} of {handled} ns");
     }
 }
