@@ -12,8 +12,9 @@
 //! its last run: memory by stage, cumulative across workloads unless one
 //! is picked. Beside them, the deliveries its runs recorded and the bytes
 //! each takes in the recorder's column, and the longest handler's duration
-//! group ([`SimProfile::longest_handler_under_ns`]). Wall-clock and memory
-//! numbers: stdout only, nothing is written under `results/`.
+//! group ([`SimProfile::longest_handler_under_ns`]); under those, the spans
+//! its runs held at their end, by name. Wall-clock and memory numbers:
+//! stdout only, nothing is written under `results/`.
 //!
 //! `mobicast stages [--seed N] [--workload NAME]`; every workload by
 //! default.
@@ -26,6 +27,7 @@ use mobicast_core::stress::{StressRunOptions, StressSpec};
 use mobicast_core::{chaos, scale, Policy};
 use mobicast_sim::profile::STAGES;
 use mobicast_sim::{SimDuration, SimProfile, Tracer};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 pub const WORKLOADS: [&str; 5] = [
@@ -39,8 +41,8 @@ pub const WORKLOADS: [&str; 5] = [
 /// `(count, total ns)` per handler category and per stage, summed over
 /// the runs of one workload, the wall time spent staging them, the peak
 /// resident set (MB) when its first run was staged and after its last, the
-/// deliveries recorded and their column bytes, and the upper edge of the
-/// longest handler's duration group.
+/// deliveries recorded and their column bytes, the upper edge of the
+/// longest handler's duration group, and the spans held, by name.
 #[derive(Default)]
 struct Sum {
     events: u64,
@@ -52,6 +54,7 @@ struct Sum {
     deliveries: usize,
     column_bytes: usize,
     longest_under_ns: u64,
+    spans: BTreeMap<&'static str, usize>,
 }
 
 /// The process's peak resident set so far (`VmHWM`), in MB; 0 where
@@ -76,6 +79,9 @@ impl Sum {
         self.deliveries += rec.deliveries.len();
         self.column_bytes += rec.deliveries.column_bytes();
         self.longest_under_ns = self.longest_under_ns.max(p.longest_handler_under_ns);
+        for span in rec.spans.records() {
+            *self.spans.entry(span.name).or_default() += 1;
+        }
         self.events += p.events_executed;
         for (slot, name) in self.handlers.iter_mut().zip(["deliver", "timer", "script"]) {
             slot.0 += p.handlers[name].count;
@@ -230,6 +236,13 @@ pub fn main(seed: u64, only: Option<String>) {
             sum.column_bytes as f64 / sum.deliveries.max(1) as f64,
             ms(sum.longest_under_ns / 2),
             ms(sum.longest_under_ns),
+        );
+        let by_name: Vec<String> = sum.spans.iter().map(|(n, k)| format!("{n} {k}")).collect();
+        println!(
+            "{:<15} spans held: {} ({})",
+            "",
+            sum.spans.values().sum::<usize>(),
+            by_name.join(", ")
         );
     }
 }

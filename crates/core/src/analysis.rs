@@ -54,13 +54,23 @@ pub struct Analysis {
 /// Read the paper's quantities off what the recorder settled as it
 /// recorded: per-delivery paths and per-link usage.
 pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
+    analyze_with_delays(rec, graph, n_links, |_| {})
+}
+
+/// [`analyze`], handing `e2e_delay` each first delivery's end-to-end delay
+/// in seconds — delivery time less the datagram's `sent_at` — in delivery
+/// order, from the same pass over the delivery column.
+pub fn analyze_with_delays(
+    rec: &Recorder,
+    graph: &LinkGraph,
+    n_links: usize,
+    mut e2e_delay: impl FnMut(f64),
+) -> Analysis {
     let mut a = Analysis {
         link_usage: vec![LinkDataUsage::default(); n_links],
         packets_sent: rec.packets.len() as u64,
         ..Analysis::default()
     };
-
-    (a.packets_delivered, a.duplicates) = rec.copies();
 
     // Every delivered copy identified the exact emission that delivered it,
     // and the journal's causal chain led from there back to the origin — no
@@ -73,13 +83,20 @@ pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
     let mut stretch_n = 0u64;
 
     // In delivery order: the sums are floats.
-    for (d, path) in rec.deliveries.iter().zip(rec.settled()) {
-        // A chain that broke (unknown `via`, dangling or retired parent) or
-        // was cut at the guard yields no path sample.
-        if !d.first || !path.whole() {
+    for (d, path) in rec.deliveries.with_settled() {
+        if !d.first {
+            a.duplicates += 1;
             continue;
         }
+        a.packets_delivered += 1;
         let Some(m) = meta.get(&d.pkt) else { continue };
+        let delay = d.time.as_nanos().saturating_sub(m.sent_at.as_nanos());
+        e2e_delay(delay as f64 / 1e9);
+        // A chain that broke (unknown `via`, dangling or retired parent) or
+        // was cut at the guard yields no path sample.
+        if !path.whole() {
+            continue;
+        }
         if let Some(optimal) = graph.link_hop_distance(m.origin_link, d.link) {
             if optimal > 0 {
                 stretch_sum += f64::from(path.path_links()) / f64::from(optimal);

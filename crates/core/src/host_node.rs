@@ -457,8 +457,6 @@ impl HostNode {
         if first {
             self.receiver.received += 1;
             bump!(self.mib, "dataReceived");
-            let delay = now.as_nanos().saturating_sub(payload.sent_nanos);
-            self.recorder.sample("e2e_delay", delay as f64 / 1e9);
             if let Some(attached) = self.receiver.attach_pending.take() {
                 let join_delay = (now - attached).as_secs_f64();
                 self.recorder.sample("join_delay", join_delay);

@@ -63,7 +63,7 @@ pub fn handoff_rows(obs: &Observability) -> Vec<HandoffRow> {
             let mut interruption_s = None;
             for c in obs.children_of(h.id) {
                 let d = c.duration_secs();
-                match c.name.as_str() {
+                match c.name {
                     "bu" => phases.bu_s = d,
                     "tunnel" => phases.tunnel_s = d,
                     "mld_rejoin" => phases.rejoin_s = d,

@@ -448,20 +448,49 @@ impl Oracle {
             );
         }
 
-        // At-most-once after settle: per (receiver, datagram), count the
-        // deliveries whose final hop was native vs tunneled. A run of more
-        // than MAX_DUP_RUN consecutively duplicated datagrams of one kind
-        // is a stuck duplicate-delivery path (e.g. an unresolved assert).
+        // One pass over the deliveries answers every check below that
+        // counts them: the duplicates, the at-most-once copies, the first
+        // copies of the reconvergence window and the protected flow's.
         let horizon = p.end - IN_FLIGHT_TAIL;
         let settled = rec.sent_in(p.settle, horizon);
+        let n_receivers = p.receivers.len() as u32;
+        let reconverge_from = p.disturbance_end.filter(|_| n_receivers > 0);
+        let reconverge_sent =
+            reconverge_from.map_or_else(BTreeMap::new, |from| rec.sent_in(from, horizon));
+        let protect = p.protected_floor.zip(p.protect_window);
+        let window =
+            protect.map_or_else(BTreeMap::new, |(_, (from, until))| rec.sent_in(from, until));
         // (host, was the final hop tunnelled?) -> datagram -> copies delivered
         let mut copies: BTreeMap<(NodeId, bool), BTreeMap<u64, u32>> = BTreeMap::new();
-        for (d, via) in rec.deliveries.iter().zip(rec.settled()) {
+        let mut first_copies: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut per_host: BTreeMap<NodeId, u64> = BTreeMap::new();
+        if !window.is_empty() {
+            per_host = p.receivers.iter().map(|(h, _)| (*h, 0)).collect();
+        }
+        let mut duplicates = 0;
+        for (d, via) in rec.deliveries.with_settled() {
             if settled.contains_key(&d.pkt) {
                 let of_kind = copies.entry((d.host, via.tunneled())).or_default();
                 *of_kind.entry(d.pkt).or_default() += 1;
             }
+            if !d.first {
+                duplicates += 1;
+                continue;
+            }
+            if reconverge_sent.contains_key(&d.pkt) {
+                *first_copies.entry(d.pkt).or_default() += 1;
+            }
+            if window.contains_key(&d.pkt) {
+                if let Some(got) = per_host.get_mut(&d.host) {
+                    *got += 1;
+                }
+            }
         }
+
+        // At-most-once after settle: per (receiver, datagram), count the
+        // deliveries whose final hop was native vs tunneled. A run of more
+        // than MAX_DUP_RUN consecutively duplicated datagrams of one kind
+        // is a stuck duplicate-delivery path (e.g. an unresolved assert).
         for ((host, tunneled), of_kind) in &copies {
             let mut run = 0usize;
             let mut worst = 0usize;
@@ -498,14 +527,9 @@ impl Oracle {
         let mut reconverge_secs = None;
         let mut reconverge_bound_secs = None;
         let mut reconverge_ok = None;
-        let n_receivers = p.receivers.len() as u32;
-        if let (Some(from), 1..) = (p.disturbance_end, n_receivers) {
+        if let Some(from) = reconverge_from {
             reconverge_bound_secs = Some(p.reconverge_bound.as_secs_f64());
-            let mut first_copies: BTreeMap<u64, u32> = BTreeMap::new();
-            for d in rec.deliveries.iter().filter(|d| d.first) {
-                *first_copies.entry(d.pkt).or_default() += 1;
-            }
-            let sent = rec.sent_in(from, horizon);
+            let sent = reconverge_sent;
             let under_delivered = sent
                 .iter()
                 .filter(|(pkt, _)| first_copies.get(pkt).copied().unwrap_or(0) < n_receivers);
@@ -525,21 +549,11 @@ impl Oracle {
         let mut protected_flow_min = None;
         let mut protected_flow_floor = None;
         let mut protected_flow_ok = None;
-        if let (Some(floor), Some((from, until))) = (p.protected_floor, p.protect_window) {
+        if let Some((floor, _)) = protect {
             protected_flow_floor = Some(floor);
-            let window = rec.sent_in(from, until);
             if window.is_empty() || p.receivers.is_empty() {
                 protected_flow_ok = Some(true);
             } else {
-                let mut per_host: BTreeMap<NodeId, u64> =
-                    p.receivers.iter().map(|(h, _)| (*h, 0)).collect();
-                for d in rec.deliveries.iter().filter(|d| d.first) {
-                    if window.contains_key(&d.pkt) {
-                        if let Some(got) = per_host.get_mut(&d.host) {
-                            *got += 1;
-                        }
-                    }
-                }
                 let total = window.len() as f64;
                 let mut min_ratio = f64::INFINITY;
                 for (host, got) in &per_host {
@@ -568,7 +582,7 @@ impl Oracle {
             enabled: true,
             violations: st.violations.clone(),
             violation_count: st.violation_count,
-            duplicates_observed: rec.copies().1,
+            duplicates_observed: duplicates,
             max_tunnel_depth: st.max_tunnel_depth,
             worst_leave_delay_secs: worst_leave,
             worst_stale_sg_secs: st.worst_stale_sg_secs,

@@ -18,13 +18,13 @@
 //! emission is settled while its cause is still held — the path and the
 //! tunnelled bit of a delivery when the delivery is recorded
 //! ([`Recorder::record_delivery`]), the last emission before an arrival
-//! when the move is ([`Recorder::record_move`]), loop-freedom once the
-//! emission is half a horizon old — and a row older than the journal's
+//! when the move is ([`Recorder::record_move`]), loop-freedom by the time
+//! the emission is half a horizon old — and a row older than the journal's
 //! horizon retires into per-link useful / wasted totals. A cause that had already retired when its effect
 //! arrived is counted ([`Journal::beyond_horizon`]), never guessed. None of
 //! that layout leaves this file: the post-run readers (oracle, analysis,
 //! scenario and stress reports) read [`Journal::loops`],
-//! [`Recorder::settled`], [`Journal::link_usage`],
+//! [`Deliveries::with_settled`], [`Journal::link_usage`],
 //! [`Recorder::latest_emission`] and [`Recorder::sent_in`] /
 //! [`Recorder::copies`]; the explainer walks [`Journal::chain`] over a
 //! journal whose horizon was lifted.
@@ -107,6 +107,9 @@ const DANGLING: u32 = u32::MAX - 1;
 const RETIRED: u32 = u32::MAX - 2;
 /// The bit of `Row::size_tunneled` that holds the tunnelled flag.
 const TUNNELED_BIT: u32 = 1 << 31;
+/// The bit of `Row::link_useful` that marks a row on the path of some first
+/// delivery: no link index below 2³¹ uses it.
+const USEFUL_BIT: u32 = 1 << 31;
 /// Table slots a node gets when it first emits. A node that forwards the
 /// stream once goes on forwarding it; starting at `Vec`'s own 4 slots, a
 /// thousand routers' tables doubling their way up leave 16 … 512-byte holes
@@ -141,23 +144,31 @@ pub(crate) const IN_FLIGHT_TAIL: SimDuration = SimDuration::from_secs(1);
 /// within a second.
 pub(crate) const JOURNAL_HORIZON: SimDuration = SimDuration::from_secs(5);
 
+/// Rows a move of a journal's clock judges for loop-freedom before they
+/// fall due, once that many wait (see [`Journal::advance`]). Judged that
+/// many at a time, neighbouring rows' chains share their ancestors in the
+/// cache: on `metro_flood`, 64 at a time cost ≈ 6 % of its wall time and
+/// this many nothing measurable, for a longest handler of 4.2–8.4 ms.
+const JUDGED_AHEAD: usize = 16_384;
+
 /// The least room a journal's ring shrinks to: a quiet run's few rows are
 /// not worth a shrink and a regrowth.
 const RING_FLOOR: usize = 4_096;
 
-/// One journal entry, packed: what [`DataEvent`] shows, with the parent as
-/// a position (or [`ORIGIN`] / [`DANGLING`] / [`RETIRED`]), the tunnelled
-/// flag in the top bit of the size, and — in what was padding — whether
-/// the row lies on the path of some first delivery.
+/// One journal entry, packed into 32 bytes: what [`DataEvent`] shows, with
+/// the emitting node in place of the tag (the tag is derived from the
+/// node's table, [`Journal::tag_at`]), the parent as a position (or
+/// [`ORIGIN`] / [`DANGLING`] / [`RETIRED`]), the tunnelled flag in the top
+/// bit of the size and, in the top bit of the link, whether the row lies on
+/// the path of some first delivery.
 #[derive(Clone, Copy)]
 struct Row {
     pkt: PacketId,
-    id: u64,
     time: SimTime,
+    node: u32,
     parent: u32,
-    link: u32,
+    link_useful: u32,
     size_tunneled: u32,
-    useful: bool,
 }
 
 impl Row {
@@ -169,8 +180,16 @@ impl Row {
         self.size_tunneled & !TUNNELED_BIT
     }
 
+    fn link(&self) -> u32 {
+        self.link_useful & !USEFUL_BIT
+    }
+
+    fn useful(&self) -> bool {
+        self.link_useful & USEFUL_BIT != 0
+    }
+
     fn fold_into(&self, usage: &mut LinkDataUsage) {
-        let (bytes, frames) = if self.useful {
+        let (bytes, frames) = if self.useful() {
             (&mut usage.useful_bytes, &mut usage.useful_frames)
         } else {
             (&mut usage.wasted_bytes, &mut usage.wasted_frames)
@@ -268,9 +287,9 @@ impl Journal {
     /// (`None` at an origin).
     ///
     /// # Panics
-    /// When `time` is before the journal's clock, `size` does not fit in 31
-    /// bits, or the journal has recorded as many events as a `u32` position
-    /// can address.
+    /// When `time` is before the journal's clock, `size` or the link index
+    /// does not fit in 31 bits, or the journal has recorded as many events
+    /// as a `u32` position can address.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
@@ -291,6 +310,11 @@ impl Journal {
         assert!(
             size < TUNNELED_BIT,
             "frame size {size} does not fit beside the tunnelled bit"
+        );
+        assert!(
+            link.0 < USEFUL_BIT,
+            "link index {} does not fit beside the useful bit",
+            link.0
         );
         // Positions are below RETIRED, so the cast is exact.
         let pos = events as u32;
@@ -325,76 +349,99 @@ impl Journal {
 
         self.rows.push_back(Row {
             pkt,
-            id,
             time,
+            node: node.0,
             parent,
-            link: link.0,
+            link_useful: link.0,
             size_tunneled: size | if tunneled { TUNNELED_BIT } else { 0 },
-            useful: false,
         });
         id
     }
 
     /// Walk the ancestors of the native emission `row` for a native one on
-    /// the same link: `None` when there is one, else how the walk ended.
-    fn loop_walk(&self, row: &Row) -> Option<ChainEnd> {
+    /// the same link: `None` when there is one, else how the walk ended;
+    /// beside it, the time of the oldest ancestor the walk stepped onto.
+    fn loop_walk(&self, row: &Row) -> (Option<ChainEnd>, SimTime) {
         let mut ancestors = Cursor {
             next: row.parent,
             left: CHAIN_GUARD - 1,
         };
+        let mut oldest = row.time;
         while let Some((_, ancestor)) = ancestors.step(self) {
-            if !ancestor.tunneled() && ancestor.link == row.link {
-                return None;
+            // An ancestor was recorded before its child: no later in time.
+            oldest = ancestor.time;
+            if !ancestor.tunneled() && ancestor.link() == row.link() {
+                return (None, oldest);
             }
         }
-        Some(ancestors.end())
+        (Some(ancestors.end()), oldest)
     }
 
-    /// Judge the rows not yet judged for loop-freedom that `due` says are
-    /// to be, oldest first: a finding or a lost walk for each native one.
+    /// Judge the rows not yet judged for loop-freedom, oldest first: every
+    /// one `due` says is due, then at most `ahead` more whose verdict
+    /// cannot change before they fall due — a finding or a lost walk for
+    /// each native one.
+    ///
+    /// A row falls due once it is more than half a horizon old, and until
+    /// then no row at most half a horizon older than it has retired. So a
+    /// walk that stepped onto no ancestor older than that, or that came to
+    /// a retired row (which stays retired), reaches now what it would reach
+    /// then. A walk that reached further back waits until its row is due,
+    /// and the rows after it with it: verdicts are kept in row order.
     fn judge_while(
         &self,
         due: impl Fn(&Row) -> bool,
+        ahead: usize,
         mut found: impl FnMut(LoopFinding),
     ) -> (usize, u64) {
-        let (mut judged, mut lost) = (0, 0);
+        let half = self.horizon.as_nanos() / 2;
+        let (mut judged, mut early, mut lost) = (0, 0, 0);
         for row in self.rows.range(self.judged - self.retired..) {
-            if !due(row) {
+            let is_due = due(row);
+            if !is_due && early == ahead {
                 break;
             }
+            if !row.tunneled() {
+                let (end, oldest) = self.loop_walk(row);
+                let reach = row.time.as_nanos() - oldest.as_nanos();
+                if !is_due && reach > half && end != Some(ChainEnd::Retired) {
+                    break;
+                }
+                match end {
+                    None => found(LoopFinding {
+                        time: row.time,
+                        pkt: row.pkt,
+                        link: LinkId(row.link()),
+                    }),
+                    Some(ChainEnd::Retired) => lost += 1,
+                    Some(_) => {}
+                }
+            }
             judged += 1;
-            if row.tunneled() {
-                continue;
-            }
-            match self.loop_walk(row) {
-                None => found(LoopFinding {
-                    time: row.time,
-                    pkt: row.pkt,
-                    link: LinkId(row.link),
-                }),
-                Some(ChainEnd::Retired) => lost += 1,
-                Some(_) => {}
-            }
+            early += usize::from(!is_due);
         }
         (judged, lost)
     }
 
     /// [`Self::judge_while`], keeping the findings and the lost walks.
-    fn judge(&mut self, due: impl Fn(&Row) -> bool) {
+    fn judge(&mut self, due: impl Fn(&Row) -> bool, ahead: usize) {
         let mut loops = std::mem::take(&mut self.loops);
-        let (judged, lost) = self.judge_while(due, |found| loops.push(found));
+        let (judged, lost) = self.judge_while(due, ahead, |found| loops.push(found));
         self.loops = loops;
         self.judged += judged;
         self.beyond_horizon += lost;
     }
 
     /// Move the journal's clock to `now`: judge the loop-freedom of every
-    /// row more than half the horizon older, then retire every row more than
-    /// the horizon older, folding its size into its link's useful or wasted
-    /// total. Judging late is judging cheaply — one pass over neighbouring
-    /// rows whose chains share their ancestors, not a walk through cold
-    /// memory in the middle of each emission — and half a horizon early is
-    /// early enough: every ancestor less than that much older is still held.
+    /// row more than half the horizon older — and, once [`JUDGED_AHEAD`]
+    /// rows wait to be judged, of that many — then retire every row more
+    /// than the horizon older, folding its size into its link's useful or
+    /// wasted total. Half a horizon early is early enough: every ancestor
+    /// less than that much older is still held. Judging ahead is what keeps
+    /// the work of a move bounded: a flood is judged over the emissions
+    /// that make it up, and falls due with fewer than `JUDGED_AHEAD` rows
+    /// left to judge, instead of all of them inside the first emission half
+    /// a horizon later.
     ///
     /// # Panics
     /// When `now` is before the clock: rows retire oldest first, which is
@@ -406,16 +453,21 @@ impl Journal {
             self.clock
         );
         self.clock = now;
-        let half = SimDuration::from_nanos(self.horizon.as_nanos() / 2);
+        let horizon = self.horizon;
+        let half = SimDuration::from_nanos(horizon.as_nanos() / 2);
+        let stale = |row: &Row| now.saturating_since(row.time) > horizon;
         let due = |row: &Row| now.saturating_since(row.time) > half;
-        if self.rows.get(self.judged - self.retired).is_some_and(due) {
-            self.judge(due);
+        let waiting = self.len() - self.judged;
+        let ahead = if waiting >= JUDGED_AHEAD {
+            JUDGED_AHEAD
+        } else {
+            0
+        };
+        if ahead > 0 || self.rows.get(self.judged - self.retired).is_some_and(due) {
+            self.judge(due, ahead);
         }
-        while let Some(oldest) = self.rows.front() {
-            if now.saturating_since(oldest.time) <= self.horizon {
-                break;
-            }
-            oldest.fold_into(&mut self.links[oldest.link as usize].retired);
+        while let Some(oldest) = self.rows.front().filter(|row| stale(row)) {
+            oldest.fold_into(&mut self.links[oldest.link() as usize].retired);
             self.rows.pop_front();
             self.retired += 1;
         }
@@ -460,7 +512,7 @@ impl Journal {
     /// recorded: those judged as the clock moved on, and now the rest.
     pub fn loops(&self) -> Vec<LoopFinding> {
         let mut loops = self.loops.clone();
-        self.judge_while(|_| true, |found| loops.push(found));
+        self.judge_while(|_| true, 0, |found| loops.push(found));
         loops
     }
 
@@ -475,7 +527,7 @@ impl Journal {
             // No walk comes to a retired row before a row retires.
             return 0;
         }
-        self.beyond_horizon + self.judge_while(|_| true, |_| {}).1
+        self.beyond_horizon + self.judge_while(|_| true, 0, |_| {}).1
     }
 
     /// Per link (by link index, up to the last link that carried an
@@ -485,7 +537,7 @@ impl Journal {
     pub fn link_usage(&self) -> Vec<LinkDataUsage> {
         let mut usage: Vec<LinkDataUsage> = self.links.iter().map(|l| l.retired).collect();
         for row in &self.rows {
-            row.fold_into(&mut usage[row.link as usize]);
+            row.fold_into(&mut usage[row.link() as usize]);
         }
         usage
     }
@@ -530,7 +582,7 @@ impl Journal {
     /// The event at `pos`, while the journal holds it.
     pub fn get(&self, pos: usize) -> Option<DataEvent> {
         let row = self.rows.get(pos.checked_sub(self.retired)?)?;
-        Some(self.view(row))
+        Some(self.view(pos, row))
     }
 
     /// The event recorded under `tag`, while the journal holds it.
@@ -543,6 +595,7 @@ impl Journal {
         Iter {
             journal: self,
             rows: self.rows.iter(),
+            pos: self.retired,
         }
     }
 
@@ -597,7 +650,7 @@ impl Journal {
                 left: CHAIN_GUARD,
             };
             while let Some((held, _)) = chain.step(self) {
-                self.rows[held].useful = true;
+                self.rows[held].link_useful |= USEFUL_BIT;
                 links += 1;
             }
             end = chain.end();
@@ -615,22 +668,34 @@ impl Journal {
         Settled { links, flags }
     }
 
-    fn view(&self, row: &Row) -> DataEvent {
+    /// The tag [`record`](Self::record) minted for `row`, held at `pos`:
+    /// its node's count, found by binary search in the node's table, which
+    /// keeps the position of every row held. Only the post-run and
+    /// explaining readers ask.
+    fn tag_at(&self, pos: usize, row: &Row) -> u64 {
+        let emitted = &self.by_node[row.node as usize];
+        let slot = emitted
+            .held
+            .binary_search(&(pos as u32))
+            .expect("a held row's position is in its node's table");
+        let newer = (emitted.held.len() - 1 - slot) as u32;
+        (u64::from(row.node) + 1) << 32 | u64::from(emitted.issued - newer)
+    }
+
+    fn view(&self, pos: usize, row: &Row) -> DataEvent {
         let parent = match row.parent {
             ORIGIN => None,
             at => {
                 let held = (at as usize).checked_sub(self.retired);
-                Some(
-                    held.and_then(|i| self.rows.get(i))
-                        .map_or(0, |parent| parent.id),
-                )
+                let parent = held.and_then(|i| self.rows.get(i));
+                Some(parent.map_or(0, |parent| self.tag_at(at as usize, parent)))
             }
         };
         DataEvent {
             pkt: row.pkt,
-            id: row.id,
+            id: self.tag_at(pos, row),
             parent,
-            link: LinkId(row.link),
+            link: LinkId(row.link()),
             time: row.time,
             size: row.size(),
             tunneled: row.tunneled(),
@@ -642,13 +707,17 @@ impl Journal {
 pub struct Iter<'a> {
     journal: &'a Journal,
     rows: std::collections::vec_deque::Iter<'a, Row>,
+    /// Position of the next row.
+    pos: usize,
 }
 
 impl Iterator for Iter<'_> {
     type Item = DataEvent;
 
     fn next(&mut self) -> Option<DataEvent> {
-        self.rows.next().map(|row| self.journal.view(row))
+        let row = self.rows.next()?;
+        self.pos += 1;
+        Some(self.journal.view(self.pos - 1, row))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -738,7 +807,8 @@ impl Iterator for Chain<'_> {
 
     fn next(&mut self) -> Option<(usize, DataEvent)> {
         let (held, row) = self.cursor.step(self.journal)?;
-        Some((self.journal.retired + held, self.journal.view(row)))
+        let pos = self.journal.retired + held;
+        Some((pos, self.journal.view(pos, row)))
     }
 }
 
@@ -818,11 +888,12 @@ fn unzigzag(code: u64, before: u64) -> u64 {
     before.wrapping_add(code >> 1 ^ (code & 1).wrapping_neg())
 }
 
-/// Every delivery a run recorded, in the order recorded, held as one
-/// append-only byte column and read back by value. A delivery is six LEB128
-/// varints: the zigzag delta of each of its [`Deltas`] against the
-/// delivery before it (zero before the first), then `via`'s low half
-/// shifted left by one with the first-copy flag in bit 0. Grown by
+/// Every delivery a run recorded, in the order recorded, with what its
+/// `via` came to, held as one append-only byte column and read back by
+/// value. A delivery is seven LEB128 varints: the zigzag delta of each of
+/// its [`Deltas`] against the delivery before it (zero before the first),
+/// then `via`'s low half shifted left by one with the first-copy flag in
+/// bit 0, then its [`Settled`] as `links << 2 | flags`. Grown by
 /// [`Recorder::record_delivery`] only.
 #[derive(Default)]
 pub struct Deliveries {
@@ -853,6 +924,12 @@ impl Deliveries {
 
     /// Every delivery, in the order recorded, by value.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Delivery> + '_ {
+        self.with_settled().map(|(d, _)| d)
+    }
+
+    /// Every delivery, in the order recorded, with what its `via` came to:
+    /// the one decode of the column a reader that wants both makes.
+    pub fn with_settled(&self) -> impl ExactSizeIterator<Item = (Delivery, Settled)> + '_ {
         Decode {
             bytes: &self.bytes,
             at: 0,
@@ -861,18 +938,22 @@ impl Deliveries {
         }
     }
 
-    fn push(&mut self, d: &Delivery) {
+    fn push(&mut self, d: &Delivery, settled: Settled) {
         let now = deltas(d);
         for (v, before) in now.into_iter().zip(self.base) {
             put_varint(&mut self.bytes, zigzag(v, before));
         }
         self.base = now;
         put_varint(&mut self.bytes, (d.via & VIA_LOW) << 1 | u64::from(d.first));
+        put_varint(
+            &mut self.bytes,
+            u64::from(settled.links) << 2 | u64::from(settled.flags),
+        );
         self.len += 1;
     }
 }
 
-/// [`Deliveries::iter`]: the column decoded front to back.
+/// [`Deliveries::with_settled`]: the column decoded front to back.
 struct Decode<'a> {
     bytes: &'a [u8],
     at: usize,
@@ -881,23 +962,29 @@ struct Decode<'a> {
 }
 
 impl Iterator for Decode<'_> {
-    type Item = Delivery;
+    type Item = (Delivery, Settled);
 
-    fn next(&mut self) -> Option<Delivery> {
+    fn next(&mut self) -> Option<(Delivery, Settled)> {
         self.left = self.left.checked_sub(1)?;
         for before in &mut self.base {
             *before = unzigzag(take_varint(self.bytes, &mut self.at), *before);
         }
         let low = take_varint(self.bytes, &mut self.at);
+        let settled = take_varint(self.bytes, &mut self.at);
         let [time, pkt, host, link, via_node] = self.base;
-        Some(Delivery {
+        let d = Delivery {
             pkt,
             host: NodeId(host as u32),
             link: LinkId(link as u32),
             time: SimTime::from_nanos(time),
             first: low & 1 != 0,
             via: via_node << 32 | low >> 1,
-        })
+        };
+        let settled = Settled {
+            links: (settled >> 2) as u8,
+            flags: (settled & 3) as u8,
+        };
+        Some((d, settled))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -908,8 +995,7 @@ impl Iterator for Decode<'_> {
 impl ExactSizeIterator for Decode<'_> {}
 
 /// What a delivery's `via` came to, settled as the delivery was recorded
-/// (two bytes beside each delivery, kept out of the column: readers index
-/// them by position).
+/// and coded beside it in the column ([`Deliveries::with_settled`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Settled {
     links: u8,
@@ -981,8 +1067,6 @@ pub struct Recorder {
     /// Sim-time-stamped gauge timelines (table occupancy, queue depth,
     /// link inflight, token-bucket level), sampled by the scenario.
     pub timeline: TimeSeriesSet,
-    /// Beside each of `deliveries`, what its `via` came to.
-    settled: Vec<Settled>,
     /// Beside each of `moves`, the latest emission onto `to` strictly
     /// before the move.
     before_arrival: Vec<Option<SimTime>>,
@@ -996,8 +1080,8 @@ impl Recorder {
     /// Record a delivery and settle it against the journal while the chain
     /// that delivered it is still held.
     pub fn record_delivery(&mut self, d: Delivery) {
-        self.settled.push(self.data_events.settle(d.via, d.first));
-        self.deliveries.push(&d);
+        let settled = self.data_events.settle(d.via, d.first);
+        self.deliveries.push(&d, settled);
     }
 
     /// Record a move at `m.time`, the run's clock, and with it the latest
@@ -1010,11 +1094,6 @@ impl Recorder {
         let latest = self.data_events.latest_before(m.to, m.time);
         self.before_arrival.push(latest);
         self.moves.push(m);
-    }
-
-    /// Beside each of `deliveries`, what its `via` came to.
-    pub fn settled(&self) -> &[Settled] {
-        &self.settled
     }
 
     /// Where the window a departure from `link` at `after` opens ends: at the
@@ -1132,7 +1211,7 @@ impl SharedRecorder {
     /// through `node_kit::span_open`, which also mirrors it into the trace.
     pub(crate) fn span_open(
         &self,
-        name: &str,
+        name: &'static str,
         node: NodeId,
         at: SimTime,
         parent: Option<SpanId>,
@@ -1144,7 +1223,7 @@ impl SharedRecorder {
     }
 
     /// Attach a typed attribute to a span.
-    pub fn span_annotate(&self, id: SpanId, key: &str, value: impl Into<FieldValue>) {
+    pub fn span_annotate(&self, id: SpanId, key: &'static str, value: impl Into<FieldValue>) {
         self.0.borrow_mut().spans.annotate(id, key, value);
     }
 
@@ -1169,7 +1248,7 @@ impl SharedRecorder {
     /// `journal.beyondHorizon` counter — present only when there were any.
     pub fn take(&self) -> Recorder {
         let mut taken = std::mem::take(&mut *self.0.borrow_mut());
-        taken.data_events.judge(|_| true);
+        taken.data_events.judge(|_| true, 0);
         let undecided = taken.data_events.beyond_horizon();
         if undecided > 0 {
             taken.counters.add("journal.beyondHorizon", undecided);
@@ -1269,7 +1348,7 @@ mod tests {
 
     #[test]
     fn an_emission_costs_one_packed_row_and_one_table_slot() {
-        assert!(std::mem::size_of::<Row>() <= 40);
+        assert_eq!(std::mem::size_of::<Row>(), 32);
         let mut j = Journal::default();
         assert_eq!((j.rows.capacity(), j.by_node.capacity()), (0, 0));
         for _ in 0..1000 {
@@ -1372,27 +1451,38 @@ mod tests {
         );
     }
 
-    /// Record `sent` and require the column to read it back exactly, by
-    /// `iter`, `first` and both lengths, after every delivery.
+    /// What the `n`-th delivery of [`reads_back`] settled to: every path
+    /// length up to the guard's, every flag.
+    fn settled_for(n: usize) -> Settled {
+        Settled {
+            links: (n * 29 % (CHAIN_GUARD + 1)) as u8,
+            flags: (n % 4) as u8,
+        }
+    }
+
+    /// Push `sent` and require the column to read it back exactly, by
+    /// `iter`, `with_settled`, `first` and both lengths, after every
+    /// delivery.
     fn reads_back(sent: &[Delivery]) {
         let show = |d: &Delivery| format!("{d:?}");
-        let mut rec = Recorder::default();
+        let mut held = Deliveries::default();
         for (n, d) in sent.iter().enumerate() {
-            rec.record_delivery(*d);
-            let held = &rec.deliveries;
+            held.push(d, settled_for(n));
             assert_eq!((held.len(), held.iter().len()), (n + 1, n + 1));
             let read: Vec<String> = held.iter().map(|d| show(&d)).collect();
             let want: Vec<String> = sent[..=n].iter().map(show).collect();
             assert_eq!(read, want, "after {} deliveries", n + 1);
             assert_eq!(held.first().map(|d| show(&d)), Some(show(&sent[0])));
+            let settled: Vec<Settled> = held.with_settled().map(|(_, s)| s).collect();
+            assert_eq!(settled, (0..=n).map(settled_for).collect::<Vec<_>>());
         }
-        assert_eq!(rec.settled().len(), sent.len());
     }
 
     /// Three deliveries that took a 32-byte row each read back as recorded
-    /// and take 32 bytes of column together: 11 (`host` `u32::MAX` takes
-    /// five, `via`'s node half two), 15 (the time's delta of 2⁶³ − 1 ns
-    /// takes ten) and 6 (a byte a field).
+    /// and take 35 bytes of column together: 12 (`host` `u32::MAX` takes
+    /// five, `via`'s node half two), 16 (the time's delta of 2⁶³ − 1 ns
+    /// takes ten) and 7 (a byte a field); the last byte of each is what its
+    /// `via` settled to.
     #[test]
     fn a_delivery_row_is_32_bytes_and_reads_back_as_recorded() {
         let last = SimTime::from_nanos((1 << 63) - 1);
@@ -1414,7 +1504,7 @@ mod tests {
                 rec.deliveries.column_bytes()
             })
             .collect();
-        assert_eq!(bytes, [11, 26, 32]);
+        assert_eq!(bytes, [12, 28, 35]);
     }
 
     #[test]

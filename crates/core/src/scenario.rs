@@ -7,7 +7,7 @@
 //! setters. [`stage`] is the one validation gate: it rejects an
 //! inconsistent knob combination as a [`StageError`] before a run starts.
 
-use crate::analysis::{analyze, RunReport};
+use crate::analysis::{analyze_with_delays, RunReport};
 use crate::builder::{BuiltNetwork, HostSpec, NetworkSpec};
 use crate::host_node::{HostConfig, HostNode, SenderApp};
 use crate::recorder::{Recorder, IN_FLIGHT_TAIL};
@@ -742,7 +742,10 @@ fn finish(cfg: &ScenarioConfig, out: RunOutput) -> (ScenarioResult, Recorder) {
         ..
     } = out;
     let world = &net.world;
-    let analysis = analyze(&rec, &net.graph, net.links.len());
+    let mut series = rec.series.clone();
+    let analysis = analyze_with_delays(&rec, &net.graph, net.links.len(), |delay| {
+        series.record("e2e_delay", delay)
+    });
 
     // Close out the causal timeline at the run horizon (spans still open
     // are flagged `unfinished`) and fold closed durations into the
@@ -758,7 +761,6 @@ fn finish(cfg: &ScenarioConfig, out: RunOutput) -> (ScenarioResult, Recorder) {
 
     let mut counters = rec.counters.clone();
     counters.merge(world.counters());
-    let mut series = rec.series.clone();
     series.record("seed", cfg.seed as f64);
 
     // Per-node MIB snapshot: counters the behaviors keep themselves merged

@@ -756,14 +756,16 @@ mod retiring {
     }
 
     /// Drive a recorder whose journal keeps `horizon_ticks` and the model
-    /// with the script `ops` spells, and compare them. With `stale_causes`
-    /// off every cause named is one whose whole chain the journal still
-    /// holds, and nothing may be counted beyond the horizon.
+    /// with the script `ops` spells, and compare them after every
+    /// `compare_every`-th step and the last. With `stale_causes` off every
+    /// cause named is one whose whole chain the journal still holds, and
+    /// nothing may be counted beyond the horizon.
     fn check(
         ops: &[u64],
         horizon_ticks: u64,
         stale_causes: bool,
         mutant: Mutant,
+        compare_every: usize,
     ) -> Result<(), String> {
         let horizon = horizon_ticks * TICK;
         let mut rec = Recorder::default();
@@ -800,7 +802,7 @@ mod retiring {
         let mut at_link: Vec<LinkId> = homes.iter().map(|(_, l)| *l).collect();
         let mut now = 0;
 
-        for &op in ops {
+        for (step, &op) in ops.iter().enumerate() {
             now += [0, 0, 0, 1, 1, 2, 3, 8][(op & 7) as usize] * TICK;
             let pick = (op >> 44) as usize;
             let kind = (op >> 3) % 10;
@@ -882,6 +884,21 @@ mod retiring {
                     model.advance(now);
                 }
             }
+            if (step + 1) % compare_every != 0 && step + 1 != ops.len() {
+                continue;
+            }
+            // Every row held shows the tag `record` minted for it, and its
+            // parent's while that is held — after every trim of the node
+            // tables too, which the tags are derived from.
+            let retired = rec.data_events.retired();
+            for (pos, ev) in (retired..).zip(rec.data_events.iter()) {
+                ensure_eq!(ev.id, issued[pos], "the tag of row {pos}");
+                let parent = model.rows[pos].parent.map(|cause| match cause {
+                    Ok(at) if at >= retired => issued[at],
+                    _ => 0,
+                });
+                ensure_eq!(ev.parent, parent, "the parent tag of row {pos}");
+            }
             // Rows ever recorded, and causes lost: exact, always.
             let (loops, lost) = model.loops_and_lost_now();
             ensure_eq!(rec.data_events.len(), model.rows.len(), "len()");
@@ -902,15 +919,15 @@ mod retiring {
 
         if lost == 0 {
             let settled: Vec<ModelSettled> = rec
-                .settled()
-                .iter()
-                .map(|s| ModelSettled {
+                .deliveries
+                .with_settled()
+                .map(|(_, s)| ModelSettled {
                     tunneled: s.tunneled(),
                     path_links: s.path_links(),
                     whole: s.whole(),
                 })
                 .collect();
-            ensure_eq!(settled, model.settled, "settled()");
+            ensure_eq!(settled, model.settled, "with_settled()");
         }
 
         // Both leave-delay readers, whatever retired.
@@ -987,7 +1004,7 @@ mod retiring {
             ops in proptest::collection::vec(any::<u64>(), 1..150),
             horizon_ticks in 0u64..12,
         ) {
-            if let Err(why) = check(&ops, horizon_ticks, false, Mutant::None) {
+            if let Err(why) = check(&ops, horizon_ticks, false, Mutant::None, 1) {
                 panic!("{why}");
             }
         }
@@ -1001,8 +1018,46 @@ mod retiring {
             ops in proptest::collection::vec(any::<u64>(), 1..150),
             horizon_ticks in 0u64..12,
         ) {
-            if let Err(why) = check(&ops, horizon_ticks, true, Mutant::None) {
+            if let Err(why) = check(&ops, horizon_ticks, true, Mutant::None, 1) {
                 panic!("{why}");
+            }
+        }
+    }
+
+    /// Rows a move of the journal's clock judges before they fall due, once
+    /// that many wait (`recorder::JUDGED_AHEAD`).
+    const JUDGED_AHEAD: usize = 16_384;
+
+    /// `ops` with `ops[lead..lead + burst]` turned into emissions at one
+    /// instant (no clock step, kind 0) and every other step one tick on,
+    /// so that some move comes between a cause retiring and the rows that
+    /// reach it falling due; everything else as drawn.
+    fn bursty(ops: &[u64], lead: usize, burst: usize) -> Vec<u64> {
+        let at_once = |op: u64| (op - (((op >> 3) % 10) << 3)) & !7;
+        let ops = ops.iter().enumerate();
+        ops.map(|(i, &op)| match i >= lead && i < lead + burst {
+            true => at_once(op),
+            false => op & !7 | 3,
+        })
+        .collect()
+    }
+
+    /// A flood: more rows than a move judges ahead, at one instant, chained
+    /// to causes from any time — some further back than half a horizon, so
+    /// that judging ahead stops at them — then the clock moving on. Judged
+    /// ahead, a batch at a time, or all together by the move they fall due
+    /// in, every answer is the one judging them as they fell due gives.
+    #[test]
+    fn a_flood_judged_ahead_answers_as_if_judged_as_it_fell_due() {
+        let mut rng = proptest::test_runner::TestRng::for_test("flood").0;
+        let words =
+            proptest::collection::vec(any::<u64>(), JUDGED_AHEAD + 1_200..JUDGED_AHEAD + 1_201);
+        for case in 0..4u64 {
+            let lead = 20 + case as usize * 7;
+            let ops = bursty(&words.generate(&mut rng), lead, JUDGED_AHEAD + 1_000);
+            let horizon_ticks = [1, 4, 7, 11][case as usize];
+            if let Err(why) = check(&ops, horizon_ticks, true, Mutant::None, 2_003) {
+                panic!("case {case}: {why}");
             }
         }
     }
@@ -1072,7 +1127,7 @@ mod retiring {
         let scripts = proptest::collection::vec(any::<u64>(), 1..150);
         let caught = (0..64).filter(|case| {
             let ops = scripts.generate(&mut rng);
-            check(&ops, case % 12, case % 2 == 0, mutant).is_err()
+            check(&ops, case % 12, case % 2 == 0, mutant, 1).is_err()
         });
         caught.count()
     }

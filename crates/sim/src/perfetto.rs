@@ -25,14 +25,14 @@ fn span_event(s: &SpanRecord) -> Value {
         args["parent"] = json!(p.0);
     }
     for (k, v) in &s.attrs {
-        args[k.as_str()] = v.to_json_value();
+        args[*k] = v.to_json_value();
     }
     let end = s.end_ns.unwrap_or(s.start_ns);
     json!({
         "ph": "X",
         "pid": PID,
         "tid": s.node,
-        "name": s.name.as_str(),
+        "name": s.name,
         "cat": "span",
         "ts": us(s.start_ns),
         "dur": us(end.saturating_sub(s.start_ns)),

@@ -41,7 +41,8 @@ impl fmt::Display for SpanId {
     }
 }
 
-/// One recorded span.
+/// One recorded span. Its name and attribute keys are the literals node
+/// glue passes, so a span holds no string of its own but a `Str` value.
 #[derive(Clone, Debug, Serialize)]
 pub struct SpanRecord {
     /// Stable id, unique within the run.
@@ -49,7 +50,7 @@ pub struct SpanRecord {
     /// Enclosing span, if any.
     pub parent: Option<SpanId>,
     /// Span name (a stable phase identifier such as `handoff` or `bu`).
-    pub name: String,
+    pub name: &'static str,
     /// Node the span belongs to (`usize::MAX as u64` = global).
     pub node: u64,
     /// Open time, nanoseconds of sim time.
@@ -57,7 +58,7 @@ pub struct SpanRecord {
     /// Close time; `None` while still open (force-closed at run end).
     pub end_ns: Option<u64>,
     /// Typed attributes, in annotation order.
-    pub attrs: Vec<(String, FieldValue)>,
+    pub attrs: Vec<(&'static str, FieldValue)>,
 }
 
 impl SpanRecord {
@@ -79,7 +80,16 @@ impl SpanRecord {
 
     /// First attribute with the given key.
     pub fn attr(&self, key: &str) -> Option<&FieldValue> {
-        self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    /// Append an attribute. Most spans carry one, so the first gets room
+    /// for exactly one.
+    fn push_attr(&mut self, key: &'static str, value: FieldValue) {
+        if self.attrs.capacity() == 0 {
+            self.attrs.reserve_exact(1);
+        }
+        self.attrs.push((key, value));
     }
 }
 
@@ -97,7 +107,13 @@ pub struct SpanBook {
 
 impl SpanBook {
     /// Open a span at `at`; returns its id.
-    pub fn open(&mut self, name: &str, node: u64, at: SimTime, parent: Option<SpanId>) -> SpanId {
+    pub fn open(
+        &mut self,
+        name: &'static str,
+        node: u64,
+        at: SimTime,
+        parent: Option<SpanId>,
+    ) -> SpanId {
         let seq = self.opened.entry(node).or_insert(0);
         *seq += 1;
         let id = SpanId::derive(node, *seq);
@@ -105,7 +121,7 @@ impl SpanBook {
         self.spans.push(SpanRecord {
             id,
             parent,
-            name: name.to_owned(),
+            name,
             node,
             start_ns: at.as_nanos(),
             end_ns: None,
@@ -116,9 +132,9 @@ impl SpanBook {
 
     /// Attach a typed attribute to an existing span. Unknown ids are
     /// ignored (the span may have been dropped by a bounded collector).
-    pub fn annotate(&mut self, id: SpanId, key: &str, value: impl Into<FieldValue>) {
+    pub fn annotate(&mut self, id: SpanId, key: &'static str, value: impl Into<FieldValue>) {
         if let Some(s) = self.get_mut(id) {
-            s.attrs.push((key.to_owned(), value.into()));
+            s.push_attr(key, value.into());
         }
     }
 
@@ -140,8 +156,7 @@ impl SpanBook {
         for s in &mut self.spans {
             if s.end_ns.is_none() {
                 s.end_ns = Some(t.max(s.start_ns));
-                s.attrs
-                    .push(("unfinished".to_owned(), FieldValue::Bool(true)));
+                s.push_attr("unfinished", FieldValue::Bool(true));
                 n += 1;
             }
         }
@@ -247,5 +262,34 @@ mod tests {
         assert!(json.contains(&format!("\"id\":{}", a.0)), "{json}");
         assert!(json.contains("\"start_ns\":1000000000"), "{json}");
         assert!(json.contains("bidir-tunnel"), "{json}");
+    }
+
+    /// A book's serialized bytes, pinned: names, attributes of every value
+    /// kind in annotation order, a span force-closed as `unfinished`, the
+    /// global pseudo-node and a parent link.
+    #[test]
+    fn a_book_serializes_to_these_bytes() {
+        let mut book = SpanBook::default();
+        let h = book.open("handoff", 1, SimTime::from_secs(1), None);
+        book.annotate(h, "policy", "bidir-tunnel");
+        book.annotate(h, "to_link", 6u64);
+        let g = book.open("delivery_gap", 2, SimTime::from_millis(1_500), Some(h));
+        book.annotate(g, "gap_s", 0.25);
+        book.annotate(g, "superseded", true);
+        book.close(g, SimTime::from_millis(1_750));
+        book.open("run", u64::MAX, SimTime::ZERO, None);
+        assert_eq!(book.close_open(SimTime::from_secs(3)), 2);
+        let json = serde_json::to_string(book.records()).unwrap();
+        let want = concat!(
+            r#"[{"id":8589934593,"parent":null,"name":"handoff","node":1,"#,
+            r#""start_ns":1000000000,"end_ns":3000000000,"attrs":[["policy","bidir-tunnel"],"#,
+            r#"["to_link",6],["unfinished",true]]},"#,
+            r#"{"id":12884901889,"parent":8589934593,"name":"delivery_gap","node":2,"#,
+            r#""start_ns":1500000000,"end_ns":1750000000,"attrs":[["gap_s",0.25],"#,
+            r#"["superseded",true]]},"#,
+            r#"{"id":1,"parent":null,"name":"run","node":18446744073709551615,"#,
+            r#""start_ns":0,"end_ns":3000000000,"attrs":[["unfinished",true]]}]"#,
+        );
+        assert_eq!(json, want);
     }
 }

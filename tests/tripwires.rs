@@ -113,8 +113,8 @@ const TRIPWIRES: &[Tripwire] = &[
         why: "The journal's layout (parent positions, the chain guard, which rows it still \
               holds) is known in core::recorder only (DESIGN.md, \"Recorder: the causal \
               ground truth\"): readers ask what was settled as the run went \
-              (Journal::loops / link_usage, Recorder::settled / latest_emission / sent_in / \
-              copies).",
+              (Journal::loops / link_usage, Deliveries::with_settled, \
+              Recorder::latest_emission / sent_in / copies).",
         pr: 23,
         sample: "let up = journal.parent_pos(row);",
     },
