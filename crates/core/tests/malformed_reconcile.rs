@@ -1,16 +1,16 @@
-//! Ground-truth reconciliation for the adversarial fault model: the
-//! per-node MIB counters that the hardened receive paths keep
-//! (`framesMalformed`, `framesCorruptedOnLink`) must agree exactly with
-//! the recorder's aggregate ground truth — every typed decode error is
-//! counted once, no error path is double-counted and none is silent.
+//! Reconciliation for the adversarial fault model: the per-node MIB
+//! counters that the hardened receive paths keep (`framesMalformed`,
+//! `framesCorruptedOnLink`) must agree exactly with the run's per-path
+//! decode-error totals — every typed decode error is counted once, no
+//! error path is double-counted and none is silent.
 
 use mobicast_core::scenario::{PaperHost, ScenarioBuilder, ScenarioConfig};
 use mobicast_core::{scenario, strategy::Policy};
 use mobicast_net::{CorruptionModel, FaultPlan, FaultWindow, LinkFault, LossModel};
 use mobicast_sim::SimDuration;
 
-/// Recorder counter names that increment in lockstep with the
-/// `framesMalformed` MIB counter (one per hardened decode entry point).
+/// Run totals that increment in lockstep with the `framesMalformed` MIB
+/// counter (one per hardened decode entry point).
 const MALFORMED_SOURCES: [&str; 7] = [
     "router.decode_errors",
     "router.pim_decode_errors",
@@ -68,15 +68,15 @@ fn malformed_counters_reconcile_with_recorder_ground_truth() {
         "per-node corruption attribution disagrees with the world counter"
     );
 
-    // Every framesMalformed increment has exactly one recorder-side
-    // ground-truth counter increment, and vice versa.
+    // Every framesMalformed increment has exactly one per-path decode-error
+    // increment, and vice versa.
     let ground_truth: u64 = MALFORMED_SOURCES
         .iter()
         .map(|n| r.report.counters.get(n))
         .sum();
     assert_eq!(
         malformed, ground_truth,
-        "framesMalformed MIB total diverges from recorder ground truth"
+        "framesMalformed MIB total diverges from the per-path totals"
     );
 
     // The run itself must stay legal and reconverge once the window ends.

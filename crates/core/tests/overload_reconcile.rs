@@ -1,9 +1,9 @@
-//! Ground-truth reconciliation for the overload/admission-control model:
-//! every per-node MIB counter the budgeted tables keep (sheds, rate-limit
-//! drops) must agree exactly with the recorder's aggregate
-//! ground truth — every admission decision is counted once, no decision
-//! path is double-counted and none is silent — and the high-water gauges
-//! must respect the configured budgets at every router.
+//! Reconciliation for the overload/admission-control model: every per-node
+//! MIB counter the budgeted tables keep (sheds, rate-limit drops), summed
+//! over the per-node snapshot, must equal the run total the name table
+//! folds it into — every admission decision is counted once, under its own
+//! decision path — and the high-water gauges must respect the configured
+//! budgets at every router.
 
 use mobicast_core::router_node::ResourceBudget;
 use mobicast_core::scenario::{PaperHost, ScenarioConfig};
@@ -11,8 +11,8 @@ use mobicast_core::{scenario, strategy::Policy};
 use mobicast_net::{FaultPlan, StormModel};
 use mobicast_sim::{RateLimit, SimDuration};
 
-/// (per-node MIB counter, recorder ground-truth counter) pairs that must
-/// increment in lockstep — one per admission-control decision path.
+/// (per-node MIB counter, run total) pairs that must agree — one per
+/// admission-control decision path.
 const OVERLOAD_PAIRS: [(&str, &str); 6] = [
     ("mldReportsShed", "overload.mld_listeners_shed"),
     ("pimSgShed", "overload.pim_sg_shed"),
@@ -65,13 +65,13 @@ fn overload_counters_reconcile_under_reject_new() {
 
     let node_total = |key: &str| -> u64 { r.report.node_stats.values().map(|c| c.get(key)).sum() };
 
-    // Every MIB increment has exactly one recorder-side ground-truth
-    // increment, and vice versa — per decision path, not just in total.
+    // The run's totals are the per-node counts — per decision path, not
+    // just in total.
     for (mib, truth) in OVERLOAD_PAIRS {
         assert_eq!(
             node_total(mib),
             r.report.counters.get(truth),
-            "{mib} diverges from recorder ground truth {truth}"
+            "{mib} diverges from the run total {truth}"
         );
     }
 

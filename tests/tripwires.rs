@@ -359,6 +359,27 @@ const TRIPWIRES: &[Tripwire] = &[
         pr: 45,
         sample: "let drift = diff_report_values(&old, &new);",
     },
+    Tripwire {
+        name: "A node counts into its own store",
+        greps: &[grep(
+            &[
+                "bump!(self.recorder",
+                "self.recorder.bump(",
+                "bump!(recorder,",
+            ],
+            &[
+                "crates/core/src/router_node.rs",
+                "crates/core/src/host_node.rs",
+                "crates/core/src/node_kit.rs",
+            ],
+        )],
+        why: "A node counts each event once, into its own counters (DESIGN.md \"Per-node \
+              MIB counters\"); the run's totals are node_kit::retire's fold of every store \
+              through the name table, at run end and at a router's crash. A \
+              recorder bump beside a MIB bump counts the same event twice.",
+        pr: 51,
+        sample: "bump!(self.recorder, \"host.data_sent\");",
+    },
 ];
 
 /// Do a needle's edge character and its neighbour on the line run one
@@ -491,6 +512,7 @@ fn every_row_flags_its_sample() {
             "Timers as the drafts fix them",
             "Mobile IPv6 as specified",
             "One results gate",
+            "A node counts into its own store",
         ]
     );
     let distinct: BTreeSet<&str> = names.iter().copied().collect();
