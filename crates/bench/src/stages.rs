@@ -11,7 +11,8 @@
 //! (`VmHWM`) before the workload, once its first run is staged and after
 //! its last run: memory by stage, cumulative across workloads unless one
 //! is picked. Beside them, the deliveries its runs recorded and the bytes
-//! each takes in the recorder's column, and the longest handler's duration
+//! each takes in the recorder's column, the most rows one run's journal
+//! held at once and the bytes a row takes, and the longest handler's duration
 //! group ([`SimProfile::longest_handler_under_ns`]); under those, the spans
 //! its runs held at their end, by name. Wall-clock and memory numbers:
 //! stdout only, nothing is written under `results/`.
@@ -20,7 +21,7 @@
 //! default.
 
 use mobicast_core::builder::NetworkSpec;
-use mobicast_core::recorder::Recorder;
+use mobicast_core::recorder::{Journal, Recorder};
 use mobicast_core::run;
 use mobicast_core::scenario::{self, PaperHost, ScenarioConfig};
 use mobicast_core::stress::{StressRunOptions, StressSpec};
@@ -41,8 +42,9 @@ pub const WORKLOADS: [&str; 5] = [
 /// `(count, total ns)` per handler category and per stage, summed over
 /// the runs of one workload, the wall time spent staging them, the peak
 /// resident set (MB) when its first run was staged and after its last, the
-/// deliveries recorded and their column bytes, the upper edge of the
-/// longest handler's duration group, and the spans held, by name.
+/// deliveries recorded and their column bytes, the most journal rows one
+/// run held at once, the upper edge of the longest handler's duration
+/// group, and the spans held, by name.
 #[derive(Default)]
 struct Sum {
     events: u64,
@@ -53,6 +55,7 @@ struct Sum {
     run_mb: f64,
     deliveries: usize,
     column_bytes: usize,
+    journal_rows_peak: usize,
     longest_under_ns: u64,
     spans: BTreeMap<&'static str, usize>,
 }
@@ -78,6 +81,9 @@ impl Sum {
         self.run_mb = peak_rss_mb();
         self.deliveries += rec.deliveries.len();
         self.column_bytes += rec.deliveries.column_bytes();
+        self.journal_rows_peak = self
+            .journal_rows_peak
+            .max(rec.data_events.rows_high_water());
         self.longest_under_ns = self.longest_under_ns.max(p.longest_handler_under_ns);
         for span in rec.spans.records() {
             *self.spans.entry(span.name).or_default() += 1;
@@ -227,13 +233,16 @@ pub fn main(seed: u64, only: Option<String>) {
         );
         println!(
             "{:<15} staging ms: {:.1}; VmHWM MB: {start_mb:.1} before, {:.1} staged, {:.1} run; \
-             deliveries: {} at {:.1} B each; longest handler: {:.3}-{:.3} ms",
+             deliveries: {} at {:.1} B each; journal rows at peak: {} at {} B each; \
+             longest handler: {:.3}-{:.3} ms",
             "",
             sum.staging.as_secs_f64() * 1e3,
             sum.staged_mb.unwrap_or(0.0),
             sum.run_mb,
             sum.deliveries,
             sum.column_bytes as f64 / sum.deliveries.max(1) as f64,
+            sum.journal_rows_peak,
+            Journal::ROW_BYTES,
             ms(sum.longest_under_ns / 2),
             ms(sum.longest_under_ns),
         );

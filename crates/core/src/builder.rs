@@ -259,6 +259,7 @@ pub fn build(
     let rng = RngFactory::new(seed);
     let recorder = Recorder::new_shared();
     recorder.set_journal_horizon(JOURNAL_HORIZON);
+    recorder.drop_closed_spans(true);
     let mut world = World::with_tracer(tracer);
 
     let links: Vec<LinkId> = (0..spec.n_links)

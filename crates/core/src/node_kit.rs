@@ -324,10 +324,17 @@ pub(crate) const HOST_TOTALS: &[(&str, &str)] = &[
 
 /// Add node `node`'s store to the run's counters: a dotted name as it
 /// stands, a MIB name under its run name in its role's half of the name
-/// table. For every node at run end, for a router before a crash drops it.
+/// table, and a router's per-data-frame count, kept beside its store, once
+/// it is above 0. For every node at run end, for a router before a crash
+/// drops it.
 pub(crate) fn retire(world: &World, node: NodeId, recorder: &SharedRecorder) {
     let (table, store) = match world.behavior::<crate::router_node::RouterNode>(node) {
-        Some(router) => (ROUTER_TOTALS, router.mib()),
+        Some(router) => {
+            if router.data_processed > 0 {
+                recorder.count("router.mcast_data_processed", router.data_processed);
+            }
+            (ROUTER_TOTALS, router.mib())
+        }
         None => match world.behavior::<crate::host_node::HostNode>(node) {
             Some(host) => (HOST_TOTALS, host.mib()),
             None => return,

@@ -105,11 +105,12 @@ const DANGLING: u32 = u32::MAX - 1;
 /// `Row::parent` of an event whose parent had retired; what a walk's
 /// cursor reads once it steps onto a retired position.
 const RETIRED: u32 = u32::MAX - 2;
-/// The bit of `Row::size_tunneled` that holds the tunnelled flag.
-const TUNNELED_BIT: u32 = 1 << 31;
-/// The bit of `Row::link_useful` that marks a row on the path of some first
-/// delivery: no link index below 2³¹ uses it.
+/// The bit of `Row::link_flags` that marks a row on the path of some first
+/// delivery.
 const USEFUL_BIT: u32 = 1 << 31;
+/// The bit of `Row::link_flags` that holds the tunnelled flag: no link
+/// index below 2³⁰ uses it or [`USEFUL_BIT`].
+const TUNNELED_BIT: u32 = 1 << 30;
 /// Table slots a node gets when it first emits. A node that forwards the
 /// stream once goes on forwarding it; starting at `Vec`'s own 4 slots, a
 /// thousand routers' tables doubling their way up leave 16 … 512-byte holes
@@ -151,52 +152,72 @@ pub(crate) const JOURNAL_HORIZON: SimDuration = SimDuration::from_secs(5);
 /// this many nothing measurable, for a longest handler of 4.2–8.4 ms.
 const JUDGED_AHEAD: usize = 16_384;
 
+/// The newest kinds a row's datagram and size are looked for among before a
+/// kind is minted for them. A tunnel interleaves a datagram's native and
+/// encapsulated copies, two kinds: looking among two already mints one kind
+/// per `(pkt, size)` on `roam_tunnel` and `metro_flood` at seeds 11 and 29,
+/// on a Figure-1 run under each policy and on the chaos plans of seeds 11
+/// and 12; four leaves room for more copies in flight. A kind is reused only while it is this new, so the kinds held
+/// are at most this many more than the rows held: the oldest kind held has
+/// a row held, and fewer than this many kinds were minted between its mint
+/// and that row.
+const KIND_SCAN: usize = 4;
+
 /// The least room a journal's ring shrinks to: a quiet run's few rows are
 /// not worth a shrink and a regrowth.
 const RING_FLOOR: usize = 4_096;
 
-/// One journal entry, packed into 32 bytes: what [`DataEvent`] shows, with
-/// the emitting node in place of the tag (the tag is derived from the
-/// node's table, [`Journal::tag_at`]), the parent as a position (or
-/// [`ORIGIN`] / [`DANGLING`] / [`RETIRED`]), the tunnelled flag in the top
-/// bit of the size and, in the top bit of the link, whether the row lies on
-/// the path of some first delivery.
+/// One journal entry, packed into 24 bytes: what [`DataEvent`] shows, with
+/// the datagram and frame size as a [`Kind`], the emitting node in place of
+/// the tag (the tag is derived from the node's table, [`Journal::tag_at`]),
+/// the parent as a position (or [`ORIGIN`] / [`DANGLING`] / [`RETIRED`])
+/// and, in the top two bits of the link, whether the row lies on the path
+/// of some first delivery and whether the frame was tunnelled.
 #[derive(Clone, Copy)]
 struct Row {
-    pkt: PacketId,
     time: SimTime,
+    /// Absolute index into the journal's kind table.
+    kind: u32,
     node: u32,
     parent: u32,
-    link_useful: u32,
-    size_tunneled: u32,
+    link_flags: u32,
 }
 
 impl Row {
     fn tunneled(&self) -> bool {
-        self.size_tunneled & TUNNELED_BIT != 0
-    }
-
-    fn size(&self) -> u32 {
-        self.size_tunneled & !TUNNELED_BIT
+        self.link_flags & TUNNELED_BIT != 0
     }
 
     fn link(&self) -> u32 {
-        self.link_useful & !USEFUL_BIT
+        self.link_flags & !(USEFUL_BIT | TUNNELED_BIT)
     }
 
     fn useful(&self) -> bool {
-        self.link_useful & USEFUL_BIT != 0
+        self.link_flags & USEFUL_BIT != 0
     }
+}
 
-    fn fold_into(&self, usage: &mut LinkDataUsage) {
-        let (bytes, frames) = if self.useful() {
-            (&mut usage.useful_bytes, &mut usage.useful_frames)
-        } else {
-            (&mut usage.wasted_bytes, &mut usage.wasted_frames)
-        };
-        *bytes += u64::from(self.size());
-        *frames += 1;
-    }
+/// Add `row`'s `size`-byte frame to the useful or wasted total of `usage`.
+fn tally(usage: &mut LinkDataUsage, row: &Row, size: u32) {
+    let (bytes, frames) = if row.useful() {
+        (&mut usage.useful_bytes, &mut usage.useful_frames)
+    } else {
+        (&mut usage.wasted_bytes, &mut usage.wasted_frames)
+    };
+    *bytes += u64::from(size);
+    *frames += 1;
+}
+
+/// What the rows of one datagram in one frame size share: a fan-out records
+/// many rows of one kind in a row, a tunnel its encapsulated copies under a
+/// second, interleaved with the first.
+#[derive(Clone, Copy)]
+struct Kind {
+    pkt: PacketId,
+    size: u32,
+    /// Position of the latest row of the kind: once it retires, so may the
+    /// kind.
+    last: u32,
 }
 
 /// One node's tag table: the positions of its emissions in its own emission
@@ -251,6 +272,12 @@ pub struct Journal {
     /// The live rows, oldest first; `rows[0]` has position `retired`.
     rows: VecDeque<Row>,
     retired: usize,
+    /// The most rows held at once.
+    rows_high_water: usize,
+    /// The kinds the rows held name, oldest first; `kinds[0]` has index
+    /// `kinds_retired`. A kind retires, oldest first, once its last row has.
+    kinds: VecDeque<Kind>,
+    kinds_retired: usize,
     /// Position of the oldest row not yet judged for loop-freedom.
     judged: usize,
     horizon: SimDuration,
@@ -268,6 +295,9 @@ impl Default for Journal {
         Journal {
             rows: VecDeque::new(),
             retired: 0,
+            rows_high_water: 0,
+            kinds: VecDeque::new(),
+            kinds_retired: 0,
             judged: 0,
             horizon: SimDuration::MAX,
             clock: SimTime::ZERO,
@@ -287,9 +317,9 @@ impl Journal {
     /// (`None` at an origin).
     ///
     /// # Panics
-    /// When `time` is before the journal's clock, `size` or the link index
-    /// does not fit in 31 bits, or the journal has recorded as many events
-    /// as a `u32` position can address.
+    /// When `time` is before the journal's clock, the link index does not
+    /// fit in 30 bits, or the journal has recorded as many events as a `u32`
+    /// position can address.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
@@ -308,17 +338,14 @@ impl Journal {
             "journal full: {events} events recorded, a position must stay below {RETIRED}"
         );
         assert!(
-            size < TUNNELED_BIT,
-            "frame size {size} does not fit beside the tunnelled bit"
-        );
-        assert!(
-            link.0 < USEFUL_BIT,
-            "link index {} does not fit beside the useful bit",
+            link.0 < TUNNELED_BIT,
+            "link index {} does not fit beside the tunnelled and useful bits",
             link.0
         );
         // Positions are below RETIRED, so the cast is exact.
         let pos = events as u32;
         let parent = parent.map_or(ORIGIN, |tag| self.resolve(tag));
+        let kind = self.kind_of(pkt, size, pos);
 
         if self.by_node.len() <= node.index() {
             self.by_node.resize_with(node.index() + 1, Emitted::default);
@@ -348,14 +375,42 @@ impl Journal {
         }
 
         self.rows.push_back(Row {
-            pkt,
             time,
+            kind,
             node: node.0,
             parent,
-            link_useful: link.0,
-            size_tunneled: size | if tunneled { TUNNELED_BIT } else { 0 },
+            link_flags: link.0 | if tunneled { TUNNELED_BIT } else { 0 },
         });
+        self.rows_high_water = self.rows_high_water.max(self.rows.len());
         id
+    }
+
+    /// The kind of an emission of `pkt` in a `size`-byte frame, recorded at
+    /// `pos`: one of the [`KIND_SCAN`] newest when one is it, else a new one.
+    fn kind_of(&mut self, pkt: PacketId, size: u32, pos: u32) -> u32 {
+        let held = self.kinds.len();
+        let newest = held.saturating_sub(KIND_SCAN)..held;
+        let found = newest.rev().find(|&at| {
+            let kind = &self.kinds[at];
+            kind.pkt == pkt && kind.size == size
+        });
+        let at = found.unwrap_or_else(|| {
+            self.kinds.push_back(Kind {
+                pkt,
+                size,
+                last: pos,
+            });
+            held
+        });
+        self.kinds[at].last = pos;
+        // Kinds are minted no more often than rows: the index fits beside a
+        // position.
+        (self.kinds_retired + at) as u32
+    }
+
+    /// The kind `row` names: held while the row is.
+    fn kind(&self, row: &Row) -> &Kind {
+        &self.kinds[row.kind as usize - self.kinds_retired]
     }
 
     /// Walk the ancestors of the native emission `row` for a native one on
@@ -410,7 +465,7 @@ impl Journal {
                 match end {
                     None => found(LoopFinding {
                         time: row.time,
-                        pkt: row.pkt,
+                        pkt: self.kind(row).pkt,
                         link: LinkId(row.link()),
                     }),
                     Some(ChainEnd::Retired) => lost += 1,
@@ -466,10 +521,23 @@ impl Journal {
         if ahead > 0 || self.rows.get(self.judged - self.retired).is_some_and(due) {
             self.judge(due, ahead);
         }
-        while let Some(oldest) = self.rows.front().filter(|row| stale(row)) {
-            oldest.fold_into(&mut self.links[oldest.link() as usize].retired);
+        while let Some(&oldest) = self.rows.front().filter(|row| stale(row)) {
+            let size = self.kind(&oldest).size;
+            tally(
+                &mut self.links[oldest.link() as usize].retired,
+                &oldest,
+                size,
+            );
             self.rows.pop_front();
             self.retired += 1;
+        }
+        while self
+            .kinds
+            .front()
+            .is_some_and(|k| (k.last as usize) < self.retired)
+        {
+            self.kinds.pop_front();
+            self.kinds_retired += 1;
         }
         // Give back what a burst grew: a ring less than a quarter full
         // shrinks to twice what it holds. A resize copies no more rows than
@@ -507,6 +575,20 @@ impl Journal {
         self.rows.capacity()
     }
 
+    /// The most rows held at once.
+    pub fn rows_high_water(&self) -> usize {
+        self.rows_high_water
+    }
+
+    /// The bytes a held row takes in the ring.
+    pub const ROW_BYTES: usize = std::mem::size_of::<Row>();
+
+    /// `(pkt, size)` kinds the rows held name, with those waiting behind an
+    /// older kind to retire.
+    pub fn kinds_held(&self) -> usize {
+        self.kinds.len()
+    }
+
     /// The native emissions that re-entered a link a native ancestor —
     /// one of the at most `CHAIN_GUARD - 1` — had crossed, in the order
     /// recorded: those judged as the clock moved on, and now the rest.
@@ -537,7 +619,7 @@ impl Journal {
     pub fn link_usage(&self) -> Vec<LinkDataUsage> {
         let mut usage: Vec<LinkDataUsage> = self.links.iter().map(|l| l.retired).collect();
         for row in &self.rows {
-            row.fold_into(&mut usage[row.link() as usize]);
+            tally(&mut usage[row.link() as usize], row, self.kind(row).size);
         }
         usage
     }
@@ -650,7 +732,7 @@ impl Journal {
                 left: CHAIN_GUARD,
             };
             while let Some((held, _)) = chain.step(self) {
-                self.rows[held].link_useful |= USEFUL_BIT;
+                self.rows[held].link_flags |= USEFUL_BIT;
                 links += 1;
             }
             end = chain.end();
@@ -691,13 +773,14 @@ impl Journal {
                 Some(parent.map_or(0, |parent| self.tag_at(at as usize, parent)))
             }
         };
+        let kind = self.kind(row);
         DataEvent {
-            pkt: row.pkt,
+            pkt: kind.pkt,
             id: self.tag_at(pos, row),
             parent,
             link: LinkId(row.link()),
             time: row.time,
-            size: row.size(),
+            size: kind.size,
             tunneled: row.tunneled(),
         }
     }
@@ -1062,7 +1145,9 @@ pub struct Recorder {
     /// apps, binding round-trips, …).
     pub series: SeriesSet,
     /// Causal spans opened/closed by node glue (handoff phases, grafts,
-    /// delivery gaps). Ids derive from `(node, per-node open count)`.
+    /// delivery gaps). Ids derive from `(node, per-node open count)`. A
+    /// built network's book holds open spans only
+    /// ([`SharedRecorder::drop_closed_spans`]).
     pub spans: SpanBook,
     /// Sim-time-stamped gauge timelines (table occupancy, queue depth,
     /// link inflight, token-bucket level), sampled by the scenario.
@@ -1191,6 +1276,14 @@ impl SharedRecorder {
     /// (`explain`) lifts it to `SimDuration::MAX` before the run starts.
     pub fn set_journal_horizon(&self, horizon: SimDuration) {
         self.0.borrow_mut().data_events.set_horizon(horizon);
+    }
+
+    /// [`SpanBook::drop_closed`] on the run's spans. `builder::build`
+    /// drops them, since a run's own readers ask only for open spans; a
+    /// caller that exports them (`scenario::stage`) keeps them before the
+    /// run starts.
+    pub fn drop_closed_spans(&self, drop: bool) {
+        self.0.borrow_mut().spans.drop_closed(drop);
     }
 
     pub fn count(&self, name: &str, delta: u64) {
@@ -1342,7 +1435,8 @@ mod tests {
 
     #[test]
     fn an_emission_costs_one_packed_row_and_one_table_slot() {
-        assert_eq!(std::mem::size_of::<Row>(), 32);
+        assert_eq!(std::mem::size_of::<Row>(), 24);
+        assert_eq!(Journal::ROW_BYTES, 24);
         let mut j = Journal::default();
         assert_eq!((j.rows.capacity(), j.by_node.capacity()), (0, 0));
         for _ in 0..1000 {
@@ -1564,21 +1658,51 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not fit beside the tunnelled bit")]
-    fn a_size_that_would_flip_the_tunnelled_bit_is_refused() {
+    #[should_panic(expected = "does not fit beside the tunnelled and useful bits")]
+    fn a_link_index_that_would_flip_the_tunnelled_bit_is_refused() {
         let mut j = Journal::default();
-        j.record(NodeId(0), 1, None, LinkId(0), SimTime::ZERO, 1 << 31, false);
+        j.record(
+            NodeId(0),
+            1,
+            None,
+            LinkId(1 << 30),
+            SimTime::ZERO,
+            100,
+            false,
+        );
     }
 
+    /// The largest size reads back beside both flags, on a row marked
+    /// useful too.
     #[test]
-    fn the_largest_size_keeps_its_flag() {
-        let mut j = Journal::default();
-        let max = (1 << 31) - 1;
-        let plain = j.record(NodeId(0), 1, None, LinkId(0), SimTime::ZERO, max, false);
-        let tunneled = j.record(NodeId(0), 1, None, LinkId(0), SimTime::ZERO, max, true);
+    fn the_largest_size_reads_back_with_its_flags() {
+        let mut rec = Recorder::default();
+        let j = &mut rec.data_events;
+        let plain = j.record(
+            NodeId(0),
+            1,
+            None,
+            LinkId(0),
+            SimTime::ZERO,
+            u32::MAX,
+            false,
+        );
+        let tunneled = j.record(NodeId(0), 1, None, LinkId(0), SimTime::ZERO, u32::MAX, true);
+        rec.record_delivery(Delivery {
+            pkt: 1,
+            host: NodeId(1),
+            link: LinkId(0),
+            time: SimTime::ZERO,
+            first: true,
+            via: tunneled,
+        });
+        let j = &rec.data_events;
         let seen = |tag| j.by_tag(tag).map(|ev| (ev.size, ev.tunneled));
-        assert_eq!(seen(plain), Some((max, false)));
-        assert_eq!(seen(tunneled), Some((max, true)));
+        assert_eq!(seen(plain), Some((u32::MAX, false)));
+        assert_eq!(seen(tunneled), Some((u32::MAX, true)));
+        let usage = j.link_usage()[0];
+        let max = u64::from(u32::MAX);
+        assert_eq!((usage.useful_bytes, usage.wasted_bytes), (max, max));
     }
 
     /// The index the journal replaced — `(tag, position)` sorted by tag,

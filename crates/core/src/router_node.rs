@@ -160,6 +160,10 @@ pub struct RouterNode {
     /// What `record_high_waters` last wrote to each of its gauges in `mib`
     /// (`None`: not created yet).
     high_waters: [Option<usize>; 3],
+    /// Multicast data frames handled: `router.mcast_data_processed`, kept
+    /// out of `mib` because it moves on every data frame and `mib` is cold
+    /// memory on a large topology (`node_kit::retire` folds it).
+    pub(crate) data_processed: u64,
 }
 
 impl RouterNode {
@@ -206,6 +210,7 @@ impl RouterNode {
             graft_spans: Vec::new(),
             mib: Counters::new(),
             high_waters: [None; 3],
+            data_processed: 0,
         }
     }
 
@@ -701,9 +706,7 @@ impl RouterNode {
         let s = packet.src;
         let now = ctx.now();
         let (fwd, sends) = self.pim.on_data(ifx, s, group, now, &self.table);
-        ctx.in_stage(Stage::Account, || {
-            bump!(self.mib, "router.mcast_data_processed")
-        });
+        self.data_processed += 1;
         self.pim_sends(ctx, sends);
         let parent = (arrived.tag != 0).then_some(arrived.tag);
         if !self.forward_multicast(ctx, packet, Some((ifx, arrived)), group, fwd, parent) {

@@ -481,6 +481,8 @@ pub struct Staged<'a> {
 pub fn stage(cfg: &ScenarioConfig, tracer: Tracer) -> Result<Staged<'_>, StageError> {
     validate(cfg)?;
     let mut staged = run::stage(&lower(cfg, &NetworkSpec::reference()), tracer)?;
+    // The report's observability block folds every span the run closed.
+    staged.net.recorder.drop_closed_spans(false);
     if cfg.profile {
         staged.net.world.enable_profiling();
     }

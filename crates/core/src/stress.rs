@@ -383,6 +383,61 @@ mod tests {
         }
     }
 
+    /// A stress run, whose report reads no span, ends holding its open
+    /// spans and no closed one: the spans a run that keeps them all leaves
+    /// open. A scenario, whose report folds them all, holds every span it
+    /// opened: each node's ids run from 1 up without a gap.
+    #[test]
+    fn a_stress_run_ends_holding_no_closed_span_and_a_scenario_every_span() {
+        let spec = &specs(Settings::new(true))[1];
+        let opts = StressRunOptions::default();
+        let ids = |book: &mobicast_sim::SpanBook, open: bool| {
+            let held = book
+                .records()
+                .iter()
+                .filter(|s| !open || s.end_ns.is_none());
+            held.map(|s| s.id)
+                .collect::<std::collections::BTreeSet<_>>()
+        };
+        let (staged, _, plan) = stage(spec, &opts, Tracer::null());
+        let dropped = run::run(staged, &plan).recorder.spans;
+        let (staged, _, plan) = stage(spec, &opts, Tracer::null());
+        staged.net.recorder.drop_closed_spans(false);
+        let kept = run::run(staged, &plan).recorder.spans;
+        assert!(
+            kept.len() > ids(&kept, true).len(),
+            "{}: no span closed",
+            spec.name
+        );
+        assert_eq!(ids(&dropped, false), ids(&kept, true), "{}", spec.name);
+
+        let cfg = crate::scenario::ScenarioConfig::builder()
+            .policy(Policy::BIDIRECTIONAL_TUNNEL)
+            .move_at(60.0, crate::scenario::PaperHost::R3, 6)
+            .build();
+        let (_, rec) = crate::scenario::run_with_recorder(&cfg);
+        let mut per_node: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+        for span in rec.spans.records() {
+            per_node
+                .entry(span.node)
+                .or_default()
+                .push(span.id.0 & 0xffff_ffff);
+        }
+        assert!(rec
+            .spans
+            .records()
+            .iter()
+            .any(|s| s.attr("unfinished").is_none()));
+        for (node, mut seqs) in per_node {
+            seqs.sort_unstable();
+            assert_eq!(
+                seqs,
+                (1..=seqs.len() as u64).collect::<Vec<_>>(),
+                "node {node}"
+            );
+        }
+    }
+
     fn too_short() -> StressSpec {
         StressSpec {
             duration: SimDuration::from_secs(79),

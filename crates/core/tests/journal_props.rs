@@ -14,7 +14,8 @@
 //! usage and both leave-delay readers must equal what the whole rows give
 //! whenever no walk touched a row past the horizon — and the walks that did
 //! are counted, exactly. And the window gives back what a burst grew: once
-//! a burst has passed the horizon the ring's room follows the rows held.
+//! a burst has passed the horizon the ring's room follows the rows held,
+//! and the `(pkt, size)` kinds it holds follow them too.
 
 use mobicast_core::analysis::{analyze, LinkDataUsage};
 use mobicast_core::explain::explain;
@@ -188,7 +189,7 @@ proptest! {
                 parent,
                 link: (op >> 9) as u32 % 6,
                 time: clock,
-                size: (op >> 12) as u32 & 0x7fff_ffff,
+                size: (op >> 12) as u32,
                 tunneled: op & 0x100 != 0,
             };
             let minted = row.record(&mut journal, row.parent);
@@ -1117,6 +1118,67 @@ mod retiring {
                         (row.time, row.link, row.size, row.tunneled)
                     );
                 }
+            }
+        }
+    }
+
+    /// The newest kinds a row's datagram and size are looked for among
+    /// (`recorder::KIND_SCAN`).
+    const KIND_SCAN: usize = 4;
+
+    proptest! {
+        /// Several datagrams in flight at once, each in a size of its own
+        /// and copied native and tunnelled (40 bytes larger) in runs that
+        /// switch size mid-datagram: every row held reads back its datagram
+        /// and size, and however long the stream runs, the kinds held are
+        /// at most `KIND_SCAN` more than the rows held.
+        #[test]
+        fn datagrams_in_many_sizes_read_back_and_their_kinds_stay_bounded(
+            ops in proptest::collection::vec(any::<u64>(), 1..400),
+            horizon_ticks in 1u64..8,
+        ) {
+            let horizon = horizon_ticks * TICK;
+            let mut journal = Journal::default();
+            journal.set_horizon(SimDuration::from_nanos(horizon));
+            let mut rows: Vec<Pushed> = Vec::new();
+            let mut now = 0;
+            for op in ops {
+                now += (op & 3) * TICK / 2;
+                // A datagram is sent within one tick: its copies span less
+                // than a horizon.
+                let pkt = now / TICK * 4 + (op >> 2) % 4;
+                let size = 40 + (pkt * 37 % 1000) as u32;
+                for copy in 0..1 + (op >> 4) % 4 {
+                    let tunneled = op >> (8 + copy) & 1 == 1;
+                    let row = Pushed {
+                        node: (op >> 16) as u32 % 4,
+                        pkt,
+                        parent: None,
+                        link: (op >> 20) as u32 % LINKS,
+                        time: now,
+                        size: size + if tunneled { 40 } else { 0 },
+                        tunneled,
+                    };
+                    row.record(&mut journal, None);
+                    rows.push(row);
+                }
+                let held = &rows[journal.retired()..];
+                let read: Vec<(u64, u32, bool, u32, u64)> = journal
+                    .iter()
+                    .map(|ev| (ev.pkt, ev.size, ev.tunneled, ev.link.0, ev.time.as_nanos()))
+                    .collect();
+                let want: Vec<(u64, u32, bool, u32, u64)> = held
+                    .iter()
+                    .map(|r| (r.pkt, r.size, r.tunneled, r.link, r.time))
+                    .collect();
+                prop_assert_eq!(read, want);
+                prop_assert!(
+                    journal.kinds_held() <= KIND_SCAN + held.len(),
+                    "{} kinds held beside {} rows at {} ns",
+                    journal.kinds_held(),
+                    held.len(),
+                    now
+                );
             }
         }
     }

@@ -95,7 +95,9 @@ impl SpanRecord {
 
 /// The run-scoped collection of spans. Records stay in open order, which
 /// `records()` exposes directly; ids are per-node (see [`SpanId::derive`]),
-/// so a hash index maps them back to records.
+/// so a hash index maps them back to records. A book told to
+/// [`drop_closed`](Self::drop_closed) holds open spans only, in no set
+/// order: a closed span's record goes, its id is never issued again.
 #[derive(Clone, Debug, Default)]
 pub struct SpanBook {
     spans: Vec<SpanRecord>,
@@ -103,6 +105,7 @@ pub struct SpanBook {
     index: std::collections::HashMap<u64, usize>,
     /// Per-node open counters feeding [`SpanId::derive`].
     opened: std::collections::HashMap<u64, u64>,
+    drop_closed: bool,
 }
 
 impl SpanBook {
@@ -141,11 +144,25 @@ impl SpanBook {
     /// Close a span at `at`. Closing an already-closed or unknown span is
     /// a no-op (the first close wins, keeping durations stable).
     pub fn close(&mut self, id: SpanId, at: SimTime) {
-        if let Some(s) = self.get_mut(id) {
+        if self.drop_closed {
+            if let Some(pos) = self.index.remove(&id.0) {
+                self.spans.swap_remove(pos);
+                if let Some(moved) = self.spans.get(pos) {
+                    self.index.insert(moved.id.0, pos);
+                }
+            }
+        } else if let Some(s) = self.get_mut(id) {
             if s.end_ns.is_none() {
                 s.end_ns = Some(at.as_nanos());
             }
         }
+    }
+
+    /// From now on, drop a span's record when it closes (`true`) or keep
+    /// it (`false`, the default). What a run never reads or exports after
+    /// it ends — a closed span — need not be held while it goes.
+    pub fn drop_closed(&mut self, drop: bool) {
+        self.drop_closed = drop;
     }
 
     /// Close every span still open (run teardown). Returns how many were
@@ -221,6 +238,34 @@ mod tests {
         // Second close is a no-op.
         book.close(a, SimTime::from_secs(99));
         assert_eq!(book.get(a).unwrap().duration_secs(), Some(2.0));
+    }
+
+    /// A book that drops closed spans holds the open ones under their
+    /// ids, and issues ids as a book that keeps everything does.
+    #[test]
+    fn a_book_that_drops_closed_spans_holds_the_open_ones() {
+        let mut book = SpanBook::default();
+        book.drop_closed(true);
+        let at = SimTime::from_secs(1);
+        let a = book.open("handoff", 1, at, None);
+        let b = book.open("bu", 1, at, Some(a));
+        let c = book.open("graft", 2, at, None);
+        book.annotate(b, "seq", 3u64);
+        book.close(a, SimTime::from_secs(2));
+        book.close(a, SimTime::from_secs(3));
+        book.annotate(a, "late", true);
+        assert!(book.get(a).is_none());
+        assert_eq!(book.get(b).unwrap().attr("seq"), Some(&FieldValue::U64(3)));
+        assert_eq!(book.get(c).unwrap().name, "graft");
+        assert_eq!(book.len(), 2);
+        book.close(c, SimTime::from_secs(2));
+        assert_eq!(book.open("graft", 2, at, None), SpanId::derive(2, 2));
+        assert_eq!(book.open("handoff", 1, at, None), SpanId::derive(1, 3));
+        assert_eq!(
+            book.records().iter().filter(|s| s.end_ns.is_none()).count(),
+            3
+        );
+        assert_eq!(book.close_open(SimTime::from_secs(4)), 3);
     }
 
     #[test]
