@@ -1,5 +1,5 @@
-//! Experiment runners: one per table/figure of the paper (see DESIGN.md's
-//! experiment index), listed once in [`REGISTRY`]. Each runner executes the
+//! Experiment runners: one per table/figure of the paper (see DESIGN.md
+//! "Experiment index"), listed once in [`REGISTRY`]. Each runner executes the
 //! necessary simulations under the [`Settings`] it is handed and returns a
 //! rendered report plus machine-readable JSON; the `mobicast` CLI in
 //! `mobicast-bench` prints them and writes `results/<id>.json`.

@@ -199,10 +199,6 @@ impl HostNode {
         self.home_addr
     }
 
-    pub fn mobile(&self) -> &MobileNode {
-        &self.mn
-    }
-
     /// Packets the receiver application accepted (deduplicated).
     pub fn received_count(&self) -> u64 {
         self.mib.get("dataReceived")

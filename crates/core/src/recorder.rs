@@ -138,11 +138,10 @@ pub(crate) const IN_FLIGHT_TAIL: SimDuration = SimDuration::from_secs(1);
 /// the longest cause → effect span any reader follows — an origin's
 /// emission to the delivery at the end of its chain — is 68 ms over the five
 /// benchmark workloads and the chaos, adversarial and overload campaigns
-/// (jitter, stale replays and storm queues included; DESIGN.md, "Recorder:
-/// the causal ground truth"). 5 s is 70 × that — 35 × for a loop walk,
-/// made when the emission is half a horizon old. A shorter horizon buys
-/// nothing: the most rows held at once are an initial flood's, emitted
-/// within a second.
+/// (jitter, stale replays and storm queues included; DESIGN.md, "The
+/// horizon"). 5 s is 70 × that — 35 × for a loop walk, made when the
+/// emission is half a horizon old. A shorter horizon buys nothing: the
+/// most rows held at once are an initial flood's, emitted within a second.
 pub(crate) const JOURNAL_HORIZON: SimDuration = SimDuration::from_secs(5);
 
 /// Rows a move of a journal's clock judges for loop-freedom before they

@@ -794,7 +794,7 @@ fn finish(cfg: &ScenarioConfig, out: RunOutput) -> (ScenarioResult, Recorder) {
                 let name = PaperHost::NAMES[paper as usize];
                 received.insert(name, h.received_count());
                 duplicates.insert(name, h.duplicate_count());
-                let updates = h.mobile().binding_updates_sent();
+                let updates = h.mib().get("buSent");
                 counters.add(&format!("host.{name}.binding_updates"), updates);
                 format!("host.{name}")
             }
@@ -814,7 +814,10 @@ fn finish(cfg: &ScenarioConfig, out: RunOutput) -> (ScenarioResult, Recorder) {
         let router = world.behavior::<RouterNode>(*r);
         if let Some(router) = router {
             max_router_sg_entries = max_router_sg_entries.max(router.max_sg_entries);
-            ha_binding_updates += router.home_agent().binding_updates_processed;
+            // The agent processes every Binding Update its rate limit admits.
+            let mib = router.mib();
+            ha_binding_updates += mib.get("haBindingUpdatesRx") + mib.get("mapBindingUpdatesRx")
+                - mib.get("buRateLimited");
             ha_packets_tunneled += router.home_agent().packets_tunneled;
         }
         let store = router.map(RouterNode::mib);

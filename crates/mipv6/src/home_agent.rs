@@ -48,8 +48,10 @@ pub enum HaNote {
 #[derive(Debug, Default)]
 pub struct HomeAgent {
     cache: BindingCache,
-    /// Processing-load metrics (the paper's "system load" measure).
-    pub binding_updates_processed: u64,
+    /// Tunnel targets handed out (the paper's "system load"), copies the
+    /// caller then drops for want of a route or at the encapsulation limit
+    /// included: no node counter isolates those. The Binding Updates it
+    /// processes are the caller's to count.
     pub packets_tunneled: u64,
     /// Binding-cache capacity; `None` = unbounded (the default).
     pub(crate) budget: Option<u32>,
@@ -101,7 +103,6 @@ impl HomeAgent {
         bu: &BindingUpdate,
         now: SimTime,
     ) -> Vec<HaOutput> {
-        self.binding_updates_processed += 1;
         // Sequence freshness (draft-10 §4.4): an update strictly older than
         // the cached one — in the modulo-2^16 half-window sense — is a
         // replay or reordering artifact and must not clobber newer state.

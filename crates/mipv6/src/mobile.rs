@@ -72,7 +72,6 @@ pub struct MobileNode {
     /// Whether Binding Updates carry the group list (paper Fig. 5) —
     /// enabled by the receive-via-home-tunnel strategies.
     include_group_list: bool,
-    binding_updates_sent: u64,
     /// Times a fresh Binding Update replaced a still-unacknowledged one
     /// (rapid-roaming signalling churn metric).
     bu_replaced: u64,
@@ -99,7 +98,6 @@ impl MobileNode {
             pending: None,
             groups: Vec::new(),
             include_group_list,
-            binding_updates_sent: 0,
             bu_replaced: 0,
         }
     }
@@ -131,7 +129,6 @@ impl MobileNode {
         self.refresh_at = None;
         let source = self.care_of?;
         self.sequence = self.sequence.wrapping_add(1);
-        self.binding_updates_sent += 1;
         Some(BuSend {
             home_agent: old,
             source,
@@ -154,11 +151,6 @@ impl MobileNode {
         self.care_of.unwrap_or(self.home_address)
     }
 
-    /// Signalling load metric: number of Binding Updates sent.
-    pub fn binding_updates_sent(&self) -> u64 {
-        self.binding_updates_sent
-    }
-
     /// Pending (unacknowledged) Binding Updates: 0 or 1 in this
     /// single-slot implementation. Feeds the retransmit-queue
     /// high-water metric.
@@ -176,7 +168,6 @@ impl MobileNode {
     /// deregistration at home.
     fn build_bu(&mut self, now: SimTime) -> Option<BuSend> {
         self.sequence = self.sequence.wrapping_add(1);
-        self.binding_updates_sent += 1;
         let away = !self.at_home();
         let lifetime = if away {
             DEFAULT_BINDING_LIFETIME
@@ -281,7 +272,6 @@ impl MobileNode {
         let p = self.pending.as_mut().filter(|p| p.at <= now)?;
         p.timeout = (p.timeout * 2).min(MAX_BINDACK_TIMEOUT);
         p.at = now + p.timeout;
-        self.binding_updates_sent += 1;
         Some(BuSend {
             home_agent: self.agent,
             source,

@@ -164,7 +164,7 @@ const EXTENDED: &str = "paper §4.3.2, the extended BU: a group change while awa
 const LIST_OFF: &str = "the group list is off (paper §4.3: only the receive-via-tunnel \
     approaches send it); the list is kept";
 const NO_BINDING: &str = "at home there is no binding to refresh";
-const FORCED: &str = "a storm script's unscheduled refresh (DESIGN.md Overload model)";
+const FORCED: &str = "a storm script's unscheduled refresh (DESIGN.md \"Overload model\")";
 const SAME_AGENT: &str = "retargeting at the agent already targeted changes nothing";
 const RETARGET_HOME: &str = "a retarget at home: no binding to release; a pending \
     deregistration is dropped";
@@ -181,7 +181,7 @@ const HA_REGISTER: &str = "§4.4: the binding cache entry is created with the BU
     the home link, each group of the sub-option no binding held";
 const HA_ACK: &str = "draft-10, Binding Acknowledgement: sent when the A bit is set, status 0, \
     the BU's sequence number and lifetime, a refresh interval of half the lifetime";
-const HA_FULL: &str = "DESIGN.md Overload model: a full cache refuses a first registration \
+const HA_FULL: &str = "DESIGN.md \"Overload model\": a full cache refuses a first registration \
     silently; the node's retransmission retries";
 const HA_DEREG_NONE: &str = "a deregistration for no binding removes nothing; the ack still goes \
     out";
@@ -369,7 +369,6 @@ struct Mn {
     /// The BU awaiting its ack and its last retransmission timeout.
     pending: Option<(BindingUpdate, SimDuration)>,
     timers: Timers,
-    sent: u64,
     replaced: u64,
 }
 
@@ -404,7 +403,6 @@ fn mn_state(m: &MobileNode) -> Mn {
         groups: m.groups.clone(),
         pending: m.pending.as_ref().map(|p| (p.bu.clone(), p.timeout)),
         timers,
-        sent: m.binding_updates_sent(),
         replaced: m.bu_replaced(),
     }
 }
@@ -475,7 +473,6 @@ fn step_mn(st: &mut Mn, conf: &MnConf, call: &Call, now: SimTime) -> Effect {
                 }
                 Resend => {
                     let (bu, _) = st.pending.clone().expect("a pending BU");
-                    st.sent += 1;
                     fx.sends.push(send(st.agent, source, bu));
                     continue;
                 }
@@ -484,7 +481,6 @@ fn step_mn(st: &mut Mn, conf: &MnConf, call: &Call, now: SimTime) -> Effect {
             let list = conf.list_on && *out == Register;
             let sub_options = list.then(|| SubOption::MulticastGroupList(st.groups.clone()));
             st.sequence = st.sequence.wrapping_add(1);
-            st.sent += 1;
             let bu = BindingUpdate {
                 flags,
                 sequence: st.sequence,
@@ -544,7 +540,6 @@ struct Ha {
     bindings: BTreeMap<Ipv6Addr, Binding>,
     timers: Timers,
     budget: Option<u32>,
-    processed: u64,
     tunneled: u64,
 }
 
@@ -596,7 +591,6 @@ fn ha_state(h: &HomeAgent) -> Ha {
         bindings,
         timers,
         budget: h.budget,
-        processed: h.binding_updates_processed,
         tunneled: h.packets_tunneled,
     }
 }
@@ -631,13 +625,9 @@ fn classify_ha(st: &Ha, call: &Call, now: SimTime) -> Vec<(Ipv6Addr, Ev, Answers
     }
 }
 
-/// Run `call` at `now` on the home agent's model. Every Binding Update
-/// counts as processed, whatever its row (the paper's load measure).
+/// Run `call` at `now` on the home agent's model.
 fn step_ha(st: &mut Ha, call: &Call, now: SimTime) -> Effect {
     let mut fx = Effect::default();
-    if let Call::Bu(..) = call {
-        st.processed += 1;
-    }
     for (home, ev, answers) in classify_ha(st, call, now) {
         let cur = st.state(home);
         let (i, &(_, _, _, next, outs, tms, _, _)) = look_up(&mut fx.cells, 1, cur, ev, &answers);

@@ -148,7 +148,7 @@ const RESTART: &str = "§6 Non-Querier, 'query received from a router with a low
     does not change)";
 const NEW: &str = "§4, §6 No Listeners, 'report received': notify routing +, start timer \
     [Multicast Listener Interval] (§7.4: 2 x 125 + 10 = 260 s)";
-const FULL: &str = "DESIGN.md Overload model: a full listener table refuses the newcomer";
+const FULL: &str = "DESIGN.md \"Overload model\": a full listener table refuses the newcomer";
 const REFRESH: &str = "§4, §6 'report received': start timer; in Checking Listeners also \
     clear rexmt timer";
 const DONE: &str = "§4, §6 'done received': start timer* ([LLQI] x [LLQC] = 2 s), start \

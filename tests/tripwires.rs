@@ -6,6 +6,12 @@
 //! catches the line it was written against. A new tripwire is a row here
 //! plus its sample; DESIGN.md names the rows that guard its rules.
 //!
+//! `the_design_names_what_exists` holds DESIGN.md to the same tree: every
+//! `DESIGN.md "Section"` citation in a row's `why` or a source file names
+//! one of its headings or bold lead-ins, and every backticked Rust
+//! path in it and README.md, every tripwire row and every `.rs` file it
+//! names exists.
+//!
 //! A needle is a literal string: a regex alternation is several needles. A
 //! whole-word needle matches only where none of its word-character edges
 //! (letter, digit, `_`) touches another word character, so `MnOutput`
@@ -15,7 +21,7 @@
 //! `target/` and `.git/` at any depth, and this file, which holds every
 //! needle.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
@@ -90,7 +96,7 @@ const TRIPWIRES: &[Tripwire] = &[
                 &["crates/core/src", "tests"],
             )
         }],
-        why: "A run is assembled and judged in core::run only (DESIGN.md, \"Run assembly\"): \
+        why: "A run is assembled and judged in core::run only (DESIGN.md, \"Run pipeline\"): \
               a second Oracle::attach or hand-written FinalizeParams is a copy of the \
               pipeline growing back.",
         pr: 22,
@@ -111,8 +117,8 @@ const TRIPWIRES: &[Tripwire] = &[
             )
         }],
         why: "The journal's layout (parent positions, the chain guard, which rows it still \
-              holds) is known in core::recorder only (DESIGN.md, \"Recorder: the causal \
-              ground truth\"): readers ask what was settled as the run went \
+              holds) is known in core::recorder only (DESIGN.md, \"Recorder and \
+              oracle\"): readers ask what was settled as the run went \
               (Journal::loops / link_usage, Deliveries::with_settled, \
               Recorder::latest_emission / sent_in / copies).",
         pr: 23,
@@ -164,8 +170,8 @@ const TRIPWIRES: &[Tripwire] = &[
                 ..grep(&["Policy::active("], &["crates", "tests", "examples"])
             },
         ],
-        why: "Run settings travel as a value (experiments::Settings, DESIGN.md \"Parallel \
-              execution & determinism\"): no process-wide policy pin or worker count for a \
+        why: "Run settings travel as a value (experiments::Settings, DESIGN.md \"Run \
+              settings are a value\"): no process-wide policy pin or worker count for a \
               sweep to read behind its caller's back. `Policy::active()` is only an alias \
               of `Policy::all()`, kept for the frozen benchmark.",
         pr: 28,
@@ -183,9 +189,9 @@ const TRIPWIRES: &[Tripwire] = &[
             ],
             &["crates", "tests", "examples"],
         )],
-        why: "One tracer, null or a ring (DESIGN.md \"Telemetry\"), one scalar for trace \
-              fields and span attributes, and one way to hand a scenario a tracer: \
-              `scenario::stage(&cfg, tracer)`.",
+        why: "One tracer, null or a ring (DESIGN.md \"Structured trace export\"), one \
+              scalar for trace fields and span attributes, and one way to hand a scenario a \
+              tracer: `scenario::stage(&cfg, tracer)`.",
         pr: 29,
         sample: "let sink = CapturingTracer::new();",
     },
@@ -532,4 +538,321 @@ fn a_whole_word_needle_stops_at_word_characters() {
     assert!(timers.flags("let t = self.cfg.hello_period * 2;"));
     assert!(!timers.flags("let t = self.cfg.hello_periods;"));
     assert!(!row("One tracer").whole_word);
+}
+
+/// The quoted names after each `marker` in `text`: `DESIGN.md "A"`,
+/// `DESIGN.md, "A"`, `DESIGN.md's "A"`, `tripwires "A", "B" and "C"`.
+fn quoted_after(text: &str, marker: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for (at, _) in text.match_indices(marker) {
+        let rest = &text[at + marker.len()..];
+        let rest = rest.strip_prefix("'s").unwrap_or(rest);
+        let mut rest = rest.strip_prefix(',').unwrap_or(rest).trim_start();
+        while let Some((name, after)) = rest.strip_prefix('"').and_then(|body| body.split_once('"'))
+        {
+            names.push(name.to_owned());
+            let after = after.trim_start();
+            let after = after.strip_prefix(',').unwrap_or(after).trim_start();
+            rest = after.strip_prefix("and ").unwrap_or(after);
+        }
+    }
+    names
+}
+
+/// Source or markdown as prose: comment markers, string continuations
+/// and escaped quotes gone, every run of whitespace one space.
+fn prose(text: &str) -> String {
+    let lines = text.lines().map(|line| {
+        let line = line.trim().trim_start_matches('/').trim_start_matches('!');
+        line.trim_end_matches('\\')
+    });
+    let joined = lines.collect::<Vec<_>>().join(" ").replace("\\\"", "\"");
+    joined.split_whitespace().collect::<Vec<_>>().join(" ")
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Does `text` hold `word` with no word character on either side?
+fn has_word(text: &str, word: &str) -> bool {
+    text.match_indices(word).any(|(at, _)| {
+        !text[..at].ends_with(is_ident) && !text[at + word.len()..].starts_with(is_ident)
+    })
+}
+
+/// Does `text` declare an item `name` with one of `keywords`?
+fn declares(text: &str, keywords: &[&str], name: &str) -> bool {
+    keywords
+        .iter()
+        .any(|kw| has_word(text, &format!("{kw} {name}")))
+}
+
+const ITEM: &[&str] = &[
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
+];
+const TYPE: &[&str] = &["struct", "enum", "trait", "type", "union"];
+
+/// Does `text`, a module, declare `name` or bring it in with a `use`?
+fn module_has(text: &str, name: &str) -> bool {
+    declares(text, ITEM, name)
+        || text
+            .split("use ")
+            .skip(1)
+            .any(|statement| has_word(statement.split(';').next().unwrap_or_default(), name))
+}
+
+/// The Rust paths in a backticked span: `a::b::C`, each of
+/// `T::{x, y}`; not `::x`, `a.b::c` or `x::<T>`'s turbofish.
+fn rust_paths(span: &str) -> Vec<String> {
+    let mut paths = Vec::new();
+    let mut i = 0;
+    while let Some(c) = span[i..].chars().next() {
+        let starts = (c.is_alphabetic() || c == '_')
+            && !span[..i].ends_with(|p: char| is_ident(p) || p == ':' || p == '.');
+        if !starts {
+            i += c.len_utf8();
+            continue;
+        }
+        let mut segs = Vec::new();
+        loop {
+            let len = span[i..]
+                .find(|c: char| !is_ident(c))
+                .unwrap_or(span.len() - i);
+            segs.push(&span[i..i + len]);
+            i += len;
+            let rest = span[i..].strip_prefix("::").unwrap_or_default();
+            if rest.starts_with(|c: char| c.is_alphabetic() || c == '_') {
+                i += 2;
+            } else if let Some((group, _)) = rest.strip_prefix('{').and_then(|g| g.split_once('}'))
+            {
+                let head = segs.join("::");
+                paths.extend(group.split(',').map(|m| format!("{head}::{}", m.trim())));
+                segs.clear();
+                i += 3 + group.len() + 1;
+                break;
+            } else {
+                break;
+            }
+        }
+        if segs.len() > 1 {
+            paths.push(segs.join("::"));
+        }
+    }
+    paths
+}
+
+/// Outside the tree: a path starting here names the standard library or
+/// a clippy lint.
+const EXTERNAL: &[&str] = &["std", "clippy"];
+
+/// The tree's `*.rs` files, and for each type name the files that
+/// declare or implement it.
+struct Tree {
+    sources: Vec<(String, String)>,
+    about: BTreeMap<String, BTreeSet<usize>>,
+}
+
+impl Tree {
+    fn new(sources: Vec<(String, String)>) -> Tree {
+        let mut about: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
+        for (i, (_, text)) in sources.iter().enumerate() {
+            for line in text.lines().map(str::trim_start) {
+                let line = ["pub(crate) ", "pub "]
+                    .iter()
+                    .fold(line, |l, p| l.strip_prefix(p).unwrap_or(l));
+                let names: Vec<&str> = match line.split_once(' ') {
+                    _ if line.starts_with("impl") => line.split(|c| !is_ident(c)).collect(),
+                    Some((kw, rest)) if TYPE.contains(&kw) => {
+                        rest.split(|c| !is_ident(c)).take(1).collect()
+                    }
+                    _ => continue,
+                };
+                for name in names.into_iter().filter(|n| !n.is_empty()) {
+                    about.entry(name.to_owned()).or_default().insert(i);
+                }
+            }
+        }
+        Tree { sources, about }
+    }
+
+    fn text(&self, file: &str) -> Option<&str> {
+        let found = self.sources.iter().find(|(f, _)| f == file);
+        found.map(|(_, t)| t.as_str())
+    }
+
+    /// Is `member` a method, constant, field or variant in a file that
+    /// declares or implements `ty`?
+    fn has_member(&self, ty: &str, member: &str) -> bool {
+        let files = self.about.get(ty).into_iter().flatten();
+        files.map(|&i| &self.sources[i].1).any(|text| {
+            declares(text, ITEM, member)
+                || text.lines().any(|line| {
+                    let line = line.trim_start();
+                    let line = ["pub(crate) ", "pub "]
+                        .iter()
+                        .fold(line, |l, p| l.strip_prefix(p).unwrap_or(l));
+                    line.strip_prefix(member).is_some_and(|rest| {
+                        !rest.starts_with("::")
+                            && (rest.is_empty() || rest.starts_with([':', ',', '(', ' ', '{']))
+                    })
+                })
+        })
+    }
+
+    /// Does `path` name a module file, an item or a member in the tree?
+    fn resolves(&self, path: &str) -> bool {
+        let segs: Vec<&str> = path.split("::").collect();
+        if EXTERNAL.contains(&segs[0]) {
+            return true;
+        }
+        let name = segs[0].strip_prefix("mobicast_").unwrap_or(segs[0]);
+        let crate_root = ["crates/", "crates/shims/"]
+            .iter()
+            .map(|dir| format!("{dir}{name}/src"))
+            .chain((name == "mobicast").then(|| "src".to_owned()))
+            .flat_map(|root| ["lib.rs", "main.rs"].map(|f| (format!("{root}/{f}"), root.clone())))
+            .find(|(file, _)| self.text(file).is_some());
+        if let Some(root) = crate_root {
+            return self.resolve_in(root, &segs[1..]);
+        }
+        let as_type = self.about.contains_key(segs[0])
+            && segs[1..].iter().all(|m| self.has_member(segs[0], m));
+        let mut modules = self.sources.iter().filter_map(|(file, _)| {
+            let stem = file.strip_suffix(&format!("/{}.rs", segs[0]));
+            let dir = file
+                .strip_suffix("/mod.rs")
+                .filter(|d| d.ends_with(&format!("/{}", segs[0])));
+            let dir = stem
+                .map(|s| format!("{s}/{}", segs[0]))
+                .or(dir.map(str::to_owned));
+            dir.map(|dir| (file.clone(), dir))
+        });
+        as_type || modules.any(|m| self.resolve_in(m, &segs[1..]))
+    }
+
+    /// Resolve `rest` from a module, given as its file and the directory
+    /// its children live in: modules, then an item the module declares
+    /// or uses, then that item's members.
+    fn resolve_in(&self, mut module: (String, String), mut rest: &[&str]) -> bool {
+        while let Some(m) = rest.first().and_then(|seg| self.child(&module, seg)) {
+            module = m;
+            rest = &rest[1..];
+        }
+        let Some((item, members)) = rest.split_first() else {
+            return true;
+        };
+        self.text(&module.0).is_some_and(|t| module_has(t, item))
+            && members.iter().all(|m| self.has_member(item, m))
+    }
+
+    fn child(&self, (file, dir): &(String, String), seg: &str) -> Option<(String, String)> {
+        let inline = self.text(file).is_some_and(|t| declares(t, &["mod"], seg));
+        [format!("{dir}/{seg}.rs"), format!("{dir}/{seg}/mod.rs")]
+            .into_iter()
+            .find(|f| self.text(f).is_some())
+            .map(|f| (f, format!("{dir}/{seg}")))
+            .or(inline.then(|| (file.clone(), dir.clone())))
+    }
+}
+
+/// DESIGN.md says what holds and names what enforces it, so every name it
+/// uses must exist. A citation resolves to a heading or bold lead-in that
+/// begins with the cited text; a path to a module file, or an item the
+/// module declares or uses and then members of that item.
+#[test]
+fn the_design_names_what_exists() {
+    let mut files = BTreeSet::new();
+    for dir in CODE_AND_BENCHMARK {
+        walk(dir, &mut files);
+    }
+    let read = |file: &str| {
+        let bytes = fs::read(repo().join(file)).expect("a file the walk found");
+        String::from_utf8_lossy(&bytes).into_owned()
+    };
+    let tree = Tree::new(
+        files
+            .iter()
+            .filter(|f| f.ends_with(".rs"))
+            .map(|f| (f.clone(), read(f)))
+            .collect(),
+    );
+    let design = read("DESIGN.md");
+    let mut findings = Vec::new();
+
+    let flat = prose(&design);
+    let headings = design
+        .lines()
+        .filter(|l| l.starts_with('#'))
+        .map(|l| l.trim_start_matches('#').trim());
+    let bold = flat.split("**").skip(1).step_by(2);
+    let anchors: Vec<&str> = headings.chain(bold).collect();
+    let whys = TRIPWIRES
+        .iter()
+        .map(|t| (format!("tripwire \"{}\"", t.name), prose(t.why)));
+    let comments = tree
+        .sources
+        .iter()
+        .filter(|(f, _)| f != THIS_FILE && !f.starts_with("benchmark/"))
+        .map(|(f, t)| (f.clone(), prose(t)));
+    for (source, text) in whys.chain(comments) {
+        for cited in quoted_after(&text, "DESIGN.md") {
+            if !anchors.iter().any(|a| a.starts_with(&cited)) {
+                findings.push(format!(
+                    "{source} cites DESIGN.md \"{cited}\", which is no heading or bold lead-in"
+                ));
+            }
+        }
+    }
+
+    for doc in ["DESIGN.md", "README.md"] {
+        let text = read(doc);
+        let mut fenced = false;
+        let outside_fences: Vec<&str> = text
+            .lines()
+            .filter(|l| {
+                fenced ^= l.starts_with("```");
+                !fenced && !l.starts_with("```")
+            })
+            .collect();
+        let outside_fences = outside_fences.join("\n");
+        for span in outside_fences.split('`').skip(1).step_by(2) {
+            for path in rust_paths(span) {
+                if !tree.resolves(&path) {
+                    findings.push(format!(
+                        "{doc} names `{path}`, which is in no file of the tree"
+                    ));
+                }
+            }
+        }
+    }
+
+    let rows: Vec<&str> = TRIPWIRES.iter().map(|t| t.name).collect();
+    for marker in ["tripwire", "tripwires"] {
+        for name in quoted_after(&flat, &format!("{marker} ")) {
+            if !rows.contains(&name.as_str()) {
+                findings.push(format!(
+                    "DESIGN.md names the tripwire \"{name}\", which is no row"
+                ));
+            }
+        }
+    }
+    let words = flat.split(|c: char| !(is_ident(c) || "./-".contains(c)));
+    for named in words.filter(|w| w.ends_with(".rs") && !w.starts_with('.')) {
+        let found = files
+            .iter()
+            .any(|f| f == named || f.ends_with(&format!("/{named}")));
+        if !found {
+            findings.push(format!(
+                "DESIGN.md names {named}, which is no file of the tree"
+            ));
+        }
+    }
+
+    assert!(
+        findings.is_empty(),
+        "{} stale names:\n{}",
+        findings.len(),
+        findings.join("\n")
+    );
 }
